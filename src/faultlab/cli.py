@@ -9,7 +9,8 @@ Subcommands:
     list-presets  show the preset catalogue
 
 Exit codes: 0 success, 1 solver failure (no convergence, oscillation,
-singular network), 2 configuration error (bad file, key, value, preset).
+singular network, a result that cannot be serialized), 2 configuration
+error (bad file, key, value, preset).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import format_table1, run_scenario, run_sweep, table1_matrix
+from .harness import format_table1, run_scenario, sweep_scenarios, table1_matrix
 from .network import SingularNetworkError
 from .presets import PRESETS, TABLE1_PRESET, preset_scenario_overrides
 from .report import ScenarioReport, csv_header, csv_line, record_line
@@ -89,15 +90,22 @@ def _emit(lines: list[str], output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+class OutputError(RuntimeError):
+    """A result could not be serialized (records refuse nan and inf)."""
+
+
 def _report_lines(
     pairs: list[tuple[Scenario, ScenarioReport]], fmt: str
 ) -> list[str]:
-    if fmt == "csv":
-        return [csv_header()] + [csv_line(report) for _, report in pairs]
-    return [
-        record_line(report, scenario.resolved, scenario.provenance)
-        for scenario, report in pairs
-    ]
+    try:
+        if fmt == "csv":
+            return [csv_header()] + [csv_line(report) for _, report in pairs]
+        return [
+            record_line(report, scenario.resolved, scenario.provenance)
+            for scenario, report in pairs
+        ]
+    except (ValueError, OverflowError) as exc:
+        raise OutputError(f"cannot serialize the results: {exc}") from exc
 
 
 def _load_config(path: str) -> dict[str, object]:
@@ -130,9 +138,8 @@ def main(argv: list[str] | None = None) -> int:
                 report = run_scenario(scenario, oracle_check=args.oracle_check)
                 _emit(_report_lines([(scenario, report)], args.format), args.output)
         elif args.command == "sweep":
-            overrides = _load_config(args.config)
-            results = run_sweep(
-                overrides,
+            points = sweep_scenarios(
+                _load_config(args.config),
                 param=args.param,
                 start=args.start,
                 stop=args.stop,
@@ -140,11 +147,7 @@ def main(argv: list[str] | None = None) -> int:
                 log=args.log,
                 scenario_id=Path(args.config).stem,
             )
-            pairs = []
-            for value, report in results:
-                merged = dict(overrides)
-                merged[args.param] = value
-                pairs.append((build_scenario(merged, scenario_id=report.scenario_id), report))
+            pairs = [(scenario, run_scenario(scenario)) for _, scenario in points]
             _emit(_report_lines(pairs, args.format), args.output)
         elif args.command == "table1":
             _emit([format_table1(table1_matrix())], args.output)
@@ -155,7 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergenceError, OscillationDetectedError, SingularNetworkError) as exc:
+    except (
+        NoConvergenceError, OscillationDetectedError, SingularNetworkError, OutputError
+    ) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK

@@ -15,6 +15,7 @@ generator is Norton already and passes through unchanged.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abc_oracle import solve_abc
@@ -50,6 +51,7 @@ from .sources import (
 __all__ = [
     "run_scenario",
     "run_sweep",
+    "sweep_scenarios",
     "prefault_network_readings",
     "Table1Row",
     "Table1Result",
@@ -283,6 +285,43 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
     )
 
 
+def sweep_scenarios(
+    overrides: dict[str, object],
+    param: str,
+    start: float,
+    stop: float,
+    steps: int,
+    log: bool = False,
+    scenario_id: str = "sweep",
+) -> Iterator[tuple[float, Scenario]]:
+    """Yield (value, scenario) along one numeric parameter axis, endpoints included."""
+    if param not in DEFAULTS:
+        raise ValidationError(f"unknown sweep parameter {param!r}")
+    default_value = DEFAULTS[param][0]
+    if isinstance(default_value, bool) or not isinstance(default_value, float):
+        raise ValidationError(f"sweep parameter {param!r} is not numeric")
+    if steps < 1:
+        raise ValidationError(f"sweep needs at least 1 step, got {steps}")
+    if log and (start <= 0.0 or stop <= 0.0):
+        raise ValidationError("logarithmic sweep endpoints must be positive")
+
+    for k in range(steps):
+        # endpoints stay bit-exact so a 2-step sweep reproduces single runs
+        if k == 0:
+            value = start
+        elif k == steps - 1:
+            value = stop
+        else:
+            t = k / (steps - 1)
+            if log:
+                value = math.exp(math.log(start) + t * (math.log(stop) - math.log(start)))
+            else:
+                value = start + t * (stop - start)
+        merged = dict(overrides)
+        merged[param] = value
+        yield value, build_scenario(merged, scenario_id=f"{scenario_id}:{param}={value:.6g}")
+
+
 def run_sweep(
     overrides: dict[str, object],
     param: str,
@@ -294,38 +333,12 @@ def run_sweep(
     oracle_check: bool = False,
 ) -> list[tuple[float, ScenarioReport]]:
     """Re-run a scenario along one numeric parameter axis, endpoints included."""
-    if param not in DEFAULTS:
-        raise ValidationError(f"unknown sweep parameter {param!r}")
-    default_value = DEFAULTS[param][0]
-    if isinstance(default_value, bool) or not isinstance(default_value, float):
-        raise ValidationError(f"sweep parameter {param!r} is not numeric")
-    if steps < 1:
-        raise ValidationError(f"sweep needs at least 1 step, got {steps}")
-    if log and (start <= 0.0 or stop <= 0.0):
-        raise ValidationError("logarithmic sweep endpoints must be positive")
-
-    values: list[float] = []
-    for k in range(steps):
-        # endpoints stay bit-exact so a 2-step sweep reproduces single runs
-        if k == 0:
-            values.append(start)
-            continue
-        if k == steps - 1:
-            values.append(stop)
-            continue
-        t = k / (steps - 1)
-        if log:
-            values.append(math.exp(math.log(start) + t * (math.log(stop) - math.log(start))))
-        else:
-            values.append(start + t * (stop - start))
-
-    results: list[tuple[float, ScenarioReport]] = []
-    for value in values:
-        merged = dict(overrides)
-        merged[param] = value
-        scenario = build_scenario(merged, scenario_id=f"{scenario_id}:{param}={value:.6g}")
-        results.append((value, run_scenario(scenario, oracle_check=oracle_check)))
-    return results
+    return [
+        (value, run_scenario(scenario, oracle_check=oracle_check))
+        for value, scenario in sweep_scenarios(
+            overrides, param, start, stop, steps, log=log, scenario_id=scenario_id
+        )
+    ]
 
 
 @dataclass(frozen=True)

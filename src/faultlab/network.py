@@ -322,9 +322,6 @@ class FaultSolution:
     def readings(self, net: NetworkModel) -> dict[str, BusReading]:
         return {name: self.total.reading(tap) for name, tap in net.relay_taps.items()}
 
-    def base_readings(self, net: NetworkModel) -> dict[str, BusReading]:
-        return {name: self.base.reading(tap) for name, tap in net.relay_taps.items()}
-
 
 def _solve_one_sequence(
     net: NetworkModel,
@@ -452,12 +449,18 @@ def solve_linear(
     net: NetworkModel,
     zero_sources: bool = False,
     extra_injections: dict[int, tuple[str, complex]] | None = None,
+    sequences: tuple[int, ...] = SEQUENCES,
 ) -> SequenceSolution:
-    """Solve the three sequence networks as they stand (no fault logic)."""
+    """Solve the sequence networks as they stand (no fault logic).
+
+    The three sequence networks are independent, so a caller that reads
+    only some of them may restrict `sequences`; the others are then absent
+    from the solution, and reading them raises KeyError.
+    """
     v: dict[int, dict[str, complex]] = {}
     i_series: dict[int, dict[str, complex]] = {}
     source_out: dict[int, dict[str, complex]] = {}
-    for seq in SEQUENCES:
+    for seq in sequences:
         extra = extra_injections.get(seq) if extra_injections else None
         v[seq], i_series[seq], source_out[seq] = _solve_one_sequence(
             net, seq, zero_sources, extra
@@ -465,20 +468,22 @@ def solve_linear(
     return SequenceSolution(v=v, i_series=i_series, source_out=source_out)
 
 
-def thevenin_at_fault(net: NetworkModel) -> TheveninEquivalent:
+def thevenin_at_fault(
+    net: NetworkModel, base: SequenceSolution | None = None
+) -> TheveninEquivalent:
     """Driving-point impedances at the fault node and its open-circuit voltage.
 
     Impedances come from a unit-current probe with all sources zeroed (ideal
-    sources short, Norton admittances kept, injections open); e_f is the
-    fault-node voltage of the base solve.
+    sources short, Norton admittances kept, injections open), one nodal
+    solve of the probed sequence each; e_f is the fault-node voltage of the
+    base solve, which is computed here unless the caller passes it.
     """
-    base = solve_linear(net)
+    if base is None:
+        base = solve_linear(net)
     z = {}
     for seq in SEQUENCES:
-        probe = solve_linear(
-            net, zero_sources=True, extra_injections={seq: (net.fault_node, 1.0 + 0j)}
-        )
-        z[seq] = probe.v[seq].get(net.fault_node, 0j)
+        v, _, _ = _solve_one_sequence(net, seq, True, (net.fault_node, 1.0 + 0j))
+        z[seq] = v.get(net.fault_node, 0j)
     return TheveninEquivalent(
         z1=z[1],
         z2=z[2],
@@ -565,8 +570,8 @@ def _add_solutions(a: SequenceSolution, b: SequenceSolution) -> SequenceSolution
 
 def solve_fault(net: NetworkModel, spec: FaultSpec) -> FaultSolution:
     """Full linear fault solve: base, Thevenin, boundary, back-distribution."""
-    thevenin = thevenin_at_fault(net)
     base = solve_linear(net)
+    thevenin = thevenin_at_fault(net, base)
     i_fault = solve_fault_boundary(thevenin, spec, net.z_base_fault_ohm)
     pure = back_distribute(net, i_fault)
     total = _add_solutions(base, pure)

@@ -227,6 +227,8 @@ def _need_float(resolved: dict[str, object], key: str) -> float:
     value = resolved[key]
     if isinstance(value, bool) or not isinstance(value, float):
         raise ValidationError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value}")
     return value
 
 

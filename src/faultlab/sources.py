@@ -9,20 +9,40 @@ Two sources can sit behind bus 1:
   virtual impedance) depends on the very currents and voltages it produces,
   so the fault solution is a fixed point, found here by damped iteration.
 
-Channel representation during the iteration matters for convergence. An
-unsaturated saturation-mode channel obeys v_t = e_ref exactly (the
-proportional loop is transparent at the fixed point), so it is modeled as a
-pinned voltage source rather than a current injection; iterating the
-injection form instead contracts at a rate around (K_pv * |Z_ext|)^-1 ~ 1
-and stalls. Saturated channels are damped current injections. The adaptive
-impedance map has a steep local gain (d|i|/dX_v is several per unit), so it
-gets a smaller default damping factor than the saturation modes.
+The iteration does not solve the network. Seen from the converter
+terminal the faulted network is affine in the two channel currents the
+converter injects (it is open in the zero sequence):
+
+    v = v_oc + Z_port @ i,    v = (v1, v2), i = (i1, i2)
+
+Three linear fault solves build (v_oc, Z_port) once per scenario: one with
+no injection, then a unit current in each channel. Every iteration is then
+2x2 complex arithmetic. An idle saturation-mode limiter obeys v_t = e_ref
+exactly (the proportional loop is transparent at the fixed point), so both
+channels are pinned at the reference and solve Z_port @ i = (e_ref1, 0) -
+v_oc for their currents; iterating the injection form instead would
+contract at a rate around (K_pv * |Z_ext|)^-1 ~ 1 and stall. Saturated
+channels are damped current injections that read their voltage off the
+port. The shaping modes put the emf behind z_branch in both channels and
+solve (Z_port + z_branch * I) @ i = (e_ref1, 0) - v_oc. The adaptive
+impedance map has a steep local gain (d|i|/dX_v is several per unit), so
+it gets a smaller default damping factor than the saturation modes. Once
+converged, the state is solved once more in the full network, which gives
+the relay readings.
+
+One iteration is one trial update of the state: a damped step, an Anderson
+extrapolation, or the endgame Newton step of the saturation modes (tried
+once the limiter is active and the residual is below 1e-6, kept only if it
+halves the residual). The finite-difference probes of that Newton step's
+Jacobian run on the port model and are not iterations. solver.max_iter
+bounds the iterations.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +61,7 @@ from .network import (
     FaultSpec,
     InjectionElement,
     NetworkModel,
+    SingularNetworkError,
     SourceElement,
     solve_fault,
     solve_linear,
@@ -54,9 +75,10 @@ __all__ = [
     "GfmModel",
     "OperatingPoint",
     "ClcSolution",
+    "TerminalPort",
+    "terminal_port",
     "default_damping",
     "prefault_solve",
-    "sg_fault_elements",
     "solve_sg_fault",
     "fault_fixed_point",
     "effective_impedances",
@@ -166,10 +188,14 @@ def default_damping(kind: ClcKind) -> float:
 
 
 def _attach_power(net: NetworkModel, element: SourceElement) -> tuple[complex, complex, complex]:
-    """Solve the healthy network; return (v, i, s) at the source node."""
-    sol = solve_linear(net.with_elements(element))
-    v = sol.voltage(element.node).pos
-    i = sol.source_current(element.eid).pos
+    """Solve the healthy network; return (v, i, s) at the source node.
+
+    Only the positive sequence carries the dispatch, and its network does
+    not depend on the other two, so it is the only one solved.
+    """
+    sol = solve_linear(net.with_elements(element), sequences=(1,))
+    v = sol.v[1].get(element.node, 0j)
+    i = sol.source_out[1].get(element.eid, 0j)
     return v, i, v * i.conjugate()
 
 
@@ -236,15 +262,11 @@ def prefault_solve(
     )
 
 
-def sg_fault_elements(net: NetworkModel, sg: SgModel, op: OperatingPoint) -> SourceElement:
-    return sg.source_element(net.source_node, op.e_ref1)
-
-
 def solve_sg_fault(
     net: NetworkModel, sg: SgModel, spec: FaultSpec, op: OperatingPoint
 ) -> FaultSolution:
     """Fault solution for the linear (generator) source: one shot."""
-    return solve_fault(net.with_elements(sg_fault_elements(net, sg, op)), spec)
+    return solve_fault(net.with_elements(sg.source_element(net.source_node, op.e_ref1)), spec)
 
 
 @dataclass(frozen=True)
@@ -275,44 +297,70 @@ def _ratio(num: complex, den: complex, floor: float = 1e-9) -> complex | None:
     return num / den
 
 
-def _channel_elements(
-    node: str, e_ref1: complex, inj1: complex | None, inj2: complex | None
-) -> tuple[SourceElement | InjectionElement, ...]:
-    """Network stamps for a saturation-mode iterate.
+_PORT_EID = "port"
 
-    A channel that is not saturated pins its sequence voltage (z=0 source);
-    a saturated channel injects its clipped current. The zero sequence is
-    always open at the converter.
+
+@dataclass(frozen=True)
+class TerminalPort:
+    """The faulted network reduced to the converter terminal (pu, peak).
+
+    The network is linear and the converter is open in the zero sequence,
+    so the terminal sequence voltages are affine in the positive- and
+    negative-sequence currents the converter injects:
+
+        [v1, v2] = [v1_oc, v2_oc] + Z_port @ [i1, i2]
+
+    Z_port is the 2x2 port (Kron) reduction of the faulted network; an
+    unbalanced fault couples the two channels, so it is not diagonal.
     """
-    elems: list[SourceElement | InjectionElement] = []
-    z1 = complex(0.0) if inj1 is None else None
-    z2 = complex(0.0) if inj2 is None else None
-    if z1 is not None or z2 is not None:
-        elems.append(SourceElement(SOURCE_EID, node, e1=e_ref1, z1=z1, z2=z2, z0=None))
-    if inj1 is not None or inj2 is not None:
-        elems.append(
-            InjectionElement(
-                "clc_inj", node, i1=inj1 if inj1 is not None else 0j,
-                i2=inj2 if inj2 is not None else 0j,
-            )
+
+    v1_oc: complex
+    v2_oc: complex
+    z11: complex
+    z12: complex
+    z21: complex
+    z22: complex
+
+    def voltage(self, i1: complex, i2: complex) -> tuple[complex, complex]:
+        """Terminal voltages for injected channel currents."""
+        return (
+            self.v1_oc + self.z11 * i1 + self.z12 * i2,
+            self.v2_oc + self.z21 * i1 + self.z22 * i2,
         )
-    return tuple(elems)
+
+    def current_behind(self, e1: complex, z_b: complex) -> tuple[complex, complex]:
+        """Channel currents of the emf (e1, 0) behind z_b in both channels.
+
+        Solves (Z_port + z_b * I) @ i = (e1, 0) - v_oc; z_b = 0 pins the
+        terminal voltage at the emf.
+        """
+        a11 = self.z11 + z_b
+        a22 = self.z22 + z_b
+        det = a11 * a22 - self.z12 * self.z21
+        if det == 0:
+            raise SingularNetworkError("converter terminal port is singular")
+        r1 = e1 - self.v1_oc
+        r2 = -self.v2_oc
+        return (a22 * r1 - self.z12 * r2) / det, (a11 * r2 - self.z21 * r1) / det
 
 
-def _solve_iterate(
-    net: NetworkModel,
-    spec: FaultSpec,
-    elems: tuple[SourceElement | InjectionElement, ...],
-    inj1: complex | None,
-    inj2: complex | None,
-) -> tuple[FaultSolution, complex, complex, complex, complex]:
-    """One linear fault solve; returns (solution, v_t1, v_t2, i_t1, i_t2)."""
-    fault = solve_fault(net.with_elements(*elems), spec)
-    v = fault.total.voltage(net.source_node)
-    i_src = fault.total.source_current(SOURCE_EID)
-    i1 = inj1 if inj1 is not None else i_src.pos
-    i2 = inj2 if inj2 is not None else i_src.neg
-    return fault, v.pos, v.neg, i1, i2
+def terminal_port(net: NetworkModel, spec: FaultSpec) -> TerminalPort:
+    """Reduce the faulted network to the converter terminal.
+
+    Three linear fault solves with a current injection at the source node:
+    none for the open-circuit voltages, then a unit current in each channel
+    for the columns of Z_port.
+    """
+
+    def terminal(i1: complex, i2: complex) -> tuple[complex, complex]:
+        probe = InjectionElement(_PORT_EID, net.source_node, i1=i1, i2=i2)
+        v = solve_fault(net.with_elements(probe), spec).total.voltage(net.source_node)
+        return v.pos, v.neg
+
+    v1, v2 = terminal(0j, 0j)
+    a1, a2 = terminal(1.0 + 0j, 0j)
+    b1, b2 = terminal(0j, 1.0 + 0j)
+    return TerminalPort(v1, v2, z11=a1 - v1, z12=b1 - v1, z21=a2 - v2, z22=b2 - v2)
 
 
 def _saturation_targets(
@@ -434,12 +482,21 @@ def _anderson_step(
     return x_new
 
 
+# endgame Newton step of the saturation modes: tried once the residual is
+# below _NEWTON_BELOW, with a forward-difference Jacobian of step _NEWTON_H
+_NEWTON_BELOW = 1e-6
+_NEWTON_H = 1e-7
+
+
 @dataclass(frozen=True)
 class _SatState:
-    """One evaluated saturation-mode iterate."""
+    """One evaluated saturation-mode iterate.
 
-    elems: tuple[SourceElement | InjectionElement, ...]
-    fault: FaultSolution
+    pinned: both channels hold the terminal at the reference (limiter
+    idle); otherwise both inject (i1, i2).
+    """
+
+    pinned: bool
     v1: complex
     v2: complex
     i1: complex
@@ -454,8 +511,6 @@ class _SatState:
 class _ShapeState:
     """One evaluated impedance-shaping iterate."""
 
-    src: SourceElement
-    fault: FaultSolution
     v1: complex
     v2: complex
     i1: complex
@@ -463,6 +518,39 @@ class _ShapeState:
     z_v: complex
     z_target: complex
     res: float
+
+
+def _sat_step(state: _SatState) -> np.ndarray:
+    """G = sat(i) - i as a real 4-vector (Re, Im of each channel)."""
+    g1 = state.sat1 - state.i1
+    g2 = state.sat2 - state.i2
+    return np.array([g1.real, g1.imag, g2.real, g2.imag])
+
+
+def _newton_step(
+    evaluate: Callable[[complex, complex], _SatState], acc: _SatState
+) -> _SatState | None:
+    """Newton trial on G(i) = sat(i) - i over (Re i1, Im i1, Re i2, Im i2).
+
+    The Jacobian is taken by forward differences of `evaluate`, which runs
+    on the port model; its probes are not trials of the state. Returns the
+    evaluated trial, or None when the Jacobian is singular.
+    """
+    x = np.array([acc.i1.real, acc.i1.imag, acc.i2.real, acc.i2.imag])
+    g = _sat_step(acc)
+    jac = np.empty((4, 4))
+    for col in range(4):
+        bumped = x.copy()
+        bumped[col] += _NEWTON_H
+        probe = evaluate(complex(bumped[0], bumped[1]), complex(bumped[2], bumped[3]))
+        jac[:, col] = (_sat_step(probe) - g) / _NEWTON_H
+    try:
+        x_new = x - np.linalg.solve(jac, g)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x_new)):
+        return None
+    return evaluate(complex(x_new[0], x_new[1]), complex(x_new[2], x_new[3]))
 
 
 def fault_fixed_point(
@@ -477,10 +565,16 @@ def fault_fixed_point(
     """Damped fixed-point solve of the current-limited fault condition.
 
     The state is either the pair of channel injections (saturation modes)
-    or the shared virtual impedance (shaping modes). Each pass solves the
-    linear network for the present state, evaluates the control law on the
-    resulting terminal quantities, and moves the state a damped step toward
-    the law's output. The residual is the size of the undamped step.
+    or the shared virtual impedance (shaping modes). The faulted network is
+    reduced once to its terminal port model; each pass evaluates the port
+    for the present state, evaluates the control law on the resulting
+    terminal quantities, and moves the state a damped step toward the law's
+    output. The residual is the size of the undamped step.
+
+    One iteration is one trial update of the state: a damped step, an
+    Anderson extrapolation or an endgame Newton step, accepted or not.
+    max_iter bounds them all. The converged elements are solved once more
+    in the full network for the readings.
     """
     cfg = gfm.clc
     lam = default_damping(cfg.kind) if damping is None else damping
@@ -490,19 +584,26 @@ def fault_fixed_point(
     node = net.source_node
     history: list[float] = []
     control = _SlackDamper(lam)
+    port = terminal_port(net, spec)
 
     if cfg.kind.is_saturation:
 
-        def eval_inj(inj1: complex | None, inj2: complex | None) -> _SatState:
-            elems = _channel_elements(node, e_ref1, inj1, inj2)
-            fault, v1, v2, i1, i2 = _solve_iterate(net, spec, elems, inj1, inj2)
+        def targets(pinned: bool, v1: complex, v2: complex, i1: complex, i2: complex) -> _SatState:
             sat1, sat2, active = _saturation_targets(
                 cfg, gfm.k_pv, op.theta_rad, e_ref1, v1, v2, i1, i2
             )
             res = max(abs(sat1 - i1), abs(sat2 - i2))
-            return _SatState(elems, fault, v1, v2, i1, i2, sat1, sat2, active, res)
+            return _SatState(pinned, v1, v2, i1, i2, sat1, sat2, active, res)
 
-        acc = eval_inj(None, None)
+        def eval_pinned() -> _SatState:
+            i1, i2 = port.current_behind(e_ref1, 0j)
+            return targets(True, e_ref1, 0j, i1, i2)
+
+        def eval_inj(i1: complex, i2: complex) -> _SatState:
+            v1, v2 = port.voltage(i1, i2)
+            return targets(False, v1, v2, i1, i2)
+
+        acc = eval_pinned()
         history.append(acc.res)
         control.observe(acc.res)
         win_x: list[np.ndarray] = []
@@ -525,6 +626,14 @@ def fault_fixed_point(
                         win_f.clear()
                 if cand is None and it >= max_iter:
                     break
+            if cand is None and acc.active and acc.res < _NEWTON_BELOW:
+                trial = _newton_step(eval_inj, acc)
+                if trial is not None:
+                    it += 1
+                    if trial.res <= 0.5 * acc.res:
+                        cand = trial
+                    elif it >= max_iter:
+                        break
             if cand is None:
                 if acc.active:
                     cand = eval_inj(
@@ -532,7 +641,7 @@ def fault_fixed_point(
                         acc.i2 + control.lam * (acc.sat2 - acc.i2),
                     )
                 else:
-                    cand = eval_inj(None, None)
+                    cand = eval_pinned()
                 it += 1
                 since_turbo += 1
             acc = cand
@@ -567,6 +676,11 @@ def fault_fixed_point(
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:
             i_peak = max_phase_current(acc.i1, acc.i2)
+        elems: tuple[SourceElement | InjectionElement, ...] = (
+            (SourceElement(SOURCE_EID, node, e1=e_ref1, z1=0j, z2=0j, z0=None),)
+            if acc.pinned
+            else (InjectionElement("clc_inj", node, i1=acc.i1, i2=acc.i2),)
+        )
         return ClcSolution(
             v_t=SequenceTriple(pos=acc.v1, neg=acc.v2, zero=0j),
             i_t=SequenceTriple(pos=acc.i1, neg=acc.i2, zero=0j),
@@ -577,8 +691,8 @@ def fault_fixed_point(
             limiter_active=acc.active,
             iterations=it,
             residual=acc.res,
-            fault=acc.fault,
-            elements=acc.elems,
+            fault=solve_fault(net.with_elements(*elems), spec),
+            elements=elems,
             i_max_phase=i_peak,
         )
 
@@ -587,15 +701,13 @@ def fault_fixed_point(
 
     def eval_z(z_v: complex) -> _ShapeState:
         z_branch = z_v + x_net
-        src = SourceElement(SOURCE_EID, node, e1=e_ref1, z1=z_branch, z2=z_branch, z0=None)
-        fault, v1, v2, i1, i2 = _solve_iterate(net, spec, (src,), None, None)
+        i1, i2 = port.current_behind(e_ref1, z_branch)
+        v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
         if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
             z_target = clc_virtual_admittance(cfg, abs(e_ref1 - v1) + abs(v2))
         else:
             z_target = clc_adaptive_impedance(cfg, max_phase_current(i1, i2))
-        return _ShapeState(
-            src, fault, v1, v2, i1, i2, z_v, z_target, abs(z_target - z_v)
-        )
+        return _ShapeState(v1, v2, i1, i2, z_v, z_target, abs(z_target - z_v))
 
     acc_z = eval_z(complex(cfg.r_vn, cfg.x_vn) if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j)
     history.append(acc_z.res)
@@ -635,6 +747,8 @@ def fault_fixed_point(
         active = abs(acc_z.z_v - complex(cfg.r_vn, cfg.x_vn)) > 10.0 * tol
     else:
         active = abs(acc_z.z_v) > 0.0
+    z_branch = acc_z.z_v + x_net
+    src = SourceElement(SOURCE_EID, node, e1=e_ref1, z1=z_branch, z2=z_branch, z0=None)
     return ClcSolution(
         v_t=SequenceTriple(pos=acc_z.v1, neg=acc_z.v2, zero=0j),
         i_t=SequenceTriple(pos=acc_z.i1, neg=acc_z.i2, zero=0j),
@@ -648,8 +762,8 @@ def fault_fixed_point(
         limiter_active=active,
         iterations=it,
         residual=acc_z.res,
-        fault=acc_z.fault,
-        elements=(acc_z.src,),
+        fault=solve_fault(net.with_elements(src), spec),
+        elements=(src,),
         i_max_phase=max_phase_current(acc_z.i1, acc_z.i2),
     )
 

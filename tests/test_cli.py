@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,63 @@ def test_bad_value_is_a_config_error(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "fault.m = 2\n")
     assert main(["run", "--config", cfg]) == 2
     assert "fault.m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fault.r_g_ohm", "source.p_ref", "solver.max_iter"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, key: str, value: str) -> None:
+    cfg = _config(tmp_path, f"source.kind = gfm\n{key} = {value}\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_infinite_limit_with_records_is_a_config_error(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, "source.kind = gfm\nclc.i_lim_pu = inf\n")
+    assert main(["run", "--config", cfg, "--format", "records"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "clc.i_lim_pu" in err
+
+
+def test_unserializable_result_is_a_solver_error(tmp_path, capsys, monkeypatch) -> None:
+    import dataclasses
+
+    import faultlab.cli
+
+    real = faultlab.cli.run_scenario
+
+    def non_finite(scenario, oracle_check=False):
+        report = real(scenario, oracle_check=oracle_check)
+        return dataclasses.replace(report, residual=math.nan)
+
+    monkeypatch.setattr(faultlab.cli, "run_scenario", non_finite)
+    cfg = _config(tmp_path, "source.kind = sg\n")
+    assert main(["run", "--config", cfg, "--format", "records"]) == 1
+    err = capsys.readouterr().err
+    assert "solver error" in err and "serialize" in err
+
+
+def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch) -> None:
+    import faultlab.cli
+    import faultlab.harness
+
+    builds = []
+    real = faultlab.harness.build_scenario
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(faultlab.harness, "build_scenario", counting)
+    monkeypatch.setattr(faultlab.cli, "build_scenario", counting)
+    cfg = _config(tmp_path, "source.kind = sg\n", name="sw.cfg")
+    code = main(
+        ["sweep", "--config", cfg, "--param", "fault.m", "--from", "0.2", "--to", "0.8",
+         "--steps", "3", "--format", "records"]
+    )
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(builds) == 3
 
 
 def test_unknown_preset_is_a_config_error(capsys) -> None:

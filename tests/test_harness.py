@@ -181,6 +181,26 @@ def test_two_step_sweep_endpoints_reproduce_the_single_runs(preset_reports) -> N
         assert report.residual == single.residual
 
 
+@pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance"])
+def test_converter_run_solves_the_faulted_network_at_most_four_times(
+    monkeypatch, kind: str
+) -> None:
+    """Three solves build the terminal port model, one gives the readings."""
+    import faultlab.sources
+
+    calls = []
+    real = faultlab.sources.solve_fault
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(faultlab.sources, "solve_fault", counting)
+    report = run_scenario(build_scenario({"source.kind": "gfm", "clc.kind": kind}))
+    assert report.limiter_active and report.iterations > 4
+    assert len(calls) <= 4
+
+
 def test_prefault_readings_balance_across_the_line() -> None:
     scenario = build_scenario({"source.kind": "gfm", "clc.kind": "priority"})
     op = prefault_solve(scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref)

@@ -53,6 +53,36 @@ def test_thevenin_of_series_branches() -> None:
     assert abs(th.e_f2) < 1e-12 and abs(th.e_f0) < 1e-12
 
 
+@pytest.mark.parametrize("placement", ["forward", "reverse"])
+def test_thevenin_probes_match_full_three_sequence_solves(placement: str) -> None:
+    """Each probe solves only its own sequence; the impedances must not move."""
+    scenario = build_scenario({"source.kind": "sg", "fault.placement": placement, "fault.m": 0.3})
+    net = scenario.net.with_elements(
+        SourceElement("src", scenario.net.source_node, e1=1.05 + 0.1j, z1=0.2j, z2=0.2j, z0=0.1j)
+    )
+    th = thevenin_at_fault(net)
+    for seq, z in ((1, th.z1), (2, th.z2), (0, th.z0)):
+        probe = solve_linear(
+            net, zero_sources=True, extra_injections={seq: (net.fault_node, 1.0 + 0j)}
+        )
+        assert z == probe.v[seq][net.fault_node]
+    base = solve_linear(net)
+    assert th.e_f == base.v[1][net.fault_node]
+    assert thevenin_at_fault(net, base) == th
+
+
+def test_positive_sequence_only_solve_matches_the_full_solve() -> None:
+    net = _radial_net(0.2j, 0.3j).with_elements(
+        SourceElement("far", "f", e1=0.9 - 0.1j, z1=0.4j, z2=0.4j, z0=None)
+    )
+    full = solve_linear(net)
+    pos = solve_linear(net, sequences=(1,))
+    assert pos.v[1] == full.v[1]
+    assert pos.source_out[1] == full.source_out[1]
+    with pytest.raises(KeyError):
+        pos.voltage("s")
+
+
 def test_boundary_three_phase_bolted() -> None:
     th = TheveninEquivalent(z1=0.5j, z2=0.5j, z0=0.2j, e_f=1.0 + 0j)
     i = solve_fault_boundary(th, FaultSpec(fault_type=FaultType.ABC), z_base_ohm=1.0)

@@ -13,6 +13,7 @@ from faultlab.clc import (
     saturate_reference,
 )
 from faultlab.network import (
+    InjectionElement,
     NetworkModel,
     RelayTap,
     SeriesElement,
@@ -32,6 +33,7 @@ from faultlab.sources import (
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
+    terminal_port,
 )
 
 
@@ -215,3 +217,76 @@ def test_default_damping_per_strategy() -> None:
     assert default_damping(ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE) == pytest.approx(0.2)
     assert default_damping(ClcKind.CIRCULAR) == pytest.approx(0.5)
     assert default_damping(ClcKind.VIRTUAL_ADMITTANCE) == pytest.approx(0.5)
+
+
+CLC_KINDS = (
+    "circular",
+    "priority",
+    "instantaneous",
+    "virtual_admittance",
+    "adaptive_virtual_impedance",
+)
+
+
+@pytest.mark.parametrize(
+    ("kind", "placement"),
+    [(kind, "forward") for kind in CLC_KINDS] + [(kind, "reverse") for kind in CLC_KINDS],
+)
+def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str) -> None:
+    """v = v_oc + Z_port i matches a full solve at the converged state and off it."""
+    scenario = build_scenario(
+        {
+            "source.kind": "gfm",
+            "clc.kind": kind,
+            "fault.kind": "bg",
+            "fault.placement": placement,
+            "fault.m": 0.5,
+            "fault.r_g_ohm": 20.0,
+        }
+    )
+    net, node = scenario.net, scenario.net.source_node
+    op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
+    sol = fault_fixed_point(net, scenario.gfm, scenario.fault, op)
+    port = terminal_port(net, scenario.fault)
+    assert abs(port.z12) > 1e-3  # an unbalanced fault couples the channels
+
+    direct = sol.fault.total.voltage(node)
+    v1, v2 = port.voltage(sol.i_t.pos, sol.i_t.neg)
+    assert abs(v1 - direct.pos) < 1e-12
+    assert abs(v2 - direct.neg) < 1e-12
+    assert abs(v1 - sol.v_t.pos) < 1e-12
+    assert abs(v2 - sol.v_t.neg) < 1e-12
+
+    i1, i2 = 0.7 - 0.4j, -0.2 + 0.3j
+    off = solve_fault(
+        net.with_elements(InjectionElement("probe", node, i1=i1, i2=i2)), scenario.fault
+    ).total.voltage(node)
+    w1, w2 = port.voltage(i1, i2)
+    assert abs(w1 - off.pos) < 1e-12
+    assert abs(w2 - off.neg) < 1e-12
+
+
+@pytest.mark.parametrize(
+    ("m", "r_g", "p_ref"),
+    [(0.95, 30.0, 0.5), (1.0, 0.0, 0.0)],
+)
+def test_budget_edge_instantaneous_cases_converge(m: float, r_g: float, p_ref: float) -> None:
+    # the damped and Anderson steps alone need 92-98 of the 100 iterations
+    # here, so last-bit differences in the iterates decide these cases
+    scenario = build_scenario(
+        {
+            "source.kind": "gfm",
+            "clc.kind": "instantaneous",
+            "fault.kind": "bg",
+            "fault.m": m,
+            "fault.r_g_ohm": r_g,
+            "source.p_ref": p_ref,
+        }
+    )
+    op = prefault_solve(scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref)
+    sol = fault_fixed_point(
+        scenario.net, scenario.gfm, scenario.fault, op,
+        tol=scenario.solver.tol, max_iter=scenario.solver.max_iter,
+    )
+    assert sol.residual < scenario.solver.tol
+    assert sol.iterations <= scenario.solver.max_iter
