@@ -42,6 +42,7 @@ __all__ = [
     "clc_adaptive_impedance",
     "saturate_reference",
     "instantaneous_two_channel",
+    "phase_components",
     "max_phase_current",
 ]
 
@@ -176,14 +177,14 @@ def saturate_reference(cfg: ClcConfig, i_ref_dq: complex) -> tuple[complex, comp
     return i_ref_dq * scale, complex(scale)
 
 
-def _phase_components(i1: complex, i2: complex) -> tuple[complex, complex, complex]:
+def phase_components(i1: complex, i2: complex) -> tuple[complex, complex, complex]:
     """Phase reference phasors synthesized from the two sequence channels."""
     return (i1 + i2, _ALPHA2 * i1 + ALPHA * i2, ALPHA * i1 + _ALPHA2 * i2)
 
 
 def max_phase_current(i1: complex, i2: complex) -> float:
     """Largest phase amplitude of the combined sequence pair."""
-    return max(abs(p) for p in _phase_components(i1, i2))
+    return max(abs(p) for p in phase_components(i1, i2))
 
 
 def instantaneous_two_channel(
@@ -196,7 +197,7 @@ def instantaneous_two_channel(
     per-phase scaling generates a zero-sequence residue; a three-wire
     converter has no path for it, so it is discarded.
     """
-    pa, pb, pc = _phase_components(i_ref1, i_ref2)
+    pa, pb, pc = phase_components(i_ref1, i_ref2)
     pa *= describing_function(abs(pa), cfg.clip_level)
     pb *= describing_function(abs(pb), cfg.clip_level)
     pc *= describing_function(abs(pc), cfg.clip_level)

@@ -19,7 +19,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abc_oracle import solve_abc
-from .network import BusReading, FaultType, InjectionElement, SourceElement, solve_linear
+from .network import (
+    BusReading,
+    FaultSolution,
+    FaultType,
+    InjectionElement,
+    SourceElement,
+    solve_linear,
+)
 from .phasors import ZeroPhasorError, angle_deg, fortescue, inverse_fortescue, wrap_angle_deg
 from .relay import (
     GROUND_CENTERS,
@@ -94,17 +101,18 @@ def _polar(z: complex | None) -> tuple[float | None, float | None]:
     return abs(z), _ang(z)
 
 
-def _oracle_residual(scenario: Scenario, clc: ClcSolution | None, op: OperatingPoint) -> float:
+def _oracle_residual(
+    scenario: Scenario, fault_sol: FaultSolution, clc: ClcSolution | None, op: OperatingPoint
+) -> float:
     """Max sequence-component mismatch between the two solution routes."""
     net = scenario.net
     if scenario.kind is SourceKind.SG:
         assert scenario.sg is not None
         frozen = scenario.sg.source_element(net.source_node, op.e_ref1)
-        seq_sol = solve_sg_fault(net, scenario.sg, scenario.fault, op).total
     else:
         assert clc is not None
         frozen = InjectionElement("frozen_clc", net.source_node, clc.i_t.pos, clc.i_t.neg)
-        seq_sol = clc.fault.total
+    seq_sol = fault_sol.total
     abc = solve_abc(net.with_elements(frozen), scenario.fault)
     worst = 0.0
     for name, tap in net.relay_taps.items():
@@ -165,10 +173,10 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
 
     if scenario.kind is SourceKind.GFM:
         assert clc is not None and scenario.gfm is not None
-        x_t = float(scenario.resolved["gfm.x_t_pu"])  # type: ignore[arg-type]
-        x_t0 = float(scenario.resolved["gfm.x_t0_pu"])  # type: ignore[arg-type]
+        # the transformer is a pure reactance
         z_e1, z_e2, z_e0 = effective_impedances(
-            clc.z_v1, clc.z_v2, scenario.gfm.x_f_network, x_t, x_t0
+            clc.z_v1, clc.z_v2, scenario.gfm.x_f_network,
+            scenario.z_side1.imag, scenario.z_side0.imag,
         )
         z_v1, z_v2 = clc.z_v1, clc.z_v2
         sigma1, sigma2 = clc.sigma1, clc.sigma2
@@ -180,19 +188,9 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         )
     else:
         assert scenario.sg is not None
-        coll_km = float(scenario.resolved["sg.collection_km"])  # type: ignore[arg-type]
-        zb = scenario.base.zone("hv").z_base
-        zs1 = complex(
-            float(scenario.resolved["circuit.line_r1_ohm_km"]),  # type: ignore[arg-type]
-            float(scenario.resolved["circuit.line_x1_ohm_km"]),  # type: ignore[arg-type]
-        ) * coll_km / zb
-        zs0 = complex(
-            float(scenario.resolved["circuit.line_r0_ohm_km"]),  # type: ignore[arg-type]
-            float(scenario.resolved["circuit.line_x0_ohm_km"]),  # type: ignore[arg-type]
-        ) * coll_km / zb
-        z_e1 = 1j * scenario.sg.x1 + zs1
-        z_e2 = 1j * scenario.sg.x2 + zs1
-        z_e0 = 1j * scenario.sg.x0 + zs0
+        z_e1 = 1j * scenario.sg.x1 + scenario.z_side1
+        z_e2 = 1j * scenario.sg.x2 + scenario.z_side1
+        z_e0 = 1j * scenario.sg.x0 + scenario.z_side0
         z_v1 = z_v2 = None
         sigma1 = sigma2 = None
         z_ad = None
@@ -201,7 +199,7 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
     dv1 = r1.v.pos - p1.v.pos
     dvdi1 = dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None
 
-    oracle_max_err = _oracle_residual(scenario, clc, op) if oracle_check else None
+    oracle_max_err = _oracle_residual(scenario, fault_sol, clc, op) if oracle_check else None
 
     zv1_mag, zv1_ang = _polar(z_v1)
     zv2_mag, zv2_ang = _polar(z_v2)

@@ -174,7 +174,7 @@ def _coerce_token(token: str) -> object:
 class SolverSettings:
     tol: float = 1e-9
     max_iter: int = 100
-    damping: float | None = None  # None: per-strategy default
+    damping: float | None = None  # None: 0.5
     newton_tol: float = 1e-8
     newton_max_iter: int = 50
 
@@ -195,6 +195,11 @@ class Scenario:
     sel_cfg: PhaseSelectionConfig
     solver: SolverSettings
     net: NetworkModel
+    # passive impedance between the source branch and bus 1 (pu; positive
+    # and negative, zero sequence): the collection line behind a generator,
+    # the transformer behind a converter
+    z_side1: complex
+    z_side0: complex
     overrides: dict[str, object]  # non-default keys as supplied
     resolved: dict[str, object]  # every key, final value
     provenance: dict[str, str]
@@ -374,7 +379,7 @@ def build_scenario(
         newton_max_iter=_need_int(resolved, "solver.newton_max_iter"),
     )
 
-    net = _build_network(kind, resolved, zb_hv, fault)
+    net, (z_side1, z_side0) = _build_network(kind, resolved, zb_hv, fault)
     return Scenario(
         scenario_id=scenario_id,
         kind=kind,
@@ -388,6 +393,8 @@ def build_scenario(
         sel_cfg=sel_cfg,
         solver=solver,
         net=net,
+        z_side1=z_side1,
+        z_side0=z_side0,
         overrides=overrides,
         resolved=resolved,
         provenance=provenance,
@@ -406,7 +413,8 @@ def _grid_impedance(resolved: dict[str, object]) -> tuple[complex, complex]:
 
 def _build_network(
     kind: SourceKind, resolved: dict[str, object], zb_hv: float, fault: FaultSpec
-) -> NetworkModel:
+) -> tuple[NetworkModel, tuple[complex, complex]]:
+    """The network, and the passive source-side impedances (z1, z0)."""
     km = _need_positive(resolved, "circuit.line_km")
     line_z1 = complex(
         _need_float(resolved, "circuit.line_r1_ohm_km"),
@@ -470,6 +478,7 @@ def _build_network(
             )
             fault_node = "flt"
         source_node = "sgt"
+        z_side = (zs1, zs0)
     else:
         x_t = _need_positive(resolved, "gfm.x_t_pu")
         x_t0 = _need_positive(resolved, "gfm.x_t0_pu")
@@ -498,6 +507,7 @@ def _build_network(
             )
             fault_node = "flt"
         source_node = "poc"
+        z_side = (1j * x_t, 1j * x_t0)
 
     return NetworkModel(
         elements=tuple(elements),
@@ -505,4 +515,4 @@ def _build_network(
         source_node=source_node,
         z_base_fault_ohm=zb_hv,
         relay_taps=taps,
-    )
+    ), z_side

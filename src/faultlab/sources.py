@@ -7,7 +7,8 @@ Two sources can sit behind bus 1:
 * A grid-forming converter: internal reference behind a current-limiting
   control. Under fault the control state (saturation ratios or shaped
   virtual impedance) depends on the very currents and voltages it produces,
-  so the fault solution is a fixed point, found here by damped iteration.
+  so the fault solution is a fixed point, found here by semismooth Newton
+  iteration with a damped fallback.
 
 The iteration does not solve the network. Seen from the converter
 terminal the faulted network is affine in the two channel currents the
@@ -17,24 +18,33 @@ converter injects (it is open in the zero sequence):
 
 Three linear fault solves build (v_oc, Z_port) once per scenario: one with
 no injection, then a unit current in each channel. Every iteration is then
-2x2 complex arithmetic. An idle saturation-mode limiter obeys v_t = e_ref
-exactly (the proportional loop is transparent at the fixed point), so both
-channels are pinned at the reference and solve Z_port @ i = (e_ref1, 0) -
-v_oc for their currents; iterating the injection form instead would
-contract at a rate around (K_pv * |Z_ext|)^-1 ~ 1 and stall. Saturated
-channels are damped current injections that read their voltage off the
-port. The shaping modes put the emf behind z_branch in both channels and
-solve (Z_port + z_branch * I) @ i = (e_ref1, 0) - v_oc. The adaptive
-impedance map has a steep local gain (d|i|/dX_v is several per unit), so
-it gets a smaller default damping factor than the saturation modes. Once
-converged, the state is solved once more in the full network, which gives
-the relay readings.
+2x2 complex arithmetic.
 
-One iteration is one trial update of the state: a damped step, an Anderson
-extrapolation, or the endgame Newton step of the saturation modes (tried
-once the limiter is active and the residual is below 1e-6, kept only if it
-halves the residual). The finite-difference probes of that Newton step's
-Jacobian run on the port model and are not iterations. solver.max_iter
+The fault condition is a fixed point x = law(x) of a real state: the
+(Re, Im) parts of (i1, i2) for the saturation modes, whose law reads the
+terminal voltages off the port for the injected currents, runs the
+proportional voltage loop and clips its output; and of Z_v for the shaping
+modes, whose law puts the emf behind z_branch in both channels, solves
+(Z_port + z_branch * I) @ i = (e_ref1, 0) - v_oc and recomputes Z_v. One
+driver solves all five laws. Each iteration tries a Newton step on G(x) =
+law(x) - x, capped at 0.5 in max-norm and kept only if it halves the
+residual (the largest |law - x| over the complex unknowns), and otherwise
+takes the damped step x + lam * G (lam = 0.5 unless solver.damping says
+otherwise; it halves each time the residual plateaus, and a plateau at its
+floor of 0.005 is reported as a limit cycle). The Jacobian is taken by
+forward differences on the port model with the limiter frozen on the base
+point's branch (the phase that sets the common rescale and whether it
+binds; priority's d/q clamps), so it is an element of the generalized
+Jacobian of the piecewise-smooth G: a semismooth Newton step, which
+converges where two phase currents tie at the cap. The saturation modes
+start from the currents that pin the terminal at the reference, which are
+the fixed point when the limiter stays idle; while it is idle G is affine
+and Newton solves it in one step. Once converged, the state is solved once
+more in the full network, which gives the relay readings.
+
+One iteration is one update of the state, by the Newton step or the damped
+step; the starting state counts as the first. The Newton trial that is
+rejected and the Jacobian probes are not iterations. solver.max_iter
 bounds the iterations.
 """
 
@@ -54,7 +64,7 @@ from .clc import (
     clc_virtual_admittance,
     instantaneous_two_channel,
     max_phase_current,
-    saturate_reference,
+    phase_components,
 )
 from .network import (
     FaultSolution,
@@ -77,7 +87,6 @@ __all__ = [
     "ClcSolution",
     "TerminalPort",
     "terminal_port",
-    "default_damping",
     "prefault_solve",
     "solve_sg_fault",
     "fault_fixed_point",
@@ -178,13 +187,6 @@ class OperatingPoint:
     @property
     def theta_rad(self) -> float:
         return math.radians(self.theta_deg)
-
-
-def default_damping(kind: ClcKind) -> float:
-    """Per-strategy damping factor for the fault fixed point."""
-    if kind is ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE:
-        return 0.2
-    return 0.5
 
 
 def _attach_power(net: NetworkModel, element: SourceElement) -> tuple[complex, complex, complex]:
@@ -363,46 +365,49 @@ def terminal_port(net: NetworkModel, spec: FaultSpec) -> TerminalPort:
     return TerminalPort(v1, v2, z11=a1 - v1, z12=b1 - v1, z21=a2 - v2, z22=b2 - v2)
 
 
-def _saturation_targets(
-    cfg: ClcConfig, k_pv: float, theta: float, e_ref1: complex,
-    v1: complex, v2: complex, i1: complex, i2: complex,
-) -> tuple[complex, complex, bool]:
-    """Limiter output (network frame) for the present terminal state."""
-    ref1 = k_pv * (e_ref1 - v1) + i1
-    ref2 = k_pv * (0.0 - v2) + i2
+def _clamp(value: float, bound: float, side: int | None) -> tuple[float, int]:
+    """Clamp value to [-bound, bound]; side (-1, 0 or 1) fixes the branch."""
+    if side is None:
+        side = (value > bound) - (value < -bound)
+    return (value if side == 0 else side * bound), side
 
+
+def _priority_clamp(
+    cfg: ClcConfig, ref_dq: complex, sides: tuple[int | None, int | None]
+) -> tuple[complex, tuple[int, int]]:
+    """Clamp d to the limit, then q to the headroom d leaves."""
+    d, side_d = _clamp(ref_dq.real, cfg.i_lim, sides[0])
+    q, side_q = _clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)), sides[1])
+    return complex(d, q), (side_d, side_q)
+
+
+def _limit(
+    cfg: ClcConfig, theta: float, ref1: complex, ref2: complex, branch: tuple | None
+) -> tuple[complex, complex, tuple]:
+    """Limiter output (network frame) for the loop references.
+
+    Also returns the branch the limiter took: priority's d/q clamps, the
+    phase that sets the common rescale and whether the rescale binds.
+    Passing a branch back evaluates that smooth piece of the limiter even
+    where another piece would be picked. The clipper is smooth: no branch.
+    """
     if cfg.kind is ClcKind.INSTANTANEOUS:
-        sat1, sat2 = instantaneous_two_channel(cfg, ref1, ref2)
-        active = abs(sat1 - ref1) > 1e-12 * max(1.0, abs(ref1)) or abs(
-            sat2 - ref2
-        ) > 1e-12 * max(1.0, abs(ref2))
-        return sat1, sat2, active
-
-    if cfg.kind is ClcKind.CIRCULAR:
-        # one real shrink factor keeps every phase inside i_lim and both
-        # channel angles untouched; max phase >= each channel magnitude,
-        # so the per-channel circle is implied
-        peak = max_phase_current(ref1, ref2)
-        k = min(1.0, cfg.i_lim / peak) if peak > 0.0 else 1.0
-        return ref1 * k, ref2 * k, k < 1.0
-
-    # priority: clamp each channel in its own synchronous frame, then a
-    # common real rescale enforces the per-phase cap on the combination
-    rot = cmath.exp(-1j * theta)
-    sat1_dq, _ = saturate_reference(cfg, ref1 * rot)
-    sat2_dq, _ = saturate_reference(cfg, ref2 / rot)
-    sat1 = sat1_dq / rot
-    sat2 = sat2_dq * rot
-    peak = max_phase_current(sat1, sat2)
-    k = min(1.0, cfg.i_lim / peak) if peak > 0.0 else 1.0
-    sat1 *= k
-    sat2 *= k
-    active = (
-        k < 1.0
-        or abs(sat1 - ref1) > 1e-12 * max(1.0, abs(ref1))
-        or abs(sat2 - ref2) > 1e-12 * max(1.0, abs(ref2))
-    )
-    return sat1, sat2, active
+        return (*instantaneous_two_channel(cfg, ref1, ref2), ())
+    clamps, cap = branch or (((None, None), (None, None)), None)
+    if cfg.kind is ClcKind.PRIORITY:
+        # each channel is clamped in its own synchronous frame first
+        rot = cmath.exp(-1j * theta)
+        dq1, sides1 = _priority_clamp(cfg, ref1 * rot, clamps[0])
+        dq2, sides2 = _priority_clamp(cfg, ref2 / rot, clamps[1])
+        ref1, ref2, clamps = dq1 / rot, dq2 * rot, (sides1, sides2)
+    # one real shrink factor keeps every phase inside i_lim and both
+    # channel angles untouched; the largest phase sets it
+    phases = phase_components(ref1, ref2)
+    if cap is None:
+        peak = max(range(3), key=lambda n: abs(phases[n]))
+        cap = (peak, abs(phases[peak]) > cfg.i_lim)
+    scale = cfg.i_lim / abs(phases[cap[0]]) if cap[1] else 1.0
+    return ref1 * scale, ref2 * scale, (clamps, cap)
 
 
 def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> bool:
@@ -414,143 +419,86 @@ def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> 
     return min(recent) > shrink * min(earlier)
 
 
-class _SlackDamper:
-    """Adaptive damping factor for the fixed-point loops.
+# the driver's Newton step: forward-difference Jacobian of step _FD_H,
+# capped at _STEP_CAP in max-norm; the damping factor halves down to _LAM_FLOOR
+_FD_H = 1e-7
+_STEP_CAP = 0.5
+_LAM_FLOOR = 0.005
 
-    These maps often grow the residual for a few iterations while the state
-    swings toward the attractor, so plain damping is kept as long as the
-    residual stays within a slack band of the best value seen. The factor
-    halves on clear trouble only: a residual far above the best, or a
-    plateau of the best itself (rescue). Once the floor is reached a
-    further plateau is a genuine limit cycle and must be reported.
-    """
-
-    def __init__(self, base: float, floor: float = 0.005, growth: float = 2.0) -> None:
-        self.base = base
-        self.floor = min(base, floor)
-        self.growth = growth
-        self.lam = base
-        self.best = math.inf
-        self._streak = 0
-
-    def observe(self, res: float) -> None:
-        if res > self.growth * self.best:
-            self.lam = max(self.floor, 0.5 * self.lam)
-            self._streak = 0
-        elif res <= self.best:
-            self._streak += 1
-            if self._streak >= 5:
-                self.lam = min(self.base, 1.5 * self.lam)
-        self.best = min(self.best, res)
-
-    def rescue(self) -> bool:
-        """Halve for a plateau; False when already at the floor."""
-        if self.lam <= self.floor:
-            return False
-        self.lam = max(self.floor, 0.5 * self.lam)
-        self._streak = 0
-        return True
+# law(x, branch) -> (law output, branch it took); x holds the complex unknowns
+_Law = Callable[[np.ndarray, tuple | None], tuple[np.ndarray, tuple | None]]
 
 
-_TURBO_MIN = 4  # window entries needed before an extrapolation attempt
-_TURBO_EVERY = 3  # plain damped steps between attempts
-
-
-def _anderson_step(
-    win_x: list[np.ndarray], win_f: list[np.ndarray], beta: float
+def _newton_point(
+    law: _Law, x: np.ndarray, g: np.ndarray, branch: tuple | None
 ) -> np.ndarray | None:
-    """Windowed extrapolation of a fixed-point sequence (Anderson mixing).
+    """x plus the capped Newton step on G = law - x, or None if singular.
 
-    Combines the stored iterates so the extrapolated residual is the
-    least-squares minimum over the window's span; kills the slow linear
-    modes the plain damped step leaves behind. Returns None when the
-    window is degenerate.
+    The Jacobian over the real and imaginary parts is taken by forward
+    differences with the law frozen on the base point's branch, so it is
+    an element of G's generalized Jacobian even where two pieces meet.
     """
-    xs = win_x[-_TURBO_MIN:]
-    fs = win_f[-_TURBO_MIN:]
-    if len(xs) < 2:
-        return None
-    df = np.stack([fs[k + 1] - fs[k] for k in range(len(fs) - 1)], axis=1)
-    dx = np.stack([xs[k + 1] - xs[k] for k in range(len(xs) - 1)], axis=1)
+    n = 2 * x.size
+    jac = np.empty((n, n))
+    for col in range(n):
+        probe = x.copy()
+        probe[col // 2] += _FD_H if col % 2 == 0 else 1j * _FD_H
+        y, _ = law(probe, branch)
+        jac[:, col] = ((y - probe) - g).view(float) / _FD_H
     try:
-        gamma, *_ = np.linalg.lstsq(df, fs[-1], rcond=None)
+        dx = np.linalg.solve(jac, -g.view(float))
     except np.linalg.LinAlgError:
         return None
-    x_new = xs[-1] + beta * fs[-1] - (dx + beta * df) @ gamma
-    if not np.all(np.isfinite(x_new)):
+    big = np.abs(dx).max()
+    if not math.isfinite(big):
         return None
-    return x_new
+    if big > _STEP_CAP:
+        dx *= _STEP_CAP / big
+    return x + dx.view(complex)
 
 
-# endgame Newton step of the saturation modes: tried once the residual is
-# below _NEWTON_BELOW, with a forward-difference Jacobian of step _NEWTON_H
-_NEWTON_BELOW = 1e-6
-_NEWTON_H = 1e-7
+def _drive(
+    law: _Law, x: np.ndarray, lam: float, tol: float, max_iter: int, name: str
+) -> tuple[np.ndarray, float, int]:
+    """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
-
-@dataclass(frozen=True)
-class _SatState:
-    """One evaluated saturation-mode iterate.
-
-    pinned: both channels hold the terminal at the reference (limiter
-    idle); otherwise both inject (i1, i2).
+    Each iteration tries the Newton step and keeps it if it halves the
+    residual max|law(x) - x|; otherwise it takes the damped step
+    x + lam * (law(x) - x). lam halves whenever the residual plateaus; a
+    plateau at the floor is a limit cycle. Returns (x, residual,
+    iterations), the starting point counting as the first iteration.
     """
-
-    pinned: bool
-    v1: complex
-    v2: complex
-    i1: complex
-    i2: complex
-    sat1: complex
-    sat2: complex
-    active: bool
-    res: float
-
-
-@dataclass(frozen=True)
-class _ShapeState:
-    """One evaluated impedance-shaping iterate."""
-
-    v1: complex
-    v2: complex
-    i1: complex
-    i2: complex
-    z_v: complex
-    z_target: complex
-    res: float
-
-
-def _sat_step(state: _SatState) -> np.ndarray:
-    """G = sat(i) - i as a real 4-vector (Re, Im of each channel)."""
-    g1 = state.sat1 - state.i1
-    g2 = state.sat2 - state.i2
-    return np.array([g1.real, g1.imag, g2.real, g2.imag])
-
-
-def _newton_step(
-    evaluate: Callable[[complex, complex], _SatState], acc: _SatState
-) -> _SatState | None:
-    """Newton trial on G(i) = sat(i) - i over (Re i1, Im i1, Re i2, Im i2).
-
-    The Jacobian is taken by forward differences of `evaluate`, which runs
-    on the port model; its probes are not trials of the state. Returns the
-    evaluated trial, or None when the Jacobian is singular.
-    """
-    x = np.array([acc.i1.real, acc.i1.imag, acc.i2.real, acc.i2.imag])
-    g = _sat_step(acc)
-    jac = np.empty((4, 4))
-    for col in range(4):
-        bumped = x.copy()
-        bumped[col] += _NEWTON_H
-        probe = evaluate(complex(bumped[0], bumped[1]), complex(bumped[2], bumped[3]))
-        jac[:, col] = (_sat_step(probe) - g) / _NEWTON_H
-    try:
-        x_new = x - np.linalg.solve(jac, g)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x_new)):
-        return None
-    return evaluate(complex(x_new[0], x_new[1]), complex(x_new[2], x_new[3]))
+    floor = min(lam, _LAM_FLOOR)
+    y, branch = law(x, None)
+    g = y - x
+    res = float(np.abs(g).max())
+    history = [res]
+    it = 1
+    while res >= tol and it < max_iter:
+        it += 1
+        x_new = _newton_point(law, x, g, branch)
+        if x_new is not None:
+            y, new_branch = law(x_new, None)
+        if x_new is None or not np.abs(y - x_new).max() <= 0.5 * res:
+            x_new = x + lam * g
+            y, new_branch = law(x_new, None)
+        x, branch, g = x_new, new_branch, y - x_new
+        res = float(np.abs(g).max())
+        history.append(res)
+        if res >= tol and _plateaued(history):
+            if lam <= floor:
+                raise OscillationDetectedError(
+                    f"{name}: residual {res:.3e} stopped falling after {it} iterations "
+                    f"with damping at its floor {lam:g}: limit cycle"
+                )
+            lam = max(floor, 0.5 * lam)
+            history = [res]
+    if res >= tol:
+        raise NoConvergenceError(
+            f"{name}: fixed point missed tol={tol:g} after {it} iterations "
+            f"(last residual {res:.3e}, damping {lam:g}): slow contraction"
+        )
+    return x, res, it
 
 
 def fault_fixed_point(
@@ -562,209 +510,102 @@ def fault_fixed_point(
     max_iter: int = 100,
     damping: float | None = None,
 ) -> ClcSolution:
-    """Damped fixed-point solve of the current-limited fault condition.
+    """Solve the current-limited fault condition on the terminal port model.
 
-    The state is either the pair of channel injections (saturation modes)
-    or the shared virtual impedance (shaping modes). The faulted network is
-    reduced once to its terminal port model; each pass evaluates the port
-    for the present state, evaluates the control law on the resulting
-    terminal quantities, and moves the state a damped step toward the law's
-    output. The residual is the size of the undamped step.
-
-    One iteration is one trial update of the state: a damped step, an
-    Anderson extrapolation or an endgame Newton step, accepted or not.
-    max_iter bounds them all. The converged elements are solved once more
-    in the full network for the readings.
+    The unknowns are the two channel injections (saturation modes) or the
+    shared virtual impedance (shaping modes); the law maps them through the
+    port model and the control law to their next value, and `_drive` finds
+    its fixed point. damping is the fallback step's factor (0.5 if None).
+    The converged state is solved once more in the full network for the
+    readings.
     """
     cfg = gfm.clc
-    lam = default_damping(cfg.kind) if damping is None else damping
+    lam = 0.5 if damping is None else damping
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"damping factor must lie in (0, 1], got {lam}")
     e_ref1 = op.e_ref1
     node = net.source_node
-    history: list[float] = []
-    control = _SlackDamper(lam)
     port = terminal_port(net, spec)
 
     if cfg.kind.is_saturation:
 
-        def targets(pinned: bool, v1: complex, v2: complex, i1: complex, i2: complex) -> _SatState:
-            sat1, sat2, active = _saturation_targets(
-                cfg, gfm.k_pv, op.theta_rad, e_ref1, v1, v2, i1, i2
-            )
-            res = max(abs(sat1 - i1), abs(sat2 - i2))
-            return _SatState(pinned, v1, v2, i1, i2, sat1, sat2, active, res)
-
-        def eval_pinned() -> _SatState:
-            i1, i2 = port.current_behind(e_ref1, 0j)
-            return targets(True, e_ref1, 0j, i1, i2)
-
-        def eval_inj(i1: complex, i2: complex) -> _SatState:
+        def loop_refs(i1: complex, i2: complex) -> tuple[complex, complex, complex, complex]:
             v1, v2 = port.voltage(i1, i2)
-            return targets(False, v1, v2, i1, i2)
+            return v1, v2, gfm.k_pv * (e_ref1 - v1) + i1, gfm.k_pv * (0.0 - v2) + i2
 
-        acc = eval_pinned()
-        history.append(acc.res)
-        control.observe(acc.res)
-        win_x: list[np.ndarray] = []
-        win_f: list[np.ndarray] = []
-        since_turbo = 0
-        it = 1
-        while acc.res >= tol and it < max_iter:
-            cand: _SatState | None = None
-            if since_turbo >= _TURBO_EVERY and len(win_f) >= _TURBO_MIN:
-                since_turbo = 0
-                x_new = _anderson_step(win_x, win_f, control.lam)
-                if x_new is not None:
-                    trial = eval_inj(complex(x_new[0]), complex(x_new[1]))
-                    it += 1
-                    if trial.res < acc.res:
-                        cand = trial
-                    else:
-                        # stale window (the clip set moved); start over
-                        win_x.clear()
-                        win_f.clear()
-                if cand is None and it >= max_iter:
-                    break
-            if cand is None and acc.active and acc.res < _NEWTON_BELOW:
-                trial = _newton_step(eval_inj, acc)
-                if trial is not None:
-                    it += 1
-                    if trial.res <= 0.5 * acc.res:
-                        cand = trial
-                    elif it >= max_iter:
-                        break
-            if cand is None:
-                if acc.active:
-                    cand = eval_inj(
-                        acc.i1 + control.lam * (acc.sat1 - acc.i1),
-                        acc.i2 + control.lam * (acc.sat2 - acc.i2),
-                    )
-                else:
-                    cand = eval_pinned()
-                it += 1
-                since_turbo += 1
-            acc = cand
-            if acc.active:
-                win_x.append(np.array([acc.i1, acc.i2]))
-                win_f.append(np.array([acc.sat1 - acc.i1, acc.sat2 - acc.i2]))
-                del win_x[:-_TURBO_MIN], win_f[:-_TURBO_MIN]
-            else:
-                win_x.clear()
-                win_f.clear()
-            control.observe(acc.res)
-            history.append(acc.res)
-            if acc.res >= tol and _plateaued(history):
-                if control.rescue():
-                    history.clear()
-                    history.append(acc.res)
-                    win_x.clear()
-                    win_f.clear()
-                else:
-                    raise OscillationDetectedError(
-                        f"saturation state oscillates; residual {acc.res:.3e} "
-                        f"after {it} iterations"
-                    )
-        if acc.res >= tol:
-            raise NoConvergenceError(
-                f"saturation fixed point missed tol={tol} after {it} iterations "
-                f"(last residual {acc.res:.3e})"
-            )
+        def sat_law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, tuple]:
+            _, _, ref1, ref2 = loop_refs(*x.tolist())
+            sat1, sat2, branch = _limit(cfg, op.theta_rad, ref1, ref2, branch)
+            return np.array([sat1, sat2]), branch
+
+        # start from the currents that pin the terminal at the reference:
+        # the fixed point itself when the limiter stays idle
+        x, res, it = _drive(
+            sat_law, np.array(port.current_behind(e_ref1, 0j)), lam, tol, max_iter,
+            cfg.kind.value,
+        )
+        i1, i2 = x.tolist()
+        v1, v2, ref1, ref2 = loop_refs(i1, i2)
+        sat1, sat2, _ = _limit(cfg, op.theta_rad, ref1, ref2, None)
         if cfg.kind is ClcKind.INSTANTANEOUS:
-            ref1 = gfm.k_pv * (e_ref1 - acc.v1) + acc.i1
-            ref2 = gfm.k_pv * (0.0 - acc.v2) + acc.i2
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:
-            i_peak = max_phase_current(acc.i1, acc.i2)
-        elems: tuple[SourceElement | InjectionElement, ...] = (
-            (SourceElement(SOURCE_EID, node, e1=e_ref1, z1=0j, z2=0j, z0=None),)
-            if acc.pinned
-            else (InjectionElement("clc_inj", node, i1=acc.i1, i2=acc.i2),)
+            i_peak = max_phase_current(i1, i2)
+        src: SourceElement | InjectionElement = InjectionElement("clc_inj", node, i1=i1, i2=i2)
+        z_v1, z_v2 = _ratio(e_ref1 - v1, i1), _ratio(-v2, i2)
+        sigma1 = _sigma(cfg, gfm.k_pv, e_ref1, v1, i1)
+        sigma2 = _sigma(cfg, gfm.k_pv, 0j, v2, i2)
+        active = any(
+            abs(sat - ref) > 1e-12 * max(1.0, abs(ref))
+            for sat, ref in ((sat1, ref1), (sat2, ref2))
         )
-        return ClcSolution(
-            v_t=SequenceTriple(pos=acc.v1, neg=acc.v2, zero=0j),
-            i_t=SequenceTriple(pos=acc.i1, neg=acc.i2, zero=0j),
-            z_v1=_ratio(e_ref1 - acc.v1, acc.i1),
-            z_v2=_ratio(-acc.v2, acc.i2),
-            sigma1=_sigma(cfg, gfm.k_pv, e_ref1, acc.v1, acc.i1),
-            sigma2=_sigma(cfg, gfm.k_pv, 0j, acc.v2, acc.i2),
-            limiter_active=acc.active,
-            iterations=it,
-            residual=acc.res,
-            fault=solve_fault(net.with_elements(*elems), spec),
-            elements=elems,
-            i_max_phase=i_peak,
-        )
-
-    # impedance-shaping modes: shared complex Z_v in both channels
-    x_net = 1j * gfm.x_f_network
-
-    def eval_z(z_v: complex) -> _ShapeState:
-        z_branch = z_v + x_net
-        i1, i2 = port.current_behind(e_ref1, z_branch)
-        v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
-        if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
-            z_target = clc_virtual_admittance(cfg, abs(e_ref1 - v1) + abs(v2))
-        else:
-            z_target = clc_adaptive_impedance(cfg, max_phase_current(i1, i2))
-        return _ShapeState(v1, v2, i1, i2, z_v, z_target, abs(z_target - z_v))
-
-    acc_z = eval_z(complex(cfg.r_vn, cfg.x_vn) if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j)
-    history.append(acc_z.res)
-    best = acc_z.res
-    lam_z = control.lam
-    floor_z = control.floor
-    it = 1
-    while acc_z.res >= tol and it < max_iter:
-        trial = eval_z(acc_z.z_v + lam_z * (acc_z.z_target - acc_z.z_v))
-        it += 1
-        if trial.res > control.growth * best and lam_z > floor_z:
-            # overshot the slack band: retry the same state more gently.
-            # (growth within the band is left alone; the map routinely
-            # climbs for a few iterations while z_v marches toward the
-            # saturated region)
-            lam_z = max(floor_z, 0.5 * lam_z)
-            continue
-        acc_z = trial
-        best = min(best, acc_z.res)
-        history.append(acc_z.res)
-        if acc_z.res >= tol and _plateaued(history):
-            if lam_z > floor_z:
-                lam_z = max(floor_z, 0.5 * lam_z)
-                history.clear()
-                history.append(acc_z.res)
-            else:
-                raise OscillationDetectedError(
-                    f"virtual impedance oscillates; residual {acc_z.res:.3e} "
-                    f"after {it} iterations"
-                )
-    if acc_z.res >= tol:
-        raise NoConvergenceError(
-            f"virtual impedance fixed point missed tol={tol} after {it} iterations "
-            f"(last residual {acc_z.res:.3e})"
-        )
-    if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
-        active = abs(acc_z.z_v - complex(cfg.r_vn, cfg.x_vn)) > 10.0 * tol
     else:
-        active = abs(acc_z.z_v) > 0.0
-    z_branch = acc_z.z_v + x_net
-    src = SourceElement(SOURCE_EID, node, e1=e_ref1, z1=z_branch, z2=z_branch, z0=None)
-    return ClcSolution(
-        v_t=SequenceTriple(pos=acc_z.v1, neg=acc_z.v2, zero=0j),
-        i_t=SequenceTriple(pos=acc_z.i1, neg=acc_z.i2, zero=0j),
+        # impedance-shaping modes: shared complex Z_v in both channels
+        x_net = 1j * gfm.x_f_network
+
+        def shape_law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, None]:
+            z_branch = complex(x[0]) + x_net
+            i1, i2 = port.current_behind(e_ref1, z_branch)
+            if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
+                v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
+                z_target = clc_virtual_admittance(cfg, abs(e_ref1 - v1) + abs(v2))
+            else:
+                z_target = clc_adaptive_impedance(cfg, max_phase_current(i1, i2))
+            return np.array([z_target]), None
+
+        z_vn = complex(cfg.r_vn, cfg.x_vn)
+        x, res, it = _drive(
+            shape_law,
+            np.array([z_vn if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j]),
+            lam, tol, max_iter, cfg.kind.value,
+        )
         # the commanded shaping impedance itself, shared by both channels;
         # the realized -v/i ratio at the source node would fold the
         # in-network filter reactance into it
-        z_v1=acc_z.z_v,
-        z_v2=acc_z.z_v,
-        sigma1=None,
-        sigma2=None,
+        z_v1 = z_v2 = complex(x[0])
+        z_branch = z_v1 + x_net
+        i1, i2 = port.current_behind(e_ref1, z_branch)
+        v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
+        src = SourceElement(SOURCE_EID, node, e1=e_ref1, z1=z_branch, z2=z_branch, z0=None)
+        sigma1 = sigma2 = None
+        i_peak = max_phase_current(i1, i2)
+        if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
+            active = abs(z_v1 - z_vn) > 10.0 * tol
+        else:
+            active = abs(z_v1) > 0.0
+    return ClcSolution(
+        v_t=SequenceTriple(pos=v1, neg=v2, zero=0j),
+        i_t=SequenceTriple(pos=i1, neg=i2, zero=0j),
+        z_v1=z_v1,
+        z_v2=z_v2,
+        sigma1=sigma1,
+        sigma2=sigma2,
         limiter_active=active,
         iterations=it,
-        residual=acc_z.res,
+        residual=res,
         fault=solve_fault(net.with_elements(src), spec),
         elements=(src,),
-        i_max_phase=max_phase_current(acc_z.i1, acc_z.i2),
+        i_max_phase=i_peak,
     )
 
 

@@ -141,7 +141,10 @@ def test_unknown_preset_is_a_config_error(capsys) -> None:
 def test_exhausted_solver_budget_is_a_solver_error(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "source.kind = gfm\nclc.kind = circular\nsolver.max_iter = 2\n")
     assert main(["run", "--config", cfg]) == 1
-    assert "solver error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error: circular: fixed point missed tol=1e-09 after 2 iterations" in err
+    assert "damping 0.5): slow contraction" in err
+    assert "last residual" in err
 
 
 def test_sweep_emits_one_row_per_step(tmp_path, capsys) -> None:

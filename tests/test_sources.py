@@ -27,8 +27,8 @@ from faultlab.sources import (
     GfmModel,
     NoConvergenceError,
     OperatingPoint,
+    OscillationDetectedError,
     SgModel,
-    default_damping,
     effective_impedances,
     fault_fixed_point,
     incremental_source_impedance,
@@ -213,12 +213,6 @@ def test_operating_point_accessors() -> None:
     assert op.theta_rad == pytest.approx(math.radians(12.0))
 
 
-def test_default_damping_per_strategy() -> None:
-    assert default_damping(ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE) == pytest.approx(0.2)
-    assert default_damping(ClcKind.CIRCULAR) == pytest.approx(0.5)
-    assert default_damping(ClcKind.VIRTUAL_ADMITTANCE) == pytest.approx(0.5)
-
-
 CLC_KINDS = (
     "circular",
     "priority",
@@ -266,21 +260,17 @@ def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str)
     assert abs(w2 - off.neg) < 1e-12
 
 
-@pytest.mark.parametrize(
-    ("m", "r_g", "p_ref"),
-    [(0.95, 30.0, 0.5), (1.0, 0.0, 0.0)],
-)
-def test_budget_edge_instantaneous_cases_converge(m: float, r_g: float, p_ref: float) -> None:
-    # the damped and Anderson steps alone need 92-98 of the 100 iterations
-    # here, so last-bit differences in the iterates decide these cases
+def _grid_case(kind: str, fault_kind: str, m: float, r_g: float, p_ref: float, **extra):
+    """One case of the converter robustness grid, solved at its solver settings."""
     scenario = build_scenario(
         {
             "source.kind": "gfm",
-            "clc.kind": "instantaneous",
-            "fault.kind": "bg",
+            "clc.kind": kind,
+            "fault.kind": fault_kind,
             "fault.m": m,
             "fault.r_g_ohm": r_g,
             "source.p_ref": p_ref,
+            **extra,
         }
     )
     op = prefault_solve(scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref)
@@ -288,5 +278,39 @@ def test_budget_edge_instantaneous_cases_converge(m: float, r_g: float, p_ref: f
         scenario.net, scenario.gfm, scenario.fault, op,
         tol=scenario.solver.tol, max_iter=scenario.solver.max_iter,
     )
+    return scenario, sol
+
+
+@pytest.mark.parametrize(
+    ("kind", "fault_kind", "m", "r_g", "p_ref"),
+    [
+        # two phase currents tie at the cap at the fixed point: a Jacobian
+        # that lets the largest phase switch between probes stalls near 3e-6
+        ("circular", "ab", 0.95, 100.0, 0.0),
+        ("priority", "ab", 0.95, 100.0, 0.0),
+        ("circular", "ca", 0.95, 100.0, 0.0),
+        ("priority", "ca", 0.95, 100.0, 0.0),
+        # damped iteration alone contracts too slowly for the budget here
+        ("instantaneous", "bg", 0.95, 30.0, 0.5),
+        ("instantaneous", "bg", 1.0, 0.0, 0.0),
+        ("instantaneous", "ag", 1.0, 100.0, 1.0),
+        ("virtual_admittance", "ag", 0.95, 0.0, 0.0),
+        ("adaptive_virtual_impedance", "ag", 0.0, 30.0, 0.0),
+    ],
+)
+def test_hard_grid_cases_converge(
+    kind: str, fault_kind: str, m: float, r_g: float, p_ref: float
+) -> None:
+    scenario, sol = _grid_case(kind, fault_kind, m, r_g, p_ref)
     assert sol.residual < scenario.solver.tol
     assert sol.iterations <= scenario.solver.max_iter
+
+
+def test_limit_cycle_is_diagnosed() -> None:
+    # the damping factor halves on every plateau; a plateau at its floor
+    # ends the solve with the law, the count, the residual and the factor
+    with pytest.raises(OscillationDetectedError) as info:
+        _grid_case("priority", "ca", 1.0, 30.0, 0.0, **{"solver.max_iter": 1000.0})
+    msg = str(info.value)
+    assert msg.startswith("priority: residual ")
+    assert "iterations with damping at its floor 0.005: limit cycle" in msg
