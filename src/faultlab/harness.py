@@ -24,10 +24,16 @@ from .network import (
     FaultSolution,
     FaultType,
     InjectionElement,
-    SourceElement,
     solve_linear,
 )
-from .phasors import ZeroPhasorError, angle_deg, fortescue, inverse_fortescue, wrap_angle_deg
+from .phasors import (
+    SequenceTriple,
+    ZeroPhasorError,
+    angle_deg,
+    fortescue,
+    inverse_fortescue,
+    wrap_angle_deg,
+)
 from .relay import (
     GROUND_CENTERS,
     Direction,
@@ -69,23 +75,25 @@ __all__ = [
 ]
 
 
-def _prefault_element(scenario: Scenario, op: OperatingPoint) -> SourceElement:
-    if scenario.kind is SourceKind.SG:
-        assert scenario.sg is not None
-        return scenario.sg.source_element(scenario.net.source_node, op.e_ref1)
-    assert scenario.gfm is not None
-    z = scenario.gfm.normal_z()
-    return SourceElement(
-        SOURCE_EID, scenario.net.source_node, e1=op.e_ref1, z1=z, z2=z, z0=None
-    )
-
-
 def prefault_network_readings(
     scenario: Scenario, op: OperatingPoint
 ) -> dict[str, BusReading]:
-    """Relay readings of the healthy network at the found operating point."""
-    sol = solve_linear(scenario.net.with_elements(_prefault_element(scenario, op)))
-    return {name: sol.reading(tap) for name, tap in scenario.net.relay_taps.items()}
+    """Relay readings of the healthy network at the found operating point.
+
+    The source enters as the current it delivers there (substitution
+    theorem), so one positive-sequence build gives the readings; the
+    negative- and zero-sequence networks carry no source and read zero.
+    """
+    net = scenario.net
+    pos = solve_linear(net, extra_injections={1: (net.source_node, op.i_attach)}, sequences=(1,))
+    return {
+        name: BusReading(
+            bus=tap.bus,
+            v=SequenceTriple(pos=pos.v[1].get(tap.bus, 0j)),
+            i=SequenceTriple(pos=tap.sign * pos.i_series[1].get(tap.eid, 0j)),
+        )
+        for name, tap in net.relay_taps.items()
+    }
 
 
 def _ang(x: complex) -> float | None:

@@ -10,14 +10,18 @@ representations, which is exactly what the equivalence checks exercise.
 
 Fault solving follows the classical decomposition:
 
-1. base solve: the linear network with its sources, no fault current;
-2. Thevenin reduction at the fault node (driving-point impedance per
-   sequence with sources zeroed, open-circuit voltage from the base solve);
+1. one nodal build per sequence network, solved in one call for all its
+   right-hand sides: the network with its sources (the base solve), a unit
+   current at the fault node with the sources zeroed, and optionally a unit
+   current at a port node (where a converter injects);
+2. Thevenin reduction at the fault node: the driving-point impedance is the
+   fault-probe column there, the open-circuit voltage the base column (plus
+   the port columns times any injected current);
 3. boundary conditions for the canonical a-referenced fault of each category,
    then the cyclic phase-shift rule (positive unchanged, negative times
    alpha^k, zero times alpha^2k for a fault reference shifted k phases);
-4. back-distribution: each sequence network re-solved with the fault current
-   extracted at the fault node, superposed on the base solve.
+4. back-distribution: the pure-fault solution is minus the fault current
+   times the fault-probe column, superposed on the base solve.
 
 Sign conventions: relay current is measured from the bus into the monitored
 line; fault sequence currents are drawn out of the network into the fault.
@@ -25,7 +29,9 @@ line; fault sequence currents are drawn out of the network into the fault.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -50,9 +56,11 @@ __all__ = [
     "TheveninEquivalent",
     "FaultSolution",
     "solve_linear",
+    "driving_point",
     "thevenin_at_fault",
     "solve_fault_boundary",
     "back_distribute",
+    "FaultResponse",
     "solve_fault",
 ]
 
@@ -160,7 +168,7 @@ class SeriesElement:
     z0: complex | None
 
     def z(self, seq: int) -> complex | None:
-        return {1: self.z1, 2: self.z2, 0: self.z0}[seq]
+        return (self.z0, self.z1, self.z2)[seq]
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class SourceElement:
     z0: complex | None
 
     def z(self, seq: int) -> complex | None:
-        return {1: self.z1, 2: self.z2, 0: self.z0}[seq]
+        return (self.z0, self.z1, self.z2)[seq]
 
     def emf(self, seq: int) -> complex:
         return self.e1 if seq == 1 else 0j
@@ -197,7 +205,7 @@ class InjectionElement:
     i2: complex
 
     def current(self, seq: int) -> complex:
-        return {1: self.i1, 2: self.i2, 0: 0j}[seq]
+        return (0j, self.i1, self.i2)[seq]
 
 
 @dataclass(frozen=True)
@@ -311,77 +319,111 @@ class TheveninEquivalent:
 
 @dataclass(frozen=True)
 class FaultSolution:
-    """Base, pure-fault, and total solutions for one applied fault."""
+    """Base, pure-fault, and total solutions for one applied fault.
 
-    base: SequenceSolution
-    pure: SequenceSolution
-    total: SequenceSolution
-    thevenin: TheveninEquivalent
-    i_fault: SequenceTriple
+    A view of a fault response with the currents (i1, i2) injected at its
+    port; each part is superposed from the response's columns when first
+    read.
+    """
+
+    response: FaultResponse
+    i1: complex = 0j
+    i2: complex = 0j
+
+    @cached_property
+    def _state(self) -> tuple[TheveninEquivalent, SequenceTriple, _Weights, _Weights, _Weights]:
+        return self.response._weights(self.i1, self.i2)
+
+    @property
+    def thevenin(self) -> TheveninEquivalent:
+        return self._state[0]
+
+    @property
+    def i_fault(self) -> SequenceTriple:
+        return self._state[1]
+
+    @cached_property
+    def base(self) -> SequenceSolution:
+        return _sequence_solution(self.response.builds, self._state[2])
+
+    @cached_property
+    def pure(self) -> SequenceSolution:
+        return _sequence_solution(self.response.builds, self._state[3])
+
+    @cached_property
+    def total(self) -> SequenceSolution:
+        return _sequence_solution(self.response.builds, self._state[4])
 
     def readings(self, net: NetworkModel) -> dict[str, BusReading]:
         return {name: self.total.reading(tap) for name, tap in net.relay_taps.items()}
 
 
+# one solution column of a sequence network: node voltages, series currents
+# (oriented from -> to) and source deliveries into their nodes
+_Column = tuple[dict[str, complex], dict[str, complex], dict[str, complex]]
+# per sequence, the weight of each column of its build
+_Weights = dict[int, list[complex]]
+
+
 def _solve_one_sequence(
-    net: NetworkModel,
-    seq: int,
-    zero_sources: bool,
-    extra_injection: tuple[str, complex] | None,
-) -> tuple[dict[str, complex], dict[str, complex], dict[str, complex]]:
-    """Nodal solve of one sequence network.
+    net: NetworkModel, seq: int, probes: tuple[str, ...] = ()
+) -> list[_Column]:
+    """Nodal build of one sequence network, solved for all right-hand sides at once.
 
-    Ideal sources pin their node voltage and are eliminated from the unknown
-    set; nodes untouched by any element of this sequence are simply absent
-    from the result (callers read them as zero).
+    The right-hand sides are the network as it stands (column 0) and a unit
+    current injected at each probe node with every source zeroed: ideal
+    sources short, Norton admittances kept, injections open (column k for
+    probes[k - 1]). All columns share their keys. Ideal sources pin their
+    node voltage and are eliminated from the unknown set; nodes untouched
+    by any element of this sequence are absent from the result (callers
+    read them as zero).
     """
-    series = [e for e in net.series() if e.z(seq) is not None]
+    branches = [
+        (e.eid, e.n_from, e.n_to, e.z(seq)) for e in net.series() if e.z(seq) is not None
+    ]
     sources = [e for e in net.sources() if e.z(seq) is not None]
-    injections = net.injections() if not zero_sources else []
+    # a zero injection must not drag an otherwise unconnected node (e.g. the
+    # converter terminal in the zero sequence) into the system
+    injections = [e for e in net.injections() if e.current(seq) != 0]
 
+    # pinned voltages of column 0; the probe columns pin the same nodes at 0
     pinned: dict[str, complex] = {GROUND: 0j}
     for src in sources:
         if src.z(seq) == 0:
-            emf = 0j if zero_sources else src.emf(seq)
-            pinned[src.node] = emf
+            pinned[src.node] = src.emf(seq)
 
-    nodes: set[str] = set()
-    for e in series:
-        nodes.update((e.n_from, e.n_to))
-    for src in sources:
-        nodes.add(src.node)
-    for inj in injections:
-        # a zero injection must not drag an otherwise unconnected node
-        # (e.g. the converter terminal in the zero sequence) into the system
-        if inj.current(seq) != 0:
-            nodes.add(inj.node)
-    if extra_injection is not None:
-        nodes.add(extra_injection[0])
+    nodes: set[str] = set(probes)
+    for _, n_from, n_to, _ in branches:
+        nodes.update((n_from, n_to))
+    nodes.update(src.node for src in sources)
+    nodes.update(inj.node for inj in injections)
     unknowns = sorted(n for n in nodes if n not in pinned)
     index = {n: k for k, n in enumerate(unknowns)}
 
-    n = len(unknowns)
-    y = np.zeros((n, n), dtype=complex)
-    j = np.zeros(n, dtype=complex)
+    # stamped as Python lists: item access on small arrays costs more than
+    # the solve itself
+    n, cols = len(unknowns), 1 + len(probes)
+    y = [[0j] * n for _ in range(n)]
+    rhs = [[0j] * cols for _ in range(n)]
 
     def stamp_admittance(na: str, nb: str, adm: complex) -> None:
         ia = index.get(na)
         ib = index.get(nb)
         if ia is not None:
-            y[ia, ia] += adm
+            y[ia][ia] += adm
             if ib is not None:
-                y[ia, ib] -= adm
+                y[ia][ib] -= adm
             else:
-                j[ia] += adm * pinned.get(nb, 0j)
+                rhs[ia][0] += adm * pinned.get(nb, 0j)
         if ib is not None:
-            y[ib, ib] += adm
+            y[ib][ib] += adm
             if ia is not None:
-                y[ib, ia] -= adm
+                y[ib][ia] -= adm
             else:
-                j[ib] += adm * pinned.get(na, 0j)
+                rhs[ib][0] += adm * pinned.get(na, 0j)
 
-    for e in series:
-        stamp_admittance(e.n_from, e.n_to, 1.0 / e.z(seq))
+    for _, n_from, n_to, z in branches:
+        stamp_admittance(n_from, n_to, 1.0 / z)
     for src in sources:
         z = src.z(seq)
         if z == 0:
@@ -389,60 +431,79 @@ def _solve_one_sequence(
         adm = 1.0 / z
         idx = index.get(src.node)
         if idx is not None:
-            y[idx, idx] += adm
-            if not zero_sources:
-                j[idx] += adm * src.emf(seq)
+            y[idx][idx] += adm
+            rhs[idx][0] += adm * src.emf(seq)
     for inj in injections:
-        idx = index.get(inj.node)
-        if idx is not None:
-            j[idx] += inj.current(seq)
-    if extra_injection is not None:
-        node, current = extra_injection
+        rhs[index[inj.node]][0] += inj.current(seq)
+    for k, node in enumerate(probes, start=1):
         idx = index.get(node)
-        if idx is None and node not in pinned:
-            raise SingularNetworkError(
-                f"injection node {node!r} not present in sequence-{seq} network"
-            )
         if idx is not None:
-            j[idx] += current
+            rhs[idx][k] = 1.0 + 0j
 
+    solved: list[list[complex]] = [[] for _ in range(cols)]
     if n:
         try:
-            sol = np.linalg.solve(y, j)
+            solved = np.linalg.solve(np.array(y), np.array(rhs)).T.tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularNetworkError(f"sequence-{seq} network is singular") from exc
-        if not np.all(np.isfinite(sol)):
+        if not all(cmath.isfinite(x) for values in solved for x in values):
             raise SingularNetworkError(f"sequence-{seq} solve returned non-finite voltages")
-    else:
-        sol = np.zeros(0, dtype=complex)
-
-    v = dict(pinned)
-    for node, k in index.items():
-        v[node] = complex(sol[k])
-
-    i_series: dict[str, complex] = {}
-    for e in series:
-        i_series[e.eid] = (v[e.n_from] - v[e.n_to]) / e.z(seq)
 
     # Source delivery by KCL so ideal (pinned) sources are covered too:
     # everything leaving the node through series elements, minus what the
-    # injections at the node already supply.
-    source_out: dict[str, complex] = {}
-    for src in sources:
-        out = 0j
-        for e in series:
-            if e.n_from == src.node:
-                out += i_series[e.eid]
-            if e.n_to == src.node:
-                out -= i_series[e.eid]
-        for inj in injections:
-            if inj.node == src.node:
-                out -= inj.current(seq)
-        if extra_injection is not None and extra_injection[0] == src.node:
-            out -= extra_injection[1]
-        source_out[src.eid] = out
+    # injections (column 0) or the probe (its column) supply there.
+    kcl = [
+        (
+            src,
+            [(eid, (n_from == src.node) - (n_to == src.node))
+             for eid, n_from, n_to, _ in branches if src.node in (n_from, n_to)],
+            sum((inj.current(seq) for inj in injections if inj.node == src.node), 0j),
+        )
+        for src in sources
+    ]
+    columns: list[_Column] = []
+    for k, values in enumerate(solved):
+        v = dict(pinned) if k == 0 else dict.fromkeys(pinned, 0j)
+        v.update(zip(unknowns, values))
+        i_series = {eid: (v[n_from] - v[n_to]) / z for eid, n_from, n_to, z in branches}
+        source_out: dict[str, complex] = {}
+        for src, terms, injected in kcl:
+            out = 0j
+            for eid, sign in terms:
+                out += sign * i_series[eid]
+            if k == 0:
+                out -= injected
+            elif probes[k - 1] == src.node:
+                out -= 1.0
+            source_out[src.eid] = out
+        columns.append((v, i_series, source_out))
+    return columns
 
-    return v, i_series, source_out
+
+def _superpose(columns: list[_Column], weights: list[complex]) -> _Column:
+    """Weighted sum of the columns of one build (same keys, same order)."""
+    terms = [(w, col) for w, col in zip(weights, columns) if w != 0]
+    out = []
+    for part in range(3):
+        keys = columns[0][part]
+        values = [0j] * len(keys)
+        for w, col in terms:
+            values = [x + w * y for x, y in zip(values, col[part].values())]
+        out.append(dict(zip(keys, values)))
+    return out[0], out[1], out[2]
+
+
+def _voltage(columns: list[_Column], node: str, weights: list[complex]) -> complex:
+    return sum((w * col[0].get(node, 0j) for w, col in zip(weights, columns)), 0j)
+
+
+def _sequence_solution(builds: dict[int, list[_Column]], weights: _Weights) -> SequenceSolution:
+    parts = {seq: _superpose(columns, weights[seq]) for seq, columns in builds.items()}
+    return SequenceSolution(
+        v={seq: part[0] for seq, part in parts.items()},
+        i_series={seq: part[1] for seq, part in parts.items()},
+        source_out={seq: part[2] for seq, part in parts.items()},
+    )
 
 
 def solve_linear(
@@ -453,45 +514,68 @@ def solve_linear(
 ) -> SequenceSolution:
     """Solve the sequence networks as they stand (no fault logic).
 
-    The three sequence networks are independent, so a caller that reads
-    only some of them may restrict `sequences`; the others are then absent
-    from the solution, and reading them raises KeyError.
+    An extra injection (node, current) in a sequence adds that current at
+    the node; zero_sources drops every source, leaving only the extra
+    injections. The three sequence networks are independent, so a caller
+    that reads only some of them may restrict `sequences`; the others are
+    then absent from the solution, and reading them raises KeyError.
     """
-    v: dict[int, dict[str, complex]] = {}
-    i_series: dict[int, dict[str, complex]] = {}
-    source_out: dict[int, dict[str, complex]] = {}
+    builds: dict[int, list[_Column]] = {}
+    weights: _Weights = {}
     for seq in sequences:
         extra = extra_injections.get(seq) if extra_injections else None
-        v[seq], i_series[seq], source_out[seq] = _solve_one_sequence(
-            net, seq, zero_sources, extra
-        )
-    return SequenceSolution(v=v, i_series=i_series, source_out=source_out)
+        builds[seq] = _solve_one_sequence(net, seq, (extra[0],) if extra else ())
+        weights[seq] = [0.0 if zero_sources else 1.0] + ([extra[1]] if extra else [])
+    return _sequence_solution(builds, weights)
 
 
-def thevenin_at_fault(
-    net: NetworkModel, base: SequenceSolution | None = None
-) -> TheveninEquivalent:
-    """Driving-point impedances at the fault node and its open-circuit voltage.
+def driving_point(net: NetworkModel, node: str) -> tuple[complex, complex]:
+    """The positive-sequence network seen from node, from one build.
 
-    Impedances come from a unit-current probe with all sources zeroed (ideal
-    sources short, Norton admittances kept, injections open), one nodal
-    solve of the probed sequence each; e_f is the fault-node voltage of the
-    base solve, which is computed here unless the caller passes it.
+    Returns (v_oc, z): the node voltage is v_oc + z * i when a current i is
+    injected there.
     """
-    if base is None:
-        base = solve_linear(net)
-    z = {}
-    for seq in SEQUENCES:
-        v, _, _ = _solve_one_sequence(net, seq, True, (net.fault_node, 1.0 + 0j))
-        z[seq] = v.get(net.fault_node, 0j)
+    base, probe = _solve_one_sequence(net, 1, (node,))
+    return base[0][node], probe[0][node]
+
+
+def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:
+    """Each sequence network built once, probed at the fault node and the port.
+
+    The port carries positive- and negative-sequence currents only, so the
+    zero-sequence network is not probed there.
+    """
+    return {
+        seq: _solve_one_sequence(
+            net, seq, (net.fault_node, port) if port and seq != 0 else (net.fault_node,)
+        )
+        for seq in SEQUENCES
+    }
+
+
+def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> TheveninEquivalent:
+    """Fault-probe column at node (impedances), base solution there (voltages)."""
     return TheveninEquivalent(
-        z1=z[1],
-        z2=z[2],
-        z0=z[0],
-        e_f=base.v[1].get(net.fault_node, 0j),
-        e_f2=base.v[2].get(net.fault_node, 0j),
-        e_f0=base.v[0].get(net.fault_node, 0j),
+        z1=builds[1][1][0][node],
+        z2=builds[2][1][0][node],
+        z0=builds[0][1][0][node],
+        e_f=_voltage(builds[1], node, base[1]),
+        e_f2=_voltage(builds[2], node, base[2]),
+        e_f0=_voltage(builds[0], node, base[0]),
     )
+
+
+def thevenin_at_fault(net: NetworkModel) -> TheveninEquivalent:
+    """Driving-point impedances at the fault node and its open-circuit voltages.
+
+    One nodal build per sequence solves the network as it stands and a
+    unit-current probe at the fault node with all sources zeroed (ideal
+    sources short, Norton admittances kept, injections open); the
+    impedances are the probe column at the fault node, the open-circuit
+    voltages the base column there.
+    """
+    base = {seq: [1.0, 0.0] for seq in SEQUENCES}
+    return _thevenin(_fault_builds(net), net.fault_node, base)
 
 
 def solve_fault_boundary(
@@ -548,31 +632,58 @@ def back_distribute(net: NetworkModel, i_fault: SequenceTriple) -> SequenceSolut
     )
 
 
-def _add_solutions(a: SequenceSolution, b: SequenceSolution) -> SequenceSolution:
-    v: dict[int, dict[str, complex]] = {}
-    i_series: dict[int, dict[str, complex]] = {}
-    source_out: dict[int, dict[str, complex]] = {}
-    for seq in SEQUENCES:
-        v[seq] = {
-            n: a.v[seq].get(n, 0j) + b.v[seq].get(n, 0j)
-            for n in set(a.v[seq]) | set(b.v[seq])
+@dataclass(frozen=True)
+class FaultResponse:
+    """One faulted network as an affine function of the currents injected at a port.
+
+    `solve_fault` builds each sequence network once and solves its
+    right-hand sides together: the network as it stands, a unit current at
+    the fault node and, in the positive and negative sequences when a port
+    node is named, a unit current at the port. The rest is superposition.
+    Injecting (i1, i2) at the port adds i1 and i2 times the port columns to
+    the base solution, and with it to the open-circuit voltages at the
+    fault node; the boundary conditions turn those into the fault current;
+    the pure-fault solution is minus that current times the fault column.
+    """
+
+    net: NetworkModel
+    spec: FaultSpec
+    port: str
+    builds: dict[int, list[_Column]]
+
+    def _weights(
+        self, i1: complex, i2: complex
+    ) -> tuple[TheveninEquivalent, SequenceTriple, _Weights, _Weights, _Weights]:
+        """Thevenin view, fault current, and the base, pure and total column weights."""
+        if not self.port and (i1 or i2):
+            raise ValueError("no port to inject at: solve the fault with a port node")
+        inject = {1: [i1], 2: [i2], 0: []} if self.port else {1: [], 2: [], 0: []}
+        base = {seq: [1.0, 0.0, *inject[seq]] for seq in SEQUENCES}
+        thevenin = _thevenin(self.builds, self.net.fault_node, base)
+        i_fault = solve_fault_boundary(thevenin, self.spec, self.net.z_base_fault_ohm)
+        pure = {
+            seq: [0.0, -i_f] + [0.0] * len(inject[seq])
+            for seq, i_f in ((1, i_fault.pos), (2, i_fault.neg), (0, i_fault.zero))
         }
-        i_series[seq] = {
-            e: a.i_series[seq].get(e, 0j) + b.i_series[seq].get(e, 0j)
-            for e in set(a.i_series[seq]) | set(b.i_series[seq])
-        }
-        source_out[seq] = {
-            e: a.source_out[seq].get(e, 0j) + b.source_out[seq].get(e, 0j)
-            for e in set(a.source_out[seq]) | set(b.source_out[seq])
-        }
-    return SequenceSolution(v=v, i_series=i_series, source_out=source_out)
+        total = {seq: [a + b for a, b in zip(base[seq], pure[seq])] for seq in SEQUENCES}
+        return thevenin, i_fault, base, pure, total
+
+    def voltage(self, node: str, i1: complex = 0j, i2: complex = 0j) -> SequenceTriple:
+        """Faulted sequence voltages at node with (i1, i2) injected at the port."""
+        total = self._weights(i1, i2)[4]
+        v = {seq: _voltage(self.builds[seq], node, total[seq]) for seq in SEQUENCES}
+        return SequenceTriple(pos=v[1], neg=v[2], zero=v[0])
+
+    def at(self, i1: complex = 0j, i2: complex = 0j) -> FaultSolution:
+        """The fault solution with (i1, i2) injected at the port."""
+        return FaultSolution(self, i1, i2)
 
 
-def solve_fault(net: NetworkModel, spec: FaultSpec) -> FaultSolution:
-    """Full linear fault solve: base, Thevenin, boundary, back-distribution."""
-    base = solve_linear(net)
-    thevenin = thevenin_at_fault(net, base)
-    i_fault = solve_fault_boundary(thevenin, spec, net.z_base_fault_ohm)
-    pure = back_distribute(net, i_fault)
-    total = _add_solutions(base, pure)
-    return FaultSolution(base=base, pure=pure, total=total, thevenin=thevenin, i_fault=i_fault)
+def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolution:
+    """Full linear fault solve: one nodal build per sequence, then superposition.
+
+    With a port node named, the solution's `response` also gives the fault
+    solution for any positive- and negative-sequence currents injected
+    there, without another solve.
+    """
+    return FaultSolution(FaultResponse(net, spec, port, _fault_builds(net, port)))

@@ -16,9 +16,10 @@ converter injects (it is open in the zero sequence):
 
     v = v_oc + Z_port @ i,    v = (v1, v2), i = (i1, i2)
 
-Three linear fault solves build (v_oc, Z_port) once per scenario: one with
-no injection, then a unit current in each channel. Every iteration is then
-2x2 complex arithmetic.
+One linear fault solve per scenario, with the terminal as its port, gives
+the faulted network's response to any (i1, i2) by superposition;
+(v_oc, Z_port) are read off it once, and every iteration is then 2x2
+complex arithmetic.
 
 The fault condition is a fixed point x = law(x) of a real state: the
 (Re, Im) parts of (i1, i2) for the saturation modes, whose law reads the
@@ -39,8 +40,9 @@ Jacobian of the piecewise-smooth G: a semismooth Newton step, which
 converges where two phase currents tie at the cap. The saturation modes
 start from the currents that pin the terminal at the reference, which are
 the fixed point when the limiter stays idle; while it is idle G is affine
-and Newton solves it in one step. Once converged, the state is solved once
-more in the full network, which gives the relay readings.
+and Newton solves it in one step. The relay readings are the same
+response at the converged terminal currents; a shaping law's source
+branch enters through its terminal currents (substitution theorem).
 
 One iteration is one update of the state, by the Newton step or the damped
 step; the starting state counts as the first. The Newton trial that is
@@ -67,14 +69,15 @@ from .clc import (
     phase_components,
 )
 from .network import (
+    FaultResponse,
     FaultSolution,
     FaultSpec,
-    InjectionElement,
     NetworkModel,
     SingularNetworkError,
     SourceElement,
+    driving_point,
     solve_fault,
-    solve_linear,
+    solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
 from .phasors import SequenceTriple, from_polar
 
@@ -189,18 +192,6 @@ class OperatingPoint:
         return math.radians(self.theta_deg)
 
 
-def _attach_power(net: NetworkModel, element: SourceElement) -> tuple[complex, complex, complex]:
-    """Solve the healthy network; return (v, i, s) at the source node.
-
-    Only the positive sequence carries the dispatch, and its network does
-    not depend on the other two, so it is the only one solved.
-    """
-    sol = solve_linear(net.with_elements(element), sequences=(1,))
-    v = sol.v[1].get(element.node, 0j)
-    i = sol.source_out[1].get(element.eid, 0j)
-    return v, i, v * i.conjugate()
-
-
 def prefault_solve(
     net: NetworkModel,
     source: SgModel | GfmModel,
@@ -213,28 +204,32 @@ def prefault_solve(
 
     Two-variable Newton iteration with a finite-difference Jacobian. Powers
     are v * conj(i) in pu on the system base, i the positive-sequence
-    current out of the source branch.
+    current out of the source branch. Only the positive sequence carries
+    the dispatch, and seen from the source node its healthy network is the
+    one-port v = v_oc + z_th * i, so the emf e behind the branch impedance
+    z delivers i = (e - v_oc) / (z + z_th): no network solve per iterate.
     """
-    if isinstance(source, SgModel):
-        make = lambda e_mag, th: source.source_element(net.source_node, cmath.rect(e_mag, th))
-    else:
-        z = source.normal_z()
-        make = lambda e_mag, th: SourceElement(
-            SOURCE_EID, net.source_node, e1=cmath.rect(e_mag, th), z1=z, z2=z, z0=None
-        )
+    z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
+    v_oc, z_th = driving_point(net, net.source_node)
+    if z + z_th == 0:
+        raise SingularNetworkError("positive-sequence network is singular at the source node")
+
+    def attach(vec: np.ndarray) -> tuple[complex, complex, complex]:
+        i = (cmath.rect(vec[0], vec[1]) - v_oc) / (z + z_th)
+        v = v_oc + z_th * i
+        return v, i, v * i.conjugate()
 
     x = np.array([1.0, 0.0])  # [E, theta_rad]
     eps = 1e-7
 
     def residual(vec: np.ndarray) -> np.ndarray:
-        _, _, s = _attach_power(net, make(vec[0], vec[1]))
+        _, _, s = attach(vec)
         return np.array([s.real - p_ref, s.imag - q_ref])
 
     for it in range(1, max_iter + 1):
         r = residual(x)
         if max(abs(r[0]), abs(r[1])) < tol:
-            elem = make(x[0], x[1])
-            v, i, s = _attach_power(net, elem)
+            v, i, s = attach(x)
             return OperatingPoint(
                 e_mag=x[0],
                 theta_deg=math.degrees(x[1]),
@@ -285,7 +280,6 @@ class ClcSolution:
     iterations: int
     residual: float
     fault: FaultSolution
-    elements: tuple[SourceElement | InjectionElement, ...]
     # largest per-phase waveform amplitude the converter actually carries.
     # For sinusoidal modes this is the largest phase-phasor magnitude; for
     # the clipper it is the clipped peak, which the fundamental phasor that
@@ -297,9 +291,6 @@ def _ratio(num: complex, den: complex, floor: float = 1e-9) -> complex | None:
     if abs(den) < floor:
         return None
     return num / den
-
-
-_PORT_EID = "port"
 
 
 @dataclass(frozen=True)
@@ -346,23 +337,18 @@ class TerminalPort:
         return (a22 * r1 - self.z12 * r2) / det, (a11 * r2 - self.z21 * r1) / det
 
 
-def terminal_port(net: NetworkModel, spec: FaultSpec) -> TerminalPort:
-    """Reduce the faulted network to the converter terminal.
+def terminal_port(response: FaultResponse) -> TerminalPort:
+    """Reduce a faulted network to its port, the converter terminal.
 
-    Three linear fault solves with a current injection at the source node:
-    none for the open-circuit voltages, then a unit current in each channel
-    for the columns of Z_port.
+    Reads the port voltages off the fault response with no injection, then
+    with a unit current in each channel for the columns of Z_port.
     """
-
-    def terminal(i1: complex, i2: complex) -> tuple[complex, complex]:
-        probe = InjectionElement(_PORT_EID, net.source_node, i1=i1, i2=i2)
-        v = solve_fault(net.with_elements(probe), spec).total.voltage(net.source_node)
-        return v.pos, v.neg
-
-    v1, v2 = terminal(0j, 0j)
-    a1, a2 = terminal(1.0 + 0j, 0j)
-    b1, b2 = terminal(0j, 1.0 + 0j)
-    return TerminalPort(v1, v2, z11=a1 - v1, z12=b1 - v1, z21=a2 - v2, z22=b2 - v2)
+    v = response.voltage(response.port)
+    a = response.voltage(response.port, 1.0 + 0j, 0j)
+    b = response.voltage(response.port, 0j, 1.0 + 0j)
+    return TerminalPort(
+        v.pos, v.neg, z11=a.pos - v.pos, z12=b.pos - v.pos, z21=a.neg - v.neg, z22=b.neg - v.neg
+    )
 
 
 def _clamp(value: float, bound: float, side: int | None) -> tuple[float, int]:
@@ -516,7 +502,7 @@ def fault_fixed_point(
     shared virtual impedance (shaping modes); the law maps them through the
     port model and the control law to their next value, and `_drive` finds
     its fixed point. damping is the fallback step's factor (0.5 if None).
-    The converged state is solved once more in the full network for the
+    The fault response at the converged terminal currents gives the
     readings.
     """
     cfg = gfm.clc
@@ -525,7 +511,8 @@ def fault_fixed_point(
         raise ValueError(f"damping factor must lie in (0, 1], got {lam}")
     e_ref1 = op.e_ref1
     node = net.source_node
-    port = terminal_port(net, spec)
+    response = solve_fault(net, spec, port=node).response
+    port = terminal_port(response)
 
     if cfg.kind.is_saturation:
 
@@ -551,7 +538,6 @@ def fault_fixed_point(
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:
             i_peak = max_phase_current(i1, i2)
-        src: SourceElement | InjectionElement = InjectionElement("clc_inj", node, i1=i1, i2=i2)
         z_v1, z_v2 = _ratio(e_ref1 - v1, i1), _ratio(-v2, i2)
         sigma1 = _sigma(cfg, gfm.k_pv, e_ref1, v1, i1)
         sigma2 = _sigma(cfg, gfm.k_pv, 0j, v2, i2)
@@ -586,7 +572,6 @@ def fault_fixed_point(
         z_branch = z_v1 + x_net
         i1, i2 = port.current_behind(e_ref1, z_branch)
         v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
-        src = SourceElement(SOURCE_EID, node, e1=e_ref1, z1=z_branch, z2=z_branch, z0=None)
         sigma1 = sigma2 = None
         i_peak = max_phase_current(i1, i2)
         if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
@@ -603,8 +588,7 @@ def fault_fixed_point(
         limiter_active=active,
         iterations=it,
         residual=res,
-        fault=solve_fault(net.with_elements(src), spec),
-        elements=(src,),
+        fault=response.at(i1, i2),
         i_max_phase=i_peak,
     )
 

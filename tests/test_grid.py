@@ -2,7 +2,7 @@
 
 5 laws x 10 fault types x m in {0, .05, .5, .95, 1} x R_g in {0, 5, 30, 100}
 ohm x p_ref in {0, .5, 1}: 3000 forward faults at the default solver budget.
-Takes about 12 s.
+Takes about 6 s.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ def test_thevenin_of_series_branches() -> None:
 
 @pytest.mark.parametrize("placement", ["forward", "reverse"])
 def test_thevenin_probes_match_full_three_sequence_solves(placement: str) -> None:
-    """Each probe solves only its own sequence; the impedances must not move."""
+    """The probe and base columns of one build equal separate direct solves."""
     scenario = build_scenario({"source.kind": "sg", "fault.placement": placement, "fault.m": 0.3})
     net = scenario.net.with_elements(
         SourceElement("src", scenario.net.source_node, e1=1.05 + 0.1j, z1=0.2j, z2=0.2j, z0=0.1j)
@@ -68,7 +68,8 @@ def test_thevenin_probes_match_full_three_sequence_solves(placement: str) -> Non
         assert z == probe.v[seq][net.fault_node]
     base = solve_linear(net)
     assert th.e_f == base.v[1][net.fault_node]
-    assert thevenin_at_fault(net, base) == th
+    assert th.e_f2 == base.v[2][net.fault_node]
+    assert th.e_f0 == base.v[0][net.fault_node]
 
 
 def test_positive_sequence_only_solve_matches_the_full_solve() -> None:

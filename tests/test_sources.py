@@ -19,6 +19,7 @@ from faultlab.network import (
     SeriesElement,
     SourceElement,
     solve_fault,
+    solve_linear,
 )
 from faultlab.phasors import from_polar
 from faultlab.scenario import build_scenario
@@ -241,7 +242,7 @@ def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str)
     net, node = scenario.net, scenario.net.source_node
     op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
     sol = fault_fixed_point(net, scenario.gfm, scenario.fault, op)
-    port = terminal_port(net, scenario.fault)
+    port = terminal_port(solve_fault(net, scenario.fault, port=node).response)
     assert abs(port.z12) > 1e-3  # an unbalanced fault couples the channels
 
     direct = sol.fault.total.voltage(node)
@@ -258,6 +259,57 @@ def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str)
     w1, w2 = port.voltage(i1, i2)
     assert abs(w1 - off.pos) < 1e-12
     assert abs(w2 - off.neg) < 1e-12
+
+
+@pytest.mark.parametrize("placement", ["forward", "reverse"])
+@pytest.mark.parametrize("kind", ("sg",) + CLC_KINDS)
+def test_one_port_prefault_matches_the_direct_solve(kind: str, placement: str) -> None:
+    """The closed-form one-port equals a network solve with the source attached."""
+    source = {"source.kind": "sg"} if kind == "sg" else {"source.kind": "gfm", "clc.kind": kind}
+    scenario = build_scenario({**source, "fault.placement": placement, "fault.m": 0.5})
+    net, node = scenario.net, scenario.net.source_node
+    op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref)
+    if scenario.sg is not None:
+        element = scenario.sg.source_element(node, op.e_ref1)
+    else:
+        z = scenario.gfm.normal_z()
+        element = SourceElement(SOURCE_EID, node, e1=op.e_ref1, z1=z, z2=z, z0=None)
+    direct = solve_linear(net.with_elements(element), sequences=(1,))
+    v, i = direct.v[1][node], direct.source_out[1][SOURCE_EID]
+    assert abs(op.v_attach - v) < 1e-12
+    assert abs(op.i_attach - i) < 1e-12
+    s = v * i.conjugate()
+    assert abs(op.p - s.real) < 1e-12 and abs(op.q - s.imag) < 1e-12
+
+
+@pytest.mark.parametrize("placement", ["forward", "reverse"])
+@pytest.mark.parametrize("fault_kind", ["ag", "ca", "bcg", "abc"])
+def test_fault_response_matches_a_direct_solve_with_the_injection(
+    fault_kind: str, placement: str
+) -> None:
+    scenario = build_scenario(
+        {
+            "source.kind": "gfm",
+            "fault.kind": fault_kind,
+            "fault.placement": placement,
+            "fault.m": 0.3,
+            "fault.r_g_ohm": 10.0,
+        }
+    )
+    net, node = scenario.net, scenario.net.source_node
+    i1, i2 = 0.7 - 0.4j, -0.2 + 0.3j
+    mine = solve_fault(net, scenario.fault, port=node).response.at(i1, i2)
+    direct = solve_fault(
+        net.with_elements(InjectionElement("probe", node, i1=i1, i2=i2)), scenario.fault
+    )
+    for name, tap in net.relay_taps.items():
+        a, b = mine.total.reading(tap), direct.total.reading(tap)
+        assert (a.v - b.v).max_abs() < 1e-12, name
+        assert (a.i - b.i).max_abs() < 1e-12, name
+    assert (mine.i_fault - direct.i_fault).max_abs() < 1e-12
+    # without a port there is nowhere to inject
+    with pytest.raises(ValueError, match="no port"):
+        solve_fault(net, scenario.fault).response.at(i1, i2).total
 
 
 def _grid_case(kind: str, fault_kind: str, m: float, r_g: float, p_ref: float, **extra):
