@@ -1,15 +1,21 @@
 """Scenario execution pipeline and the strategy-by-element matrix.
 
 run_scenario ties the stages together: pre-fault power flow for the source
-reference, the linear (generator) or fixed-point (converter) fault solve,
-relay evaluation at bus 1 with genuine pre-fault readings for the
-incremental quantities, and optionally an independent phase-domain re-solve
-of the converged operating point as a numerical cross-check.
+reference, then the fault solve, which is the only step that depends on
+the source kind: a linear solve for the generator, the fixed point for the
+converter. Both return one `SourceSolution`, and everything after reads
+only that: relay evaluation at bus 1 with genuine pre-fault readings for
+the incremental quantities, the effective source impedances (the source
+branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
+optionally an independent phase-domain re-solve of the solved operating
+point as a numerical cross-check. The report is assembled from a mapping:
+each phasor becomes a `_mag`/`_ang` pair of fields.
 
-The cross-check freezes the converter at its converged terminal currents
-and replaces it by an equivalent injection (substitution theorem), because
-the phase-domain oracle only stamps Norton-representable elements; the
-generator is Norton already and passes through unchanged.
+The cross-check stamps the source as the solution froze it
+(`SourceSolution.frozen`): the generator is Norton already and passes
+through unchanged; the converter is replaced by an injection of its
+converged terminal currents (substitution theorem), because the
+phase-domain oracle only stamps Norton-representable elements.
 """
 
 from __future__ import annotations
@@ -19,19 +25,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abc_oracle import solve_abc
-from .network import (
-    BusReading,
-    FaultSolution,
-    FaultType,
-    InjectionElement,
-    solve_linear,
-)
+from .network import BusReading, FaultType, solve_linear
 from .phasors import (
     SequenceTriple,
     ZeroPhasorError,
     angle_deg,
     fortescue,
-    inverse_fortescue,
     wrap_angle_deg,
 )
 from .relay import (
@@ -51,10 +50,8 @@ from .scenario import (
     build_scenario,
 )
 from .sources import (
-    SOURCE_EID,
-    ClcSolution,
     OperatingPoint,
-    effective_impedances,
+    SourceSolution,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -63,7 +60,6 @@ from .sources import (
 
 __all__ = [
     "run_scenario",
-    "run_sweep",
     "sweep_scenarios",
     "prefault_network_readings",
     "Table1Row",
@@ -96,35 +92,23 @@ def prefault_network_readings(
     }
 
 
-def _ang(x: complex) -> float | None:
-    try:
-        return angle_deg(x)
-    except ZeroPhasorError:
-        return None
-
-
 def _polar(z: complex | None) -> tuple[float | None, float | None]:
+    """Magnitude and angle; no angle below the magnitude floor, neither for None."""
     if z is None:
         return None, None
-    return abs(z), _ang(z)
+    try:
+        return abs(z), angle_deg(z)
+    except ZeroPhasorError:
+        return abs(z), None
 
 
-def _oracle_residual(
-    scenario: Scenario, fault_sol: FaultSolution, clc: ClcSolution | None, op: OperatingPoint
-) -> float:
+def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
     """Max sequence-component mismatch between the two solution routes."""
     net = scenario.net
-    if scenario.kind is SourceKind.SG:
-        assert scenario.sg is not None
-        frozen = scenario.sg.source_element(net.source_node, op.e_ref1)
-    else:
-        assert clc is not None
-        frozen = InjectionElement("frozen_clc", net.source_node, clc.i_t.pos, clc.i_t.neg)
-    seq_sol = fault_sol.total
-    abc = solve_abc(net.with_elements(frozen), scenario.fault)
+    abc = solve_abc(net.with_elements(sol.frozen), scenario.fault)
     worst = 0.0
-    for name, tap in net.relay_taps.items():
-        seq_reading = seq_sol.reading(tap)
+    for tap in net.relay_taps.values():
+        seq_reading = sol.fault.total.reading(tap)
         v_abc, i_abc = abc.reading(tap)
         for mine, theirs in (
             (seq_reading.v, fortescue(v_abc)),
@@ -145,17 +129,13 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         tol=scenario.solver.newton_tol,
         max_iter=scenario.solver.newton_max_iter,
     )
-
-    clc: ClcSolution | None = None
     if scenario.kind is SourceKind.SG:
-        assert scenario.sg is not None
-        fault_sol = solve_sg_fault(net, scenario.sg, scenario.fault, op)
-        iterations, residual, limiter_active = 1, 0.0, False
-        i_src = fault_sol.total.source_current(SOURCE_EID)
-        i_max_phase = inverse_fortescue(i_src).max_abs()
+        clc_kind = None
+        sol = solve_sg_fault(net, scenario.source, scenario.fault, op)
     else:
         assert scenario.gfm is not None
-        clc = fault_fixed_point(
+        clc_kind = scenario.gfm.clc.kind.value
+        sol = fault_fixed_point(
             net,
             scenario.gfm,
             scenario.fault,
@@ -164,66 +144,44 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
             max_iter=scenario.solver.max_iter,
             damping=scenario.solver.damping,
         )
-        fault_sol = clc.fault
-        iterations, residual = clc.iterations, clc.residual
-        limiter_active = clc.limiter_active
-        i_max_phase = clc.i_max_phase
 
-    readings = fault_sol.readings(net)
+    readings = sol.fault.readings(net)
     pre = prefault_network_readings(scenario, op)
     r1, p1 = readings["bus1"], pre["bus1"]
-    r2 = readings["bus2"]
-
     dir_neg = directional_negative(r1, scenario.dir_cfg)
     dir_zero = directional_zero(r1, scenario.dir_cfg)
     dir_inc = directional_incremental(r1, p1, scenario.dir_cfg)
     selection = phase_select(r1, p1, scenario.sel_cfg)
 
-    if scenario.kind is SourceKind.GFM:
-        assert clc is not None and scenario.gfm is not None
-        # the transformer is a pure reactance
-        z_e1, z_e2, z_e0 = effective_impedances(
-            clc.z_v1, clc.z_v2, scenario.gfm.x_f_network,
-            scenario.z_side1.imag, scenario.z_side0.imag,
-        )
-        z_v1, z_v2 = clc.z_v1, clc.z_v2
-        sigma1, sigma2 = clc.sigma1, clc.sigma2
-        di1 = r1.i.pos - p1.i.pos
-        z_ad = (
-            None
-            if z_v1 is None
-            else incremental_source_impedance(r1.i.pos, di1, z_v1)
-        )
-    else:
-        assert scenario.sg is not None
-        z_e1 = 1j * scenario.sg.x1 + scenario.z_side1
-        z_e2 = 1j * scenario.sg.x2 + scenario.z_side1
-        z_e0 = 1j * scenario.sg.x0 + scenario.z_side0
-        z_v1 = z_v2 = None
-        sigma1 = sigma2 = None
-        z_ad = None
-        di1 = r1.i.pos - p1.i.pos
-
+    di1 = r1.i.pos - p1.i.pos
     dv1 = r1.v.pos - p1.v.pos
-    dvdi1 = dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None
+    phasors = {
+        "zv1": sol.z_v1,
+        "zv2": sol.z_v2,
+        "zad": None if sol.z_v1 is None else incremental_source_impedance(r1.i.pos, di1, sol.z_v1),
+        "dvdi1": dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None,
+        "sigma1": sol.sigma1,
+        "sigma2": sol.sigma2,
+    }
+    # effective source impedance: the source branch plus the passive side
+    sides = (scenario.z_side1, scenario.z_side1, scenario.z_side0)
+    for digit, z, side in zip("120", sol.z_branch, sides):
+        phasors[f"ze{digit}"] = None if z is None else z + side
+    for bus in ("bus1", "bus2"):
+        for quantity in ("v", "i"):
+            triple = getattr(readings[bus], quantity)
+            for digit, z in zip("120", (triple.pos, triple.neg, triple.zero)):
+                phasors[f"{quantity}{digit}_{bus}"] = z
 
-    oracle_max_err = _oracle_residual(scenario, fault_sol, clc, op) if oracle_check else None
-
-    zv1_mag, zv1_ang = _polar(z_v1)
-    zv2_mag, zv2_ang = _polar(z_v2)
-    ze1_mag, ze1_ang = _polar(z_e1)
-    ze2_mag, ze2_ang = _polar(z_e2)
-    ze0_mag, ze0_ang = _polar(z_e0)
-    zad_mag, zad_ang = _polar(z_ad)
-    dvdi1_mag, dvdi1_ang = _polar(dvdi1)
-    sigma1_mag, sigma1_ang = _polar(sigma1)
-    sigma2_mag, sigma2_ang = _polar(sigma2)
-
+    fields: dict[str, object] = {}
+    for name, z in phasors.items():
+        fields[f"{name}_mag"], fields[f"{name}_ang"] = _polar(z)
     return ScenarioReport(
+        **fields,
         scenario_id=scenario.scenario_id,
         config_hash=scenario.config_hash,
         source_kind=scenario.kind.value,
-        clc_kind=scenario.gfm.clc.kind.value if scenario.kind is SourceKind.GFM else None,
+        clc_kind=clc_kind,
         fault_kind=scenario.fault.fault_type.value,
         fault_m=scenario.fault.m,
         fault_r_g_ohm=scenario.fault.r_g_ohm,
@@ -232,30 +190,6 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         prefault_theta_deg=op.theta_deg,
         prefault_p_pu=op.p,
         prefault_q_pu=op.q,
-        v1_bus1_mag=abs(r1.v.pos),
-        v1_bus1_ang=_ang(r1.v.pos),
-        v2_bus1_mag=abs(r1.v.neg),
-        v2_bus1_ang=_ang(r1.v.neg),
-        v0_bus1_mag=abs(r1.v.zero),
-        v0_bus1_ang=_ang(r1.v.zero),
-        i1_bus1_mag=abs(r1.i.pos),
-        i1_bus1_ang=_ang(r1.i.pos),
-        i2_bus1_mag=abs(r1.i.neg),
-        i2_bus1_ang=_ang(r1.i.neg),
-        i0_bus1_mag=abs(r1.i.zero),
-        i0_bus1_ang=_ang(r1.i.zero),
-        v1_bus2_mag=abs(r2.v.pos),
-        v1_bus2_ang=_ang(r2.v.pos),
-        v2_bus2_mag=abs(r2.v.neg),
-        v2_bus2_ang=_ang(r2.v.neg),
-        v0_bus2_mag=abs(r2.v.zero),
-        v0_bus2_ang=_ang(r2.v.zero),
-        i1_bus2_mag=abs(r2.i.pos),
-        i1_bus2_ang=_ang(r2.i.pos),
-        i2_bus2_mag=abs(r2.i.neg),
-        i2_bus2_ang=_ang(r2.i.neg),
-        i0_bus2_mag=abs(r2.i.zero),
-        i0_bus2_ang=_ang(r2.i.zero),
         phi2_deg=dir_neg.angle_deg,
         phi0_deg=dir_zero.angle_deg,
         dphi1_deg=dir_inc.angle_deg,
@@ -265,29 +199,11 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         dir_zero=dir_zero.direction.value,
         dir_inc=dir_inc.direction.value,
         phase_sel=selection.selected.value if selection.selected is not None else "none",
-        zv1_mag=zv1_mag,
-        zv1_ang=zv1_ang,
-        zv2_mag=zv2_mag,
-        zv2_ang=zv2_ang,
-        ze1_mag=ze1_mag,
-        ze1_ang=ze1_ang,
-        ze2_mag=ze2_mag,
-        ze2_ang=ze2_ang,
-        ze0_mag=ze0_mag,
-        ze0_ang=ze0_ang,
-        zad_mag=zad_mag,
-        zad_ang=zad_ang,
-        dvdi1_mag=dvdi1_mag,
-        dvdi1_ang=dvdi1_ang,
-        sigma1_mag=sigma1_mag,
-        sigma1_ang=sigma1_ang,
-        sigma2_mag=sigma2_mag,
-        sigma2_ang=sigma2_ang,
-        limiter_active=limiter_active,
-        iterations=iterations,
-        residual=residual,
-        i_max_phase_pu=i_max_phase,
-        oracle_max_err=oracle_max_err,
+        limiter_active=sol.limiter_active,
+        iterations=sol.iterations,
+        residual=sol.residual,
+        i_max_phase_pu=sol.i_max_phase,
+        oracle_max_err=_oracle_residual(scenario, sol) if oracle_check else None,
     )
 
 
@@ -326,25 +242,6 @@ def sweep_scenarios(
         merged = dict(overrides)
         merged[param] = value
         yield value, build_scenario(merged, scenario_id=f"{scenario_id}:{param}={value:.6g}")
-
-
-def run_sweep(
-    overrides: dict[str, object],
-    param: str,
-    start: float,
-    stop: float,
-    steps: int,
-    log: bool = False,
-    scenario_id: str = "sweep",
-    oracle_check: bool = False,
-) -> list[tuple[float, ScenarioReport]]:
-    """Re-run a scenario along one numeric parameter axis, endpoints included."""
-    return [
-        (value, run_scenario(scenario, oracle_check=oracle_check))
-        for value, scenario in sweep_scenarios(
-            overrides, param, start, stop, steps, log=log, scenario_id=scenario_id
-        )
-    ]
 
 
 @dataclass(frozen=True)

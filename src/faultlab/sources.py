@@ -10,6 +10,10 @@ Two sources can sit behind bus 1:
   so the fault solution is a fixed point, found here by semismooth Newton
   iteration with a damped fallback.
 
+Both fault solves return a `SourceSolution`: the terminal state, the source
+branch impedance per sequence and the source frozen at that state, so that
+the harness reads either kind the same way.
+
 The iteration does not solve the network. Seen from the converter
 terminal the faulted network is affine in the two channel currents the
 converter injects (it is open in the zero sequence):
@@ -72,6 +76,7 @@ from .network import (
     FaultResponse,
     FaultSolution,
     FaultSpec,
+    InjectionElement,
     NetworkModel,
     SingularNetworkError,
     SourceElement,
@@ -79,7 +84,7 @@ from .network import (
     solve_fault,
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
-from .phasors import SequenceTriple, from_polar
+from .phasors import SequenceTriple, from_polar, inverse_fortescue
 
 __all__ = [
     "NoConvergenceError",
@@ -87,13 +92,12 @@ __all__ = [
     "SgModel",
     "GfmModel",
     "OperatingPoint",
-    "ClcSolution",
+    "SourceSolution",
     "TerminalPort",
     "terminal_port",
     "prefault_solve",
     "solve_sg_fault",
     "fault_fixed_point",
-    "effective_impedances",
     "incremental_source_impedance",
 ]
 
@@ -192,6 +196,26 @@ class OperatingPoint:
         return math.radians(self.theta_deg)
 
 
+def _dispatch(
+    x: np.ndarray, v_oc: complex, z_th: complex, z_loop: complex
+) -> tuple[complex, complex, complex, np.ndarray]:
+    """Node voltage, current and power of the emf E e^{j theta} behind z.
+
+    x = [E, theta]; z_loop = z + z_th. Also returns the exact Jacobian of
+    (P, Q) over x: de/dE = e / E = e^{j theta}, de/dtheta = j e,
+    di = de / z_loop, dv = z_th di, and dS = dv conj(i) + v conj(di).
+    """
+    e = cmath.rect(x[0], x[1])
+    i = (e - v_oc) / z_loop
+    v = v_oc + z_th * i
+    jac = np.empty((2, 2))
+    for col, de in enumerate((cmath.rect(1.0, x[1]), 1j * e)):
+        di = de / z_loop
+        ds = z_th * di * i.conjugate() + v * di.conjugate()
+        jac[:, col] = ds.real, ds.imag
+    return v, i, v * i.conjugate(), jac
+
+
 def prefault_solve(
     net: NetworkModel,
     source: SgModel | GfmModel,
@@ -202,10 +226,10 @@ def prefault_solve(
 ) -> OperatingPoint:
     """Find (E, theta) so the source delivers (p_ref, q_ref) at its node.
 
-    Two-variable Newton iteration with a finite-difference Jacobian. Powers
-    are v * conj(i) in pu on the system base, i the positive-sequence
-    current out of the source branch. Only the positive sequence carries
-    the dispatch, and seen from the source node its healthy network is the
+    Two-variable Newton iteration with the exact Jacobian. Powers are
+    v * conj(i) in pu on the system base, i the positive-sequence current
+    out of the source branch. Only the positive sequence carries the
+    dispatch, and seen from the source node its healthy network is the
     one-port v = v_oc + z_th * i, so the emf e behind the branch impedance
     z delivers i = (e - v_oc) / (z + z_th): no network solve per iterate.
     """
@@ -214,22 +238,11 @@ def prefault_solve(
     if z + z_th == 0:
         raise SingularNetworkError("positive-sequence network is singular at the source node")
 
-    def attach(vec: np.ndarray) -> tuple[complex, complex, complex]:
-        i = (cmath.rect(vec[0], vec[1]) - v_oc) / (z + z_th)
-        v = v_oc + z_th * i
-        return v, i, v * i.conjugate()
-
     x = np.array([1.0, 0.0])  # [E, theta_rad]
-    eps = 1e-7
-
-    def residual(vec: np.ndarray) -> np.ndarray:
-        _, _, s = attach(vec)
-        return np.array([s.real - p_ref, s.imag - q_ref])
-
     for it in range(1, max_iter + 1):
-        r = residual(x)
+        v, i, s, jac = _dispatch(x, v_oc, z_th, z + z_th)
+        r = np.array([s.real - p_ref, s.imag - q_ref])
         if max(abs(r[0]), abs(r[1])) < tol:
-            v, i, s = attach(x)
             return OperatingPoint(
                 e_mag=x[0],
                 theta_deg=math.degrees(x[1]),
@@ -239,11 +252,6 @@ def prefault_solve(
                 q=s.imag,
                 iterations=it,
             )
-        jac = np.empty((2, 2))
-        for col in range(2):
-            bumped = x.copy()
-            bumped[col] += eps
-            jac[:, col] = (residual(bumped) - r) / eps
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
@@ -259,32 +267,54 @@ def prefault_solve(
     )
 
 
-def solve_sg_fault(
-    net: NetworkModel, sg: SgModel, spec: FaultSpec, op: OperatingPoint
-) -> FaultSolution:
-    """Fault solution for the linear (generator) source: one shot."""
-    return solve_fault(net.with_elements(sg.source_element(net.source_node, op.e_ref1)), spec)
-
-
 @dataclass(frozen=True)
-class ClcSolution:
-    """Converged fault-time state of the current-limited converter."""
+class SourceSolution:
+    """Fault-time state of the source behind bus 1, either kind (pu, peak).
+
+    The generator is linear: one solve, no limiter, no control quantities.
+    The converter's state is the converged fixed point of its limiting law.
+    """
 
     v_t: SequenceTriple  # terminal (attachment node) voltage
     i_t: SequenceTriple  # current delivered into the network
-    z_v1: complex | None  # (e_ref1 - v_t1) / i_t1, None if the channel is dead
-    z_v2: complex | None  # -v_t2 / i_t2
-    sigma1: complex | None  # saturation ratio per channel, None for shaping modes
-    sigma2: complex | None
+    # source branch impedance as the network sees it, per sequence (positive,
+    # negative, zero); None where a dead converter channel leaves it undefined
+    z_branch: tuple[complex | None, complex | None, complex]
     limiter_active: bool
     iterations: int
     residual: float
     fault: FaultSolution
-    # largest per-phase waveform amplitude the converter actually carries.
+    # the source frozen at this state, for the phase-domain cross-check
+    frozen: SourceElement | InjectionElement
+    # largest per-phase waveform amplitude the source actually carries.
     # For sinusoidal modes this is the largest phase-phasor magnitude; for
     # the clipper it is the clipped peak, which the fundamental phasor that
     # the network sees may exceed (up to 4/pi of the clip level).
-    i_max_phase: float = 0.0
+    i_max_phase: float
+    z_v1: complex | None = None  # (e_ref1 - v_t1) / i_t1, None if the channel is dead
+    z_v2: complex | None = None  # -v_t2 / i_t2
+    sigma1: complex | None = None  # saturation ratio per channel, None for shaping modes
+    sigma2: complex | None = None
+
+
+def solve_sg_fault(
+    net: NetworkModel, sg: SgModel, spec: FaultSpec, op: OperatingPoint
+) -> SourceSolution:
+    """Fault solution for the linear (generator) source: one shot."""
+    element = sg.source_element(net.source_node, op.e_ref1)
+    fault = solve_fault(net.with_elements(element), spec)
+    i_t = fault.total.source_current(SOURCE_EID)
+    return SourceSolution(
+        v_t=fault.total.voltage(net.source_node),
+        i_t=i_t,
+        z_branch=(element.z1, element.z2, element.z0),
+        limiter_active=False,
+        iterations=1,
+        residual=0.0,
+        fault=fault,
+        frozen=element,
+        i_max_phase=inverse_fortescue(i_t).max_abs(),
+    )
 
 
 def _ratio(num: complex, den: complex, floor: float = 1e-9) -> complex | None:
@@ -495,7 +525,7 @@ def fault_fixed_point(
     tol: float = 1e-9,
     max_iter: int = 100,
     damping: float | None = None,
-) -> ClcSolution:
+) -> SourceSolution:
     """Solve the current-limited fault condition on the terminal port model.
 
     The unknowns are the two channel injections (saturation modes) or the
@@ -513,6 +543,7 @@ def fault_fixed_point(
     node = net.source_node
     response = solve_fault(net, spec, port=node).response
     port = terminal_port(response)
+    x_net = 1j * gfm.x_f_network
 
     if cfg.kind.is_saturation:
 
@@ -547,8 +578,6 @@ def fault_fixed_point(
         )
     else:
         # impedance-shaping modes: shared complex Z_v in both channels
-        x_net = 1j * gfm.x_f_network
-
         def shape_law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, None]:
             z_branch = complex(x[0]) + x_net
             i1, i2 = port.current_behind(e_ref1, z_branch)
@@ -578,18 +607,21 @@ def fault_fixed_point(
             active = abs(z_v1 - z_vn) > 10.0 * tol
         else:
             active = abs(z_v1) > 0.0
-    return ClcSolution(
+    return SourceSolution(
         v_t=SequenceTriple(pos=v1, neg=v2, zero=0j),
         i_t=SequenceTriple(pos=i1, neg=i2, zero=0j),
-        z_v1=z_v1,
-        z_v2=z_v2,
-        sigma1=sigma1,
-        sigma2=sigma2,
+        # open in the zero sequence: bus 1 sees only the transformer leg there
+        z_branch=(*(None if z is None else z + x_net for z in (z_v1, z_v2)), 0j),
         limiter_active=active,
         iterations=it,
         residual=res,
         fault=response.at(i1, i2),
+        frozen=InjectionElement("frozen_clc", node, i1, i2),
         i_max_phase=i_peak,
+        z_v1=z_v1,
+        z_v2=z_v2,
+        sigma1=sigma1,
+        sigma2=sigma2,
     )
 
 
@@ -603,31 +635,8 @@ def _sigma(
     return i_ch / ref
 
 
-def effective_impedances(
-    z_v1: complex | None,
-    z_v2: complex | None,
-    x_f_network: float,
-    x_t1: float,
-    x_t0: float,
-    n: float = 1.0,
-) -> tuple[complex | None, complex | None, complex]:
-    """Sequence impedances between the internal reference and bus 1.
-
-    n is the converter-to-bus referral ratio for quantities expressed on
-    mixed bases; with both sides already on a common per-unit base (the
-    pipeline convention here) it is 1.
-
-        Z_e1 = n^2 * (Z_v1 + j x_f) + j x_t1, likewise Z_e2
-        Z_e0 = j x_t0   (converter side open in zero sequence)
-    """
-    n2 = n * n
-    z_e1 = None if z_v1 is None else n2 * (z_v1 + 1j * x_f_network) + 1j * x_t1
-    z_e2 = None if z_v2 is None else n2 * (z_v2 + 1j * x_f_network) + 1j * x_t1
-    return z_e1, z_e2, 1j * x_t0
-
-
 def incremental_source_impedance(
-    i1_bus: complex, delta_i1: complex, z_v1: complex, n: float = 1.0, floor: float = 1e-9
+    i1_bus: complex, delta_i1: complex, z_v1: complex
 ) -> complex | None:
     """Apparent incremental impedance contributed by the control response.
 
@@ -635,11 +644,11 @@ def incremental_source_impedance(
     Z_v1 * i1 (the pre-fault virtual impedance being zero), so seen from
     bus 1 the control adds
 
-        Z_ad = -n^2 * Z_v1 * i1 / delta_i1
+        Z_ad = -Z_v1 * i1 / delta_i1
 
     on top of the passive transfer impedance. A resistive or capacitive
     Z_ad is what pulls the incremental directional angle out of its band.
     """
-    if abs(delta_i1) < floor:
+    if abs(delta_i1) < 1e-9:
         return None
-    return -(n * n) * z_v1 * i1_bus / delta_i1
+    return -z_v1 * i1_bus / delta_i1

@@ -5,14 +5,16 @@ import math
 
 import pytest
 
+from faultlab.clc import ClcKind
 from faultlab.harness import (
     TABLE1_ELEMENTS,
     TABLE1_ROWS,
     format_table1,
     prefault_network_readings,
     run_scenario,
-    run_sweep,
+    sweep_scenarios,
 )
+from faultlab.phasors import from_polar
 from faultlab.presets import preset_scenario_overrides
 from faultlab.report import CSV_COLUMNS, csv_header, csv_line, record_line
 from faultlab.scenario import ValidationError, build_scenario
@@ -123,43 +125,46 @@ def test_record_line_round_trips(preset_reports) -> None:
 
 
 def test_sweep_argument_validation() -> None:
+    # sweep_scenarios is a generator: the checks run on the first draw
     with pytest.raises(ValidationError, match="unknown sweep parameter"):
-        run_sweep({}, "fault.depth", 0.0, 1.0, 3)
+        list(sweep_scenarios({}, "fault.depth", 0.0, 1.0, 3))
     with pytest.raises(ValidationError, match="not numeric"):
-        run_sweep({}, "clc.kind", 0.0, 1.0, 3)
+        list(sweep_scenarios({}, "clc.kind", 0.0, 1.0, 3))
     with pytest.raises(ValidationError, match="not numeric"):
-        run_sweep({}, "circuit.voltages_are_peak", 0.0, 1.0, 3)
+        list(sweep_scenarios({}, "circuit.voltages_are_peak", 0.0, 1.0, 3))
     with pytest.raises(ValidationError, match="at least 1"):
-        run_sweep({}, "fault.m", 0.0, 1.0, 0)
+        list(sweep_scenarios({}, "fault.m", 0.0, 1.0, 0))
     with pytest.raises(ValidationError, match="positive"):
-        run_sweep({}, "fault.r_g_ohm", 0.0, 10.0, 3, log=True)
+        list(sweep_scenarios({}, "fault.r_g_ohm", 0.0, 10.0, 3, log=True))
 
 
 def test_sweep_spacing_and_ids() -> None:
-    linear = run_sweep({"source.kind": "sg"}, "fault.m", 0.0, 1.0, 5)
+    linear = list(sweep_scenarios({"source.kind": "sg"}, "fault.m", 0.0, 1.0, 5))
     values = [v for v, _ in linear]
     assert values == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert linear[1][1].scenario_id == "sweep:fault.m=0.25"
+    assert run_scenario(linear[1][1]).scenario_id == "sweep:fault.m=0.25"
 
-    logspaced = run_sweep({"source.kind": "sg"}, "fault.r_g_ohm", 0.1, 10.0, 3, log=True)
-    assert [v for v, _ in logspaced] == pytest.approx([0.1, 1.0, 10.0])
-    for value, report in logspaced:
+    logspaced = sweep_scenarios({"source.kind": "sg"}, "fault.r_g_ohm", 0.1, 10.0, 3, log=True)
+    reports = [(value, run_scenario(scenario)) for value, scenario in logspaced]
+    assert [v for v, _ in reports] == pytest.approx([0.1, 1.0, 10.0])
+    for value, report in reports:
         assert report.fault_r_g_ohm == pytest.approx(value)
 
-    single = run_sweep({"source.kind": "sg"}, "fault.m", 0.3, 0.9, 1)
+    single = list(sweep_scenarios({"source.kind": "sg"}, "fault.m", 0.3, 0.9, 1))
     assert len(single) == 1 and single[0][0] == pytest.approx(0.3)
 
 
 def test_sweep_keeps_generator_verdicts_stable() -> None:
-    along_line = run_sweep({"source.kind": "sg"}, "fault.m", 0.05, 0.95, 3)
-    for _, report in along_line:
+    for _, scenario in sweep_scenarios({"source.kind": "sg"}, "fault.m", 0.05, 0.95, 3):
+        report = run_scenario(scenario)
         assert report.dir_neg == "forward"
         assert report.phase_sel == "bcg"
 
-    with_resistance = run_sweep(
+    with_resistance = sweep_scenarios(
         {"source.kind": "sg", "fault.kind": "ag"}, "fault.r_g_ohm", 0.0, 30.0, 3
     )
-    for _, report in with_resistance:
+    for _, scenario in with_resistance:
+        report = run_scenario(scenario)
         assert report.phase_sel == "ag"
         assert abs(report.d20_deg) <= 30.0
 
@@ -167,8 +172,9 @@ def test_sweep_keeps_generator_verdicts_stable() -> None:
 def test_two_step_sweep_endpoints_reproduce_the_single_runs(preset_reports) -> None:
     base = dict(preset_scenario_overrides("fig13b"))
     del base["clc.n_x_r"]
-    swept = run_sweep(base, "clc.n_x_r", 0.1, 20.0, 2, log=True)
-    for (value, report), name in zip(swept, ("fig13a", "fig13b")):
+    swept = sweep_scenarios(base, "clc.n_x_r", 0.1, 20.0, 2, log=True)
+    for (_, point), name in zip(swept, ("fig13a", "fig13b")):
+        report = run_scenario(point)
         scenario, single = preset_reports[name]
         # identical resolved config, so the physics is bit-identical
         assert report.config_hash == scenario.config_hash
@@ -179,6 +185,39 @@ def test_two_step_sweep_endpoints_reproduce_the_single_runs(preset_reports) -> N
         assert report.zv2_mag == single.zv2_mag
         assert report.iterations == single.iterations
         assert report.residual == single.residual
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in ClcKind])
+def test_converter_zero_sequence_source_impedance_is_the_transformer_leg(kind: str) -> None:
+    # the converter is open in the zero sequence: only the grounded
+    # transformer leg is left behind bus 1
+    overrides = {"source.kind": "gfm", "clc.kind": kind, "gfm.x_t0_pu": 0.07}
+    report = run_scenario(build_scenario(overrides))
+    assert report.ze0_mag == 0.07
+    assert report.ze0_ang == pytest.approx(90.0, abs=1e-12)
+
+
+def test_in_network_filter_adds_into_the_effective_source_impedance() -> None:
+    x_f, x_t = 0.15, 0.1
+    for in_network in (False, True):
+        report = run_scenario(build_scenario({
+            "source.kind": "gfm", "clc.kind": "adaptive_virtual_impedance",
+            "gfm.x_f_pu": x_f, "gfm.x_t_pu": x_t, "gfm.filter_in_network": in_network,
+        }))
+        z_v1 = from_polar(report.zv1_mag, report.zv1_ang)
+        z_e1 = from_polar(report.ze1_mag, report.ze1_ang)
+        branch = z_v1 + (1j * x_f if in_network else 0j)
+        assert z_e1 == pytest.approx(branch + 1j * x_t, abs=1e-12), in_network
+
+
+def test_generator_effective_source_impedance_includes_the_collection_line() -> None:
+    scenario = build_scenario({"source.kind": "sg", "sg.x1_pu": 0.25, "sg.x0_pu": 0.08})
+    report = run_scenario(scenario)
+    col = next(e for e in scenario.net.series() if e.eid == "col")
+    assert report.ze1_mag == pytest.approx(abs(0.25j + col.z1), rel=1e-15)
+    assert report.ze2_mag == pytest.approx(abs(0.2j + col.z2), rel=1e-15)
+    assert report.ze0_mag == pytest.approx(abs(0.08j + col.z0), rel=1e-15)
+    assert report.zv1_mag is None and report.zad_mag is None
 
 
 @pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance", "sg"])

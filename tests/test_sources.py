@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from faultlab.clc import (
@@ -18,6 +19,7 @@ from faultlab.network import (
     RelayTap,
     SeriesElement,
     SourceElement,
+    driving_point,
     solve_fault,
     solve_linear,
 )
@@ -30,7 +32,7 @@ from faultlab.sources import (
     OperatingPoint,
     OscillationDetectedError,
     SgModel,
-    effective_impedances,
+    _dispatch,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -76,6 +78,29 @@ def test_prefault_zero_flow_is_flat() -> None:
 def test_prefault_unreachable_power_raises() -> None:
     with pytest.raises(NoConvergenceError):
         prefault_solve(_two_bus_net(), SgModel(), p_ref=50.0)
+
+
+@pytest.mark.parametrize("kind", ["sg", "circular", "virtual_admittance"])
+def test_prefault_jacobian_matches_a_central_difference(kind: str) -> None:
+    overrides = {"source.kind": kind} if kind == "sg" else {"source.kind": "gfm", "clc.kind": kind}
+    scenario = build_scenario(overrides)
+    source = scenario.source
+    z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
+    v_oc, z_th = driving_point(scenario.net, scenario.net.source_node)
+    h = 1e-6
+
+    def power(vec: np.ndarray) -> np.ndarray:
+        s = _dispatch(vec, v_oc, z_th, z + z_th)[2]
+        return np.array([s.real, s.imag])
+
+    for e_mag, theta in ((1.0, 0.0), (1.07, 0.4), (0.6, -2.5)):
+        x = np.array([e_mag, theta])
+        jac = _dispatch(x, v_oc, z_th, z + z_th)[3]
+        for col in range(2):
+            step = np.zeros(2)
+            step[col] = h
+            central = (power(x + step) - power(x - step)) / (2 * h)
+            assert jac[:, col] == pytest.approx(central, rel=1e-7, abs=1e-7), (e_mag, theta, col)
 
 
 def test_model_validation() -> None:
@@ -184,20 +209,6 @@ def test_mild_fault_leaves_the_limiter_idle() -> None:
         ref = linear.total.reading(tap)
         assert (mine.v - ref.v).max_abs() < 1e-9, name
         assert (mine.i - ref.i).max_abs() < 1e-9, name
-
-
-def test_effective_impedance_composition() -> None:
-    z1, z2, z0 = effective_impedances(0j, 0j, 0.0, 0.1, 0.1)
-    assert z1 == z2 == 0.1j
-    assert z0 == 0.1j
-    z1, z2, z0 = effective_impedances(0.4j, 0.4j, 0.0, 0.1, 0.1, n=0.15)
-    assert z1 == pytest.approx(0.109j, abs=1e-15)
-    assert z2 == pytest.approx(0.109j, abs=1e-15)
-    # the zero sequence never sees the converter branch
-    assert z0 == pytest.approx(0.1j, abs=1e-15)
-    # an in-network filter adds to the shaped branch before scaling
-    z1, _, _ = effective_impedances(0.4j, 0.4j, 0.15, 0.1, 0.1, n=1.0)
-    assert z1 == pytest.approx(0.55j + 0.1j, abs=1e-15)
 
 
 def test_incremental_impedance_reflects_the_virtual_branch() -> None:
