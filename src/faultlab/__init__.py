@@ -2,11 +2,12 @@
 sources and the protective relay elements that supervise them.
 
 Layers, bottom up: phasors (symmetrical components and angle arithmetic),
-per_unit (bases), network (sequence elements and the linear fault solve),
-abc_oracle (independent phase-coordinate re-solve), clc (current-limiting
-laws), sources (generator and converter models, the fault fixed point),
-relay (directional and phase-selection elements), scenario/presets
-(configuration), harness/report/cli (execution and output).
+network (sequence elements and the linear fault solve), abc_oracle
+(independent phase-coordinate re-solve), clc (current-limiting laws and the
+one saturation limiter), sources (generator and converter models, the
+prefault dispatch, the fault fixed point), relay (directional and
+phase-selection elements), scenario/presets (configuration and per-unit
+bases), harness/report/cli (execution and output).
 """
 
 from .clc import ClcConfig, ClcKind

@@ -28,6 +28,7 @@ at the pre-fault internal angle).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,10 +41,9 @@ __all__ = [
     "describing_function",
     "clc_virtual_admittance",
     "clc_adaptive_impedance",
-    "saturate_reference",
-    "instantaneous_two_channel",
     "phase_components",
     "max_phase_current",
+    "limit",
 ]
 
 _ALPHA2 = ALPHA * ALPHA
@@ -88,15 +88,6 @@ class ClcConfig:
                 raise ValueError(f"clc.{name} must be positive, got {getattr(self, name)}")
         if self.r_vn < 0.0 or self.x_vn < 0.0:
             raise ValueError("nominal virtual impedance parts must be non-negative")
-
-    @property
-    def phase_current_cap(self) -> float:
-        """Hard per-phase fundamental bound enforced by a saturation kind."""
-        if self.kind is ClcKind.INSTANTANEOUS:
-            return 4.0 * self.clip_level / math.pi
-        if self.kind.is_saturation:
-            return self.i_lim
-        raise ValueError(f"{self.kind.value} is not a hard-capping limiter")
 
 
 def describing_function(amplitude: float, clip_level: float) -> float:
@@ -146,37 +137,6 @@ def clc_adaptive_impedance(cfg: ClcConfig, i_trigger: float) -> complex:
     return complex(x_v / cfg.n_x_r, x_v)
 
 
-def saturate_reference(cfg: ClcConfig, i_ref_dq: complex) -> tuple[complex, complex]:
-    """Clip one channel's dq current reference; returns (i_sat, sigma).
-
-    sigma is the componentwise ratio i_sat / i_ref (1 when transparent).
-    The circular limiter shrinks the vector, preserving its angle; the
-    priority limiter clamps the d component first and gives q the remaining
-    headroom; the instantaneous limiter acting on a single balanced channel
-    reduces to the describing-function scaling of its amplitude.
-    """
-    if not cfg.kind.is_saturation:
-        raise ValueError(f"{cfg.kind.value} has no reference saturation stage")
-    mag = abs(i_ref_dq)
-    if mag == 0.0:
-        return 0j, 1.0 + 0j
-
-    if cfg.kind is ClcKind.CIRCULAR:
-        sigma = complex(min(1.0, cfg.i_lim / mag))
-        return i_ref_dq * sigma, sigma
-
-    if cfg.kind is ClcKind.PRIORITY:
-        d = min(cfg.i_lim, max(-cfg.i_lim, i_ref_dq.real))
-        headroom = math.sqrt(max(0.0, cfg.i_lim**2 - d * d))
-        q = min(headroom, max(-headroom, i_ref_dq.imag))
-        i_sat = complex(d, q)
-        return i_sat, i_sat / i_ref_dq
-
-    # instantaneous, single channel: all three phases carry the same amplitude
-    scale = describing_function(mag, cfg.clip_level)
-    return i_ref_dq * scale, complex(scale)
-
-
 def phase_components(i1: complex, i2: complex) -> tuple[complex, complex, complex]:
     """Phase reference phasors synthesized from the two sequence channels."""
     return (i1 + i2, _ALPHA2 * i1 + ALPHA * i2, ALPHA * i1 + _ALPHA2 * i2)
@@ -187,20 +147,57 @@ def max_phase_current(i1: complex, i2: complex) -> float:
     return max(abs(p) for p in phase_components(i1, i2))
 
 
-def instantaneous_two_channel(
-    cfg: ClcConfig, i_ref1: complex, i_ref2: complex
-) -> tuple[complex, complex]:
-    """Per-phase describing-function clipping of the combined reference.
+def _clamp(value: float, bound: float, side: int | None) -> tuple[float, int]:
+    """Clamp value to [-bound, bound]; side (-1, 0 or 1) fixes the branch."""
+    if side is None:
+        side = (value > bound) - (value < -bound)
+    return (value if side == 0 else side * bound), side
 
-    Reconstructs the three phase reference phasors, scales each by its own
-    N(A), and projects the result back onto the positive/negative pair. The
-    per-phase scaling generates a zero-sequence residue; a three-wire
-    converter has no path for it, so it is discarded.
+
+def _priority_clamp(
+    cfg: ClcConfig, ref_dq: complex, sides: tuple[int | None, int | None]
+) -> tuple[complex, tuple[int, int]]:
+    """Clamp d to the limit, then q to the headroom d leaves."""
+    d, side_d = _clamp(ref_dq.real, cfg.i_lim, sides[0])
+    q, side_q = _clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)), sides[1])
+    return complex(d, q), (side_d, side_q)
+
+
+def limit(
+    cfg: ClcConfig, theta: float, ref1: complex, ref2: complex, branch: tuple | None = None
+) -> tuple[complex, complex, tuple]:
+    """Limiter output (network frame) for the two channel references.
+
+    circular: one real factor shrinks both channels so that no phase
+    exceeds i_lim; the largest phase sets it. priority: each channel is
+    first clamped in its own synchronous frame at angle theta, d to i_lim
+    and q to the headroom d leaves, then shrunk as circular.
+    instantaneous: each phase reference is scaled by its own describing
+    function and projected back onto the positive/negative pair; the
+    zero-sequence residue this leaves has no path in a three-wire
+    converter and is discarded.
+
+    Also returns the branch the limiter took: priority's d/q clamps, the
+    phase that sets the common rescale and whether the rescale binds.
+    Passing a branch back evaluates that smooth piece of the limiter even
+    where another piece would be picked. The clipper is smooth: no branch.
     """
-    pa, pb, pc = phase_components(i_ref1, i_ref2)
-    pa *= describing_function(abs(pa), cfg.clip_level)
-    pb *= describing_function(abs(pb), cfg.clip_level)
-    pc *= describing_function(abs(pc), cfg.clip_level)
-    i1 = (pa + ALPHA * pb + _ALPHA2 * pc) / 3.0
-    i2 = (pa + _ALPHA2 * pb + ALPHA * pc) / 3.0
-    return i1, i2
+    if cfg.kind is ClcKind.INSTANTANEOUS:
+        pa, pb, pc = (
+            p * describing_function(abs(p), cfg.clip_level) for p in phase_components(ref1, ref2)
+        )
+        return (pa + ALPHA * pb + _ALPHA2 * pc) / 3.0, (pa + _ALPHA2 * pb + ALPHA * pc) / 3.0, ()
+    clamps, cap = branch or (((None, None), (None, None)), None)
+    if cfg.kind is ClcKind.PRIORITY:
+        rot = cmath.exp(-1j * theta)
+        dq1, sides1 = _priority_clamp(cfg, ref1 * rot, clamps[0])
+        dq2, sides2 = _priority_clamp(cfg, ref2 / rot, clamps[1])
+        ref1, ref2, clamps = dq1 / rot, dq2 * rot, (sides1, sides2)
+    elif cfg.kind is not ClcKind.CIRCULAR:
+        raise ValueError(f"{cfg.kind.value} has no reference saturation stage")
+    phases = phase_components(ref1, ref2)
+    if cap is None:
+        peak = max(range(3), key=lambda n: abs(phases[n]))
+        cap = (peak, abs(phases[peak]) > cfg.i_lim)
+    scale = cfg.i_lim / abs(phases[cap[0]]) if cap[1] else 1.0
+    return ref1 * scale, ref2 * scale, (clamps, cap)

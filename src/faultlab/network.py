@@ -57,9 +57,7 @@ __all__ = [
     "FaultSolution",
     "solve_linear",
     "driving_point",
-    "thevenin_at_fault",
     "solve_fault_boundary",
-    "back_distribute",
     "FaultResponse",
     "solve_fault",
 ]
@@ -565,19 +563,6 @@ def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> Th
     )
 
 
-def thevenin_at_fault(net: NetworkModel) -> TheveninEquivalent:
-    """Driving-point impedances at the fault node and its open-circuit voltages.
-
-    One nodal build per sequence solves the network as it stands and a
-    unit-current probe at the fault node with all sources zeroed (ideal
-    sources short, Norton admittances kept, injections open); the
-    impedances are the probe column at the fault node, the open-circuit
-    voltages the base column there.
-    """
-    base = {seq: [1.0, 0.0] for seq in SEQUENCES}
-    return _thevenin(_fault_builds(net), net.fault_node, base)
-
-
 def solve_fault_boundary(
     thevenin: TheveninEquivalent, spec: FaultSpec, z_base_ohm: float
 ) -> SequenceTriple:
@@ -620,16 +605,6 @@ def solve_fault_boundary(
         i0 = 0j
 
     return SequenceTriple(pos=i1, neg=i2 * rot2, zero=i0 * rot0)
-
-
-def back_distribute(net: NetworkModel, i_fault: SequenceTriple) -> SequenceSolution:
-    """Pure-fault solution: passive network with the fault current extracted."""
-    pulls = {1: -i_fault.pos, 2: -i_fault.neg, 0: -i_fault.zero}
-    return solve_linear(
-        net,
-        zero_sources=True,
-        extra_injections={seq: (net.fault_node, pulls[seq]) for seq in SEQUENCES},
-    )
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,15 @@ collection line, or the converter transformer together with its
 zero-sequence leg) at the same fraction. m=0 and m=1 collapse the fault
 node onto the adjacent bus instead of creating zero-impedance stubs.
 
-Fault resistance is given in ohms and referred to the high-voltage zone
-base everywhere. Voltage bases follow the study-case convention of quoting
-line-line amplitudes (peak); circuit.voltages_are_peak=false switches to
-conventional RMS quantities.
+Everything is per-unit on one system MVA base. The zone voltage bases stand
+in the transformer's nominal ratio, so impedances refer across it unchanged
+and the network carries no explicit ratio. Line constants and the fault
+resistance are given in ohms and referred to the high-voltage base,
+Z_base = V_LL^2 / S with V_LL the RMS line-line voltage. Voltage bases
+follow the study-case convention of quoting line-line amplitudes (peak,
+1 pu being the nominal phase peak), converted with V_LL = V_peak / sqrt(2);
+circuit.voltages_are_peak=false takes them as RMS. circuit.v_lv_kv is
+validated and enters the config hash, but no solve reads it.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .network import (
     SeriesElement,
     SourceElement,
 )
-from .per_unit import PerUnitBase
 from .relay import DirectionalConfig, PhaseSelectionConfig
 from .sources import GfmModel, SgModel
 
@@ -187,7 +191,6 @@ class Scenario:
     kind: SourceKind
     p_ref: float
     q_ref: float
-    base: PerUnitBase
     sg: SgModel | None
     gfm: GfmModel | None
     fault: FaultSpec
@@ -292,12 +295,10 @@ def build_scenario(
 
     s_base = _need_positive(resolved, "circuit.s_base_mva") * 1e6
     v_hv = _need_positive(resolved, "circuit.v_hv_kv") * 1e3
-    v_lv = _need_positive(resolved, "circuit.v_lv_kv") * 1e3
+    _need_positive(resolved, "circuit.v_lv_kv")  # input and hashed; no solve reads it
     if _need_bool(resolved, "circuit.voltages_are_peak"):
         v_hv /= math.sqrt(2.0)
-        v_lv /= math.sqrt(2.0)
-    base = PerUnitBase(s_base=s_base, zones={"hv": v_hv, "lv": v_lv})
-    zb_hv = base.zone("hv").z_base
+    zb_hv = v_hv**2 / s_base
 
     try:
         clc = ClcConfig(
@@ -385,7 +386,6 @@ def build_scenario(
         kind=kind,
         p_ref=p_ref,
         q_ref=q_ref,
-        base=base,
         sg=sg if kind is SourceKind.SG else None,
         gfm=gfm if kind is SourceKind.GFM else None,
         fault=fault,
@@ -416,14 +416,16 @@ def _build_network(
 ) -> tuple[NetworkModel, tuple[complex, complex]]:
     """The network, and the passive source-side impedances (z1, z0)."""
     km = _need_positive(resolved, "circuit.line_km")
-    line_z1 = complex(
+    # per-km impedances in ohm, shared by the line and the collection line
+    z1_km = complex(
         _need_float(resolved, "circuit.line_r1_ohm_km"),
         _need_float(resolved, "circuit.line_x1_ohm_km"),
-    ) * km / zb_hv
-    line_z0 = complex(
+    )
+    z0_km = complex(
         _need_float(resolved, "circuit.line_r0_ohm_km"),
         _need_float(resolved, "circuit.line_x0_ohm_km"),
-    ) * km / zb_hv
+    )
+    line_z1, line_z0 = z1_km * km / zb_hv, z0_km * km / zb_hv
     grid_z1, grid_z0 = _grid_impedance(resolved)
     grid_v = _need_positive(resolved, "circuit.grid_v_pu")
     grid_ang = math.radians(_need_float(resolved, "circuit.grid_angle_deg"))
@@ -455,22 +457,11 @@ def _build_network(
 
     if kind is SourceKind.SG:
         coll_km = _need_positive(resolved, "sg.collection_km")
-        zs1 = complex(
-            _need_float(resolved, "circuit.line_r1_ohm_km"),
-            _need_float(resolved, "circuit.line_x1_ohm_km"),
-        ) * coll_km / zb_hv
-        zs0 = complex(
-            _need_float(resolved, "circuit.line_r0_ohm_km"),
-            _need_float(resolved, "circuit.line_x0_ohm_km"),
-        ) * coll_km / zb_hv
-        if forward:
+        zs1, zs0 = z1_km * coll_km / zb_hv, z0_km * coll_km / zb_hv
+        if forward or m in (0.0, 1.0):
             elements.append(SeriesElement("col", "sgt", "bus1", zs1, zs1, zs0))
-        elif m == 0.0:
-            elements.append(SeriesElement("col", "sgt", "bus1", zs1, zs1, zs0))
-            fault_node = "bus1"
-        elif m == 1.0:
-            elements.append(SeriesElement("col", "sgt", "bus1", zs1, zs1, zs0))
-            fault_node = "sgt"
+            if not forward:
+                fault_node = "bus1" if m == 0.0 else "sgt"
         else:
             elements.append(SeriesElement("col_a", "bus1", "flt", m * zs1, m * zs1, m * zs0))
             elements.append(

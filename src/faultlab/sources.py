@@ -68,9 +68,8 @@ from .clc import (
     ClcKind,
     clc_adaptive_impedance,
     clc_virtual_admittance,
-    instantaneous_two_channel,
+    limit,
     max_phase_current,
-    phase_components,
 )
 from .network import (
     FaultResponse,
@@ -237,6 +236,15 @@ def prefault_solve(
     v_oc, z_th = driving_point(net, net.source_node)
     if z + z_th == 0:
         raise SingularNetworkError("positive-sequence network is singular at the source node")
+    if abs(v_oc) <= 1e-9:
+        # S = z_th * |i|^2 whatever theta: a dispatch tol off the ray of z_th is unmet
+        s_ref = complex(p_ref, q_ref)
+        along = s_ref * z_th.conjugate() / abs(z_th) if z_th else 0j
+        if (abs(along.imag) if along.real > 0 else abs(s_ref)) >= tol:
+            raise NoConvergenceError(
+                f"pre-fault dispatch unreachable: the open-circuit voltage at the source "
+                f"node is {abs(v_oc):.3e} pu, so only P + jQ along z_th can be met"
+            )
 
     x = np.array([1.0, 0.0])  # [E, theta_rad]
     for it in range(1, max_iter + 1):
@@ -381,51 +389,6 @@ def terminal_port(response: FaultResponse) -> TerminalPort:
     )
 
 
-def _clamp(value: float, bound: float, side: int | None) -> tuple[float, int]:
-    """Clamp value to [-bound, bound]; side (-1, 0 or 1) fixes the branch."""
-    if side is None:
-        side = (value > bound) - (value < -bound)
-    return (value if side == 0 else side * bound), side
-
-
-def _priority_clamp(
-    cfg: ClcConfig, ref_dq: complex, sides: tuple[int | None, int | None]
-) -> tuple[complex, tuple[int, int]]:
-    """Clamp d to the limit, then q to the headroom d leaves."""
-    d, side_d = _clamp(ref_dq.real, cfg.i_lim, sides[0])
-    q, side_q = _clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)), sides[1])
-    return complex(d, q), (side_d, side_q)
-
-
-def _limit(
-    cfg: ClcConfig, theta: float, ref1: complex, ref2: complex, branch: tuple | None
-) -> tuple[complex, complex, tuple]:
-    """Limiter output (network frame) for the loop references.
-
-    Also returns the branch the limiter took: priority's d/q clamps, the
-    phase that sets the common rescale and whether the rescale binds.
-    Passing a branch back evaluates that smooth piece of the limiter even
-    where another piece would be picked. The clipper is smooth: no branch.
-    """
-    if cfg.kind is ClcKind.INSTANTANEOUS:
-        return (*instantaneous_two_channel(cfg, ref1, ref2), ())
-    clamps, cap = branch or (((None, None), (None, None)), None)
-    if cfg.kind is ClcKind.PRIORITY:
-        # each channel is clamped in its own synchronous frame first
-        rot = cmath.exp(-1j * theta)
-        dq1, sides1 = _priority_clamp(cfg, ref1 * rot, clamps[0])
-        dq2, sides2 = _priority_clamp(cfg, ref2 / rot, clamps[1])
-        ref1, ref2, clamps = dq1 / rot, dq2 * rot, (sides1, sides2)
-    # one real shrink factor keeps every phase inside i_lim and both
-    # channel angles untouched; the largest phase sets it
-    phases = phase_components(ref1, ref2)
-    if cap is None:
-        peak = max(range(3), key=lambda n: abs(phases[n]))
-        cap = (peak, abs(phases[peak]) > cfg.i_lim)
-    scale = cfg.i_lim / abs(phases[cap[0]]) if cap[1] else 1.0
-    return ref1 * scale, ref2 * scale, (clamps, cap)
-
-
 def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> bool:
     """True when the residual has stopped making real progress."""
     if len(history) < 2 * window:
@@ -553,7 +516,7 @@ def fault_fixed_point(
 
         def sat_law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, tuple]:
             _, _, ref1, ref2 = loop_refs(*x.tolist())
-            sat1, sat2, branch = _limit(cfg, op.theta_rad, ref1, ref2, branch)
+            sat1, sat2, branch = limit(cfg, op.theta_rad, ref1, ref2, branch)
             return np.array([sat1, sat2]), branch
 
         # start from the currents that pin the terminal at the reference:
@@ -564,7 +527,7 @@ def fault_fixed_point(
         )
         i1, i2 = x.tolist()
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
-        sat1, sat2, _ = _limit(cfg, op.theta_rad, ref1, ref2, None)
+        sat1, sat2, _ = limit(cfg, op.theta_rad, ref1, ref2)
         if cfg.kind is ClcKind.INSTANTANEOUS:
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:

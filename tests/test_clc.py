@@ -12,9 +12,9 @@ from faultlab.clc import (
     clc_adaptive_impedance,
     clc_virtual_admittance,
     describing_function,
-    instantaneous_two_channel,
+    limit,
     max_phase_current,
-    saturate_reference,
+    phase_components,
 )
 from faultlab.phasors import ALPHA, PhaseTriple, angle_deg, fortescue
 
@@ -98,13 +98,20 @@ def test_adaptive_impedance_angle_is_parameter_forced(n_x_r: float) -> None:
         assert angle_deg(z) == pytest.approx(math.degrees(math.atan(n_x_r)), abs=1e-9)
 
 
+def _one_channel(cfg: ClcConfig, ref: complex) -> tuple[complex, complex]:
+    """The limiter on a positive-sequence reference alone: (output, sigma)."""
+    out1, out2, _ = limit(cfg, 0.0, ref, 0j)
+    assert abs(out2) < 1e-15
+    return out1, out1 / ref
+
+
 def test_circular_limiter_scaling_and_angle() -> None:
     cfg = ClcConfig(kind=ClcKind.CIRCULAR, i_lim=1.2)
     # unsaturated passthrough
-    i_sat, sigma = saturate_reference(cfg, 0.5 + 0.5j)
+    i_sat, sigma = _one_channel(cfg, 0.5 + 0.5j)
     assert i_sat == 0.5 + 0.5j and sigma == 1.0 + 0j
     # (1, 1) dq shrinks onto the circle at 45 degrees
-    i_sat, sigma = saturate_reference(cfg, 1.0 + 1.0j)
+    i_sat, sigma = _one_channel(cfg, 1.0 + 1.0j)
     assert abs(i_sat) == pytest.approx(1.2, rel=1e-12)
     assert sigma.real == pytest.approx(1.2 / math.sqrt(2.0), rel=1e-12)
     assert sigma.imag == 0.0
@@ -114,40 +121,41 @@ def test_circular_limiter_scaling_and_angle() -> None:
 def test_circular_limiter_preserves_reference_angle() -> None:
     cfg = ClcConfig(kind=ClcKind.CIRCULAR, i_lim=1.2)
     for ref in (3.0 - 1.0j, -2.5 + 0.1j, 1.4j, -5.0 + 0j):
-        i_sat, sigma = saturate_reference(cfg, ref)
-        assert sigma.imag == 0.0  # real shrink only
+        i_sat, sigma = _one_channel(cfg, ref)
+        assert abs(sigma.imag) < 1e-15  # real shrink only
         assert abs(cmath.phase(i_sat) - cmath.phase(ref)) < 1e-12
 
 
 def test_priority_limiter_clamps_d_first() -> None:
     cfg = ClcConfig(kind=ClcKind.PRIORITY, i_lim=1.2)
-    i_sat, sigma = saturate_reference(cfg, 1.5 + 0.5j)
+    i_sat, sigma = _one_channel(cfg, 1.5 + 0.5j)
     assert i_sat == pytest.approx(1.2 + 0.0j)
     assert sigma == pytest.approx(i_sat / (1.5 + 0.5j))
     # d inside the limit leaves q the remaining headroom
-    i_sat, _ = saturate_reference(cfg, 0.5 + 1.5j)
+    i_sat, _ = _one_channel(cfg, 0.5 + 1.5j)
     assert i_sat.real == pytest.approx(0.5)
     assert i_sat.imag == pytest.approx(math.sqrt(1.2**2 - 0.25), rel=1e-12)
     # sign symmetric
-    i_sat, _ = saturate_reference(cfg, -1.5 - 0.5j)
+    i_sat, _ = _one_channel(cfg, -1.5 - 0.5j)
     assert i_sat == pytest.approx(-1.2 + 0.0j)
 
 
 def test_instantaneous_single_channel_is_describing_function() -> None:
     cfg = ClcConfig(kind=ClcKind.INSTANTANEOUS, clip_level=1.2)
-    i_sat, sigma = saturate_reference(cfg, 0.8 + 0.3j)
-    assert i_sat == 0.8 + 0.3j and sigma == 1.0 + 0j
+    i_sat, sigma = _one_channel(cfg, 0.8 + 0.3j)
+    assert i_sat == pytest.approx(0.8 + 0.3j, rel=1e-15)
+    assert sigma == pytest.approx(1.0 + 0j, rel=1e-15)
     ref = 1.5 + 1.0j
-    i_sat, sigma = saturate_reference(cfg, ref)
+    i_sat, sigma = _one_channel(cfg, ref)
     scale = describing_function(abs(ref), 1.2)
     assert i_sat == pytest.approx(ref * scale)
     assert sigma == pytest.approx(complex(scale))
 
 
 def test_saturate_reference_rejects_shaping_kinds() -> None:
-    cfg = ClcConfig(kind=ClcKind.VIRTUAL_ADMITTANCE)
-    with pytest.raises(ValueError):
-        saturate_reference(cfg, 1.0 + 0j)
+    for kind in (ClcKind.VIRTUAL_ADMITTANCE, ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE):
+        with pytest.raises(ValueError, match="no reference saturation stage"):
+            limit(ClcConfig(kind=kind), 0.0, 1.0 + 0j, 0j)
 
 
 def test_max_phase_current_combined_sequences() -> None:
@@ -166,7 +174,7 @@ def test_max_phase_current_combined_sequences() -> None:
 def test_instantaneous_two_channel_balanced_reduces_to_single() -> None:
     cfg = ClcConfig(kind=ClcKind.INSTANTANEOUS, clip_level=1.2)
     i1 = 2.0 * cmath.exp(-0.4j)
-    out1, out2 = instantaneous_two_channel(cfg, i1, 0j)
+    out1, out2, _ = limit(cfg, 0.0, i1, 0j)
     assert out1 == pytest.approx(i1 * describing_function(2.0, 1.2), rel=1e-12)
     assert abs(out2) < 1e-15
 
@@ -174,7 +182,7 @@ def test_instantaneous_two_channel_balanced_reduces_to_single() -> None:
 def test_instantaneous_two_channel_drops_zero_sequence_residue() -> None:
     cfg = ClcConfig(kind=ClcKind.INSTANTANEOUS, clip_level=1.2)
     i1, i2 = 1.6 + 0.2j, 0.7 - 0.5j
-    out1, out2 = instantaneous_two_channel(cfg, i1, i2)
+    out1, out2, _ = limit(cfg, 0.0, i1, i2)
 
     # independent reconstruction: clip each phase reference by its own
     # describing function, then analyze
@@ -196,12 +204,45 @@ def test_instantaneous_two_channel_drops_zero_sequence_residue() -> None:
     assert abs(seq.zero) > 1e-3
 
 
-def test_phase_current_cap_property() -> None:
-    sat = ClcConfig(kind=ClcKind.INSTANTANEOUS, clip_level=1.2)
-    assert sat.phase_current_cap == pytest.approx(4.0 * 1.2 / math.pi)
-    assert ClcConfig(kind=ClcKind.CIRCULAR, i_lim=1.2).phase_current_cap == 1.2
-    with pytest.raises(ValueError):
-        _ = ClcConfig(kind=ClcKind.VIRTUAL_ADMITTANCE).phase_current_cap
+@pytest.mark.parametrize("kind", ["circular", "priority", "instantaneous"])
+def test_limit_on_its_own_branch_reproduces_its_output(kind: str) -> None:
+    cfg = ClcConfig(kind=ClcKind(kind), i_lim=1.2, clip_level=1.2)
+    for theta, ref1, ref2 in ((0.3, 1.7 - 0.4j, 0.5 + 0.2j), (-1.1, 0.4 + 0.1j, 0.05j)):
+        out1, out2, branch = limit(cfg, theta, ref1, ref2)
+        assert limit(cfg, theta, ref1, ref2, branch) == (out1, out2, branch)
+
+
+@pytest.mark.parametrize("kind", ["circular", "priority"])
+def test_frozen_branch_keeps_the_phase_that_set_the_rescale(kind: str) -> None:
+    # ref2 = 0.1 e^{j psi} next to ref1 = 2: the phase amplitudes are about
+    # 2 + 0.1 cos(psi), 2 + 0.1 cos(psi - 120 deg), 2 + 0.1 cos(psi + 120 deg),
+    # so phases a and c tie at psi = -60 deg; both channels stay inside the
+    # priority clamps (d = 2 is clamped in both evaluations alike)
+    cfg = ClcConfig(kind=ClcKind(kind), i_lim=1.2)
+    ref1 = 2.0 + 0j
+    _, _, base = limit(cfg, 0.0, ref1, cmath.rect(0.1, math.radians(-55.0)))
+    ref2 = cmath.rect(0.1, math.radians(-65.0))
+    free1, free2, branch = limit(cfg, 0.0, ref1, ref2)
+    kept1, kept2, same = limit(cfg, 0.0, ref1, ref2, base)
+    assert branch != base and same == base
+    free = [abs(p) for p in phase_components(free1, free2)]
+    kept = [abs(p) for p in phase_components(kept1, kept2)]
+    # branch=None rescales on phase c, the frozen branch still on phase a
+    assert free[2] == pytest.approx(1.2, rel=1e-12) and free[0] < 1.2
+    assert kept[0] == pytest.approx(1.2, rel=1e-12) and kept[2] > 1.2
+
+
+def test_frozen_branch_keeps_a_priority_clamp() -> None:
+    cfg = ClcConfig(kind=ClcKind.PRIORITY, i_lim=1.2)
+    # at d = 1.21 the d clamp binds and leaves q no headroom
+    out1, _, base = limit(cfg, 0.0, 1.21 + 0.3j, 0j)
+    assert out1 == pytest.approx(1.2 + 0j, rel=1e-12)
+    # at d = 1.19 the free limiter passes d and gives q the headroom left
+    free1, _, branch = limit(cfg, 0.0, 1.19 + 0.3j, 0j)
+    assert branch != base
+    assert free1 == pytest.approx(complex(1.19, math.sqrt(1.2**2 - 1.19**2)), rel=1e-12)
+    kept1, _, _ = limit(cfg, 0.0, 1.19 + 0.3j, 0j, base)
+    assert kept1 == pytest.approx(1.2 + 0j, rel=1e-12)
 
 
 def test_config_validation() -> None:

@@ -147,6 +147,13 @@ def test_exhausted_solver_budget_is_a_solver_error(tmp_path, capsys) -> None:
     assert "last residual" in err
 
 
+@pytest.mark.parametrize("kind", ["sg", "gfm"])
+def test_unreachable_dispatch_is_a_solver_error(tmp_path, capsys, kind: str) -> None:
+    cfg = _config(tmp_path, f"source.kind = {kind}\ncircuit.grid_v_pu = 1e-12\n")
+    assert main(["run", "--config", cfg]) == 1
+    assert "solver error: pre-fault dispatch unreachable: " in capsys.readouterr().err
+
+
 def test_sweep_emits_one_row_per_step(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "source.kind = sg\n", name="sw.cfg")
     code = main(

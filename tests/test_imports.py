@@ -1,0 +1,84 @@
+"""Every module-level import in the package is used where it is imported.
+
+Stdlib `ast` only, so the check runs wherever the tests do. An import may
+also stand unused when its module re-exports it (`__all__`) or when its
+line says why with `# noqa: F401`.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "faultlab"
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+
+
+def _names_in(tree: ast.AST) -> set[str]:
+    """Names read anywhere in tree, quoted annotations included."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _names_in(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}  # type: ignore[attr-defined]
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imports that nothing in source uses, exports or excuses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = _names_in(tree) | _exported(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(bound)
+    return unused
+
+
+def test_the_check_catches_an_unused_import() -> None:
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from .a import (\n"
+        "    kept,\n"
+        "    dropped,\n"
+        "    excused,  # noqa: F401  wrapped by name elsewhere\n"
+        "    exported,\n"
+        ")\n"
+        "__all__ = ['exported']\n"
+        "def f(x: 'Ann') -> float:\n"
+        "    return math.pi * kept(x)\n"
+        "from .b import Ann\n"
+    )
+    assert unused_imports(source) == ["os", "dropped"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_are_used(module: str) -> None:
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

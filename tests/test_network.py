@@ -17,14 +17,12 @@ from faultlab.network import (
     SeriesElement,
     SingularNetworkError,
     SourceElement,
-    back_distribute,
     solve_fault,
     solve_fault_boundary,
     solve_linear,
-    thevenin_at_fault,
     TheveninEquivalent,
 )
-from faultlab.phasors import ALPHA, SequenceTriple, from_polar, fortescue
+from faultlab.phasors import ALPHA, from_polar, fortescue
 from faultlab.scenario import build_scenario
 
 
@@ -45,7 +43,7 @@ def _radial_net(z_src: complex, z_line: complex, z0_src: complex | None = None) 
 
 def test_thevenin_of_series_branches() -> None:
     net = _radial_net(0.2j, 0.3j)
-    th = thevenin_at_fault(net)
+    th = solve_fault(net, FaultSpec()).thevenin
     assert th.z1 == pytest.approx(0.5j, abs=1e-12)
     assert th.z2 == pytest.approx(0.5j, abs=1e-12)
     # no load current flows in the healthy radial network
@@ -60,7 +58,7 @@ def test_thevenin_probes_match_full_three_sequence_solves(placement: str) -> Non
     net = scenario.net.with_elements(
         SourceElement("src", scenario.net.source_node, e1=1.05 + 0.1j, z1=0.2j, z2=0.2j, z0=0.1j)
     )
-    th = thevenin_at_fault(net)
+    th = solve_fault(net, scenario.fault).thevenin
     for seq, z in ((1, th.z1), (2, th.z2), (0, th.z0)):
         probe = solve_linear(
             net, zero_sources=True, extra_injections={seq: (net.fault_node, 1.0 + 0j)}
@@ -226,12 +224,26 @@ def test_kcl_at_the_fault_node() -> None:
     assert (into_fault - sol.i_fault).max_abs() < 1e-9
 
 
-def test_back_distribute_zero_current_is_identity() -> None:
-    net = _radial_net(0.2j, 0.3j)
-    pure = back_distribute(net, SequenceTriple())
-    for seq in (1, 2, 0):
-        for v in pure.v[seq].values():
-            assert abs(v) < 1e-12
+def test_pure_fault_solution_is_the_back_distributed_fault_current() -> None:
+    """The pure-fault solution is the passive network with i_f drawn out at the fault."""
+    for kind in ("ag", "bc", "bcg", "abc"):
+        scenario = build_scenario({"source.kind": "sg", "fault.kind": kind, "fault.r_g_ohm": 5.0})
+        net = scenario.net.with_elements(
+            SourceElement("src", "sgt", e1=from_polar(1.02, 7.0), z1=0.2j, z2=0.2j, z0=0.1j)
+        )
+        sol = solve_fault(net, scenario.fault)
+        pulls = {1: sol.i_fault.pos, 2: sol.i_fault.neg, 0: sol.i_fault.zero}
+        direct = solve_linear(
+            net,
+            zero_sources=True,
+            extra_injections={seq: (net.fault_node, -i_f) for seq, i_f in pulls.items()},
+        )
+        assert sol.i_fault.max_abs() > 0.1
+        for seq in (1, 2, 0):
+            for node, v in direct.v[seq].items():
+                assert abs(sol.pure.v[seq][node] - v) < 1e-12
+            for eid, i in direct.i_series[seq].items():
+                assert abs(sol.pure.i_series[seq][eid] - i) < 1e-12
 
 
 def test_fault_node_collapse_at_endpoints() -> None:

@@ -13,8 +13,8 @@ from faultlab.network import (
     RelayTap,
     SeriesElement,
     SourceElement,
+    solve_fault,
     solve_linear,
-    thevenin_at_fault,
 )
 from faultlab.phasors import fortescue, from_polar
 from faultlab.scenario import build_scenario
@@ -67,7 +67,7 @@ def test_single_line_ground_leaves_healthy_phases_dead() -> None:
 @pytest.mark.parametrize("make_net", [_sg_net, _gfm_net])
 def test_driving_point_probe_matches_sequence_thevenin(make_net) -> None:
     net = make_net()
-    th = thevenin_at_fault(net)
+    th = solve_fault(net, FaultSpec()).thevenin
     for seq, expected in ((1, th.z1), (2, th.z2), (0, th.z0)):
         probed = thevenin_probe_abc(net, seq)
         assert probed == pytest.approx(expected, rel=1e-10)

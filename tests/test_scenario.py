@@ -158,6 +158,39 @@ def test_peak_vs_rms_voltage_convention() -> None:
     assert rms.net.z_base_fault_ohm == pytest.approx(484.0, abs=1e-9)
 
 
+def test_base_inputs_are_validated_and_only_the_hv_base_enters_the_solve() -> None:
+    for key in ("circuit.s_base_mva", "circuit.v_hv_kv", "circuit.v_lv_kv"):
+        with pytest.raises(ValidationError, match=key.replace(".", r"\.")):
+            build_scenario({key: 0.0})
+    base = build_scenario({})
+    lv = build_scenario({"circuit.v_lv_kv": 66.0})
+    assert lv.config_hash != base.config_hash
+    assert lv.net == base.net
+
+
+@pytest.mark.parametrize(
+    "placement, m, eids, fault_node",
+    [
+        ("forward", 0.0, ["grid", "line", "col"], "bus1"),
+        ("forward", 0.5, ["grid", "line_a", "line_b", "col"], "flt"),
+        ("forward", 1.0, ["grid", "line", "col"], "bus2"),
+        ("reverse", 0.0, ["grid", "line", "col"], "bus1"),
+        ("reverse", 0.5, ["grid", "line", "col_a", "col_b"], "flt"),
+        ("reverse", 1.0, ["grid", "line", "col"], "sgt"),
+    ],
+)
+def test_generator_network_elements_and_fault_node(
+    placement: str, m: float, eids: list[str], fault_node: str
+) -> None:
+    s = build_scenario({"source.kind": "sg", "fault.placement": placement, "fault.m": m})
+    assert [e.eid for e in s.net.elements] == eids
+    assert s.net.fault_node == fault_node
+    col = {e.eid: e for e in s.net.elements}.get("col")
+    if col is not None:
+        assert (col.n_from, col.n_to) == ("sgt", "bus1")
+        assert (col.z1, col.z0) == (s.z_side1, s.z_side0)
+
+
 def test_converter_reverse_bus_fault_is_rejected() -> None:
     with pytest.raises(ValidationError):
         build_scenario({"source.kind": "gfm", "fault.placement": "reverse", "fault.m": 1.0})

@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from faultlab.clc import (
-    ClcConfig,
-    ClcKind,
-    instantaneous_two_channel,
-    max_phase_current,
-    saturate_reference,
-)
+from faultlab.clc import ClcConfig, ClcKind, describing_function, max_phase_current
 from faultlab.network import (
     InjectionElement,
     NetworkModel,
@@ -23,7 +17,13 @@ from faultlab.network import (
     solve_fault,
     solve_linear,
 )
-from faultlab.phasors import from_polar
+from faultlab.phasors import (
+    PhaseTriple,
+    SequenceTriple,
+    fortescue,
+    from_polar,
+    inverse_fortescue,
+)
 from faultlab.scenario import build_scenario
 from faultlab.sources import (
     SOURCE_EID,
@@ -78,6 +78,24 @@ def test_prefault_zero_flow_is_flat() -> None:
 def test_prefault_unreachable_power_raises() -> None:
     with pytest.raises(NoConvergenceError):
         prefault_solve(_two_bus_net(), SgModel(), p_ref=50.0)
+
+
+@pytest.mark.parametrize("kind", ["sg", "gfm"])
+def test_prefault_without_open_circuit_voltage_meets_only_the_ray_of_z_th(kind: str) -> None:
+    # with no voltage at the source node S = z_th |i|^2: the emf angle has no effect
+    scenario = build_scenario({"source.kind": kind, "circuit.grid_v_pu": 1e-12})
+    net, source = scenario.net, scenario.source
+    v_oc, z_th = driving_point(net, net.source_node)
+    assert abs(v_oc) == pytest.approx(1e-12)
+    with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable: "):
+        prefault_solve(net, source, scenario.p_ref, scenario.q_ref)
+    off_ray = 0.5 * 1j * z_th / abs(z_th)
+    with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable: "):
+        prefault_solve(net, source, off_ray.real, off_ray.imag)
+    # the zero dispatch and one along z_th are met
+    for s_ref in (0j, 0.5 * z_th / abs(z_th)):
+        op = prefault_solve(net, source, s_ref.real, s_ref.imag)
+        assert abs(complex(op.p, op.q) - s_ref) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["sg", "circular", "virtual_admittance"])
@@ -150,8 +168,9 @@ def _converged(kind: str, fault_kind: str = "bcg", r_g: float = 0.0):
 def test_converged_state_satisfies_the_limiter_law(kind: str) -> None:
     """The delivered current must be the limiter applied to the loop output.
 
-    Rebuilt here from the public limiter primitives, so the check holds no
-    matter what path the fixed-point iteration took to get there.
+    Rebuilt here from the limiting laws as stated, not from `clc.limit`, so
+    the check holds no matter what path the fixed-point iteration took to
+    get there, and does not compare the solver's limiter with itself.
     """
     scenario, op, sol = _converged(kind)
     assert sol.limiter_active
@@ -160,19 +179,27 @@ def test_converged_state_satisfies_the_limiter_law(kind: str) -> None:
     ref1 = gfm.k_pv * (op.e_ref1 - sol.v_t.pos) + sol.i_t.pos
     ref2 = gfm.k_pv * (0.0 - sol.v_t.neg) + sol.i_t.neg
 
+    def clamp_dq(ref_dq: complex) -> complex:
+        d = min(cfg.i_lim, max(-cfg.i_lim, ref_dq.real))
+        headroom = math.sqrt(max(0.0, cfg.i_lim**2 - d * d))
+        return complex(d, min(headroom, max(-headroom, ref_dq.imag)))
+
     if kind == "circular":
         peak = max_phase_current(ref1, ref2)
         k = min(1.0, cfg.i_lim / peak)
         want1, want2 = ref1 * k, ref2 * k
     elif kind == "priority":
         rot = cmath.exp(-1j * op.theta_rad)
-        s1, _ = saturate_reference(cfg, ref1 * rot)
-        s2, _ = saturate_reference(cfg, ref2 / rot)
-        s1, s2 = s1 / rot, s2 * rot
+        s1, s2 = clamp_dq(ref1 * rot) / rot, clamp_dq(ref2 / rot) * rot
         k = min(1.0, cfg.i_lim / max_phase_current(s1, s2))
         want1, want2 = s1 * k, s2 * k
     else:
-        want1, want2 = instantaneous_two_channel(cfg, ref1, ref2)
+        phases = inverse_fortescue(SequenceTriple(pos=ref1, neg=ref2))
+        a, b, c = (
+            p * describing_function(abs(p), cfg.clip_level) for p in (phases.a, phases.b, phases.c)
+        )
+        want = fortescue(PhaseTriple(a, b, c))  # the zero-sequence residue has no path
+        want1, want2 = want.pos, want.neg
 
     assert abs(sol.i_t.pos - want1) < 1e-8
     assert abs(sol.i_t.neg - want2) < 1e-8
