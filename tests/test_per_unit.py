@@ -4,37 +4,21 @@ import math
 
 import pytest
 
-from faultlab.per_unit import PerUnitBase, ZoneBase
+from faultlab.scenario import build_scenario
 
 
 def test_zone_base_formulas() -> None:
     # study-case high-voltage zone: 220 kV quoted as line-line amplitude,
     # so the RMS base is 220/sqrt(2) kV and Z_base = V^2/S = 242 ohm exactly
-    v_rms = 220e3 / math.sqrt(2.0)
-    zone = ZoneBase(v_ll=v_rms, s_base=100e6)
-    assert zone.z_base == pytest.approx(242.0, rel=1e-12)
-    # I_base = S / (sqrt(3) V_LL) = 1e8 * sqrt(2) / (sqrt(3) * 220e3) = 371.1348 A
-    assert zone.i_base == pytest.approx(371.13481, rel=1e-6)
-
-
-def test_zone_base_round_trip() -> None:
-    zone = ZoneBase(v_ll=33e3, s_base=100e6)
-    z = 3.2 - 1.1j
-    assert zone.z_to_ohm(zone.z_to_pu(z)) == pytest.approx(z, rel=1e-14)
-    assert zone.z_to_pu(zone.z_base) == pytest.approx(1.0 + 0j)
-
-
-def test_zone_base_rejects_nonpositive() -> None:
-    with pytest.raises(ValueError):
-        ZoneBase(v_ll=0.0, s_base=100e6)
-    with pytest.raises(ValueError):
-        ZoneBase(v_ll=220e3, s_base=-1.0)
-
-
-def test_per_unit_base_zones() -> None:
-    base = PerUnitBase(s_base=100e6, zones={"hv": 220e3, "lv": 33e3})
-    assert base.zone("hv").z_base == pytest.approx(484.0)
-    assert base.zone("lv").z_base == pytest.approx(10.89)
-    with pytest.raises(KeyError) as err:
-        base.zone("mv")
-    assert "hv" in str(err.value) and "lv" in str(err.value)
+    assert build_scenario({}).net.z_base_fault_ohm == pytest.approx(242.0, rel=1e-12)
+    # Z_base = V_LL^2 / S for other bases, with peak voltages taken as V/sqrt(2) rms
+    for v_kv, s_mva, peak in ((33.0, 100.0, False), (132.0, 50.0, True), (400.0, 1000.0, False)):
+        s = build_scenario(
+            {
+                "circuit.v_hv_kv": v_kv,
+                "circuit.s_base_mva": s_mva,
+                "circuit.voltages_are_peak": peak,
+            }
+        )
+        v_rms = v_kv * 1e3 / (math.sqrt(2.0) if peak else 1.0)
+        assert s.net.z_base_fault_ohm == pytest.approx(v_rms**2 / (s_mva * 1e6), rel=1e-12)
