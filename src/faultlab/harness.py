@@ -25,7 +25,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abc_oracle import solve_abc
-from .network import BusReading, FaultType, solve_linear
+from .network import BusReading, FaultType
+from .network import solve_linear  # noqa: F401  perfbench's tracer wraps it under this name
 from .phasors import (
     SequenceTriple,
     ZeroPhasorError,
@@ -76,19 +77,19 @@ def prefault_network_readings(
 ) -> dict[str, BusReading]:
     """Relay readings of the healthy network at the found operating point.
 
-    The source enters as the current it delivers there (substitution
-    theorem), so one positive-sequence build gives the readings; the
-    negative- and zero-sequence networks carry no source and read zero.
+    They are read off `op.healthy`, the positive-sequence build that the
+    dispatch solved, with the source entering as the current it delivers
+    (substitution theorem); the negative- and zero-sequence networks carry
+    no source and read zero.
     """
-    net = scenario.net
-    pos = solve_linear(net, extra_injections={1: (net.source_node, op.i_attach)}, sequences=(1,))
+    pos = op.healthy
     return {
         name: BusReading(
             bus=tap.bus,
             v=SequenceTriple(pos=pos.v[1].get(tap.bus, 0j)),
             i=SequenceTriple(pos=tap.sign * pos.i_series[1].get(tap.eid, 0j)),
         )
-        for name, tap in net.relay_taps.items()
+        for name, tap in scenario.net.relay_taps.items()
     }
 
 
@@ -127,7 +128,6 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         p_ref=scenario.p_ref,
         q_ref=scenario.q_ref,
         tol=scenario.solver.newton_tol,
-        max_iter=scenario.solver.newton_max_iter,
     )
     if scenario.kind is SourceKind.SG:
         clc_kind = None

@@ -56,6 +56,7 @@ __all__ = [
     "TheveninEquivalent",
     "FaultSolution",
     "solve_linear",
+    "DrivingPoint",
     "driving_point",
     "solve_fault_boundary",
     "FaultResponse",
@@ -311,9 +312,6 @@ class TheveninEquivalent:
     e_f2: complex = 0j
     e_f0: complex = 0j
 
-    def z(self, seq: int) -> complex:
-        return {1: self.z1, 2: self.z2, 0: self.z0}[seq]
-
 
 @dataclass(frozen=True)
 class FaultSolution:
@@ -527,14 +525,27 @@ def solve_linear(
     return _sequence_solution(builds, weights)
 
 
-def driving_point(net: NetworkModel, node: str) -> tuple[complex, complex]:
-    """The positive-sequence network seen from node, from one build.
+@dataclass(frozen=True)
+class DrivingPoint:
+    """The positive-sequence network seen from one node, from one build.
 
-    Returns (v_oc, z): the node voltage is v_oc + z * i when a current i is
-    injected there.
+    The node voltage is v_oc + z * i when a current i is injected there;
+    `at(i)` is the whole positive-sequence solution with that injection.
     """
-    base, probe = _solve_one_sequence(net, 1, (node,))
-    return base[0][node], probe[0][node]
+
+    v_oc: complex
+    z: complex
+    columns: list[_Column]
+
+    def at(self, i: complex) -> SequenceSolution:
+        """Positive-sequence solution with i injected at the node (others absent)."""
+        return _sequence_solution({1: self.columns}, {1: [1.0, i]})
+
+
+def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
+    """Build the positive-sequence network once, probed at node."""
+    columns = _solve_one_sequence(net, 1, (node,))
+    return DrivingPoint(columns[0][0][node], columns[1][0][node], columns)
 
 
 def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:

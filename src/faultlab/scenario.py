@@ -28,8 +28,10 @@ resistance are given in ohms and referred to the high-voltage base,
 Z_base = V_LL^2 / S with V_LL the RMS line-line voltage. Voltage bases
 follow the study-case convention of quoting line-line amplitudes (peak,
 1 pu being the nominal phase peak), converted with V_LL = V_peak / sqrt(2);
-circuit.voltages_are_peak=false takes them as RMS. circuit.v_lv_kv is
-validated and enters the config hash, but no solve reads it.
+circuit.voltages_are_peak=false takes them as RMS. circuit.v_lv_kv and
+solver.newton_max_iter are validated and enter the config hash, but no
+solve reads them: the pre-fault dispatch is solved in closed form, and
+solver.newton_tol is the tolerance of its final check.
 """
 
 from __future__ import annotations
@@ -180,7 +182,6 @@ class SolverSettings:
     max_iter: int = 100
     damping: float | None = None  # None: 0.5
     newton_tol: float = 1e-8
-    newton_max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -377,8 +378,8 @@ def build_scenario(
         max_iter=_need_int(resolved, "solver.max_iter"),
         damping=damping,
         newton_tol=_need_positive(resolved, "solver.newton_tol"),
-        newton_max_iter=_need_int(resolved, "solver.newton_max_iter"),
     )
+    _need_int(resolved, "solver.newton_max_iter")  # input and hashed; no solve reads it
 
     net, (z_side1, z_side0) = _build_network(kind, resolved, zb_hv, fault)
     return Scenario(

@@ -77,6 +77,7 @@ from .network import (
     FaultSpec,
     InjectionElement,
     NetworkModel,
+    SequenceSolution,
     SingularNetworkError,
     SourceElement,
     driving_point,
@@ -184,7 +185,9 @@ class OperatingPoint:
     i_attach: complex
     p: float
     q: float
-    iterations: int
+    # the healthy positive-sequence network with i_attach delivered at the
+    # source node (substitution theorem), for the pre-fault relay readings
+    healthy: SequenceSolution
 
     @property
     def e_ref1(self) -> complex:
@@ -195,83 +198,62 @@ class OperatingPoint:
         return math.radians(self.theta_deg)
 
 
-def _dispatch(
-    x: np.ndarray, v_oc: complex, z_th: complex, z_loop: complex
-) -> tuple[complex, complex, complex, np.ndarray]:
-    """Node voltage, current and power of the emf E e^{j theta} behind z.
-
-    x = [E, theta]; z_loop = z + z_th. Also returns the exact Jacobian of
-    (P, Q) over x: de/dE = e / E = e^{j theta}, de/dtheta = j e,
-    di = de / z_loop, dv = z_th di, and dS = dv conj(i) + v conj(di).
-    """
-    e = cmath.rect(x[0], x[1])
-    i = (e - v_oc) / z_loop
-    v = v_oc + z_th * i
-    jac = np.empty((2, 2))
-    for col, de in enumerate((cmath.rect(1.0, x[1]), 1j * e)):
-        di = de / z_loop
-        ds = z_th * di * i.conjugate() + v * di.conjugate()
-        jac[:, col] = ds.real, ds.imag
-    return v, i, v * i.conjugate(), jac
-
-
 def prefault_solve(
     net: NetworkModel,
     source: SgModel | GfmModel,
     p_ref: float = 1.0,
     q_ref: float = 0.0,
     tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> OperatingPoint:
-    """Find (E, theta) so the source delivers (p_ref, q_ref) at its node.
+    """Closed-form (E, theta) at which the source delivers (p_ref, q_ref) at its node.
 
-    Two-variable Newton iteration with the exact Jacobian. Powers are
-    v * conj(i) in pu on the system base, i the positive-sequence current
-    out of the source branch. Only the positive sequence carries the
-    dispatch, and seen from the source node its healthy network is the
-    one-port v = v_oc + z_th * i, so the emf e behind the branch impedance
-    z delivers i = (e - v_oc) / (z + z_th): no network solve per iterate.
+    Powers are v * conj(i) in pu on the system base, i the positive-sequence
+    current out of the source branch. Only the positive sequence carries the
+    dispatch; seen from the source node its healthy network is the one-port
+    v = v_oc + z_th * i, and with S = p_ref + j q_ref and t = |i|^2,
+    v * conj(i) = S is the two-bus power flow |z_th|^2 t^2 - b t + |S|^2 = 0,
+    b = |v_oc|^2 + 2 Re(S conj(z_th)). Its small-current (high-voltage) root
+    gives i = conj((S - z_th t) / v_oc), and the emf behind the branch
+    impedance z is e = v + z i; with no real root the dispatch is
+    unreachable. Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of
+    i, so the part of S along z_th is met with i real. The point must meet
+    (p_ref, q_ref) within tol.
     """
     z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
-    v_oc, z_th = driving_point(net, net.source_node)
-    if z + z_th == 0:
-        raise SingularNetworkError("positive-sequence network is singular at the source node")
+    one_port = driving_point(net, net.source_node)
+    v_oc, z_th = one_port.v_oc, one_port.z
+    s_ref = complex(p_ref, q_ref)
     if abs(v_oc) <= 1e-9:
-        # S = z_th * |i|^2 whatever theta: a dispatch tol off the ray of z_th is unmet
-        s_ref = complex(p_ref, q_ref)
-        along = s_ref * z_th.conjugate() / abs(z_th) if z_th else 0j
-        if (abs(along.imag) if along.real > 0 else abs(s_ref)) >= tol:
+        t = (s_ref * z_th.conjugate()).real / abs(z_th) ** 2 if z_th else 0.0
+        i = complex(math.sqrt(max(t, 0.0)))
+    elif s_ref:
+        b = abs(v_oc) ** 2 + 2.0 * (s_ref * z_th.conjugate()).real
+        disc = b * b - 4.0 * abs(z_th) ** 2 * abs(s_ref) ** 2
+        if not (b > 0.0 and disc >= 0.0):
             raise NoConvergenceError(
-                f"pre-fault dispatch unreachable: the open-circuit voltage at the source "
-                f"node is {abs(v_oc):.3e} pu, so only P + jQ along z_th can be met"
+                f"pre-fault dispatch unreachable: P + jQ = {s_ref:.6g} pu is beyond the "
+                f"transfer limit of the source node (v_oc = {v_oc:.6g}, z_th = {z_th:.6g} pu)"
             )
-
-    x = np.array([1.0, 0.0])  # [E, theta_rad]
-    for it in range(1, max_iter + 1):
-        v, i, s, jac = _dispatch(x, v_oc, z_th, z + z_th)
-        r = np.array([s.real - p_ref, s.imag - q_ref])
-        if max(abs(r[0]), abs(r[1])) < tol:
-            return OperatingPoint(
-                e_mag=x[0],
-                theta_deg=math.degrees(x[1]),
-                v_attach=v,
-                i_attach=i,
-                p=s.real,
-                q=s.imag,
-                iterations=it,
-            )
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular power-flow Jacobian at iteration {it}") from exc
-        # trust region: cap the step so the iterate stays in a sane basin
-        step[0] = max(-0.2, min(0.2, step[0]))
-        step[1] = max(-0.5, min(0.5, step[1]))
-        x = x - step
-        if x[0] <= 0.0:
-            raise NoConvergenceError("power-flow iterate drove the emf magnitude non-positive")
-    raise NoConvergenceError(
-        f"pre-fault power flow missed tol={tol} after {max_iter} iterations"
+        t = 2.0 * abs(s_ref) ** 2 / (b + math.sqrt(disc))
+        i = ((s_ref - z_th * t) / v_oc).conjugate()
+    else:
+        i = 0j
+    v = v_oc + z_th * i
+    s = v * i.conjugate()
+    if not max(abs(s.real - p_ref), abs(s.imag - q_ref)) < tol:
+        raise NoConvergenceError(
+            f"pre-fault dispatch unreachable: the closed form delivers {s:.6g} pu, not "
+            f"{s_ref:.6g} pu within tol={tol:g} (|v_oc| = {abs(v_oc):.3e} pu at the source node)"
+        )
+    e = v + z * i
+    return OperatingPoint(
+        e_mag=abs(e),
+        theta_deg=math.degrees(cmath.phase(e)),
+        v_attach=v,
+        i_attach=i,
+        p=s.real,
+        q=s.imag,
+        healthy=one_port.at(i),
     )
 
 

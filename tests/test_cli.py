@@ -154,6 +154,14 @@ def test_unreachable_dispatch_is_a_solver_error(tmp_path, capsys, kind: str) -> 
     assert "solver error: pre-fault dispatch unreachable: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["circuit.grid_v_pu = 1000", "sg.x1_pu = 200"])
+def test_far_dispatch_is_solved(tmp_path, capsys, override: str) -> None:
+    # the emf lands near 1000 pu or at about 105 degrees: far from a flat start
+    cfg = _config(tmp_path, f"source.kind = sg\n{override}\n")
+    assert main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_emits_one_row_per_step(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "source.kind = sg\n", name="sw.cfg")
     code = main(

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used where it is imported.
+"""Every module-level import in the package and its tests is used where it is imported.
 
 Stdlib `ast` only, so the check runs wherever the tests do. An import may
 also stand unused when its module re-exports it (`__all__`) or when its
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "faultlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "faultlab"
 
 
 def _annotations(tree: ast.AST):
@@ -82,3 +83,8 @@ def test_the_check_catches_an_unused_import() -> None:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_imports_are_used(module: str) -> None:
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_imports_are_used(module: str) -> None:
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []

@@ -3,7 +3,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from faultlab.clc import ClcConfig, ClcKind, describing_function, max_phase_current
@@ -11,6 +10,7 @@ from faultlab.network import (
     InjectionElement,
     NetworkModel,
     RelayTap,
+    SequenceSolution,
     SeriesElement,
     SourceElement,
     driving_point,
@@ -32,7 +32,6 @@ from faultlab.sources import (
     OperatingPoint,
     OscillationDetectedError,
     SgModel,
-    _dispatch,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -76,7 +75,7 @@ def test_prefault_zero_flow_is_flat() -> None:
 
 
 def test_prefault_unreachable_power_raises() -> None:
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable: "):
         prefault_solve(_two_bus_net(), SgModel(), p_ref=50.0)
 
 
@@ -85,7 +84,8 @@ def test_prefault_without_open_circuit_voltage_meets_only_the_ray_of_z_th(kind: 
     # with no voltage at the source node S = z_th |i|^2: the emf angle has no effect
     scenario = build_scenario({"source.kind": kind, "circuit.grid_v_pu": 1e-12})
     net, source = scenario.net, scenario.source
-    v_oc, z_th = driving_point(net, net.source_node)
+    one_port = driving_point(net, net.source_node)
+    v_oc, z_th = one_port.v_oc, one_port.z
     assert abs(v_oc) == pytest.approx(1e-12)
     with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable: "):
         prefault_solve(net, source, scenario.p_ref, scenario.q_ref)
@@ -96,29 +96,6 @@ def test_prefault_without_open_circuit_voltage_meets_only_the_ray_of_z_th(kind: 
     for s_ref in (0j, 0.5 * z_th / abs(z_th)):
         op = prefault_solve(net, source, s_ref.real, s_ref.imag)
         assert abs(complex(op.p, op.q) - s_ref) < 1e-8
-
-
-@pytest.mark.parametrize("kind", ["sg", "circular", "virtual_admittance"])
-def test_prefault_jacobian_matches_a_central_difference(kind: str) -> None:
-    overrides = {"source.kind": kind} if kind == "sg" else {"source.kind": "gfm", "clc.kind": kind}
-    scenario = build_scenario(overrides)
-    source = scenario.source
-    z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
-    v_oc, z_th = driving_point(scenario.net, scenario.net.source_node)
-    h = 1e-6
-
-    def power(vec: np.ndarray) -> np.ndarray:
-        s = _dispatch(vec, v_oc, z_th, z + z_th)[2]
-        return np.array([s.real, s.imag])
-
-    for e_mag, theta in ((1.0, 0.0), (1.07, 0.4), (0.6, -2.5)):
-        x = np.array([e_mag, theta])
-        jac = _dispatch(x, v_oc, z_th, z + z_th)[3]
-        for col in range(2):
-            step = np.zeros(2)
-            step[col] = h
-            central = (power(x + step) - power(x - step)) / (2 * h)
-            assert jac[:, col] == pytest.approx(central, rel=1e-7, abs=1e-7), (e_mag, theta, col)
 
 
 def test_model_validation() -> None:
@@ -245,8 +222,9 @@ def test_incremental_impedance_reflects_the_virtual_branch() -> None:
 
 
 def test_operating_point_accessors() -> None:
+    healthy = SequenceSolution(v={}, i_series={}, source_out={})
     op = OperatingPoint(
-        e_mag=1.05, theta_deg=12.0, v_attach=1 + 0j, i_attach=0j, p=0.0, q=0.0, iterations=3
+        e_mag=1.05, theta_deg=12.0, v_attach=1 + 0j, i_attach=0j, p=0.0, q=0.0, healthy=healthy
     )
     assert op.e_ref1 == pytest.approx(from_polar(1.05, 12.0), abs=1e-15)
     assert op.theta_rad == pytest.approx(math.radians(12.0))
@@ -318,6 +296,36 @@ def test_one_port_prefault_matches_the_direct_solve(kind: str, placement: str) -
     assert abs(op.i_attach - i) < 1e-12
     s = v * i.conjugate()
     assert abs(op.p - s.real) < 1e-12 and abs(op.q - s.imag) < 1e-12
+
+
+@pytest.mark.parametrize("placement", ["forward", "reverse"])
+@pytest.mark.parametrize("kind", ("sg",) + CLC_KINDS)
+def test_prefault_closed_form_meets_the_dispatch_on_the_high_voltage_root(
+    kind: str, placement: str
+) -> None:
+    source = {"source.kind": "sg"} if kind == "sg" else {"source.kind": "gfm", "clc.kind": kind}
+    scenario = build_scenario({**source, "fault.placement": placement, "fault.m": 0.5})
+    net, src = scenario.net, scenario.source
+    z = 1j * src.x1 if isinstance(src, SgModel) else src.normal_z()
+    one_port = driving_point(net, net.source_node)
+    v_oc, z_th = one_port.v_oc, one_port.z
+    # S = lam * s_dir reaches the transfer limit (a double root) at lam_max
+    s_dir = cmath.exp(0.3j)
+    lam_max = abs(v_oc) ** 2 / (2.0 * (abs(z_th) - (s_dir * z_th.conjugate()).real))
+    for s_ref in (1.0 + 0j, 0.8 - 0.4j, -0.5 + 0.3j, 0.999 * lam_max * s_dir):
+        op = prefault_solve(net, src, s_ref.real, s_ref.imag, tol=1e-12)
+        v, i = op.v_attach, op.i_attach
+        assert abs(v * i.conjugate() - s_ref) < 1e-12, s_ref
+        assert abs(v - (v_oc + z_th * i)) < 1e-12, s_ref
+        assert abs(op.e_ref1 - (v + z * i)) < 1e-12, s_ref
+        # the other root of |z_th|^2 t^2 - b t + |S|^2 = 0 has the lower voltage
+        b = abs(v_oc) ** 2 + 2.0 * (s_ref * z_th.conjugate()).real
+        t_low = (b + math.sqrt(b * b - 4.0 * abs(z_th * s_ref) ** 2)) / (2.0 * abs(z_th) ** 2)
+        i_low = ((s_ref - z_th * t_low) / v_oc).conjugate()
+        assert abs(v) >= abs(v_oc + z_th * i_low), s_ref
+    with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable: "):
+        s_ref = 1.001 * lam_max * s_dir
+        prefault_solve(net, src, s_ref.real, s_ref.imag)
 
 
 @pytest.mark.parametrize("placement", ["forward", "reverse"])
