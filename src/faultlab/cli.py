@@ -126,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(_report_lines([(scenario, report)], args.format), args.output)
         elif args.command == "replicate":
             if args.preset == TABLE1_PRESET:
+                if args.format == "records":
+                    raise ConfigError(f"preset {TABLE1_PRESET} renders a text matrix, not records")
                 _emit([format_table1(table1_matrix())], args.output)
             else:
                 try:

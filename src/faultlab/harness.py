@@ -11,6 +11,10 @@ optionally an independent phase-domain re-solve of the solved operating
 point as a numerical cross-check. The report is assembled from a mapping:
 each phasor becomes a `_mag`/`_ang` pair of fields.
 
+Fault and pre-fault relay readings take one path,
+`SequenceSolution.readings`, which reads each line current off the node
+voltages at its ends.
+
 The cross-check stamps the source as the solution froze it
 (`SourceSolution.frozen`): the generator is Norton already and passes
 through unchanged; the converter is replaced by an injection of its
@@ -28,7 +32,6 @@ from .abc_oracle import solve_abc
 from .network import BusReading, FaultType
 from .network import solve_linear  # noqa: F401  perfbench's tracer wraps it under this name
 from .phasors import (
-    SequenceTriple,
     ZeroPhasorError,
     angle_deg,
     fortescue,
@@ -72,25 +75,14 @@ __all__ = [
 ]
 
 
-def prefault_network_readings(
-    scenario: Scenario, op: OperatingPoint
-) -> dict[str, BusReading]:
+def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
     """Relay readings of the healthy network at the found operating point.
 
-    They are read off `op.healthy`, the positive-sequence build that the
-    dispatch solved, with the source entering as the current it delivers
-    (substitution theorem); the negative- and zero-sequence networks carry
-    no source and read zero.
+    `op.healthy` is the build the dispatch solved, with the source entering
+    as the current it delivers (substitution theorem); it reads zero in the
+    negative and zero sequences.
     """
-    pos = op.healthy
-    return {
-        name: BusReading(
-            bus=tap.bus,
-            v=SequenceTriple(pos=pos.v[1].get(tap.bus, 0j)),
-            i=SequenceTriple(pos=tap.sign * pos.i_series[1].get(tap.eid, 0j)),
-        )
-        for name, tap in scenario.net.relay_taps.items()
-    }
+    return op.healthy.readings()
 
 
 def _polar(z: complex | None) -> tuple[float | None, float | None]:
@@ -145,8 +137,8 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
             damping=scenario.solver.damping,
         )
 
-    readings = sol.fault.readings(net)
-    pre = prefault_network_readings(scenario, op)
+    readings = sol.fault.total.readings()
+    pre = prefault_network_readings(op)
     r1, p1 = readings["bus1"], pre["bus1"]
     dir_neg = directional_negative(r1, scenario.dir_cfg)
     dir_zero = directional_zero(r1, scenario.dir_cfg)

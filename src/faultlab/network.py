@@ -23,6 +23,10 @@ Fault solving follows the classical decomposition:
 4. back-distribution: the pure-fault solution is minus the fault current
    times the fault-probe column, superposed on the base solve.
 
+A solution is its node voltages only. Every current is read off them by
+Ohm's law on the element's own sequence impedance, so the relay readings of
+the healthy, base, pure-fault and total solutions take one path.
+
 Sign conventions: relay current is measured from the bus into the monitored
 line; fault sequence currents are drawn out of the network into the fault.
 """
@@ -229,6 +233,9 @@ class NetworkModel:
     def with_elements(self, *extra) -> "NetworkModel":
         return replace(self, elements=self.elements + tuple(extra))
 
+    def element(self, eid: str) -> SeriesElement | SourceElement | InjectionElement:
+        return {e.eid: e for e in self.elements}[eid]
+
     def series(self) -> list[SeriesElement]:
         return [e for e in self.elements if isinstance(e, SeriesElement)]
 
@@ -252,11 +259,17 @@ class NetworkModel:
 
 @dataclass(frozen=True)
 class SequenceSolution:
-    """Node voltages and element currents for the three sequence networks."""
+    """Node voltages of the three sequence networks of `net`.
+
+    Every current is read off them by Ohm's law on the element's own
+    impedance in that sequence: a series element's from -> to, a source's
+    delivered through its branch into its node; an element open in a
+    sequence carries 0j there. A pinned (z = 0) source has no branch to
+    read its current off, and reading it raises ZeroDivisionError.
+    """
 
     v: dict[int, dict[str, complex]]
-    i_series: dict[int, dict[str, complex]]  # oriented from -> to
-    source_out: dict[int, dict[str, complex]]  # current delivered into node
+    net: NetworkModel
 
     def voltage(self, node: str) -> SequenceTriple:
         return SequenceTriple(
@@ -265,18 +278,20 @@ class SequenceSolution:
             zero=self.v[0].get(node, 0j),
         )
 
-    def series_current(self, eid: str) -> SequenceTriple:
-        return SequenceTriple(
-            pos=self.i_series[1].get(eid, 0j),
-            neg=self.i_series[2].get(eid, 0j),
-            zero=self.i_series[0].get(eid, 0j),
-        )
+    def current(self, seq: int, eid: str) -> complex:
+        e = self.net.element(eid)
+        z = e.z(seq)
+        if z is None:
+            return 0j
+        v = self.v[seq]
+        if isinstance(e, SeriesElement):
+            return (v.get(e.n_from, 0j) - v.get(e.n_to, 0j)) / z
+        return (e.emf(seq) - v.get(e.node, 0j)) / z
 
-    def source_current(self, eid: str) -> SequenceTriple:
+    def series_current(self, eid: str) -> SequenceTriple:
+        """`current` of a series element or a source in all three sequences."""
         return SequenceTriple(
-            pos=self.source_out[1].get(eid, 0j),
-            neg=self.source_out[2].get(eid, 0j),
-            zero=self.source_out[0].get(eid, 0j),
+            pos=self.current(1, eid), neg=self.current(2, eid), zero=self.current(0, eid)
         )
 
     def reading(self, tap: RelayTap) -> "BusReading":
@@ -285,6 +300,9 @@ class SequenceSolution:
             v=self.voltage(tap.bus),
             i=self.series_current(tap.eid).scaled(tap.sign),
         )
+
+    def readings(self) -> dict[str, "BusReading"]:
+        return {name: self.reading(tap) for name, tap in self.net.relay_taps.items()}
 
 
 @dataclass(frozen=True)
@@ -338,25 +356,26 @@ class FaultSolution:
     def i_fault(self) -> SequenceTriple:
         return self._state[1]
 
+    def _superposed(self, weights: _Weights) -> SequenceSolution:
+        builds = self.response.builds
+        v = {seq: _superpose(builds[seq], weights[seq]) for seq in SEQUENCES}
+        return SequenceSolution(v, self.response.net)
+
     @cached_property
     def base(self) -> SequenceSolution:
-        return _sequence_solution(self.response.builds, self._state[2])
+        return self._superposed(self._state[2])
 
     @cached_property
     def pure(self) -> SequenceSolution:
-        return _sequence_solution(self.response.builds, self._state[3])
+        return self._superposed(self._state[3])
 
     @cached_property
     def total(self) -> SequenceSolution:
-        return _sequence_solution(self.response.builds, self._state[4])
-
-    def readings(self, net: NetworkModel) -> dict[str, BusReading]:
-        return {name: self.total.reading(tap) for name, tap in net.relay_taps.items()}
+        return self._superposed(self._state[4])
 
 
-# one solution column of a sequence network: node voltages, series currents
-# (oriented from -> to) and source deliveries into their nodes
-_Column = tuple[dict[str, complex], dict[str, complex], dict[str, complex]]
+# one solution column of a sequence network: its node voltages
+_Column = dict[str, complex]
 # per sequence, the weight of each column of its build
 _Weights = dict[int, list[complex]]
 
@@ -374,9 +393,7 @@ def _solve_one_sequence(
     by any element of this sequence are absent from the result (callers
     read them as zero).
     """
-    branches = [
-        (e.eid, e.n_from, e.n_to, e.z(seq)) for e in net.series() if e.z(seq) is not None
-    ]
+    branches = [(e.n_from, e.n_to, e.z(seq)) for e in net.series() if e.z(seq) is not None]
     sources = [e for e in net.sources() if e.z(seq) is not None]
     # a zero injection must not drag an otherwise unconnected node (e.g. the
     # converter terminal in the zero sequence) into the system
@@ -389,7 +406,7 @@ def _solve_one_sequence(
             pinned[src.node] = src.emf(seq)
 
     nodes: set[str] = set(probes)
-    for _, n_from, n_to, _ in branches:
+    for n_from, n_to, _ in branches:
         nodes.update((n_from, n_to))
     nodes.update(src.node for src in sources)
     nodes.update(inj.node for inj in injections)
@@ -418,7 +435,7 @@ def _solve_one_sequence(
             else:
                 rhs[ib][0] += adm * pinned.get(na, 0j)
 
-    for _, n_from, n_to, z in branches:
+    for n_from, n_to, z in branches:
         stamp_admittance(n_from, n_to, 1.0 / z)
     for src in sources:
         z = src.z(seq)
@@ -445,61 +462,24 @@ def _solve_one_sequence(
         if not all(cmath.isfinite(x) for values in solved for x in values):
             raise SingularNetworkError(f"sequence-{seq} solve returned non-finite voltages")
 
-    # Source delivery by KCL so ideal (pinned) sources are covered too:
-    # everything leaving the node through series elements, minus what the
-    # injections (column 0) or the probe (its column) supply there.
-    kcl = [
-        (
-            src,
-            [(eid, (n_from == src.node) - (n_to == src.node))
-             for eid, n_from, n_to, _ in branches if src.node in (n_from, n_to)],
-            sum((inj.current(seq) for inj in injections if inj.node == src.node), 0j),
-        )
-        for src in sources
+    zeros = dict.fromkeys(pinned, 0j)
+    return [
+        {**(pinned if k == 0 else zeros), **dict(zip(unknowns, values))}
+        for k, values in enumerate(solved)
     ]
-    columns: list[_Column] = []
-    for k, values in enumerate(solved):
-        v = dict(pinned) if k == 0 else dict.fromkeys(pinned, 0j)
-        v.update(zip(unknowns, values))
-        i_series = {eid: (v[n_from] - v[n_to]) / z for eid, n_from, n_to, z in branches}
-        source_out: dict[str, complex] = {}
-        for src, terms, injected in kcl:
-            out = 0j
-            for eid, sign in terms:
-                out += sign * i_series[eid]
-            if k == 0:
-                out -= injected
-            elif probes[k - 1] == src.node:
-                out -= 1.0
-            source_out[src.eid] = out
-        columns.append((v, i_series, source_out))
-    return columns
 
 
 def _superpose(columns: list[_Column], weights: list[complex]) -> _Column:
     """Weighted sum of the columns of one build (same keys, same order)."""
-    terms = [(w, col) for w, col in zip(weights, columns) if w != 0]
-    out = []
-    for part in range(3):
-        keys = columns[0][part]
-        values = [0j] * len(keys)
-        for w, col in terms:
-            values = [x + w * y for x, y in zip(values, col[part].values())]
-        out.append(dict(zip(keys, values)))
-    return out[0], out[1], out[2]
+    values = [0j] * len(columns[0])
+    for w, col in zip(weights, columns):
+        if w != 0:
+            values = [x + w * y for x, y in zip(values, col.values())]
+    return dict(zip(columns[0], values))
 
 
 def _voltage(columns: list[_Column], node: str, weights: list[complex]) -> complex:
-    return sum((w * col[0].get(node, 0j) for w, col in zip(weights, columns)), 0j)
-
-
-def _sequence_solution(builds: dict[int, list[_Column]], weights: _Weights) -> SequenceSolution:
-    parts = {seq: _superpose(columns, weights[seq]) for seq, columns in builds.items()}
-    return SequenceSolution(
-        v={seq: part[0] for seq, part in parts.items()},
-        i_series={seq: part[1] for seq, part in parts.items()},
-        source_out={seq: part[2] for seq, part in parts.items()},
-    )
+    return sum((w * col.get(node, 0j) for w, col in zip(weights, columns)), 0j)
 
 
 def solve_linear(
@@ -516,13 +496,13 @@ def solve_linear(
     that reads only some of them may restrict `sequences`; the others are
     then absent from the solution, and reading them raises KeyError.
     """
-    builds: dict[int, list[_Column]] = {}
-    weights: _Weights = {}
+    v: dict[int, _Column] = {}
     for seq in sequences:
         extra = extra_injections.get(seq) if extra_injections else None
-        builds[seq] = _solve_one_sequence(net, seq, (extra[0],) if extra else ())
-        weights[seq] = [0.0 if zero_sources else 1.0] + ([extra[1]] if extra else [])
-    return _sequence_solution(builds, weights)
+        columns = _solve_one_sequence(net, seq, (extra[0],) if extra else ())
+        weights = [0.0 if zero_sources else 1.0] + ([extra[1]] if extra else [])
+        v[seq] = _superpose(columns, weights)
+    return SequenceSolution(v, net)
 
 
 @dataclass(frozen=True)
@@ -535,17 +515,18 @@ class DrivingPoint:
 
     v_oc: complex
     z: complex
+    net: NetworkModel
     columns: list[_Column]
 
     def at(self, i: complex) -> SequenceSolution:
-        """Positive-sequence solution with i injected at the node (others absent)."""
-        return _sequence_solution({1: self.columns}, {1: [1.0, i]})
+        """The solution with i injected at the node; negative and zero sequences read 0."""
+        return SequenceSolution({1: _superpose(self.columns, [1.0, i]), 2: {}, 0: {}}, self.net)
 
 
 def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
     """Build the positive-sequence network once, probed at node."""
     columns = _solve_one_sequence(net, 1, (node,))
-    return DrivingPoint(columns[0][0][node], columns[1][0][node], columns)
+    return DrivingPoint(columns[0][node], columns[1][node], net, columns)
 
 
 def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:
@@ -565,9 +546,9 @@ def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]
 def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> TheveninEquivalent:
     """Fault-probe column at node (impedances), base solution there (voltages)."""
     return TheveninEquivalent(
-        z1=builds[1][1][0][node],
-        z2=builds[2][1][0][node],
-        z0=builds[0][1][0][node],
+        z1=builds[1][1][node],
+        z2=builds[2][1][node],
+        z0=builds[0][1][node],
         e_f=_voltage(builds[1], node, base[1]),
         e_f2=_voltage(builds[2], node, base[2]),
         e_f0=_voltage(builds[0], node, base[0]),

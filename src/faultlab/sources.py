@@ -293,7 +293,7 @@ def solve_sg_fault(
     """Fault solution for the linear (generator) source: one shot."""
     element = sg.source_element(net.source_node, op.e_ref1)
     fault = solve_fault(net.with_elements(element), spec)
-    i_t = fault.total.source_current(SOURCE_EID)
+    i_t = fault.total.series_current(SOURCE_EID)
     return SourceSolution(
         v_t=fault.total.voltage(net.source_node),
         i_t=i_t,

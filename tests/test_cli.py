@@ -212,6 +212,14 @@ def test_replicate_table1_is_an_alias(tmp_path) -> None:
     assert "pattern matches" in target.read_text(encoding="utf-8")
 
 
+def test_replicate_table1_refuses_the_records_format(tmp_path, capsys) -> None:
+    target = tmp_path / "t1.txt"
+    argv = ["replicate", "--preset", "table1", "--format", "records", "--output", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not target.exists()
+
+
 def test_list_presets_catalogue(capsys) -> None:
     assert main(["list-presets"]) == 0
     out = capsys.readouterr().out

@@ -1,51 +1,91 @@
-"""The converter robustness grid: every limiting law across the operating space.
+"""The case grids and the presets against the benchmark's reference results.
 
-5 laws x 10 fault types x m in {0, .05, .5, .95, 1} x R_g in {0, 5, 30, 100}
-ohm x p_ref in {0, .5, 1}: 3000 forward faults at the default solver budget.
-Takes about 6 s.
+The converter grid is 5 laws x 10 fault types x m in {0, .05, .5, .95, 1} x
+R_g in {0, 5, 30, 100} ohm x p_ref in {0, .5, 1}: 3000 forward faults at the
+default solver budget. The generator grid is 10 fault types x 2 placements
+x the same m, R_g and p_ref: 1200 cases. Every case must keep its reference
+outcome and relay verdicts (perfbench/check.py states the rules), and each
+preset's `replicate --oracle-check` CSV row must match its reference row.
+The checker and the cases are read from perfbench by path. Takes about 8 s.
 """
 
 from __future__ import annotations
 
-import itertools
+import importlib.util
+import json
+import sys
 from collections import Counter
+from pathlib import Path
 
 from faultlab.harness import run_scenario
+from faultlab.network import SingularNetworkError
+from faultlab.report import csv_header, csv_line
 from faultlab.scenario import build_scenario
 from faultlab.sources import NoConvergenceError, OscillationDetectedError
 
-CLC_KINDS = (
-    "circular",
-    "priority",
-    "instantaneous",
-    "virtual_admittance",
-    "adaptive_virtual_impedance",
-)
-FAULT_KINDS = ("ag", "bg", "cg", "ab", "bc", "ca", "abg", "bcg", "cag", "abc")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # measured failures of the whole grid; this bound may only go down
 MAX_FAILURES = 3
 
 
-def test_grid_converges_outside_a_few_priority_cases() -> None:
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+check = _perfbench_module("check")
+workloads = _perfbench_module("workloads")
+
+
+def _reference(name: str) -> dict:
+    return json.loads((PERFBENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _run_against_reference(name: str, cases: list[dict[str, object]]) -> Counter:
+    """Run every case, assert none mismatches its reference; count the failures."""
+    reference = _reference(name)["cases"]
     failures: Counter[tuple[str, str]] = Counter()
-    for kind, fault_kind, m, r_g, p_ref in itertools.product(
-        CLC_KINDS, FAULT_KINDS, (0.0, 0.05, 0.5, 0.95, 1.0), (0.0, 5.0, 30.0, 100.0),
-        (0.0, 0.5, 1.0),
-    ):
-        scenario = build_scenario(
-            {
-                "source.kind": "gfm",
-                "clc.kind": kind,
-                "fault.kind": fault_kind,
-                "fault.m": m,
-                "fault.r_g_ohm": r_g,
-                "source.p_ref": p_ref,
-            }
-        )
+    problems: dict[str, list[str]] = {}
+    for case in cases:
+        scenario = build_scenario(case)
         try:
-            run_scenario(scenario)
-        except (NoConvergenceError, OscillationDetectedError) as exc:
-            failures[(kind, type(exc).__name__)] += 1
+            report = run_scenario(scenario)
+        except (NoConvergenceError, OscillationDetectedError, SingularNetworkError) as exc:
+            outcome, fields = type(exc).__name__, None
+            failures[(str(case.get("clc.kind", "sg")), outcome)] += 1
+        else:
+            outcome = check.OK
+            fields = {key: getattr(report, key) for key in (*check.VERDICTS, "residual")}
+        key = workloads.case_key(case)
+        found = check.check_case(outcome, fields, reference[key], scenario.solver.tol)
+        if found:
+            problems[key] = found
+    assert not problems, problems
+    return failures
+
+
+def test_grid_converges_outside_a_few_priority_cases() -> None:
+    failures = _run_against_reference("grid", workloads.grid_cases())
     assert {kind for kind, _ in failures} <= {"priority"}, failures
     assert sum(failures.values()) <= MAX_FAILURES, failures
+
+
+def test_generator_grid_matches_the_reference() -> None:
+    failures = _run_against_reference("generator", workloads.generator_cases())
+    assert not failures, failures
+
+
+def test_preset_csv_rows_match_the_reference(preset_reports) -> None:
+    reference = _reference("replicate")["presets"]
+    assert set(reference) == set(preset_reports)
+    problems = {}
+    for name, (scenario, report) in preset_reports.items():
+        text = f"{csv_header()}\n{csv_line(report)}\n"
+        found = check.check_csv(text, reference[name], scenario.solver.tol)
+        if found:
+            problems[name] = found
+    assert not problems, problems

@@ -247,7 +247,7 @@ def test_prefault_readings_balance_across_the_line() -> None:
             scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref,
             tol=scenario.solver.newton_tol,
         )
-        pre = prefault_network_readings(scenario, op)
+        pre = prefault_network_readings(op)
         total = pre["bus1"].i + pre["bus2"].i
         assert total.max_abs() < 1e-9
         # and the converter really delivers its scheduled power at the line

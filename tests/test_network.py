@@ -77,9 +77,18 @@ def test_positive_sequence_only_solve_matches_the_full_solve() -> None:
     full = solve_linear(net)
     pos = solve_linear(net, sequences=(1,))
     assert pos.v[1] == full.v[1]
-    assert pos.source_out[1] == full.source_out[1]
+    for eid in ("src", "ln", "far"):
+        assert pos.current(1, eid) == full.current(1, eid)
     with pytest.raises(KeyError):
         pos.voltage("s")
+
+
+def test_reading_an_unknown_element_raises_key_error() -> None:
+    sol = solve_linear(_radial_net(0.2j, 0.3j))
+    with pytest.raises(KeyError):
+        sol.current(1, "nowhere")
+    with pytest.raises(KeyError):
+        sol.reading(RelayTap("s", "nowhere", +1.0))
 
 
 def test_boundary_three_phase_bolted() -> None:
@@ -242,8 +251,8 @@ def test_pure_fault_solution_is_the_back_distributed_fault_current() -> None:
         for seq in (1, 2, 0):
             for node, v in direct.v[seq].items():
                 assert abs(sol.pure.v[seq][node] - v) < 1e-12
-            for eid, i in direct.i_series[seq].items():
-                assert abs(sol.pure.i_series[seq][eid] - i) < 1e-12
+            for e in net.series():
+                assert abs(sol.pure.current(seq, e.eid) - direct.current(seq, e.eid)) < 1e-12
 
 
 def test_fault_node_collapse_at_endpoints() -> None:

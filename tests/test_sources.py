@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from faultlab.abc_oracle import solve_abc
 from faultlab.clc import ClcConfig, ClcKind, describing_function, max_phase_current
 from faultlab.network import (
     InjectionElement,
@@ -35,6 +36,7 @@ from faultlab.sources import (
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
+    solve_sg_fault,
     terminal_port,
 )
 
@@ -222,7 +224,7 @@ def test_incremental_impedance_reflects_the_virtual_branch() -> None:
 
 
 def test_operating_point_accessors() -> None:
-    healthy = SequenceSolution(v={}, i_series={}, source_out={})
+    healthy = SequenceSolution(v={}, net=NetworkModel(elements=()))
     op = OperatingPoint(
         e_mag=1.05, theta_deg=12.0, v_attach=1 + 0j, i_attach=0j, p=0.0, q=0.0, healthy=healthy
     )
@@ -237,6 +239,7 @@ CLC_KINDS = (
     "virtual_admittance",
     "adaptive_virtual_impedance",
 )
+FAULT_KINDS = ("ag", "bg", "cg", "ab", "bc", "ca", "abg", "bcg", "cag", "abc")
 
 
 @pytest.mark.parametrize(
@@ -291,11 +294,34 @@ def test_one_port_prefault_matches_the_direct_solve(kind: str, placement: str) -
         z = scenario.gfm.normal_z()
         element = SourceElement(SOURCE_EID, node, e1=op.e_ref1, z1=z, z2=z, z0=None)
     direct = solve_linear(net.with_elements(element), sequences=(1,))
-    v, i = direct.v[1][node], direct.source_out[1][SOURCE_EID]
+    if element.z1:
+        i = direct.current(1, SOURCE_EID)
+    else:  # a pinned source delivers what leaves its node through the series elements
+        i = sum(
+            ((e.n_from == node) - (e.n_to == node)) * direct.current(1, e.eid)
+            for e in net.series()
+        )
+    v = direct.v[1][node]
     assert abs(op.v_attach - v) < 1e-12
     assert abs(op.i_attach - i) < 1e-12
     s = v * i.conjugate()
     assert abs(op.p - s.real) < 1e-12 and abs(op.q - s.imag) < 1e-12
+
+
+@pytest.mark.parametrize("placement", ["forward", "reverse"])
+@pytest.mark.parametrize("fault_kind", FAULT_KINDS)
+def test_generator_current_matches_the_phase_domain_solve(fault_kind: str, placement: str) -> None:
+    """i_t, read off the generator's own branch, equals the oracle's source current."""
+    for m in (0.0, 0.5, 1.0):
+        scenario = build_scenario(
+            {"source.kind": "sg", "fault.kind": fault_kind, "fault.placement": placement,
+             "fault.m": m}
+        )
+        net = scenario.net
+        op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref)
+        sol = solve_sg_fault(net, scenario.sg, scenario.fault, op)
+        abc = solve_abc(net.with_elements(sol.frozen), scenario.fault)
+        assert (sol.i_t - fortescue(abc.source_current(SOURCE_EID))).max_abs() < 1e-9, m
 
 
 @pytest.mark.parametrize("placement", ["forward", "reverse"])
