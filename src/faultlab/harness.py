@@ -134,7 +134,6 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
             op,
             tol=scenario.solver.tol,
             max_iter=scenario.solver.max_iter,
-            damping=scenario.solver.damping,
         )
 
     readings = sol.fault.total.readings()

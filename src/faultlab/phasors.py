@@ -4,7 +4,7 @@ Phasors are plain Python complex numbers holding peak (amplitude-invariant)
 per-unit quantities at fundamental frequency. This module supplies the small
 amount of structure the solvers need on top of `complex`:
 
-- polar helpers with degrees (`from_polar`, `magnitude`, `angle_deg`),
+- polar helpers with degrees (`from_polar`, `angle_deg`),
 - angle wrapping to (-180, +180] and guarded angle-between,
 - the symmetrical-component transform and its inverse, with the a-b-c
   positive rotation convention and the operator alpha = 1 at +120 degrees:
@@ -31,7 +31,6 @@ __all__ = [
     "SequenceTriple",
     "PhaseTriple",
     "from_polar",
-    "magnitude",
     "angle_deg",
     "wrap_angle_deg",
     "angle_between",
@@ -54,11 +53,6 @@ class ZeroPhasorError(ValueError):
 def from_polar(mag: float, angle_degrees: float) -> complex:
     """Build a phasor from magnitude and angle in degrees."""
     return cmath.rect(mag, math.radians(angle_degrees))
-
-
-def magnitude(x: complex) -> float:
-    """Phasor magnitude (peak p.u.)."""
-    return abs(x)
 
 
 def angle_deg(x: complex, floor: float = DEFAULT_MAGNITUDE_FLOOR) -> float:

@@ -28,10 +28,11 @@ resistance are given in ohms and referred to the high-voltage base,
 Z_base = V_LL^2 / S with V_LL the RMS line-line voltage. Voltage bases
 follow the study-case convention of quoting line-line amplitudes (peak,
 1 pu being the nominal phase peak), converted with V_LL = V_peak / sqrt(2);
-circuit.voltages_are_peak=false takes them as RMS. circuit.v_lv_kv and
-solver.newton_max_iter are validated and enter the config hash, but no
-solve reads them: the pre-fault dispatch is solved in closed form, and
-solver.newton_tol is the tolerance of its final check.
+circuit.voltages_are_peak=false takes them as RMS. circuit.v_lv_kv,
+solver.newton_max_iter and solver.damping are validated and enter the
+config hash, but no solve reads them: the pre-fault dispatch is solved in
+closed form, solver.newton_tol is the tolerance of its final check, and
+the fixed point's damped step always starts at 0.5.
 """
 
 from __future__ import annotations
@@ -180,7 +181,6 @@ def _coerce_token(token: str) -> object:
 class SolverSettings:
     tol: float = 1e-9
     max_iter: int = 100
-    damping: float | None = None  # None: 0.5
     newton_tol: float = 1e-8
 
 
@@ -364,19 +364,15 @@ def build_scenario(
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    damping_raw = resolved["solver.damping"]
-    if isinstance(damping_raw, str):
-        if damping_raw != "auto":
-            raise ValidationError(f"solver.damping must be a number or 'auto', got {damping_raw!r}")
-        damping = None
-    else:
-        damping = _need_float(resolved, "solver.damping")
-        if not 0.0 < damping <= 1.0:
-            raise ValidationError(f"solver.damping must lie in (0, 1], got {damping}")
+    damping = resolved["solver.damping"]  # input and hashed; no solve reads it
+    if isinstance(damping, str):
+        if damping != "auto":
+            raise ValidationError(f"solver.damping must be a number or 'auto', got {damping!r}")
+    elif not 0.0 < _need_float(resolved, "solver.damping") <= 1.0:
+        raise ValidationError(f"solver.damping must lie in (0, 1], got {damping}")
     solver = SolverSettings(
         tol=_need_positive(resolved, "solver.tol"),
         max_iter=_need_int(resolved, "solver.max_iter"),
-        damping=damping,
         newton_tol=_need_positive(resolved, "solver.newton_tol"),
     )
     _need_int(resolved, "solver.newton_max_iter")  # input and hashed; no solve reads it

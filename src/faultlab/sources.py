@@ -31,22 +31,22 @@ terminal voltages off the port for the injected currents, runs the
 proportional voltage loop and clips its output; and of Z_v for the shaping
 modes, whose law puts the emf behind z_branch in both channels, solves
 (Z_port + z_branch * I) @ i = (e_ref1, 0) - v_oc and recomputes Z_v. One
-driver solves all five laws. Each iteration tries a Newton step on G(x) =
-law(x) - x, capped at 0.5 in max-norm and kept only if it halves the
-residual (the largest |law - x| over the complex unknowns), and otherwise
-takes the damped step x + lam * G (lam = 0.5 unless solver.damping says
-otherwise; it halves each time the residual plateaus, and a plateau at its
-floor of 0.005 is reported as a limit cycle). The Jacobian is taken by
-forward differences on the port model with the limiter frozen on the base
-point's branch (the phase that sets the common rescale and whether it
-binds; priority's d/q clamps), so it is an element of the generalized
-Jacobian of the piecewise-smooth G: a semismooth Newton step, which
-converges where two phase currents tie at the cap. The saturation modes
-start from the currents that pin the terminal at the reference, which are
-the fixed point when the limiter stays idle; while it is idle G is affine
-and Newton solves it in one step. The relay readings are the same
-response at the converged terminal currents; a shaping law's source
-branch enters through its terminal currents (substitution theorem).
+driver solves all five laws. Each iteration tries the whole Newton step
+on G(x) = law(x) - x and keeps it only if it halves the residual (the
+largest |law - x| over the complex unknowns); otherwise it takes the
+damped step x + lam * G, with lam = 0.5 at the start; lam halves each time
+the residual plateaus, and a plateau at its floor of 0.005 is reported as
+a limit cycle. The Jacobian is taken by forward differences on the port
+model with the limiter frozen on the base point's branch (the phase that
+sets the common rescale and whether it binds; priority's d/q clamps), so
+it is an element of the generalized Jacobian of the piecewise-smooth G: a
+semismooth Newton step, which converges where two phase currents tie at
+the cap. The saturation modes start from the currents that pin the
+terminal at the reference, which are the fixed point when the limiter
+stays idle; while it is idle G is affine and Newton solves it in one step.
+The relay readings are the same response at the converged terminal
+currents; a shaping law's source branch enters through its terminal
+currents (substitution theorem).
 
 One iteration is one update of the state, by the Newton step or the damped
 step; the starting state counts as the first. The Newton trial that is
@@ -212,12 +212,16 @@ def prefault_solve(
     dispatch; seen from the source node its healthy network is the one-port
     v = v_oc + z_th * i, and with S = p_ref + j q_ref and t = |i|^2,
     v * conj(i) = S is the two-bus power flow |z_th|^2 t^2 - b t + |S|^2 = 0,
-    b = |v_oc|^2 + 2 Re(S conj(z_th)). Its small-current (high-voltage) root
-    gives i = conj((S - z_th t) / v_oc), and the emf behind the branch
-    impedance z is e = v + z i; with no real root the dispatch is
-    unreachable. Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of
-    i, so the part of S along z_th is met with i real. The point must meet
-    (p_ref, q_ref) within tol.
+    b = |v_oc|^2 + 2 Re w with w = S conj(z_th). Its small-current
+    (high-voltage) root t = 2 |S|^2 / (b + sqrt(disc)) gives
+    i = conj((S - z_th t) / v_oc), and the emf behind the branch impedance z
+    is e = v + z i; with no real root the dispatch is unreachable. Both are
+    evaluated with the cancellation divided out, so that |v_oc|^2 survives
+    next to a huge Re w: disc = |v_oc|^2 (|v_oc|^2 + 4 Re w) - 4 (Im w)^2 and
+    S - z_th t = S (|v_oc|^2 + 2j Im w + sqrt(disc)) / (b + sqrt(disc)).
+    Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of i, so the part
+    of S along z_th is met with i real. The point must meet (p_ref, q_ref)
+    within tol.
     """
     z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
     one_port = driving_point(net, net.source_node)
@@ -227,15 +231,17 @@ def prefault_solve(
         t = (s_ref * z_th.conjugate()).real / abs(z_th) ** 2 if z_th else 0.0
         i = complex(math.sqrt(max(t, 0.0)))
     elif s_ref:
-        b = abs(v_oc) ** 2 + 2.0 * (s_ref * z_th.conjugate()).real
-        disc = b * b - 4.0 * abs(z_th) ** 2 * abs(s_ref) ** 2
+        w = s_ref * z_th.conjugate()
+        v_oc2 = abs(v_oc) ** 2
+        b = v_oc2 + 2.0 * w.real
+        disc = v_oc2 * (v_oc2 + 4.0 * w.real) - 4.0 * w.imag**2
         if not (b > 0.0 and disc >= 0.0):
             raise NoConvergenceError(
                 f"pre-fault dispatch unreachable: P + jQ = {s_ref:.6g} pu is beyond the "
                 f"transfer limit of the source node (v_oc = {v_oc:.6g}, z_th = {z_th:.6g} pu)"
             )
-        t = 2.0 * abs(s_ref) ** 2 / (b + math.sqrt(disc))
-        i = ((s_ref - z_th * t) / v_oc).conjugate()
+        root = math.sqrt(disc)
+        i = (s_ref * (v_oc2 + 2j * w.imag + root) / ((b + root) * v_oc)).conjugate()
     else:
         i = 0j
     v = v_oc + z_th * i
@@ -380,10 +386,10 @@ def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> 
     return min(recent) > shrink * min(earlier)
 
 
-# the driver's Newton step: forward-difference Jacobian of step _FD_H,
-# capped at _STEP_CAP in max-norm; the damping factor halves down to _LAM_FLOOR
+# the driver's Newton step takes a forward-difference Jacobian of step _FD_H;
+# the damping factor starts at _LAM and halves down to _LAM_FLOOR
 _FD_H = 1e-7
-_STEP_CAP = 0.5
+_LAM = 0.5
 _LAM_FLOOR = 0.005
 
 # law(x, branch) -> (law output, branch it took); x holds the complex unknowns
@@ -393,7 +399,7 @@ _Law = Callable[[np.ndarray, tuple | None], tuple[np.ndarray, tuple | None]]
 def _newton_point(
     law: _Law, x: np.ndarray, g: np.ndarray, branch: tuple | None
 ) -> np.ndarray | None:
-    """x plus the capped Newton step on G = law - x, or None if singular.
+    """x plus the Newton step on G = law - x, or None if singular.
 
     The Jacobian over the real and imaginary parts is taken by forward
     differences with the law frozen on the base point's branch, so it is
@@ -410,26 +416,24 @@ def _newton_point(
         dx = np.linalg.solve(jac, -g.view(float))
     except np.linalg.LinAlgError:
         return None
-    big = np.abs(dx).max()
-    if not math.isfinite(big):
+    if not np.isfinite(dx).all():
         return None
-    if big > _STEP_CAP:
-        dx *= _STEP_CAP / big
     return x + dx.view(complex)
 
 
 def _drive(
-    law: _Law, x: np.ndarray, lam: float, tol: float, max_iter: int, name: str
+    law: _Law, x: np.ndarray, tol: float, max_iter: int, name: str
 ) -> tuple[np.ndarray, float, int]:
     """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
     Each iteration tries the Newton step and keeps it if it halves the
     residual max|law(x) - x|; otherwise it takes the damped step
-    x + lam * (law(x) - x). lam halves whenever the residual plateaus; a
-    plateau at the floor is a limit cycle. Returns (x, residual,
-    iterations), the starting point counting as the first iteration.
+    x + lam * (law(x) - x). lam starts at 0.5 and halves whenever the
+    residual plateaus; a plateau at the floor is a limit cycle. Returns
+    (x, residual, iterations), the starting point counting as the first
+    iteration.
     """
-    floor = min(lam, _LAM_FLOOR)
+    lam = _LAM
     y, branch = law(x, None)
     g = y - x
     res = float(np.abs(g).max())
@@ -447,12 +451,12 @@ def _drive(
         res = float(np.abs(g).max())
         history.append(res)
         if res >= tol and _plateaued(history):
-            if lam <= floor:
+            if lam <= _LAM_FLOOR:
                 raise OscillationDetectedError(
                     f"{name}: residual {res:.3e} stopped falling after {it} iterations "
                     f"with damping at its floor {lam:g}: limit cycle"
                 )
-            lam = max(floor, 0.5 * lam)
+            lam = max(_LAM_FLOOR, 0.5 * lam)
             history = [res]
     if res >= tol:
         raise NoConvergenceError(
@@ -469,21 +473,16 @@ def fault_fixed_point(
     op: OperatingPoint,
     tol: float = 1e-9,
     max_iter: int = 100,
-    damping: float | None = None,
 ) -> SourceSolution:
     """Solve the current-limited fault condition on the terminal port model.
 
     The unknowns are the two channel injections (saturation modes) or the
     shared virtual impedance (shaping modes); the law maps them through the
     port model and the control law to their next value, and `_drive` finds
-    its fixed point. damping is the fallback step's factor (0.5 if None).
-    The fault response at the converged terminal currents gives the
-    readings.
+    its fixed point. The fault response at the converged terminal currents
+    gives the readings.
     """
     cfg = gfm.clc
-    lam = 0.5 if damping is None else damping
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"damping factor must lie in (0, 1], got {lam}")
     e_ref1 = op.e_ref1
     node = net.source_node
     response = solve_fault(net, spec, port=node).response
@@ -504,8 +503,7 @@ def fault_fixed_point(
         # start from the currents that pin the terminal at the reference:
         # the fixed point itself when the limiter stays idle
         x, res, it = _drive(
-            sat_law, np.array(port.current_behind(e_ref1, 0j)), lam, tol, max_iter,
-            cfg.kind.value,
+            sat_law, np.array(port.current_behind(e_ref1, 0j)), tol, max_iter, cfg.kind.value
         )
         i1, i2 = x.tolist()
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
@@ -515,8 +513,8 @@ def fault_fixed_point(
         else:
             i_peak = max_phase_current(i1, i2)
         z_v1, z_v2 = _ratio(e_ref1 - v1, i1), _ratio(-v2, i2)
-        sigma1 = _sigma(cfg, gfm.k_pv, e_ref1, v1, i1)
-        sigma2 = _sigma(cfg, gfm.k_pv, 0j, v2, i2)
+        # componentwise saturation ratio realized by each converged channel
+        sigma1, sigma2 = _ratio(i1, ref1), _ratio(i2, ref2)
         active = any(
             abs(sat - ref) > 1e-12 * max(1.0, abs(ref))
             for sat, ref in ((sat1, ref1), (sat2, ref2))
@@ -537,7 +535,7 @@ def fault_fixed_point(
         x, res, it = _drive(
             shape_law,
             np.array([z_vn if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j]),
-            lam, tol, max_iter, cfg.kind.value,
+            tol, max_iter, cfg.kind.value,
         )
         # the commanded shaping impedance itself, shared by both channels;
         # the realized -v/i ratio at the source node would fold the
@@ -568,16 +566,6 @@ def fault_fixed_point(
         sigma1=sigma1,
         sigma2=sigma2,
     )
-
-
-def _sigma(
-    cfg: ClcConfig, k_pv: float, e_ch: complex, v_ch: complex, i_ch: complex
-) -> complex | None:
-    """Componentwise saturation ratio realized by the converged channel."""
-    ref = k_pv * (e_ch - v_ch) + i_ch
-    if abs(ref) < 1e-9:
-        return None
-    return i_ch / ref
 
 
 def incremental_source_impedance(

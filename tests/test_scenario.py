@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from faultlab.clc import ClcKind
@@ -66,7 +69,6 @@ def test_empty_document_gives_the_default_study_case() -> None:
     assert s.fault.placement is Placement.FORWARD
     assert s.solver.tol == pytest.approx(1e-9)
     assert s.solver.max_iter == 100
-    assert s.solver.damping is None
 
 
 def test_unknown_keys_are_rejected_by_name() -> None:
@@ -140,8 +142,10 @@ def test_filter_placement_resolution() -> None:
 
 
 def test_solver_damping_resolution() -> None:
-    assert build_scenario({"solver.damping": "auto"}).solver.damping is None
-    assert build_scenario({"solver.damping": 0.3}).solver.damping == pytest.approx(0.3)
+    # validated and hashed, though no solve reads it
+    auto = build_scenario({"solver.damping": "auto"})
+    fixed = build_scenario({"solver.damping": 0.3})
+    assert auto.config_hash != fixed.config_hash
     with pytest.raises(ValidationError):
         build_scenario({"solver.damping": 1.5})
     with pytest.raises(ValidationError):
@@ -218,3 +222,15 @@ def test_preset_overrides_are_copies() -> None:
     a = preset_scenario_overrides("fig13a")
     a["fault.m"] = 0.99
     assert preset_scenario_overrides("fig13a").get("fault.m") != 0.99
+
+
+def test_every_config_key_has_a_row_in_the_readme_table() -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    named = {
+        key
+        for row in table.splitlines()
+        if row.startswith("| `")
+        for key in re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", row.split("|")[1])
+    }
+    assert set(DEFAULTS) <= named, sorted(set(DEFAULTS) - named)

@@ -3,10 +3,11 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from faultlab.abc_oracle import solve_abc
-from faultlab.clc import ClcConfig, ClcKind, describing_function, max_phase_current
+from faultlab.clc import ClcConfig, ClcKind, describing_function, limit, max_phase_current
 from faultlab.network import (
     InjectionElement,
     NetworkModel,
@@ -33,6 +34,7 @@ from faultlab.sources import (
     OperatingPoint,
     OscillationDetectedError,
     SgModel,
+    _drive,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -126,6 +128,20 @@ def test_normal_z_per_strategy() -> None:
     )
     assert avi_net.x_f_network == pytest.approx(0.15)
     assert avi_net.normal_z() == pytest.approx(0.15j, abs=1e-15)
+
+
+def test_prefault_keeps_the_open_circuit_voltage_beside_a_huge_thevenin_impedance() -> None:
+    # a 1e-12 kV hv base puts |z_th| near 1e28 pu: |v_oc|^2 vanishes next to
+    # 2 Re(S conj(z_th)) unless the closed form divides the cancellation out
+    scenario = build_scenario(
+        {"source.kind": "gfm", "circuit.v_hv_kv": 1e-12, "source.p_ref": 0.5}
+    )
+    net = scenario.net
+    one_port = driving_point(net, net.source_node)
+    assert abs(one_port.z) > 1e28 and abs(one_port.v_oc) > 1.0
+    op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref, tol=1e-15)
+    assert op.i_attach != 0j
+    assert abs(complex(op.p, op.q) - 0.5) <= 1e-15
 
 
 def _converged(kind: str, fault_kind: str = "bcg", r_g: float = 0.0):
@@ -438,3 +454,46 @@ def test_limit_cycle_is_diagnosed() -> None:
     msg = str(info.value)
     assert msg.startswith("priority: residual ")
     assert "iterations with damping at its floor 0.005: limit cycle" in msg
+
+
+def test_newton_takes_the_whole_step_on_an_affine_contraction() -> None:
+    # G = law - x is affine, so one uncapped Newton step lands on the fixed
+    # point up to the forward-difference error, and a second removes that
+    x_star = np.array([1.0 + 1.0j, -2.0 + 0.5j])
+    m = np.array([[0.5, 0.2j], [0.1, -0.3 + 0.1j]])
+
+    def law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, tuple]:
+        return x_star + m @ (x - x_star), ()
+
+    x, res, it = _drive(law, x_star + 40.0, tol=1e-9, max_iter=100, name="affine")
+    assert it <= 3
+    assert res < 1e-9
+    assert np.abs(x - x_star).max() < 1e-9
+
+
+def test_priority_fixed_point_is_not_unique() -> None:
+    # d clamped at +i_lim in the positive channel and -i_lim in the negative
+    # one leaves no q headroom: on that piece the law is constant, and here
+    # its constant is a fixed point distinct from the one the driver finds
+    scenario, sol = _grid_case("priority", "bg", 0.05, 5.0, 0.5)
+    net, gfm = scenario.net, scenario.gfm
+    cfg, k_pv = gfm.clc, gfm.k_pv
+    op = prefault_solve(net, gfm, scenario.p_ref, scenario.q_ref)
+    port = terminal_port(solve_fault(net, scenario.fault, port=net.source_node).response)
+
+    def free_law_residual(i1: complex, i2: complex) -> float:
+        v1, v2 = port.voltage(i1, i2)
+        out1, out2, _ = limit(
+            cfg, op.theta_rad, k_pv * (op.e_ref1 - v1) + i1, k_pv * (0.0 - v2) + i2
+        )
+        return max(abs(out1 - i1), abs(out2 - i2))
+
+    along_d = cmath.exp(1j * op.theta_rad)
+    piece1, piece2, _ = limit(
+        cfg, op.theta_rad, 2.0 * cfg.i_lim * along_d, -2.0 * cfg.i_lim / along_d
+    )
+    assert abs(piece1 - (0.630 + 0.109j)) < 1e-3 and abs(piece2 - (-0.630 + 0.109j)) < 1e-3
+    driven = (sol.i_t.pos, sol.i_t.neg)
+    assert free_law_residual(*driven) < scenario.solver.tol
+    assert free_law_residual(piece1, piece2) < scenario.solver.tol
+    assert max(abs(driven[0] - piece1), abs(driven[1] - piece2)) > 0.1
