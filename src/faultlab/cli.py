@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import format_table1, run_scenario, sweep_scenarios, table1_matrix
+from .harness import format_table1, run_scenario, sweep_reports, table1_matrix
 from .network import SingularNetworkError
 from .presets import PRESETS, TABLE1_PRESET, preset_scenario_overrides
 from .report import ScenarioReport, csv_header, csv_line, record_line
@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                 report = run_scenario(scenario, oracle_check=args.oracle_check)
                 _emit(_report_lines([(scenario, report)], args.format), args.output)
         elif args.command == "sweep":
-            points = sweep_scenarios(
+            pairs = sweep_reports(
                 _load_config(args.config),
                 param=args.param,
                 start=args.start,
@@ -149,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
                 log=args.log,
                 scenario_id=Path(args.config).stem,
             )
-            pairs = [(scenario, run_scenario(scenario)) for _, scenario in points]
-            _emit(_report_lines(pairs, args.format), args.output)
+            _emit(_report_lines(list(pairs), args.format), args.output)
         elif args.command == "table1":
             _emit([format_table1(table1_matrix())], args.output)
         else:  # list-presets

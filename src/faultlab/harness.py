@@ -1,15 +1,20 @@
 """Scenario execution pipeline and the strategy-by-element matrix.
 
-run_scenario ties the stages together: pre-fault power flow for the source
-reference, then the fault solve, which is the only step that depends on
-the source kind: a linear solve for the generator, the fixed point for the
-converter. Both return one `SourceSolution`, and everything after reads
-only that: relay evaluation at bus 1 with genuine pre-fault readings for
+run_scenario ties two steps together. `solve_scenario` runs the pre-fault
+power flow for the source reference, then the fault solve, which is the
+only step that depends on the source kind: a linear solve for the
+generator, the fixed point for the converter. Both return one
+`SourceSolution`, and `report_scenario` reads only that and the operating
+point: relay evaluation at bus 1 with genuine pre-fault readings for
 the incremental quantities, the effective source impedances (the source
 branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
 optionally an independent phase-domain re-solve of the solved operating
 point as a numerical cross-check. The report is assembled from a mapping:
 each phasor becomes a `_mag`/`_ang` pair of fields.
+
+`sweep_reports` runs a sweep. The relay settings (`relay.*` keys) enter
+only the report, so a sweep along one of them solves its first point and
+reports every point from that solution; any other axis solves each point.
 
 Fault and pre-fault relay readings take one path,
 `SequenceSolution.readings`, which reads each line current off the node
@@ -63,8 +68,11 @@ from .sources import (
 )
 
 __all__ = [
+    "solve_scenario",
+    "report_scenario",
     "run_scenario",
     "sweep_scenarios",
+    "sweep_reports",
     "prefault_network_readings",
     "Table1Row",
     "Table1Result",
@@ -111,8 +119,8 @@ def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
     return worst
 
 
-def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioReport:
-    """Execute one scenario end to end and assemble its report."""
+def solve_scenario(scenario: Scenario) -> tuple[OperatingPoint, SourceSolution]:
+    """The pre-fault operating point and the fault solution of one scenario."""
     net = scenario.net
     op = prefault_solve(
         net,
@@ -122,20 +130,27 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         tol=scenario.solver.newton_tol,
     )
     if scenario.kind is SourceKind.SG:
-        clc_kind = None
-        sol = solve_sg_fault(net, scenario.source, scenario.fault, op)
-    else:
-        assert scenario.gfm is not None
-        clc_kind = scenario.gfm.clc.kind.value
-        sol = fault_fixed_point(
-            net,
-            scenario.gfm,
-            scenario.fault,
-            op,
-            tol=scenario.solver.tol,
-            max_iter=scenario.solver.max_iter,
-        )
+        return op, solve_sg_fault(net, scenario.source, scenario.fault, op)
+    assert scenario.gfm is not None
+    return op, fault_fixed_point(
+        net,
+        scenario.gfm,
+        scenario.fault,
+        op,
+        tol=scenario.solver.tol,
+        max_iter=scenario.solver.max_iter,
+    )
 
+
+def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioReport:
+    """Execute one scenario end to end and assemble its report."""
+    return report_scenario(scenario, *solve_scenario(scenario), oracle_check=oracle_check)
+
+
+def report_scenario(
+    scenario: Scenario, op: OperatingPoint, sol: SourceSolution, oracle_check: bool = False
+) -> ScenarioReport:
+    """Relay readings, the four relay elements and the report of a solved scenario."""
     readings = sol.fault.total.readings()
     pre = prefault_network_readings(op)
     r1, p1 = readings["bus1"], pre["bus1"]
@@ -172,7 +187,7 @@ def run_scenario(scenario: Scenario, oracle_check: bool = False) -> ScenarioRepo
         scenario_id=scenario.scenario_id,
         config_hash=scenario.config_hash,
         source_kind=scenario.kind.value,
-        clc_kind=clc_kind,
+        clc_kind=None if scenario.gfm is None else scenario.gfm.clc.kind.value,
         fault_kind=scenario.fault.fault_type.value,
         fault_m=scenario.fault.m,
         fault_r_g_ohm=scenario.fault.r_g_ohm,
@@ -233,6 +248,28 @@ def sweep_scenarios(
         merged = dict(overrides)
         merged[param] = value
         yield value, build_scenario(merged, scenario_id=f"{scenario_id}:{param}={value:.6g}")
+
+
+def sweep_reports(
+    overrides: dict[str, object],
+    param: str,
+    start: float,
+    stop: float,
+    steps: int,
+    log: bool = False,
+    scenario_id: str = "sweep",
+) -> Iterator[tuple[Scenario, ScenarioReport]]:
+    """Yield (scenario, report) at every point of `sweep_scenarios`.
+
+    A `relay.*` key only sets the relay settings, which the report reads
+    after the solve, so along such an axis the first point's solution is
+    every point's, and the sweep solves once.
+    """
+    solved = None
+    for _, scenario in sweep_scenarios(overrides, param, start, stop, steps, log, scenario_id):
+        if solved is None or not param.startswith("relay."):
+            solved = solve_scenario(scenario)
+        yield scenario, report_scenario(scenario, *solved)
 
 
 @dataclass(frozen=True)

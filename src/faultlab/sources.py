@@ -41,9 +41,13 @@ model with the limiter frozen on the base point's branch (the phase that
 sets the common rescale and whether it binds; priority's d/q clamps), so
 it is an element of the generalized Jacobian of the piecewise-smooth G: a
 semismooth Newton step, which converges where two phase currents tie at
-the cap. The saturation modes start from the currents that pin the
-terminal at the reference, which are the fixed point when the limiter
-stays idle; while it is idle G is affine and Newton solves it in one step.
+the cap. The state is a tuple of Python complex numbers, and the real
+2x2 or 4x4 Newton system is solved by Gaussian elimination with partial
+pivoting (`_solve_real`): at this size numpy's call overhead would cost
+more than the arithmetic, so this module does not use numpy. The
+saturation modes start from the currents that pin the terminal at the
+reference, which are the fixed point when the limiter stays idle; while
+it is idle G is affine and Newton solves it in one step.
 The relay readings are the same response at the converged terminal
 currents; a shaping law's source branch enters through its terminal
 currents (substitution theorem).
@@ -60,8 +64,6 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .clc import (
     ClcConfig,
@@ -393,37 +395,73 @@ _LAM = 0.5
 _LAM_FLOOR = 0.005
 
 # law(x, branch) -> (law output, branch it took); x holds the complex unknowns
-_Law = Callable[[np.ndarray, tuple | None], tuple[np.ndarray, tuple | None]]
+_State = tuple[complex, ...]
+_Law = Callable[[_State, tuple | None], tuple[_State, tuple | None]]
 
 
-def _newton_point(
-    law: _Law, x: np.ndarray, g: np.ndarray, branch: tuple | None
-) -> np.ndarray | None:
+def _solve_real(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x with a @ x = b by Gaussian elimination with partial pivoting.
+
+    None on a zero pivot or a non-finite solution. Overwrites a, and b
+    with x.
+    """
+    n = len(b)
+    for k in range(n):
+        p = k
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[p][k]):
+                p = r
+        pivot = a[p]
+        if pivot[k] == 0.0:
+            return None
+        if p != k:
+            a[k], a[p], b[k], b[p] = pivot, a[k], b[p], b[k]
+        for r in range(k + 1, n):
+            row = a[r]
+            f = row[k] / pivot[k]
+            for c in range(k + 1, n):
+                row[c] -= f * pivot[c]
+            b[r] -= f * b[k]
+    for k in reversed(range(n)):
+        b[k] /= a[k][k]
+        for r in range(k):
+            b[r] -= a[r][k] * b[k]
+    return b if all(map(math.isfinite, b)) else None
+
+
+def _newton_point(law: _Law, x: _State, g: _State, branch: tuple | None) -> _State | None:
     """x plus the Newton step on G = law - x, or None if singular.
 
     The Jacobian over the real and imaginary parts is taken by forward
     differences with the law frozen on the base point's branch, so it is
     an element of G's generalized Jacobian even where two pieces meet.
     """
-    n = 2 * x.size
-    jac = np.empty((n, n))
+    n = 2 * len(x)
+    jac = [[0.0] * n for _ in range(n)]
     for col in range(n):
-        probe = x.copy()
+        probe = list(x)
         probe[col // 2] += _FD_H if col % 2 == 0 else 1j * _FD_H
-        y, _ = law(probe, branch)
-        jac[:, col] = ((y - probe) - g).view(float) / _FD_H
-    try:
-        dx = np.linalg.solve(jac, -g.view(float))
-    except np.linalg.LinAlgError:
+        y, _ = law(tuple(probe), branch)
+        for k, (yk, pk, gk) in enumerate(zip(y, probe, g)):
+            d = (yk - pk) - gk
+            jac[2 * k][col] = d.real / _FD_H
+            jac[2 * k + 1][col] = d.imag / _FD_H
+    dx = _solve_real(jac, [-v for gk in g for v in (gk.real, gk.imag)])
+    if dx is None:
         return None
-    if not np.isfinite(dx).all():
-        return None
-    return x + dx.view(complex)
+    return tuple(xk + complex(dx[2 * k], dx[2 * k + 1]) for k, xk in enumerate(x))
+
+
+def _gap(y: _State, x: _State) -> tuple[_State, float]:
+    """G = y - x and the residual max|G|, nan if any |G_k| is nan."""
+    g = tuple(yk - xk for yk, xk in zip(y, x))
+    mags = [abs(gk) for gk in g]
+    return g, math.nan if any(map(math.isnan, mags)) else max(mags)
 
 
 def _drive(
-    law: _Law, x: np.ndarray, tol: float, max_iter: int, name: str
-) -> tuple[np.ndarray, float, int]:
+    law: _Law, x: _State, tol: float, max_iter: int, name: str
+) -> tuple[_State, float, int]:
     """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
     Each iteration tries the Newton step and keeps it if it halves the
@@ -435,8 +473,7 @@ def _drive(
     """
     lam = _LAM
     y, branch = law(x, None)
-    g = y - x
-    res = float(np.abs(g).max())
+    g, res = _gap(y, x)
     history = [res]
     it = 1
     while res >= tol and it < max_iter:
@@ -444,11 +481,12 @@ def _drive(
         x_new = _newton_point(law, x, g, branch)
         if x_new is not None:
             y, new_branch = law(x_new, None)
-        if x_new is None or not np.abs(y - x_new).max() <= 0.5 * res:
-            x_new = x + lam * g
+            g_new, res_new = _gap(y, x_new)
+        if x_new is None or not res_new <= 0.5 * res:
+            x_new = tuple(xk + lam * gk for xk, gk in zip(x, g))
             y, new_branch = law(x_new, None)
-        x, branch, g = x_new, new_branch, y - x_new
-        res = float(np.abs(g).max())
+            g_new, res_new = _gap(y, x_new)
+        x, branch, g, res = x_new, new_branch, g_new, res_new
         history.append(res)
         if res >= tol and _plateaued(history):
             if lam <= _LAM_FLOOR:
@@ -495,17 +533,16 @@ def fault_fixed_point(
             v1, v2 = port.voltage(i1, i2)
             return v1, v2, gfm.k_pv * (e_ref1 - v1) + i1, gfm.k_pv * (0.0 - v2) + i2
 
-        def sat_law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, tuple]:
-            _, _, ref1, ref2 = loop_refs(*x.tolist())
+        def sat_law(x: _State, branch: tuple | None) -> tuple[_State, tuple]:
+            _, _, ref1, ref2 = loop_refs(*x)
             sat1, sat2, branch = limit(cfg, op.theta_rad, ref1, ref2, branch)
-            return np.array([sat1, sat2]), branch
+            return (sat1, sat2), branch
 
         # start from the currents that pin the terminal at the reference:
         # the fixed point itself when the limiter stays idle
-        x, res, it = _drive(
-            sat_law, np.array(port.current_behind(e_ref1, 0j)), tol, max_iter, cfg.kind.value
+        (i1, i2), res, it = _drive(
+            sat_law, port.current_behind(e_ref1, 0j), tol, max_iter, cfg.kind.value
         )
-        i1, i2 = x.tolist()
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
         sat1, sat2, _ = limit(cfg, op.theta_rad, ref1, ref2)
         if cfg.kind is ClcKind.INSTANTANEOUS:
@@ -521,26 +558,26 @@ def fault_fixed_point(
         )
     else:
         # impedance-shaping modes: shared complex Z_v in both channels
-        def shape_law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, None]:
-            z_branch = complex(x[0]) + x_net
+        def shape_law(x: _State, branch: tuple | None) -> tuple[_State, None]:
+            z_branch = x[0] + x_net
             i1, i2 = port.current_behind(e_ref1, z_branch)
             if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
                 v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
                 z_target = clc_virtual_admittance(cfg, abs(e_ref1 - v1) + abs(v2))
             else:
                 z_target = clc_adaptive_impedance(cfg, max_phase_current(i1, i2))
-            return np.array([z_target]), None
+            return (z_target,), None
 
         z_vn = complex(cfg.r_vn, cfg.x_vn)
-        x, res, it = _drive(
+        (z_v,), res, it = _drive(
             shape_law,
-            np.array([z_vn if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j]),
+            (z_vn if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j,),
             tol, max_iter, cfg.kind.value,
         )
         # the commanded shaping impedance itself, shared by both channels;
         # the realized -v/i ratio at the source node would fold the
         # in-network filter reactance into it
-        z_v1 = z_v2 = complex(x[0])
+        z_v1 = z_v2 = z_v
         z_branch = z_v1 + x_net
         i1, i2 = port.current_behind(e_ref1, z_branch)
         v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from faultlab.cli import main
-from faultlab.report import csv_header
+from faultlab.harness import run_scenario, sweep_scenarios
+from faultlab.report import csv_header, record_line
 
 
 def _config(tmp_path: Path, text: str, name: str = "case.cfg") -> str:
@@ -130,6 +131,77 @@ def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch) -> None:
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert len(builds) == 3
+
+
+def _count_solves(monkeypatch) -> dict[str, int]:
+    import faultlab.harness
+
+    calls = {"prefault_solve": 0, "fault_fixed_point": 0}
+    for name in calls:
+        real = getattr(faultlab.harness, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(faultlab.harness, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("param", "start", "stop", "solves"),
+    [("relay.phi_non_deg", "30", "60", 1), ("fault.m", "0.05", "0.95", 5)],
+)
+def test_relay_sweep_solves_once_and_other_sweeps_every_point(
+    tmp_path, capsys, monkeypatch, param: str, start: str, stop: str, solves: int
+) -> None:
+    calls = _count_solves(monkeypatch)
+    cfg = _config(tmp_path, "source.kind = gfm\nclc.kind = priority\nfault.kind = ag\n")
+    code = main(
+        ["sweep", "--config", cfg, "--param", param, "--from", start, "--to", stop,
+         "--steps", "5", "--format", "records"]
+    )
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert calls == {"prefault_solve": solves, "fault_fixed_point": solves}
+
+
+@pytest.mark.parametrize("kind", ["sg", "gfm"])
+def test_relay_sweep_records_equal_the_per_point_runs(tmp_path, capsys, kind: str) -> None:
+    overrides = {"source.kind": kind, "fault.kind": "bcg", "relay.dd21_half_deg": 20.0}
+    cfg = _config(tmp_path, "".join(f"{k} = {v}\n" for k, v in overrides.items()), name="sw.cfg")
+    code = main(
+        ["sweep", "--config", cfg, "--param", "relay.phi_non_deg", "--from", "30",
+         "--to", "60", "--steps", "4", "--format", "records"]
+    )
+    assert code == 0
+    points = sweep_scenarios(overrides, "relay.phi_non_deg", 30.0, 60.0, 4, scenario_id="sw")
+    assert capsys.readouterr().out.splitlines() == [
+        record_line(run_scenario(s), s.resolved, s.provenance) for _, s in points
+    ]
+
+
+def test_relay_sweep_that_fails_to_solve_is_the_solver_error_of_its_first_point(
+    tmp_path, capsys
+) -> None:
+    # a priority limit cycle of the 3000-case grid
+    text = (
+        "source.kind = gfm\nclc.kind = priority\nfault.kind = ca\nfault.m = 1\n"
+        "fault.r_g_ohm = 30\nsource.p_ref = 0\n"
+    )
+    cfg = _config(tmp_path, text)
+    first = _config(tmp_path, text + "relay.phi_non_deg = 30\n", name="first.cfg")
+    assert main(["run", "--config", first]) == 1
+    single = capsys.readouterr().err
+    code = main(
+        ["sweep", "--config", cfg, "--param", "relay.phi_non_deg", "--from", "30",
+         "--to", "60", "--steps", "5"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == single
+    assert single.startswith("solver error: priority: ")
 
 
 def test_unknown_preset_is_a_config_error(capsys) -> None:

@@ -35,6 +35,7 @@ from faultlab.sources import (
     OscillationDetectedError,
     SgModel,
     _drive,
+    _solve_real,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -459,16 +460,58 @@ def test_limit_cycle_is_diagnosed() -> None:
 def test_newton_takes_the_whole_step_on_an_affine_contraction() -> None:
     # G = law - x is affine, so one uncapped Newton step lands on the fixed
     # point up to the forward-difference error, and a second removes that
-    x_star = np.array([1.0 + 1.0j, -2.0 + 0.5j])
-    m = np.array([[0.5, 0.2j], [0.1, -0.3 + 0.1j]])
+    x_star = (1.0 + 1.0j, -2.0 + 0.5j)
+    m = ((0.5, 0.2j), (0.1, -0.3 + 0.1j))
 
-    def law(x: np.ndarray, branch: tuple | None) -> tuple[np.ndarray, tuple]:
-        return x_star + m @ (x - x_star), ()
+    def law(x: tuple, branch: tuple | None) -> tuple[tuple, tuple]:
+        d = [xk - sk for xk, sk in zip(x, x_star)]
+        return tuple(sk + row[0] * d[0] + row[1] * d[1] for sk, row in zip(x_star, m)), ()
 
-    x, res, it = _drive(law, x_star + 40.0, tol=1e-9, max_iter=100, name="affine")
+    x, res, it = _drive(law, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
+                        name="affine")
     assert it <= 3
     assert res < 1e-9
-    assert np.abs(x - x_star).max() < 1e-9
+    assert max(abs(xk - sk) for xk, sk in zip(x, x_star)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_elimination_matches_numpy_on_well_conditioned_systems(n: int) -> None:
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        # diagonally dominant, so well conditioned; reversing the rows puts
+        # the dominant entries off the diagonal, which takes row exchanges
+        a = rng.standard_normal((n, n)) + n * np.diag(rng.choice([-1.0, 1.0], n))
+        b = rng.standard_normal(n)
+        for a_rows, b_rows in ((a, b), (a[::-1], b[::-1])):
+            x = _solve_real(a_rows.tolist(), b_rows.tolist())
+            assert x is not None
+            want = np.linalg.solve(a_rows, b_rows)
+            assert np.abs(np.array(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_elimination_exchanges_rows_at_a_zero_diagonal() -> None:
+    assert _solve_real([[0.0, 2.0], [3.0, 0.0]], [4.0, 3.0]) == [1.0, 2.0]
+
+
+def test_elimination_refuses_a_singular_matrix() -> None:
+    assert _solve_real([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+    assert _solve_real([[0.0, 0.0], [0.0, 1.0]], [1.0, 1.0]) is None
+
+
+def test_singular_jacobian_falls_back_to_the_damped_step() -> None:
+    # G = (0.5 (1 - Re x), 0): its Jacobian is singular, so every iteration
+    # is the damped step x + G / 2 and the count is the damped recursion's
+    def law(x: tuple, branch: tuple | None) -> tuple[tuple, tuple]:
+        return (complex(0.5 * x[0].real + 0.5, x[0].imag),), ()
+
+    x, res, it = _drive(law, (0j,), tol=1e-9, max_iter=200, name="singular")
+    damped, expected = 0.0, 1
+    while abs(g := (0.5 * damped + 0.5) - damped) >= 1e-9:
+        damped += 0.5 * g
+        expected += 1
+    assert it == expected > 3
+    assert x == (complex(damped),)
+    assert res < 1e-9
 
 
 def test_priority_fixed_point_is_not_unique() -> None:
