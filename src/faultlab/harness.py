@@ -18,7 +18,8 @@ reports every point from that solution; any other axis solves each point.
 
 Fault and pre-fault relay readings take one path,
 `SequenceSolution.readings`, which reads each line current off the node
-voltages at its ends.
+voltages at its ends, once per solution: a `relay.*` sweep reads the
+relays of its one solved pair once.
 
 The cross-check stamps the source as the solution froze it
 (`SourceSolution.frozen`): the generator is Norton already and passes
@@ -90,7 +91,7 @@ def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
     as the current it delivers (substitution theorem); it reads zero in the
     negative and zero sequences.
     """
-    return op.healthy.readings()
+    return op.healthy.readings
 
 
 def _polar(z: complex | None) -> tuple[float | None, float | None]:
@@ -151,7 +152,7 @@ def report_scenario(
     scenario: Scenario, op: OperatingPoint, sol: SourceSolution, oracle_check: bool = False
 ) -> ScenarioReport:
     """Relay readings, the four relay elements and the report of a solved scenario."""
-    readings = sol.fault.total.readings()
+    readings = sol.fault.total.readings
     pre = prefault_network_readings(op)
     r1, p1 = readings["bus1"], pre["bus1"]
     dir_neg = directional_negative(r1, scenario.dir_cfg)

@@ -301,7 +301,9 @@ class SequenceSolution:
             i=self.series_current(tap.eid).scaled(tap.sign),
         )
 
+    @cached_property
     def readings(self) -> dict[str, "BusReading"]:
+        """`reading` at every relay tap, computed once per solution."""
         return {name: self.reading(tap) for name, tap in self.net.relay_taps.items()}
 
 
@@ -634,12 +636,6 @@ class FaultResponse:
         }
         total = {seq: [a + b for a, b in zip(base[seq], pure[seq])] for seq in SEQUENCES}
         return thevenin, i_fault, base, pure, total
-
-    def voltage(self, node: str, i1: complex = 0j, i2: complex = 0j) -> SequenceTriple:
-        """Faulted sequence voltages at node with (i1, i2) injected at the port."""
-        total = self._weights(i1, i2)[4]
-        v = {seq: _voltage(self.builds[seq], node, total[seq]) for seq in SEQUENCES}
-        return SequenceTriple(pos=v[1], neg=v[2], zero=v[0])
 
     def at(self, i1: complex = 0j, i2: complex = 0j) -> FaultSolution:
         """The fault solution with (i1, i2) injected at the port."""

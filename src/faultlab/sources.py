@@ -7,14 +7,14 @@ Two sources can sit behind bus 1:
 * A grid-forming converter: internal reference behind a current-limiting
   control. Under fault the control state (saturation ratios or shaped
   virtual impedance) depends on the very currents and voltages it produces,
-  so the fault solution is a fixed point, found here by semismooth Newton
-  iteration with a damped fallback.
+  so the fault solution is a fixed point, found here as a root in one real
+  unknown or by semismooth Newton iteration with a damped fallback.
 
 Both fault solves return a `SourceSolution`: the terminal state, the source
 branch impedance per sequence and the source frozen at that state, so that
 the harness reads either kind the same way.
 
-The iteration does not solve the network. Seen from the converter
+The fixed point does not solve the network. Seen from the converter
 terminal the faulted network is affine in the two channel currents the
 converter injects (it is open in the zero sequence):
 
@@ -22,46 +22,64 @@ converter injects (it is open in the zero sequence):
 
 One linear fault solve per scenario, with the terminal as its port, gives
 the faulted network's response to any (i1, i2) by superposition;
-(v_oc, Z_port) are read off it once, and every iteration is then 2x2
-complex arithmetic.
+(v_oc, Z_port) are read off its columns once, and every evaluation of a law
+is then 2x2 complex arithmetic.
 
-The fault condition is a fixed point x = law(x) of a real state: the
-(Re, Im) parts of (i1, i2) for the saturation modes, whose law reads the
-terminal voltages off the port for the injected currents, runs the
-proportional voltage loop and clips its output; and of Z_v for the shaping
-modes, whose law puts the emf behind z_branch in both channels, solves
-(Z_port + z_branch * I) @ i = (e_ref1, 0) - v_oc and recomputes Z_v. One
-driver solves all five laws. Each iteration tries the whole Newton step
-on G(x) = law(x) - x and keeps it only if it halves the residual (the
-largest |law - x| over the complex unknowns); otherwise it takes the
-damped step x + lam * G, with lam = 0.5 at the start; lam halves each time
-the residual plateaus, and a plateau at its floor of 0.005 is reported as
-a limit cycle. The Jacobian is taken by forward differences on the port
-model with the limiter frozen on the base point's branch (the phase that
-sets the common rescale and whether it binds; priority's d/q clamps), so
-it is an element of the generalized Jacobian of the piecewise-smooth G: a
-semismooth Newton step, which converges where two phase currents tie at
-the cap. The state is a tuple of Python complex numbers, and the real
-2x2 or 4x4 Newton system is solved by Gaussian elimination with partial
-pivoting (`_solve_real`): at this size numpy's call overhead would cost
-more than the arithmetic, so this module does not use numpy. The
-saturation modes start from the currents that pin the terminal at the
-reference, which are the fixed point when the limiter stays idle; while
-it is idle G is affine and Newton solves it in one step.
+The fault condition is a fixed point of the limiting law. Three of the
+five laws are a source emf (e_ref1, 0) behind a virtual impedance z_b in
+both channels, fixed by one real number, so their fixed point is a root in
+one real unknown, found by Brent's method on a sign-changing bracket:
+
+* circular: one real factor s shrinks the proportional loop's reference
+  ref = i + k_pv * ((e_ref1, 0) - v), so a fixed point i = s * ref is the
+  emf behind the real z_b = (1 - s) / (k_pv * s). s = 1 is the idle start,
+  the currents that pin the terminal at the reference; if it keeps every
+  phase within i_lim it is the answer. Otherwise the root of
+  f(s) = max phase current - i_lim lies in (0, 1), since f(0) = -i_lim.
+* the shaping laws: Z_v = Z(x) is fixed by its reactance x through the
+  law's X/R rule, and h(x) = Im law(Z(x)) - x is the root function. The
+  bracket starts at x = 0 (adaptive) or x = x_vn (admittance), where h >= 0,
+  and widens by doubling steps, the first of length h there, until h falls
+  through zero; for the adaptive law the first step already brackets it,
+  [0, k_x * (g(0) - i_th)].
+
+A point counts as the root once the law's own residual there, the largest
+|law(x) - x| over the complex state (the currents, or Z_v), is below tol.
+
+`priority` and `instantaneous` are solved on the real (Re, Im) parts of the
+two channel currents (i1, i2) by one driver. Their law reads the terminal
+voltages off the port for the injected currents, runs the proportional
+voltage loop and clips its output. Each iteration tries the whole Newton
+step on G(x) = law(x) - x and keeps it only if it halves the residual;
+otherwise it takes the damped step x + lam * G, with lam = 0.5 at the
+start; lam halves each time the residual plateaus, and a plateau at its
+floor of 0.005 is reported as a limit cycle. The Jacobian is taken by
+forward differences on the port model with the limiter frozen on the base
+point's branch (the phase that sets the common rescale and whether it
+binds; priority's d/q clamps), so it is an element of the generalized
+Jacobian of the piecewise-smooth G: a semismooth Newton step, which
+converges where two phase currents tie at the cap. The state is a tuple of
+Python complex numbers, and the real 4x4 Newton system is solved by
+Gaussian elimination with partial pivoting (`_solve_real`): at this size
+numpy's call overhead would cost more than the arithmetic, so this module
+does not use numpy. The driver starts from the idle start above; while the
+limiter is idle G is affine and Newton solves it in one step.
 The relay readings are the same response at the converged terminal
 currents; a shaping law's source branch enters through its terminal
 currents (substitution theorem).
 
-One iteration is one update of the state, by the Newton step or the damped
-step; the starting state counts as the first. The Newton trial that is
-rejected and the Jacobian probes are not iterations. solver.max_iter
-bounds the iterations.
+For the scalar roots one iteration is one evaluation of the law, the start
+included. For the driver one iteration is one update of the state, by the
+Newton step or the damped step; the starting state counts as the first,
+and the Newton trial that is rejected and the Jacobian probes are not
+iterations. solver.max_iter bounds the iterations of both.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -82,8 +100,10 @@ from .network import (
     SequenceSolution,
     SingularNetworkError,
     SourceElement,
+    TheveninEquivalent,
     driving_point,
     solve_fault,
+    solve_fault_boundary,
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
 from .phasors import SequenceTriple, from_polar, inverse_fortescue
@@ -368,14 +388,34 @@ class TerminalPort:
 def terminal_port(response: FaultResponse) -> TerminalPort:
     """Reduce a faulted network to its port, the converter terminal.
 
-    Reads the port voltages off the fault response with no injection, then
-    with a unit current in each channel for the columns of Z_port.
+    In each channel the faulted port voltage is the base column, plus the
+    port column times the injected current, less the fault current times
+    the fault column, all read at the port. The boundary conditions are
+    linear in the open-circuit voltages at the fault node, so the fault
+    current splits the same way: the base columns there give v_oc, and each
+    channel's port column there, carried through the boundary, gives that
+    channel's column of Z_port.
     """
-    v = response.voltage(response.port)
-    a = response.voltage(response.port, 1.0 + 0j, 0j)
-    b = response.voltage(response.port, 0j, 1.0 + 0j)
+    pos, neg, zero = (response.builds[seq] for seq in (1, 2, 0))
+    node, port = response.net.fault_node, response.port
+
+    def fault_current(e_f: complex, e_f2: complex, e_f0: complex) -> tuple[complex, complex]:
+        z = (pos[1][node], neg[1][node], zero[1][node])
+        i_f = solve_fault_boundary(
+            TheveninEquivalent(*z, e_f, e_f2, e_f0), response.spec, response.net.z_base_fault_ohm
+        )
+        return i_f.pos * pos[1][port], i_f.neg * neg[1][port]
+
+    oc1, oc2 = fault_current(pos[0][node], neg[0][node], zero[0][node])
+    a1, a2 = fault_current(pos[2][node], 0j, 0j)
+    b1, b2 = fault_current(0j, neg[2][node], 0j)
     return TerminalPort(
-        v.pos, v.neg, z11=a.pos - v.pos, z12=b.pos - v.pos, z21=a.neg - v.neg, z22=b.neg - v.neg
+        pos[0][port] - oc1,
+        neg[0][port] - oc2,
+        z11=pos[2][port] - a1,
+        z12=-b1,
+        z21=-a2,
+        z22=neg[2][port] - b2,
     )
 
 
@@ -504,6 +544,92 @@ def _drive(
     return x, res, it
 
 
+class _ScalarLaw:
+    """A fixed point in one real unknown, as the root function the bracket search sees.
+
+    fn(x) gives (h(x), the law's residual at x, the state at x). Every call
+    is one iteration against max_iter; the last state and residual are
+    kept. A point whose residual is below tol reads as h = 0, the root.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[float], tuple[float, float, _State]],
+        tol: float,
+        max_iter: int,
+        name: str,
+    ) -> None:
+        self.fn, self.tol, self.max_iter, self.name = fn, tol, max_iter, name
+        self.it = 0
+        self.res = math.nan
+        self.state: _State = ()
+
+    def __call__(self, x: float) -> float:
+        if self.it >= self.max_iter:
+            raise self.missed(f"budget spent at x = {x:.17g}")
+        self.it += 1
+        h, self.res, self.state = self.fn(x)
+        return 0.0 if self.res < self.tol else h
+
+    def missed(self, why: str) -> NoConvergenceError:
+        return NoConvergenceError(
+            f"{self.name}: fixed point missed tol={self.tol:g} after {self.it} iterations "
+            f"(last residual {self.res:.3e}): {why}"
+        )
+
+    def result(self) -> tuple[_State, float, int]:
+        """The state at the root, its residual and the iteration count."""
+        if not self.res < self.tol:
+            raise self.missed("h vanishes off the fixed point")
+        return self.state, self.res, self.it
+
+
+def _brent(h: _ScalarLaw, a: float, fa: float, b: float, fb: float) -> None:
+    """Shrink the bracket [a, b] of h until h reads 0 at its last point.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant interpolation
+    where it shrinks the bracket fast enough, bisection otherwise. fa and
+    fb must differ in sign unless fb is 0 already.
+    """
+    if fb != 0.0 and (fa > 0.0) == (fb > 0.0):
+        raise h.missed(f"no sign change on [{a:.6g}, {b:.6g}]")
+    c, fc = a, fa
+    d = e = b - a
+    while fb != 0.0:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            raise h.missed(f"bracket collapsed at x = {b:.17g}")
+        interpolated = False
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # take the interpolated step only where it shrinks the bracket fast enough
+            interpolated = 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q)
+        if interpolated:
+            e, d = d, p / q
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = h(b)
+
+
 def fault_fixed_point(
     net: NetworkModel,
     gfm: GfmModel,
@@ -516,11 +642,13 @@ def fault_fixed_point(
 
     The unknowns are the two channel injections (saturation modes) or the
     shared virtual impedance (shaping modes); the law maps them through the
-    port model and the control law to their next value, and `_drive` finds
-    its fixed point. The fault response at the converged terminal currents
-    gives the readings.
+    port model and the control law to their next value. `circular` and the
+    shaping modes solve for one real number by `_brent`, the other two
+    modes by `_drive`. The fault response at the converged terminal
+    currents gives the readings.
     """
     cfg = gfm.clc
+    name = cfg.kind.value
     e_ref1 = op.e_ref1
     node = net.source_node
     response = solve_fault(net, spec, port=node).response
@@ -538,11 +666,22 @@ def fault_fixed_point(
             sat1, sat2, branch = limit(cfg, op.theta_rad, ref1, ref2, branch)
             return (sat1, sat2), branch
 
-        # start from the currents that pin the terminal at the reference:
-        # the fixed point itself when the limiter stays idle
-        (i1, i2), res, it = _drive(
-            sat_law, port.current_behind(e_ref1, 0j), tol, max_iter, cfg.kind.value
-        )
+        if cfg.kind is ClcKind.CIRCULAR:
+
+            def at_scale(s: float) -> tuple[float, float, _State]:
+                # i = s * ref: the emf behind the resistance (1 - s) / (k_pv s)
+                x = port.current_behind(e_ref1, (1.0 - s) / (gfm.k_pv * s))
+                return max_phase_current(*x) - cfg.i_lim, _gap(sat_law(x, None)[0], x)[1], x
+
+            law = _ScalarLaw(at_scale, tol, max_iter, name)
+            _brent(law, 0.0, -cfg.i_lim, 1.0, law(1.0))
+            (i1, i2), res, it = law.result()
+        else:
+            # start from the currents that pin the terminal at the reference:
+            # the fixed point itself when the limiter stays idle
+            (i1, i2), res, it = _drive(
+                sat_law, port.current_behind(e_ref1, 0j), tol, max_iter, name
+            )
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
         sat1, sat2, _ = limit(cfg, op.theta_rad, ref1, ref2)
         if cfg.kind is ClcKind.INSTANTANEOUS:
@@ -557,23 +696,32 @@ def fault_fixed_point(
             for sat, ref in ((sat1, ref1), (sat2, ref2))
         )
     else:
-        # impedance-shaping modes: shared complex Z_v in both channels
-        def shape_law(x: _State, branch: tuple | None) -> tuple[_State, None]:
-            z_branch = x[0] + x_net
+        # impedance-shaping modes: shared complex Z_v in both channels,
+        # fixed by its reactance x through the law's X/R rule
+        admittance = cfg.kind is ClcKind.VIRTUAL_ADMITTANCE
+        r_floor = cfg.r_vn if admittance else 0.0
+
+        def at_reactance(x: float) -> tuple[float, float, _State]:
+            z_v = complex(max(r_floor, x / cfg.n_x_r), x)
+            z_branch = z_v + x_net
             i1, i2 = port.current_behind(e_ref1, z_branch)
-            if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
+            if admittance:
                 v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
                 z_target = clc_virtual_admittance(cfg, abs(e_ref1 - v1) + abs(v2))
             else:
                 z_target = clc_adaptive_impedance(cfg, max_phase_current(i1, i2))
-            return (z_target,), None
+            return z_target.imag - x, abs(z_target - z_v), (z_v,)
 
-        z_vn = complex(cfg.r_vn, cfg.x_vn)
-        (z_v,), res, it = _drive(
-            shape_law,
-            (z_vn if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE else 0j,),
-            tol, max_iter, cfg.kind.value,
-        )
+        law = _ScalarLaw(at_reactance, tol, max_iter, name)
+        x_hi = x_lo = cfg.x_vn if admittance else 0.0
+        h_hi = h_lo = step = law(x_lo)
+        while h_hi > 0.0:  # widen until h falls through zero
+            x_lo, h_lo = x_hi, h_hi
+            x_hi = x_lo + step
+            h_hi = law(x_hi)
+            step *= 2.0
+        _brent(law, x_lo, h_lo, x_hi, h_hi)
+        (z_v,), res, it = law.result()
         # the commanded shaping impedance itself, shared by both channels;
         # the realized -v/i ratio at the source node would fold the
         # in-network filter reactance into it
@@ -583,8 +731,8 @@ def fault_fixed_point(
         v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
         sigma1 = sigma2 = None
         i_peak = max_phase_current(i1, i2)
-        if cfg.kind is ClcKind.VIRTUAL_ADMITTANCE:
-            active = abs(z_v1 - z_vn) > 10.0 * tol
+        if admittance:
+            active = abs(z_v1 - complex(cfg.r_vn, cfg.x_vn)) > 10.0 * tol
         else:
             active = abs(z_v1) > 0.0
     return SourceSolution(

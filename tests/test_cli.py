@@ -211,11 +211,20 @@ def test_unknown_preset_is_a_config_error(capsys) -> None:
 
 
 def test_exhausted_solver_budget_is_a_solver_error(tmp_path, capsys) -> None:
-    cfg = _config(tmp_path, "source.kind = gfm\nclc.kind = circular\nsolver.max_iter = 2\n")
+    cfg = _config(tmp_path, "source.kind = gfm\nclc.kind = instantaneous\nsolver.max_iter = 2\n")
     assert main(["run", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "solver error: circular: fixed point missed tol=1e-09 after 2 iterations" in err
+    assert "solver error: instantaneous: fixed point missed tol=1e-09 after 2 iterations" in err
     assert "damping 0.5): slow contraction" in err
+    assert "last residual" in err
+
+
+@pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance"])
+def test_exhausted_root_budget_is_a_solver_error(tmp_path, capsys, kind: str) -> None:
+    cfg = _config(tmp_path, f"source.kind = gfm\nclc.kind = {kind}\nsolver.max_iter = 2\n")
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"solver error: {kind}: fixed point missed tol=1e-09 after 2 iterations" in err
     assert "last residual" in err
 
 

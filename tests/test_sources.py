@@ -202,6 +202,44 @@ def test_converged_state_satisfies_the_limiter_law(kind: str) -> None:
     assert sol.residual < 1e-9
 
 
+@pytest.mark.parametrize(
+    ("kind", "fault_kind", "r_g", "active"),
+    [
+        ("virtual_admittance", "bcg", 0.0, True),
+        ("virtual_admittance", "ag", 400.0, False),
+        ("adaptive_virtual_impedance", "bcg", 0.0, True),
+        ("adaptive_virtual_impedance", "ag", 400.0, False),
+    ],
+)
+def test_converged_state_satisfies_the_shaping_law(
+    kind: str, fault_kind: str, r_g: float, active: bool
+) -> None:
+    """The shaped impedance must be the law applied to the terminal state it produces.
+
+    Rebuilt here from the laws as the `clc` docstrings state them, not by
+    calling `clc`: the admittance law from the driving voltage |e - v1| +
+    |v2|, the adaptive law from the largest phase current.
+    """
+    scenario, op, sol = _converged(kind, fault_kind=fault_kind, r_g=r_g)
+    assert sol.limiter_active is active
+    cfg = scenario.gfm.clc
+    if kind == "virtual_admittance":
+        v_drive = abs(op.e_ref1 - sol.v_t.pos) + abs(sol.v_t.neg)
+        x_v = max(cfg.x_vn, v_drive / (cfg.i_lim * math.sqrt(1.0 + 1.0 / cfg.n_x_r**2)))
+        want = complex(max(cfg.r_vn, x_v / cfg.n_x_r), x_v)
+        idle = complex(cfg.r_vn, cfg.x_vn)
+    else:
+        i_peak = inverse_fortescue(sol.i_t).max_abs()
+        x_v = cfg.k_x * (i_peak - cfg.i_th) if i_peak >= cfg.i_th else 0.0
+        want = complex(x_v / cfg.n_x_r, x_v)
+        idle = 0j
+    assert sol.z_v1 == sol.z_v2
+    assert abs(sol.z_v1 - want) < 1e-8
+    assert sol.residual < scenario.solver.tol
+    if not active:
+        assert sol.z_v1 == idle
+
+
 @pytest.mark.parametrize("kind", ["circular", "priority"])
 def test_limited_current_respects_the_phase_cap(kind: str) -> None:
     scenario, _, sol = _converged(kind)
@@ -264,37 +302,40 @@ FAULT_KINDS = ("ag", "bg", "cg", "ab", "bc", "ca", "abg", "bcg", "cag", "abc")
     [(kind, "forward") for kind in CLC_KINDS] + [(kind, "reverse") for kind in CLC_KINDS],
 )
 def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str) -> None:
-    """v = v_oc + Z_port i matches a full solve at the converged state and off it."""
-    scenario = build_scenario(
-        {
-            "source.kind": "gfm",
-            "clc.kind": kind,
-            "fault.kind": "bg",
-            "fault.placement": placement,
-            "fault.m": 0.5,
-            "fault.r_g_ohm": 20.0,
-        }
-    )
-    net, node = scenario.net, scenario.net.source_node
-    op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
-    sol = fault_fixed_point(net, scenario.gfm, scenario.fault, op)
-    port = terminal_port(solve_fault(net, scenario.fault, port=node).response)
-    assert abs(port.z12) > 1e-3  # an unbalanced fault couples the channels
+    """v = v_oc + Z_port i matches a full solve at the converged state and off it.
 
-    direct = sol.fault.total.voltage(node)
-    v1, v2 = port.voltage(sol.i_t.pos, sol.i_t.neg)
-    assert abs(v1 - direct.pos) < 1e-12
-    assert abs(v2 - direct.neg) < 1e-12
-    assert abs(v1 - sol.v_t.pos) < 1e-12
-    assert abs(v2 - sol.v_t.neg) < 1e-12
+    `terminal_port` reads the port off the build columns through the fault
+    boundary of the fault's own category, so every category is checked
+    against a solve that stamps the currents as an injection.
+    """
+    for fault_kind in ("ag", "bg", "ab", "bcg", "abc"):
+        scenario = build_scenario(
+            {
+                "source.kind": "gfm",
+                "clc.kind": kind,
+                "fault.kind": fault_kind,
+                "fault.placement": placement,
+                "fault.m": 0.5,
+                "fault.r_g_ohm": 20.0,
+            }
+        )
+        net, node = scenario.net, scenario.net.source_node
+        op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
+        sol = fault_fixed_point(net, scenario.gfm, scenario.fault, op)
+        port = terminal_port(solve_fault(net, scenario.fault, port=node).response)
+        if fault_kind != "abc":  # an unbalanced fault couples the channels
+            assert abs(port.z12) > 1e-3, fault_kind
 
-    i1, i2 = 0.7 - 0.4j, -0.2 + 0.3j
-    off = solve_fault(
-        net.with_elements(InjectionElement("probe", node, i1=i1, i2=i2)), scenario.fault
-    ).total.voltage(node)
-    w1, w2 = port.voltage(i1, i2)
-    assert abs(w1 - off.pos) < 1e-12
-    assert abs(w2 - off.neg) < 1e-12
+        v1, v2 = port.voltage(sol.i_t.pos, sol.i_t.neg)
+        assert abs(v1 - sol.v_t.pos) < 1e-12, fault_kind
+        assert abs(v2 - sol.v_t.neg) < 1e-12, fault_kind
+        for i1, i2 in ((sol.i_t.pos, sol.i_t.neg), (0.7 - 0.4j, -0.2 + 0.3j)):
+            direct = solve_fault(
+                net.with_elements(InjectionElement("probe", node, i1=i1, i2=i2)), scenario.fault
+            ).total.voltage(node)
+            w1, w2 = port.voltage(i1, i2)
+            assert abs(w1 - direct.pos) < 1e-12, fault_kind
+            assert abs(w2 - direct.neg) < 1e-12, fault_kind
 
 
 @pytest.mark.parametrize("placement", ["forward", "reverse"])
