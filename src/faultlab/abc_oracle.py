@@ -13,7 +13,7 @@ branches: a bolted connection merges unknowns, a resistive one stamps a
 conductance. One complex nodal solve covers the whole unbalanced system at
 once. No sequence decomposition, no superposition, no boundary formulas.
 Agreement between the two routes to 1e-8 is therefore evidence, not
-tautology.
+tautology: they share only the LU arithmetic, `network.solve_dense`.
 
 Scope: sources must be Norton-representable (nonzero impedance in every
 sequence they span) or replaced by equivalent current injections; the
@@ -30,8 +30,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .network import (
     GROUND,
     FaultCategory,
@@ -42,6 +40,7 @@ from .network import (
     SeriesElement,
     SingularNetworkError,
     SourceElement,
+    solve_dense,
 )
 from .phasors import PhaseTriple
 
@@ -51,24 +50,24 @@ PHASES = ("a", "b", "c")
 _STAR = ("_fault_star", "s")  # single scalar node for the three-phase star point
 _GROUND_KEY = (GROUND, "*")
 
+
+def _mat_vec(m: list[list[complex]], v: list[complex]) -> list[complex]:
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
 # mode synthesis matrix: columns are (zero, positive, negative) unit sets
 _W = cmath.exp(2j * math.pi / 3.0)
-A_MATRIX = np.array(
-    [
-        [1.0, 1.0, 1.0],
-        [1.0, _W**2, _W],
-        [1.0, _W, _W**2],
-    ],
-    dtype=complex,
+A_MATRIX = [[1.0, 1.0, 1.0], [1.0, _W**2, _W], [1.0, _W, _W**2]]
+A_INV = solve_dense(
+    [row[:] for row in A_MATRIX], [[float(r == c) for c in range(3)] for r in range(3)]
 )
-A_INV = np.linalg.inv(A_MATRIX)
 
 
 class OracleUnsupportedError(ValueError):
     """The element list contains something the phase solver cannot stamp."""
 
 
-def _block(z1: complex | None, z2: complex | None, z0: complex | None) -> np.ndarray:
+def _block(z1: complex | None, z2: complex | None, z0: complex | None) -> list[list[complex]]:
     """Three-phase admittance block of a symmetric element."""
 
     def y(z: complex | None) -> complex:
@@ -81,10 +80,14 @@ def _block(z1: complex | None, z2: complex | None, z0: complex | None) -> np.nda
             )
         return 1.0 / z
 
-    return A_MATRIX @ np.diag([y(z0), y(z1), y(z2)]) @ A_INV
+    modes = (y(z0), y(z1), y(z2))
+    return [
+        [sum(a * m * inv[q] for a, m, inv in zip(row, modes, A_INV)) for q in range(3)]
+        for row in A_MATRIX
+    ]
 
 
-_Y_ZERO_REF = A_MATRIX @ np.diag([1.0 + 0j, 0j, 0j]) @ A_INV  # unit zero-mode tie
+_Y_ZERO_REF = _block(None, None, 1.0)  # unit zero-mode tie
 
 
 class _Merge:
@@ -126,25 +129,18 @@ class AbcSolution:
             return PhaseTriple(0j, 0j, 0j)
         return self.v_phase[node]
 
-    def _v_vec(self, node: str) -> np.ndarray:
-        v = self.voltage(node)
-        return np.array([v.a, v.b, v.c])
-
     def series_current(self, eid: str) -> PhaseTriple:
         """Phase currents through a series element, from -> to."""
         elem = self._series(eid)
-        blk = _block(elem.z1, elem.z2, elem.z0)
-        i = blk @ (self._v_vec(elem.n_from) - self._v_vec(elem.n_to))
-        return PhaseTriple(i[0], i[1], i[2])
+        dv = self.voltage(elem.n_from) - self.voltage(elem.n_to)
+        return PhaseTriple(*_mat_vec(_block(elem.z1, elem.z2, elem.z0), [dv.a, dv.b, dv.c]))
 
     def source_current(self, eid: str) -> PhaseTriple:
         """Phase currents a Norton source delivers into its node."""
         for elem in self._net.elements:
             if isinstance(elem, SourceElement) and elem.eid == eid:
-                blk = _block(elem.z1, elem.z2, elem.z0)
-                e_abc = A_MATRIX @ np.array([0j, elem.e1, 0j])
-                i = blk @ (e_abc - self._v_vec(elem.node))
-                return PhaseTriple(i[0], i[1], i[2])
+                dv = PhaseTriple(*_mat_vec(A_MATRIX, [0j, elem.e1, 0j])) - self.voltage(elem.node)
+                return PhaseTriple(*_mat_vec(_block(elem.z1, elem.z2, elem.z0), [dv.a, dv.b, dv.c]))
         raise KeyError(f"no source element {eid!r}")
 
     def reading(self, tap: RelayTap) -> tuple[PhaseTriple, PhaseTriple]:
@@ -254,8 +250,8 @@ def solve_abc(
     if n_unknowns == 0:
         raise SingularNetworkError("phase network has no unknowns")
 
-    amat = np.zeros((n_unknowns, n_unknowns), dtype=complex)
-    rhs = np.zeros(n_unknowns, dtype=complex)
+    amat = [[0j] * n_unknowns for _ in range(n_unknowns)]
+    rhs = [[0j] for _ in range(n_unknowns)]
 
     def idx(key: tuple[str, str]) -> int | None:
         root = merge.find(key)
@@ -264,17 +260,17 @@ def solve_abc(
     def add(row: tuple[str, str], col: tuple[str, str], val: complex) -> None:
         ri, ci = idx(row), idx(col)
         if ri is not None and ci is not None:
-            amat[ri, ci] += val
+            amat[ri][ci] += val
 
     def add_rhs(key: tuple[str, str], val: complex) -> None:
         ki = idx(key)
         if ki is not None:
-            rhs[ki] += val
+            rhs[ki][0] += val
 
-    def stamp_block(nf: str, nt: str, blk: np.ndarray) -> None:
+    def stamp_block(nf: str, nt: str, blk: list[list[complex]]) -> None:
         for pi, p in enumerate(PHASES):
             for qi, q in enumerate(PHASES):
-                y = blk[pi, qi]
+                y = blk[pi][qi]
                 if y == 0:
                     continue
                 if nf != GROUND:
@@ -293,13 +289,13 @@ def solve_abc(
             blk = _block(elem.z1, elem.z2, elem.z0)
             stamp_block(elem.node, GROUND, blk)
             if not zero_sources:
-                j = blk @ (A_MATRIX @ np.array([0j, elem.e1, 0j]))
+                j = _mat_vec(blk, _mat_vec(A_MATRIX, [0j, elem.e1, 0j]))
                 for pi, p in enumerate(PHASES):
                     add_rhs((elem.node, p), j[pi])
         elif isinstance(elem, InjectionElement):
             if zero_sources:
                 continue
-            j = A_MATRIX @ np.array([0j, elem.i1, elem.i2])
+            j = _mat_vec(A_MATRIX, [0j, elem.i1, elem.i2])
             for pi, p in enumerate(PHASES):
                 add_rhs((elem.node, p), j[pi])
         else:
@@ -318,20 +314,17 @@ def solve_abc(
     if probe is not None:
         node, seq = probe
         unit = {1: [0j, 1.0 + 0j, 0j], 2: [0j, 0j, 1.0 + 0j], 0: [1.0 + 0j, 0j, 0j]}[seq]
-        j = A_MATRIX @ np.array(unit)
+        j = _mat_vec(A_MATRIX, unit)
         for pi, p in enumerate(PHASES):
             add_rhs((node, p), j[pi])
 
-    try:
-        solution = np.linalg.solve(amat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNetworkError(f"phase-domain system is singular: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise SingularNetworkError("phase-domain solve produced non-finite voltages")
+    solution = solve_dense(amat, rhs)
+    if solution is None:
+        raise SingularNetworkError("phase-domain system is singular or its solve is not finite")
 
     def v_of(key: tuple[str, str]) -> complex:
         ki = idx(key)
-        return 0j if ki is None else complex(solution[ki])
+        return 0j if ki is None else solution[ki][0]
 
     v_phase = {
         node: PhaseTriple(v_of((node, "a")), v_of((node, "b")), v_of((node, "c")))

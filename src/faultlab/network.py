@@ -10,7 +10,7 @@ representations, which is exactly what the equivalence checks exercise.
 
 Fault solving follows the classical decomposition:
 
-1. one nodal build per sequence network, solved in one call for all its
+1. one nodal build per sequence network, solved by `solve_dense` for all its
    right-hand sides: the network with its sources (the base solve), a unit
    current at the fault node with the sources zeroed, and optionally a unit
    current at a port node (where a converter injects);
@@ -38,8 +38,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
 
-import numpy as np
-
 from .phasors import ALPHA, SequenceTriple
 
 __all__ = [
@@ -59,6 +57,7 @@ __all__ = [
     "BusReading",
     "TheveninEquivalent",
     "FaultSolution",
+    "solve_dense",
     "solve_linear",
     "DrivingPoint",
     "driving_point",
@@ -382,6 +381,45 @@ _Column = dict[str, complex]
 _Weights = dict[int, list[complex]]
 
 
+def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
+    """x with a @ x = b by Gaussian elimination with partial pivoting.
+
+    The package's one dense solver, on Python lists: the nodal builds, the
+    converter driver's Newton step and the phase-domain oracle have 2 to 12
+    unknowns. a is n rows of n entries and b n rows of right-hand-side
+    columns, real or complex; x comes back in b's layout. None on a zero
+    pivot or a non-finite solution. Overwrites a, and b with x.
+    """
+    n = len(a)
+    for k in range(n):
+        p = k
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[p][k]):
+                p = r
+        pivot = a[p]
+        if pivot[k] == 0:
+            return None
+        if p != k:
+            a[k], a[p], b[k], b[p] = pivot, a[k], b[p], b[k]
+        bk = b[k]
+        for r in range(k + 1, n):
+            row, br = a[r], b[r]
+            f = row[k] / pivot[k]
+            for c in range(k + 1, n):
+                row[c] -= f * pivot[c]
+            for j, v in enumerate(bk):
+                br[j] -= f * v
+    for k in reversed(range(n)):
+        bk, d = b[k], a[k][k]
+        for j, v in enumerate(bk):
+            bk[j] = v / d
+        for r in range(k):
+            br, f = b[r], a[r][k]
+            for j, v in enumerate(bk):
+                br[j] -= f * v
+    return b if all(cmath.isfinite(v) for row in b for v in row) else None
+
+
 def _solve_one_sequence(
     net: NetworkModel, seq: int, probes: tuple[str, ...] = ()
 ) -> list[_Column]:
@@ -415,8 +453,8 @@ def _solve_one_sequence(
     unknowns = sorted(n for n in nodes if n not in pinned)
     index = {n: k for k, n in enumerate(unknowns)}
 
-    # stamped as Python lists: item access on small arrays costs more than
-    # the solve itself
+    # stamped and solved as Python lists: a build has 2-4 unknowns, too few
+    # for an array library's call overhead to pay off
     n, cols = len(unknowns), 1 + len(probes)
     y = [[0j] * n for _ in range(n)]
     rhs = [[0j] * cols for _ in range(n)]
@@ -455,14 +493,10 @@ def _solve_one_sequence(
         if idx is not None:
             rhs[idx][k] = 1.0 + 0j
 
-    solved: list[list[complex]] = [[] for _ in range(cols)]
-    if n:
-        try:
-            solved = np.linalg.solve(np.array(y), np.array(rhs)).T.tolist()
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetworkError(f"sequence-{seq} network is singular") from exc
-        if not all(cmath.isfinite(x) for values in solved for x in values):
-            raise SingularNetworkError(f"sequence-{seq} solve returned non-finite voltages")
+    x = solve_dense(y, rhs)
+    if x is None:
+        raise SingularNetworkError(f"sequence-{seq} network is singular or its solve is not finite")
+    solved = list(zip(*x)) if n else [()] * cols
 
     zeros = dict.fromkeys(pinned, 0j)
     return [

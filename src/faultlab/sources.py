@@ -60,10 +60,9 @@ binds; priority's d/q clamps), so it is an element of the generalized
 Jacobian of the piecewise-smooth G: a semismooth Newton step, which
 converges where two phase currents tie at the cap. The state is a tuple of
 Python complex numbers, and the real 4x4 Newton system is solved by
-Gaussian elimination with partial pivoting (`_solve_real`): at this size
-numpy's call overhead would cost more than the arithmetic, so this module
-does not use numpy. The driver starts from the idle start above; while the
-limiter is idle G is affine and Newton solves it in one step.
+`network.solve_dense`, the package's one dense solver. The driver starts
+from the idle start above; while the limiter is idle G is affine and
+Newton solves it in one step.
 The relay readings are the same response at the converged terminal
 currents; a shaping law's source branch enters through its terminal
 currents (substitution theorem).
@@ -102,6 +101,7 @@ from .network import (
     SourceElement,
     TheveninEquivalent,
     driving_point,
+    solve_dense,
     solve_fault,
     solve_fault_boundary,
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
@@ -439,36 +439,6 @@ _State = tuple[complex, ...]
 _Law = Callable[[_State, tuple | None], tuple[_State, tuple | None]]
 
 
-def _solve_real(a: list[list[float]], b: list[float]) -> list[float] | None:
-    """x with a @ x = b by Gaussian elimination with partial pivoting.
-
-    None on a zero pivot or a non-finite solution. Overwrites a, and b
-    with x.
-    """
-    n = len(b)
-    for k in range(n):
-        p = k
-        for r in range(k + 1, n):
-            if abs(a[r][k]) > abs(a[p][k]):
-                p = r
-        pivot = a[p]
-        if pivot[k] == 0.0:
-            return None
-        if p != k:
-            a[k], a[p], b[k], b[p] = pivot, a[k], b[p], b[k]
-        for r in range(k + 1, n):
-            row = a[r]
-            f = row[k] / pivot[k]
-            for c in range(k + 1, n):
-                row[c] -= f * pivot[c]
-            b[r] -= f * b[k]
-    for k in reversed(range(n)):
-        b[k] /= a[k][k]
-        for r in range(k):
-            b[r] -= a[r][k] * b[k]
-    return b if all(map(math.isfinite, b)) else None
-
-
 def _newton_point(law: _Law, x: _State, g: _State, branch: tuple | None) -> _State | None:
     """x plus the Newton step on G = law - x, or None if singular.
 
@@ -486,10 +456,10 @@ def _newton_point(law: _Law, x: _State, g: _State, branch: tuple | None) -> _Sta
             d = (yk - pk) - gk
             jac[2 * k][col] = d.real / _FD_H
             jac[2 * k + 1][col] = d.imag / _FD_H
-    dx = _solve_real(jac, [-v for gk in g for v in (gk.real, gk.imag)])
+    dx = solve_dense(jac, [[-v] for gk in g for v in (gk.real, gk.imag)])
     if dx is None:
         return None
-    return tuple(xk + complex(dx[2 * k], dx[2 * k + 1]) for k, xk in enumerate(x))
+    return tuple(xk + complex(dx[2 * k][0], dx[2 * k + 1][0]) for k, xk in enumerate(x))
 
 
 def _gap(y: _State, x: _State) -> tuple[_State, float]:

@@ -8,6 +8,9 @@ line says why with `# noqa: F401`.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,20 @@ def test_module_imports_are_used(module: str) -> None:
 @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
 def test_test_module_imports_are_used(module: str) -> None:
     assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_package_imports_only_the_standard_library() -> None:
+    # in a fresh interpreter, because this process has imported numpy
+    # already; what site hooks import at startup is not the package's
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import faultlab.cli, faultlab.abc_oracle\n"
+        "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(top - set(sys.stdlib_module_names) - {'faultlab'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == []

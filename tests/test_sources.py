@@ -16,6 +16,7 @@ from faultlab.network import (
     SeriesElement,
     SourceElement,
     driving_point,
+    solve_dense,
     solve_fault,
     solve_linear,
 )
@@ -35,7 +36,6 @@ from faultlab.sources import (
     OscillationDetectedError,
     SgModel,
     _drive,
-    _solve_real,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -132,17 +132,18 @@ def test_normal_z_per_strategy() -> None:
 
 
 def test_prefault_keeps_the_open_circuit_voltage_beside_a_huge_thevenin_impedance() -> None:
-    # a 1e-12 kV hv base puts |z_th| near 1e28 pu: |v_oc|^2 vanishes next to
-    # 2 Re(S conj(z_th)) unless the closed form divides the cancellation out
+    # a 1e28 pu transformer reactance at the port puts |z_th| at 1e28 pu:
+    # |v_oc|^2 vanishes next to 2 Re(S conj(z_th)) unless the closed form
+    # divides the cancellation out
     scenario = build_scenario(
-        {"source.kind": "gfm", "circuit.v_hv_kv": 1e-12, "source.p_ref": 0.5}
+        {"source.kind": "gfm", "gfm.x_t_pu": 1e28, "source.p_ref": 0.0, "source.q_ref": 0.5}
     )
     net = scenario.net
     one_port = driving_point(net, net.source_node)
-    assert abs(one_port.z) > 1e28 and abs(one_port.v_oc) > 1.0
+    assert abs(one_port.z) >= 1e28 and abs(abs(one_port.v_oc) - 1.0) <= 1e-12
     op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref, tol=1e-15)
     assert op.i_attach != 0j
-    assert abs(complex(op.p, op.q) - 0.5) <= 1e-15
+    assert abs(complex(op.p, op.q) - 0.5j) <= 1e-15
 
 
 def _converged(kind: str, fault_kind: str = "bcg", r_g: float = 0.0):
@@ -522,21 +523,46 @@ def test_elimination_matches_numpy_on_well_conditioned_systems(n: int) -> None:
         # diagonally dominant, so well conditioned; reversing the rows puts
         # the dominant entries off the diagonal, which takes row exchanges
         a = rng.standard_normal((n, n)) + n * np.diag(rng.choice([-1.0, 1.0], n))
-        b = rng.standard_normal(n)
+        b = rng.standard_normal((n, 1))
         for a_rows, b_rows in ((a, b), (a[::-1], b[::-1])):
-            x = _solve_real(a_rows.tolist(), b_rows.tolist())
+            x = solve_dense(a_rows.tolist(), b_rows.tolist())
+            assert x is not None
+            want = np.linalg.solve(a_rows, b_rows)
+            assert np.abs(np.array(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_elimination_matches_numpy_on_complex_systems(n: int, k: int) -> None:
+    rng = np.random.default_rng(100 * n + k)
+    for _ in range(20):
+        # diagonally dominant complex systems with k right-hand sides, rows
+        # reversed as above so that the pivoting exchanges rows
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a += n * np.diag(np.exp(2j * math.pi * rng.random(n)))
+        b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        for a_rows, b_rows in ((a, b), (a[::-1], b[::-1])):
+            x = solve_dense(a_rows.tolist(), b_rows.tolist())
             assert x is not None
             want = np.linalg.solve(a_rows, b_rows)
             assert np.abs(np.array(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_elimination_exchanges_rows_at_a_zero_diagonal() -> None:
-    assert _solve_real([[0.0, 2.0], [3.0, 0.0]], [4.0, 3.0]) == [1.0, 2.0]
+    assert solve_dense([[0.0, 2.0], [3.0, 0.0]], [[4.0], [3.0]]) == [[1.0], [2.0]]
 
 
 def test_elimination_refuses_a_singular_matrix() -> None:
-    assert _solve_real([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
-    assert _solve_real([[0.0, 0.0], [0.0, 1.0]], [1.0, 1.0]) is None
+    assert solve_dense([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]]) is None
+    assert solve_dense([[0.0, 0.0], [0.0, 1.0]], [[1.0], [1.0]]) is None
+
+
+def test_elimination_refuses_an_infinite_entry() -> None:
+    assert solve_dense([[1.0, math.inf], [1.0, 1.0]], [[1.0], [1.0]]) is None
+    assert solve_dense([[1j, complex(math.inf, 0.0)], [1.0, 1j]], [[1j, 0j], [1.0, 2.0]]) is None
+    # an infinite pivot only divides its unknown away, so the solution stays
+    # finite, as LAPACK's does
+    assert solve_dense([[2j, 1.0], [1.0, complex(0.0, math.inf)]], [[1j], [1.0]]) == [[0.5], [0.0]]
 
 
 def test_singular_jacobian_falls_back_to_the_damped_step() -> None:
