@@ -240,12 +240,13 @@ def solve_abc(
     keys = [(n, p) for n in net.nodes() for p in PHASES]
     if any(other == _STAR for _, other, _ in stamps):
         keys.append(_STAR)
+    # every key resolved to its row once, after the fault merges: merged
+    # keys share the row of their root, grounded ones have none
     index: dict[tuple[str, str], int] = {}
+    row_of: dict[tuple[str, str], int | None] = {}
     for key in keys:
         root = merge.find(key)
-        if root == _GROUND_KEY or root in index:
-            continue
-        index[root] = len(index)
+        row_of[key] = None if root == _GROUND_KEY else index.setdefault(root, len(index))
     n_unknowns = len(index)
     if n_unknowns == 0:
         raise SingularNetworkError("phase network has no unknowns")
@@ -253,17 +254,13 @@ def solve_abc(
     amat = [[0j] * n_unknowns for _ in range(n_unknowns)]
     rhs = [[0j] for _ in range(n_unknowns)]
 
-    def idx(key: tuple[str, str]) -> int | None:
-        root = merge.find(key)
-        return None if root == _GROUND_KEY else index[root]
-
     def add(row: tuple[str, str], col: tuple[str, str], val: complex) -> None:
-        ri, ci = idx(row), idx(col)
+        ri, ci = row_of[row], row_of[col]
         if ri is not None and ci is not None:
             amat[ri][ci] += val
 
     def add_rhs(key: tuple[str, str], val: complex) -> None:
-        ki = idx(key)
+        ki = row_of[key]
         if ki is not None:
             rhs[ki][0] += val
 
@@ -323,7 +320,7 @@ def solve_abc(
         raise SingularNetworkError("phase-domain system is singular or its solve is not finite")
 
     def v_of(key: tuple[str, str]) -> complex:
-        ki = idx(key)
+        ki = row_of[key]
         return 0j if ki is None else solution[ki][0]
 
     v_phase = {

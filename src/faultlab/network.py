@@ -13,7 +13,11 @@ Fault solving follows the classical decomposition:
 1. one nodal build per sequence network, solved by `solve_dense` for all its
    right-hand sides: the network with its sources (the base solve), a unit
    current at the fault node with the sources zeroed, and optionally a unit
-   current at a port node (where a converter injects);
+   current at a port node (where a converter injects). The negative
+   sequence shares the positive build when every element has z2 = z1 and
+   no injection carries a negative-sequence current: it is then the
+   positive-sequence network with its sources dead, whose probe columns
+   the positive build already holds, and its base column is zero;
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault-probe column there, the open-circuit voltage the base column (plus
    the port columns times any injected current);
@@ -232,17 +236,12 @@ class NetworkModel:
     def with_elements(self, *extra) -> "NetworkModel":
         return replace(self, elements=self.elements + tuple(extra))
 
+    @cached_property
+    def _by_eid(self) -> dict[str, SeriesElement | SourceElement | InjectionElement]:
+        return {e.eid: e for e in self.elements}
+
     def element(self, eid: str) -> SeriesElement | SourceElement | InjectionElement:
-        return {e.eid: e for e in self.elements}[eid]
-
-    def series(self) -> list[SeriesElement]:
-        return [e for e in self.elements if isinstance(e, SeriesElement)]
-
-    def sources(self) -> list[SourceElement]:
-        return [e for e in self.elements if isinstance(e, SourceElement)]
-
-    def injections(self) -> list[InjectionElement]:
-        return [e for e in self.elements if isinstance(e, InjectionElement)]
+        return self._by_eid[eid]
 
     def nodes(self) -> tuple[str, ...]:
         """All non-ground nodes touched by any element, sorted."""
@@ -433,23 +432,35 @@ def _solve_one_sequence(
     by any element of this sequence are absent from the result (callers
     read them as zero).
     """
-    branches = [(e.n_from, e.n_to, e.z(seq)) for e in net.series() if e.z(seq) is not None]
-    sources = [e for e in net.sources() if e.z(seq) is not None]
-    # a zero injection must not drag an otherwise unconnected node (e.g. the
-    # converter terminal in the zero sequence) into the system
-    injections = [e for e in net.injections() if e.current(seq) != 0]
-
-    # pinned voltages of column 0; the probe columns pin the same nodes at 0
+    # one pass over the elements: what this sequence connects, and the
+    # pinned voltages of column 0 (the probe columns pin the same nodes at 0)
+    branches: list[tuple[str, str, complex]] = []
+    sources: list[tuple[str, complex, complex]] = []  # node, admittance, emf
+    injections: list[tuple[str, complex]] = []
     pinned: dict[str, complex] = {GROUND: 0j}
-    for src in sources:
-        if src.z(seq) == 0:
-            pinned[src.node] = src.emf(seq)
-
     nodes: set[str] = set(probes)
-    for n_from, n_to, _ in branches:
-        nodes.update((n_from, n_to))
-    nodes.update(src.node for src in sources)
-    nodes.update(inj.node for inj in injections)
+    for e in net.elements:
+        if isinstance(e, SeriesElement):
+            z = e.z(seq)
+            if z is not None:
+                branches.append((e.n_from, e.n_to, z))
+                nodes.add(e.n_from)
+                nodes.add(e.n_to)
+        elif isinstance(e, SourceElement):
+            z = e.z(seq)
+            if z is not None:
+                nodes.add(e.node)
+                if z == 0:
+                    pinned[e.node] = e.emf(seq)
+                else:
+                    sources.append((e.node, 1.0 / z, e.emf(seq)))
+        elif isinstance(e, InjectionElement):
+            # a zero injection must not drag an otherwise unconnected node
+            # (e.g. the converter terminal in the zero sequence) into the system
+            i = e.current(seq)
+            if i != 0:
+                nodes.add(e.node)
+                injections.append((e.node, i))
     unknowns = sorted(n for n in nodes if n not in pinned)
     index = {n: k for k, n in enumerate(unknowns)}
 
@@ -459,7 +470,8 @@ def _solve_one_sequence(
     y = [[0j] * n for _ in range(n)]
     rhs = [[0j] * cols for _ in range(n)]
 
-    def stamp_admittance(na: str, nb: str, adm: complex) -> None:
+    for na, nb, z in branches:
+        adm = 1.0 / z
         ia = index.get(na)
         ib = index.get(nb)
         if ia is not None:
@@ -474,20 +486,13 @@ def _solve_one_sequence(
                 y[ib][ia] -= adm
             else:
                 rhs[ib][0] += adm * pinned.get(na, 0j)
-
-    for n_from, n_to, z in branches:
-        stamp_admittance(n_from, n_to, 1.0 / z)
-    for src in sources:
-        z = src.z(seq)
-        if z == 0:
-            continue  # pinned above
-        adm = 1.0 / z
-        idx = index.get(src.node)
+    for node, adm, emf in sources:
+        idx = index.get(node)
         if idx is not None:
             y[idx][idx] += adm
-            rhs[idx][0] += adm * src.emf(seq)
-    for inj in injections:
-        rhs[index[inj.node]][0] += inj.current(seq)
+            rhs[idx][0] += adm * emf
+    for node, i in injections:
+        rhs[index[node]][0] += i
     for k, node in enumerate(probes, start=1):
         idx = index.get(node)
         if idx is not None:
@@ -565,18 +570,40 @@ def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
     return DrivingPoint(columns[0][node], columns[1][node], net, columns)
 
 
+def _negative_is_dead_positive(net: NetworkModel) -> bool:
+    """Whether the negative-sequence network is the positive one, sources dead.
+
+    So it is when every element has z2 = z1 and no injection carries a
+    negative-sequence current: the two nodal matrices, pinned nodes and
+    unknowns are then the same, and only column 0 differs (the emfs and
+    positive-sequence injections vanish in the negative sequence).
+    """
+    for e in net.elements:
+        if isinstance(e, (SeriesElement, SourceElement)):
+            if e.z2 != e.z1:
+                return False
+        elif isinstance(e, InjectionElement) and e.i2 != 0:
+            return False
+    return True
+
+
 def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:
-    """Each sequence network built once, probed at the fault node and the port.
+    """Each sequence network built at most once, probed at the fault node and the port.
 
     The port carries positive- and negative-sequence currents only, so the
-    zero-sequence network is not probed there.
+    zero-sequence network is not probed there. Where the negative-sequence
+    network is the positive one with its sources dead, it shares the
+    positive build: its probe columns are the positive ones (same matrix,
+    same pivots, same row operations, so the same bits), and its column 0
+    is zero.
     """
-    return {
-        seq: _solve_one_sequence(
-            net, seq, (net.fault_node, port) if port and seq != 0 else (net.fault_node,)
-        )
-        for seq in SEQUENCES
-    }
+    probes = (net.fault_node, port) if port else (net.fault_node,)
+    pos = _solve_one_sequence(net, 1, probes)
+    if _negative_is_dead_positive(net):
+        neg = [dict.fromkeys(pos[0], 0j), *pos[1:]]
+    else:
+        neg = _solve_one_sequence(net, 2, probes)
+    return {1: pos, 2: neg, 0: _solve_one_sequence(net, 0, (net.fault_node,))}
 
 
 def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> TheveninEquivalent:
@@ -639,10 +666,11 @@ def solve_fault_boundary(
 class FaultResponse:
     """One faulted network as an affine function of the currents injected at a port.
 
-    `solve_fault` builds each sequence network once and solves its
-    right-hand sides together: the network as it stands, a unit current at
-    the fault node and, in the positive and negative sequences when a port
-    node is named, a unit current at the port. The rest is superposition.
+    `solve_fault` builds each sequence network at most once (the negative
+    sequence may share the positive build) and solves its right-hand sides
+    together: the network as it stands, a unit current at the fault node
+    and, in the positive and negative sequences when a port node is named,
+    a unit current at the port. The rest is superposition.
     Injecting (i1, i2) at the port adds i1 and i2 times the port columns to
     the base solution, and with it to the open-circuit voltages at the
     fault node; the boundary conditions turn those into the fault current;
@@ -677,7 +705,7 @@ class FaultResponse:
 
 
 def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolution:
-    """Full linear fault solve: one nodal build per sequence, then superposition.
+    """Full linear fault solve: at most one nodal build per sequence, then superposition.
 
     With a port node named, the solution's `response` also gives the fault
     solution for any positive- and negative-sequence currents injected

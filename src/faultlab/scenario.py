@@ -221,7 +221,18 @@ class Scenario:
 
 
 def canonical_config_lines(resolved: dict[str, object]) -> list[str]:
-    return [f"{key}={_format_value(resolved[key])}" for key in sorted(resolved)]
+    """One `key=value` line per key, sorted by key.
+
+    A resolved config over the default keys reuses the line of every value
+    that is its default object itself, formatted once at import; any other
+    value is formatted here. Either way the line is the same text.
+    """
+    if resolved.keys() != DEFAULTS.keys():
+        return [f"{key}={_format_value(resolved[key])}" for key in sorted(resolved)]
+    return [
+        line if resolved[key] is default else f"{key}={_format_value(resolved[key])}"
+        for key, default, line in _DEFAULT_LINES
+    ]
 
 
 def _format_value(value: object) -> str:
@@ -230,6 +241,15 @@ def _format_value(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+# (key, default value, its canonical line) for every key, sorted by key
+_DEFAULT_LINES = tuple(
+    (key, default, f"{key}={_format_value(default)}")
+    for key, (default, _) in sorted(DEFAULTS.items())
+)
+_CLC_KINDS = tuple(k.value for k in ClcKind)
+_FAULT_KINDS = tuple(t.value for t in FaultType)
 
 
 def _need_float(resolved: dict[str, object], key: str) -> float:
@@ -276,7 +296,7 @@ def build_scenario(
 ) -> Scenario:
     """Merge overrides onto the defaults, validate, and build the scenario."""
     overrides = dict(overrides or {})
-    unknown = sorted(set(overrides) - set(DEFAULTS))
+    unknown = sorted(key for key in overrides if key not in DEFAULTS)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -303,11 +323,7 @@ def build_scenario(
 
     try:
         clc = ClcConfig(
-            kind=ClcKind(_need_choice(
-                resolved,
-                "clc.kind",
-                tuple(k.value for k in ClcKind),
-            )),
+            kind=ClcKind(_need_choice(resolved, "clc.kind", _CLC_KINDS)),
             i_lim=_need_positive(resolved, "clc.i_lim_pu"),
             clip_level=_need_positive(resolved, "clc.clip_level_pu"),
             i_th=_need_positive(resolved, "clc.i_th_pu"),
@@ -354,9 +370,7 @@ def build_scenario(
         if fault_r < 0.0:
             raise ValidationError(f"fault.r_g_ohm must be non-negative, got {fault_r}")
         fault = FaultSpec(
-            fault_type=FaultType(_need_choice(
-                resolved, "fault.kind", tuple(t.value for t in FaultType)
-            )),
+            fault_type=FaultType(_need_choice(resolved, "fault.kind", _FAULT_KINDS)),
             m=fault_m,
             r_g_ohm=fault_r,
             placement=Placement(_need_choice(resolved, "fault.placement", ("forward", "reverse"))),

@@ -24,7 +24,7 @@ from faultlab.clc import (
     clc_virtual_admittance,
 )
 from faultlab.harness import run_scenario
-from faultlab.network import FaultType, SourceElement, solve_fault
+from faultlab.network import FaultType, SeriesElement, SourceElement, solve_fault
 from faultlab.phasors import fortescue, from_polar, wrap_angle_deg
 from faultlab.presets import preset_scenario_overrides
 from faultlab.relay import GROUND_CENTERS, LINE_CENTERS
@@ -102,7 +102,9 @@ def oracle_grid() -> GridErrors:
                             err_super = max(
                                 err_super, (recon - fortescue(abc.voltage(node))).max_abs()
                             )
-                        for elem in net.series():
+                        for elem in net.elements:
+                            if not isinstance(elem, SeriesElement):
+                                continue
                             recon = sol.base.series_current(elem.eid) + sol.pure.series_current(
                                 elem.eid
                             )

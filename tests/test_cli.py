@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -306,3 +309,27 @@ def test_list_presets_catalogue(capsys) -> None:
     out = capsys.readouterr().out
     for name in ("sg-baseline-fwd", "fig13a", "fig14", "table1"):
         assert f"{name}:" in out
+
+
+def _module_entry(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m faultlab` in a fresh interpreter, the package on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "faultlab", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_replicates_a_preset() -> None:
+    done = _module_entry("replicate", "--preset", "fig13a")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == csv_header()
+    assert done.stdout.splitlines()[1].startswith("fig13a,")
+
+
+def test_module_entry_point_reports_a_config_error() -> None:
+    done = _module_entry("replicate", "--preset", "nope")
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error:")
+    assert done.stdout == ""

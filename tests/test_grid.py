@@ -6,13 +6,17 @@ default solver budget. The generator grid is 10 fault types x 2 placements
 x the same m, R_g and p_ref: 1200 cases. Every case must keep its reference
 outcome and relay verdicts (perfbench/check.py states the rules), and each
 preset's `replicate --oracle-check` CSV row must match its reference row.
-The checker and the cases are read from perfbench by path. Takes about 8 s.
+The checker and the cases are read from perfbench by path. The same cases
+and the seeded random configs also pin `config_hash` to the formula it was
+first defined by. Takes about 10 s.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,8 +24,9 @@ from pathlib import Path
 from faultlab.harness import run_scenario
 from faultlab.network import SingularNetworkError
 from faultlab.report import csv_header, csv_line
-from faultlab.scenario import build_scenario
+from faultlab.scenario import ConfigError, _format_value, build_scenario
 from faultlab.sources import NoConvergenceError, OscillationDetectedError
+from test_random_configs import SEED, random_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -89,3 +94,28 @@ def test_preset_csv_rows_match_the_reference(preset_reports) -> None:
         if found:
             problems[name] = found
     assert not problems, problems
+
+
+def _reference_hash(resolved: dict[str, object]) -> str:
+    """The config hash as first defined: every line formatted, sorted by key."""
+    text = "\n".join(f"{k}={_format_value(v)}" for k, v in sorted(resolved.items()))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+def test_config_hash_equals_the_reference_formula() -> None:
+    rng = random.Random(SEED)
+    configs = workloads.grid_cases() + workloads.generator_cases()
+    configs += [random_config(rng) for _ in range(1500)]
+    hashed = 0
+    for config in configs:
+        try:
+            scenario = build_scenario(config)
+        except ConfigError:
+            continue
+        assert scenario.config_hash == _reference_hash(scenario.resolved), config
+        hashed += 1
+    assert hashed > 4200 + 300
+    # an override equal to its default hashes like no override
+    same = build_scenario({"source.p_ref": float("1.0")})
+    assert same.resolved["source.p_ref"] is not build_scenario({}).resolved["source.p_ref"]
+    assert same.config_hash == build_scenario({}).config_hash

@@ -212,17 +212,19 @@ def test_in_network_filter_adds_into_the_effective_source_impedance() -> None:
 def test_generator_effective_source_impedance_includes_the_collection_line() -> None:
     scenario = build_scenario({"source.kind": "sg", "sg.x1_pu": 0.25, "sg.x0_pu": 0.08})
     report = run_scenario(scenario)
-    col = next(e for e in scenario.net.series() if e.eid == "col")
+    col = scenario.net.element("col")
     assert report.ze1_mag == pytest.approx(abs(0.25j + col.z1), rel=1e-15)
     assert report.ze2_mag == pytest.approx(abs(0.2j + col.z2), rel=1e-15)
     assert report.ze0_mag == pytest.approx(abs(0.08j + col.z0), rel=1e-15)
     assert report.zv1_mag is None and report.zad_mag is None
 
 
-@pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance", "sg"])
+@pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance", "sg", "sg_x2"])
 def test_run_builds_each_network_at_most_four_times(monkeypatch, kind: str) -> None:
     """One nodal build for the prefault one-port, which also gives the healthy
-    readings, and one per faulted sequence network; the fixed point builds none."""
+    readings, and one per faulted sequence network, the negative sequence
+    sharing the positive build unless some z2 differs from its z1 (a
+    generator with x2 != x1); the fixed point builds none."""
     import faultlab.network
 
     calls = []
@@ -233,11 +235,14 @@ def test_run_builds_each_network_at_most_four_times(monkeypatch, kind: str) -> N
         return real(*args, **kwargs)
 
     monkeypatch.setattr(faultlab.network, "_solve_one_sequence", counting)
-    overrides = {"source.kind": "sg"} if kind == "sg" else {"source.kind": "gfm", "clc.kind": kind}
+    overrides = {
+        "sg": {"source.kind": "sg"},
+        "sg_x2": {"source.kind": "sg", "sg.x2_pu": 0.3},
+    }.get(kind, {"source.kind": "gfm", "clc.kind": kind})
     report = run_scenario(build_scenario(overrides))
-    if kind != "sg":
+    if not kind.startswith("sg"):
         assert report.limiter_active and report.iterations > 4
-    assert len(calls) <= 4
+    assert len(calls) == (4 if kind == "sg_x2" else 3)
 
 
 def test_prefault_readings_balance_across_the_line() -> None:
@@ -276,8 +281,9 @@ def test_reliability_matrix_matches_reference(table1_result) -> None:
     text = format_table1(table1_result)
     assert text.splitlines()[0].startswith("strategy")
     assert "pattern matches the reference reliability matrix" in text
-    # the zero-sequence element holds everywhere; the negative-sequence one
-    # follows the impedance-angle split between the strategy families
+    # on the battery the zero-sequence element holds under every strategy;
+    # the negative-sequence one follows the impedance-angle split between
+    # the strategy families
     for row in TABLE1_ROWS:
         assert table1_result.cells[(row.label, "phi0")] is True
         assert table1_result.cells[(row.label, "phi2")] is row.highly_inductive

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
+from faultlab import network
 from faultlab.abc_oracle import solve_abc
 from faultlab.network import (
     FaultCategory,
@@ -251,8 +253,9 @@ def test_pure_fault_solution_is_the_back_distributed_fault_current() -> None:
         for seq in (1, 2, 0):
             for node, v in direct.v[seq].items():
                 assert abs(sol.pure.v[seq][node] - v) < 1e-12
-            for e in net.series():
-                assert abs(sol.pure.current(seq, e.eid) - direct.current(seq, e.eid)) < 1e-12
+            for e in net.elements:
+                if isinstance(e, SeriesElement):
+                    assert abs(sol.pure.current(seq, e.eid) - direct.current(seq, e.eid)) < 1e-12
 
 
 def test_fault_node_collapse_at_endpoints() -> None:
@@ -261,7 +264,7 @@ def test_fault_node_collapse_at_endpoints() -> None:
     at_bus2 = build_scenario({"source.kind": "sg", "fault.m": 1.0})
     assert at_bus2.net.fault_node == "bus2"
     # no zero-length stubs: the line stays one element
-    eids = [e.eid for e in at_bus1.net.series()]
+    eids = [e.eid for e in at_bus1.net.elements]
     assert "line" in eids and "line_a" not in eids
 
 
@@ -296,5 +299,91 @@ def test_placement_reverse_moves_fault_behind_bus1() -> None:
     assert fwd.fault.placement is Placement.FORWARD
     assert rev.fault.placement is Placement.REVERSE
     # reverse fault splits the collection branch, not the monitored line
-    assert {"col_a", "col_b"} <= {e.eid for e in rev.net.series()}
-    assert {"line_a", "line_b"} <= {e.eid for e in fwd.net.series()}
+    assert {"col_a", "col_b"} <= {e.eid for e in rev.net.elements}
+    assert {"line_a", "line_b"} <= {e.eid for e in fwd.net.elements}
+
+
+# every faulted network shape the workloads solve; a reverse fault at m = 1
+# would sit at the converter terminal, which is not a valid scenario
+FAULT_SHAPES = [
+    (kind, placement, m)
+    for kind in ("sg", "gfm")
+    for placement in ("forward", "reverse")
+    for m in (0.0, 0.05, 0.5, 0.95, 1.0)
+    if not (kind == "gfm" and placement == "reverse" and m == 1.0)
+]
+
+
+def _fault_network(kind: str, placement: str, m: float) -> tuple[NetworkModel, str]:
+    """A faulted network and its port: the generator on its node, or the
+    converter's terminal as the port."""
+    scenario = build_scenario({"source.kind": kind, "fault.placement": placement, "fault.m": m})
+    net = scenario.net
+    if kind == "sg":
+        return net.with_elements(scenario.sg.source_element(net.source_node, 1.02 + 0.1j)), ""
+    return net, net.source_node
+
+
+def _counted_fault_builds(monkeypatch, net: NetworkModel, port: str) -> tuple[dict, list[int]]:
+    """`_fault_builds`, and the sequences it built."""
+    calls = []
+    real = network._solve_one_sequence
+
+    def counting(net, seq, probes=()):
+        calls.append(seq)
+        return real(net, seq, probes)
+
+    monkeypatch.setattr(network, "_solve_one_sequence", counting)
+    return network._fault_builds(net, port), calls
+
+
+@pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
+def test_negative_sequence_reuses_the_positive_build_exactly(
+    monkeypatch, kind: str, placement: str, m: float
+) -> None:
+    """z2 = z1 everywhere and no negative-sequence injection: the negative
+    sequence is the dead positive one, and its probe columns are the same bits."""
+    net, port = _fault_network(kind, placement, m)
+    probes = (net.fault_node, port) if port else (net.fault_node,)
+    direct = network._solve_one_sequence(net, 2, probes)
+    builds, calls = _counted_fault_builds(monkeypatch, net, port)
+    assert calls == [1, 0]
+    reused = builds[2]
+    assert len(reused) == len(direct) == 1 + len(probes)
+    assert list(reused[0]) == list(direct[0])
+    assert all(v == 0 for v in direct[0].values()) and all(v == 0 for v in reused[0].values())
+    for mine, theirs in zip(reused[1:], direct[1:]):
+        assert repr(list(mine.items())) == repr(list(theirs.items()))
+
+
+def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
+    scenario = build_scenario({"source.kind": "gfm", "fault.m": 0.4})
+    inj = InjectionElement("inj", "poc", i1=from_polar(0.9, -10.0), i2=from_polar(0.3, 70.0))
+    builds, calls = _counted_fault_builds(monkeypatch, scenario.net.with_elements(inj), "")
+    assert calls == [1, 2, 0]
+    assert abs(builds[2][0]["poc"]) > 0.01
+    # a positive-sequence injection alone leaves the negative sequence dead
+    balanced = scenario.net.with_elements(replace(inj, i2=0j))
+    assert _counted_fault_builds(monkeypatch, balanced, "")[1] == [1, 0]
+
+
+def test_unequal_negative_sequence_impedance_takes_the_full_build(monkeypatch) -> None:
+    scenario = build_scenario({"source.kind": "sg", "sg.x2_pu": 0.3})
+    net = scenario.net.with_elements(
+        scenario.sg.source_element(scenario.net.source_node, 1.0 + 0j)
+    )
+    builds, calls = _counted_fault_builds(monkeypatch, net, "")
+    assert calls == [1, 2, 0]
+    assert builds[2][1][net.fault_node] != builds[1][1][net.fault_node]
+
+
+def test_element_lookup_by_id() -> None:
+    net = build_scenario({"source.kind": "sg"}).net
+    assert net.element("grid") is net.elements[0]
+    with pytest.raises(KeyError):
+        net.element("src")
+    # a network with more elements looks them up in its own map
+    src = SourceElement("src", "sgt", e1=1.0 + 0j, z1=0.2j, z2=0.2j, z0=0.1j)
+    assert net.with_elements(src).element("src") is src
+    with pytest.raises(KeyError):
+        net.element("src")

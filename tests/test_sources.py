@@ -358,7 +358,8 @@ def test_one_port_prefault_matches_the_direct_solve(kind: str, placement: str) -
     else:  # a pinned source delivers what leaves its node through the series elements
         i = sum(
             ((e.n_from == node) - (e.n_to == node)) * direct.current(1, e.eid)
-            for e in net.series()
+            for e in net.elements
+            if isinstance(e, SeriesElement)
         )
     v = direct.v[1][node]
     assert abs(op.v_attach - v) < 1e-12
