@@ -123,6 +123,8 @@ class AbcSolution:
 
     v_phase: dict[str, PhaseTriple]
     _net: NetworkModel
+    # each series and source element's 3x3 admittance block, as stamped
+    _blocks: dict[str, list[list[complex]]]
 
     def voltage(self, node: str) -> PhaseTriple:
         if node == GROUND:
@@ -131,17 +133,15 @@ class AbcSolution:
 
     def series_current(self, eid: str) -> PhaseTriple:
         """Phase currents through a series element, from -> to."""
-        elem = self._series(eid)
+        elem = self._element(eid, SeriesElement)
         dv = self.voltage(elem.n_from) - self.voltage(elem.n_to)
-        return PhaseTriple(*_mat_vec(_block(elem.z1, elem.z2, elem.z0), [dv.a, dv.b, dv.c]))
+        return PhaseTriple(*_mat_vec(self._blocks[eid], [dv.a, dv.b, dv.c]))
 
     def source_current(self, eid: str) -> PhaseTriple:
         """Phase currents a Norton source delivers into its node."""
-        for elem in self._net.elements:
-            if isinstance(elem, SourceElement) and elem.eid == eid:
-                dv = PhaseTriple(*_mat_vec(A_MATRIX, [0j, elem.e1, 0j])) - self.voltage(elem.node)
-                return PhaseTriple(*_mat_vec(_block(elem.z1, elem.z2, elem.z0), [dv.a, dv.b, dv.c]))
-        raise KeyError(f"no source element {eid!r}")
+        elem = self._element(eid, SourceElement)
+        dv = PhaseTriple(*_mat_vec(A_MATRIX, [0j, elem.e1, 0j])) - self.voltage(elem.node)
+        return PhaseTriple(*_mat_vec(self._blocks[eid], [dv.a, dv.b, dv.c]))
 
     def reading(self, tap: RelayTap) -> tuple[PhaseTriple, PhaseTriple]:
         """(bus phase voltages, phase currents in the tap's direction)."""
@@ -150,11 +150,11 @@ class AbcSolution:
             i = i.scaled(-1.0)
         return self.voltage(tap.bus), i
 
-    def _series(self, eid: str) -> SeriesElement:
-        for elem in self._net.elements:
-            if isinstance(elem, SeriesElement) and elem.eid == eid:
-                return elem
-        raise KeyError(f"no series element {eid!r}")
+    def _element(self, eid: str, kind: type) -> SeriesElement | SourceElement:
+        elem = self._net.element(eid)
+        if not isinstance(elem, kind):
+            raise KeyError(f"no {kind.__name__} {eid!r}")
+        return elem
 
 
 def _fault_stamps(
@@ -279,11 +279,13 @@ def solve_abc(
                     if nf != GROUND:
                         add((nt, p), (nf, q), -y)
 
+    blocks: dict[str, list[list[complex]]] = {}
     for elem in net.elements:
         if isinstance(elem, SeriesElement):
-            stamp_block(elem.n_from, elem.n_to, _block(elem.z1, elem.z2, elem.z0))
+            blk = blocks[elem.eid] = _block(elem.z1, elem.z2, elem.z0)
+            stamp_block(elem.n_from, elem.n_to, blk)
         elif isinstance(elem, SourceElement):
-            blk = _block(elem.z1, elem.z2, elem.z0)
+            blk = blocks[elem.eid] = _block(elem.z1, elem.z2, elem.z0)
             stamp_block(elem.node, GROUND, blk)
             if not zero_sources:
                 j = _mat_vec(blk, _mat_vec(A_MATRIX, [0j, elem.e1, 0j]))
@@ -327,7 +329,7 @@ def solve_abc(
         node: PhaseTriple(v_of((node, "a")), v_of((node, "b")), v_of((node, "c")))
         for node in net.nodes()
     }
-    return AbcSolution(v_phase=v_phase, _net=net)
+    return AbcSolution(v_phase=v_phase, _net=net, _blocks=blocks)
 
 
 def thevenin_probe_abc(net: NetworkModel, seq: int) -> complex:

@@ -16,6 +16,7 @@ error (bad file, key, value, preset).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -33,7 +34,13 @@ EXIT_SOLVER = 1
 EXIT_CONFIG = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing keeps no state in the parser: each `parse_args` starts from a
+    fresh namespace, so one parser serves every `main` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="faultlab",
         description=(

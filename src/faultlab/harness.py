@@ -79,6 +79,7 @@ __all__ = [
     "Table1Result",
     "TABLE1_ROWS",
     "TABLE1_ELEMENTS",
+    "table1_verdicts",
     "table1_matrix",
     "format_table1",
 ]
@@ -324,34 +325,47 @@ class Table1Result:
         return not self.mismatches
 
 
-def _cell_verdicts(row: Table1Row) -> dict[str, bool]:
-    verdicts = {element: True for element in TABLE1_ELEMENTS}
-    for fault_type in _TABLE1_FAULTS:
-        merged: dict[str, object] = {
-            "source.kind": "gfm",
-            "fault.kind": fault_type.value,
-            "fault.m": 0.5,
-            "fault.r_g_ohm": 0.0,
-            "fault.placement": "forward",
-        }
-        merged.update(row.overrides)
-        scenario = build_scenario(merged, scenario_id=f"table1:{row.label}:{fault_type.value}")
-        report = run_scenario(scenario)
-        c21, c20 = GROUND_CENTERS[fault_type]
-        half21 = scenario.sel_cfg.dd21_half_deg
-        half20 = scenario.sel_cfg.d20_half_deg
-        verdicts["phi2"] &= report.dir_neg == Direction.FORWARD.value
-        verdicts["phi0"] &= report.dir_zero == Direction.FORWARD.value
-        verdicts["dphi1"] &= report.dir_inc == Direction.FORWARD.value
-        verdicts["dd21"] &= (
+def table1_verdicts(
+    row: Table1Row, fault_type: FaultType, point: dict[str, object] | None = None
+) -> dict[str, bool]:
+    """Whether each supervising element gives the secure answer on one forward fault.
+
+    The fault sits at the battery's point (m = 0.5, bolted, default
+    dispatch) unless `point` sets other config keys; the row's own
+    overrides come last.
+    """
+    merged: dict[str, object] = {
+        "source.kind": "gfm",
+        "fault.kind": fault_type.value,
+        "fault.m": 0.5,
+        "fault.r_g_ohm": 0.0,
+        "fault.placement": "forward",
+    }
+    merged.update(point or {})
+    merged.update(row.overrides)
+    scenario = build_scenario(merged, scenario_id=f"table1:{row.label}:{fault_type.value}")
+    report = run_scenario(scenario)
+    c21, c20 = GROUND_CENTERS[fault_type]
+    half21 = scenario.sel_cfg.dd21_half_deg
+    half20 = scenario.sel_cfg.d20_half_deg
+    return {
+        "phi2": report.dir_neg == Direction.FORWARD.value,
+        "phi0": report.dir_zero == Direction.FORWARD.value,
+        "dphi1": report.dir_inc == Direction.FORWARD.value,
+        "dd21": (
             report.dd21_deg is not None
             and abs(wrap_angle_deg(report.dd21_deg - c21)) <= half21
-        )
-        verdicts["d20"] &= (
+        ),
+        "d20": (
             report.d20_deg is not None
             and abs(wrap_angle_deg(report.d20_deg - c20)) <= half20
-        )
-    return verdicts
+        ),
+    }
+
+
+def _cell_verdicts(row: Table1Row) -> dict[str, bool]:
+    cases = [table1_verdicts(row, fault_type) for fault_type in _TABLE1_FAULTS]
+    return {element: all(case[element] for case in cases) for element in TABLE1_ELEMENTS}
 
 
 def table1_matrix() -> Table1Result:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from faultlab.cli import main
+from faultlab.cli import _build_parser, main
 from faultlab.harness import run_scenario, sweep_scenarios
 from faultlab.report import csv_header, record_line
 
@@ -311,14 +311,18 @@ def test_list_presets_catalogue(capsys) -> None:
         assert f"{name}:" in out
 
 
-def _module_entry(*argv: str) -> subprocess.CompletedProcess:
-    """`python -m faultlab` in a fresh interpreter, the package on PYTHONPATH."""
+def _fresh_interpreter(*argv: str) -> subprocess.CompletedProcess:
+    """`python <argv>` in a fresh interpreter, the package on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
-        [sys.executable, "-m", "faultlab", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _module_entry(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m faultlab` in a fresh interpreter."""
+    return _fresh_interpreter("-m", "faultlab", *argv)
 
 
 def test_module_entry_point_replicates_a_preset() -> None:
@@ -333,3 +337,62 @@ def test_module_entry_point_reports_a_config_error() -> None:
     assert done.returncode == 2
     assert done.stderr.startswith("config error:")
     assert done.stdout == ""
+
+
+def test_parser_is_built_once_per_process() -> None:
+    assert _build_parser() is _build_parser()
+
+
+def test_parser_is_built_on_first_use_not_at_import() -> None:
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import faultlab.cli\n"
+        "at_import = len(built)\n"
+        "faultlab.cli.main(['list-presets'])\n"
+        "first = len(built)\n"
+        "faultlab.cli.main(['list-presets'])\n"
+        "print(at_import, first, len(built))\n"
+    )
+    done = _fresh_interpreter("-c", script)
+    assert done.returncode == 0, done.stderr
+    at_import, first, second = map(int, done.stdout.splitlines()[-1].split())
+    assert at_import == 0
+    assert first > 0 and second == first
+
+
+def test_call_after_a_rejected_argv_equals_a_first_call(capsys) -> None:
+    first_call = _module_entry("replicate", "--preset", "fig13a")
+    assert first_call.returncode == 0, first_call.stderr
+    with pytest.raises(SystemExit) as rejected:
+        main(["replicate", "--no-such-flag"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert main(["replicate", "--preset", "fig13a"]) == 0
+    assert capsys.readouterr().out == first_call.stdout
+
+
+def test_oracle_check_does_not_carry_over_to_the_next_call(capsys) -> None:
+    column = csv_header().split(",").index("oracle_max_err")
+    assert main(["replicate", "--preset", "fig13a", "--oracle-check"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[column] != ""
+    assert main(["replicate", "--preset", "fig13a"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[column] == ""
+
+
+def test_run_then_sweep_in_one_process_equal_each_alone(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, "source.kind = gfm\nfault.kind = bcg\n")
+    run = ["run", "--config", cfg, "--oracle-check"]
+    sweep = ["sweep", "--config", cfg, "--param", "fault.m", "--from", "0.2", "--to", "0.8",
+             "--steps", "3", "--format", "records"]
+    alone = [_module_entry(*run), _module_entry(*sweep)]
+    assert [done.returncode for done in alone] == [0, 0], [done.stderr for done in alone]
+    assert main(run) == 0
+    assert capsys.readouterr().out == alone[0].stdout
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == alone[1].stdout
