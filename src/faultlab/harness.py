@@ -10,7 +10,12 @@ the incremental quantities, the effective source impedances (the source
 branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
 optionally an independent phase-domain re-solve of the solved operating
 point as a numerical cross-check. The report is assembled from a mapping:
-each phasor becomes a `_mag`/`_ang` pair of fields.
+each phasor becomes a `_mag`/`_ang` pair of fields. Those field names are
+formatted and interned once, at import (`_POLAR_NAMES`): the report is a
+frozen dataclass of 68 fields built by keyword, and CPython matches a
+keyword name to a parameter by identity before it compares text, so names
+formatted afresh on every call took the slow path for 42 of them and cost
+about as much as the rest of the construction.
 
 `sweep_reports` runs a sweep. The relay settings (`relay.*` keys) enter
 only the report, so a sweep along one of them solves its first point and
@@ -30,19 +35,16 @@ phase-domain oracle only stamps Norton-representable elements.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abc_oracle import solve_abc
 from .network import BusReading, FaultType
 from .network import solve_linear  # noqa: F401  perfbench's tracer wraps it under this name
-from .phasors import (
-    ZeroPhasorError,
-    angle_deg,
-    fortescue,
-    wrap_angle_deg,
-)
+from .phasors import DEFAULT_MAGNITUDE_FLOOR, fortescue, wrap_angle_deg
 from .relay import (
     GROUND_CENTERS,
     Direction,
@@ -96,13 +98,33 @@ def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
 
 
 def _polar(z: complex | None) -> tuple[float | None, float | None]:
-    """Magnitude and angle; no angle below the magnitude floor, neither for None."""
+    """Magnitude and angle; no angle below the magnitude floor, neither for None.
+
+    The same arithmetic as `abs` and `phasors.angle_deg`, with one `abs`.
+    """
     if z is None:
         return None, None
-    try:
-        return abs(z), angle_deg(z)
-    except ZeroPhasorError:
-        return abs(z), None
+    mag = abs(z)
+    if mag < DEFAULT_MAGNITUDE_FLOOR:
+        return mag, None
+    return mag, wrap_angle_deg(math.degrees(cmath.phase(z)))
+
+
+_SIDE_STEMS = tuple(f"ze{digit}" for digit in "120")
+_READING_STEMS = {
+    (bus, quantity): tuple(f"{quantity}{digit}_{bus}" for digit in "120")
+    for bus in ("bus1", "bus2")
+    for quantity in ("v", "i")
+}
+# report field names of each phasor (see the module docstring)
+_POLAR_NAMES = {
+    stem: (sys.intern(f"{stem}_mag"), sys.intern(f"{stem}_ang"))
+    for stem in (
+        "zv1", "zv2", "zad", "dvdi1", "sigma1", "sigma2",
+        *_SIDE_STEMS,
+        *(stem for stems in _READING_STEMS.values() for stem in stems),
+    )
+}
 
 
 def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
@@ -173,17 +195,17 @@ def report_scenario(
     }
     # effective source impedance: the source branch plus the passive side
     sides = (scenario.z_side1, scenario.z_side1, scenario.z_side0)
-    for digit, z, side in zip("120", sol.z_branch, sides):
-        phasors[f"ze{digit}"] = None if z is None else z + side
-    for bus in ("bus1", "bus2"):
-        for quantity in ("v", "i"):
-            triple = getattr(readings[bus], quantity)
-            for digit, z in zip("120", (triple.pos, triple.neg, triple.zero)):
-                phasors[f"{quantity}{digit}_{bus}"] = z
+    for stem, z, side in zip(_SIDE_STEMS, sol.z_branch, sides):
+        phasors[stem] = None if z is None else z + side
+    for (bus, quantity), stems in _READING_STEMS.items():
+        triple = getattr(readings[bus], quantity)
+        for stem, z in zip(stems, (triple.pos, triple.neg, triple.zero)):
+            phasors[stem] = z
 
     fields: dict[str, object] = {}
-    for name, z in phasors.items():
-        fields[f"{name}_mag"], fields[f"{name}_ang"] = _polar(z)
+    for stem, z in phasors.items():
+        mag, ang = _POLAR_NAMES[stem]
+        fields[mag], fields[ang] = _polar(z)
     return ScenarioReport(
         **fields,
         scenario_id=scenario.scenario_id,

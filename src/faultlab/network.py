@@ -277,7 +277,9 @@ class SequenceSolution:
         )
 
     def current(self, seq: int, eid: str) -> complex:
-        e = self.net.element(eid)
+        return self._current(self.net.element(eid), seq)
+
+    def _current(self, e: SeriesElement | SourceElement | InjectionElement, seq: int) -> complex:
         z = e.z(seq)
         if z is None:
             return 0j
@@ -286,17 +288,22 @@ class SequenceSolution:
             return (v.get(e.n_from, 0j) - v.get(e.n_to, 0j)) / z
         return (e.emf(seq) - v.get(e.node, 0j)) / z
 
+    def _currents(self, eid: str) -> tuple[complex, complex, complex]:
+        """Positive, negative and zero `current` of one element, looked up once."""
+        e = self.net.element(eid)
+        return self._current(e, 1), self._current(e, 2), self._current(e, 0)
+
     def series_current(self, eid: str) -> SequenceTriple:
         """`current` of a series element or a source in all three sequences."""
-        return SequenceTriple(
-            pos=self.current(1, eid), neg=self.current(2, eid), zero=self.current(0, eid)
-        )
+        return SequenceTriple(*self._currents(eid))
 
     def reading(self, tap: RelayTap) -> "BusReading":
+        pos, neg, zero = self._currents(tap.eid)
+        k = tap.sign
         return BusReading(
             bus=tap.bus,
             v=self.voltage(tap.bus),
-            i=self.series_current(tap.eid).scaled(tap.sign),
+            i=SequenceTriple(k * pos, k * neg, k * zero),
         )
 
     @cached_property
@@ -511,16 +518,20 @@ def _solve_one_sequence(
 
 
 def _superpose(columns: list[_Column], weights: list[complex]) -> _Column:
-    """Weighted sum of the columns of one build (same keys, same order)."""
-    values = [0j] * len(columns[0])
+    """Weighted sum of the columns of one build (all have the same keys)."""
+    total = dict.fromkeys(columns[0], 0j)
     for w, col in zip(weights, columns):
         if w != 0:
-            values = [x + w * y for x, y in zip(values, col.values())]
-    return dict(zip(columns[0], values))
+            for node, y in col.items():
+                total[node] += w * y
+    return total
 
 
 def _voltage(columns: list[_Column], node: str, weights: list[complex]) -> complex:
-    return sum((w * col.get(node, 0j) for w, col in zip(weights, columns)), 0j)
+    total = 0j
+    for w, col in zip(weights, columns):
+        total += w * col.get(node, 0j)
+    return total
 
 
 def solve_linear(

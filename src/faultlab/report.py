@@ -142,6 +142,7 @@ def record_line(
     provenance: dict[str, str],
 ) -> str:
     payload: dict[str, object] = {name: getattr(report, name) for name in CSV_COLUMNS}
-    payload["config"] = {k: resolved[k] for k in sorted(resolved)}
-    payload["provenance"] = {k: provenance[k] for k in sorted(provenance)}
+    payload["config"] = resolved
+    payload["provenance"] = provenance
+    # sort_keys sorts the nested config and provenance too
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
 from faultlab.clc import ClcKind
 from faultlab.harness import (
+    _POLAR_NAMES,
     TABLE1_ELEMENTS,
     TABLE1_ROWS,
     Table1Row,
+    _polar,
     format_table1,
     prefault_network_readings,
     run_scenario,
@@ -16,9 +20,9 @@ from faultlab.harness import (
     table1_verdicts,
 )
 from faultlab.network import FaultType
-from faultlab.phasors import from_polar
+from faultlab.phasors import DEFAULT_MAGNITUDE_FLOOR, ZeroPhasorError, angle_deg, from_polar
 from faultlab.presets import preset_scenario_overrides
-from faultlab.report import CSV_COLUMNS, csv_header, csv_line, record_line
+from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from faultlab.scenario import ValidationError, build_scenario
 from faultlab.sources import prefault_solve
 
@@ -124,6 +128,59 @@ def test_record_line_round_trips(preset_reports) -> None:
     assert payload["phi2_deg"] == pytest.approx(report.phi2_deg)
     assert payload["phase_sel"] == "bcg"
     assert set(CSV_COLUMNS) <= set(payload)
+    # the nested mappings come out sorted whatever order they arrive in
+    assert list(payload["config"]) == sorted(scenario.resolved)
+    backwards = (dict(reversed(scenario.resolved.items())),
+                 dict(reversed(scenario.provenance.items())))
+    assert record_line(report, *backwards) == line
+
+
+def _polar_by_angle_deg(z: complex | None) -> tuple[float | None, float | None]:
+    """The report's magnitude and angle as `phasors.angle_deg` gives them."""
+    if z is None:
+        return None, None
+    try:
+        return abs(z), angle_deg(z)
+    except ZeroPhasorError:
+        return abs(z), None
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        from_polar(0.7, -123.4),
+        complex(0.0, -2.5),
+        complex(DEFAULT_MAGNITUDE_FLOOR, 0.0),
+        complex(0.0, 0.5 * DEFAULT_MAGNITUDE_FLOOR),
+        complex(-0.0, -0.0),
+        complex(-1.0, 0.0),
+        complex(-1.0, -0.0),
+        None,
+    ],
+)
+def test_polar_equals_the_angle_deg_route(z: complex | None) -> None:
+    assert repr(_polar(z)) == repr(_polar_by_angle_deg(z))
+
+
+def test_polar_reads_the_negative_real_axis_as_180_degrees() -> None:
+    assert _polar(complex(-1.0, 0.0)) == _polar(complex(-1.0, -0.0)) == (1.0, 180.0)
+    assert _polar(complex(DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] == 0.0
+    assert _polar(complex(0.5 * DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] is None
+
+
+def test_polar_field_names_are_interned_report_fields(preset_reports) -> None:
+    names = [name for pair in _POLAR_NAMES.values() for name in pair]
+    report_fields = {f.name for f in dataclasses.fields(ScenarioReport)}
+    assert set(names) == {n for n in report_fields if n.endswith(("_mag", "_ang"))}
+    assert len(names) == len(set(names)) == 42
+    # interned, so each keyword meets its parameter name by identity
+    params = {p: p for p in ScenarioReport.__init__.__code__.co_varnames}
+    for name in names:
+        assert sys.intern(name) is name
+        assert params[name] is name
+    _, report = preset_reports["fig13b"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.v1_bus1_mag = 0.0  # type: ignore[misc]
 
 
 def test_sweep_argument_validation() -> None:

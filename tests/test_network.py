@@ -8,7 +8,9 @@ import pytest
 
 from faultlab import network
 from faultlab.abc_oracle import solve_abc
+from faultlab.harness import solve_scenario
 from faultlab.network import (
+    BusReading,
     FaultCategory,
     FaultSpec,
     FaultType,
@@ -24,7 +26,8 @@ from faultlab.network import (
     solve_linear,
     TheveninEquivalent,
 )
-from faultlab.phasors import ALPHA, from_polar, fortescue
+from faultlab.phasors import ALPHA, SequenceTriple, from_polar, fortescue
+from faultlab.presets import PRESETS, preset_scenario_overrides
 from faultlab.scenario import build_scenario
 
 
@@ -387,3 +390,30 @@ def test_element_lookup_by_id() -> None:
     assert net.with_elements(src).element("src") is src
     with pytest.raises(KeyError):
         net.element("src")
+
+
+def _per_sequence_current(sol, eid: str, sign: float = 1.0):
+    """The tap current one sequence at a time, as `current` reads it."""
+    return SequenceTriple(*(sign * sol.current(seq, eid) for seq in (1, 2, 0)))
+
+
+def test_readings_equal_the_per_sequence_route_on_every_preset() -> None:
+    seen: set[str] = set()
+    for name in sorted(PRESETS):
+        scenario = build_scenario(preset_scenario_overrides(name))
+        op, solved = solve_scenario(scenario)
+        for sol in (solved.fault.total, op.healthy):
+            for tap in sol.net.relay_taps.values():
+                expected = BusReading(
+                    tap.bus, sol.voltage(tap.bus), _per_sequence_current(sol, tap.eid, tap.sign)
+                )
+                assert repr(sol.reading(tap)) == repr(expected), (name, tap)
+            for e in sol.net.elements:
+                if isinstance(e, InjectionElement):
+                    continue
+                seen.add(e.eid)
+                expected_i = _per_sequence_current(sol, e.eid)
+                assert repr(sol.series_current(e.eid)) == repr(expected_i), (name, e.eid)
+    # the transformer legs are open in one sequence each: xfmr in the zero, xfmr0 in the
+    # positive and negative
+    assert {"xfmr", "xfmr0", "grid", "src", "line", "line_a", "col_b"} <= seen
