@@ -53,16 +53,24 @@ voltage loop and clips its output. Each iteration tries the whole Newton
 step on G(x) = law(x) - x and keeps it only if it halves the residual;
 otherwise it takes the damped step x + lam * G, with lam = 0.5 at the
 start; lam halves each time the residual plateaus, and a plateau at its
-floor of 0.005 is reported as a limit cycle. The Jacobian is taken by
-forward differences on the port model with the limiter frozen on the base
-point's branch (the phase that sets the common rescale and whether it
-binds; priority's d/q clamps), so it is an element of the generalized
-Jacobian of the piecewise-smooth G: a semismooth Newton step, which
-converges where two phase currents tie at the cap. The state is a tuple of
-Python complex numbers, and the real 4x4 Newton system is solved by
-`network.solve_dense`, the package's one dense solver. The driver starts
-from the idle start above; while the limiter is idle G is affine and
-Newton solves it in one step.
+floor of 0.005 is reported as a limit cycle.
+
+The Newton step's Jacobian is exact on the branch the limiter took at the
+base point (the phase that sets the common rescale and whether it binds;
+priority's d/q clamps). The loop's reference is affine in the state,
+ref = c + M @ i with c = k_pv * ((e_ref1, 0) - v_oc) and
+M = I - k_pv * Z_port, so only the limiter needs differentiating:
+`clc.limit_jacobian` gives its derivative in CR form,
+d out = A @ d ref + B @ conj(d ref), and the law's is (A @ M, B @ conj(M)).
+G's pair (A @ M - I, B @ conj(M)) unrolls into the real 4x4 Newton system,
+solved by `network.solve_dense`, the package's one dense solver. As a
+derivative of one smooth piece of the piecewise-smooth G, it is an element
+of G's generalized Jacobian: a semismooth Newton step (L. Qi and J. Sun,
+Math. Programming 58, 1993), which converges where two phase currents tie
+at the cap. The state is a tuple of Python complex numbers. The driver
+starts from the idle start above; while the limiter is idle G is affine
+and Newton solves it in one step.
+
 The relay readings are the same response at the converged terminal
 currents; a shaping law's source branch enters through its terminal
 currents (substitution theorem).
@@ -70,8 +78,8 @@ currents (substitution theorem).
 For the scalar roots one iteration is one evaluation of the law, the start
 included. For the driver one iteration is one update of the state, by the
 Newton step or the damped step; the starting state counts as the first,
-and the Newton trial that is rejected and the Jacobian probes are not
-iterations. solver.max_iter bounds the iterations of both.
+and the Newton trial that is rejected is not an iteration. solver.max_iter
+bounds the iterations of both.
 """
 
 from __future__ import annotations
@@ -85,9 +93,11 @@ from dataclasses import dataclass, field
 from .clc import (
     ClcConfig,
     ClcKind,
+    Mat2,
     clc_adaptive_impedance,
     clc_virtual_admittance,
     limit,
+    limit_jacobian,
     max_phase_current,
 )
 from .network import (
@@ -428,38 +438,66 @@ def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> 
     return min(recent) > shrink * min(earlier)
 
 
-# the driver's Newton step takes a forward-difference Jacobian of step _FD_H;
 # the damping factor starts at _LAM and halves down to _LAM_FLOOR
-_FD_H = 1e-7
 _LAM = 0.5
 _LAM_FLOOR = 0.005
 
-# law(x, branch) -> (law output, branch it took); x holds the complex unknowns
+# law(x) -> (law output, branch it took); x holds the complex unknowns
 _State = tuple[complex, ...]
-_Law = Callable[[_State, tuple | None], tuple[_State, tuple | None]]
+_Law = Callable[[_State], tuple[_State, tuple]]
+# jac(x, branch) -> (P, Q), the law's derivative at x on that branch in CR
+# form: d law = P @ dx + Q @ conj(dx), P and Q square complex, row by row
+_Matrix = tuple[tuple[complex, ...], ...]
+_Jac = Callable[[_State, tuple], tuple[_Matrix, _Matrix]]
 
 
-def _newton_point(law: _Law, x: _State, g: _State, branch: tuple | None) -> _State | None:
+def _newton_matrix(p: _Matrix, q: _Matrix) -> list[list[float]]:
+    """The real 2n x 2n Jacobian of G = law - x from the law's CR pair (P, Q).
+
+    Over dx = a + jb the law moves by (P + Q) a + j (P - Q) b; rows and
+    columns alternate real and imaginary parts, unknown by unknown, and the
+    identity comes off the diagonal.
+    """
+    rows = []
+    for k, (p_row, q_row) in enumerate(zip(p, q)):
+        re, im = [], []
+        for pkj, qkj in zip(p_row, q_row):
+            on_re, on_im = pkj + qkj, pkj - qkj
+            re += (on_re.real, -on_im.imag)
+            im += (on_re.imag, on_im.real)
+        re[2 * k] -= 1.0
+        im[2 * k + 1] -= 1.0
+        rows += (re, im)
+    return rows
+
+
+def _newton_point(jac: _Jac, x: _State, g: _State, branch: tuple) -> _State | None:
     """x plus the Newton step on G = law - x, or None if singular.
 
-    The Jacobian over the real and imaginary parts is taken by forward
-    differences with the law frozen on the base point's branch, so it is
-    an element of G's generalized Jacobian even where two pieces meet.
+    jac gives the law's exact derivative on the base point's branch, so the
+    step's Jacobian is an element of G's generalized Jacobian even where two
+    pieces meet.
     """
-    n = 2 * len(x)
-    jac = [[0.0] * n for _ in range(n)]
-    for col in range(n):
-        probe = list(x)
-        probe[col // 2] += _FD_H if col % 2 == 0 else 1j * _FD_H
-        y, _ = law(tuple(probe), branch)
-        for k, (yk, pk, gk) in enumerate(zip(y, probe, g)):
-            d = (yk - pk) - gk
-            jac[2 * k][col] = d.real / _FD_H
-            jac[2 * k + 1][col] = d.imag / _FD_H
-    dx = solve_dense(jac, [[-v] for gk in g for v in (gk.real, gk.imag)])
+    dx = solve_dense(
+        _newton_matrix(*jac(x, branch)), [[-v] for gk in g for v in (gk.real, gk.imag)]
+    )
     if dx is None:
         return None
     return tuple(xk + complex(dx[2 * k][0], dx[2 * k + 1][0]) for k, xk in enumerate(x))
+
+
+def _compose(ab: tuple[Mat2, Mat2], m: Mat2) -> tuple[Mat2, Mat2]:
+    """The CR pair (A @ M, B @ conj(M)) of the map (A, B) after the linear map M."""
+    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = ab
+    (m11, m12), (m21, m22) = m
+    n11, n12, n21, n22 = m11.conjugate(), m12.conjugate(), m21.conjugate(), m22.conjugate()
+    return (
+        (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22),
+        (a21 * m11 + a22 * m21, a21 * m12 + a22 * m22),
+    ), (
+        (b11 * n11 + b12 * n21, b11 * n12 + b12 * n22),
+        (b21 * n11 + b22 * n21, b21 * n12 + b22 * n22),
+    )
 
 
 def _gap(y: _State, x: _State) -> tuple[_State, float]:
@@ -470,11 +508,12 @@ def _gap(y: _State, x: _State) -> tuple[_State, float]:
 
 
 def _drive(
-    law: _Law, x: _State, tol: float, max_iter: int, name: str
+    law: _Law, jac: _Jac, x: _State, tol: float, max_iter: int, name: str
 ) -> tuple[_State, float, int]:
     """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
-    Each iteration tries the Newton step and keeps it if it halves the
+    jac is the law's derivative on a branch (see `_newton_point`). Each
+    iteration tries the Newton step and keeps it if it halves the
     residual max|law(x) - x|; otherwise it takes the damped step
     x + lam * (law(x) - x). lam starts at 0.5 and halves whenever the
     residual plateaus; a plateau at the floor is a limit cycle. Returns
@@ -482,19 +521,19 @@ def _drive(
     iteration.
     """
     lam = _LAM
-    y, branch = law(x, None)
+    y, branch = law(x)
     g, res = _gap(y, x)
     history = [res]
     it = 1
     while res >= tol and it < max_iter:
         it += 1
-        x_new = _newton_point(law, x, g, branch)
+        x_new = _newton_point(jac, x, g, branch)
         if x_new is not None:
-            y, new_branch = law(x_new, None)
+            y, new_branch = law(x_new)
             g_new, res_new = _gap(y, x_new)
         if x_new is None or not res_new <= 0.5 * res:
             x_new = tuple(xk + lam * gk for xk, gk in zip(x, g))
-            y, new_branch = law(x_new, None)
+            y, new_branch = law(x_new)
             g_new, res_new = _gap(y, x_new)
         x, branch, g, res = x_new, new_branch, g_new, res_new
         history.append(res)
@@ -619,7 +658,7 @@ def fault_fixed_point(
     """
     cfg = gfm.clc
     name = cfg.kind.value
-    e_ref1 = op.e_ref1
+    e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
     response = solve_fault(net, spec, port=node).response
     port = terminal_port(response)
@@ -631,9 +670,9 @@ def fault_fixed_point(
             v1, v2 = port.voltage(i1, i2)
             return v1, v2, gfm.k_pv * (e_ref1 - v1) + i1, gfm.k_pv * (0.0 - v2) + i2
 
-        def sat_law(x: _State, branch: tuple | None) -> tuple[_State, tuple]:
+        def sat_law(x: _State) -> tuple[_State, tuple]:
             _, _, ref1, ref2 = loop_refs(*x)
-            sat1, sat2, branch = limit(cfg, op.theta_rad, ref1, ref2, branch)
+            sat1, sat2, branch = limit(cfg, theta, ref1, ref2)
             return (sat1, sat2), branch
 
         if cfg.kind is ClcKind.CIRCULAR:
@@ -641,19 +680,31 @@ def fault_fixed_point(
             def at_scale(s: float) -> tuple[float, float, _State]:
                 # i = s * ref: the emf behind the resistance (1 - s) / (k_pv s)
                 x = port.current_behind(e_ref1, (1.0 - s) / (gfm.k_pv * s))
-                return max_phase_current(*x) - cfg.i_lim, _gap(sat_law(x, None)[0], x)[1], x
+                return max_phase_current(*x) - cfg.i_lim, _gap(sat_law(x)[0], x)[1], x
 
             law = _ScalarLaw(at_scale, tol, max_iter, name)
             _brent(law, 0.0, -cfg.i_lim, 1.0, law(1.0))
             (i1, i2), res, it = law.result()
         else:
+            # the reference is affine in the state, ref = c + M @ i with
+            # M = I - k_pv * Z_port, so d law = A @ M @ di + B @ conj(M) @ conj(di)
+            m = (
+                (1.0 - gfm.k_pv * port.z11, -gfm.k_pv * port.z12),
+                (-gfm.k_pv * port.z21, 1.0 - gfm.k_pv * port.z22),
+            )
+
+            def sat_jac(x: _State, branch: tuple) -> tuple[Mat2, Mat2]:
+                _, _, ref1, ref2 = loop_refs(*x)
+                ab = limit_jacobian(cfg, theta, ref1, ref2, branch)
+                return _compose(ab, m)
+
             # start from the currents that pin the terminal at the reference:
             # the fixed point itself when the limiter stays idle
             (i1, i2), res, it = _drive(
-                sat_law, port.current_behind(e_ref1, 0j), tol, max_iter, name
+                sat_law, sat_jac, port.current_behind(e_ref1, 0j), tol, max_iter, name
             )
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
-        sat1, sat2, _ = limit(cfg, op.theta_rad, ref1, ref2)
+        sat1, sat2, _ = limit(cfg, theta, ref1, ref2)
         if cfg.kind is ClcKind.INSTANTANEOUS:
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:

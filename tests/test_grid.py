@@ -6,6 +6,8 @@ default solver budget. The generator grid is 10 fault types x 2 placements
 x the same m, R_g and p_ref: 1200 cases. Every case must keep its reference
 outcome and relay verdicts (perfbench/check.py states the rules), and each
 preset's `replicate --oracle-check` CSV row must match its reference row.
+The converter grid's failures and its iterations, summed over the solved
+cases, are bounded by their measured values.
 The checker and the cases are read from perfbench by path. The same cases
 and the seeded random configs also pin `config_hash` to the formula it was
 first defined by. Takes about 10 s.
@@ -21,6 +23,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from faultlab.harness import run_scenario
 from faultlab.network import SingularNetworkError
 from faultlab.report import csv_header, csv_line
@@ -32,6 +36,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # measured failures of the whole grid; this bound may only go down
 MAX_FAILURES = 3
+# measured iterations summed over the solved grid cases; may only go down
+MAX_GRID_ITERATIONS = 24079
 
 
 def _perfbench_module(name: str):
@@ -50,10 +56,15 @@ def _reference(name: str) -> dict:
     return json.loads((PERFBENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def _run_against_reference(name: str, cases: list[dict[str, object]]) -> Counter:
-    """Run every case, assert none mismatches its reference; count the failures."""
+def _run_against_reference(name: str, cases: list[dict[str, object]]) -> tuple[Counter, int]:
+    """Run every case, assert none mismatches its reference.
+
+    Returns the failures by law and outcome, and the iterations summed over
+    the solved cases.
+    """
     reference = _reference(name)["cases"]
     failures: Counter[tuple[str, str]] = Counter()
+    iterations = 0
     problems: dict[str, list[str]] = {}
     for case in cases:
         scenario = build_scenario(case)
@@ -65,22 +76,33 @@ def _run_against_reference(name: str, cases: list[dict[str, object]]) -> Counter
         else:
             outcome = check.OK
             fields = {key: getattr(report, key) for key in (*check.VERDICTS, "residual")}
+            iterations += report.iterations
         key = workloads.case_key(case)
         found = check.check_case(outcome, fields, reference[key], scenario.solver.tol)
         if found:
             problems[key] = found
     assert not problems, problems
-    return failures
+    return failures, iterations
 
 
-def test_grid_converges_outside_a_few_priority_cases() -> None:
-    failures = _run_against_reference("grid", workloads.grid_cases())
+@pytest.fixture(scope="module")
+def grid_run() -> tuple[Counter, int]:
+    return _run_against_reference("grid", workloads.grid_cases())
+
+
+def test_grid_converges_outside_a_few_priority_cases(grid_run) -> None:
+    failures, _ = grid_run
     assert {kind for kind, _ in failures} <= {"priority"}, failures
     assert sum(failures.values()) <= MAX_FAILURES, failures
 
 
+def test_grid_iterations_stay_within_the_measured_total(grid_run) -> None:
+    _, iterations = grid_run
+    assert iterations <= MAX_GRID_ITERATIONS
+
+
 def test_generator_grid_matches_the_reference() -> None:
-    failures = _run_against_reference("generator", workloads.generator_cases())
+    failures, _ = _run_against_reference("generator", workloads.generator_cases())
     assert not failures, failures
 
 

@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from faultlab.abc_oracle import solve_abc
-from faultlab.clc import ClcConfig, ClcKind, describing_function, limit, max_phase_current
+from faultlab.clc import (
+    ClcConfig,
+    ClcKind,
+    describing_function,
+    limit,
+    limit_jacobian,
+    max_phase_current,
+    phase_components,
+)
 from faultlab.network import (
     InjectionElement,
     NetworkModel,
@@ -35,7 +44,9 @@ from faultlab.sources import (
     OperatingPoint,
     OscillationDetectedError,
     SgModel,
+    _compose,
     _drive,
+    _newton_matrix,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -469,7 +480,7 @@ def _grid_case(kind: str, fault_kind: str, m: float, r_g: float, p_ref: float, *
     ("kind", "fault_kind", "m", "r_g", "p_ref"),
     [
         # two phase currents tie at the cap at the fixed point: a Jacobian
-        # that lets the largest phase switch between probes stalls near 3e-6
+        # that is not taken on one branch stalls near 3e-6
         ("circular", "ab", 0.95, 100.0, 0.0),
         ("priority", "ab", 0.95, 100.0, 0.0),
         ("circular", "ca", 0.95, 100.0, 0.0),
@@ -501,20 +512,101 @@ def test_limit_cycle_is_diagnosed() -> None:
 
 
 def test_newton_takes_the_whole_step_on_an_affine_contraction() -> None:
-    # G = law - x is affine, so one uncapped Newton step lands on the fixed
-    # point up to the forward-difference error, and a second removes that
+    # G = law - x is affine and its Jacobian exact, so one uncapped Newton
+    # step lands on the fixed point
     x_star = (1.0 + 1.0j, -2.0 + 0.5j)
     m = ((0.5, 0.2j), (0.1, -0.3 + 0.1j))
 
-    def law(x: tuple, branch: tuple | None) -> tuple[tuple, tuple]:
+    def law(x: tuple) -> tuple[tuple, tuple]:
         d = [xk - sk for xk, sk in zip(x, x_star)]
         return tuple(sk + row[0] * d[0] + row[1] * d[1] for sk, row in zip(x_star, m)), ()
 
-    x, res, it = _drive(law, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
+    def jac(x: tuple, branch: tuple) -> tuple:
+        return m, ((0j, 0j), (0j, 0j))
+
+    x, res, it = _drive(law, jac, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
                         name="affine")
-    assert it <= 3
+    assert it <= 2
     assert res < 1e-9
     assert max(abs(xk - sk) for xk, sk in zip(x, x_star)) < 1e-9
+
+
+def _clear_of_switches(cfg: ClcConfig, theta: float, ref1: complex, ref2: complex,
+                       gap: float = 0.05) -> bool:
+    """True when every piece boundary of the limiter is at least gap away."""
+    if cfg.kind is ClcKind.INSTANTANEOUS:
+        return all(abs(abs(p) - cfg.clip_level) > gap for p in phase_components(ref1, ref2))
+    refs = [ref1, ref2]
+    if cfg.kind is ClcKind.PRIORITY:
+        rot = cmath.exp(-1j * theta)
+        for k, u in enumerate((rot, 1.0 / rot)):
+            w = refs[k] * u
+            if abs(abs(w.real) - cfg.i_lim) < gap:
+                return False
+            d, q = max(-cfg.i_lim, min(cfg.i_lim, w.real)), w.imag
+            root = math.sqrt(cfg.i_lim**2 - d * d)
+            if abs(abs(q) - root) < gap:
+                return False
+            refs[k] = complex(d, max(-root, min(root, q))) / u
+    # the phase that sets the rescale is clear of the next, and of the cap
+    mags = sorted(abs(p) for p in phase_components(*refs))
+    return mags[2] - mags[1] > gap and abs(mags[2] - cfg.i_lim) > gap
+
+
+def _central_difference(cfg: ClcConfig, theta: float, c: tuple, m: tuple, x: tuple,
+                        branch: tuple, h: float = 1e-6) -> list[list[float]]:
+    """Real 4x4 Jacobian of G(x) = limit(c + M @ x) - x on branch, by central differences."""
+    def g(x: tuple) -> list[float]:
+        ref = [c[i] + m[i][0] * x[0] + m[i][1] * x[1] for i in range(2)]
+        out = limit(cfg, theta, *ref, branch)[:2]
+        return [v for o, xk in zip(out, x) for gk in (o - xk,) for v in (gk.real, gk.imag)]
+
+    cols = []
+    for col in range(4):
+        step = h if col % 2 == 0 else 1j * h
+        up = [xk + (step if k == col // 2 else 0) for k, xk in enumerate(x)]
+        down = [xk - (step if k == col // 2 else 0) for k, xk in enumerate(x)]
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(g(up), g(down))])
+    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["circular", "priority", "instantaneous"])
+def test_limit_jacobian_matches_central_differences_on_every_branch(kind: str) -> None:
+    # seeded random points, kept clear of the piece boundaries; the
+    # Jacobian of G = law - x the driver builds from (A @ M, B @ conj(M))
+    # must equal a central-difference one on the same frozen branch
+    cfg = ClcConfig(kind=ClcKind(kind), i_lim=1.2, clip_level=1.2)
+    rng = random.Random(16)
+    seen, checked = set(), 0
+    while checked < 400:
+        theta = rng.uniform(-math.pi, math.pi)
+        ref = [cmath.rect(rng.uniform(0.0, r_max), rng.uniform(-math.pi, math.pi))
+               for r_max in (2.5, 1.5)]
+        if not _clear_of_switches(cfg, theta, *ref):
+            continue
+        branch = limit(cfg, theta, *ref)[2]
+        m = tuple(tuple(complex(i == j) - 2.0 * complex(rng.gauss(0, 0.3), rng.gauss(0, 0.3))
+                        for j in range(2)) for i in range(2))
+        x = (complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        c = tuple(ref[i] - m[i][0] * x[0] - m[i][1] * x[1] for i in range(2))
+        analytic = _newton_matrix(*_compose(limit_jacobian(cfg, theta, *ref, branch), m))
+        numeric = _central_difference(cfg, theta, c, m, x, branch)
+        scale = max(abs(v) for row in numeric for v in row)
+        err = max(abs(a - b) for ra, rb in zip(analytic, numeric) for a, b in zip(ra, rb))
+        assert err <= 1e-6 * scale, (theta, ref, branch, err)
+        checked += 1
+        if cfg.kind is ClcKind.INSTANTANEOUS:
+            seen.update(abs(p) > cfg.clip_level for p in phase_components(*ref))
+        else:
+            clamps, (_, binds) = branch
+            seen.add(binds)
+            if cfg.kind is ClcKind.PRIORITY:
+                seen.update(clamps)
+    if cfg.kind is ClcKind.PRIORITY:
+        # every (side_d, side_q) a channel can take: d clamped leaves q no headroom
+        assert seen >= {(0, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)}
+    # clipped and unclipped phases, or the rescale binding and idle
+    assert {True, False} <= seen
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -569,10 +661,14 @@ def test_elimination_refuses_an_infinite_entry() -> None:
 def test_singular_jacobian_falls_back_to_the_damped_step() -> None:
     # G = (0.5 (1 - Re x), 0): its Jacobian is singular, so every iteration
     # is the damped step x + G / 2 and the count is the damped recursion's
-    def law(x: tuple, branch: tuple | None) -> tuple[tuple, tuple]:
+    def law(x: tuple) -> tuple[tuple, tuple]:
         return (complex(0.5 * x[0].real + 0.5, x[0].imag),), ()
 
-    x, res, it = _drive(law, (0j,), tol=1e-9, max_iter=200, name="singular")
+    def jac(x: tuple, branch: tuple) -> tuple:
+        # d law = 0.5 Re(dx) + j Im(dx) = 0.75 dx - 0.25 conj(dx)
+        return ((0.75 + 0j,),), ((-0.25 + 0j,),)
+
+    x, res, it = _drive(law, jac, (0j,), tol=1e-9, max_iter=200, name="singular")
     damped, expected = 0.0, 1
     while abs(g := (0.5 * damped + 0.5) - damped) >= 1e-9:
         damped += 0.5 * g
