@@ -15,6 +15,13 @@ once. No sequence decomposition, no superposition, no boundary formulas.
 Agreement between the two routes to 1e-8 is therefore evidence, not
 tautology: they share only the LU arithmetic, `network.solve_dense`.
 
+Assembly is by row index: each node's three phase rows are looked up once
+per solve, and every block entry is added into the matrix in element
+order, so each entry sums its stamps in the order that keying every entry
+by (node, phase) gave. The block and matrix-vector products are written
+out as three-term sums from the int 0 that `sum` starts from, so their
+zeros keep the signs that `sum` gives them.
+
 Scope: sources must be Norton-representable (nonzero impedance in every
 sequence they span) or replaced by equivalent current injections; the
 converter's frozen operating states already fit that form. A node whose
@@ -52,7 +59,9 @@ _GROUND_KEY = (GROUND, "*")
 
 
 def _mat_vec(m: list[list[complex]], v: list[complex]) -> list[complex]:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
+    # `sum` spelled out: the same int 0 start and the same left-to-right adds
+    v0, v1, v2 = v
+    return [0 + a0 * v0 + a1 * v1 + a2 * v2 for a0, a1, a2 in m]
 
 
 # mode synthesis matrix: columns are (zero, positive, negative) unit sets
@@ -80,10 +89,12 @@ def _block(z1: complex | None, z2: complex | None, z0: complex | None) -> list[l
             )
         return 1.0 / z
 
-    modes = (y(z0), y(z1), y(z2))
+    # A diag(modes) A^-1 entry by entry, as `sum` over the modes would add it
+    m0, m1, m2 = y(z0), y(z1), y(z2)
+    inv0, inv1, inv2 = A_INV
     return [
-        [sum(a * m * inv[q] for a, m, inv in zip(row, modes, A_INV)) for q in range(3)]
-        for row in A_MATRIX
+        [0 + a0 * m0 * inv0[q] + a1 * m1 * inv1[q] + a2 * m2 * inv2[q] for q in range(3)]
+        for a0, a1, a2 in A_MATRIX
     ]
 
 
@@ -198,15 +209,17 @@ def _fault_stamps(
     return stamps
 
 
-def _zero_floating_nodes(net: NetworkModel, exclude: set[str]) -> set[str]:
-    """Nodes with no zero-sequence path through any element."""
+def _zero_floating_nodes(
+    net: NetworkModel, nodes: tuple[str, ...], exclude: set[str]
+) -> set[str]:
+    """Those of net's nodes with no zero-sequence path through any element."""
     touched: set[str] = set()
     for elem in net.elements:
         if isinstance(elem, SeriesElement) and elem.z0 is not None:
             touched.update((elem.n_from, elem.n_to))
         elif isinstance(elem, SourceElement) and elem.z0 is not None:
             touched.add(elem.node)
-    return set(net.nodes()) - touched - exclude
+    return set(nodes) - touched - exclude
 
 
 def solve_abc(
@@ -235,9 +248,10 @@ def solve_abc(
     # never reference-tie the fault node: fault stamps may legitimately
     # couple or ground its zero mode
     exclude = {net.fault_node} if spec is not None else set()
-    reference_nodes = _zero_floating_nodes(net, exclude)
+    nodes = net.nodes()
+    reference_nodes = _zero_floating_nodes(net, nodes, exclude)
 
-    keys = [(n, p) for n in net.nodes() for p in PHASES]
+    keys = [(n, p) for n in nodes for p in PHASES]
     if any(other == _STAR for _, other, _ in stamps):
         keys.append(_STAR)
     # every key resolved to its row once, after the fault merges: merged
@@ -250,6 +264,9 @@ def solve_abc(
     n_unknowns = len(index)
     if n_unknowns == 0:
         raise SingularNetworkError("phase network has no unknowns")
+    # each node's three phase rows, looked up once; ground has none
+    rows_of = {node: tuple(row_of[(node, p)] for p in PHASES) for node in nodes}
+    rows_of[GROUND] = (None, None, None)
 
     amat = [[0j] * n_unknowns for _ in range(n_unknowns)]
     rhs = [[0j] for _ in range(n_unknowns)]
@@ -259,25 +276,29 @@ def solve_abc(
         if ri is not None and ci is not None:
             amat[ri][ci] += val
 
-    def add_rhs(key: tuple[str, str], val: complex) -> None:
-        ki = row_of[key]
-        if ki is not None:
-            rhs[ki][0] += val
+    def add_rhs(node: str, j: list[complex]) -> None:
+        for ki, val in zip(rows_of[node], j):
+            if ki is not None:
+                rhs[ki][0] += val
 
     def stamp_block(nf: str, nt: str, blk: list[list[complex]]) -> None:
-        for pi, p in enumerate(PHASES):
-            for qi, q in enumerate(PHASES):
-                y = blk[pi][qi]
+        # the four entries of each (p, q) in a fixed order, so that every
+        # amat entry sums its stamps in element order
+        rf, rt = rows_of[nf], rows_of[nt]
+        for fp, tp, blk_p in zip(rf, rt, blk):
+            for fq, tq, y in zip(rf, rt, blk_p):
                 if y == 0:
                     continue
-                if nf != GROUND:
-                    add((nf, p), (nf, q), y)
-                    if nt != GROUND:
-                        add((nf, p), (nt, q), -y)
-                if nt != GROUND:
-                    add((nt, p), (nt, q), y)
-                    if nf != GROUND:
-                        add((nt, p), (nf, q), -y)
+                if fp is not None:
+                    if fq is not None:
+                        amat[fp][fq] += y
+                    if tq is not None:
+                        amat[fp][tq] += -y
+                if tp is not None:
+                    if tq is not None:
+                        amat[tp][tq] += y
+                    if fq is not None:
+                        amat[tp][fq] += -y
 
     blocks: dict[str, list[list[complex]]] = {}
     for elem in net.elements:
@@ -288,15 +309,11 @@ def solve_abc(
             blk = blocks[elem.eid] = _block(elem.z1, elem.z2, elem.z0)
             stamp_block(elem.node, GROUND, blk)
             if not zero_sources:
-                j = _mat_vec(blk, _mat_vec(A_MATRIX, [0j, elem.e1, 0j]))
-                for pi, p in enumerate(PHASES):
-                    add_rhs((elem.node, p), j[pi])
+                add_rhs(elem.node, _mat_vec(blk, _mat_vec(A_MATRIX, [0j, elem.e1, 0j])))
         elif isinstance(elem, InjectionElement):
             if zero_sources:
                 continue
-            j = _mat_vec(A_MATRIX, [0j, elem.i1, elem.i2])
-            for pi, p in enumerate(PHASES):
-                add_rhs((elem.node, p), j[pi])
+            add_rhs(elem.node, _mat_vec(A_MATRIX, [0j, elem.i1, elem.i2]))
         else:
             raise OracleUnsupportedError(f"cannot stamp element type {type(elem).__name__}")
 
@@ -313,21 +330,15 @@ def solve_abc(
     if probe is not None:
         node, seq = probe
         unit = {1: [0j, 1.0 + 0j, 0j], 2: [0j, 0j, 1.0 + 0j], 0: [1.0 + 0j, 0j, 0j]}[seq]
-        j = _mat_vec(A_MATRIX, unit)
-        for pi, p in enumerate(PHASES):
-            add_rhs((node, p), j[pi])
+        add_rhs(node, _mat_vec(A_MATRIX, unit))
 
     solution = solve_dense(amat, rhs)
     if solution is None:
         raise SingularNetworkError("phase-domain system is singular or its solve is not finite")
 
-    def v_of(key: tuple[str, str]) -> complex:
-        ki = row_of[key]
-        return 0j if ki is None else solution[ki][0]
-
     v_phase = {
-        node: PhaseTriple(v_of((node, "a")), v_of((node, "b")), v_of((node, "c")))
-        for node in net.nodes()
+        node: PhaseTriple(*(0j if ki is None else solution[ki][0] for ki in rows_of[node]))
+        for node in nodes
     }
     return AbcSolution(v_phase=v_phase, _net=net, _blocks=blocks)
 

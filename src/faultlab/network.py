@@ -395,22 +395,36 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     unknowns. a is n rows of n entries and b n rows of right-hand-side
     columns, real or complex; x comes back in b's layout. None on a zero
     pivot or a non-finite solution. Overwrites a, and b with x.
+
+    A row whose entry in the pivot column is already exactly zero is not
+    updated: its multiplier is zero, and subtracting zero times a finite
+    pivot row changes no entry but the sign of a negative zero, which
+    elimination never makes from entries that hold none, such as the nodal
+    builds' and the oracle's stamps. These are the structural zeros of a
+    radial network's nodal matrix, which sparse nodal elimination skips
+    (Tinney and Walker, Proc. IEEE 55, 1967). A non-finite entry of the
+    pivot row right of the pivot, in a or in b, makes the solution
+    non-finite with or without the update, so the result is None either way.
     """
     n = len(a)
     for k in range(n):
-        p = k
+        p, largest = k, abs(a[k][k])
         for r in range(k + 1, n):
-            if abs(a[r][k]) > abs(a[p][k]):
-                p = r
+            size = abs(a[r][k])
+            if size > largest:
+                p, largest = r, size
         pivot = a[p]
-        if pivot[k] == 0:
+        d = pivot[k]
+        if d == 0:
             return None
         if p != k:
             a[k], a[p], b[k], b[p] = pivot, a[k], b[p], b[k]
         bk = b[k]
         for r in range(k + 1, n):
-            row, br = a[r], b[r]
-            f = row[k] / pivot[k]
+            row = a[r]
+            if row[k] == 0:
+                continue
+            br, f = b[r], row[k] / d
             for c in range(k + 1, n):
                 row[c] -= f * pivot[c]
             for j, v in enumerate(bk):
@@ -563,22 +577,33 @@ class DrivingPoint:
 
     The node voltage is v_oc + z * i when a current i is injected there;
     `at(i)` is the whole positive-sequence solution with that injection.
+    `columns` is the build: the network as it stands, then a unit current
+    at each of `probes`, the node last.
     """
 
     v_oc: complex
     z: complex
     net: NetworkModel
+    probes: tuple[str, ...]
     columns: list[_Column]
 
     def at(self, i: complex) -> SequenceSolution:
         """The solution with i injected at the node; negative and zero sequences read 0."""
-        return SequenceSolution({1: _superpose(self.columns, [1.0, i]), 2: {}, 0: {}}, self.net)
+        weights = [1.0, *[0.0] * (len(self.probes) - 1), i]
+        return SequenceSolution({1: _superpose(self.columns, weights), 2: {}, 0: {}}, self.net)
 
 
-def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
-    """Build the positive-sequence network once, probed at node."""
-    columns = _solve_one_sequence(net, 1, (node,))
-    return DrivingPoint(columns[0][node], columns[1][node], net, columns)
+def driving_point(net: NetworkModel, node: str, fault_probe: bool = False) -> DrivingPoint:
+    """Build the positive-sequence network once, probed at node.
+
+    With fault_probe the build is probed at the fault node too, and is then
+    the positive-sequence build of `solve_fault` with node as its port,
+    which takes it as `positive`. Each column of a build is eliminated on
+    its own, so the node's columns are the same bits either way.
+    """
+    probes = (net.fault_node, node) if fault_probe else (node,)
+    columns = _solve_one_sequence(net, 1, probes)
+    return DrivingPoint(columns[0][node], columns[-1][node], net, probes, columns)
 
 
 def _negative_is_dead_positive(net: NetworkModel) -> bool:
@@ -598,7 +623,9 @@ def _negative_is_dead_positive(net: NetworkModel) -> bool:
     return True
 
 
-def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:
+def _fault_builds(
+    net: NetworkModel, port: str = "", positive: DrivingPoint | None = None
+) -> dict[int, list[_Column]]:
     """Each sequence network built at most once, probed at the fault node and the port.
 
     The port carries positive- and negative-sequence currents only, so the
@@ -606,10 +633,16 @@ def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]
     network is the positive one with its sources dead, it shares the
     positive build: its probe columns are the positive ones (same matrix,
     same pivots, same row operations, so the same bits), and its column 0
-    is zero.
+    is zero. A `positive` build already made with these probes is taken
+    as the positive sequence's.
     """
     probes = (net.fault_node, port) if port else (net.fault_node,)
-    pos = _solve_one_sequence(net, 1, probes)
+    if positive is None:
+        pos = _solve_one_sequence(net, 1, probes)
+    elif positive.net is net and positive.probes == probes:
+        pos = positive.columns
+    else:
+        raise ValueError(f"positive build probed at {positive.probes}, not at {probes} of net")
     if _negative_is_dead_positive(net):
         neg = [dict.fromkeys(pos[0], 0j), *pos[1:]]
     else:
@@ -715,11 +748,15 @@ class FaultResponse:
         return FaultSolution(self, i1, i2)
 
 
-def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolution:
+def solve_fault(
+    net: NetworkModel, spec: FaultSpec, port: str = "", positive: DrivingPoint | None = None
+) -> FaultSolution:
     """Full linear fault solve: at most one nodal build per sequence, then superposition.
 
     With a port node named, the solution's `response` also gives the fault
     solution for any positive- and negative-sequence currents injected
-    there, without another solve.
+    there, without another solve. `positive`, from
+    `driving_point(net, port, fault_probe=True)`, stands in for the
+    positive-sequence build.
     """
-    return FaultSolution(FaultResponse(net, spec, port, _fault_builds(net, port)))
+    return FaultSolution(FaultResponse(net, spec, port, _fault_builds(net, port, positive)))

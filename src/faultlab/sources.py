@@ -101,6 +101,7 @@ from .clc import (
     max_phase_current,
 )
 from .network import (
+    DrivingPoint,
     FaultResponse,
     FaultSolution,
     FaultSpec,
@@ -236,6 +237,7 @@ def prefault_solve(
     p_ref: float = 1.0,
     q_ref: float = 0.0,
     tol: float = 1e-8,
+    one_port: DrivingPoint | None = None,
 ) -> OperatingPoint:
     """Closed-form (E, theta) at which the source delivers (p_ref, q_ref) at its node.
 
@@ -253,10 +255,12 @@ def prefault_solve(
     S - z_th t = S (|v_oc|^2 + 2j Im w + sqrt(disc)) / (b + sqrt(disc)).
     Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of i, so the part
     of S along z_th is met with i real. The point must meet (p_ref, q_ref)
-    within tol.
+    within tol. one_port, the healthy network's `driving_point` at the
+    source node, is built here when not given.
     """
     z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
-    one_port = driving_point(net, net.source_node)
+    if one_port is None:
+        one_port = driving_point(net, net.source_node)
     v_oc, z_th = one_port.v_oc, one_port.z
     s_ref = complex(p_ref, q_ref)
     if abs(v_oc) <= 1e-9:
@@ -646,6 +650,7 @@ def fault_fixed_point(
     op: OperatingPoint,
     tol: float = 1e-9,
     max_iter: int = 100,
+    positive: DrivingPoint | None = None,
 ) -> SourceSolution:
     """Solve the current-limited fault condition on the terminal port model.
 
@@ -654,13 +659,15 @@ def fault_fixed_point(
     port model and the control law to their next value. `circular` and the
     shaping modes solve for one real number by `_brent`, the other two
     modes by `_drive`. The fault response at the converged terminal
-    currents gives the readings.
+    currents gives the readings. positive, a
+    `driving_point(net, net.source_node, fault_probe=True)`, is taken as
+    the response's positive-sequence build.
     """
     cfg = gfm.clc
     name = cfg.kind.value
     e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
-    response = solve_fault(net, spec, port=node).response
+    response = solve_fault(net, spec, port=node, positive=positive).response
     port = terminal_port(response)
     x_net = 1j * gfm.x_f_network
 

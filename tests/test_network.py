@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -417,3 +418,148 @@ def test_readings_equal_the_per_sequence_route_on_every_preset() -> None:
     # the transformer legs are open in one sequence each: xfmr in the zero, xfmr0 in the
     # positive and negative
     assert {"xfmr", "xfmr0", "grid", "src", "line", "line_a", "col_b"} <= seen
+
+
+def _eliminate_every_row(a: list[list], b: list[list]) -> tuple[list[list] | None, int, int]:
+    """`solve_dense` as it was before it skipped rows: every row below the
+    pivot is updated, zero multiplier or not. Also returns the row
+    exchanges made and the row updates whose multiplier was an exact zero."""
+    exchanges = zero_rows = 0
+    n = len(a)
+    for k in range(n):
+        p = k
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[p][k]):
+                p = r
+        pivot = a[p]
+        if pivot[k] == 0:
+            return None, exchanges, zero_rows
+        if p != k:
+            a[k], a[p], b[k], b[p] = pivot, a[k], b[p], b[k]
+            exchanges += 1
+        bk = b[k]
+        for r in range(k + 1, n):
+            row, br = a[r], b[r]
+            zero_rows += row[k] == 0
+            f = row[k] / pivot[k]
+            for c in range(k + 1, n):
+                row[c] -= f * pivot[c]
+            for j, v in enumerate(bk):
+                br[j] -= f * v
+    for k in reversed(range(n)):
+        bk, d = b[k], a[k][k]
+        for j, v in enumerate(bk):
+            bk[j] = v / d
+        for r in range(k):
+            br, f = b[r], a[r][k]
+            for j, v in enumerate(bk):
+                br[j] -= f * v
+    x = b if all(cmath.isfinite(v) for row in b for v in row) else None
+    return x, exchanges, zero_rows
+
+
+def _both_eliminations(a: list[list], b: list[list]) -> tuple[str, str, int, int]:
+    """repr of solve_dense's and the every-row elimination's results on copies."""
+    mine = network.solve_dense([row[:] for row in a], [row[:] for row in b])
+    theirs, exchanges, zero_rows = _eliminate_every_row([row[:] for row in a], [row[:] for row in b])
+    return repr(mine), repr(theirs), exchanges, zero_rows
+
+
+def _radial_block_system(rng, nodes: int, complex_entries: bool) -> list[list]:
+    """A nodal matrix shaped like the oracle's: 3x3 blocks of a chain of
+    nodes, each node coupled to its neighbours only, stamped by adding into
+    zeros as the oracle does, with its rows shuffled to force exchanges."""
+
+    def entry():
+        if complex_entries:
+            return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        return rng.uniform(-1.0, 1.0)
+
+    n = 3 * nodes
+    zero = 0j if complex_entries else 0.0
+    a = [[zero] * n for _ in range(n)]
+    for node in range(nodes):
+        ends = (node, node + 1) if node + 1 < nodes else (node,)
+        block = [[entry() for _ in range(3)] for _ in range(3)]
+        for p in range(3):
+            block[p][p] += 3.0  # a dominant self-admittance, as a branch's
+        for i in ends:
+            for j in ends:
+                sign = 1.0 if i == j else -1.0
+                for p in range(3):
+                    for q in range(3):
+                        a[3 * i + p][3 * j + q] += sign * block[p][q]
+    rng.shuffle(a)
+    return a
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_solve_dense_equals_every_row_elimination_bit_for_bit(complex_entries: bool) -> None:
+    """Skipping the rows whose multiplier is an exact zero changes no bit."""
+    rng = random.Random(17)
+    exchanges = zero_rows = 0
+    for trial in range(60):
+        nodes = rng.choice((3, 4))
+        a = _radial_block_system(rng, nodes, complex_entries)
+        columns = 1 + trial % 3
+        if complex_entries:
+            b = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(columns)] for _ in a]
+        else:
+            b = [[rng.gauss(0, 1) for _ in range(columns)] for _ in a]
+        mine, theirs, swapped, skipped = _both_eliminations(a, b)
+        assert mine == theirs != "None", (trial, a, b)
+        exchanges += swapped
+        zero_rows += skipped
+    # the shuffled rows take exchanges, and the chain's zero blocks give
+    # zero multipliers to skip
+    assert exchanges > 100 and zero_rows > 1000
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [
+        # a zero below the pivot, an infinite entry right of it in the pivot row
+        ([[2.0, math.inf, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 3.0]], [[1.0], [1.0], [1.0]]),
+        ([[1j, complex(math.inf, 0.0)], [0j, 1.0]], [[1.0], [2j]]),
+        # an infinite right-hand side in the pivot row
+        ([[2.0, 1.0], [0.0, 1.0]], [[math.inf], [1.0]]),
+        # an infinite pivot with a zero below it
+        ([[complex(0.0, math.inf), 1.0], [0j, 2j]], [[1j], [1.0]]),
+        ([[2.0, 1.0, 0.0], [0.0, math.inf, 1.0], [0.0, 1.0, 1.0]], [[1.0], [1.0], [1.0]]),
+    ],
+)
+def test_solve_dense_skips_a_zero_beside_an_infinite_entry_to_the_same_result(
+    a: list[list], b: list[list]
+) -> None:
+    mine, theirs, _, skipped = _both_eliminations(a, b)
+    assert skipped > 0
+    assert mine == theirs
+
+
+@pytest.mark.parametrize("kind", ["circular", "priority", "virtual_admittance"])
+def test_fault_probed_one_port_is_the_plain_one_port_bit_for_bit(kind: str) -> None:
+    """The converter's dispatch reads its one-port off the fault solve's
+    positive build, which `solve_fault` then takes as its own."""
+    scenario = build_scenario({"source.kind": "gfm", "clc.kind": kind, "fault.m": 0.3})
+    net, node = scenario.net, scenario.net.source_node
+    plain = network.driving_point(net, node)
+    probed = network.driving_point(net, node, fault_probe=True)
+    assert probed.probes == (net.fault_node, node)
+    assert repr((plain.v_oc, plain.z)) == repr((probed.v_oc, probed.z))
+    i = from_polar(0.8, -20.0)
+    assert repr(plain.at(i).v) == repr(probed.at(i).v)
+    given = solve_fault(net, scenario.fault, port=node, positive=probed).response
+    built = solve_fault(net, scenario.fault, port=node).response
+    assert given.builds[1] is probed.columns
+    assert repr(given.builds) == repr(built.builds)
+
+
+def test_solve_fault_refuses_a_positive_build_probed_elsewhere() -> None:
+    scenario = build_scenario({"source.kind": "gfm"})
+    net, node = scenario.net, scenario.net.source_node
+    with pytest.raises(ValueError, match="probed at"):
+        solve_fault(net, scenario.fault, port=node, positive=network.driving_point(net, node))
+    other = net.with_elements()
+    probed = network.driving_point(other, node, fault_probe=True)
+    with pytest.raises(ValueError, match="probed at"):
+        solve_fault(net, scenario.fault, port=node, positive=probed)
