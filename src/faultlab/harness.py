@@ -42,7 +42,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abc_oracle import solve_abc
-from .network import BusReading, FaultType, driving_point
+from .network import BusReading, FaultType
 from .network import solve_linear  # noqa: F401  perfbench's tracer wraps it under this name
 from .phasors import DEFAULT_MAGNITUDE_FLOOR, fortescue, wrap_angle_deg
 from .relay import (
@@ -145,24 +145,14 @@ def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
 
 
 def solve_scenario(scenario: Scenario) -> tuple[OperatingPoint, SourceSolution]:
-    """The pre-fault operating point and the fault solution of one scenario.
-
-    The converter's fault response is probed at its port, the source node,
-    on the same network as its dispatch, so the response's positive-sequence
-    build, made first, is also the dispatch's one-port. The generator's
-    fault network holds its source branch, and takes a build of its own.
-    """
+    """The pre-fault operating point and the fault solution of one scenario."""
     net = scenario.net
-    one_port = None
-    if scenario.kind is SourceKind.GFM:
-        one_port = driving_point(net, net.source_node, fault_probe=True)
     op = prefault_solve(
         net,
         scenario.source,
         p_ref=scenario.p_ref,
         q_ref=scenario.q_ref,
         tol=scenario.solver.newton_tol,
-        one_port=one_port,
     )
     if scenario.kind is SourceKind.SG:
         return op, solve_sg_fault(net, scenario.source, scenario.fault, op)
@@ -174,7 +164,6 @@ def solve_scenario(scenario: Scenario) -> tuple[OperatingPoint, SourceSolution]:
         op,
         tol=scenario.solver.tol,
         max_iter=scenario.solver.max_iter,
-        positive=one_port,
     )
 
 

@@ -397,14 +397,19 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     pivot or a non-finite solution. Overwrites a, and b with x.
 
     A row whose entry in the pivot column is already exactly zero is not
-    updated: its multiplier is zero, and subtracting zero times a finite
-    pivot row changes no entry but the sign of a negative zero, which
-    elimination never makes from entries that hold none, such as the nodal
-    builds' and the oracle's stamps. These are the structural zeros of a
-    radial network's nodal matrix, which sparse nodal elimination skips
-    (Tinney and Walker, Proc. IEEE 55, 1967). A non-finite entry of the
-    pivot row right of the pivot, in a or in b, makes the solution
-    non-finite with or without the update, so the result is None either way.
+    updated. These are the structural zeros of a radial network's nodal
+    matrix, which sparse nodal elimination skips (Tinney and Walker, Proc.
+    IEEE 55, 1967). The skipped update subtracts zero times a finite pivot
+    row, which changes no entry but a negative zero: -0.0 - (-0.0) is +0.0,
+    and the skip keeps the -0.0. So on inputs that hold no negative zero
+    the result is full elimination's bit for bit, for elimination makes
+    none from entries that hold none; the nodal builds and the oracle's
+    stamps, sums started from +0.0, hold none. The converter driver's Newton
+    systems do (`sources._newton_matrix` negates zero parts), and there the
+    step may differ from full elimination's in the sign of a zero. A
+    non-finite entry of the pivot row right of the pivot, in a or in b,
+    makes the solution non-finite with or without the update, so the result
+    is None either way.
     """
     n = len(a)
     for k in range(n):
@@ -642,7 +647,10 @@ def _fault_builds(
     elif positive.net is net and positive.probes == probes:
         pos = positive.columns
     else:
-        raise ValueError(f"positive build probed at {positive.probes}, not at {probes} of net")
+        where = "this" if positive.net is net else "another"
+        raise ValueError(
+            f"positive build probed at {positive.probes} of {where} network, not at {probes} of net"
+        )
     if _negative_is_dead_positive(net):
         neg = [dict.fromkeys(pos[0], 0j), *pos[1:]]
     else:
@@ -755,8 +763,8 @@ def solve_fault(
 
     With a port node named, the solution's `response` also gives the fault
     solution for any positive- and negative-sequence currents injected
-    there, without another solve. `positive`, from
-    `driving_point(net, port, fault_probe=True)`, stands in for the
-    positive-sequence build.
+    there, without another solve. `positive`, a
+    `driving_point(net, port, fault_probe=True)` such as a converter's
+    prefault one-port, stands in for the positive-sequence build.
     """
     return FaultSolution(FaultResponse(net, spec, port, _fault_builds(net, port, positive)))

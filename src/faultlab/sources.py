@@ -221,6 +221,9 @@ class OperatingPoint:
     # the healthy positive-sequence network with i_attach delivered at the
     # source node (substitution theorem), for the pre-fault relay readings
     healthy: SequenceSolution
+    # the build that gave healthy; a converter's is probed at the fault
+    # node too, and is the positive build of its fault solve
+    one_port: DrivingPoint
 
     @property
     def e_ref1(self) -> complex:
@@ -237,7 +240,6 @@ def prefault_solve(
     p_ref: float = 1.0,
     q_ref: float = 0.0,
     tol: float = 1e-8,
-    one_port: DrivingPoint | None = None,
 ) -> OperatingPoint:
     """Closed-form (E, theta) at which the source delivers (p_ref, q_ref) at its node.
 
@@ -255,12 +257,17 @@ def prefault_solve(
     S - z_th t = S (|v_oc|^2 + 2j Im w + sqrt(disc)) / (b + sqrt(disc)).
     Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of i, so the part
     of S along z_th is met with i real. The point must meet (p_ref, q_ref)
-    within tol. one_port, the healthy network's `driving_point` at the
-    source node, is built here when not given.
+    within tol.
+
+    A converter's one-port is probed at the fault node as well: the fault
+    enters only through the boundary conditions, so that build is also the
+    positive build of its fault solve, which `fault_fixed_point` takes from
+    the point. A generator's fault network holds its source branch, so its
+    one-port is probed at the source node only.
     """
-    z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
-    if one_port is None:
-        one_port = driving_point(net, net.source_node)
+    sg = isinstance(source, SgModel)
+    z = 1j * source.x1 if sg else source.normal_z()
+    one_port = driving_point(net, net.source_node, fault_probe=not sg)
     v_oc, z_th = one_port.v_oc, one_port.z
     s_ref = complex(p_ref, q_ref)
     if abs(v_oc) <= 1e-9:
@@ -296,6 +303,7 @@ def prefault_solve(
         p=s.real,
         q=s.imag,
         healthy=one_port.at(i),
+        one_port=one_port,
     )
 
 
@@ -650,7 +658,6 @@ def fault_fixed_point(
     op: OperatingPoint,
     tol: float = 1e-9,
     max_iter: int = 100,
-    positive: DrivingPoint | None = None,
 ) -> SourceSolution:
     """Solve the current-limited fault condition on the terminal port model.
 
@@ -659,15 +666,14 @@ def fault_fixed_point(
     port model and the control law to their next value. `circular` and the
     shaping modes solve for one real number by `_brent`, the other two
     modes by `_drive`. The fault response at the converged terminal
-    currents gives the readings. positive, a
-    `driving_point(net, net.source_node, fault_probe=True)`, is taken as
-    the response's positive-sequence build.
+    currents gives the readings. Its positive-sequence build is op's
+    one-port, so op must be `prefault_solve`'s point on net.
     """
     cfg = gfm.clc
     name = cfg.kind.value
     e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
-    response = solve_fault(net, spec, port=node, positive=positive).response
+    response = solve_fault(net, spec, port=node, positive=op.one_port).response
     port = terminal_port(response)
     x_net = 1j * gfm.x_f_network
 

@@ -9,7 +9,7 @@ import pytest
 
 from faultlab import network
 from faultlab.abc_oracle import solve_abc
-from faultlab.harness import solve_scenario
+from faultlab.harness import run_scenario, solve_scenario
 from faultlab.network import (
     BusReading,
     FaultCategory,
@@ -30,6 +30,7 @@ from faultlab.network import (
 from faultlab.phasors import ALPHA, SequenceTriple, from_polar, fortescue
 from faultlab.presets import PRESETS, preset_scenario_overrides
 from faultlab.scenario import build_scenario
+from faultlab.sources import _newton_matrix
 
 
 def _radial_net(z_src: complex, z_line: complex, z0_src: complex | None = None) -> NetworkModel:
@@ -534,6 +535,95 @@ def test_solve_dense_skips_a_zero_beside_an_infinite_entry_to_the_same_result(
     mine, theirs, _, skipped = _both_eliminations(a, b)
     assert skipped > 0
     assert mine == theirs
+
+
+def _has_negative_zero(m: list[list]) -> bool:
+    parts = (p for row in m for v in row for p in (complex(v).real, complex(v).imag))
+    return any(p == 0 and math.copysign(1.0, p) < 0 for p in parts)
+
+
+def _zero_signs_cleared(text: str) -> str:
+    """A repr'd solution with every -0.0 read as 0.0."""
+    x = eval(text)  # noqa: S307  the repr of a list of floats or complexes, or None
+    return repr(None if x is None else [[v + 0j for v in row] for row in x])
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["newton", "complex"])
+def test_solve_dense_differs_from_every_row_elimination_only_in_the_sign_of_a_zero(
+    complex_entries: bool,
+) -> None:
+    """On inputs holding negative zeros a skipped row may keep a -0.0 that
+    the full update, -0.0 - (-0.0), would have made +0.0; nothing else
+    differs. The real systems are `_newton_matrix`'s, whose -on_im.imag
+    entries and -g right-hand sides hold -0.0 wherever a part is zero."""
+    rng = random.Random(1717)
+    parts = (0.0, -0.0, 0.0, -0.0, 0.5, -1.25, 2.0)
+
+    def value():
+        return complex(rng.choice(parts) or rng.choice(parts), rng.choice(parts))
+
+    def signed_zero():
+        return complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+
+    signed = 0
+    for trial in range(300):
+        if complex_entries:
+            # the chain's zero blocks and a right-hand side of mostly zeros,
+            # as a probe column's, with signs drawn at random
+            a = _radial_block_system(rng, rng.choice((2, 3)), complex_entries=True)
+            for row in a:
+                for c, v in enumerate(row):
+                    if v == 0:
+                        row[c] = signed_zero()
+            columns = 1 + trial % 3
+            b = [[value() if rng.random() < 0.3 else signed_zero() for _ in range(columns)] for _ in a]
+        else:
+            p = [[value() for _ in range(2)] for _ in range(2)]
+            q = [[value() for _ in range(2)] for _ in range(2)]
+            a = _newton_matrix(p, q)
+            b = [[-v] for _ in range(2) for v in (rng.choice(parts), rng.choice(parts))]
+        mine, theirs, _, _ = _both_eliminations(a, b)
+        assert _zero_signs_cleared(mine) == _zero_signs_cleared(theirs), (trial, a, b)
+        if mine != theirs:
+            assert _has_negative_zero(a) or _has_negative_zero(b), (trial, a, b)
+            signed += 1
+    assert signed > 0
+    # the smallest case: row 1 is skipped and keeps its -0.0 right-hand side
+    assert _both_eliminations([[1.0, 0.0], [0.0, 1.0]], [[-1.0], [-0.0]])[:2] == (
+        "[[-1.0], [-0.0]]",
+        "[[-1.0], [0.0]]",
+    )
+
+
+def test_driver_reports_are_unchanged_where_its_newton_step_keeps_a_negative_zero(
+    monkeypatch,
+) -> None:
+    """In the three bolted three-phase `priority` grid cases at m = 0, some
+    Newton systems hold negative zeros and solve_dense's step differs from
+    full elimination's in the sign of a zero; the reports are the same bits
+    with either elimination."""
+    from faultlab import sources
+
+    real = network.solve_dense
+    differing = []
+
+    def checking(a, b):
+        theirs = _eliminate_every_row([row[:] for row in a], [row[:] for row in b])[0]
+        mine = real(a, b)
+        differing.append(repr(mine) != repr(theirs))
+        return mine
+
+    for p_ref in (0.0, 0.5, 1.0):
+        overrides = {
+            "source.kind": "gfm", "clc.kind": "priority", "fault.kind": "abc",
+            "fault.m": 0.0, "fault.r_g_ohm": 0.0, "source.p_ref": p_ref,
+        }
+        monkeypatch.setattr(sources, "solve_dense", checking)
+        mine = repr(run_scenario(build_scenario(overrides)))
+        monkeypatch.setattr(sources, "solve_dense", lambda a, b: _eliminate_every_row(a, b)[0])
+        theirs = repr(run_scenario(build_scenario(overrides)))
+        assert mine == theirs, p_ref
+    assert sum(differing) >= 3
 
 
 @pytest.mark.parametrize("kind", ["circular", "priority", "virtual_admittance"])
