@@ -17,7 +17,10 @@ Fault solving follows the classical decomposition:
    sequence shares the positive build when every element has z2 = z1 and
    no injection carries a negative-sequence current: it is then the
    positive-sequence network with its sources dead, whose probe columns
-   the positive build already holds, and its base column is zero;
+   the positive build already holds, and its base column is zero. A fault
+   that does not reach ground (line-line, three-phase) draws no
+   zero-sequence current, and no source drives that sequence, so its
+   zero-sequence solution is zero at every node and is not built;
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault-probe column there, the open-circuit voltage the base column (plus
    the port columns times any injected current);
@@ -327,12 +330,14 @@ class TheveninEquivalent:
 
     e_f2/e_f0 are zero for ordinary source mixes; they pick up the
     open-circuit negative/zero-sequence voltage that unbalanced current
-    injections (a saturated converter) leave at the fault node.
+    injections (a saturated converter) leave at the fault node. z0 is None
+    for a fault that does not reach ground: its zero-sequence network is
+    not built, and its boundary conditions do not read z0.
     """
 
     z1: complex
     z2: complex
-    z0: complex
+    z0: complex | None
     e_f: complex  # open-circuit positive-sequence fault-node voltage
     e_f2: complex = 0j
     e_f0: complex = 0j
@@ -629,7 +634,7 @@ def _negative_is_dead_positive(net: NetworkModel) -> bool:
 
 
 def _fault_builds(
-    net: NetworkModel, port: str = "", positive: DrivingPoint | None = None
+    net: NetworkModel, grounded: bool, port: str = "", positive: DrivingPoint | None = None
 ) -> dict[int, list[_Column]]:
     """Each sequence network built at most once, probed at the fault node and the port.
 
@@ -639,7 +644,9 @@ def _fault_builds(
     positive build: its probe columns are the positive ones (same matrix,
     same pivots, same row operations, so the same bits), and its column 0
     is zero. A `positive` build already made with these probes is taken
-    as the positive sequence's.
+    as the positive sequence's. A fault that does not reach ground leaves
+    the zero-sequence network unbuilt: its columns are empty, so every node
+    reads 0j there, as for a node absent from a build.
     """
     probes = (net.fault_node, port) if port else (net.fault_node,)
     if positive is None:
@@ -655,15 +662,19 @@ def _fault_builds(
         neg = [dict.fromkeys(pos[0], 0j), *pos[1:]]
     else:
         neg = _solve_one_sequence(net, 2, probes)
-    return {1: pos, 2: neg, 0: _solve_one_sequence(net, 0, (net.fault_node,))}
+    zero = _solve_one_sequence(net, 0, (net.fault_node,)) if grounded else [{}, {}]
+    return {1: pos, 2: neg, 0: zero}
 
 
 def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> TheveninEquivalent:
-    """Fault-probe column at node (impedances), base solution there (voltages)."""
+    """Fault-probe column at node (impedances), base solution there (voltages).
+
+    z0 is None where the zero-sequence network was not built.
+    """
     return TheveninEquivalent(
         z1=builds[1][1][node],
         z2=builds[2][1][node],
-        z0=builds[0][1][node],
+        z0=builds[0][1].get(node),
         e_f=_voltage(builds[1], node, base[1]),
         e_f2=_voltage(builds[2], node, base[2]),
         e_f0=_voltage(builds[0], node, base[0]),
@@ -719,10 +730,12 @@ class FaultResponse:
     """One faulted network as an affine function of the currents injected at a port.
 
     `solve_fault` builds each sequence network at most once (the negative
-    sequence may share the positive build) and solves its right-hand sides
-    together: the network as it stands, a unit current at the fault node
-    and, in the positive and negative sequences when a port node is named,
-    a unit current at the port. The rest is superposition.
+    sequence may share the positive build, and a fault that does not reach
+    ground builds no zero sequence: its columns are empty and read 0j) and
+    solves its right-hand sides together: the network as it stands, a unit
+    current at the fault node and, in the positive and negative sequences
+    when a port node is named, a unit current at the port. The rest is
+    superposition.
     Injecting (i1, i2) at the port adds i1 and i2 times the port columns to
     the base solution, and with it to the open-circuit voltages at the
     fault node; the boundary conditions turn those into the fault current;
@@ -767,4 +780,5 @@ def solve_fault(
     `driving_point(net, port, fault_probe=True)` such as a converter's
     prefault one-port, stands in for the positive-sequence build.
     """
-    return FaultSolution(FaultResponse(net, spec, port, _fault_builds(net, port, positive)))
+    builds = _fault_builds(net, spec.fault_type.grounded, port, positive)
+    return FaultSolution(FaultResponse(net, spec, port, builds))

@@ -248,6 +248,8 @@ _DEFAULT_LINES = tuple(
     (key, default, f"{key}={_format_value(default)}")
     for key, (default, _) in sorted(DEFAULTS.items())
 )
+_DEFAULT_VALUES = {key: default for key, (default, _) in DEFAULTS.items()}
+_DEFAULT_PROVENANCE = {key: prov for key, (_, prov) in DEFAULTS.items()}
 _CLC_KINDS = tuple(k.value for k in ClcKind)
 _FAULT_KINDS = tuple(t.value for t in FaultType)
 
@@ -300,15 +302,9 @@ def build_scenario(
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
 
-    resolved: dict[str, object] = {}
-    provenance: dict[str, str] = {}
-    for key, (default, prov) in DEFAULTS.items():
-        if key in overrides:
-            resolved[key] = overrides[key]
-            provenance[key] = origin
-        else:
-            resolved[key] = default
-            provenance[key] = prov
+    # every key in DEFAULTS order, an override replacing its default
+    resolved: dict[str, object] = {**_DEFAULT_VALUES, **overrides}
+    provenance: dict[str, str] = {**_DEFAULT_PROVENANCE, **dict.fromkeys(overrides, origin)}
 
     kind = SourceKind(_need_choice(resolved, "source.kind", ("sg", "gfm")))
     p_ref = _need_float(resolved, "source.p_ref")

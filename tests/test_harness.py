@@ -283,28 +283,51 @@ def test_generator_effective_source_impedance_includes_the_collection_line() -> 
 def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -> None:
     """One nodal build per faulted sequence network, the negative sequence
     sharing the positive build unless some z2 differs from its z1 (a
-    generator with x2 != x1). A converter's dispatch one-port, which also
+    generator with x2 != x1), and no zero-sequence build for a fault that
+    does not reach ground. A converter's dispatch one-port, which also
     gives the healthy readings, is the columns of that positive build; a
     generator's fault network holds its source branch, so its one-port is a
     build of the healthy network of its own. The fixed point builds none."""
     import faultlab.network
 
-    calls = []
+    calls: list[int] = []
     real = faultlab.network._solve_one_sequence
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(net, seq, probes=()):
+        calls.append(seq)
+        return real(net, seq, probes)
 
     monkeypatch.setattr(faultlab.network, "_solve_one_sequence", counting)
     overrides = {
         "sg": {"source.kind": "sg"},
         "sg_x2": {"source.kind": "sg", "sg.x2_pu": 0.3},
     }.get(kind, {"source.kind": "gfm", "clc.kind": kind})
-    report = run_scenario(build_scenario(overrides))
-    if not kind.startswith("sg"):
-        assert report.limiter_active and report.iterations > 4
-    assert len(calls) == {"sg": 3, "sg_x2": 4}.get(kind, 2)
+    grounded, ungrounded = {"sg": (3, 2), "sg_x2": (4, 3)}.get(kind, (2, 1))
+    for fault in FaultType:
+        calls.clear()
+        report = run_scenario(build_scenario({**overrides, "fault.kind": fault.value}))
+        if fault is FaultType.BCG and not kind.startswith("sg"):
+            assert report.limiter_active and report.iterations > 4
+        assert len(calls) == (grounded if fault.grounded else ungrounded), fault
+        assert (0 in calls) == fault.grounded, fault
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"source.kind": "sg"}] + [{"source.kind": "gfm", "clc.kind": law.value} for law in ClcKind],
+    ids=lambda overrides: overrides.get("clc.kind", "sg"),
+)
+def test_oracle_agrees_on_every_fault_kind(overrides: dict[str, object]) -> None:
+    """The phase-domain oracle reads the sequence route's relay quantities on
+    every fault kind, the ones that do not reach ground (and so build no
+    zero-sequence network) included."""
+    for fault in FaultType:
+        for r_g in (0.0, 5.0):
+            scenario = build_scenario(
+                {**overrides, "fault.kind": fault.value, "fault.m": 0.5, "fault.r_g_ohm": r_g}
+            )
+            report = run_scenario(scenario, oracle_check=True)
+            assert report.oracle_max_err < 1e-9, (fault, r_g, report.oracle_max_err)
 
 
 def test_prefault_readings_balance_across_the_line() -> None:

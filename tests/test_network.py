@@ -216,14 +216,21 @@ def test_unbalanced_base_network_matches_phase_oracle(kind: str) -> None:
 
 
 def test_sequence_absence_for_ungrounded_faults() -> None:
+    """A fault that does not reach ground builds no zero-sequence network:
+    every zero-sequence reading is exactly 0j, and the Thevenin view has no z0."""
     base = build_scenario({"source.kind": "sg"})
     src = SourceElement("src", "sgt", e1=from_polar(1.0, 10.0), z1=0.2j, z2=0.2j, z0=0.1j)
     for kind in (FaultType.AB, FaultType.BC, FaultType.CA, FaultType.ABC):
         net = base.net.with_elements(src)
         sol = solve_fault(net, FaultSpec(fault_type=kind, m=0.5))
+        assert sol.thevenin.z0 is None
+        assert sol.i_fault.zero == 0
+        for part in (sol.base, sol.pure, sol.total):
+            for node in net.nodes():
+                assert part.voltage(node).zero == 0j
         for tap in net.relay_taps.values():
             reading = sol.total.reading(tap)
-            assert abs(reading.i.zero) < 1e-9
+            assert reading.v.zero == 0j and reading.i.zero == 0j
             if kind is FaultType.ABC:
                 assert abs(reading.i.neg) < 1e-9
 
@@ -256,8 +263,9 @@ def test_pure_fault_solution_is_the_back_distributed_fault_current() -> None:
         )
         assert sol.i_fault.max_abs() > 0.1
         for seq in (1, 2, 0):
+            # an ungrounded fault builds no zero sequence: its nodes read 0j
             for node, v in direct.v[seq].items():
-                assert abs(sol.pure.v[seq][node] - v) < 1e-12
+                assert abs(sol.pure.v[seq].get(node, 0j) - v) < 1e-12
             for e in net.elements:
                 if isinstance(e, SeriesElement):
                     assert abs(sol.pure.current(seq, e.eid) - direct.current(seq, e.eid)) < 1e-12
@@ -339,7 +347,7 @@ def _counted_fault_builds(monkeypatch, net: NetworkModel, port: str) -> tuple[di
         return real(net, seq, probes)
 
     monkeypatch.setattr(network, "_solve_one_sequence", counting)
-    return network._fault_builds(net, port), calls
+    return network._fault_builds(net, True, port), calls
 
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
