@@ -395,11 +395,13 @@ _Weights = dict[int, list[complex]]
 def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     """x with a @ x = b by Gaussian elimination with partial pivoting.
 
-    The package's one dense solver, on Python lists: the nodal builds, the
-    converter driver's Newton step and the phase-domain oracle have 2 to 12
-    unknowns. a is n rows of n entries and b n rows of right-hand-side
-    columns, real or complex; x comes back in b's layout. None on a zero
-    pivot or a non-finite solution. Overwrites a, and b with x.
+    The package's one dense solver, on Python lists. Its callers are the
+    nodal builds (`_solve_one_sequence`) and the phase-domain oracle
+    (`abc_oracle.solve_abc` and the oracle's 3x3 mode matrix inverse), with
+    up to 12 unknowns. a is n rows of n entries and b n rows of
+    right-hand-side columns, real or complex; x comes back in b's layout.
+    None on a zero pivot or a non-finite solution. Overwrites a, and b
+    with x.
 
     A row whose entry in the pivot column is already exactly zero is not
     updated. These are the structural zeros of a radial network's nodal
@@ -409,12 +411,9 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     and the skip keeps the -0.0. So on inputs that hold no negative zero
     the result is full elimination's bit for bit, for elimination makes
     none from entries that hold none; the nodal builds and the oracle's
-    stamps, sums started from +0.0, hold none. The converter driver's Newton
-    systems do (`sources._newton_matrix` negates zero parts), and there the
-    step may differ from full elimination's in the sign of a zero. A
-    non-finite entry of the pivot row right of the pivot, in a or in b,
-    makes the solution non-finite with or without the update, so the result
-    is None either way.
+    stamps, sums started from +0.0, hold none. A non-finite entry of the
+    pivot row right of the pivot, in a or in b, makes the solution
+    non-finite with or without the update, so the result is None either way.
     """
     n = len(a)
     for k in range(n):

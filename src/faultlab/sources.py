@@ -62,14 +62,18 @@ ref = c + M @ i with c = k_pv * ((e_ref1, 0) - v_oc) and
 M = I - k_pv * Z_port, so only the limiter needs differentiating:
 `clc.limit_jacobian` gives its derivative in CR form,
 d out = A @ d ref + B @ conj(d ref), and the law's is (A @ M, B @ conj(M)).
-G's pair (A @ M - I, B @ conj(M)) unrolls into the real 4x4 Newton system,
-solved by `network.solve_dense`, the package's one dense solver. As a
-derivative of one smooth piece of the piecewise-smooth G, it is an element
-of G's generalized Jacobian: a semismooth Newton step (L. Qi and J. Sun,
-Math. Programming 58, 1993), which converges where two phase currents tie
-at the cap. The state is a tuple of Python complex numbers. The driver
-starts from the idle start above; while the limiter is idle G is affine
-and Newton solves it in one step.
+With G's pair (A @ M - I, B @ conj(M)) the Newton step d solves the 2x2
+complex widely linear system (A @ M - I) @ d + B @ conj(M) @ conj(d) = -G,
+in closed form by its Schur complement (K. Kreutz-Delgado, "The complex
+gradient operator and the CR-calculus", arXiv:0906.4835, 2009; see
+`_newton_point`). The step is refused, and the damped step taken, where
+conj(A @ M - I) or the Schur complement is exactly singular or d is not
+finite. As a derivative of one smooth piece of the piecewise-smooth G, it
+is an element of G's generalized Jacobian: a semismooth Newton step (L. Qi
+and J. Sun, Math. Programming 58, 1993), which converges where two phase
+currents tie at the cap. The state is a pair of Python complex numbers.
+The driver starts from the idle start above; while the limiter is idle G
+is affine and Newton solves it in one step.
 
 The relay readings are the same response at the converged terminal
 currents; a shaping law's source branch enters through its terminal
@@ -112,7 +116,6 @@ from .network import (
     SourceElement,
     TheveninEquivalent,
     driving_point,
-    solve_dense,
     solve_fault,
     solve_fault_boundary,
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
@@ -455,48 +458,57 @@ def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> 
 _LAM = 0.5
 _LAM_FLOOR = 0.005
 
-# law(x) -> (law output, branch it took); x holds the complex unknowns
-_State = tuple[complex, ...]
-_Law = Callable[[_State], tuple[_State, tuple]]
+# law(x) -> (law output, branch it took); x holds the two channel currents
+_Pair = tuple[complex, complex]
+_Law = Callable[[_Pair], tuple[_Pair, tuple]]
 # jac(x, branch) -> (P, Q), the law's derivative at x on that branch in CR
-# form: d law = P @ dx + Q @ conj(dx), P and Q square complex, row by row
-_Matrix = tuple[tuple[complex, ...], ...]
-_Jac = Callable[[_State, tuple], tuple[_Matrix, _Matrix]]
+# form: d law = P @ dx + Q @ conj(dx)
+_Jac = Callable[[_Pair, tuple], tuple[Mat2, Mat2]]
+# the state of a root in one real unknown: the currents, or (Z_v,)
+_State = tuple[complex, ...]
 
 
-def _newton_matrix(p: _Matrix, q: _Matrix) -> list[list[float]]:
-    """The real 2n x 2n Jacobian of G = law - x from the law's CR pair (P, Q).
-
-    Over dx = a + jb the law moves by (P + Q) a + j (P - Q) b; rows and
-    columns alternate real and imaginary parts, unknown by unknown, and the
-    identity comes off the diagonal.
-    """
-    rows = []
-    for k, (p_row, q_row) in enumerate(zip(p, q)):
-        re, im = [], []
-        for pkj, qkj in zip(p_row, q_row):
-            on_re, on_im = pkj + qkj, pkj - qkj
-            re += (on_re.real, -on_im.imag)
-            im += (on_re.imag, on_im.real)
-        re[2 * k] -= 1.0
-        im[2 * k + 1] -= 1.0
-        rows += (re, im)
-    return rows
-
-
-def _newton_point(jac: _Jac, x: _State, g: _State, branch: tuple) -> _State | None:
+def _newton_point(jac: _Jac, x: _Pair, g: _Pair, branch: tuple) -> _Pair | None:
     """x plus the Newton step on G = law - x, or None if singular.
 
     jac gives the law's exact derivative on the base point's branch, so the
     step's Jacobian is an element of G's generalized Jacobian even where two
-    pieces meet.
+    pieces meet. The step d solves the widely linear system
+    A @ d + B @ conj(d) = -g, A = P - I and B = Q. Its conjugate gives
+    conj(d) = -conj(A)^-1 @ (conj(g) + conj(B) @ d), so with
+    K = B @ conj(A)^-1 and the Schur complement S = A - K @ conj(B),
+    S @ d = -g + K @ conj(g). K, S and the right-hand side are formed times
+    det(conj(A)), through adj(conj(A)), so that only the last step divides
+    and a cancellation that is exact in the system stays exact: a channel
+    whose law depends on Re x_k alone gives S an exact zero row. None where
+    conj(A) or S is exactly singular or d is not finite.
     """
-    dx = solve_dense(
-        _newton_matrix(*jac(x, branch)), [[-v] for gk in g for v in (gk.real, gk.imag)]
-    )
-    if dx is None:
+    ((p11, p12), (p21, p22)), ((b11, b12), (b21, b22)) = jac(x, branch)
+    a11, a22 = p11 - 1.0, p22 - 1.0
+    det_a = (a11 * a22 - p12 * p21).conjugate()
+    if det_a == 0:
         return None
-    return tuple(xk + complex(dx[2 * k][0], dx[2 * k + 1][0]) for k, xk in enumerate(x))
+    # adj(conj(A)), and K det_a = B @ adj(conj(A))
+    c11, c12, c21, c22 = a22.conjugate(), -p12.conjugate(), -p21.conjugate(), a11.conjugate()
+    k11, k12 = b11 * c11 + b12 * c21, b11 * c12 + b12 * c22
+    k21, k22 = b21 * c11 + b22 * c21, b21 * c12 + b22 * c22
+    n11, n12, n21, n22 = b11.conjugate(), b12.conjugate(), b21.conjugate(), b22.conjugate()
+    s11 = det_a * a11 - (k11 * n11 + k12 * n21)
+    s12 = det_a * p12 - (k11 * n12 + k12 * n22)
+    s21 = det_a * p21 - (k21 * n11 + k22 * n21)
+    s22 = det_a * a22 - (k21 * n12 + k22 * n22)
+    det_s = s11 * s22 - s12 * s21
+    if det_s == 0:
+        return None
+    g1, g2 = g
+    h1, h2 = g1.conjugate(), g2.conjugate()
+    r1 = k11 * h1 + k12 * h2 - det_a * g1
+    r2 = k21 * h1 + k22 * h2 - det_a * g2
+    d1 = (s22 * r1 - s12 * r2) / det_s
+    d2 = (s11 * r2 - s21 * r1) / det_s
+    if not (cmath.isfinite(d1) and cmath.isfinite(d2)):
+        return None
+    return x[0] + d1, x[1] + d2
 
 
 def _compose(ab: tuple[Mat2, Mat2], m: Mat2) -> tuple[Mat2, Mat2]:
@@ -513,16 +525,16 @@ def _compose(ab: tuple[Mat2, Mat2], m: Mat2) -> tuple[Mat2, Mat2]:
     )
 
 
-def _gap(y: _State, x: _State) -> tuple[_State, float]:
-    """G = y - x and the residual max|G|, nan if any |G_k| is nan."""
-    g = tuple(yk - xk for yk, xk in zip(y, x))
-    mags = [abs(gk) for gk in g]
-    return g, math.nan if any(map(math.isnan, mags)) else max(mags)
+def _gap(y: _Pair, x: _Pair) -> tuple[_Pair, float]:
+    """G = y - x and the residual max|G|, nan if either |G_k| is nan."""
+    g1, g2 = y[0] - x[0], y[1] - x[1]
+    m1, m2 = abs(g1), abs(g2)
+    return (g1, g2), math.nan if math.isnan(m1) or math.isnan(m2) else max(m1, m2)
 
 
 def _drive(
-    law: _Law, jac: _Jac, x: _State, tol: float, max_iter: int, name: str
-) -> tuple[_State, float, int]:
+    law: _Law, jac: _Jac, x: _Pair, tol: float, max_iter: int, name: str
+) -> tuple[_Pair, float, int]:
     """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
     jac is the law's derivative on a branch (see `_newton_point`). Each
@@ -545,7 +557,7 @@ def _drive(
             y, new_branch = law(x_new)
             g_new, res_new = _gap(y, x_new)
         if x_new is None or not res_new <= 0.5 * res:
-            x_new = tuple(xk + lam * gk for xk, gk in zip(x, g))
+            x_new = (x[0] + lam * g[0], x[1] + lam * g[1])
             y, new_branch = law(x_new)
             g_new, res_new = _gap(y, x_new)
         x, branch, g, res = x_new, new_branch, g_new, res_new
@@ -684,7 +696,7 @@ def fault_fixed_point(
             v1, v2 = port.voltage(i1, i2)
             return v1, v2, gfm.k_pv * (e_ref1 - v1) + i1, gfm.k_pv * (0.0 - v2) + i2
 
-        def sat_law(x: _State) -> tuple[_State, tuple]:
+        def sat_law(x: _Pair) -> tuple[_Pair, tuple]:
             _, _, ref1, ref2 = loop_refs(*x)
             sat1, sat2, branch = limit(cfg, theta, ref1, ref2)
             return (sat1, sat2), branch
@@ -707,7 +719,7 @@ def fault_fixed_point(
                 (-gfm.k_pv * port.z21, 1.0 - gfm.k_pv * port.z22),
             )
 
-            def sat_jac(x: _State, branch: tuple) -> tuple[Mat2, Mat2]:
+            def sat_jac(x: _Pair, branch: tuple) -> tuple[Mat2, Mat2]:
                 _, _, ref1, ref2 = loop_refs(*x)
                 ab = limit_jacobian(cfg, theta, ref1, ref2, branch)
                 return _compose(ab, m)

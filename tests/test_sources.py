@@ -47,7 +47,7 @@ from faultlab.sources import (
     SgModel,
     _compose,
     _drive,
-    _newton_matrix,
+    _newton_point,
     fault_fixed_point,
     incremental_source_impedance,
     prefault_solve,
@@ -604,15 +604,33 @@ def _central_difference(cfg: ClcConfig, theta: float, c: tuple, m: tuple, x: tup
     return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
-@pytest.mark.parametrize("kind", ["circular", "priority", "instantaneous"])
-def test_limit_jacobian_matches_central_differences_on_every_branch(kind: str) -> None:
-    # seeded random points, kept clear of the piece boundaries; the
-    # Jacobian of G = law - x the driver builds from (A @ M, B @ conj(M))
-    # must equal a central-difference one on the same frozen branch
+def _newton_matrix(p: tuple, q: tuple) -> list[list[float]]:
+    """The real 4x4 Jacobian of G = law - x from the law's CR pair (P, Q).
+
+    Over dx = a + jb the law moves by (P + Q) a + j (P - Q) b; rows and
+    columns alternate real and imaginary parts, unknown by unknown, and the
+    identity comes off the diagonal. The reference for the driver's
+    closed-form step.
+    """
+    rows = []
+    for k, (p_row, q_row) in enumerate(zip(p, q)):
+        re, im = [], []
+        for pkj, qkj in zip(p_row, q_row):
+            on_re, on_im = pkj + qkj, pkj - qkj
+            re += (on_re.real, -on_im.imag)
+            im += (on_re.imag, on_im.real)
+        re[2 * k] -= 1.0
+        im[2 * k + 1] -= 1.0
+        rows += (re, im)
+    return rows
+
+
+def _branch_points(kind: str, rng: random.Random, count: int) -> tuple[ClcConfig, list]:
+    """count seeded (theta, ref, branch, M, x), each ref clear of the limiter's
+    piece boundaries, M a random loop map; asserts every piece was sampled."""
     cfg = ClcConfig(kind=ClcKind(kind), i_lim=1.2, clip_level=1.2)
-    rng = random.Random(16)
-    seen, checked = set(), 0
-    while checked < 400:
+    points, seen = [], set()
+    while len(points) < count:
         theta = rng.uniform(-math.pi, math.pi)
         ref = [cmath.rect(rng.uniform(0.0, r_max), rng.uniform(-math.pi, math.pi))
                for r_max in (2.5, 1.5)]
@@ -622,13 +640,7 @@ def test_limit_jacobian_matches_central_differences_on_every_branch(kind: str) -
         m = tuple(tuple(complex(i == j) - 2.0 * complex(rng.gauss(0, 0.3), rng.gauss(0, 0.3))
                         for j in range(2)) for i in range(2))
         x = (complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
-        c = tuple(ref[i] - m[i][0] * x[0] - m[i][1] * x[1] for i in range(2))
-        analytic = _newton_matrix(*_compose(limit_jacobian(cfg, theta, *ref, branch), m))
-        numeric = _central_difference(cfg, theta, c, m, x, branch)
-        scale = max(abs(v) for row in numeric for v in row)
-        err = max(abs(a - b) for ra, rb in zip(analytic, numeric) for a, b in zip(ra, rb))
-        assert err <= 1e-6 * scale, (theta, ref, branch, err)
-        checked += 1
+        points.append((theta, ref, branch, m, x))
         if cfg.kind is ClcKind.INSTANTANEOUS:
             seen.update(abs(p) > cfg.clip_level for p in phase_components(*ref))
         else:
@@ -641,6 +653,111 @@ def test_limit_jacobian_matches_central_differences_on_every_branch(kind: str) -
         assert seen >= {(0, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)}
     # clipped and unclipped phases, or the rescale binding and idle
     assert {True, False} <= seen
+    return cfg, points
+
+
+@pytest.mark.parametrize("kind", ["circular", "priority", "instantaneous"])
+def test_limit_jacobian_matches_central_differences_on_every_branch(kind: str) -> None:
+    # seeded random points, kept clear of the piece boundaries; the
+    # Jacobian of G = law - x the driver builds from (A @ M, B @ conj(M))
+    # must equal a central-difference one on the same frozen branch
+    cfg, points = _branch_points(kind, random.Random(16), 400)
+    for theta, ref, branch, m, x in points:
+        c = tuple(ref[i] - m[i][0] * x[0] - m[i][1] * x[1] for i in range(2))
+        analytic = _newton_matrix(*_compose(limit_jacobian(cfg, theta, *ref, branch), m))
+        numeric = _central_difference(cfg, theta, c, m, x, branch)
+        scale = max(abs(v) for row in numeric for v in row)
+        err = max(abs(a - b) for ra, rb in zip(analytic, numeric) for a, b in zip(ra, rb))
+        assert err <= 1e-6 * scale, (theta, ref, branch, err)
+
+
+def _eliminated_step(p: tuple, q: tuple, g: tuple) -> tuple | None:
+    """The Newton step on G by elimination of the real 4x4 system, or None."""
+    dx = solve_dense(_newton_matrix(p, q), [[-v] for gk in g for v in (gk.real, gk.imag)])
+    if dx is None:
+        return None
+    return complex(dx[0][0], dx[1][0]), complex(dx[2][0], dx[3][0])
+
+
+def _closed_form_step(p: tuple, q: tuple, g: tuple) -> tuple | None:
+    """The driver's Newton step on G from the CR pair (P, Q), or None."""
+    return _newton_point(lambda x, branch: (p, q), (0j, 0j), g, ())
+
+
+def _has_negative_zero(m: list[list]) -> bool:
+    parts = (p for row in m for v in row for p in (complex(v).real, complex(v).imag))
+    return any(p == 0 and math.copysign(1.0, p) < 0 for p in parts)
+
+
+@pytest.mark.parametrize("family", ["random", "priority", "instantaneous", "signed-zeros"])
+def test_closed_form_newton_step_equals_the_real_elimination(family: str) -> None:
+    """On well-conditioned systems the closed form and elimination of the
+    real system agree to 1e-12 of the step. The families: Gaussian (P, Q, g);
+    the law's pair on every piece of each driver law; and parts drawn from
+    signed zeros and a few binary fractions, so that many entries are -0.0."""
+    rng = random.Random(19)
+
+    def gauss() -> complex:
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+    def signed() -> complex:
+        parts = (0.0, -0.0, 0.0, -0.0, 0.5, -1.25, 2.0)
+        return complex(rng.choice(parts), rng.choice(parts))
+
+    if family in ("priority", "instantaneous"):
+        cfg, points = _branch_points(family, rng, 400)
+        systems = [(*_compose(limit_jacobian(cfg, theta, *ref, branch), m), (gauss(), gauss()))
+                   for theta, ref, branch, m, _ in points]
+    else:
+        draw = gauss if family == "random" else signed
+        systems = [(((draw(), draw()), (draw(), draw())), ((draw(), draw()), (draw(), draw())),
+                    (draw(), draw())) for _ in range(400)]
+    compared = signed_zeros = 0
+    for p, q, g in systems:
+        # 1e-12 is within reach of both only on a well-conditioned system
+        if np.linalg.cond(np.array(_newton_matrix(p, q))) > 1e3:
+            continue
+        expected, step = _eliminated_step(p, q, g), _closed_form_step(p, q, g)
+        if step is None:
+            # refused though solvable: only where conj(A) = conj(P - I) is singular
+            (p11, p12), (p21, p22) = p
+            assert (p11 - 1.0) * (p22 - 1.0) - p12 * p21 == 0, (p, q, g)
+            continue
+        scale = max(abs(v) for v in expected)
+        assert max(abs(a - b) for a, b in zip(step, expected)) <= 1e-12 * scale, (p, q, g)
+        compared += 1
+        signed_zeros += _has_negative_zero([*p, *q, g])
+    assert compared >= 300
+    if family == "signed-zeros":
+        assert signed_zeros >= 200
+
+
+def test_closed_form_newton_step_refuses_every_singular_real_system() -> None:
+    """Three exactly singular families, which elimination of the real system
+    refuses: A = B real, so Im dx is free; a channel whose law is the
+    identity, so its rows of G's Jacobian are zero; and a channel whose law
+    moves with Re dx alone, 0.5 Re dx + j Im dx = 0.75 dx - 0.25 conj(dx)."""
+    rng = random.Random(19)
+
+    def gauss() -> complex:
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+    for trial in range(300):
+        family, k = trial % 3, rng.randrange(2)
+        if family == 0:
+            # quarters, so that A + I - A is I exactly
+            a = [[complex(rng.randint(-8, 8) / 4) for _ in range(2)] for _ in range(2)]
+            p = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
+            q = a
+        else:
+            p = [[gauss(), gauss()], [gauss(), gauss()]]
+            q = [[gauss(), gauss()], [gauss(), gauss()]]
+            on, off = (1.0, 0.0) if family == 1 else (0.75, -0.25)
+            p[k] = [complex(on * (j == k)) for j in range(2)]
+            q[k] = [complex(off * (j == k)) for j in range(2)]
+        g = (gauss(), gauss())
+        assert _eliminated_step(p, q, g) is None, (trial, p, q)
+        assert _closed_form_step(p, q, g) is None, (trial, p, q)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -693,22 +810,23 @@ def test_elimination_refuses_an_infinite_entry() -> None:
 
 
 def test_singular_jacobian_falls_back_to_the_damped_step() -> None:
-    # G = (0.5 (1 - Re x), 0): its Jacobian is singular, so every iteration
+    # G = (0.5 (1 - Re x1), 0): the second channel's law is the identity and
+    # the first ignores Im x1, so the Jacobian is singular, every iteration
     # is the damped step x + G / 2 and the count is the damped recursion's
     def law(x: tuple) -> tuple[tuple, tuple]:
-        return (complex(0.5 * x[0].real + 0.5, x[0].imag),), ()
+        return (complex(0.5 * x[0].real + 0.5, x[0].imag), x[1]), ()
 
     def jac(x: tuple, branch: tuple) -> tuple:
-        # d law = 0.5 Re(dx) + j Im(dx) = 0.75 dx - 0.25 conj(dx)
-        return ((0.75 + 0j,),), ((-0.25 + 0j,),)
+        # d law1 = 0.5 Re(dx1) + j Im(dx1) = 0.75 dx1 - 0.25 conj(dx1)
+        return ((0.75 + 0j, 0j), (0j, 1 + 0j)), ((-0.25 + 0j, 0j), (0j, 0j))
 
-    x, res, it = _drive(law, jac, (0j,), tol=1e-9, max_iter=200, name="singular")
+    x, res, it = _drive(law, jac, (0j, 0j), tol=1e-9, max_iter=200, name="singular")
     damped, expected = 0.0, 1
     while abs(g := (0.5 * damped + 0.5) - damped) >= 1e-9:
         damped += 0.5 * g
         expected += 1
     assert it == expected > 3
-    assert x == (complex(damped),)
+    assert x == (complex(damped), 0j)
     assert res < 1e-9
 
 
