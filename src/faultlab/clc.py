@@ -25,10 +25,11 @@ for the driver's Jacobian, is
 
 above the clip level and 0 below it.
 
-`limit_jacobian` differentiates each limiter on the branch it took, in
-CR form (K. Kreutz-Delgado, "The complex gradient operator and the
-CR-calculus", arXiv:0906.4835): d out = A @ d ref + B @ conj(d ref), with
-A and B complex 2x2, since a clamp or a magnitude is not holomorphic.
+`limit` returns, with its output, the derivative of the smooth piece the
+limiter took, in CR form (K. Kreutz-Delgado, "The complex gradient
+operator and the CR-calculus", arXiv:0906.4835):
+d out = A @ d ref + B @ conj(d ref), with A and B complex 2x2, since a
+clamp or a magnitude is not holomorphic.
 
 All quantities are peak per-unit on the converter base; dq components map a
 sequence phasor x as x * exp(-j*theta) for the positive channel and
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,7 +56,6 @@ __all__ = [
     "phase_components",
     "max_phase_current",
     "limit",
-    "limit_jacobian",
 ]
 
 _ALPHA2 = ALPHA * ALPHA
@@ -63,6 +64,8 @@ _ROWS = ((1.0, 1.0), (_ALPHA2, ALPHA), (ALPHA, _ALPHA2))
 
 # a complex 2x2 matrix, row by row
 Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+# derivative() -> (A, B), a derivative in CR form: d out = A @ d in + B @ conj(d in)
+Derivative = Callable[[], tuple[Mat2, Mat2]]
 
 
 class ClcKind(Enum):
@@ -118,20 +121,6 @@ def describing_function(amplitude: float, clip_level: float) -> float:
     return (2.0 / math.pi) * (math.asin(r) + r * math.sqrt(1.0 - r * r))
 
 
-def _clipper_slopes(p: complex, clip_level: float) -> tuple[float, complex]:
-    """CR slopes (alpha, beta) of one clipped phase f = p * N(|p|).
-
-    df = alpha * dp + beta * conj(dp): alpha = N + N'(|p|) |p| / 2 and
-    beta = N'(|p|) p^2 / (2 |p|), with N' = 0 up to the clip level.
-    """
-    amp = abs(p)
-    if amp <= clip_level:
-        return 1.0, 0j
-    r = clip_level / amp
-    half_slope = -(2.0 / math.pi) * (r / amp) * math.sqrt(1.0 - r * r)  # N'(|p|) / 2
-    return describing_function(amp, clip_level) + half_slope * amp, half_slope * p * p / amp
-
-
 def clc_virtual_admittance(cfg: ClcConfig, v_drive: float) -> complex:
     """Virtual impedance of the admittance-shaping law.
 
@@ -177,26 +166,23 @@ def max_phase_current(i1: complex, i2: complex) -> float:
     return max(abs(p) for p in phase_components(i1, i2))
 
 
-def _clamp(value: float, bound: float, side: int | None) -> tuple[float, int]:
-    """Clamp value to [-bound, bound]; side (-1, 0 or 1) fixes the branch."""
-    if side is None:
-        side = (value > bound) - (value < -bound)
+def _clamp(value: float, bound: float) -> tuple[float, int]:
+    """Clamp value to [-bound, bound], with the side (-1, 0 or 1) it took."""
+    side = (value > bound) - (value < -bound)
     return (value if side == 0 else side * bound), side
 
 
-def _priority_clamp(
-    cfg: ClcConfig, ref_dq: complex, sides: tuple[int | None, int | None]
-) -> tuple[complex, tuple[int, int]]:
+def _priority_clamp(cfg: ClcConfig, ref_dq: complex) -> tuple[complex, tuple[int, int]]:
     """Clamp d to the limit, then q to the headroom d leaves."""
-    d, side_d = _clamp(ref_dq.real, cfg.i_lim, sides[0])
-    q, side_q = _clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)), sides[1])
+    d, side_d = _clamp(ref_dq.real, cfg.i_lim)
+    q, side_q = _clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)))
     return complex(d, q), (side_d, side_q)
 
 
 def limit(
-    cfg: ClcConfig, theta: float, ref1: complex, ref2: complex, branch: tuple | None = None
-) -> tuple[complex, complex, tuple]:
-    """Limiter output (network frame) for the two channel references.
+    cfg: ClcConfig, theta: float, ref1: complex, ref2: complex
+) -> tuple[complex, complex, Derivative]:
+    """Limiter output (network frame) for the two channel references, and its derivative.
 
     circular: one real factor shrinks both channels so that no phase
     exceeds i_lim; the largest phase sets it. priority: each channel is
@@ -207,65 +193,17 @@ def limit(
     zero-sequence residue this leaves has no path in a three-wire
     converter and is discarded.
 
-    Also returns the branch the limiter took: priority's d/q clamps, the
-    phase that sets the common rescale and whether the rescale binds.
-    Passing a branch back evaluates that smooth piece of the limiter even
-    where another piece would be picked. The clipper is smooth: no branch.
-    """
-    if cfg.kind is ClcKind.INSTANTANEOUS:
-        pa, pb, pc = (
-            p * describing_function(abs(p), cfg.clip_level) for p in phase_components(ref1, ref2)
-        )
-        return (pa + ALPHA * pb + _ALPHA2 * pc) / 3.0, (pa + _ALPHA2 * pb + ALPHA * pc) / 3.0, ()
-    clamps, cap = branch or (((None, None), (None, None)), None)
-    if cfg.kind is ClcKind.PRIORITY:
-        rot = cmath.exp(-1j * theta)
-        dq1, sides1 = _priority_clamp(cfg, ref1 * rot, clamps[0])
-        dq2, sides2 = _priority_clamp(cfg, ref2 / rot, clamps[1])
-        ref1, ref2, clamps = dq1 / rot, dq2 * rot, (sides1, sides2)
-    elif cfg.kind is not ClcKind.CIRCULAR:
-        raise ValueError(f"{cfg.kind.value} has no reference saturation stage")
-    phases = phase_components(ref1, ref2)
-    if cap is None:
-        peak = max(range(3), key=lambda n: abs(phases[n]))
-        cap = (peak, abs(phases[peak]) > cfg.i_lim)
-    scale = cfg.i_lim / abs(phases[cap[0]]) if cap[1] else 1.0
-    return ref1 * scale, ref2 * scale, (clamps, cap)
-
-
-def _clamp_slopes(
-    cfg: ClcConfig, w: complex, sides: tuple[int, int]
-) -> tuple[complex, complex, complex]:
-    """One channel's d/q clamp at w on the given sides: (output, a, b).
-
-    d out = a * dw + b * conj(dw). A clamped component is constant. The q
-    bound sqrt(i_lim^2 - d^2) moves with a passed d,
-    dq = -side_q * d / sqrt(i_lim^2 - d^2) * dd, a term taken as 0 where the
-    root is 0; with dd = (dw + conj(dw)) / 2 and dq = (dw - conj(dw)) / 2j
-    that gives a and b.
-    """
-    out, (side_d, side_q) = _priority_clamp(cfg, w, sides)
-    keep_d = float(side_d == 0)
-    keep_q = float(side_q == 0)
-    tilt = 0.0
-    if side_d == 0 and side_q != 0 and out.imag != 0.0:
-        tilt = -out.real / out.imag  # out.imag is side_q * sqrt(i_lim^2 - d^2)
-    return out, complex(keep_d + keep_q, tilt) / 2.0, complex(keep_d - keep_q, tilt) / 2.0
-
-
-def limit_jacobian(
-    cfg: ClcConfig, theta: float, ref1: complex, ref2: complex, branch: tuple
-) -> tuple[Mat2, Mat2]:
-    """Derivative (A, B) of `limit` on branch: d out = A @ d ref + B @ conj(d ref).
-
-    branch is the one `limit` returned, or was given, for these references:
-    the limiter is differentiated on that smooth piece.
+    derivative() gives (A, B), the derivative of the smooth piece the
+    limiter took here: d out = A @ d ref + B @ conj(d ref). It is built,
+    only when called, from the phases, clamps, clipper gains and rescale
+    of this call.
 
     instantaneous: phase k is f_k = p_k N(|p_k|), whose slopes are
     alpha_k = N + N' |p_k| / 2 on dp_k and beta_k = N' p_k^2 / (2 |p_k|) on
-    conj(dp_k). With p = T @ ref and out = conj(T)^T @ f / 3 (T the
-    Fortescue rows), A = conj(T)^T diag(alpha) T / 3 and
-    B = conj(T)^T diag(beta) conj(T) / 3, written out below.
+    conj(dp_k), with N' = 0 up to the clip level. With p = T @ ref and
+    out = conj(T)^T @ f / 3 (T the Fortescue rows),
+    A = conj(T)^T diag(alpha) T / 3 and B = conj(T)^T diag(beta) conj(T) / 3,
+    written out below.
 
     priority: each channel's clamp is a diagonal CR map (a_k, b_k) in its
     rotated frame, giving the clamped references c. A binding rescale
@@ -275,46 +213,89 @@ def limit_jacobian(
     without the clamps.
     """
     if cfg.kind is ClcKind.INSTANTANEOUS:
-        (alpha_a, beta_a), (alpha_b, beta_b), (alpha_c, beta_c) = (
-            _clipper_slopes(p, cfg.clip_level) for p in phase_components(ref1, ref2)
-        )
-        a11 = (alpha_a + alpha_b + alpha_c) / 3.0
-        b12 = (beta_a + beta_b + beta_c) / 3.0
+        clip = cfg.clip_level
+        phases = pa, pb, pc = phase_components(ref1, ref2)
+        amps = abs(pa), abs(pb), abs(pc)
+        gains = na, nb, nc = [describing_function(amp, clip) for amp in amps]
+        fa, fb, fc = pa * na, pb * nb, pc * nc
+
+        def clipper() -> tuple[Mat2, Mat2]:
+            slopes = []
+            for p, amp, n in zip(phases, amps, gains):
+                if amp <= clip:
+                    slopes.append((1.0, 0j))
+                    continue
+                r = clip / amp
+                half_slope = -(2.0 / math.pi) * (r / amp) * math.sqrt(1.0 - r * r)  # N'(|p|) / 2
+                slopes.append((n + half_slope * amp, half_slope * p * p / amp))
+            (alpha_a, beta_a), (alpha_b, beta_b), (alpha_c, beta_c) = slopes
+            a11 = (alpha_a + alpha_b + alpha_c) / 3.0
+            b12 = (beta_a + beta_b + beta_c) / 3.0
+            return (
+                (a11, (alpha_a + _ALPHA2 * alpha_b + ALPHA * alpha_c) / 3.0),
+                ((alpha_a + ALPHA * alpha_b + _ALPHA2 * alpha_c) / 3.0, a11),
+            ), (
+                ((beta_a + _ALPHA2 * beta_b + ALPHA * beta_c) / 3.0, b12),
+                (b12, (beta_a + ALPHA * beta_b + _ALPHA2 * beta_c) / 3.0),
+            )
+
         return (
-            (a11, (alpha_a + _ALPHA2 * alpha_b + ALPHA * alpha_c) / 3.0),
-            ((alpha_a + ALPHA * alpha_b + _ALPHA2 * alpha_c) / 3.0, a11),
-        ), (
-            ((beta_a + _ALPHA2 * beta_b + ALPHA * beta_c) / 3.0, b12),
-            (b12, (beta_a + ALPHA * beta_b + _ALPHA2 * beta_c) / 3.0),
+            (fa + ALPHA * fb + _ALPHA2 * fc) / 3.0, (fa + _ALPHA2 * fb + ALPHA * fc) / 3.0, clipper
         )
-    clamps, (peak, binds) = branch
     if cfg.kind is ClcKind.PRIORITY:
-        # channel 1 is clamped at ref1 * rot, channel 2 at ref2 / rot; the
-        # frame turn u leaves a on dref and puts conj(u) / u on b
         rot = cmath.exp(-1j * theta)
-        c1, a1, b1 = _clamp_slopes(cfg, ref1 * rot, clamps[0])
-        c2, a2, b2 = _clamp_slopes(cfg, ref2 / rot, clamps[1])
-        c1, c2, b1, b2 = c1 / rot, c2 * rot, b1 * rot.conjugate() ** 2, b2 * rot * rot
+        dq1, sides1 = _priority_clamp(cfg, ref1 * rot)
+        dq2, sides2 = _priority_clamp(cfg, ref2 / rot)
+        c1, c2 = dq1 / rot, dq2 * rot
     elif cfg.kind is ClcKind.CIRCULAR:
-        c1, c2, a1, a2, b1, b2 = ref1, ref2, 1.0, 1.0, 0.0, 0.0
+        c1, c2 = ref1, ref2
     else:
         raise ValueError(f"{cfg.kind.value} has no reference saturation stage")
-    if not binds:
-        return ((a1, 0j), (0j, a2)), ((b1, 0j), (0j, b2))
-    t1, t2 = _ROWS[peak]
-    p = t1 * c1 + t2 * c2
-    amp2 = p.real * p.real + p.imag * p.imag
-    s = cfg.i_lim / math.sqrt(amp2)
-    gp, gq = s * p.conjugate() / (2.0 * amp2), s * p / (2.0 * amp2)
-    # ds = -(ka1 dref1 + ka2 dref2 + kb1 conj(dref1) + kb2 conj(dref2))
-    ka1 = gp * t1 * a1 + gq * (t1 * b1).conjugate()
-    ka2 = gp * t2 * a2 + gq * (t2 * b2).conjugate()
-    kb1 = gp * t1 * b1 + gq * (t1 * a1).conjugate()
-    kb2 = gp * t2 * b2 + gq * (t2 * a2).conjugate()
-    return (
-        (s * a1 - c1 * ka1, -c1 * ka2),
-        (-c2 * ka1, s * a2 - c2 * ka2),
-    ), (
-        (s * b1 - c1 * kb1, -c1 * kb2),
-        (-c2 * kb1, s * b2 - c2 * kb2),
-    )
+    phases = phase_components(c1, c2)
+    amps = [abs(p) for p in phases]
+    peak = amps.index(max(amps))
+    binds = amps[peak] > cfg.i_lim
+    scale = cfg.i_lim / amps[peak] if binds else 1.0
+
+    def derivative() -> tuple[Mat2, Mat2]:
+        if cfg.kind is ClcKind.PRIORITY:
+            # a clamped component is constant. The q bound sqrt(i_lim^2 - d^2)
+            # moves with a passed d, dq = -side_q * d / sqrt(i_lim^2 - d^2) * dd,
+            # a term taken as 0 where the root is 0; with dd = (dw + conj(dw)) / 2
+            # and dq = (dw - conj(dw)) / 2j that gives a and b
+            slopes = []
+            for dq, (side_d, side_q) in ((dq1, sides1), (dq2, sides2)):
+                keep_d, keep_q = float(side_d == 0), float(side_q == 0)
+                tilt = 0.0
+                if side_d == 0 and side_q != 0 and dq.imag != 0.0:
+                    tilt = -dq.real / dq.imag  # dq.imag is side_q * sqrt(i_lim^2 - d^2)
+                slopes.append(
+                    (complex(keep_d + keep_q, tilt) / 2.0, complex(keep_d - keep_q, tilt) / 2.0)
+                )
+            # channel 1 is clamped at ref1 * rot, channel 2 at ref2 / rot; the
+            # frame turn u leaves a on dref and puts conj(u) / u on b
+            (a1, b1), (a2, b2) = slopes
+            b1, b2 = b1 * rot.conjugate() ** 2, b2 * rot * rot
+        else:
+            a1, a2, b1, b2 = 1.0, 1.0, 0.0, 0.0
+        if not binds:
+            return ((a1, 0j), (0j, a2)), ((b1, 0j), (0j, b2))
+        t1, t2 = _ROWS[peak]
+        p = phases[peak]
+        amp2 = p.real * p.real + p.imag * p.imag
+        s = cfg.i_lim / math.sqrt(amp2)
+        gp, gq = s * p.conjugate() / (2.0 * amp2), s * p / (2.0 * amp2)
+        # ds = -(ka1 dref1 + ka2 dref2 + kb1 conj(dref1) + kb2 conj(dref2))
+        ka1 = gp * t1 * a1 + gq * (t1 * b1).conjugate()
+        ka2 = gp * t2 * a2 + gq * (t2 * b2).conjugate()
+        kb1 = gp * t1 * b1 + gq * (t1 * a1).conjugate()
+        kb2 = gp * t2 * b2 + gq * (t2 * a2).conjugate()
+        return (
+            (s * a1 - c1 * ka1, -c1 * ka2),
+            (-c2 * ka1, s * a2 - c2 * ka2),
+        ), (
+            (s * b1 - c1 * kb1, -c1 * kb2),
+            (-c2 * kb1, s * b2 - c2 * kb2),
+        )
+
+    return c1 * scale, c2 * scale, derivative

@@ -196,7 +196,7 @@ def report_scenario(
     }
     # effective source impedance: the source branch plus the passive side
     sides = (scenario.z_side1, scenario.z_side1, scenario.z_side0)
-    for stem, z, side in zip(_SIDE_STEMS, sol.z_branch, sides):
+    for stem, z, side in zip(_SIDE_STEMS, sol.z_source, sides):
         phasors[stem] = None if z is None else z + side
     for (bus, quantity), stems in _READING_STEMS.items():
         triple = getattr(readings[bus], quantity)

@@ -176,7 +176,8 @@ def phase_select(
     if abs(i2) < cfg.sym_floor:
         return PhaseSelectionResult(FaultType.ABC, None, None)
 
-    if abs(di1) < cfg.inc_floor:
+    # dd21 needs both operands over inc_floor, which may exceed sym_floor
+    if abs(di1) < cfg.inc_floor or abs(i2) < cfg.inc_floor:
         return PhaseSelectionResult(None, None, None)
     dd21 = angle_between(i2, di1, floor=cfg.inc_floor)
 

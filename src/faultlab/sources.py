@@ -55,12 +55,12 @@ otherwise it takes the damped step x + lam * G, with lam = 0.5 at the
 start; lam halves each time the residual plateaus, and a plateau at its
 floor of 0.005 is reported as a limit cycle.
 
-The Newton step's Jacobian is exact on the branch the limiter took at the
+The Newton step's Jacobian is exact on the piece the limiter took at the
 base point (the phase that sets the common rescale and whether it binds;
 priority's d/q clamps). The loop's reference is affine in the state,
 ref = c + M @ i with c = k_pv * ((e_ref1, 0) - v_oc) and
-M = I - k_pv * Z_port, so only the limiter needs differentiating:
-`clc.limit_jacobian` gives its derivative in CR form,
+M = I - k_pv * Z_port, so only the limiter needs differentiating: the
+derivative `clc.limit` returns with its output gives it in CR form,
 d out = A @ d ref + B @ conj(d ref), and the law's is (A @ M, B @ conj(M)).
 With G's pair (A @ M - I, B @ conj(M)) the Newton step d solves the 2x2
 complex widely linear system (A @ M - I) @ d + B @ conj(M) @ conj(d) = -G,
@@ -97,11 +97,11 @@ from dataclasses import dataclass, field
 from .clc import (
     ClcConfig,
     ClcKind,
+    Derivative,
     Mat2,
     clc_adaptive_impedance,
     clc_virtual_admittance,
     limit,
-    limit_jacobian,
     max_phase_current,
 )
 from .network import (
@@ -322,7 +322,7 @@ class SourceSolution:
     i_t: SequenceTriple  # current delivered into the network
     # source branch impedance as the network sees it, per sequence (positive,
     # negative, zero); None where a dead converter channel leaves it undefined
-    z_branch: tuple[complex | None, complex | None, complex]
+    z_source: tuple[complex | None, complex | None, complex]
     limiter_active: bool
     iterations: int
     residual: float
@@ -350,7 +350,7 @@ def solve_sg_fault(
     return SourceSolution(
         v_t=fault.total.voltage(net.source_node),
         i_t=i_t,
-        z_branch=(element.z1, element.z2, element.z0),
+        z_source=(element.z1, element.z2, element.z0),
         limiter_active=False,
         iterations=1,
         residual=0.0,
@@ -458,22 +458,21 @@ def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> 
 _LAM = 0.5
 _LAM_FLOOR = 0.005
 
-# law(x) -> (law output, branch it took); x holds the two channel currents
+# law(x) -> (law output, its derivative); x holds the two channel currents,
+# and the derivative gives (P, Q), d law = P @ dx + Q @ conj(dx), on the
+# piece the law took at x
 _Pair = tuple[complex, complex]
-_Law = Callable[[_Pair], tuple[_Pair, tuple]]
-# jac(x, branch) -> (P, Q), the law's derivative at x on that branch in CR
-# form: d law = P @ dx + Q @ conj(dx)
-_Jac = Callable[[_Pair, tuple], tuple[Mat2, Mat2]]
+_Law = Callable[[_Pair], tuple[_Pair, Derivative]]
 # the state of a root in one real unknown: the currents, or (Z_v,)
 _State = tuple[complex, ...]
 
 
-def _newton_point(jac: _Jac, x: _Pair, g: _Pair, branch: tuple) -> _Pair | None:
+def _newton_point(pq: tuple[Mat2, Mat2], x: _Pair, g: _Pair) -> _Pair | None:
     """x plus the Newton step on G = law - x, or None if singular.
 
-    jac gives the law's exact derivative on the base point's branch, so the
-    step's Jacobian is an element of G's generalized Jacobian even where two
-    pieces meet. The step d solves the widely linear system
+    pq = (P, Q) is the law's exact derivative on the piece it took at x, so
+    the step's Jacobian is an element of G's generalized Jacobian even where
+    two pieces meet. The step d solves the widely linear system
     A @ d + B @ conj(d) = -g, A = P - I and B = Q. Its conjugate gives
     conj(d) = -conj(A)^-1 @ (conj(g) + conj(B) @ d), so with
     K = B @ conj(A)^-1 and the Schur complement S = A - K @ conj(B),
@@ -483,7 +482,7 @@ def _newton_point(jac: _Jac, x: _Pair, g: _Pair, branch: tuple) -> _Pair | None:
     whose law depends on Re x_k alone gives S an exact zero row. None where
     conj(A) or S is exactly singular or d is not finite.
     """
-    ((p11, p12), (p21, p22)), ((b11, b12), (b21, b22)) = jac(x, branch)
+    ((p11, p12), (p21, p22)), ((b11, b12), (b21, b22)) = pq
     a11, a22 = p11 - 1.0, p22 - 1.0
     det_a = (a11 * a22 - p12 * p21).conjugate()
     if det_a == 0:
@@ -532,12 +531,10 @@ def _gap(y: _Pair, x: _Pair) -> tuple[_Pair, float]:
     return (g1, g2), math.nan if math.isnan(m1) or math.isnan(m2) else max(m1, m2)
 
 
-def _drive(
-    law: _Law, jac: _Jac, x: _Pair, tol: float, max_iter: int, name: str
-) -> tuple[_Pair, float, int]:
+def _drive(law: _Law, x: _Pair, tol: float, max_iter: int, name: str) -> tuple[_Pair, float, int]:
     """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
-    jac is the law's derivative on a branch (see `_newton_point`). Each
+    law also gives its derivative at x (see `_newton_point`). Each
     iteration tries the Newton step and keeps it if it halves the
     residual max|law(x) - x|; otherwise it takes the damped step
     x + lam * (law(x) - x). lam starts at 0.5 and halves whenever the
@@ -546,21 +543,21 @@ def _drive(
     iteration.
     """
     lam = _LAM
-    y, branch = law(x)
+    y, derivative = law(x)
     g, res = _gap(y, x)
     history = [res]
     it = 1
     while res >= tol and it < max_iter:
         it += 1
-        x_new = _newton_point(jac, x, g, branch)
+        x_new = _newton_point(derivative(), x, g)
         if x_new is not None:
-            y, new_branch = law(x_new)
+            y, new_derivative = law(x_new)
             g_new, res_new = _gap(y, x_new)
         if x_new is None or not res_new <= 0.5 * res:
             x_new = (x[0] + lam * g[0], x[1] + lam * g[1])
-            y, new_branch = law(x_new)
+            y, new_derivative = law(x_new)
             g_new, res_new = _gap(y, x_new)
-        x, branch, g, res = x_new, new_branch, g_new, res_new
+        x, derivative, g, res = x_new, new_derivative, g_new, res_new
         history.append(res)
         if res >= tol and _plateaued(history):
             if lam <= _LAM_FLOOR:
@@ -691,15 +688,21 @@ def fault_fixed_point(
     x_net = 1j * gfm.x_f_network
 
     if cfg.kind.is_saturation:
+        # the reference is affine in the state, ref = c + M @ i with
+        # M = I - k_pv * Z_port, so d law = A @ M @ di + B @ conj(M) @ conj(di)
+        m = (
+            (1.0 - gfm.k_pv * port.z11, -gfm.k_pv * port.z12),
+            (-gfm.k_pv * port.z21, 1.0 - gfm.k_pv * port.z22),
+        )
 
         def loop_refs(i1: complex, i2: complex) -> tuple[complex, complex, complex, complex]:
             v1, v2 = port.voltage(i1, i2)
             return v1, v2, gfm.k_pv * (e_ref1 - v1) + i1, gfm.k_pv * (0.0 - v2) + i2
 
-        def sat_law(x: _Pair) -> tuple[_Pair, tuple]:
+        def sat_law(x: _Pair) -> tuple[_Pair, Derivative]:
             _, _, ref1, ref2 = loop_refs(*x)
-            sat1, sat2, branch = limit(cfg, theta, ref1, ref2)
-            return (sat1, sat2), branch
+            sat1, sat2, derivative = limit(cfg, theta, ref1, ref2)
+            return (sat1, sat2), lambda: _compose(derivative(), m)
 
         if cfg.kind is ClcKind.CIRCULAR:
 
@@ -712,22 +715,10 @@ def fault_fixed_point(
             _brent(law, 0.0, -cfg.i_lim, 1.0, law(1.0))
             (i1, i2), res, it = law.result()
         else:
-            # the reference is affine in the state, ref = c + M @ i with
-            # M = I - k_pv * Z_port, so d law = A @ M @ di + B @ conj(M) @ conj(di)
-            m = (
-                (1.0 - gfm.k_pv * port.z11, -gfm.k_pv * port.z12),
-                (-gfm.k_pv * port.z21, 1.0 - gfm.k_pv * port.z22),
-            )
-
-            def sat_jac(x: _Pair, branch: tuple) -> tuple[Mat2, Mat2]:
-                _, _, ref1, ref2 = loop_refs(*x)
-                ab = limit_jacobian(cfg, theta, ref1, ref2, branch)
-                return _compose(ab, m)
-
             # start from the currents that pin the terminal at the reference:
             # the fixed point itself when the limiter stays idle
             (i1, i2), res, it = _drive(
-                sat_law, sat_jac, port.current_behind(e_ref1, 0j), tol, max_iter, name
+                sat_law, port.current_behind(e_ref1, 0j), tol, max_iter, name
             )
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
         sat1, sat2, _ = limit(cfg, theta, ref1, ref2)
@@ -786,7 +777,7 @@ def fault_fixed_point(
         v_t=SequenceTriple(pos=v1, neg=v2, zero=0j),
         i_t=SequenceTriple(pos=i1, neg=i2, zero=0j),
         # open in the zero sequence: bus 1 sees only the transformer leg there
-        z_branch=(*(None if z is None else z + x_net for z in (z_v1, z_v2)), 0j),
+        z_source=(*(None if z is None else z + x_net for z in (z_v1, z_v2)), 0j),
         limiter_active=active,
         iterations=it,
         residual=res,

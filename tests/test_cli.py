@@ -222,6 +222,22 @@ def test_exhausted_solver_budget_is_a_solver_error(tmp_path, capsys) -> None:
     assert "last residual" in err
 
 
+def test_negative_current_between_the_relay_floors_selects_nothing(tmp_path, capsys) -> None:
+    # asym_floor < |i2| (0.18 pu) < seq_floor: the fault is not symmetrical,
+    # but i2 is too weak for the dd21 angle, so no phase is selected
+    cfg = _config(
+        tmp_path,
+        "source.kind = gfm\nclc.kind = circular\nfault.kind = ag\nfault.m = 0.95\n"
+        "fault.r_g_ohm = 100\nrelay.asym_floor_pu = 0.001\nrelay.seq_floor_pu = 0.2\n",
+    )
+    assert main(["run", "--config", cfg, "--format", "records"]) == 0
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert err == ""
+    assert 0.001 < record["i2_bus1_mag"] < 0.2
+    assert record["phase_sel"] == "none" and record["dd21_deg"] is None
+
+
 @pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance"])
 def test_exhausted_root_budget_is_a_solver_error(tmp_path, capsys, kind: str) -> None:
     cfg = _config(tmp_path, f"source.kind = gfm\nclc.kind = {kind}\nsolver.max_iter = 2\n")

@@ -10,6 +10,7 @@ from faultlab.relay import (
     Direction,
     DirectionalConfig,
     PhaseSelectionConfig,
+    PhaseSelectionResult,
     directional_incremental,
     directional_negative,
     directional_zero,
@@ -179,6 +180,16 @@ def test_weak_incremental_current_abstains() -> None:
     )
     res = phase_select(reading, _PRE, SEL)
     assert res.selected is None and res.dd21_deg is None
+
+
+def test_negative_current_under_the_incremental_floor_abstains() -> None:
+    # |i2| clears sym_floor but not inc_floor, so dd21 has no angle to read
+    cfg = PhaseSelectionConfig(sym_floor=0.001, ground_floor=0.001, inc_floor=0.2)
+    reading = BusReading(
+        bus="b", v=SequenceTriple(), i=SequenceTriple(pos=1.0 + 0j, neg=0.1 + 0j, zero=1.0 + 0j)
+    )
+    res = phase_select(reading, _PRE, cfg)
+    assert res == PhaseSelectionResult(None, None, None)
 
 
 def test_off_lattice_angles_select_nothing() -> None:

@@ -13,7 +13,6 @@ from faultlab.clc import (
     ClcKind,
     describing_function,
     limit,
-    limit_jacobian,
     max_phase_current,
     phase_components,
 )
@@ -551,48 +550,60 @@ def test_newton_takes_the_whole_step_on_an_affine_contraction() -> None:
     x_star = (1.0 + 1.0j, -2.0 + 0.5j)
     m = ((0.5, 0.2j), (0.1, -0.3 + 0.1j))
 
-    def law(x: tuple) -> tuple[tuple, tuple]:
+    def law(x: tuple) -> tuple[tuple, object]:
         d = [xk - sk for xk, sk in zip(x, x_star)]
-        return tuple(sk + row[0] * d[0] + row[1] * d[1] for sk, row in zip(x_star, m)), ()
+        y = tuple(sk + row[0] * d[0] + row[1] * d[1] for sk, row in zip(x_star, m))
+        return y, lambda: (m, ((0j, 0j), (0j, 0j)))
 
-    def jac(x: tuple, branch: tuple) -> tuple:
-        return m, ((0j, 0j), (0j, 0j))
-
-    x, res, it = _drive(law, jac, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
+    x, res, it = _drive(law, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
                         name="affine")
     assert it <= 2
     assert res < 1e-9
     assert max(abs(xk - sk) for xk, sk in zip(x, x_star)) < 1e-9
 
 
-def _clear_of_switches(cfg: ClcConfig, theta: float, ref1: complex, ref2: complex,
-                       gap: float = 0.05) -> bool:
-    """True when every piece boundary of the limiter is at least gap away."""
+def _piece(cfg: ClcConfig, theta: float, ref1: complex, ref2: complex,
+           gap: float = 0.05) -> tuple | None:
+    """The smooth piece of the limiter at (ref1, ref2), from the laws as stated.
+
+    instantaneous: whether each phase is clipped. priority: each channel's
+    (side_d, side_q), -1, 0 or 1 for the side of its clamp, then whether
+    the rescale binds; circular: whether it binds. None when a piece
+    boundary is less than gap away."""
     if cfg.kind is ClcKind.INSTANTANEOUS:
-        return all(abs(abs(p) - cfg.clip_level) > gap for p in phase_components(ref1, ref2))
-    refs = [ref1, ref2]
+        amps = [abs(p) for p in phase_components(ref1, ref2)]
+        if not all(abs(a - cfg.clip_level) > gap for a in amps):
+            return None
+        return tuple(a > cfg.clip_level for a in amps)
+    refs, sides = [ref1, ref2], []
     if cfg.kind is ClcKind.PRIORITY:
         rot = cmath.exp(-1j * theta)
         for k, u in enumerate((rot, 1.0 / rot)):
             w = refs[k] * u
             if abs(abs(w.real) - cfg.i_lim) < gap:
-                return False
+                return None
             d, q = max(-cfg.i_lim, min(cfg.i_lim, w.real)), w.imag
             root = math.sqrt(cfg.i_lim**2 - d * d)
             if abs(abs(q) - root) < gap:
-                return False
+                return None
+            sides.append(((w.real > cfg.i_lim) - (w.real < -cfg.i_lim), (q > root) - (q < -root)))
             refs[k] = complex(d, max(-root, min(root, q))) / u
     # the phase that sets the rescale is clear of the next, and of the cap
     mags = sorted(abs(p) for p in phase_components(*refs))
-    return mags[2] - mags[1] > gap and abs(mags[2] - cfg.i_lim) > gap
+    if not (mags[2] - mags[1] > gap and abs(mags[2] - cfg.i_lim) > gap):
+        return None
+    return (*sides, mags[2] > cfg.i_lim)
 
 
 def _central_difference(cfg: ClcConfig, theta: float, c: tuple, m: tuple, x: tuple,
-                        branch: tuple, h: float = 1e-6) -> list[list[float]]:
-    """Real 4x4 Jacobian of G(x) = limit(c + M @ x) - x on branch, by central differences."""
+                        h: float = 1e-6) -> list[list[float]]:
+    """Real 4x4 Jacobian of G(x) = limit(c + M @ x) - x by central differences.
+
+    Its points are clear of the limiter's piece boundaries, so every
+    difference stays on one piece."""
     def g(x: tuple) -> list[float]:
         ref = [c[i] + m[i][0] * x[0] + m[i][1] * x[1] for i in range(2)]
-        out = limit(cfg, theta, *ref, branch)[:2]
+        out = limit(cfg, theta, *ref)[:2]
         return [v for o, xk in zip(out, x) for gk in (o - xk,) for v in (gk.real, gk.imag)]
 
     cols = []
@@ -626,28 +637,23 @@ def _newton_matrix(p: tuple, q: tuple) -> list[list[float]]:
 
 
 def _branch_points(kind: str, rng: random.Random, count: int) -> tuple[ClcConfig, list]:
-    """count seeded (theta, ref, branch, M, x), each ref clear of the limiter's
-    piece boundaries, M a random loop map; asserts every piece was sampled."""
+    """count seeded (theta, ref, M, x), each ref clear of the limiter's piece
+    boundaries, M a random loop map; asserts every piece was sampled."""
     cfg = ClcConfig(kind=ClcKind(kind), i_lim=1.2, clip_level=1.2)
     points, seen = [], set()
     while len(points) < count:
         theta = rng.uniform(-math.pi, math.pi)
         ref = [cmath.rect(rng.uniform(0.0, r_max), rng.uniform(-math.pi, math.pi))
                for r_max in (2.5, 1.5)]
-        if not _clear_of_switches(cfg, theta, *ref):
+        piece = _piece(cfg, theta, *ref)
+        if piece is None:
             continue
-        branch = limit(cfg, theta, *ref)[2]
         m = tuple(tuple(complex(i == j) - 2.0 * complex(rng.gauss(0, 0.3), rng.gauss(0, 0.3))
                         for j in range(2)) for i in range(2))
         x = (complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
-        points.append((theta, ref, branch, m, x))
-        if cfg.kind is ClcKind.INSTANTANEOUS:
-            seen.update(abs(p) > cfg.clip_level for p in phase_components(*ref))
-        else:
-            clamps, (_, binds) = branch
-            seen.add(binds)
-            if cfg.kind is ClcKind.PRIORITY:
-                seen.update(clamps)
+        points.append((theta, ref, m, x))
+        # clipped and unclipped phases; the clamp sides and the rescale
+        seen.update(piece)
     if cfg.kind is ClcKind.PRIORITY:
         # every (side_d, side_q) a channel can take: d clamped leaves q no headroom
         assert seen >= {(0, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -659,16 +665,17 @@ def _branch_points(kind: str, rng: random.Random, count: int) -> tuple[ClcConfig
 @pytest.mark.parametrize("kind", ["circular", "priority", "instantaneous"])
 def test_limit_jacobian_matches_central_differences_on_every_branch(kind: str) -> None:
     # seeded random points, kept clear of the piece boundaries; the
-    # Jacobian of G = law - x the driver builds from (A @ M, B @ conj(M))
-    # must equal a central-difference one on the same frozen branch
+    # Jacobian of G = law - x the driver builds from (A @ M, B @ conj(M)),
+    # with (A, B) the derivative `limit` returns, must equal a
+    # central-difference one
     cfg, points = _branch_points(kind, random.Random(16), 400)
-    for theta, ref, branch, m, x in points:
+    for theta, ref, m, x in points:
         c = tuple(ref[i] - m[i][0] * x[0] - m[i][1] * x[1] for i in range(2))
-        analytic = _newton_matrix(*_compose(limit_jacobian(cfg, theta, *ref, branch), m))
-        numeric = _central_difference(cfg, theta, c, m, x, branch)
+        analytic = _newton_matrix(*_compose(limit(cfg, theta, *ref)[2](), m))
+        numeric = _central_difference(cfg, theta, c, m, x)
         scale = max(abs(v) for row in numeric for v in row)
         err = max(abs(a - b) for ra, rb in zip(analytic, numeric) for a, b in zip(ra, rb))
-        assert err <= 1e-6 * scale, (theta, ref, branch, err)
+        assert err <= 1e-6 * scale, (theta, ref, err)
 
 
 def _eliminated_step(p: tuple, q: tuple, g: tuple) -> tuple | None:
@@ -681,7 +688,7 @@ def _eliminated_step(p: tuple, q: tuple, g: tuple) -> tuple | None:
 
 def _closed_form_step(p: tuple, q: tuple, g: tuple) -> tuple | None:
     """The driver's Newton step on G from the CR pair (P, Q), or None."""
-    return _newton_point(lambda x, branch: (p, q), (0j, 0j), g, ())
+    return _newton_point((p, q), (0j, 0j), g)
 
 
 def _has_negative_zero(m: list[list]) -> bool:
@@ -706,8 +713,8 @@ def test_closed_form_newton_step_equals_the_real_elimination(family: str) -> Non
 
     if family in ("priority", "instantaneous"):
         cfg, points = _branch_points(family, rng, 400)
-        systems = [(*_compose(limit_jacobian(cfg, theta, *ref, branch), m), (gauss(), gauss()))
-                   for theta, ref, branch, m, _ in points]
+        systems = [(*_compose(limit(cfg, theta, *ref)[2](), m), (gauss(), gauss()))
+                   for theta, ref, m, _ in points]
     else:
         draw = gauss if family == "random" else signed
         systems = [(((draw(), draw()), (draw(), draw())), ((draw(), draw()), (draw(), draw())),
@@ -813,14 +820,12 @@ def test_singular_jacobian_falls_back_to_the_damped_step() -> None:
     # G = (0.5 (1 - Re x1), 0): the second channel's law is the identity and
     # the first ignores Im x1, so the Jacobian is singular, every iteration
     # is the damped step x + G / 2 and the count is the damped recursion's
-    def law(x: tuple) -> tuple[tuple, tuple]:
-        return (complex(0.5 * x[0].real + 0.5, x[0].imag), x[1]), ()
-
-    def jac(x: tuple, branch: tuple) -> tuple:
+    def law(x: tuple) -> tuple[tuple, object]:
         # d law1 = 0.5 Re(dx1) + j Im(dx1) = 0.75 dx1 - 0.25 conj(dx1)
-        return ((0.75 + 0j, 0j), (0j, 1 + 0j)), ((-0.25 + 0j, 0j), (0j, 0j))
+        pq = ((0.75 + 0j, 0j), (0j, 1 + 0j)), ((-0.25 + 0j, 0j), (0j, 0j))
+        return (complex(0.5 * x[0].real + 0.5, x[0].imag), x[1]), lambda: pq
 
-    x, res, it = _drive(law, jac, (0j, 0j), tol=1e-9, max_iter=200, name="singular")
+    x, res, it = _drive(law, (0j, 0j), tol=1e-9, max_iter=200, name="singular")
     damped, expected = 0.0, 1
     while abs(g := (0.5 * damped + 0.5) - damped) >= 1e-9:
         damped += 0.5 * g
