@@ -9,13 +9,11 @@ point: relay evaluation at bus 1 with genuine pre-fault readings for
 the incremental quantities, the effective source impedances (the source
 branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
 optionally an independent phase-domain re-solve of the solved operating
-point as a numerical cross-check. The report is assembled from a mapping:
-each phasor becomes a `_mag`/`_ang` pair of fields. Those field names are
-formatted and interned once, at import (`_POLAR_NAMES`): the report is a
-frozen dataclass of 68 fields built by keyword, and CPython matches a
-keyword name to a parameter by identity before it compares text, so names
-formatted afresh on every call took the slow path for 42 of them and cost
-about as much as the rest of the construction.
+point as a numerical cross-check. The report is assembled as a mapping of
+its 68 fields, each phasor a `_mag`/`_ang` pair, and
+`ScenarioReport.from_fields` fills the frozen report from it in one step.
+The pair names are formatted and interned once, at import (`_POLAR_NAMES`),
+so the report's keys are the very strings its attributes are read by.
 
 `sweep_reports` runs a sweep. The relay settings (`relay.*` keys) enter
 only the report, so a sweep along one of them solves its first point and
@@ -100,14 +98,16 @@ def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
 def _polar(z: complex | None) -> tuple[float | None, float | None]:
     """Magnitude and angle; no angle below the magnitude floor, neither for None.
 
-    The same arithmetic as `abs` and `phasors.angle_deg`, with one `abs`.
+    `phasors.angle_deg`'s arithmetic with one `abs`; `cmath.phase` lies in
+    [-pi, pi], so of the wrap to (-180, 180] only -180 -> 180 is left.
     """
     if z is None:
         return None, None
     mag = abs(z)
     if mag < DEFAULT_MAGNITUDE_FLOOR:
         return mag, None
-    return mag, wrap_angle_deg(math.degrees(cmath.phase(z)))
+    ang = math.degrees(cmath.phase(z))
+    return mag, 180.0 if ang == -180.0 else ang
 
 
 _SIDE_STEMS = tuple(f"ze{digit}" for digit in "120")
@@ -136,10 +136,7 @@ def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
     for name, tap in net.relay_taps.items():
         seq_reading = readings[name]
         v_abc, i_abc = abc.reading(tap)
-        for mine, theirs in (
-            (seq_reading.v, fortescue(v_abc)),
-            (seq_reading.i, fortescue(i_abc)),
-        ):
+        for mine, theirs in ((seq_reading.v, fortescue(v_abc)), (seq_reading.i, fortescue(i_abc))):
             worst = max(worst, (mine - theirs).max_abs())
     return worst
 
@@ -177,15 +174,13 @@ def report_scenario(
 ) -> ScenarioReport:
     """Relay readings, the four relay elements and the report of a solved scenario."""
     readings = sol.fault.total.readings
-    pre = prefault_network_readings(op)
-    r1, p1 = readings["bus1"], pre["bus1"]
+    r1, p1 = readings["bus1"], prefault_network_readings(op)["bus1"]
     dir_neg = directional_negative(r1, scenario.dir_cfg)
     dir_zero = directional_zero(r1, scenario.dir_cfg)
     dir_inc = directional_incremental(r1, p1, scenario.dir_cfg)
     selection = phase_select(r1, p1, scenario.sel_cfg)
 
-    di1 = r1.i.pos - p1.i.pos
-    dv1 = r1.v.pos - p1.v.pos
+    di1, dv1 = r1.i.pos - p1.i.pos, r1.v.pos - p1.v.pos
     phasors = {
         "zv1": sol.z_v1,
         "zv2": sol.z_v2,
@@ -203,39 +198,38 @@ def report_scenario(
         for stem, z in zip(stems, (triple.pos, triple.neg, triple.zero)):
             phasors[stem] = z
 
-    fields: dict[str, object] = {}
+    fields: dict[str, object] = {
+        "scenario_id": scenario.scenario_id,
+        "config_hash": scenario.config_hash,
+        "source_kind": scenario.kind.value,
+        "clc_kind": None if scenario.gfm is None else scenario.gfm.clc.kind.value,
+        "fault_kind": scenario.fault.fault_type.value,
+        "fault_m": scenario.fault.m,
+        "fault_r_g_ohm": scenario.fault.r_g_ohm,
+        "placement": scenario.fault.placement.value,
+        "prefault_e_pu": op.e_mag,
+        "prefault_theta_deg": op.theta_deg,
+        "prefault_p_pu": op.p,
+        "prefault_q_pu": op.q,
+        "phi2_deg": dir_neg.angle_deg,
+        "phi0_deg": dir_zero.angle_deg,
+        "dphi1_deg": dir_inc.angle_deg,
+        "dd21_deg": selection.dd21_deg,
+        "d20_deg": selection.d20_deg,
+        "dir_neg": dir_neg.direction.value,
+        "dir_zero": dir_zero.direction.value,
+        "dir_inc": dir_inc.direction.value,
+        "phase_sel": selection.selected.value if selection.selected is not None else "none",
+        "limiter_active": sol.limiter_active,
+        "iterations": sol.iterations,
+        "residual": sol.residual,
+        "i_max_phase_pu": sol.i_max_phase,
+        "oracle_max_err": _oracle_residual(scenario, sol) if oracle_check else None,
+    }
     for stem, z in phasors.items():
         mag, ang = _POLAR_NAMES[stem]
         fields[mag], fields[ang] = _polar(z)
-    return ScenarioReport(
-        **fields,
-        scenario_id=scenario.scenario_id,
-        config_hash=scenario.config_hash,
-        source_kind=scenario.kind.value,
-        clc_kind=None if scenario.gfm is None else scenario.gfm.clc.kind.value,
-        fault_kind=scenario.fault.fault_type.value,
-        fault_m=scenario.fault.m,
-        fault_r_g_ohm=scenario.fault.r_g_ohm,
-        placement=scenario.fault.placement.value,
-        prefault_e_pu=op.e_mag,
-        prefault_theta_deg=op.theta_deg,
-        prefault_p_pu=op.p,
-        prefault_q_pu=op.q,
-        phi2_deg=dir_neg.angle_deg,
-        phi0_deg=dir_zero.angle_deg,
-        dphi1_deg=dir_inc.angle_deg,
-        dd21_deg=selection.dd21_deg,
-        d20_deg=selection.d20_deg,
-        dir_neg=dir_neg.direction.value,
-        dir_zero=dir_zero.direction.value,
-        dir_inc=dir_inc.direction.value,
-        phase_sel=selection.selected.value if selection.selected is not None else "none",
-        limiter_active=sol.limiter_active,
-        iterations=sol.iterations,
-        residual=sol.residual,
-        i_max_phase_pu=sol.i_max_phase,
-        oracle_max_err=_oracle_residual(scenario, sol) if oracle_check else None,
-    )
+    return ScenarioReport.from_fields(fields)
 
 
 def sweep_scenarios(
@@ -386,17 +380,13 @@ def table1_verdicts(
     }
 
 
-def _cell_verdicts(row: Table1Row) -> dict[str, bool]:
-    cases = [table1_verdicts(row, fault_type) for fault_type in _TABLE1_FAULTS]
-    return {element: all(case[element] for case in cases) for element in TABLE1_ELEMENTS}
-
-
 def table1_matrix() -> Table1Result:
     """Evaluate every strategy row against the five supervising elements."""
     cells: dict[tuple[str, str], bool] = {}
     for row in TABLE1_ROWS:
-        for element, ok in _cell_verdicts(row).items():
-            cells[(row.label, element)] = ok
+        cases = [table1_verdicts(row, fault_type) for fault_type in _TABLE1_FAULTS]
+        for element in TABLE1_ELEMENTS:
+            cells[(row.label, element)] = all(case[element] for case in cases)
 
     mismatches: list[str] = []
     for row in TABLE1_ROWS:

@@ -239,12 +239,12 @@ class NetworkModel:
     def with_elements(self, *extra) -> "NetworkModel":
         return replace(self, elements=self.elements + tuple(extra))
 
-    @cached_property
-    def _by_eid(self) -> dict[str, SeriesElement | SourceElement | InjectionElement]:
-        return {e.eid: e for e in self.elements}
-
     def element(self, eid: str) -> SeriesElement | SourceElement | InjectionElement:
-        return self._by_eid[eid]
+        """The last element named `eid`: a scan, for a network is read a few times."""
+        for e in reversed(self.elements):
+            if e.eid == eid:
+                return e
+        raise KeyError(eid)
 
     def nodes(self) -> tuple[str, ...]:
         """All non-ground nodes touched by any element, sorted."""
@@ -349,41 +349,39 @@ class FaultSolution:
 
     A view of a fault response with the currents (i1, i2) injected at its
     port; each part is superposed from the response's columns when first
-    read.
+    read. The column weights are not kept: a run reads only `total`.
     """
 
     response: FaultResponse
     i1: complex = 0j
     i2: complex = 0j
 
-    @cached_property
-    def _state(self) -> tuple[TheveninEquivalent, SequenceTriple, _Weights, _Weights, _Weights]:
-        return self.response._weights(self.i1, self.i2)
-
     @property
     def thevenin(self) -> TheveninEquivalent:
-        return self._state[0]
+        return self.response._weights(self.i1, self.i2)[0]
 
     @property
     def i_fault(self) -> SequenceTriple:
-        return self._state[1]
+        return self.response._weights(self.i1, self.i2)[1]
 
-    def _superposed(self, weights: _Weights) -> SequenceSolution:
+    def _superposed(self, part: int) -> SequenceSolution:
+        """The base (2), pure (3) or total (4) part of `FaultResponse._weights`."""
+        weights = self.response._weights(self.i1, self.i2)[part]
         builds = self.response.builds
         v = {seq: _superpose(builds[seq], weights[seq]) for seq in SEQUENCES}
         return SequenceSolution(v, self.response.net)
 
     @cached_property
     def base(self) -> SequenceSolution:
-        return self._superposed(self._state[2])
+        return self._superposed(2)
 
     @cached_property
     def pure(self) -> SequenceSolution:
-        return self._superposed(self._state[3])
+        return self._superposed(3)
 
     @cached_property
     def total(self) -> SequenceSolution:
-        return self._superposed(self._state[4])
+        return self._superposed(4)
 
 
 # one solution column of a sequence network: its node voltages

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .network import BusReading, FaultType
-from .phasors import angle_between, wrap_angle_deg
+from .phasors import angle_between, angle_deg, wrap_angle_deg
 
 __all__ = [
     "Direction",
@@ -187,7 +187,7 @@ def phase_select(
                 return PhaseSelectionResult(ftype, dd21, None)
         return PhaseSelectionResult(None, dd21, None)
 
-    d20 = angle_between(i2, i0, floor=cfg.ground_floor)
+    d20 = wrap_angle_deg(angle_deg(i2, cfg.sym_floor) - angle_deg(i0, cfg.ground_floor))
     for ftype, (c21, c20) in GROUND_CENTERS.items():
         if _in_band(dd21, c21, cfg.dd21_half_deg) and _in_band(d20, c20, cfg.d20_half_deg):
             return PhaseSelectionResult(ftype, dd21, d20)

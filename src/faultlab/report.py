@@ -101,6 +101,17 @@ class ScenarioReport:
     i_max_phase_pu: float
     oracle_max_err: float | None
 
+    @classmethod
+    def from_fields(cls, values: dict[str, object]) -> "ScenarioReport":
+        """The report of `values`, one per field, set in one step: no `__post_init__` runs."""
+        names, keys = cls.__dataclass_fields__.keys(), values.keys()
+        if keys != names:
+            missing, extra = sorted(names - keys), sorted(keys - names)
+            raise TypeError(f"report fields missing {missing}, unexpected {extra}")
+        report = object.__new__(cls)  # frozen all the same: __setattr__ still raises
+        report.__dict__.update(values)
+        return report
+
 
 CSV_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ScenarioReport))
 

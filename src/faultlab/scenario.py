@@ -33,6 +33,11 @@ solver.newton_max_iter and solver.damping are validated and enter the
 config hash, but no solve reads them: the pre-fault dispatch is solved in
 closed form, solver.newton_tol is the tolerance of its final check, and
 the fixed point's damped step always starts at 0.5.
+
+Validation checks, in a fixed order, every key whose value is not its
+default object: a default was valid when the module loaded. Equal copies of
+the defaults take every check and build the default scenario (guarded in
+`tests/test_scenario.py`).
 """
 
 from __future__ import annotations
@@ -256,25 +261,26 @@ _FAULT_KINDS = tuple(t.value for t in FaultType)
 
 def _need_float(resolved: dict[str, object], key: str) -> float:
     value = resolved[key]
-    if isinstance(value, bool) or not isinstance(value, float):
-        raise ValidationError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite, got {value}")
-    return value
+    if value is not _DEFAULT_VALUES[key]:
+        if isinstance(value, bool) or not isinstance(value, float):
+            raise ValidationError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value}")
+    return value  # type: ignore[return-value]
 
 
 def _need_positive(resolved: dict[str, object], key: str) -> float:
-    value = _need_float(resolved, key)
-    if value <= 0.0:
+    value = resolved[key]
+    if value is not _DEFAULT_VALUES[key] and _need_float(resolved, key) <= 0.0:
         raise ValidationError(f"{key} must be positive, got {value}")
     return value
 
 
 def _need_bool(resolved: dict[str, object], key: str) -> bool:
     value = resolved[key]
-    if not isinstance(value, bool):
+    if value is not _DEFAULT_VALUES[key] and not isinstance(value, bool):
         raise ValidationError(f"{key} must be true or false, got {value!r}")
-    return value
+    return value  # type: ignore[return-value]
 
 
 def _need_int(resolved: dict[str, object], key: str) -> int:
@@ -286,9 +292,9 @@ def _need_int(resolved: dict[str, object], key: str) -> int:
 
 def _need_choice(resolved: dict[str, object], key: str, choices: tuple[str, ...]) -> str:
     value = resolved[key]
-    if not isinstance(value, str) or value not in choices:
+    if value is not _DEFAULT_VALUES[key] and (not isinstance(value, str) or value not in choices):
         raise ValidationError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
-    return value
+    return value  # type: ignore[return-value]
 
 
 def build_scenario(
@@ -408,16 +414,6 @@ def build_scenario(
     )
 
 
-def _grid_impedance(resolved: dict[str, object]) -> tuple[complex, complex]:
-    scr = _need_positive(resolved, "circuit.grid_scr")
-    x_r = _need_positive(resolved, "circuit.grid_x_r")
-    mag = 1.0 / scr
-    denom = math.sqrt(1.0 + x_r * x_r)
-    z1 = complex(mag / denom, mag * x_r / denom)
-    scale = _need_positive(resolved, "circuit.grid_z0_scale")
-    return z1, scale * z1
-
-
 def _build_network(
     kind: SourceKind, resolved: dict[str, object], zb_hv: float, fault: FaultSpec
 ) -> tuple[NetworkModel, tuple[complex, complex]]:
@@ -433,7 +429,12 @@ def _build_network(
         _need_float(resolved, "circuit.line_x0_ohm_km"),
     )
     line_z1, line_z0 = z1_km * km / zb_hv, z0_km * km / zb_hv
-    grid_z1, grid_z0 = _grid_impedance(resolved)
+    # the grid: |z1| = 1/scr at the given X/R, z0 a multiple of z1
+    scr = _need_positive(resolved, "circuit.grid_scr")
+    x_r = _need_positive(resolved, "circuit.grid_x_r")
+    mag, denom = 1.0 / scr, math.sqrt(1.0 + x_r * x_r)
+    grid_z1 = complex(mag / denom, mag * x_r / denom)
+    grid_z0 = _need_positive(resolved, "circuit.grid_z0_scale") * grid_z1
     grid_v = _need_positive(resolved, "circuit.grid_v_pu")
     grid_ang = math.radians(_need_float(resolved, "circuit.grid_angle_deg"))
     grid_e = grid_v * complex(math.cos(grid_ang), math.sin(grid_ang))

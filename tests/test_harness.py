@@ -183,6 +183,30 @@ def test_polar_field_names_are_interned_report_fields(preset_reports) -> None:
         report.v1_bus1_mag = 0.0  # type: ignore[misc]
 
 
+def test_report_equals_the_keyword_constructed_report(preset_reports) -> None:
+    for _, report in preset_reports.values():
+        values = {f.name: getattr(report, f.name) for f in dataclasses.fields(ScenarioReport)}
+        built = ScenarioReport(**values)
+        assert report == built and repr(report) == repr(built)
+        assert ScenarioReport.from_fields(values) == report
+    moved = dataclasses.replace(report, fault_m=0.25)
+    assert moved.fault_m == 0.25 and moved == dataclasses.replace(built, fault_m=0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.fault_m = 0.0  # type: ignore[misc]
+    # from_fields skips __init__, so a __post_init__ would never run
+    assert not hasattr(ScenarioReport, "__post_init__")
+
+
+def test_report_fields_must_be_exactly_the_report_fields(preset_reports) -> None:
+    _, report = preset_reports["fig13b"]
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(ScenarioReport)}
+    missing = {name: value for name, value in values.items() if name != "residual"}
+    with pytest.raises(TypeError, match=r"missing \['residual'\], unexpected \[\]"):
+        ScenarioReport.from_fields(missing)
+    with pytest.raises(TypeError, match=r"missing \[\], unexpected \['residue'\]"):
+        ScenarioReport.from_fields({**values, "residue": 0.0})
+
+
 def test_sweep_argument_validation() -> None:
     # sweep_scenarios is a generator: the checks run on the first draw
     with pytest.raises(ValidationError, match="unknown sweep parameter"):

@@ -192,6 +192,17 @@ def test_negative_current_under_the_incremental_floor_abstains() -> None:
     assert res == PhaseSelectionResult(None, None, None)
 
 
+def test_negative_current_between_the_symmetrical_and_ground_floors_reads_d20() -> None:
+    # |i2| clears sym_floor but not ground_floor; |i0| clears ground_floor
+    cfg = PhaseSelectionConfig(sym_floor=0.01, ground_floor=0.2)
+    reading = BusReading(
+        bus="b", v=SequenceTriple(), i=SequenceTriple(pos=1.0 + 0j, neg=0.1 + 0j, zero=1.0 + 0j)
+    )
+    res = phase_select(reading, _PRE, cfg)
+    assert res == PhaseSelectionResult(FaultType.AG, 0.0, 0.0)
+    assert res == phase_select(reading, _PRE, PhaseSelectionConfig(sym_floor=0.01, ground_floor=0.01))
+
+
 def test_off_lattice_angles_select_nothing() -> None:
     # 30 deg sits exactly between two dd21 centers, outside both bands
     res = phase_select(_selection_reading(30.0, 0.0), _PRE, SEL)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from faultlab.presets import PRESETS, preset_scenario_overrides
 from faultlab.scenario import (
     DEFAULTS,
     ParseError,
+    Scenario,
     SourceKind,
     ValidationError,
     build_scenario,
@@ -83,6 +85,48 @@ def test_out_of_range_fault_values_name_the_key() -> None:
         build_scenario({"fault.r_g_ohm": -3.0})
     with pytest.raises(ValidationError, match=r"fault\.kind"):
         build_scenario({"fault.kind": "abcd"})
+
+
+def _equal_copy(value: object) -> object:
+    """A new object equal to `value`; True and False have no copies."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return float(repr(value))
+    assert isinstance(value, str) and len(value) > 1  # one-character strings are shared
+    return "".join(list(value))
+
+
+def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario() -> None:
+    # build_scenario skips the checks of a value that is its default object;
+    # equal copies are other objects, so they take every check
+    copies = {key: _equal_copy(default) for key, (default, _) in DEFAULTS.items()}
+    for key, value in copies.items():
+        default = DEFAULTS[key][0]
+        assert value == default and type(value) is type(default)
+        assert value is not default or isinstance(value, bool), key
+    copied, default = build_scenario(copies), build_scenario({})
+    assert copied.config_hash == default.config_hash
+    assert copied.resolved == default.resolved
+    # overrides and provenance record that every key was supplied
+    for field in dataclasses.fields(Scenario):
+        if field.name not in ("overrides", "provenance"):
+            assert getattr(copied, field.name) == getattr(default, field.name), field.name
+
+
+def test_a_value_equal_to_its_default_is_still_type_checked() -> None:
+    # 100 == 100.0, the default, but an int is not a number of this schema
+    with pytest.raises(ValidationError, match=r"solver\.max_iter must be a number, got 100$"):
+        build_scenario({"solver.max_iter": 100})
+
+
+def test_the_first_invalid_key_in_build_order_is_reported() -> None:
+    # clc.k_x is checked before solver.tol, whatever order the overrides come in
+    for overrides in ({"solver.tol": -1.0, "clc.k_x": 0.0}, {"clc.k_x": 0.0, "solver.tol": -1.0}):
+        with pytest.raises(ValidationError, match=r"^clc\.k_x must be positive, got 0\.0$"):
+            build_scenario(overrides)
+    with pytest.raises(ValidationError, match=r"^source\.p_ref must be a number, got 'x'$"):
+        build_scenario({"fault.m": 2.0, "source.p_ref": "x"})
 
 
 def test_resolved_echo_covers_every_key() -> None:
