@@ -20,7 +20,12 @@ Fault solving follows the classical decomposition:
    the positive build already holds, and its base column is zero. A fault
    that does not reach ground (line-line, three-phase) draws no
    zero-sequence current, and no source drives that sequence, so its
-   zero-sequence solution is zero at every node and is not built;
+   zero-sequence solution is zero at every node and is not built.
+   A build is requested once per sequence, and eliminated once per distinct
+   network per process: the fault, the limiting law and the dispatch enter
+   only the boundary conditions and the injected currents, so a case grid
+   repeats a few networks. A bounded memo keyed on the stamped inputs holds
+   the columns; a hit has a fresh build's bits (`_solve_stamped` says why);
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault-probe column there, the open-circuit voltage the base column (plus
    the port columns times any injected current);
@@ -41,8 +46,9 @@ line; fault sequence currents are drawn out of the network into the fault.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from enum import Enum
 
 from .phasors import ALPHA, SequenceTriple
@@ -394,7 +400,8 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     """x with a @ x = b by Gaussian elimination with partial pivoting.
 
     The package's one dense solver, on Python lists. Its callers are the
-    nodal builds (`_solve_one_sequence`) and the phase-domain oracle
+    nodal builds (`_solve_stamped`, once per distinct sequence network per
+    process) and the phase-domain oracle
     (`abc_oracle.solve_abc` and the oracle's 3x3 mode matrix inverse), with
     up to 12 unknowns. a is n rows of n entries and b n rows of
     right-hand-side columns, real or complex; x comes back in b's layout.
@@ -459,36 +466,82 @@ def _solve_one_sequence(
     node voltage and are eliminated from the unknown set; nodes untouched
     by any element of this sequence are absent from the result (callers
     read them as zero).
+
+    This is the element pass: what this sequence connects, as tuples of
+    complex values. `_solve_stamped` stamps and solves them, once per
+    distinct network per process. The columns it returns are shared by
+    every build of that network, so callers only read them.
     """
-    # one pass over the elements: what this sequence connects, and the
-    # pinned voltages of column 0 (the probe columns pin the same nodes at 0)
     branches: list[tuple[str, str, complex]] = []
     sources: list[tuple[str, complex, complex]] = []  # node, admittance, emf
     injections: list[tuple[str, complex]] = []
     pinned: dict[str, complex] = {GROUND: 0j}
-    nodes: set[str] = set(probes)
     for e in net.elements:
         if isinstance(e, SeriesElement):
             z = e.z(seq)
             if z is not None:
-                branches.append((e.n_from, e.n_to, z))
-                nodes.add(e.n_from)
-                nodes.add(e.n_to)
+                branches.append((e.n_from, e.n_to, complex(z)))
         elif isinstance(e, SourceElement):
             z = e.z(seq)
             if z is not None:
-                nodes.add(e.node)
                 if z == 0:
-                    pinned[e.node] = e.emf(seq)
+                    pinned[e.node] = complex(e.emf(seq))
                 else:
-                    sources.append((e.node, 1.0 / z, e.emf(seq)))
+                    sources.append((e.node, 1.0 / complex(z), complex(e.emf(seq))))
         elif isinstance(e, InjectionElement):
             # a zero injection must not drag an otherwise unconnected node
             # (e.g. the converter terminal in the zero sequence) into the system
             i = e.current(seq)
             if i != 0:
-                nodes.add(e.node)
-                injections.append((e.node, i))
+                injections.append((e.node, complex(i)))
+    pins = tuple(
+        (node, v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
+        for node, v in pinned.items()
+    )
+    return _solve_stamped(seq, tuple(branches), tuple(sources), tuple(injections), pins, probes)
+
+
+@lru_cache(maxsize=256)
+def _solve_stamped(
+    seq: int,
+    branches: tuple[tuple[str, str, complex], ...],
+    sources: tuple[tuple[str, complex, complex], ...],
+    injections: tuple[tuple[str, complex], ...],
+    pins: tuple[tuple[str, complex, float, float], ...],
+    probes: tuple[str, ...],
+) -> list[_Column]:
+    """Stamp, solve and assemble the columns of one sequence build; memoized.
+
+    Reads nothing but its arguments, so equal arguments give the same
+    system. A hit returns the columns of the first call, and they are its
+    bits for every equal call:
+
+    * every value is complex (the element pass makes it so), so an int, a
+      float and a complex that compare equal cannot share a key;
+    * every entry of the nodal matrix and of the right-hand sides (the
+      probes' unit currents aside) is a sum that starts at +0j and adds or
+      subtracts admittances, their products with an emf or a pinned
+      voltage, and injections. Inputs that differ only in the sign of a
+      zero part give terms that differ only in the sign of a zero, and such
+      terms give the same sum: a sum started at +0.0 is never -0.0, and
+      s + 0.0, s + (-0.0), s - 0.0 and s - (-0.0) are all s. So a key that
+      matches one differing only in the sign of a zero part stamps the same
+      system;
+    * the one value copied verbatim is a pinned voltage, into column 0.
+      Each pin carries the signs of its parts, so pins that differ only in
+      the sign of a zero do not share a key;
+    * a singular build raises, and a raise is not cached.
+
+    Bounded, so that a process that walks many networks keeps only the
+    most recently used builds. Callers must not mutate the columns.
+    """
+    pinned = {node: v for node, v, _, _ in pins}
+    nodes: set[str] = set(probes)
+    for na, nb, _ in branches:
+        nodes.add(na)
+        nodes.add(nb)
+    nodes.update(node for node, _, _ in sources)
+    nodes.update(node for node, _ in injections)
     unknowns = sorted(n for n in nodes if n not in pinned)
     index = {n: k for k, n in enumerate(unknowns)}
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from faultlab import network
 from faultlab.harness import run_scenario
 from faultlab.network import SingularNetworkError
 from faultlab.report import csv_header, csv_line
@@ -104,6 +105,30 @@ def test_grid_iterations_stay_within_the_measured_total(grid_run) -> None:
 def test_generator_grid_matches_the_reference() -> None:
     failures, _ = _run_against_reference("generator", workloads.generator_cases())
     assert not failures, failures
+
+
+def _outcome(case: dict[str, object]) -> str:
+    try:
+        return repr(run_scenario(build_scenario(case)))
+    except (NoConvergenceError, OscillationDetectedError, SingularNetworkError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_reports_are_the_same_with_the_build_memo_cold_or_warm() -> None:
+    """Every nodal build of a network seen before returns the columns the
+    first one made, shared by every caller: a caller that mutated them would
+    change a later case's report. A fixed sample of both grids, each case
+    solved with the memo cleared, then all of them again with it warm."""
+    cases = workloads.grid_cases()[::50] + workloads.generator_cases()[::20]
+    cold = []
+    for case in cases:
+        network._solve_stamped.cache_clear()
+        cold.append(_outcome(case))
+    before = network._solve_stamped.cache_info().hits
+    warm = [_outcome(case) for case in cases]
+    assert network._solve_stamped.cache_info().hits > before + len(cases)
+    for case, mine, theirs in zip(cases, warm, cold):
+        assert mine == theirs, case
 
 
 def test_preset_csv_rows_match_the_reference(preset_reports) -> None:

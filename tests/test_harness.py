@@ -311,29 +311,44 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
     does not reach ground. A converter's dispatch one-port, which also
     gives the healthy readings, is the columns of that positive build; a
     generator's fault network holds its source branch, so its one-port is a
-    build of the healthy network of its own. The fixed point builds none."""
+    build of the healthy network of its own. The fixed point builds none.
+    Each build is eliminated once per distinct network per process: a second
+    identical run requests the same builds and solves none of them."""
     import faultlab.network
 
     calls: list[int] = []
+    solves: list[int] = []
     real = faultlab.network._solve_one_sequence
+    real_dense = faultlab.network.solve_dense
 
     def counting(net, seq, probes=()):
         calls.append(seq)
         return real(net, seq, probes)
 
+    def counting_dense(a, b):
+        solves.append(len(a))
+        return real_dense(a, b)
+
     monkeypatch.setattr(faultlab.network, "_solve_one_sequence", counting)
+    monkeypatch.setattr(faultlab.network, "solve_dense", counting_dense)
     overrides = {
         "sg": {"source.kind": "sg"},
         "sg_x2": {"source.kind": "sg", "sg.x2_pu": 0.3},
     }.get(kind, {"source.kind": "gfm", "clc.kind": kind})
     grounded, ungrounded = {"sg": (3, 2), "sg_x2": (4, 3)}.get(kind, (2, 1))
     for fault in FaultType:
+        config = {**overrides, "fault.kind": fault.value}
         calls.clear()
-        report = run_scenario(build_scenario({**overrides, "fault.kind": fault.value}))
+        report = run_scenario(build_scenario(config))
         if fault is FaultType.BCG and not kind.startswith("sg"):
             assert report.limiter_active and report.iterations > 4
         assert len(calls) == (grounded if fault.grounded else ungrounded), fault
         assert (0 in calls) == fault.grounded, fault
+        first = list(calls)
+        calls.clear()
+        solves.clear()
+        assert run_scenario(build_scenario(config)) == report
+        assert calls == first and solves == [], fault
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from faultlab.network import (
     NetworkModel,
     Placement,
     RelayTap,
+    SEQUENCES,
     SeriesElement,
     SingularNetworkError,
     SourceElement,
@@ -367,6 +368,68 @@ def test_negative_sequence_reuses_the_positive_build_exactly(
     assert all(v == 0 for v in direct[0].values()) and all(v == 0 for v in reused[0].values())
     for mine, theirs in zip(reused[1:], direct[1:]):
         assert repr(list(mine.items())) == repr(list(theirs.items()))
+
+
+@pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
+def test_a_memo_hit_is_the_fresh_build(kind: str, placement: str, m: float) -> None:
+    """An equal network, made anew, hits the build memo in every sequence,
+    and the shared columns still hold a fresh build's bits after a fault
+    solve has read them."""
+    for seq in SEQUENCES:
+        net, port = _fault_network(kind, placement, m)
+        # as the fault builds probe: the zero sequence is not probed at the port
+        probes = (net.fault_node, port) if port and seq else (net.fault_node,)
+        network._solve_stamped.cache_clear()
+        fresh = repr(network._solve_one_sequence(net, seq, probes))
+        solution = solve_fault(net, FaultSpec(FaultType.BCG, m), port)
+        assert (solution.response.at(0.3 - 0.2j, 0.1j) if port else solution).total.readings
+        twin = _fault_network(kind, placement, m)[0]
+        assert twin is not net and twin == net
+        hits = network._solve_stamped.cache_info().hits
+        hit = network._solve_one_sequence(twin, seq, probes)
+        assert network._solve_stamped.cache_info().hits == hits + 1
+        assert repr(hit) == fresh, seq
+
+
+def _ideal_source_network(e1: complex, z_line: complex) -> NetworkModel:
+    """An ideal source pinning node a, a line to b, a load at b."""
+    return NetworkModel((
+        SourceElement("src", "a", e1=e1, z1=0j, z2=0j, z0=0j),
+        SeriesElement("line", "a", "b", z_line, z_line, z_line),
+        SeriesElement("load", "b", "gnd", 1.0 + 0.5j, 1.0 + 0.5j, 2.0 + 1.0j),
+    ), fault_node="b")
+
+
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [
+        # the emfs differ only in the sign of a zero part: column 0 holds each verbatim
+        ((complex(1.0, 0.0), 0.1j), (complex(1.0, -0.0), 0.1j)),
+        ((complex(-0.0, 1.0), 0.1j), (complex(0.0, 1.0), 0.1j)),
+        # the impedances differ only in the sign of a zero part: the same system
+        ((1.0 + 0j, complex(0.0, 0.1)), (1.0 + 0j, complex(-0.0, 0.1))),
+        # equal values of another type
+        ((1.0 + 0j, 0.1), (1.0 + 0j, 0.1 + 0j)),
+        ((1.0, 0.1j), (1.0 + 0j, 0.1j)),
+    ],
+)
+def test_builds_of_equal_inputs_keep_their_own_bits(first, second) -> None:
+    """A build read from the memo has the bits of a fresh build of its own
+    inputs, whichever of two equal networks was built first. Pins keyed by
+    `==` alone would hand the second emf the first's sign of zero."""
+    nets = [_ideal_source_network(*first), _ideal_source_network(*second)]
+    for seq in SEQUENCES:
+        fresh = []
+        for net in nets:
+            network._solve_stamped.cache_clear()
+            fresh.append(repr(network._solve_one_sequence(net, seq, ("b",))))
+        for order in (nets, nets[::-1]):
+            network._solve_stamped.cache_clear()
+            warm = [repr(network._solve_one_sequence(net, seq, ("b",))) for net in order]
+            expected = fresh if order is nets else fresh[::-1]
+            assert warm == expected, (seq, first, second)
+    pinned = network._solve_one_sequence(nets[1], 1, ("b",))[0]["a"]
+    assert repr(pinned) == repr(complex(second[0]))
 
 
 def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
