@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 solver failure (no convergence, oscillation,
 singular network, a result that cannot be serialized), 2 configuration
-error (bad file, key, value, preset).
+error (bad or unreadable config file, key, value, preset, or an output file
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def _emit(lines: list[str], output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {output}: {exc}") from exc
 
 
 class OutputError(RuntimeError):

@@ -13,19 +13,17 @@ Fault solving follows the classical decomposition:
 1. one nodal build per sequence network, solved by `solve_dense` for all its
    right-hand sides: the network with its sources (the base solve), a unit
    current at the fault node with the sources zeroed, and optionally a unit
-   current at a port node (where a converter injects). The negative
-   sequence shares the positive build when every element has z2 = z1 and
-   no injection carries a negative-sequence current: it is then the
-   positive-sequence network with its sources dead, whose probe columns
-   the positive build already holds, and its base column is zero. A fault
-   that does not reach ground (line-line, three-phase) draws no
-   zero-sequence current, and no source drives that sequence, so its
-   zero-sequence solution is zero at every node and is not built.
-   A build is requested once per sequence, and eliminated once per distinct
-   network per process: the fault, the limiting law and the dispatch enter
-   only the boundary conditions and the injected currents, so a case grid
-   repeats a few networks. A bounded memo keyed on the stamped inputs holds
-   the columns; a hit has a fresh build's bits (`_solve_stamped` says why);
+   current at a port node (where a converter injects). A fault that does
+   not reach ground (line-line, three-phase) draws no zero-sequence
+   current, and no source drives that sequence, so its zero-sequence
+   solution is zero at every node and is not built. Every caller requests
+   the build it needs from `_solve_one_sequence`, once per sequence; a
+   build is eliminated once per distinct network per process: the fault,
+   the limiting law and the dispatch enter only the boundary conditions
+   and the injected currents, so a case grid repeats a few networks. A
+   bounded memo keyed on the stamped inputs holds the columns, and is the
+   only place builds are shared; a hit has a fresh build's bits
+   (`_solve_stamped` says why);
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault-probe column there, the open-circuit voltage the base column (plus
    the port columns times any injected current);
@@ -638,80 +636,36 @@ class DrivingPoint:
     The node voltage is v_oc + z * i when a current i is injected there;
     `at(i)` is the whole positive-sequence solution with that injection.
     `columns` is the build: the network as it stands, then a unit current
-    at each of `probes`, the node last.
+    at the node.
     """
 
     v_oc: complex
     z: complex
     net: NetworkModel
-    probes: tuple[str, ...]
     columns: list[_Column]
 
     def at(self, i: complex) -> SequenceSolution:
         """The solution with i injected at the node; negative and zero sequences read 0."""
-        weights = [1.0, *[0.0] * (len(self.probes) - 1), i]
-        return SequenceSolution({1: _superpose(self.columns, weights), 2: {}, 0: {}}, self.net)
+        return SequenceSolution({1: _superpose(self.columns, [1.0, i]), 2: {}, 0: {}}, self.net)
 
 
-def driving_point(net: NetworkModel, node: str, fault_probe: bool = False) -> DrivingPoint:
-    """Build the positive-sequence network once, probed at node.
-
-    With fault_probe the build is probed at the fault node too, and is then
-    the positive-sequence build of `solve_fault` with node as its port,
-    which takes it as `positive`. Each column of a build is eliminated on
-    its own, so the node's columns are the same bits either way.
-    """
-    probes = (net.fault_node, node) if fault_probe else (node,)
-    columns = _solve_one_sequence(net, 1, probes)
-    return DrivingPoint(columns[0][node], columns[-1][node], net, probes, columns)
+def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
+    """Build the positive-sequence network once, probed at node."""
+    columns = _solve_one_sequence(net, 1, (node,))
+    return DrivingPoint(columns[0][node], columns[1][node], net, columns)
 
 
-def _negative_is_dead_positive(net: NetworkModel) -> bool:
-    """Whether the negative-sequence network is the positive one, sources dead.
-
-    So it is when every element has z2 = z1 and no injection carries a
-    negative-sequence current: the two nodal matrices, pinned nodes and
-    unknowns are then the same, and only column 0 differs (the emfs and
-    positive-sequence injections vanish in the negative sequence).
-    """
-    for e in net.elements:
-        if isinstance(e, (SeriesElement, SourceElement)):
-            if e.z2 != e.z1:
-                return False
-        elif isinstance(e, InjectionElement) and e.i2 != 0:
-            return False
-    return True
-
-
-def _fault_builds(
-    net: NetworkModel, grounded: bool, port: str = "", positive: DrivingPoint | None = None
-) -> dict[int, list[_Column]]:
-    """Each sequence network built at most once, probed at the fault node and the port.
+def _fault_builds(net: NetworkModel, grounded: bool, port: str = "") -> dict[int, list[_Column]]:
+    """Each sequence network built once, probed at the fault node and the port.
 
     The port carries positive- and negative-sequence currents only, so the
-    zero-sequence network is not probed there. Where the negative-sequence
-    network is the positive one with its sources dead, it shares the
-    positive build: its probe columns are the positive ones (same matrix,
-    same pivots, same row operations, so the same bits), and its column 0
-    is zero. A `positive` build already made with these probes is taken
-    as the positive sequence's. A fault that does not reach ground leaves
-    the zero-sequence network unbuilt: its columns are empty, so every node
-    reads 0j there, as for a node absent from a build.
+    zero-sequence network is not probed there. A fault that does not reach
+    ground leaves the zero-sequence network unbuilt: its columns are empty,
+    so every node reads 0j there, as for a node absent from a build.
     """
     probes = (net.fault_node, port) if port else (net.fault_node,)
-    if positive is None:
-        pos = _solve_one_sequence(net, 1, probes)
-    elif positive.net is net and positive.probes == probes:
-        pos = positive.columns
-    else:
-        where = "this" if positive.net is net else "another"
-        raise ValueError(
-            f"positive build probed at {positive.probes} of {where} network, not at {probes} of net"
-        )
-    if _negative_is_dead_positive(net):
-        neg = [dict.fromkeys(pos[0], 0j), *pos[1:]]
-    else:
-        neg = _solve_one_sequence(net, 2, probes)
+    pos = _solve_one_sequence(net, 1, probes)
+    neg = _solve_one_sequence(net, 2, probes)
     zero = _solve_one_sequence(net, 0, (net.fault_node,)) if grounded else [{}, {}]
     return {1: pos, 2: neg, 0: zero}
 
@@ -779,13 +733,12 @@ def solve_fault_boundary(
 class FaultResponse:
     """One faulted network as an affine function of the currents injected at a port.
 
-    `solve_fault` builds each sequence network at most once (the negative
-    sequence may share the positive build, and a fault that does not reach
-    ground builds no zero sequence: its columns are empty and read 0j) and
-    solves its right-hand sides together: the network as it stands, a unit
-    current at the fault node and, in the positive and negative sequences
-    when a port node is named, a unit current at the port. The rest is
-    superposition.
+    `solve_fault` builds each sequence network once (a fault that does not
+    reach ground builds no zero sequence: its columns are empty and read
+    0j) and solves its right-hand sides together: the network as it
+    stands, a unit current at the fault node and, in the positive and
+    negative sequences when a port node is named, a unit current at the
+    port. The rest is superposition.
     Injecting (i1, i2) at the port adds i1 and i2 times the port columns to
     the base solution, and with it to the open-circuit voltages at the
     fault node; the boundary conditions turn those into the fault current;
@@ -819,16 +772,12 @@ class FaultResponse:
         return FaultSolution(self, i1, i2)
 
 
-def solve_fault(
-    net: NetworkModel, spec: FaultSpec, port: str = "", positive: DrivingPoint | None = None
-) -> FaultSolution:
-    """Full linear fault solve: at most one nodal build per sequence, then superposition.
+def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolution:
+    """Full linear fault solve: one nodal build per sequence, then superposition.
 
     With a port node named, the solution's `response` also gives the fault
     solution for any positive- and negative-sequence currents injected
-    there, without another solve. `positive`, a
-    `driving_point(net, port, fault_probe=True)` such as a converter's
-    prefault one-port, stands in for the positive-sequence build.
+    there, without another solve.
     """
-    builds = _fault_builds(net, spec.fault_type.grounded, port, positive)
+    builds = _fault_builds(net, spec.fault_type.grounded, port)
     return FaultSolution(FaultResponse(net, spec, port, builds))

@@ -105,7 +105,6 @@ from .clc import (
     max_phase_current,
 )
 from .network import (
-    DrivingPoint,
     FaultResponse,
     FaultSolution,
     FaultSpec,
@@ -224,9 +223,6 @@ class OperatingPoint:
     # the healthy positive-sequence network with i_attach delivered at the
     # source node (substitution theorem), for the pre-fault relay readings
     healthy: SequenceSolution
-    # the build that gave healthy; a converter's is probed at the fault
-    # node too, and is the positive build of its fault solve
-    one_port: DrivingPoint
 
     @property
     def e_ref1(self) -> complex:
@@ -261,17 +257,10 @@ def prefault_solve(
     Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of i, so the part
     of S along z_th is met with i real. The point must meet (p_ref, q_ref)
     within tol.
-
-    A converter's one-port is probed at the fault node as well: the fault
-    enters only through the boundary conditions, so that build is also the
-    positive build of its fault solve, which `fault_fixed_point` takes from
-    the point. A generator's fault network holds its source branch, so its
-    one-port is probed at the source node only.
     """
-    sg = isinstance(source, SgModel)
-    z = 1j * source.x1 if sg else source.normal_z()
-    one_port = driving_point(net, net.source_node, fault_probe=not sg)
-    v_oc, z_th = one_port.v_oc, one_port.z
+    z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
+    seen = driving_point(net, net.source_node)
+    v_oc, z_th = seen.v_oc, seen.z
     s_ref = complex(p_ref, q_ref)
     if abs(v_oc) <= 1e-9:
         t = (s_ref * z_th.conjugate()).real / abs(z_th) ** 2 if z_th else 0.0
@@ -305,8 +294,7 @@ def prefault_solve(
         i_attach=i,
         p=s.real,
         q=s.imag,
-        healthy=one_port.at(i),
-        one_port=one_port,
+        healthy=seen.at(i),
     )
 
 
@@ -676,14 +664,13 @@ def fault_fixed_point(
     port model and the control law to their next value. `circular` and the
     shaping modes solve for one real number by `_brent`, the other two
     modes by `_drive`. The fault response at the converged terminal
-    currents gives the readings. Its positive-sequence build is op's
-    one-port, so op must be `prefault_solve`'s point on net.
+    currents gives the readings.
     """
     cfg = gfm.clc
     name = cfg.kind.value
     e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
-    response = solve_fault(net, spec, port=node, positive=op.one_port).response
+    response = solve_fault(net, spec, port=node).response
     port = terminal_port(response)
     x_net = 1j * gfm.x_f_network
 

@@ -62,6 +62,20 @@ def test_output_goes_to_the_named_file(tmp_path, capsys) -> None:
     assert lines[0] == csv_header() and len(lines) == 2
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["run", "table1"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command: str, where: str) -> None:
+    target = tmp_path / "absent" / "out.csv" if where == "missing-directory" else tmp_path
+    argv = ["--output", str(target)]
+    if command == "run":
+        argv = ["--config", _config(tmp_path, "source.kind = sg\n"), *argv]
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write output file {target}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys) -> None:
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "config error" in capsys.readouterr().err

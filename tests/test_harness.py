@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import pytest
@@ -20,7 +21,13 @@ from faultlab.harness import (
     table1_verdicts,
 )
 from faultlab.network import FaultType
-from faultlab.phasors import DEFAULT_MAGNITUDE_FLOOR, ZeroPhasorError, angle_deg, from_polar
+from faultlab.phasors import (
+    DEFAULT_MAGNITUDE_FLOOR,
+    ZeroPhasorError,
+    angle_deg,
+    from_polar,
+    wrap_angle_deg,
+)
 from faultlab.presets import preset_scenario_overrides
 from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from faultlab.scenario import ValidationError, build_scenario
@@ -305,24 +312,22 @@ def test_generator_effective_source_impedance_includes_the_collection_line() -> 
 
 @pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance", "sg", "sg_x2"])
 def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -> None:
-    """One nodal build per faulted sequence network, the negative sequence
-    sharing the positive build unless some z2 differs from its z1 (a
-    generator with x2 != x1), and no zero-sequence build for a fault that
-    does not reach ground. A converter's dispatch one-port, which also
-    gives the healthy readings, is the columns of that positive build; a
-    generator's fault network holds its source branch, so its one-port is a
-    build of the healthy network of its own. The fixed point builds none.
-    Each build is eliminated once per distinct network per process: a second
-    identical run requests the same builds and solves none of them."""
+    """One nodal build per faulted sequence network, and none of the
+    zero sequence for a fault that does not reach ground, plus the
+    dispatch's build of the healthy positive-sequence network: 4 for a
+    grounded fault and 3 otherwise, whatever the source. The fixed point
+    builds none. Repeats are shared only by the build memo: a cold run
+    eliminates each distinct requested build once, and a second identical
+    run requests the same builds and solves none of them."""
     import faultlab.network
 
-    calls: list[int] = []
+    requests: list[tuple] = []
     solves: list[int] = []
     real = faultlab.network._solve_one_sequence
     real_dense = faultlab.network.solve_dense
 
     def counting(net, seq, probes=()):
-        calls.append(seq)
+        requests.append((net, seq, probes))
         return real(net, seq, probes)
 
     def counting_dense(a, b):
@@ -335,20 +340,24 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
         "sg": {"source.kind": "sg"},
         "sg_x2": {"source.kind": "sg", "sg.x2_pu": 0.3},
     }.get(kind, {"source.kind": "gfm", "clc.kind": kind})
-    grounded, ungrounded = {"sg": (3, 2), "sg_x2": (4, 3)}.get(kind, (2, 1))
     for fault in FaultType:
         config = {**overrides, "fault.kind": fault.value}
-        calls.clear()
+        requests.clear()
+        solves.clear()
+        faultlab.network._solve_stamped.cache_clear()
         report = run_scenario(build_scenario(config))
         if fault is FaultType.BCG and not kind.startswith("sg"):
             assert report.limiter_active and report.iterations > 4
-        assert len(calls) == (grounded if fault.grounded else ungrounded), fault
-        assert (0 in calls) == fault.grounded, fault
-        first = list(calls)
-        calls.clear()
+        seqs = [seq for _, seq, _ in requests]
+        assert len(seqs) == (4 if fault.grounded else 3), fault
+        assert (0 in seqs) == fault.grounded, fault
+        distinct = [r for k, r in enumerate(requests) if r not in requests[:k]]
+        assert len(solves) == len(distinct), fault
+        first = list(requests)
+        requests.clear()
         solves.clear()
         assert run_scenario(build_scenario(config)) == report
-        assert calls == first and solves == [], fault
+        assert requests == first and solves == [], fault
 
 
 @pytest.mark.parametrize(
@@ -455,6 +464,50 @@ def test_phi0_across_the_operating_space_is_the_same_under_every_row(table1_spac
         if not ok:
             assert fault_type is FaultType.BCG and point["fault.m"] >= 0.95, point
             assert point["fault.r_g_ohm"] == 100.0, point
+
+
+# phi2 is secure in this many of the 96 faults a row
+PHI2_SECURE = {
+    "circular": 9,
+    "priority": 11,
+    "instantaneous": 14,
+    "virtual-admittance-xr20": 96,
+    "adaptive-vi-xr20": 96,
+    "adaptive-vi-xr0.1": 23,
+}
+
+
+def test_phi2_is_secure_exactly_when_the_source_impedance_is_inductive_enough() -> None:
+    """The negative-sequence element reads v2/i2 = -ze2, the source side's
+    impedance behind the relay, so it says forward exactly when
+    angle(ze2) lies in [phi_non, 180 - phi_non]. Under `circular` the
+    source is the emf behind the real (1 - s) / (k_pv * s) at the
+    saturation factor s, so Re ze2 is that, and phi2 is secure exactly
+    when s >= 1 / (1 + k_pv * X * cot(phi_non)) with X = Im ze2."""
+    for row in TABLE1_ROWS:
+        secure = 0
+        for fault_type, point in OPERATING_SPACE:
+            scenario = build_scenario({
+                "source.kind": "gfm",
+                "fault.kind": fault_type.value,
+                "fault.placement": "forward",
+                **point,
+                **row.overrides,
+            })
+            report = run_scenario(scenario)
+            ze2 = from_polar(report.ze2_mag, report.ze2_ang)
+            phi_non = scenario.dir_cfg.phi_non_deg
+            case = (row.label, fault_type, point)
+            assert abs(wrap_angle_deg(report.phi2_deg - angle_deg(-ze2))) <= 1e-9, case
+            forward = report.dir_neg == "forward"
+            assert forward == (phi_non <= angle_deg(ze2) <= 180.0 - phi_non), case
+            secure += forward
+            if row.label == "circular":
+                s, k_pv = report.sigma1_mag, scenario.gfm.k_pv
+                assert abs(ze2.real - (1.0 - s) / (k_pv * s)) <= 1e-12, case
+                cot = 1.0 / math.tan(math.radians(phi_non))
+                assert forward == (s >= 1.0 / (1.0 + k_pv * ze2.imag * cot)), case
+        assert secure == PHI2_SECURE[row.label], row.label
 
 
 @pytest.mark.parametrize("kind", ["virtual_admittance", "adaptive_virtual_impedance"])

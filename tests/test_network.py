@@ -353,20 +353,21 @@ def _counted_fault_builds(monkeypatch, net: NetworkModel, port: str) -> tuple[di
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
 def test_negative_sequence_reuses_the_positive_build_exactly(
-    monkeypatch, kind: str, placement: str, m: float
+    kind: str, placement: str, m: float
 ) -> None:
     """z2 = z1 everywhere and no negative-sequence injection: the negative
-    sequence is the dead positive one, and its probe columns are the same bits."""
+    sequence is the positive one with its sources dead (Anderson, Analysis
+    of Faulted Power Systems, ch. 3). Built on its own, its probe columns
+    are the positive build's bits and its column 0 is zero at every node,
+    so building it apart from the positive sequence moves no output."""
     net, port = _fault_network(kind, placement, m)
     probes = (net.fault_node, port) if port else (net.fault_node,)
-    direct = network._solve_one_sequence(net, 2, probes)
-    builds, calls = _counted_fault_builds(monkeypatch, net, port)
-    assert calls == [1, 0]
-    reused = builds[2]
-    assert len(reused) == len(direct) == 1 + len(probes)
-    assert list(reused[0]) == list(direct[0])
-    assert all(v == 0 for v in direct[0].values()) and all(v == 0 for v in reused[0].values())
-    for mine, theirs in zip(reused[1:], direct[1:]):
+    builds = network._fault_builds(net, True, port)
+    pos, neg = builds[1], builds[2]
+    assert len(pos) == len(neg) == 1 + len(probes)
+    assert list(neg[0]) == list(pos[0])
+    assert all(v == 0 for v in neg[0].values())
+    for mine, theirs in zip(neg[1:], pos[1:]):
         assert repr(list(mine.items())) == repr(list(theirs.items()))
 
 
@@ -440,7 +441,9 @@ def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
     assert abs(builds[2][0]["poc"]) > 0.01
     # a positive-sequence injection alone leaves the negative sequence dead
     balanced = scenario.net.with_elements(replace(inj, i2=0j))
-    assert _counted_fault_builds(monkeypatch, balanced, "")[1] == [1, 0]
+    builds, calls = _counted_fault_builds(monkeypatch, balanced, "")
+    assert calls == [1, 2, 0]
+    assert all(v == 0 for v in builds[2][0].values())
 
 
 def test_unequal_negative_sequence_impedance_takes_the_full_build(monkeypatch) -> None:
@@ -665,32 +668,3 @@ def test_solve_dense_differs_from_every_row_elimination_only_in_the_sign_of_a_ze
         "[[-1.0], [-0.0]]",
         "[[-1.0], [0.0]]",
     )
-
-
-@pytest.mark.parametrize("kind", ["circular", "priority", "virtual_admittance"])
-def test_fault_probed_one_port_is_the_plain_one_port_bit_for_bit(kind: str) -> None:
-    """The converter's dispatch reads its one-port off the fault solve's
-    positive build, which `solve_fault` then takes as its own."""
-    scenario = build_scenario({"source.kind": "gfm", "clc.kind": kind, "fault.m": 0.3})
-    net, node = scenario.net, scenario.net.source_node
-    plain = network.driving_point(net, node)
-    probed = network.driving_point(net, node, fault_probe=True)
-    assert probed.probes == (net.fault_node, node)
-    assert repr((plain.v_oc, plain.z)) == repr((probed.v_oc, probed.z))
-    i = from_polar(0.8, -20.0)
-    assert repr(plain.at(i).v) == repr(probed.at(i).v)
-    given = solve_fault(net, scenario.fault, port=node, positive=probed).response
-    built = solve_fault(net, scenario.fault, port=node).response
-    assert given.builds[1] is probed.columns
-    assert repr(given.builds) == repr(built.builds)
-
-
-def test_solve_fault_refuses_a_positive_build_probed_elsewhere() -> None:
-    scenario = build_scenario({"source.kind": "gfm"})
-    net, node = scenario.net, scenario.net.source_node
-    with pytest.raises(ValueError, match="probed at"):
-        solve_fault(net, scenario.fault, port=node, positive=network.driving_point(net, node))
-    other = net.with_elements()
-    probed = network.driving_point(other, node, fault_probe=True)
-    with pytest.raises(ValueError, match="probed at"):
-        solve_fault(net, scenario.fault, port=node, positive=probed)

@@ -17,7 +17,6 @@ from faultlab.clc import (
     phase_components,
 )
 from faultlab.network import (
-    DrivingPoint,
     InjectionElement,
     NetworkModel,
     RelayTap,
@@ -294,42 +293,10 @@ def test_operating_point_accessors() -> None:
     net = NetworkModel(elements=())
     healthy = SequenceSolution(v={}, net=net)
     op = OperatingPoint(
-        e_mag=1.05, theta_deg=12.0, v_attach=1 + 0j, i_attach=0j, p=0.0, q=0.0, healthy=healthy,
-        one_port=DrivingPoint(0j, 0j, net, (), []),
+        e_mag=1.05, theta_deg=12.0, v_attach=1 + 0j, i_attach=0j, p=0.0, q=0.0, healthy=healthy
     )
     assert op.e_ref1 == pytest.approx(from_polar(1.05, 12.0), abs=1e-15)
     assert op.theta_rad == pytest.approx(math.radians(12.0))
-
-
-def test_converter_fault_solve_takes_the_prefault_build(monkeypatch) -> None:
-    """A converter's one-port is probed at the fault node too, and its fault
-    solve takes that build as its positive sequence's; a generator's
-    one-port is probed at its node only. A point from another network is
-    refused."""
-    import faultlab.sources
-
-    scenario = build_scenario({"source.kind": "gfm", "clc.kind": "priority", "fault.m": 0.3})
-    net = scenario.net
-    op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
-    assert op.one_port.net is net
-    assert op.one_port.probes == (net.fault_node, net.source_node)
-    responses = []
-    real = faultlab.sources.solve_fault
-
-    def keeping(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        responses.append(sol.response)
-        return sol
-
-    monkeypatch.setattr(faultlab.sources, "solve_fault", keeping)
-    fault_fixed_point(net, scenario.gfm, scenario.fault, op)
-    assert [r.builds[1] for r in responses] == [op.one_port.columns]
-    assert responses[0].builds[1] is op.one_port.columns
-    with pytest.raises(ValueError, match="another network"):
-        fault_fixed_point(net.with_elements(), scenario.gfm, scenario.fault, op)
-    gen = build_scenario({"source.kind": "sg"})
-    gen_op = prefault_solve(gen.net, gen.sg, gen.p_ref, gen.q_ref)
-    assert gen_op.one_port.probes == (gen.net.source_node,)
 
 
 CLC_KINDS = (
