@@ -13,10 +13,10 @@ Fault solving follows the classical decomposition:
 1. one nodal build per sequence network, solved by `solve_dense` for all its
    right-hand sides: the network with its sources (the base solve), a unit
    current at the fault node with the sources zeroed, and optionally a unit
-   current at a port node (where a converter injects). A fault that does
-   not reach ground (line-line, three-phase) draws no zero-sequence
-   current, and no source drives that sequence, so its zero-sequence
-   solution is zero at every node and is not built. Every caller requests
+   current at a port node (where a converter injects). Every fault builds
+   all three; one that does not reach ground (line-line, three-phase)
+   draws no zero-sequence current, and no source drives that sequence, so
+   its zero-sequence solution is zero at every node. Every caller requests
    the build it needs from `_solve_one_sequence`, once per sequence; a
    build is eliminated once per distinct network per process: the fault,
    the limiting law and the dispatch enter only the boundary conditions
@@ -119,10 +119,6 @@ class FaultType(Enum):
     def phases(self) -> tuple[str, ...]:
         """Phases tied into the fault."""
         return _FAULT_SHAPE[self][2]
-
-    @property
-    def grounded(self) -> bool:
-        return self.category in (FaultCategory.SLG, FaultCategory.LLG)
 
 
 # category, shift from canonical fault, faulted phases.
@@ -334,14 +330,14 @@ class TheveninEquivalent:
 
     e_f2/e_f0 are zero for ordinary source mixes; they pick up the
     open-circuit negative/zero-sequence voltage that unbalanced current
-    injections (a saturated converter) leave at the fault node. z0 is None
-    for a fault that does not reach ground: its zero-sequence network is
-    not built, and its boundary conditions do not read z0.
+    injections (a saturated converter) leave at the fault node. A fault
+    that does not reach ground has a z0 too; its boundary conditions do
+    not read it.
     """
 
     z1: complex
     z2: complex
-    z0: complex | None
+    z0: complex
     e_f: complex  # open-circuit positive-sequence fault-node voltage
     e_f2: complex = 0j
     e_f0: complex = 0j
@@ -655,30 +651,25 @@ def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
     return DrivingPoint(columns[0][node], columns[1][node], net, columns)
 
 
-def _fault_builds(net: NetworkModel, grounded: bool, port: str = "") -> dict[int, list[_Column]]:
+def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:
     """Each sequence network built once, probed at the fault node and the port.
 
     The port carries positive- and negative-sequence currents only, so the
-    zero-sequence network is not probed there. A fault that does not reach
-    ground leaves the zero-sequence network unbuilt: its columns are empty,
-    so every node reads 0j there, as for a node absent from a build.
+    zero-sequence network is probed at the fault node alone.
     """
     probes = (net.fault_node, port) if port else (net.fault_node,)
     pos = _solve_one_sequence(net, 1, probes)
     neg = _solve_one_sequence(net, 2, probes)
-    zero = _solve_one_sequence(net, 0, (net.fault_node,)) if grounded else [{}, {}]
+    zero = _solve_one_sequence(net, 0, (net.fault_node,))
     return {1: pos, 2: neg, 0: zero}
 
 
 def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> TheveninEquivalent:
-    """Fault-probe column at node (impedances), base solution there (voltages).
-
-    z0 is None where the zero-sequence network was not built.
-    """
+    """Fault-probe column at node (impedances), base solution there (voltages)."""
     return TheveninEquivalent(
         z1=builds[1][1][node],
         z2=builds[2][1][node],
-        z0=builds[0][1].get(node),
+        z0=builds[0][1][node],
         e_f=_voltage(builds[1], node, base[1]),
         e_f2=_voltage(builds[2], node, base[2]),
         e_f0=_voltage(builds[0], node, base[0]),
@@ -733,12 +724,10 @@ def solve_fault_boundary(
 class FaultResponse:
     """One faulted network as an affine function of the currents injected at a port.
 
-    `solve_fault` builds each sequence network once (a fault that does not
-    reach ground builds no zero sequence: its columns are empty and read
-    0j) and solves its right-hand sides together: the network as it
-    stands, a unit current at the fault node and, in the positive and
-    negative sequences when a port node is named, a unit current at the
-    port. The rest is superposition.
+    `solve_fault` builds each sequence network once and solves its
+    right-hand sides together: the network as it stands, a unit current at
+    the fault node and, in the positive and negative sequences when a port
+    node is named, a unit current at the port. The rest is superposition.
     Injecting (i1, i2) at the port adds i1 and i2 times the port columns to
     the base solution, and with it to the open-circuit voltages at the
     fault node; the boundary conditions turn those into the fault current;
@@ -779,5 +768,5 @@ def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolu
     solution for any positive- and negative-sequence currents injected
     there, without another solve.
     """
-    builds = _fault_builds(net, spec.fault_type.grounded, port)
+    builds = _fault_builds(net, port)
     return FaultSolution(FaultResponse(net, spec, port, builds))

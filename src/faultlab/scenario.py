@@ -428,6 +428,12 @@ def _build_network(
         _need_float(resolved, "circuit.line_r0_ohm_km"),
         _need_float(resolved, "circuit.line_x0_ohm_km"),
     )
+    for z, seq in ((z1_km, 1), (z0_km, 0)):
+        if z == 0:
+            raise ValidationError(
+                f"circuit.line_r{seq}_ohm_km and circuit.line_x{seq}_ohm_km are both zero: "
+                "a line needs a nonzero impedance"
+            )
     line_z1, line_z0 = z1_km * km / zb_hv, z0_km * km / zb_hv
     # the grid: |z1| = 1/scr at the given X/R, z0 a multiple of z1
     scr = _need_positive(resolved, "circuit.grid_scr")
@@ -438,6 +444,10 @@ def _build_network(
     grid_v = _need_positive(resolved, "circuit.grid_v_pu")
     grid_ang = math.radians(_need_float(resolved, "circuit.grid_angle_deg"))
     grid_e = grid_v * complex(math.cos(grid_ang), math.sin(grid_ang))
+    # checked for either source kind, though each kind reads only its own
+    coll_km = _need_positive(resolved, "sg.collection_km")
+    x_t = _need_positive(resolved, "gfm.x_t_pu")
+    x_t0 = _need_positive(resolved, "gfm.x_t0_pu")
 
     elements: list = [
         SourceElement("grid", "bus2", e1=grid_e, z1=grid_z1, z2=grid_z1, z0=grid_z0)
@@ -464,7 +474,6 @@ def _build_network(
         fault_node = "bus1" if (forward and m == 0.0) else "bus2" if forward else ""
 
     if kind is SourceKind.SG:
-        coll_km = _need_positive(resolved, "sg.collection_km")
         zs1, zs0 = z1_km * coll_km / zb_hv, z0_km * coll_km / zb_hv
         if forward or m in (0.0, 1.0):
             elements.append(SeriesElement("col", "sgt", "bus1", zs1, zs1, zs0))
@@ -479,8 +488,6 @@ def _build_network(
         source_node = "sgt"
         z_side = (zs1, zs0)
     else:
-        x_t = _need_positive(resolved, "gfm.x_t_pu")
-        x_t0 = _need_positive(resolved, "gfm.x_t0_pu")
         if forward or m == 0.0:
             elements.append(SeriesElement("xfmr", "poc", "bus1", 1j * x_t, 1j * x_t, None))
             elements.append(SeriesElement("xfmr0", "bus1", GROUND, None, None, 1j * x_t0))

@@ -407,20 +407,19 @@ def terminal_port(response: FaultResponse) -> TerminalPort:
     linear in the open-circuit voltages at the fault node, so the fault
     current splits the same way: the base columns there give v_oc, and each
     channel's port column there, carried through the boundary, gives that
-    channel's column of Z_port. A fault that does not reach ground has no
-    zero-sequence build: there z0 is None and e_f0 is 0j.
+    channel's column of Z_port.
     """
     pos, neg, zero = (response.builds[seq] for seq in (1, 2, 0))
     node, port = response.net.fault_node, response.port
 
     def fault_current(e_f: complex, e_f2: complex, e_f0: complex) -> tuple[complex, complex]:
-        z = (pos[1][node], neg[1][node], zero[1].get(node))
+        z = (pos[1][node], neg[1][node], zero[1][node])
         i_f = solve_fault_boundary(
             TheveninEquivalent(*z, e_f, e_f2, e_f0), response.spec, response.net.z_base_fault_ohm
         )
         return i_f.pos * pos[1][port], i_f.neg * neg[1][port]
 
-    oc1, oc2 = fault_current(pos[0][node], neg[0][node], zero[0].get(node, 0j))
+    oc1, oc2 = fault_current(pos[0][node], neg[0][node], zero[0][node])
     a1, a2 = fault_current(pos[2][node], 0j, 0j)
     b1, b2 = fault_current(0j, neg[2][node], 0j)
     return TerminalPort(

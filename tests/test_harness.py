@@ -16,11 +16,13 @@ from faultlab.harness import (
     _polar,
     format_table1,
     prefault_network_readings,
+    report_scenario,
     run_scenario,
+    solve_scenario,
     sweep_scenarios,
     table1_verdicts,
 )
-from faultlab.network import FaultType
+from faultlab.network import FaultType, SourceElement, solve_fault
 from faultlab.phasors import (
     DEFAULT_MAGNITUDE_FLOOR,
     ZeroPhasorError,
@@ -312,11 +314,10 @@ def test_generator_effective_source_impedance_includes_the_collection_line() -> 
 
 @pytest.mark.parametrize("kind", ["circular", "adaptive_virtual_impedance", "sg", "sg_x2"])
 def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -> None:
-    """One nodal build per faulted sequence network, and none of the
-    zero sequence for a fault that does not reach ground, plus the
-    dispatch's build of the healthy positive-sequence network: 4 for a
-    grounded fault and 3 otherwise, whatever the source. The fixed point
-    builds none. Repeats are shared only by the build memo: a cold run
+    """One nodal build per faulted sequence network, the zero sequence
+    included for a fault that does not reach ground, plus the dispatch's
+    build of the healthy positive-sequence network: 4 for every fault,
+    whatever the source. The fixed point builds none. Repeats are shared only by the build memo: a cold run
     eliminates each distinct requested build once, and a second identical
     run requests the same builds and solves none of them."""
     import faultlab.network
@@ -349,8 +350,7 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
         if fault is FaultType.BCG and not kind.startswith("sg"):
             assert report.limiter_active and report.iterations > 4
         seqs = [seq for _, seq, _ in requests]
-        assert len(seqs) == (4 if fault.grounded else 3), fault
-        assert (0 in seqs) == fault.grounded, fault
+        assert sorted(seqs) == [0, 1, 1, 2], fault
         distinct = [r for k, r in enumerate(requests) if r not in requests[:k]]
         assert len(solves) == len(distinct), fault
         first = list(requests)
@@ -367,8 +367,7 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
 )
 def test_oracle_agrees_on_every_fault_kind(overrides: dict[str, object]) -> None:
     """The phase-domain oracle reads the sequence route's relay quantities on
-    every fault kind, the ones that do not reach ground (and so build no
-    zero-sequence network) included."""
+    every fault kind, the ones that do not reach ground included."""
     for fault in FaultType:
         for r_g in (0.0, 5.0):
             scenario = build_scenario(
@@ -508,6 +507,34 @@ def test_phi2_is_secure_exactly_when_the_source_impedance_is_inductive_enough() 
                 cot = 1.0 / math.tan(math.radians(phi_non))
                 assert forward == (s >= 1.0 / (1.0 + k_pv * ze2.imag * cot)), case
         assert secure == PHI2_SECURE[row.label], row.label
+
+
+def test_d20_depends_on_the_converter_only_through_ze2() -> None:
+    """At the fixed point the converter's negative-sequence channel is the
+    passive impedance z_source[1] at its terminal, and a ground fault's
+    i2/i0 split depends only on the negative- and zero-sequence networks.
+    So d20 at bus 1 is that of a passive twin: the converter replaced by a
+    source with that impedance in the positive and negative sequences, open
+    in the zero sequence, behind any emf."""
+    for row in TABLE1_ROWS:
+        for fault_type, point in OPERATING_SPACE:
+            scenario = build_scenario({
+                "source.kind": "gfm",
+                "fault.kind": fault_type.value,
+                "fault.placement": "forward",
+                **point,
+                **row.overrides,
+            })
+            op, sol = solve_scenario(scenario)
+            report = report_scenario(scenario, op, sol)
+            z2 = sol.z_source[1]
+            twin = scenario.net.with_elements(
+                SourceElement("twin", scenario.net.source_node, 1.0 + 0j, z2, z2, None)
+            )
+            i = solve_fault(twin, scenario.fault).total.readings["bus1"].i
+            d20 = angle_deg(i.neg) - angle_deg(i.zero)
+            case = (row.label, fault_type, point)
+            assert abs(wrap_angle_deg(report.d20_deg - d20)) <= 1e-9, case
 
 
 @pytest.mark.parametrize("kind", ["virtual_admittance", "adaptive_virtual_impedance"])

@@ -185,8 +185,6 @@ def test_fault_type_shape_table() -> None:
     assert (FaultType.AG.shift, FaultType.BG.shift, FaultType.CG.shift) == (0, 1, 2)
     assert (FaultType.BC.shift, FaultType.CA.shift, FaultType.AB.shift) == (0, 1, 2)
     assert FaultType.BCG.phases == ("b", "c")
-    assert FaultType.AG.grounded and FaultType.BCG.grounded
-    assert not FaultType.BC.grounded and not FaultType.ABC.grounded
     # value strings double as config tokens
     assert FaultType("bcg") is FaultType.BCG
 
@@ -217,14 +215,16 @@ def test_unbalanced_base_network_matches_phase_oracle(kind: str) -> None:
 
 
 def test_sequence_absence_for_ungrounded_faults() -> None:
-    """A fault that does not reach ground builds no zero-sequence network:
-    every zero-sequence reading is exactly 0j, and the Thevenin view has no z0."""
+    """A fault that does not reach ground draws no zero-sequence current:
+    every zero-sequence reading is exactly 0j, and its Thevenin z0 is the
+    grounded fault's at the same point, for the network is the same."""
     base = build_scenario({"source.kind": "sg"})
     src = SourceElement("src", "sgt", e1=from_polar(1.0, 10.0), z1=0.2j, z2=0.2j, z0=0.1j)
+    net = base.net.with_elements(src)
+    grounded = solve_fault(net, FaultSpec(fault_type=FaultType.BCG, m=0.5))
     for kind in (FaultType.AB, FaultType.BC, FaultType.CA, FaultType.ABC):
-        net = base.net.with_elements(src)
         sol = solve_fault(net, FaultSpec(fault_type=kind, m=0.5))
-        assert sol.thevenin.z0 is None
+        assert repr(sol.thevenin.z0) == repr(grounded.thevenin.z0)
         assert sol.i_fault.zero == 0
         for part in (sol.base, sol.pure, sol.total):
             for node in net.nodes():
@@ -264,9 +264,8 @@ def test_pure_fault_solution_is_the_back_distributed_fault_current() -> None:
         )
         assert sol.i_fault.max_abs() > 0.1
         for seq in (1, 2, 0):
-            # an ungrounded fault builds no zero sequence: its nodes read 0j
             for node, v in direct.v[seq].items():
-                assert abs(sol.pure.v[seq].get(node, 0j) - v) < 1e-12
+                assert abs(sol.pure.v[seq][node] - v) < 1e-12
             for e in net.elements:
                 if isinstance(e, SeriesElement):
                     assert abs(sol.pure.current(seq, e.eid) - direct.current(seq, e.eid)) < 1e-12
@@ -348,7 +347,7 @@ def _counted_fault_builds(monkeypatch, net: NetworkModel, port: str) -> tuple[di
         return real(net, seq, probes)
 
     monkeypatch.setattr(network, "_solve_one_sequence", counting)
-    return network._fault_builds(net, True, port), calls
+    return network._fault_builds(net, port), calls
 
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
@@ -362,7 +361,7 @@ def test_negative_sequence_reuses_the_positive_build_exactly(
     so building it apart from the positive sequence moves no output."""
     net, port = _fault_network(kind, placement, m)
     probes = (net.fault_node, port) if port else (net.fault_node,)
-    builds = network._fault_builds(net, True, port)
+    builds = network._fault_builds(net, port)
     pos, neg = builds[1], builds[2]
     assert len(pos) == len(neg) == 1 + len(probes)
     assert list(neg[0]) == list(pos[0])

@@ -9,11 +9,15 @@ default.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
 from faultlab.cli import main
-from faultlab.scenario import DEFAULTS
+from faultlab.harness import run_scenario
+from faultlab.network import SingularNetworkError
+from faultlab.scenario import DEFAULTS, ConfigError, build_scenario
+from faultlab.sources import NoConvergenceError, OscillationDetectedError
 
 SEED = 4
 CASES = 200
@@ -61,3 +65,25 @@ def test_random_configs_end_in_one_of_three_outcomes(tmp_path, capsys) -> None:
         outcomes[code] += 1
     # the mix reaches every outcome, so none of the three goes unchecked
     assert set(outcomes) == set(PREFIX), outcomes
+
+
+def test_every_pair_of_numeric_keys_at_zero_ends_in_a_report_or_a_named_error() -> None:
+    """Two keys at 0 at once, for every pair: a zero line impedance needs
+    both its resistance and its reactance at 0, which no single key gives."""
+    for kind, fault in itertools.product(("sg", "gfm"), ("bcg", "ab")):
+        for pair in itertools.combinations(NUMERIC_KEYS, 2):
+            config = {"source.kind": kind, "fault.kind": fault, **dict.fromkeys(pair, 0.0)}
+            try:
+                run_scenario(build_scenario(config))
+            except (ConfigError, NoConvergenceError, OscillationDetectedError, SingularNetworkError):
+                pass
+
+
+def test_a_zero_impedance_line_is_a_config_error_naming_both_keys(tmp_path, capsys) -> None:
+    for seq in (1, 0):
+        keys = (f"circuit.line_r{seq}_ohm_km", f"circuit.line_x{seq}_ohm_km")
+        path = tmp_path / f"line{seq}.cfg"
+        path.write_text("".join(f"{key} = 0\n" for key in keys))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and all(key in err for key in keys), err

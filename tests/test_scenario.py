@@ -129,6 +129,15 @@ def test_the_first_invalid_key_in_build_order_is_reported() -> None:
         build_scenario({"fault.m": 2.0, "source.p_ref": "x"})
 
 
+def test_source_keys_are_validated_for_either_source_kind() -> None:
+    # each kind reads only its own, but every value is checked and hashed
+    for kind in ("sg", "gfm"):
+        for key in ("sg.collection_km", "gfm.x_t_pu", "gfm.x_t0_pu"):
+            for value in (0.0, -1.0):
+                with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be positive"):
+                    build_scenario({"source.kind": kind, key: value})
+
+
 def test_resolved_echo_covers_every_key() -> None:
     s = build_scenario({"fault.kind": "ag"})
     assert set(s.resolved) == set(DEFAULTS)
