@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
 from .harness import format_table1, run_scenario, sweep_reports, table1_matrix
 from .network import SingularNetworkError
 from .presets import PRESETS, TABLE1_PRESET, preset_scenario_overrides
-from .report import ScenarioReport, csv_header, csv_line, record_line
+from .report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from .scenario import ConfigError, Scenario, build_scenario, parse_config_text
 from .sources import NoConvergenceError, OscillationDetectedError
 
@@ -116,7 +117,18 @@ def _report_lines(
             for scenario, report in pairs
         ]
     except (ValueError, OverflowError) as exc:
-        raise OutputError(f"cannot serialize the results: {exc}") from exc
+        where = next(filter(None, (_non_finite_column(report) for _, report in pairs)), None)
+        detail = str(exc) if where is None else f"{exc}; {where}"
+        raise OutputError(f"cannot serialize the results: {detail}") from exc
+
+
+def _non_finite_column(report: ScenarioReport) -> str | None:
+    """`<column> is <value>` for the report's first column holding nan or inf, or None."""
+    for name in CSV_COLUMNS:
+        value = getattr(report, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"{name} is {value}"
+    return None
 
 
 def _load_config(path: str) -> dict[str, object]:

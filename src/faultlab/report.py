@@ -4,10 +4,23 @@ Two formats, both deterministic for a given resolved config:
 
 * csv: fixed column order (CSV_COLUMNS), fixed numeric formatting (angles
   at 0.1 degree, magnitudes at 1e-6, residuals in scientific notation).
-  Two runs of the same scenario produce byte-identical output.
-* records: one JSON object per line, keys sorted, full double precision,
-  carrying the resolved config and per-key provenance so the line is
-  self-describing.
+  A text cell holding a comma, a double quote, CR or LF is quoted, its
+  double quotes doubled (RFC 4180). Two runs of the same scenario produce
+  byte-identical output.
+* records: one JSON object per line, keys sorted at every level, full
+  double precision, carrying the resolved config and per-key provenance so
+  the line is self-describing.
+
+Every decision that is the same for all reports is made once, at import:
+each column's CSV formatter, chosen from its name and declared type; the
+sorted order of a record's keys, as three runs of report columns around the
+config and provenance objects; and the `"key":value` member of every
+default value and every default provenance tag. Per report, only the
+values that are not their default object are formatted, so a record of a
+config that overrides a few keys encodes a few config members. A config or
+provenance mapping over other keys than the defaults' is encoded whole, its
+keys sorted, and the result is the same text either way. The values of a
+config are scalars, as `build_scenario` makes them.
 
 Fields that do not apply (converter-only quantities in a generator run,
 angles whose operand sat below the magnitude floor) serialize as empty CSV
@@ -17,7 +30,18 @@ cells / JSON nulls.
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+
+from .scenario import (
+    DEFAULTS,
+    SORTED_DEFAULTS,
+    SORTED_KEYS,
+    SORTED_PROVENANCE,
+    overlay_defaults,
+)
 
 __all__ = ["ScenarioReport", "CSV_COLUMNS", "csv_header", "csv_line", "record_line"]
 
@@ -115,28 +139,55 @@ class ScenarioReport:
 
 CSV_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ScenarioReport))
 
-_SCI = ("residual", "oracle_max_err")
-_INT = ("iterations",)
-_PLAIN = ("fault_m", "fault_r_g_ohm")
+# a text cell holding one of these is quoted, its quotes doubled (RFC 4180)
+_QUOTED = re.compile('[,"\r\n]')
 
 
-def _format_cell(name: str, value: object) -> str:
+def _text_cell(value: str | None) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if name in _INT:
-        return str(int(value))  # type: ignore[arg-type]
-    if isinstance(value, str):
-        return value
-    assert isinstance(value, float)
-    if name in _SCI:
-        return f"{value:.3e}"
-    if name in _PLAIN:
-        return f"{value:.6g}"
-    if name.endswith("_ang") or name.endswith("_deg"):
-        return f"{value:.1f}"
-    return f"{value:.6f}"
+    if _QUOTED.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _flag_cell(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _count_cell(value: int) -> str:
+    return str(int(value))
+
+
+def _number_cell(spec: str) -> Callable[[float | None], str]:
+    def cell(value: float | None) -> str:
+        return "" if value is None else format(value, spec)
+
+    return cell
+
+
+def _csv_cell(name: str, annotation: str) -> Callable[..., str]:
+    """The formatter of one column, chosen from its name and declared type.
+
+    `annotation` is the field's type as written in ScenarioReport (this
+    module's annotations are not evaluated).
+    """
+    if annotation == "bool":
+        return _flag_cell
+    if annotation == "int":
+        return _count_cell
+    if annotation.startswith("str"):
+        return _text_cell
+    if name in ("residual", "oracle_max_err"):
+        return _number_cell(".3e")
+    if name in ("fault_m", "fault_r_g_ohm"):
+        return _number_cell(".6g")
+    if name.endswith(("_ang", "_deg")):
+        return _number_cell(".1f")
+    return _number_cell(".6f")
+
+
+_CSV_CELLS = tuple(_csv_cell(f.name, f.type) for f in fields(ScenarioReport))
 
 
 def csv_header() -> str:
@@ -144,7 +195,40 @@ def csv_header() -> str:
 
 
 def csv_line(report: ScenarioReport) -> str:
-    return ",".join(_format_cell(name, getattr(report, name)) for name in CSV_COLUMNS)
+    values = vars(report)
+    return ",".join([cell(values[name]) for name, cell in zip(CSV_COLUMNS, _CSV_CELLS)])
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _member(key: str, value: object) -> str:
+    return f"{_ENCODER.encode(key)}:{_ENCODER.encode(value)}"
+
+
+# a record's top-level keys in sorted order are three runs of report
+# columns, with the config object after the first and the provenance
+# object after the second
+_SORTED_COLUMNS = tuple(sorted(CSV_COLUMNS))
+_CUT1, _CUT2 = bisect(_SORTED_COLUMNS, "config"), bisect(_SORTED_COLUMNS, "provenance")
+_RUNS = (_SORTED_COLUMNS[:_CUT1], _SORTED_COLUMNS[_CUT1:_CUT2], _SORTED_COLUMNS[_CUT2:])
+_CONFIG_KEY, _PROVENANCE_KEY = _ENCODER.encode("config"), _ENCODER.encode("provenance")
+_CONFIG_MEMBERS = tuple(map(_member, SORTED_KEYS, SORTED_DEFAULTS))
+_PROVENANCE_MEMBERS = tuple(map(_member, SORTED_KEYS, SORTED_PROVENANCE))
+
+
+def _run(values: dict[str, object], run: tuple[str, ...]) -> str:
+    """The members of `run`'s columns, in `run`'s order, without braces."""
+    return _ENCODER.encode(dict(zip(run, map(values.__getitem__, run))))[1:-1]
+
+
+def _object(
+    mapping: dict[str, object], defaults: tuple[object, ...], members: tuple[str, ...]
+) -> str:
+    """`mapping` as a JSON object with sorted keys."""
+    if mapping.keys() != DEFAULTS.keys():
+        return json.dumps(mapping, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return "{" + ",".join(overlay_defaults(mapping, defaults, members, _member)) + "}"
 
 
 def record_line(
@@ -152,8 +236,9 @@ def record_line(
     resolved: dict[str, object],
     provenance: dict[str, str],
 ) -> str:
-    payload: dict[str, object] = {name: getattr(report, name) for name in CSV_COLUMNS}
-    payload["config"] = resolved
-    payload["provenance"] = provenance
-    # sort_keys sorts the nested config and provenance too
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    values = vars(report)
+    head, middle, tail = (_run(values, run) for run in _RUNS)
+    config = _object(resolved, SORTED_DEFAULTS, _CONFIG_MEMBERS)
+    tags = _object(provenance, SORTED_PROVENANCE, _PROVENANCE_MEMBERS)
+    members = (head, f"{_CONFIG_KEY}:{config}", middle, f"{_PROVENANCE_KEY}:{tags}", tail)
+    return "{" + ",".join(filter(None, members)) + "}"

@@ -44,8 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import is_not, itemgetter
 
 from .clc import ClcConfig, ClcKind
 from .network import (
@@ -69,9 +72,13 @@ __all__ = [
     "SolverSettings",
     "Scenario",
     "DEFAULTS",
+    "SORTED_KEYS",
+    "SORTED_DEFAULTS",
+    "SORTED_PROVENANCE",
     "parse_config_text",
     "build_scenario",
     "canonical_config_lines",
+    "overlay_defaults",
 ]
 
 PROV_STUDY = "study-case"
@@ -225,19 +232,51 @@ class Scenario:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+# every key in sorted order, and each key's default value and default
+# provenance in that order: the order of the canonical lines and of the
+# config and provenance objects of a record
+SORTED_KEYS: tuple[str, ...] = tuple(sorted(DEFAULTS))
+SORTED_DEFAULTS: tuple[object, ...] = tuple(DEFAULTS[key][0] for key in SORTED_KEYS)
+SORTED_PROVENANCE: tuple[str, ...] = tuple(DEFAULTS[key][1] for key in SORTED_KEYS)
+_sorted_values = itemgetter(*SORTED_KEYS)
+
+
+def overlay_defaults(
+    mapping: Mapping[str, object],
+    defaults: tuple[object, ...],
+    texts: tuple[str, ...],
+    format_text: Callable[[str, object], str],
+) -> list[str]:
+    """One text per key of SORTED_KEYS: `texts[i]`, or `format_text(key, value)`
+    where `mapping` holds anything but the default object `defaults[i]` itself.
+
+    `mapping` must hold exactly the keys of DEFAULTS, and `texts[i]` must be
+    `format_text(SORTED_KEYS[i], defaults[i])`, made once. Only the values
+    that are not their default object are formatted per call, so a
+    resolved config that overrides a few keys formats a few values.
+    """
+    values = _sorted_values(mapping)
+    out = list(texts)
+    for i in compress(range(len(values)), map(is_not, values, defaults)):
+        out[i] = format_text(SORTED_KEYS[i], values[i])
+    return out
+
+
 def canonical_config_lines(resolved: dict[str, object]) -> list[str]:
     """One `key=value` line per key, sorted by key.
 
-    A resolved config over the default keys reuses the line of every value
-    that is its default object itself, formatted once at import; any other
-    value is formatted here. Either way the line is the same text.
+    A resolved config over the default keys starts from the defaults'
+    lines, formatted once at import, and formats the line of every value
+    that is not its default object itself; any other config formats every
+    line. Either way a line is the same text.
     """
     if resolved.keys() != DEFAULTS.keys():
-        return [f"{key}={_format_value(resolved[key])}" for key in sorted(resolved)]
-    return [
-        line if resolved[key] is default else f"{key}={_format_value(resolved[key])}"
-        for key, default, line in _DEFAULT_LINES
-    ]
+        return [_config_line(key, resolved[key]) for key in sorted(resolved)]
+    return overlay_defaults(resolved, SORTED_DEFAULTS, _DEFAULT_LINES, _config_line)
+
+
+def _config_line(key: str, value: object) -> str:
+    return f"{key}={_format_value(value)}"
 
 
 def _format_value(value: object) -> str:
@@ -248,11 +287,7 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-# (key, default value, its canonical line) for every key, sorted by key
-_DEFAULT_LINES = tuple(
-    (key, default, f"{key}={_format_value(default)}")
-    for key, (default, _) in sorted(DEFAULTS.items())
-)
+_DEFAULT_LINES = tuple(map(_config_line, SORTED_KEYS, SORTED_DEFAULTS))
 _DEFAULT_VALUES = {key: default for key, (default, _) in DEFAULTS.items()}
 _DEFAULT_PROVENANCE = {key: prov for key, (_, prov) in DEFAULTS.items()}
 _CLC_KINDS = tuple(k.value for k in ClcKind)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -116,15 +118,20 @@ def test_unserializable_result_is_a_solver_error(tmp_path, capsys, monkeypatch) 
 
     real = faultlab.cli.run_scenario
 
-    def non_finite(scenario, oracle_check=False):
-        report = real(scenario, oracle_check=oracle_check)
-        return dataclasses.replace(report, residual=math.nan)
+    # one column from each run of report columns that a record's sorted keys
+    # make around its config and provenance objects
+    for column, value in (("clc_kind", math.inf), ("fault_m", -math.inf), ("residual", math.nan)):
 
-    monkeypatch.setattr(faultlab.cli, "run_scenario", non_finite)
-    cfg = _config(tmp_path, "source.kind = sg\n")
-    assert main(["run", "--config", cfg, "--format", "records"]) == 1
-    err = capsys.readouterr().err
-    assert "solver error" in err and "serialize" in err
+        def non_finite(scenario, oracle_check=False):
+            report = real(scenario, oracle_check=oracle_check)
+            return dataclasses.replace(report, **{column: value})
+
+        monkeypatch.setattr(faultlab.cli, "run_scenario", non_finite)
+        cfg = _config(tmp_path, "source.kind = sg\n")
+        assert main(["run", "--config", cfg, "--format", "records"]) == 1
+        err = capsys.readouterr().err
+        assert "solver error" in err and "serialize" in err
+        assert f"{column} is {value}" in err
 
 
 def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch) -> None:
@@ -288,6 +295,19 @@ def test_sweep_emits_one_row_per_step(tmp_path, capsys) -> None:
     assert len(out) == 3
     assert "sw:fault.m=0.2," in out[1]
     assert "sw:fault.m=0.8," in out[2]
+
+
+def test_csv_quotes_an_id_holding_commas_and_quotes(tmp_path, capsys) -> None:
+    cfg = _config(tmp_path, "source.kind = sg\n", name='a,b "c".cfg')
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg, "--param", "fault.m", "--from", "0.2", "--to", "0.8",
+                 "--steps", "2", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == rows[2] == csv_header().split(",")
+    assert [len(row) for row in rows] == [68] * 5
+    ids = [row[0] for row in rows[1:2] + rows[3:]]
+    assert ids == ['a,b "c"', 'a,b "c":fault.m=0.2', 'a,b "c":fault.m=0.8']
 
 
 def test_sweep_records_echo_the_swept_value(tmp_path, capsys) -> None:

@@ -10,7 +10,14 @@ trees and compares the printed digests. The groups:
   `random_config` at seed 7, run with `oracle_check=True`;
 * presets: the CSV that `faultlab replicate --preset <p> --oracle-check`
   prints for each of the 14 presets, with its exit code;
-* table1: what `faultlab table1` prints.
+* table1: what `faultlab table1` prints;
+* records: what `faultlab replicate --preset <p> --format records
+  --oracle-check` prints for each of the 14 presets, and what the
+  benchmark's 24 `faultlab sweep --format records` calls print (each
+  config of `perfbench.workloads.sweep_configs()` along each axis of
+  `SWEEP_AXES` at `SWEEP_STEPS` points), each with its exit code. The
+  sweep configs are written to a temporary directory under their
+  benchmark names, so their scenario ids do not depend on where it is.
 
 Run it from anywhere; it imports faultlab from the `src/` of the checkout it
 sits in. It takes a few seconds.
@@ -26,6 +33,7 @@ import importlib.util
 import io
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +72,25 @@ def _cli(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def _records() -> list[str]:
+    outputs = [
+        _cli(["replicate", "--preset", name, "--format", "records", "--oracle-check"])
+        for name in sorted(PRESETS)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for config, overrides in workloads.sweep_configs().items():
+            path = Path(tmp) / f"{config}.cfg"
+            text = "".join(f"{k} = {v}\n" for k, v in overrides.items())
+            path.write_text(text, encoding="utf-8")
+            for param, start, stop in workloads.SWEEP_AXES:
+                outputs.append(_cli([
+                    "sweep", "--config", str(path), "--param", param, "--from", repr(start),
+                    "--to", repr(stop), "--steps", str(workloads.SWEEP_STEPS),
+                    "--format", "records",
+                ]))
+    return outputs
+
+
 def groups() -> dict[str, list[str]]:
     random_config = _random_config()
     rng = random.Random(RANDOM_SEED)
@@ -76,6 +103,7 @@ def groups() -> dict[str, list[str]]:
             _cli(["replicate", "--preset", name, "--oracle-check"]) for name in sorted(PRESETS)
         ],
         "table1": [_cli(["table1"])],
+        "records": _records(),
     }
 
 
