@@ -133,8 +133,9 @@ def _non_finite_column(report: ScenarioReport) -> str | None:
 
 def _load_config(path: str) -> dict[str, object]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        # a byte-order mark is not part of the first key
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 

@@ -11,27 +11,29 @@ representations, which is exactly what the equivalence checks exercise.
 Fault solving follows the classical decomposition:
 
 1. one nodal build per sequence network, solved by `solve_dense` for all its
-   right-hand sides: the network with its sources (the base solve), a unit
-   current at the fault node with the sources zeroed, and optionally a unit
-   current at a port node (where a converter injects). Every fault builds
-   all three; one that does not reach ground (line-line, three-phase)
-   draws no zero-sequence current, and no source drives that sequence, so
-   its zero-sequence solution is zero at every node. Every caller requests
-   the build it needs from `_solve_one_sequence`, once per sequence; a
-   build is eliminated once per distinct network per process: the fault,
-   the limiting law and the dispatch enter only the boundary conditions
-   and the injected currents, so a case grid repeats a few networks. A
-   bounded memo keyed on the stamped inputs holds the columns, and is the
-   only place builds are shared; a hit has a fresh build's bits
+   right-hand sides: the network with its sources (the base column), and a
+   unit current at each node with the sources zeroed (the node's column:
+   the bus impedance column of that node). A build depends on the network
+   alone, so every caller reads the one build of a sequence network and
+   picks the columns it needs: the dispatch the source node's, a fault
+   the fault node's and the port's (where a converter injects). Every
+   fault builds all three sequences; one that does not reach ground
+   (line-line, three-phase) draws no zero-sequence current, and no source
+   drives that sequence, so its zero-sequence solution is zero at every
+   node. A build is eliminated once per distinct network per process: the
+   fault, the limiting law and the dispatch enter only the boundary
+   conditions and the injected currents, so a case grid repeats a few
+   networks. A bounded memo keyed on the stamped inputs holds the builds,
+   and is the only place builds are shared; a hit has a fresh build's bits
    (`_solve_stamped` says why);
 2. Thevenin reduction at the fault node: the driving-point impedance is the
-   fault-probe column there, the open-circuit voltage the base column (plus
-   the port columns times any injected current);
+   fault node's column there, the open-circuit voltage the base column (plus
+   the port's column times any injected current);
 3. boundary conditions for the canonical a-referenced fault of each category,
    then the cyclic phase-shift rule (positive unchanged, negative times
    alpha^k, zero times alpha^2k for a fault reference shifted k phases);
 4. back-distribution: the pure-fault solution is minus the fault current
-   times the fault-probe column, superposed on the base solve.
+   times the fault node's column, superposed on the base solve.
 
 A solution is its node voltages only. Every current is read off them by
 Ohm's law on the element's own sequence impedance, so the relay readings of
@@ -70,8 +72,6 @@ __all__ = [
     "FaultSolution",
     "solve_dense",
     "solve_linear",
-    "DrivingPoint",
-    "driving_point",
     "solve_fault_boundary",
     "FaultResponse",
     "solve_fault",
@@ -386,8 +386,22 @@ class FaultSolution:
 
 # one solution column of a sequence network: its node voltages
 _Column = dict[str, complex]
-# per sequence, the weight of each column of its build
-_Weights = dict[int, list[complex]]
+# columns of one build, by node (None: the base column), each with its weight
+_Weighted = list[tuple[str | None, complex]]
+# per sequence, the weighted columns of its build
+_Weights = dict[int, _Weighted]
+
+
+class _Build(dict):
+    """One sequence build: the base column under None, then a column per node.
+
+    A pinned node's column is zero. A node that no element of this sequence
+    touches has none, and asking for it raises: no current can enter the
+    network there.
+    """
+
+    def __missing__(self, node: str) -> _Column:
+        raise SingularNetworkError(f"node {node!r} is not in this sequence network")
 
 
 def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
@@ -448,23 +462,21 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     return b if all(cmath.isfinite(v) for row in b for v in row) else None
 
 
-def _solve_one_sequence(
-    net: NetworkModel, seq: int, probes: tuple[str, ...] = ()
-) -> list[_Column]:
+def _solve_one_sequence(net: NetworkModel, seq: int) -> _Build:
     """Nodal build of one sequence network, solved for all right-hand sides at once.
 
-    The right-hand sides are the network as it stands (column 0) and a unit
-    current injected at each probe node with every source zeroed: ideal
-    sources short, Norton admittances kept, injections open (column k for
-    probes[k - 1]). All columns share their keys. Ideal sources pin their
-    node voltage and are eliminated from the unknown set; nodes untouched
-    by any element of this sequence are absent from the result (callers
-    read them as zero).
+    The right-hand sides are the network as it stands (the base column) and
+    a unit current injected at each node with every source zeroed: ideal
+    sources short, Norton admittances kept, injections open (that node's
+    column, its bus impedance column). All columns share their keys. Ideal
+    sources pin their node voltage and are eliminated from the unknown set;
+    nodes untouched by any element of this sequence are absent from the
+    columns (callers read them as zero) and have no column of their own.
 
     This is the element pass: what this sequence connects, as tuples of
     complex values. `_solve_stamped` stamps and solves them, once per
-    distinct network per process. The columns it returns are shared by
-    every build of that network, so callers only read them.
+    distinct network per process. The build it returns is shared by every
+    caller of that network, so callers only read it.
     """
     branches: list[tuple[str, str, complex]] = []
     sources: list[tuple[str, complex, complex]] = []  # node, admittance, emf
@@ -492,7 +504,7 @@ def _solve_one_sequence(
         (node, v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
         for node, v in pinned.items()
     )
-    return _solve_stamped(seq, tuple(branches), tuple(sources), tuple(injections), pins, probes)
+    return _solve_stamped(seq, tuple(branches), tuple(sources), tuple(injections), pins)
 
 
 @lru_cache(maxsize=256)
@@ -502,35 +514,34 @@ def _solve_stamped(
     sources: tuple[tuple[str, complex, complex], ...],
     injections: tuple[tuple[str, complex], ...],
     pins: tuple[tuple[str, complex, float, float], ...],
-    probes: tuple[str, ...],
-) -> list[_Column]:
+) -> _Build:
     """Stamp, solve and assemble the columns of one sequence build; memoized.
 
     Reads nothing but its arguments, so equal arguments give the same
-    system. A hit returns the columns of the first call, and they are its
-    bits for every equal call:
+    system. A hit returns the build of the first call, and it has its bits
+    for every equal call:
 
     * every value is complex (the element pass makes it so), so an int, a
       float and a complex that compare equal cannot share a key;
-    * every entry of the nodal matrix and of the right-hand sides (the
-      probes' unit currents aside) is a sum that starts at +0j and adds or
-      subtracts admittances, their products with an emf or a pinned
-      voltage, and injections. Inputs that differ only in the sign of a
-      zero part give terms that differ only in the sign of a zero, and such
-      terms give the same sum: a sum started at +0.0 is never -0.0, and
-      s + 0.0, s + (-0.0), s - 0.0 and s - (-0.0) are all s. So a key that
-      matches one differing only in the sign of a zero part stamps the same
-      system;
-    * the one value copied verbatim is a pinned voltage, into column 0.
-      Each pin carries the signs of its parts, so pins that differ only in
-      the sign of a zero do not share a key;
+    * every entry of the nodal matrix and of the base column is a sum that
+      starts at +0j and adds or subtracts admittances, their products with
+      an emf or a pinned voltage, and injections; the node columns'
+      right-hand sides are unit currents whatever the key. Inputs that
+      differ only in the sign of a zero part give terms that differ only in
+      the sign of a zero, and such terms give the same sum: a sum started
+      at +0.0 is never -0.0, and s + 0.0, s + (-0.0), s - 0.0 and
+      s - (-0.0) are all s. So a key that matches one differing only in the
+      sign of a zero part stamps the same system;
+    * the one value copied verbatim is a pinned voltage, into the base
+      column. Each pin carries the signs of its parts, so pins that differ
+      only in the sign of a zero do not share a key;
     * a singular build raises, and a raise is not cached.
 
     Bounded, so that a process that walks many networks keeps only the
-    most recently used builds. Callers must not mutate the columns.
+    most recently used builds. Callers must not mutate the build.
     """
     pinned = {node: v for node, v, _, _ in pins}
-    nodes: set[str] = set(probes)
+    nodes: set[str] = set()
     for na, nb, _ in branches:
         nodes.add(na)
         nodes.add(nb)
@@ -540,10 +551,11 @@ def _solve_stamped(
     index = {n: k for k, n in enumerate(unknowns)}
 
     # stamped and solved as Python lists: a build has 2-4 unknowns, too few
-    # for an array library's call overhead to pay off
-    n, cols = len(unknowns), 1 + len(probes)
+    # for an array library's call overhead to pay off. Column 0 is the
+    # base, column 1 + k a unit current at unknowns[k].
+    n = len(unknowns)
     y = [[0j] * n for _ in range(n)]
-    rhs = [[0j] * cols for _ in range(n)]
+    rhs = [[0j] * (1 + n) for _ in range(n)]
 
     for na, nb, z in branches:
         adm = 1.0 / z
@@ -568,37 +580,37 @@ def _solve_stamped(
             rhs[idx][0] += adm * emf
     for node, i in injections:
         rhs[index[node]][0] += i
-    for k, node in enumerate(probes, start=1):
-        idx = index.get(node)
-        if idx is not None:
-            rhs[idx][k] = 1.0 + 0j
+    for k in range(n):
+        rhs[k][1 + k] = 1.0 + 0j
 
     x = solve_dense(y, rhs)
     if x is None:
         raise SingularNetworkError(f"sequence-{seq} network is singular or its solve is not finite")
-    solved = list(zip(*x)) if n else [()] * cols
+    base, *columns = zip(*x) if n else [()]
 
     zeros = dict.fromkeys(pinned, 0j)
-    return [
-        {**(pinned if k == 0 else zeros), **dict(zip(unknowns, values))}
-        for k, values in enumerate(solved)
-    ]
+    build = _Build.fromkeys(pinned, {**zeros, **dict.fromkeys(unknowns, 0j)})
+    build[None] = {**pinned, **dict(zip(unknowns, base))}
+    for node, values in zip(unknowns, columns):
+        build[node] = {**zeros, **dict(zip(unknowns, values))}
+    return build
 
 
-def _superpose(columns: list[_Column], weights: list[complex]) -> _Column:
-    """Weighted sum of the columns of one build (all have the same keys)."""
-    total = dict.fromkeys(columns[0], 0j)
-    for w, col in zip(weights, columns):
+def _superpose(build: _Build, weighted: _Weighted) -> _Column:
+    """Weighted sum of columns of one build (all have the same keys)."""
+    total = dict.fromkeys(build[None], 0j)
+    for node, w in weighted:
+        column = build[node]
         if w != 0:
-            for node, y in col.items():
-                total[node] += w * y
+            for key, y in column.items():
+                total[key] += w * y
     return total
 
 
-def _voltage(columns: list[_Column], node: str, weights: list[complex]) -> complex:
+def _voltage(build: _Build, node: str, weighted: _Weighted) -> complex:
     total = 0j
-    for w, col in zip(weights, columns):
-        total += w * col.get(node, 0j)
+    for key, w in weighted:
+        total += w * build[key][node]
     return total
 
 
@@ -619,57 +631,17 @@ def solve_linear(
     v: dict[int, _Column] = {}
     for seq in sequences:
         extra = extra_injections.get(seq) if extra_injections else None
-        columns = _solve_one_sequence(net, seq, (extra[0],) if extra else ())
-        weights = [0.0 if zero_sources else 1.0] + ([extra[1]] if extra else [])
-        v[seq] = _superpose(columns, weights)
+        weighted = [(None, 0.0 if zero_sources else 1.0)] + ([extra] if extra else [])
+        v[seq] = _superpose(_solve_one_sequence(net, seq), weighted)
     return SequenceSolution(v, net)
 
 
-@dataclass(frozen=True)
-class DrivingPoint:
-    """The positive-sequence network seen from one node, from one build.
-
-    The node voltage is v_oc + z * i when a current i is injected there;
-    `at(i)` is the whole positive-sequence solution with that injection.
-    `columns` is the build: the network as it stands, then a unit current
-    at the node.
-    """
-
-    v_oc: complex
-    z: complex
-    net: NetworkModel
-    columns: list[_Column]
-
-    def at(self, i: complex) -> SequenceSolution:
-        """The solution with i injected at the node; negative and zero sequences read 0."""
-        return SequenceSolution({1: _superpose(self.columns, [1.0, i]), 2: {}, 0: {}}, self.net)
-
-
-def driving_point(net: NetworkModel, node: str) -> DrivingPoint:
-    """Build the positive-sequence network once, probed at node."""
-    columns = _solve_one_sequence(net, 1, (node,))
-    return DrivingPoint(columns[0][node], columns[1][node], net, columns)
-
-
-def _fault_builds(net: NetworkModel, port: str = "") -> dict[int, list[_Column]]:
-    """Each sequence network built once, probed at the fault node and the port.
-
-    The port carries positive- and negative-sequence currents only, so the
-    zero-sequence network is probed at the fault node alone.
-    """
-    probes = (net.fault_node, port) if port else (net.fault_node,)
-    pos = _solve_one_sequence(net, 1, probes)
-    neg = _solve_one_sequence(net, 2, probes)
-    zero = _solve_one_sequence(net, 0, (net.fault_node,))
-    return {1: pos, 2: neg, 0: zero}
-
-
-def _thevenin(builds: dict[int, list[_Column]], node: str, base: _Weights) -> TheveninEquivalent:
-    """Fault-probe column at node (impedances), base solution there (voltages)."""
+def _thevenin(builds: dict[int, _Build], node: str, base: _Weights) -> TheveninEquivalent:
+    """Node's own column at node (impedances), base solution there (voltages)."""
     return TheveninEquivalent(
-        z1=builds[1][1][node],
-        z2=builds[2][1][node],
-        z0=builds[0][1][node],
+        z1=builds[1][node][node],
+        z2=builds[2][node][node],
+        z0=builds[0][node][node],
         e_f=_voltage(builds[1], node, base[1]),
         e_f2=_voltage(builds[2], node, base[2]),
         e_f0=_voltage(builds[0], node, base[0]),
@@ -724,36 +696,40 @@ def solve_fault_boundary(
 class FaultResponse:
     """One faulted network as an affine function of the currents injected at a port.
 
-    `solve_fault` builds each sequence network once and solves its
-    right-hand sides together: the network as it stands, a unit current at
-    the fault node and, in the positive and negative sequences when a port
-    node is named, a unit current at the port. The rest is superposition.
-    Injecting (i1, i2) at the port adds i1 and i2 times the port columns to
-    the base solution, and with it to the open-circuit voltages at the
-    fault node; the boundary conditions turn those into the fault current;
-    the pure-fault solution is minus that current times the fault column.
+    `solve_fault` reads the one build of each sequence network: the network
+    as it stands and a unit current at each node. The rest is
+    superposition. Injecting (i1, i2) at the port adds i1 and i2 times the
+    port's columns to the base solution, and with it to the open-circuit
+    voltages at the fault node; the boundary conditions turn those into the
+    fault current; the pure-fault solution is minus that current times the
+    fault node's column.
     """
 
     net: NetworkModel
     spec: FaultSpec
     port: str
-    builds: dict[int, list[_Column]]
+    builds: dict[int, _Build]
 
     def _weights(
         self, i1: complex, i2: complex
     ) -> tuple[TheveninEquivalent, SequenceTriple, _Weights, _Weights, _Weights]:
         """Thevenin view, fault current, and the base, pure and total column weights."""
-        if not self.port and (i1 or i2):
+        node, port = self.net.fault_node, self.port
+        if not port and (i1 or i2):
             raise ValueError("no port to inject at: solve the fault with a port node")
-        inject = {1: [i1], 2: [i2], 0: []} if self.port else {1: [], 2: [], 0: []}
-        base = {seq: [1.0, 0.0, *inject[seq]] for seq in SEQUENCES}
-        thevenin = _thevenin(self.builds, self.net.fault_node, base)
+        # the port carries positive- and negative-sequence currents only
+        inject = {1: [(port, i1)], 2: [(port, i2)], 0: []} if port else {1: [], 2: [], 0: []}
+        base = {seq: [(None, 1.0), (node, 0.0), *inject[seq]] for seq in SEQUENCES}
+        thevenin = _thevenin(self.builds, node, base)
         i_fault = solve_fault_boundary(thevenin, self.spec, self.net.z_base_fault_ohm)
         pure = {
-            seq: [0.0, -i_f] + [0.0] * len(inject[seq])
+            seq: [(None, 0.0), (node, -i_f)] + [(port, 0.0)] * len(inject[seq])
             for seq, i_f in ((1, i_fault.pos), (2, i_fault.neg), (0, i_fault.zero))
         }
-        total = {seq: [a + b for a, b in zip(base[seq], pure[seq])] for seq in SEQUENCES}
+        total = {
+            seq: [(key, a + b) for (key, a), (_, b) in zip(base[seq], pure[seq])]
+            for seq in SEQUENCES
+        }
         return thevenin, i_fault, base, pure, total
 
     def at(self, i1: complex = 0j, i2: complex = 0j) -> FaultSolution:
@@ -768,5 +744,5 @@ def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolu
     solution for any positive- and negative-sequence currents injected
     there, without another solve.
     """
-    builds = _fault_builds(net, port)
+    builds = {seq: _solve_one_sequence(net, seq) for seq in SEQUENCES}
     return FaultSolution(FaultResponse(net, spec, port, builds))

@@ -104,6 +104,7 @@ from .clc import (
     limit,
     max_phase_current,
 )
+from . import network
 from .network import (
     FaultResponse,
     FaultSolution,
@@ -114,7 +115,6 @@ from .network import (
     SingularNetworkError,
     SourceElement,
     TheveninEquivalent,
-    driving_point,
     solve_fault,
     solve_fault_boundary,
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
@@ -245,7 +245,9 @@ def prefault_solve(
     Powers are v * conj(i) in pu on the system base, i the positive-sequence
     current out of the source branch. Only the positive sequence carries the
     dispatch; seen from the source node its healthy network is the one-port
-    v = v_oc + z_th * i, and with S = p_ref + j q_ref and t = |i|^2,
+    v = v_oc + z_th * i, read off the positive-sequence build (v_oc from its
+    base column, z_th from the source node's column; a converter's fault
+    solve reads the same build), and with S = p_ref + j q_ref and t = |i|^2,
     v * conj(i) = S is the two-bus power flow |z_th|^2 t^2 - b t + |S|^2 = 0,
     b = |v_oc|^2 + 2 Re w with w = S conj(z_th). Its small-current
     (high-voltage) root t = 2 |S|^2 / (b + sqrt(disc)) gives
@@ -259,8 +261,9 @@ def prefault_solve(
     within tol.
     """
     z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
-    seen = driving_point(net, net.source_node)
-    v_oc, z_th = seen.v_oc, seen.z
+    node = net.source_node
+    build = network._solve_one_sequence(net, 1)
+    v_oc, z_th = build[None][node], build[node][node]
     s_ref = complex(p_ref, q_ref)
     if abs(v_oc) <= 1e-9:
         t = (s_ref * z_th.conjugate()).real / abs(z_th) ** 2 if z_th else 0.0
@@ -294,7 +297,9 @@ def prefault_solve(
         i_attach=i,
         p=s.real,
         q=s.imag,
-        healthy=seen.at(i),
+        healthy=SequenceSolution(
+            {1: network._superpose(build, [(None, 1.0), (node, i)]), 2: {}, 0: {}}, net
+        ),
     )
 
 
@@ -413,22 +418,22 @@ def terminal_port(response: FaultResponse) -> TerminalPort:
     node, port = response.net.fault_node, response.port
 
     def fault_current(e_f: complex, e_f2: complex, e_f0: complex) -> tuple[complex, complex]:
-        z = (pos[1][node], neg[1][node], zero[1][node])
+        z = (pos[node][node], neg[node][node], zero[node][node])
         i_f = solve_fault_boundary(
             TheveninEquivalent(*z, e_f, e_f2, e_f0), response.spec, response.net.z_base_fault_ohm
         )
-        return i_f.pos * pos[1][port], i_f.neg * neg[1][port]
+        return i_f.pos * pos[node][port], i_f.neg * neg[node][port]
 
-    oc1, oc2 = fault_current(pos[0][node], neg[0][node], zero[0][node])
-    a1, a2 = fault_current(pos[2][node], 0j, 0j)
-    b1, b2 = fault_current(0j, neg[2][node], 0j)
+    oc1, oc2 = fault_current(pos[None][node], neg[None][node], zero[None][node])
+    a1, a2 = fault_current(pos[port][node], 0j, 0j)
+    b1, b2 = fault_current(0j, neg[port][node], 0j)
     return TerminalPort(
-        pos[0][port] - oc1,
-        neg[0][port] - oc2,
-        z11=pos[2][port] - a1,
+        pos[None][port] - oc1,
+        neg[None][port] - oc2,
+        z11=pos[port][port] - a1,
         z12=-b1,
         z21=-a2,
-        z22=neg[2][port] - b2,
+        z22=neg[port][port] - b2,
     )
 
 

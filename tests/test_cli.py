@@ -83,6 +83,24 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys) -> None:
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys) -> None:
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("fault.kind = ag # café\n".encode("latin-1"))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}: ")
+    assert "Traceback" not in err
+
+
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path, capsys) -> None:
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + b"source.kind = sg\nfault.kind = ag\n")
+    assert main(["run", "--config", str(path), "--format", "records"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["source.kind"] == "sg"
+    assert payload["provenance"]["source.kind"] == "user"
+
+
 def test_unknown_key_is_a_config_error(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "no.such = 1\n")
     assert main(["run", "--config", cfg]) == 2

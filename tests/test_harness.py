@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -316,10 +317,14 @@ def test_generator_effective_source_impedance_includes_the_collection_line() -> 
 def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -> None:
     """One nodal build per faulted sequence network, the zero sequence
     included for a fault that does not reach ground, plus the dispatch's
-    build of the healthy positive-sequence network: 4 for every fault,
-    whatever the source. The fixed point builds none. Repeats are shared only by the build memo: a cold run
-    eliminates each distinct requested build once, and a second identical
-    run requests the same builds and solves none of them."""
+    request for the healthy positive-sequence network: 4 requests for every
+    fault, whatever the source. A build depends on the network alone, so a
+    converter's dispatch and fault read one positive-sequence build (3
+    distinct), while a generator's fault network holds its source branch and
+    the dispatch's does not (4 distinct). The fixed point builds none.
+    Repeats are shared only by the build memo: a cold run eliminates each
+    distinct requested build once, and a second identical run requests the
+    same builds and solves none of them."""
     import faultlab.network
 
     requests: list[tuple] = []
@@ -327,9 +332,9 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
     real = faultlab.network._solve_one_sequence
     real_dense = faultlab.network.solve_dense
 
-    def counting(net, seq, probes=()):
-        requests.append((net, seq, probes))
-        return real(net, seq, probes)
+    def counting(net, seq):
+        requests.append((net, seq))
+        return real(net, seq)
 
     def counting_dense(a, b):
         solves.append(len(a))
@@ -349,9 +354,10 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
         report = run_scenario(build_scenario(config))
         if fault is FaultType.BCG and not kind.startswith("sg"):
             assert report.limiter_active and report.iterations > 4
-        seqs = [seq for _, seq, _ in requests]
+        seqs = [seq for _, seq in requests]
         assert sorted(seqs) == [0, 1, 1, 2], fault
         distinct = [r for k, r in enumerate(requests) if r not in requests[:k]]
+        assert len(distinct) == (4 if kind.startswith("sg") else 3), fault
         assert len(solves) == len(distinct), fault
         first = list(requests)
         requests.clear()
@@ -535,6 +541,63 @@ def test_d20_depends_on_the_converter_only_through_ze2() -> None:
             d20 = angle_deg(i.neg) - angle_deg(i.zero)
             case = (row.label, fault_type, point)
             assert abs(wrap_angle_deg(report.d20_deg - d20)) <= 1e-9, case
+
+
+# forward verdicts out of 96 of the impedance-type negative-sequence
+# element, z2 < Z2F, at Z2F = 0, 0.25 and 0.5 times |Z_L1|
+Z2_FORWARD = {
+    "circular": (96, 96, 96),
+    "priority": (78, 84, 86),
+    "instantaneous": (89, 91, 93),
+    "virtual-admittance-xr20": (96, 96, 96),
+    "adaptive-vi-xr20": (96, 96, 96),
+    "adaptive-vi-xr0.1": (96, 96, 96),
+}
+Z2F_FRACTIONS = (0.0, 0.25, 0.5)
+# how far a share may sit from its measured count; this margin may only go down
+Z2_SHARE_MARGIN = 0.02
+
+
+def test_impedance_type_negative_sequence_element_reads_ze2() -> None:
+    """The impedance-type element (Roberts and Guzman, 21st WPRC, 1994)
+    measures z2 = Re(V2 conj(I2 1/theta_L)) / |I2|^2 at bus 1, theta_L the
+    angle of the whole line's z1, and says forward when z2 < Z2F. Since
+    v2/i2 = -ze2, z2 = -|ze2| cos(angle(ze2) - theta_L), a closed form in
+    the report's ze2 columns. Under it only the per-channel clamping laws
+    see a forward fault as reverse, and an |I2|/|I1| > 0.1 supervision
+    never blocks."""
+    for row in TABLE1_ROWS:
+        forward = [0] * len(Z2F_FRACTIONS)
+        for fault_type, point in OPERATING_SPACE:
+            scenario = build_scenario({
+                "source.kind": "gfm",
+                "fault.kind": fault_type.value,
+                "fault.placement": "forward",
+                **point,
+                **row.overrides,
+            })
+            op, sol = solve_scenario(scenario)
+            report = report_scenario(scenario, op, sol)
+            z_line = sum(
+                e.z1 for e in scenario.net.elements if e.eid in ("line", "line_a", "line_b")
+            )
+            theta = cmath.phase(z_line)
+            ze2 = from_polar(report.ze2_mag, report.ze2_ang)
+            from_ze2 = -abs(ze2) * math.cos(cmath.phase(ze2) - theta)
+            reading = sol.fault.total.readings["bus1"]
+            v2, i2 = reading.v.neg, reading.i.neg
+            z2 = (v2 * (i2 * cmath.exp(1j * theta)).conjugate()).real / abs(i2) ** 2
+            case = (row.label, fault_type, point)
+            assert abs(z2 - from_ze2) <= 1e-9, case
+            assert abs(i2) > 0.1 * abs(reading.i.pos), case
+            for k, fraction in enumerate(Z2F_FRACTIONS):
+                forward[k] += z2 < fraction * abs(z_line)
+        for n, count in zip(Z2_FORWARD[row.label], forward):
+            share = count / len(OPERATING_SPACE)
+            if n == len(OPERATING_SPACE):
+                assert share == 1.0, row.label
+            else:
+                assert abs(share - n / len(OPERATING_SPACE)) <= Z2_SHARE_MARGIN, (row.label, share)
 
 
 @pytest.mark.parametrize("kind", ["virtual_admittance", "adaptive_virtual_impedance"])

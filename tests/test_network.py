@@ -338,16 +338,16 @@ def _fault_network(kind: str, placement: str, m: float) -> tuple[NetworkModel, s
 
 
 def _counted_fault_builds(monkeypatch, net: NetworkModel, port: str) -> tuple[dict, list[int]]:
-    """`_fault_builds`, and the sequences it built."""
+    """The builds a fault solve reads, and the sequences it requested."""
     calls = []
     real = network._solve_one_sequence
 
-    def counting(net, seq, probes=()):
+    def counting(net, seq):
         calls.append(seq)
-        return real(net, seq, probes)
+        return real(net, seq)
 
     monkeypatch.setattr(network, "_solve_one_sequence", counting)
-    return network._fault_builds(net, port), calls
+    return solve_fault(net, FaultSpec(), port).response.builds, calls
 
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
@@ -356,18 +356,19 @@ def test_negative_sequence_reuses_the_positive_build_exactly(
 ) -> None:
     """z2 = z1 everywhere and no negative-sequence injection: the negative
     sequence is the positive one with its sources dead (Anderson, Analysis
-    of Faulted Power Systems, ch. 3). Built on its own, its probe columns
-    are the positive build's bits and its column 0 is zero at every node,
-    so building it apart from the positive sequence moves no output."""
+    of Faulted Power Systems, ch. 3). Built on its own, its node columns
+    are the positive build's bits and its base column is zero at every
+    node, so building it apart from the positive sequence moves no output."""
     net, port = _fault_network(kind, placement, m)
-    probes = (net.fault_node, port) if port else (net.fault_node,)
-    builds = network._fault_builds(net, port)
+    builds = solve_fault(net, FaultSpec(), port).response.builds
     pos, neg = builds[1], builds[2]
-    assert len(pos) == len(neg) == 1 + len(probes)
-    assert list(neg[0]) == list(pos[0])
-    assert all(v == 0 for v in neg[0].values())
-    for mine, theirs in zip(neg[1:], pos[1:]):
-        assert repr(list(mine.items())) == repr(list(theirs.items()))
+    # a column for every node the build holds, the base column beside them
+    assert set(pos) == {None, *pos[None]}
+    assert list(neg) == list(pos)
+    assert list(neg[None]) == list(pos[None])
+    assert all(v == 0 for v in neg[None].values())
+    for node in pos[None]:
+        assert repr(list(neg[node].items())) == repr(list(pos[node].items()))
 
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
@@ -377,18 +378,55 @@ def test_a_memo_hit_is_the_fresh_build(kind: str, placement: str, m: float) -> N
     solve has read them."""
     for seq in SEQUENCES:
         net, port = _fault_network(kind, placement, m)
-        # as the fault builds probe: the zero sequence is not probed at the port
-        probes = (net.fault_node, port) if port and seq else (net.fault_node,)
         network._solve_stamped.cache_clear()
-        fresh = repr(network._solve_one_sequence(net, seq, probes))
+        fresh = repr(network._solve_one_sequence(net, seq))
         solution = solve_fault(net, FaultSpec(FaultType.BCG, m), port)
         assert (solution.response.at(0.3 - 0.2j, 0.1j) if port else solution).total.readings
         twin = _fault_network(kind, placement, m)[0]
         assert twin is not net and twin == net
         hits = network._solve_stamped.cache_info().hits
-        hit = network._solve_one_sequence(twin, seq, probes)
+        hit = network._solve_one_sequence(twin, seq)
         assert network._solve_stamped.cache_info().hits == hits + 1
         assert repr(hit) == fresh, seq
+
+
+@pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
+def test_every_node_column_is_the_oracle_unit_probe(kind: str, placement: str, m: float) -> None:
+    """Each node's column of a build is the bus impedance column of that
+    node: the phase-domain oracle, with a unit current of the same sequence
+    injected there and the sources dead, reads it at every node. Transfer
+    impedances, which the converter port is made of, are checked with the
+    driving points. A node the sequence does not reach has no column."""
+    net, _ = _fault_network(kind, placement, m)
+    for seq in SEQUENCES:
+        build = network._solve_one_sequence(net, seq)
+        for node in net.nodes():
+            if node not in build:
+                with pytest.raises(SingularNetworkError):
+                    build[node]
+                continue
+            column = build[node]
+            probe = solve_abc(net, zero_sources=True, probe=(node, seq))
+            size = max(abs(v) for v in column.values())
+            assert size > 0, (seq, node)
+            for other in net.nodes():
+                oracle = fortescue(probe.voltage(other))
+                expected = (oracle.zero, oracle.pos, oracle.neg)[seq]
+                assert abs(column.get(other, 0j) - expected) <= 1e-10 * size, (seq, node, other)
+
+
+@pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
+def test_node_columns_are_reciprocal(kind: str, placement: str, m: float) -> None:
+    """The nodal matrix is symmetric, so is its inverse: the voltage at b for
+    a unit current at a is the voltage at a for a unit current at b."""
+    net, _ = _fault_network(kind, placement, m)
+    for seq in SEQUENCES:
+        build = network._solve_one_sequence(net, seq)
+        nodes = [node for node in build if node is not None]
+        for a in nodes:
+            for b in nodes:
+                z_ab, z_ba = build[a][b], build[b][a]
+                assert abs(z_ab - z_ba) <= 1e-12 * max(abs(z_ab), abs(z_ba)), (seq, a, b)
 
 
 def _ideal_source_network(e1: complex, z_line: complex) -> NetworkModel:
@@ -422,14 +460,24 @@ def test_builds_of_equal_inputs_keep_their_own_bits(first, second) -> None:
         fresh = []
         for net in nets:
             network._solve_stamped.cache_clear()
-            fresh.append(repr(network._solve_one_sequence(net, seq, ("b",))))
+            fresh.append(repr(network._solve_one_sequence(net, seq)))
         for order in (nets, nets[::-1]):
             network._solve_stamped.cache_clear()
-            warm = [repr(network._solve_one_sequence(net, seq, ("b",))) for net in order]
+            warm = [repr(network._solve_one_sequence(net, seq)) for net in order]
             expected = fresh if order is nets else fresh[::-1]
             assert warm == expected, (seq, first, second)
-    pinned = network._solve_one_sequence(nets[1], 1, ("b",))[0]["a"]
+    pinned = network._solve_one_sequence(nets[1], 1)[None]["a"]
     assert repr(pinned) == repr(complex(second[0]))
+
+
+def test_a_pinned_node_has_a_zero_column() -> None:
+    """A unit current into a node an ideal source pins changes no voltage."""
+    net = _ideal_source_network(1.0 + 0j, 0.1j)
+    for seq in SEQUENCES:
+        build = network._solve_one_sequence(net, seq)
+        assert list(build["a"]) == list(build[None]) == ["gnd", "a", "b"]
+        assert all(v == 0 for v in build["a"].values())
+        assert build["b"]["b"] != 0
 
 
 def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
@@ -437,12 +485,12 @@ def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
     inj = InjectionElement("inj", "poc", i1=from_polar(0.9, -10.0), i2=from_polar(0.3, 70.0))
     builds, calls = _counted_fault_builds(monkeypatch, scenario.net.with_elements(inj), "")
     assert calls == [1, 2, 0]
-    assert abs(builds[2][0]["poc"]) > 0.01
+    assert abs(builds[2][None]["poc"]) > 0.01
     # a positive-sequence injection alone leaves the negative sequence dead
     balanced = scenario.net.with_elements(replace(inj, i2=0j))
     builds, calls = _counted_fault_builds(monkeypatch, balanced, "")
     assert calls == [1, 2, 0]
-    assert all(v == 0 for v in builds[2][0].values())
+    assert all(v == 0 for v in builds[2][None].values())
 
 
 def test_unequal_negative_sequence_impedance_takes_the_full_build(monkeypatch) -> None:
@@ -452,7 +500,8 @@ def test_unequal_negative_sequence_impedance_takes_the_full_build(monkeypatch) -
     )
     builds, calls = _counted_fault_builds(monkeypatch, net, "")
     assert calls == [1, 2, 0]
-    assert builds[2][1][net.fault_node] != builds[1][1][net.fault_node]
+    node = net.fault_node
+    assert builds[2][node][node] != builds[1][node][node]
 
 
 def test_element_lookup_by_id() -> None:

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from faultlab import network
 from faultlab.abc_oracle import solve_abc
 from faultlab.clc import (
     ClcConfig,
@@ -23,7 +24,6 @@ from faultlab.network import (
     SequenceSolution,
     SeriesElement,
     SourceElement,
-    driving_point,
     solve_dense,
     solve_fault,
     solve_linear,
@@ -52,6 +52,12 @@ from faultlab.sources import (
     solve_sg_fault,
     terminal_port,
 )
+
+
+def _one_port(net: NetworkModel) -> tuple[complex, complex]:
+    """(v_oc, z_th) of the healthy positive-sequence network at the source node."""
+    build, node = network._solve_one_sequence(net, 1), net.source_node
+    return build[None][node], build[node][node]
 
 
 def _two_bus_net() -> NetworkModel:
@@ -99,8 +105,7 @@ def test_prefault_without_open_circuit_voltage_meets_only_the_ray_of_z_th(kind: 
     # with no voltage at the source node S = z_th |i|^2: the emf angle has no effect
     scenario = build_scenario({"source.kind": kind, "circuit.grid_v_pu": 1e-12})
     net, source = scenario.net, scenario.source
-    one_port = driving_point(net, net.source_node)
-    v_oc, z_th = one_port.v_oc, one_port.z
+    v_oc, z_th = _one_port(net)
     assert abs(v_oc) == pytest.approx(1e-12)
     with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable: "):
         prefault_solve(net, source, scenario.p_ref, scenario.q_ref)
@@ -149,8 +154,8 @@ def test_prefault_keeps_the_open_circuit_voltage_beside_a_huge_thevenin_impedanc
         {"source.kind": "gfm", "gfm.x_t_pu": 1e28, "source.p_ref": 0.0, "source.q_ref": 0.5}
     )
     net = scenario.net
-    one_port = driving_point(net, net.source_node)
-    assert abs(one_port.z) >= 1e28 and abs(abs(one_port.v_oc) - 1.0) <= 1e-12
+    v_oc, z_th = _one_port(net)
+    assert abs(z_th) >= 1e28 and abs(abs(v_oc) - 1.0) <= 1e-12
     op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref, tol=1e-15)
     assert op.i_attach != 0j
     assert abs(complex(op.p, op.q) - 0.5j) <= 1e-15
@@ -404,8 +409,7 @@ def test_prefault_closed_form_meets_the_dispatch_on_the_high_voltage_root(
     scenario = build_scenario({**source, "fault.placement": placement, "fault.m": 0.5})
     net, src = scenario.net, scenario.source
     z = 1j * src.x1 if isinstance(src, SgModel) else src.normal_z()
-    one_port = driving_point(net, net.source_node)
-    v_oc, z_th = one_port.v_oc, one_port.z
+    v_oc, z_th = _one_port(net)
     # S = lam * s_dir reaches the transfer limit (a double root) at lam_max
     s_dir = cmath.exp(0.3j)
     lam_max = abs(v_oc) ** 2 / (2.0 * (abs(z_th) - (s_dir * z_th.conjugate()).real))
