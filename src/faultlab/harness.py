@@ -15,14 +15,23 @@ its 68 fields, each phasor a `_mag`/`_ang` pair, and
 The pair names are formatted and interned once, at import (`_POLAR_NAMES`),
 so the report's keys are the very strings its attributes are read by.
 
-`sweep_reports` runs a sweep. The relay settings (`relay.*` keys) enter
-only the report, so a sweep along one of them solves its first point and
-reports every point from that solution; any other axis solves each point.
+A report is the merge of two field sets. The solution fields read the
+solution and every setting of the scenario but its relay settings; the
+relay fields are the scenario id, the config hash, the four relay elements
+(five angles, four verdicts) and dv1/di1, which reads the directional
+floor.
+
+`sweep_reports` runs a sweep. The relay settings (`relay.*` keys) reach
+nothing but the relay fields, so a sweep along one of them builds, solves
+and reports its first point; every later point is the first scenario with
+its own relay settings (validated as `build_scenario` validates them) and
+takes the first point's solution fields, so it evaluates only its relay
+elements. Any other axis builds, solves and reports each point.
 
 Fault and pre-fault relay readings take one path,
 `SequenceSolution.readings`, which reads each line current off the node
-voltages at its ends, once per solution: a `relay.*` sweep reads the
-relays of its one solved pair once.
+voltages at its ends, once per solution; a report reads the bus-1 pair
+once, and a `relay.*` sweep once for all its points.
 
 The cross-check stamps the source as the solution froze it
 (`SourceSolution.frozen`): the generator is Norton already and passes
@@ -37,7 +46,7 @@ import cmath
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abc_oracle import solve_abc
 from .network import BusReading, FaultType
@@ -58,6 +67,7 @@ from .scenario import (
     SourceKind,
     ValidationError,
     build_scenario,
+    relay_settings,
 )
 from .sources import (
     OperatingPoint,
@@ -173,19 +183,20 @@ def report_scenario(
     scenario: Scenario, op: OperatingPoint, sol: SourceSolution, oracle_check: bool = False
 ) -> ScenarioReport:
     """Relay readings, the four relay elements and the report of a solved scenario."""
+    return _relay_report(scenario, *_solution_fields(scenario, op, sol, oracle_check))
+
+
+def _solution_fields(
+    scenario: Scenario, op: OperatingPoint, sol: SourceSolution, oracle_check: bool
+) -> tuple[BusReading, BusReading, dict[str, object]]:
+    """The bus-1 fault and pre-fault readings, and the report fields no relay setting reaches."""
     readings = sol.fault.total.readings
     r1, p1 = readings["bus1"], prefault_network_readings(op)["bus1"]
-    dir_neg = directional_negative(r1, scenario.dir_cfg)
-    dir_zero = directional_zero(r1, scenario.dir_cfg)
-    dir_inc = directional_incremental(r1, p1, scenario.dir_cfg)
-    selection = phase_select(r1, p1, scenario.sel_cfg)
-
-    di1, dv1 = r1.i.pos - p1.i.pos, r1.v.pos - p1.v.pos
+    di1 = r1.i.pos - p1.i.pos
     phasors = {
         "zv1": sol.z_v1,
         "zv2": sol.z_v2,
         "zad": None if sol.z_v1 is None else incremental_source_impedance(r1.i.pos, di1, sol.z_v1),
-        "dvdi1": dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None,
         "sigma1": sol.sigma1,
         "sigma2": sol.sigma2,
     }
@@ -199,8 +210,6 @@ def report_scenario(
             phasors[stem] = z
 
     fields: dict[str, object] = {
-        "scenario_id": scenario.scenario_id,
-        "config_hash": scenario.config_hash,
         "source_kind": scenario.kind.value,
         "clc_kind": None if scenario.gfm is None else scenario.gfm.clc.kind.value,
         "fault_kind": scenario.fault.fault_type.value,
@@ -211,15 +220,6 @@ def report_scenario(
         "prefault_theta_deg": op.theta_deg,
         "prefault_p_pu": op.p,
         "prefault_q_pu": op.q,
-        "phi2_deg": dir_neg.angle_deg,
-        "phi0_deg": dir_zero.angle_deg,
-        "dphi1_deg": dir_inc.angle_deg,
-        "dd21_deg": selection.dd21_deg,
-        "d20_deg": selection.d20_deg,
-        "dir_neg": dir_neg.direction.value,
-        "dir_zero": dir_zero.direction.value,
-        "dir_inc": dir_inc.direction.value,
-        "phase_sel": selection.selected.value if selection.selected is not None else "none",
         "limiter_active": sol.limiter_active,
         "iterations": sol.iterations,
         "residual": sol.residual,
@@ -229,6 +229,34 @@ def report_scenario(
     for stem, z in phasors.items():
         mag, ang = _POLAR_NAMES[stem]
         fields[mag], fields[ang] = _polar(z)
+    return r1, p1, fields
+
+
+def _relay_report(
+    scenario: Scenario, r1: BusReading, p1: BusReading, solution_fields: dict[str, object]
+) -> ScenarioReport:
+    """The report: `solution_fields` and the fields of the scenario's relay settings."""
+    dir_neg = directional_negative(r1, scenario.dir_cfg)
+    dir_zero = directional_zero(r1, scenario.dir_cfg)
+    dir_inc = directional_incremental(r1, p1, scenario.dir_cfg)
+    selection = phase_select(r1, p1, scenario.sel_cfg)
+    di1, dv1 = r1.i.pos - p1.i.pos, r1.v.pos - p1.v.pos
+    fields = {
+        **solution_fields,
+        "scenario_id": scenario.scenario_id,
+        "config_hash": scenario.config_hash,
+        "phi2_deg": dir_neg.angle_deg,
+        "phi0_deg": dir_zero.angle_deg,
+        "dphi1_deg": dir_inc.angle_deg,
+        "dd21_deg": selection.dd21_deg,
+        "d20_deg": selection.d20_deg,
+        "dir_neg": dir_neg.direction.value,
+        "dir_zero": dir_zero.direction.value,
+        "dir_inc": dir_inc.direction.value,
+        "phase_sel": selection.selected.value if selection.selected is not None else "none",
+    }
+    mag, ang = _POLAR_NAMES["dvdi1"]
+    fields[mag], fields[ang] = _polar(dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None)
     return ScenarioReport.from_fields(fields)
 
 
@@ -241,7 +269,13 @@ def sweep_scenarios(
     log: bool = False,
     scenario_id: str = "sweep",
 ) -> Iterator[tuple[float, Scenario]]:
-    """Yield (value, scenario) along one numeric parameter axis, endpoints included."""
+    """Yield (value, scenario) along one numeric parameter axis, endpoints included.
+
+    Every point is the scenario `build_scenario` makes of its config. Along
+    a `relay.*` axis only the first point is built: each later one is the
+    first with its own relay settings and config (`relay_settings`, which
+    validates the point's value with `build_scenario`'s messages).
+    """
     if param not in DEFAULTS:
         raise ValidationError(f"unknown sweep parameter {param!r}")
     default_value = DEFAULTS[param][0]
@@ -252,6 +286,8 @@ def sweep_scenarios(
     if log and (start <= 0.0 or stop <= 0.0):
         raise ValidationError("logarithmic sweep endpoints must be positive")
 
+    relay_axis = param.startswith("relay.")
+    built = None
     for k in range(steps):
         # endpoints stay bit-exact so a 2-step sweep reproduces single runs
         if k == 0:
@@ -264,9 +300,23 @@ def sweep_scenarios(
                 value = math.exp(math.log(start) + t * (math.log(stop) - math.log(start)))
             else:
                 value = start + t * (stop - start)
-        merged = dict(overrides)
-        merged[param] = value
-        yield value, build_scenario(merged, scenario_id=f"{scenario_id}:{param}={value:.6g}")
+        merged = {**overrides, param: value}
+        point_id = f"{scenario_id}:{param}={value:.6g}"
+        if built is None or not relay_axis:
+            built = build_scenario(merged, scenario_id=point_id)
+            yield value, built
+            continue
+        resolved = {**built.resolved, param: value}
+        dir_cfg, sel_cfg = relay_settings(resolved)
+        yield value, replace(
+            built,
+            scenario_id=point_id,
+            dir_cfg=dir_cfg,
+            sel_cfg=sel_cfg,
+            overrides=merged,
+            resolved=resolved,
+            provenance=dict(built.provenance),
+        )
 
 
 def sweep_reports(
@@ -281,14 +331,16 @@ def sweep_reports(
     """Yield (scenario, report) at every point of `sweep_scenarios`.
 
     A `relay.*` key only sets the relay settings, which the report reads
-    after the solve, so along such an axis the first point's solution is
-    every point's, and the sweep solves once.
+    after the solve, so along such an axis the first point's solution, its
+    bus-1 readings and its report fields other than the relay fields are
+    every point's: the sweep solves and reports them once, and each point
+    evaluates only its relay elements.
     """
     solved = None
     for _, scenario in sweep_scenarios(overrides, param, start, stop, steps, log, scenario_id):
         if solved is None or not param.startswith("relay."):
-            solved = solve_scenario(scenario)
-        yield scenario, report_scenario(scenario, *solved)
+            solved = _solution_fields(scenario, *solve_scenario(scenario), oracle_check=False)
+        yield scenario, _relay_report(scenario, *solved)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,11 @@ the fixed point's damped step always starts at 0.5.
 Validation checks, in a fixed order, every key whose value is not its
 default object: a default was valid when the module loaded. Equal copies of
 the defaults take every check and build the default scenario (guarded in
-`tests/test_scenario.py`).
+`tests/test_scenario.py`). The `relay.*` keys are checked by
+`relay_settings`, at their place in that order; they reach nothing but the
+scenario's relay settings (`dir_cfg`, `sel_cfg`), so a sweep along one of
+them builds its first point and takes every later point's settings, and
+their validation, from that function alone.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ __all__ = [
     "SORTED_PROVENANCE",
     "parse_config_text",
     "build_scenario",
+    "relay_settings",
     "canonical_config_lines",
     "overlay_defaults",
 ]
@@ -332,6 +337,31 @@ def _need_choice(resolved: dict[str, object], key: str, choices: tuple[str, ...]
     return value  # type: ignore[return-value]
 
 
+def relay_settings(
+    resolved: dict[str, object],
+) -> tuple[DirectionalConfig, PhaseSelectionConfig]:
+    """The relay settings of a resolved config: all that its `relay.*` keys reach.
+
+    Validates those keys, a `ValueError` of the settings becoming a
+    `ValidationError` with the same message.
+    """
+    try:
+        dir_cfg = DirectionalConfig(
+            phi_non_deg=_need_float(resolved, "relay.phi_non_deg"),
+            floor=_need_positive(resolved, "relay.seq_floor_pu"),
+        )
+        sel_cfg = PhaseSelectionConfig(
+            dd21_half_deg=_need_positive(resolved, "relay.dd21_half_deg"),
+            d20_half_deg=_need_positive(resolved, "relay.d20_half_deg"),
+            sym_floor=_need_positive(resolved, "relay.asym_floor_pu"),
+            ground_floor=_need_positive(resolved, "relay.asym_floor_pu"),
+            inc_floor=_need_positive(resolved, "relay.seq_floor_pu"),
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    return dir_cfg, sel_cfg
+
+
 def build_scenario(
     overrides: dict[str, object] | None = None,
     scenario_id: str = "custom",
@@ -389,17 +419,7 @@ def build_scenario(
             x2=_need_positive(resolved, "sg.x2_pu"),
             x0=_need_positive(resolved, "sg.x0_pu"),
         )
-        dir_cfg = DirectionalConfig(
-            phi_non_deg=_need_float(resolved, "relay.phi_non_deg"),
-            floor=_need_positive(resolved, "relay.seq_floor_pu"),
-        )
-        sel_cfg = PhaseSelectionConfig(
-            dd21_half_deg=_need_positive(resolved, "relay.dd21_half_deg"),
-            d20_half_deg=_need_positive(resolved, "relay.d20_half_deg"),
-            sym_floor=_need_positive(resolved, "relay.asym_floor_pu"),
-            ground_floor=_need_positive(resolved, "relay.asym_floor_pu"),
-            inc_floor=_need_positive(resolved, "relay.seq_floor_pu"),
-        )
+        dir_cfg, sel_cfg = relay_settings(resolved)
         fault_m = _need_float(resolved, "fault.m")
         if not 0.0 <= fault_m <= 1.0:
             raise ValidationError(f"fault.m must lie in [0, 1], got {fault_m}")

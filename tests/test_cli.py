@@ -12,8 +12,15 @@ from pathlib import Path
 import pytest
 
 from faultlab.cli import _build_parser, main
-from faultlab.harness import run_scenario, sweep_scenarios
+from faultlab.harness import run_scenario
 from faultlab.report import csv_header, record_line
+from faultlab.scenario import build_scenario
+
+
+def _linear_axis(start: float, stop: float, steps: int) -> list[float]:
+    """The points of a linear sweep: the endpoints verbatim, evenly spaced between."""
+    inner = [start + k / (steps - 1) * (stop - start) for k in range(1, steps - 1)]
+    return [start, *inner, stop]
 
 
 def _config(tmp_path: Path, text: str, name: str = "case.cfg") -> str:
@@ -152,27 +159,35 @@ def test_unserializable_result_is_a_solver_error(tmp_path, capsys, monkeypatch) 
         assert f"{column} is {value}" in err
 
 
-def test_sweep_builds_each_point_once(tmp_path, capsys, monkeypatch) -> None:
+@pytest.mark.parametrize(
+    ("param", "start", "stop", "builds"),
+    [("fault.m", "0.2", "0.8", 3), ("relay.phi_non_deg", "30", "60", 1)],
+)
+def test_sweep_builds_each_point_once(
+    tmp_path, capsys, monkeypatch, param: str, start: str, stop: str, builds: int
+) -> None:
+    # along a relay axis only the first point is built; the later ones
+    # take their relay settings from it
     import faultlab.cli
     import faultlab.harness
 
-    builds = []
+    calls = []
     real = faultlab.harness.build_scenario
 
     def counting(*args, **kwargs):
-        builds.append(1)
+        calls.append(1)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(faultlab.harness, "build_scenario", counting)
     monkeypatch.setattr(faultlab.cli, "build_scenario", counting)
     cfg = _config(tmp_path, "source.kind = sg\n", name="sw.cfg")
     code = main(
-        ["sweep", "--config", cfg, "--param", "fault.m", "--from", "0.2", "--to", "0.8",
+        ["sweep", "--config", cfg, "--param", param, "--from", start, "--to", stop,
          "--steps", "3", "--format", "records"]
     )
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
-    assert len(builds) == 3
+    assert len(calls) == builds
 
 
 def _count_solves(monkeypatch) -> dict[str, int]:
@@ -211,16 +226,46 @@ def test_relay_sweep_solves_once_and_other_sweeps_every_point(
 @pytest.mark.parametrize("kind", ["sg", "gfm"])
 def test_relay_sweep_records_equal_the_per_point_runs(tmp_path, capsys, kind: str) -> None:
     overrides = {"source.kind": kind, "fault.kind": "bcg", "relay.dd21_half_deg": 20.0}
+    param = "relay.phi_non_deg"
     cfg = _config(tmp_path, "".join(f"{k} = {v}\n" for k, v in overrides.items()), name="sw.cfg")
     code = main(
-        ["sweep", "--config", cfg, "--param", "relay.phi_non_deg", "--from", "30",
+        ["sweep", "--config", cfg, "--param", param, "--from", "30",
          "--to", "60", "--steps", "4", "--format", "records"]
     )
     assert code == 0
-    points = sweep_scenarios(overrides, "relay.phi_non_deg", 30.0, 60.0, 4, scenario_id="sw")
-    assert capsys.readouterr().out.splitlines() == [
-        record_line(run_scenario(s), s.resolved, s.provenance) for _, s in points
+    # each point built on its own, as `faultlab run` builds it
+    points = [
+        build_scenario({**overrides, param: value}, scenario_id=f"sw:{param}={value:.6g}")
+        for value in _linear_axis(30.0, 60.0, 4)
     ]
+    assert capsys.readouterr().out.splitlines() == [
+        record_line(run_scenario(s), s.resolved, s.provenance) for s in points
+    ]
+
+
+@pytest.mark.parametrize(
+    ("param", "start", "stop", "bad"),
+    [("relay.phi_non_deg", "40", "70", "70"), ("relay.seq_floor_pu", "0.02", "-0.01", "-0.01")],
+)
+def test_relay_sweep_validates_every_point(
+    tmp_path, capsys, param: str, start: str, stop: str, bad: str
+) -> None:
+    # the last point lies outside the key's range; the third point of the
+    # seq_floor axis rounds to 3.5e-18, which is still positive
+    text = "source.kind = gfm\nfault.kind = ag\n"
+    cfg = _config(tmp_path, text)
+    point = _config(tmp_path, text + f"{param} = {bad}\n", name="point.cfg")
+    assert main(["run", "--config", point]) == 2
+    single = capsys.readouterr().err
+    code = main(
+        ["sweep", "--config", cfg, "--param", param, "--from", start, "--to", stop,
+         "--steps", "4", "--format", "records"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == single
+    assert single.startswith("config error: ")
 
 
 def test_relay_sweep_that_fails_to_solve_is_the_solver_error_of_its_first_point(

@@ -262,6 +262,43 @@ def test_sweep_keeps_generator_verdicts_stable() -> None:
         assert abs(report.d20_deg) <= 30.0
 
 
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"source.kind": "sg", "fault.kind": "ag"},
+        # every relay key set, so the swept one is among the overrides
+        {
+            "source.kind": "gfm", "clc.kind": "priority", "relay.phi_non_deg": 50.0,
+            "relay.seq_floor_pu": 0.03, "relay.asym_floor_pu": 0.04,
+            "relay.dd21_half_deg": 20.0, "relay.d20_half_deg": 25.0, "fault.kind": "bcg",
+        },
+    ],
+    ids=["sg", "gfm-relay-set"],
+)
+@pytest.mark.parametrize(
+    ("param", "start", "stop"),
+    [
+        ("relay.phi_non_deg", 30.0, 60.0),
+        ("relay.seq_floor_pu", 0.01, 0.1),
+        ("relay.asym_floor_pu", 0.01, 0.1),
+        ("relay.dd21_half_deg", 5.0, 30.0),
+        ("relay.d20_half_deg", 10.0, 60.0),
+    ],
+)
+def test_relay_sweep_points_equal_their_own_builds(
+    overrides: dict[str, object], param: str, start: float, stop: float, log: bool
+) -> None:
+    points = list(sweep_scenarios(overrides, param, start, stop, 4, log=log, scenario_id="sw"))
+    assert len(points) == 4
+    for value, point in points:
+        built = build_scenario({**overrides, param: value}, scenario_id=f"sw:{param}={value:.6g}")
+        assert point == built
+        assert point.config_hash == built.config_hash
+        assert list(point.overrides.items()) == list(built.overrides.items())
+        assert list(point.resolved) == list(built.resolved)
+
+
 def test_two_step_sweep_endpoints_reproduce_the_single_runs(preset_reports) -> None:
     base = dict(preset_scenario_overrides("fig13b"))
     del base["clc.n_x_r"]
