@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .network import (
     GROUND,
@@ -128,14 +128,13 @@ class _Merge:
         self.union(key, _GROUND_KEY)
 
 
-@dataclass(frozen=True)
-class AbcSolution:
+class AbcSolution(NamedTuple):
     """Phase-domain nodal solution over the full unbalanced network."""
 
     v_phase: dict[str, PhaseTriple]
-    _net: NetworkModel
+    net: NetworkModel
     # each series and source element's 3x3 admittance block, as stamped
-    _blocks: dict[str, list[list[complex]]]
+    blocks: dict[str, list[list[complex]]]
 
     def voltage(self, node: str) -> PhaseTriple:
         if node == GROUND:
@@ -146,13 +145,13 @@ class AbcSolution:
         """Phase currents through a series element, from -> to."""
         elem = self._element(eid, SeriesElement)
         dv = self.voltage(elem.n_from) - self.voltage(elem.n_to)
-        return PhaseTriple(*_mat_vec(self._blocks[eid], [dv.a, dv.b, dv.c]))
+        return PhaseTriple(*_mat_vec(self.blocks[eid], [dv.a, dv.b, dv.c]))
 
     def source_current(self, eid: str) -> PhaseTriple:
         """Phase currents a Norton source delivers into its node."""
         elem = self._element(eid, SourceElement)
         dv = PhaseTriple(*_mat_vec(A_MATRIX, [0j, elem.e1, 0j])) - self.voltage(elem.node)
-        return PhaseTriple(*_mat_vec(self._blocks[eid], [dv.a, dv.b, dv.c]))
+        return PhaseTriple(*_mat_vec(self.blocks[eid], [dv.a, dv.b, dv.c]))
 
     def reading(self, tap: RelayTap) -> tuple[PhaseTriple, PhaseTriple]:
         """(bus phase voltages, phase currents in the tap's direction)."""
@@ -162,7 +161,7 @@ class AbcSolution:
         return self.voltage(tap.bus), i
 
     def _element(self, eid: str, kind: type) -> SeriesElement | SourceElement:
-        elem = self._net.element(eid)
+        elem = self.net.element(eid)
         if not isinstance(elem, kind):
             raise KeyError(f"no {kind.__name__} {eid!r}")
         return elem
@@ -340,7 +339,7 @@ def solve_abc(
         node: PhaseTriple(*(0j if ki is None else solution[ki][0] for ki in rows_of[node]))
         for node in nodes
     }
-    return AbcSolution(v_phase=v_phase, _net=net, _blocks=blocks)
+    return AbcSolution(v_phase=v_phase, net=net, blocks=blocks)
 
 
 def thevenin_probe_abc(net: NetworkModel, seq: int) -> complex:

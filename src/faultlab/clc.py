@@ -42,10 +42,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .phasors import ALPHA
+from .records import validated
 
 __all__ = [
     "ClcKind",
@@ -80,8 +81,8 @@ class ClcKind(Enum):
         return self in (ClcKind.CIRCULAR, ClcKind.PRIORITY, ClcKind.INSTANTANEOUS)
 
 
-@dataclass(frozen=True)
-class ClcConfig:
+@validated
+class ClcConfig(NamedTuple):
     """Parameters for one current-limiting strategy.
 
     Only the fields the chosen kind reads are meaningful; the rest keep
@@ -101,7 +102,7 @@ class ClcConfig:
     r_vn: float = 0.01  # nominal virtual resistance (admittance mode), pu
     x_vn: float = 0.05  # nominal virtual reactance (admittance mode), pu
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("i_lim", "clip_level", "i_th", "k_x", "n_x_r"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"clc.{name} must be positive, got {getattr(self, name)}")

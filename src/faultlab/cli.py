@@ -124,8 +124,7 @@ def _report_lines(
 
 def _non_finite_column(report: ScenarioReport) -> str | None:
     """`<column> is <value>` for the report's first column holding nan or inf, or None."""
-    for name in CSV_COLUMNS:
-        value = getattr(report, name)
+    for name, value in zip(CSV_COLUMNS, report):
         if isinstance(value, float) and not math.isfinite(value):
             return f"{name} is {value}"
     return None

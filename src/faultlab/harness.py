@@ -11,9 +11,10 @@ branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
 optionally an independent phase-domain re-solve of the solved operating
 point as a numerical cross-check. The report is assembled as a mapping of
 its 68 fields, each phasor a `_mag`/`_ang` pair, and
-`ScenarioReport.from_fields` fills the frozen report from it in one step.
-The pair names are formatted and interned once, at import (`_POLAR_NAMES`),
-so the report's keys are the very strings its attributes are read by.
+`ScenarioReport.from_fields` builds the report tuple from it in one step,
+looking the values up in column order. The pair names are formatted and
+interned once, at import (`_POLAR_NAMES`), so the report's keys are the
+very strings its field names are.
 
 A report is the merge of two field sets. The solution fields read the
 solution and every setting of the scenario but its relay settings; the
@@ -46,7 +47,7 @@ import cmath
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .abc_oracle import solve_abc
 from .network import BusReading, FaultType
@@ -308,8 +309,7 @@ def sweep_scenarios(
             continue
         resolved = {**built.resolved, param: value}
         dir_cfg, sel_cfg = relay_settings(resolved)
-        yield value, replace(
-            built,
+        yield value, built._replace(
             scenario_id=point_id,
             dir_cfg=dir_cfg,
             sel_cfg=sel_cfg,
@@ -343,8 +343,7 @@ def sweep_reports(
         yield scenario, _relay_report(scenario, *solved)
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     label: str
     overrides: dict[str, object]
     highly_inductive: bool
@@ -375,8 +374,7 @@ TABLE1_ELEMENTS: tuple[str, ...] = ("phi2", "phi0", "dphi1", "dd21", "d20")
 _TABLE1_FAULTS: tuple[FaultType, ...] = (FaultType.AG, FaultType.BCG)
 
 
-@dataclass(frozen=True)
-class Table1Result:
+class Table1Result(NamedTuple):
     """Reliability matrix: does each supervising element hold up per strategy?
 
     A cell passes when the element gives the secure answer for every probed

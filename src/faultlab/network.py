@@ -47,11 +47,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from collections.abc import Mapping
 from enum import Enum
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .phasors import ALPHA, SequenceTriple
+from .records import validated
 
 __all__ = [
     "GROUND",
@@ -144,8 +147,8 @@ class Placement(Enum):
     REVERSE = "reverse"  # on the branch behind bus 1, fraction m from bus 1
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+@validated
+class FaultSpec(NamedTuple):
     """What fault to apply and where.
 
     m is the per-unit distance of the fault node from bus 1 along the host
@@ -158,15 +161,14 @@ class FaultSpec:
     r_g_ohm: float = 0.0
     placement: Placement = Placement.FORWARD
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.m <= 1.0:
             raise ValueError(f"fault position m={self.m} outside [0, 1]")
         if self.r_g_ohm < 0.0:
             raise ValueError(f"fault resistance {self.r_g_ohm} ohm is negative")
 
 
-@dataclass(frozen=True)
-class SeriesElement:
+class SeriesElement(NamedTuple):
     """Series impedance between two nodes, per sequence; None = open."""
 
     eid: str
@@ -180,8 +182,7 @@ class SeriesElement:
         return (self.z0, self.z1, self.z2)[seq]
 
 
-@dataclass(frozen=True)
-class SourceElement:
+class SourceElement(NamedTuple):
     """Ideal positive-sequence emf behind a per-sequence impedance to gnd.
 
     z = 0 makes the source ideal in that sequence: the node is pinned at the
@@ -204,8 +205,7 @@ class SourceElement:
         return self.e1 if seq == 1 else 0j
 
 
-@dataclass(frozen=True)
-class InjectionElement:
+class InjectionElement(NamedTuple):
     """Ideal sequence current sources injecting into a node (zero seq none)."""
 
     eid: str
@@ -217,8 +217,7 @@ class InjectionElement:
         return (0j, self.i1, self.i2)[seq]
 
 
-@dataclass(frozen=True)
-class RelayTap:
+class RelayTap(NamedTuple):
     """Where a relay reads: bus voltage plus oriented element current."""
 
     bus: str
@@ -226,18 +225,17 @@ class RelayTap:
     sign: float  # +1 when the element's from-node is the bus
 
 
-@dataclass(frozen=True)
-class NetworkModel:
+class NetworkModel(NamedTuple):
     """Element list plus the metadata the fault pipeline needs."""
 
     elements: tuple
     fault_node: str = ""
     source_node: str = ""
     z_base_fault_ohm: float = 1.0
-    relay_taps: dict[str, RelayTap] = field(default_factory=dict)
+    relay_taps: Mapping[str, RelayTap] = MappingProxyType({})
 
     def with_elements(self, *extra) -> "NetworkModel":
-        return replace(self, elements=self.elements + tuple(extra))
+        return self._replace(elements=self.elements + tuple(extra))
 
     def element(self, eid: str) -> SeriesElement | SourceElement | InjectionElement:
         """The last element named `eid`: a scan, for a network is read a few times."""
@@ -258,7 +256,6 @@ class NetworkModel:
         return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
 class SequenceSolution:
     """Node voltages of the three sequence networks of `net`.
 
@@ -269,8 +266,13 @@ class SequenceSolution:
     read its current off, and reading it raises ZeroDivisionError.
     """
 
-    v: dict[int, dict[str, complex]]
-    net: NetworkModel
+    def __init__(self, v: dict[int, dict[str, complex]], net: NetworkModel) -> None:
+        self.v, self.net = v, net
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SequenceSolution:
+            return NotImplemented
+        return (self.v, self.net) == (other.v, other.net)
 
     def voltage(self, node: str) -> SequenceTriple:
         return SequenceTriple(
@@ -315,8 +317,7 @@ class SequenceSolution:
         return {name: self.reading(tap) for name, tap in self.net.relay_taps.items()}
 
 
-@dataclass(frozen=True)
-class BusReading:
+class BusReading(NamedTuple):
     """Relay-point quantities: bus voltage, current into the monitored line."""
 
     bus: str
@@ -324,8 +325,7 @@ class BusReading:
     i: SequenceTriple
 
 
-@dataclass(frozen=True)
-class TheveninEquivalent:
+class TheveninEquivalent(NamedTuple):
     """Reduction of the network to the fault node.
 
     e_f2/e_f0 are zero for ordinary source mixes; they pick up the
@@ -343,7 +343,6 @@ class TheveninEquivalent:
     e_f0: complex = 0j
 
 
-@dataclass(frozen=True)
 class FaultSolution:
     """Base, pure-fault, and total solutions for one applied fault.
 
@@ -352,9 +351,13 @@ class FaultSolution:
     read. The column weights are not kept: a run reads only `total`.
     """
 
-    response: FaultResponse
-    i1: complex = 0j
-    i2: complex = 0j
+    def __init__(self, response: FaultResponse, i1: complex = 0j, i2: complex = 0j) -> None:
+        self.response, self.i1, self.i2 = response, i1, i2
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FaultSolution:
+            return NotImplemented
+        return (self.response, self.i1, self.i2) == (other.response, other.i1, other.i2)
 
     @property
     def thevenin(self) -> TheveninEquivalent:
@@ -692,8 +695,7 @@ def solve_fault_boundary(
     return SequenceTriple(pos=i1, neg=i2 * rot2, zero=i0 * rot0)
 
 
-@dataclass(frozen=True)
-class FaultResponse:
+class FaultResponse(NamedTuple):
     """One faulted network as an affine function of the currents injected at a port.
 
     `solve_fault` reads the one build of each sequence network: the network

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ALPHA",
@@ -86,8 +86,7 @@ def angle_between(x: complex, y: complex, floor: float = DEFAULT_MAGNITUDE_FLOOR
     return wrap_angle_deg(angle_deg(x, floor) - angle_deg(y, floor))
 
 
-@dataclass(frozen=True)
-class SequenceTriple:
+class SequenceTriple(NamedTuple):
     """Positive-, negative-, and zero-sequence components of one quantity."""
 
     pos: complex = 0j
@@ -107,8 +106,7 @@ class SequenceTriple:
         return max(abs(self.pos), abs(self.neg), abs(self.zero))
 
 
-@dataclass(frozen=True)
-class PhaseTriple:
+class PhaseTriple(NamedTuple):
     """Phase-domain a, b, c components of one quantity."""
 
     a: complex = 0j

@@ -13,13 +13,12 @@ reliability matrix rather than a single scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Preset", "PRESETS", "TABLE1_PRESET", "preset_scenario_overrides"]
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     description: str
     overrides: dict[str, object]

@@ -30,11 +30,12 @@ sequence restricts the choice to the line-line set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .network import BusReading, FaultType
 from .phasors import angle_between, angle_deg, wrap_angle_deg
+from .records import validated
 
 __all__ = [
     "Direction",
@@ -57,8 +58,8 @@ class Direction(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class DirectionalConfig:
+@validated
+class DirectionalConfig(NamedTuple):
     """Directional element settings.
 
     phi_non is the half-width of the non-directional band around the 0/180
@@ -69,7 +70,7 @@ class DirectionalConfig:
     phi_non_deg: float = 45.0
     floor: float = 0.02
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 30.0 <= self.phi_non_deg <= 60.0:
             raise ValueError(
                 f"phi_non must lie in [30, 60] degrees, got {self.phi_non_deg}"
@@ -78,8 +79,7 @@ class DirectionalConfig:
             raise ValueError("magnitude floor must be positive")
 
 
-@dataclass(frozen=True)
-class DirectionalResult:
+class DirectionalResult(NamedTuple):
     element: str  # operating quantity tag: "neg", "zero", "inc"
     angle_deg: float | None  # None when an operand sat below the floor
     direction: Direction
@@ -134,8 +134,8 @@ LINE_CENTERS: dict[FaultType, float] = {
 }
 
 
-@dataclass(frozen=True)
-class PhaseSelectionConfig:
+@validated
+class PhaseSelectionConfig(NamedTuple):
     """Band half-widths and magnitude floors for the angle classifier."""
 
     dd21_half_deg: float = 15.0
@@ -144,7 +144,7 @@ class PhaseSelectionConfig:
     ground_floor: float = 0.05  # below this |i0|, exclude the ground types
     inc_floor: float = 0.02  # minimum |di1| for dd21 to mean anything
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.dd21_half_deg <= 30.0:
             raise ValueError("dd21 band half-width must lie in (0, 30] degrees")
         if not 0.0 < self.d20_half_deg <= 60.0:
@@ -154,8 +154,7 @@ class PhaseSelectionConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class PhaseSelectionResult:
+class PhaseSelectionResult(NamedTuple):
     selected: FaultType | None  # None: no band matched
     dd21_deg: float | None
     d20_deg: float | None

@@ -11,11 +11,13 @@ Two formats, both deterministic for a given resolved config:
   double precision, carrying the resolved config and per-key provenance so
   the line is self-describing.
 
-Every decision that is the same for all reports is made once, at import:
-each column's CSV formatter, chosen from its name and declared type; the
-sorted order of a record's keys, as three runs of report columns around the
-config and provenance objects; and the `"key":value` member of every
-default value and every default provenance tag. Per report, only the
+A `ScenarioReport` is a NamedTuple (`faultlab.records`) in CSV column
+order, so both formats read its columns by position. Every decision that
+is the same for all reports is made once, at import: each column's CSV
+formatter, chosen from its name and declared type; the sorted order of a
+record's keys, as three runs of report columns (names and positions)
+around the config and provenance objects; and the `"key":value` member of
+every default value and every default provenance tag. Per report, only the
 values that are not their default object are formatted, so a record of a
 config that overrides a few keys encodes a few config members. A config or
 provenance mapping over other keys than the defaults' is encoded whole, its
@@ -33,7 +35,7 @@ import json
 import re
 from bisect import bisect
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .scenario import (
     DEFAULTS,
@@ -46,8 +48,7 @@ from .scenario import (
 __all__ = ["ScenarioReport", "CSV_COLUMNS", "csv_header", "csv_line", "record_line"]
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     scenario_id: str
     config_hash: str
     source_kind: str
@@ -127,17 +128,16 @@ class ScenarioReport:
 
     @classmethod
     def from_fields(cls, values: dict[str, object]) -> "ScenarioReport":
-        """The report of `values`, one per field, set in one step: no `__post_init__` runs."""
-        names, keys = cls.__dataclass_fields__.keys(), values.keys()
-        if keys != names:
-            missing, extra = sorted(names - keys), sorted(keys - names)
+        """The report of `values`, one per field in any order, built as one tuple."""
+        keys = values.keys()
+        if keys != _COLUMN_SET:
+            missing, extra = sorted(_COLUMN_SET - keys), sorted(keys - _COLUMN_SET)
             raise TypeError(f"report fields missing {missing}, unexpected {extra}")
-        report = object.__new__(cls)  # frozen all the same: __setattr__ still raises
-        report.__dict__.update(values)
-        return report
+        return cls._make(map(values.__getitem__, cls._fields))
 
 
-CSV_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ScenarioReport))
+CSV_COLUMNS: tuple[str, ...] = ScenarioReport._fields
+_COLUMN_SET = frozenset(CSV_COLUMNS)
 
 # a text cell holding one of these is quoted, its quotes doubled (RFC 4180)
 _QUOTED = re.compile('[,"\r\n]')
@@ -170,7 +170,8 @@ def _csv_cell(name: str, annotation: str) -> Callable[..., str]:
     """The formatter of one column, chosen from its name and declared type.
 
     `annotation` is the field's type as written in ScenarioReport (this
-    module's annotations are not evaluated).
+    module's annotations are not evaluated: the NamedTuple keeps each as a
+    `typing.ForwardRef`).
     """
     if annotation == "bool":
         return _flag_cell
@@ -187,7 +188,9 @@ def _csv_cell(name: str, annotation: str) -> Callable[..., str]:
     return _number_cell(".6f")
 
 
-_CSV_CELLS = tuple(_csv_cell(f.name, f.type) for f in fields(ScenarioReport))
+_CSV_CELLS = tuple(
+    _csv_cell(name, ref.__forward_arg__) for name, ref in ScenarioReport.__annotations__.items()
+)
 
 
 def csv_header() -> str:
@@ -195,8 +198,7 @@ def csv_header() -> str:
 
 
 def csv_line(report: ScenarioReport) -> str:
-    values = vars(report)
-    return ",".join([cell(values[name]) for name, cell in zip(CSV_COLUMNS, _CSV_CELLS)])
+    return ",".join([cell(value) for cell, value in zip(_CSV_CELLS, report)])
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
@@ -208,18 +210,21 @@ def _member(key: str, value: object) -> str:
 
 # a record's top-level keys in sorted order are three runs of report
 # columns, with the config object after the first and the provenance
-# object after the second
+# object after the second; a run is its column names and their positions
 _SORTED_COLUMNS = tuple(sorted(CSV_COLUMNS))
 _CUT1, _CUT2 = bisect(_SORTED_COLUMNS, "config"), bisect(_SORTED_COLUMNS, "provenance")
-_RUNS = (_SORTED_COLUMNS[:_CUT1], _SORTED_COLUMNS[_CUT1:_CUT2], _SORTED_COLUMNS[_CUT2:])
+_RUNS = tuple(
+    (run, tuple(map(CSV_COLUMNS.index, run)))
+    for run in (_SORTED_COLUMNS[:_CUT1], _SORTED_COLUMNS[_CUT1:_CUT2], _SORTED_COLUMNS[_CUT2:])
+)
 _CONFIG_KEY, _PROVENANCE_KEY = _ENCODER.encode("config"), _ENCODER.encode("provenance")
 _CONFIG_MEMBERS = tuple(map(_member, SORTED_KEYS, SORTED_DEFAULTS))
 _PROVENANCE_MEMBERS = tuple(map(_member, SORTED_KEYS, SORTED_PROVENANCE))
 
 
-def _run(values: dict[str, object], run: tuple[str, ...]) -> str:
-    """The members of `run`'s columns, in `run`'s order, without braces."""
-    return _ENCODER.encode(dict(zip(run, map(values.__getitem__, run))))[1:-1]
+def _run(report: ScenarioReport, names: tuple[str, ...], positions: tuple[int, ...]) -> str:
+    """The members of the columns `names`, read at `positions`, in order, without braces."""
+    return _ENCODER.encode(dict(zip(names, map(report.__getitem__, positions))))[1:-1]
 
 
 def _object(
@@ -236,8 +241,7 @@ def record_line(
     resolved: dict[str, object],
     provenance: dict[str, str],
 ) -> str:
-    values = vars(report)
-    head, middle, tail = (_run(values, run) for run in _RUNS)
+    head, middle, tail = (_run(report, *run) for run in _RUNS)
     config = _object(resolved, SORTED_DEFAULTS, _CONFIG_MEMBERS)
     tags = _object(provenance, SORTED_PROVENANCE, _PROVENANCE_MEMBERS)
     members = (head, f"{_CONFIG_KEY}:{config}", middle, f"{_PROVENANCE_KEY}:{tags}", tail)

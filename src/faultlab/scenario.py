@@ -49,10 +49,10 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import is_not, itemgetter
+from typing import NamedTuple
 
 from .clc import ClcConfig, ClcKind
 from .network import (
@@ -194,15 +194,13 @@ def _coerce_token(token: str) -> object:
         return token
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(NamedTuple):
     tol: float = 1e-9
     max_iter: int = 100
     newton_tol: float = 1e-8
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Fully resolved, validated scenario ready for the harness."""
 
     scenario_id: str

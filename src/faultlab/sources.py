@@ -92,7 +92,7 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .clc import (
     ClcConfig,
@@ -120,6 +120,7 @@ from .network import (
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
 from .phasors import SequenceTriple, from_polar, inverse_fortescue
+from .records import validated
 
 __all__ = [
     "NoConvergenceError",
@@ -147,15 +148,15 @@ class OscillationDetectedError(RuntimeError):
     """Iteration residual stopped decreasing (limit cycle between states)."""
 
 
-@dataclass(frozen=True)
-class SgModel:
+@validated
+class SgModel(NamedTuple):
     """Synchronous generator: emf behind fixed sequence reactances (pu)."""
 
     x1: float = 0.2
     x2: float = 0.2
     x0: float = 0.1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.x1 <= 0.0 or self.x2 <= 0.0 or self.x0 <= 0.0:
             raise ValueError("generator sequence reactances must be positive")
 
@@ -165,8 +166,8 @@ class SgModel:
         )
 
 
-@dataclass(frozen=True)
-class GfmModel:
+@validated
+class GfmModel(NamedTuple):
     """Grid-forming converter: reference behind a current-limiting control.
 
     x_f is the filter reactance. It sits inside the control loop for every
@@ -175,12 +176,12 @@ class GfmModel:
     appear as a network branch in series with Z_v.
     """
 
-    clc: ClcConfig = field(default_factory=ClcConfig)
+    clc: ClcConfig = ClcConfig()
     k_pv: float = 2.0
     x_f: float = 0.15
     filter_in_network: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.k_pv <= 0.0:
             raise ValueError("voltage-loop gain k_pv must be positive")
         if self.x_f < 0.0:
@@ -210,8 +211,7 @@ class GfmModel:
         return z
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(NamedTuple):
     """Pre-fault internal reference and attachment-node state (pu, peak)."""
 
     e_mag: float
@@ -303,8 +303,7 @@ def prefault_solve(
     )
 
 
-@dataclass(frozen=True)
-class SourceSolution:
+class SourceSolution(NamedTuple):
     """Fault-time state of the source behind bus 1, either kind (pu, peak).
 
     The generator is linear: one solve, no limiter, no control quantities.
@@ -359,8 +358,7 @@ def _ratio(num: complex, den: complex, floor: float = 1e-9) -> complex | None:
     return num / den
 
 
-@dataclass(frozen=True)
-class TerminalPort:
+class TerminalPort(NamedTuple):
     """The faulted network reduced to the converter terminal (pu, peak).
 
     The network is linear and the converter is open in the zero sequence,

@@ -137,8 +137,6 @@ def test_infinite_limit_with_records_is_a_config_error(tmp_path, capsys) -> None
 
 
 def test_unserializable_result_is_a_solver_error(tmp_path, capsys, monkeypatch) -> None:
-    import dataclasses
-
     import faultlab.cli
 
     real = faultlab.cli.run_scenario
@@ -149,7 +147,7 @@ def test_unserializable_result_is_a_solver_error(tmp_path, capsys, monkeypatch) 
 
         def non_finite(scenario, oracle_check=False):
             report = real(scenario, oracle_check=oracle_check)
-            return dataclasses.replace(report, **{column: value})
+            return report._replace(**{column: value})
 
         monkeypatch.setattr(faultlab.cli, "run_scenario", non_finite)
         cfg = _config(tmp_path, "source.kind = sg\n")

@@ -108,3 +108,14 @@ def test_the_package_imports_only_the_standard_library() -> None:
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.split() == []
+
+
+def test_importing_the_cli_leaves_dataclasses_unimported() -> None:
+    # the records are NamedTuples, so no class generates and compiles its
+    # methods at import; this counts modules and times nothing
+    probe = "import sys, faultlab.cli\nprint('dataclasses' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["False"]

@@ -3,7 +3,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -487,7 +486,7 @@ def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
     assert calls == [1, 2, 0]
     assert abs(builds[2][None]["poc"]) > 0.01
     # a positive-sequence injection alone leaves the negative sequence dead
-    balanced = scenario.net.with_elements(replace(inj, i2=0j))
+    balanced = scenario.net.with_elements(inj._replace(i2=0j))
     builds, calls = _counted_fault_builds(monkeypatch, balanced, "")
     assert calls == [1, 2, 0]
     assert all(v == 0 for v in builds[2][None].values())

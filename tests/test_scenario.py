@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -109,9 +108,9 @@ def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario() -
     assert copied.config_hash == default.config_hash
     assert copied.resolved == default.resolved
     # overrides and provenance record that every key was supplied
-    for field in dataclasses.fields(Scenario):
-        if field.name not in ("overrides", "provenance"):
-            assert getattr(copied, field.name) == getattr(default, field.name), field.name
+    for name in Scenario._fields:
+        if name not in ("overrides", "provenance"):
+            assert getattr(copied, name) == getattr(default, name), name
 
 
 def test_a_value_equal_to_its_default_is_still_type_checked() -> None:
