@@ -594,7 +594,7 @@ def test_dvdi1_is_zad_less_the_passive_side_but_for_the_admittance_pre_fault_ter
     the relay (`z_side1`, plus j x_f when the filter is in the network).
     The report's zad takes Z_pre = 0, which only the admittance law, keeping
     Z_vn = r_vn + j x_vn before the fault, does not have: its zad misses by
-    Z_vn i1_pre / di1 (ROADMAP item 1; its fix makes that miss 0)."""
+    Z_vn i1_pre / di1, a known defect: its fix makes that miss 0."""
     worst_miss = 0.0
     for row in TABLE1_ROWS:
         for fault_type, point in OPERATING_SPACE:
