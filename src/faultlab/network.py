@@ -33,7 +33,9 @@ Fault solving follows the classical decomposition:
    then the cyclic phase-shift rule (positive unchanged, negative times
    alpha^k, zero times alpha^2k for a fault reference shifted k phases);
 4. back-distribution: the pure-fault solution is minus the fault current
-   times the fault node's column, superposed on the base solve.
+   times the fault node's column, superposed on the base solve. One
+   `FaultSolution` holds all of it, affine in the currents injected at its
+   port, and `FaultSolution.terminal_port` reduces it to the port.
 
 A solution is its node voltages only. Every current is read off them by
 Ohm's law on the element's own sequence impedance, so the relay readings of
@@ -72,11 +74,11 @@ __all__ = [
     "SequenceSolution",
     "BusReading",
     "TheveninEquivalent",
+    "TerminalPort",
     "FaultSolution",
     "solve_dense",
     "solve_linear",
     "solve_fault_boundary",
-    "FaultResponse",
     "solve_fault",
 ]
 
@@ -343,56 +345,10 @@ class TheveninEquivalent(NamedTuple):
     e_f0: complex = 0j
 
 
-class FaultSolution:
-    """Base, pure-fault, and total solutions for one applied fault.
-
-    A view of a fault response with the currents (i1, i2) injected at its
-    port; each part is superposed from the response's columns when first
-    read. The column weights are not kept: a run reads only `total`.
-    """
-
-    def __init__(self, response: FaultResponse, i1: complex = 0j, i2: complex = 0j) -> None:
-        self.response, self.i1, self.i2 = response, i1, i2
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not FaultSolution:
-            return NotImplemented
-        return (self.response, self.i1, self.i2) == (other.response, other.i1, other.i2)
-
-    @property
-    def thevenin(self) -> TheveninEquivalent:
-        return self.response._weights(self.i1, self.i2)[0]
-
-    @property
-    def i_fault(self) -> SequenceTriple:
-        return self.response._weights(self.i1, self.i2)[1]
-
-    def _superposed(self, part: int) -> SequenceSolution:
-        """The base (2), pure (3) or total (4) part of `FaultResponse._weights`."""
-        weights = self.response._weights(self.i1, self.i2)[part]
-        builds = self.response.builds
-        v = {seq: _superpose(builds[seq], weights[seq]) for seq in SEQUENCES}
-        return SequenceSolution(v, self.response.net)
-
-    @cached_property
-    def base(self) -> SequenceSolution:
-        return self._superposed(2)
-
-    @cached_property
-    def pure(self) -> SequenceSolution:
-        return self._superposed(3)
-
-    @cached_property
-    def total(self) -> SequenceSolution:
-        return self._superposed(4)
-
-
 # one solution column of a sequence network: its node voltages
 _Column = dict[str, complex]
 # columns of one build, by node (None: the base column), each with its weight
 _Weighted = list[tuple[str | None, complex]]
-# per sequence, the weighted columns of its build
-_Weights = dict[int, _Weighted]
 
 
 class _Build(dict):
@@ -639,18 +595,6 @@ def solve_linear(
     return SequenceSolution(v, net)
 
 
-def _thevenin(builds: dict[int, _Build], node: str, base: _Weights) -> TheveninEquivalent:
-    """Node's own column at node (impedances), base solution there (voltages)."""
-    return TheveninEquivalent(
-        z1=builds[1][node][node],
-        z2=builds[2][node][node],
-        z0=builds[0][node][node],
-        e_f=_voltage(builds[1], node, base[1]),
-        e_f2=_voltage(builds[2], node, base[2]),
-        e_f0=_voltage(builds[0], node, base[0]),
-    )
-
-
 def solve_fault_boundary(
     thevenin: TheveninEquivalent, spec: FaultSpec, z_base_ohm: float
 ) -> SequenceTriple:
@@ -662,6 +606,7 @@ def solve_fault_boundary(
     the requested phases. Open-circuit negative/zero-sequence voltages enter
     the same interconnections after being carried into the a-referenced
     frame, so the boundary stays exact when the base network is unbalanced.
+    A boundary that divides by an exact zero is a SingularNetworkError.
     """
     r = spec.r_g_ohm / z_base_ohm
     z1, z2, z0, e_f = thevenin.z1, thevenin.z2, thevenin.z0, thevenin.e_f
@@ -673,78 +618,195 @@ def solve_fault_boundary(
     e2h = thevenin.e_f2 * rot2.conjugate()
     e0h = thevenin.e_f0 * rot0.conjugate()
 
-    if cat is FaultCategory.SLG:
-        i1 = (e_f + e2h + e0h) / (z1 + z2 + z0 + 3.0 * r)
-        i2 = i1
-        i0 = i1
-    elif cat is FaultCategory.LL:
-        i1 = (e_f - e2h) / (z1 + z2 + r)
-        i2 = -i1
-        i0 = 0j
-    elif cat is FaultCategory.LLG:
-        zg = z0 + 3.0 * r
-        vx = (e_f / z1 + e2h / z2 + e0h / zg) / (1.0 / z1 + 1.0 / z2 + 1.0 / zg)
-        i1 = (e_f - vx) / z1
-        i2 = (e2h - vx) / z2
-        i0 = (e0h - vx) / zg
-    else:  # SYM: per-phase resistance star, no ground return
-        i1 = e_f / (z1 + r)
-        i2 = e2h / (z2 + r)
-        i0 = 0j
+    try:
+        if cat is FaultCategory.SLG:
+            i1 = (e_f + e2h + e0h) / (z1 + z2 + z0 + 3.0 * r)
+            i2 = i1
+            i0 = i1
+        elif cat is FaultCategory.LL:
+            i1 = (e_f - e2h) / (z1 + z2 + r)
+            i2 = -i1
+            i0 = 0j
+        elif cat is FaultCategory.LLG:
+            zg = z0 + 3.0 * r
+            vx = (e_f / z1 + e2h / z2 + e0h / zg) / (1.0 / z1 + 1.0 / z2 + 1.0 / zg)
+            i1 = (e_f - vx) / z1
+            i2 = (e2h - vx) / z2
+            i0 = (e0h - vx) / zg
+        else:  # SYM: per-phase resistance star, no ground return
+            i1 = e_f / (z1 + r)
+            i2 = e2h / (z2 + r)
+            i0 = 0j
+    except ZeroDivisionError:
+        why = f"{spec.fault_type.value} fault boundary is singular: z1 = {z1:.6g}, z2 = {z2:.6g}"
+        raise SingularNetworkError(f"{why}, z0 = {z0:.6g} pu at the fault node") from None
 
     return SequenceTriple(pos=i1, neg=i2 * rot2, zero=i0 * rot0)
 
 
-class FaultResponse(NamedTuple):
-    """One faulted network as an affine function of the currents injected at a port.
 
-    `solve_fault` reads the one build of each sequence network: the network
-    as it stands and a unit current at each node. The rest is
-    superposition. Injecting (i1, i2) at the port adds i1 and i2 times the
-    port's columns to the base solution, and with it to the open-circuit
-    voltages at the fault node; the boundary conditions turn those into the
-    fault current; the pure-fault solution is minus that current times the
-    fault node's column.
+
+class TerminalPort(NamedTuple):
+    """A faulted network reduced to its port, a converter terminal (pu, peak).
+
+    The network is linear and the port carries no zero-sequence current, so
+    the port's sequence voltages are affine in the positive- and
+    negative-sequence currents injected there:
+
+        [v1, v2] = [v1_oc, v2_oc] + Z_port @ [i1, i2]
+
+    Z_port is the 2x2 port (Kron) reduction of the faulted network; an
+    unbalanced fault couples the two channels, so it is not diagonal.
     """
 
-    net: NetworkModel
-    spec: FaultSpec
-    port: str
-    builds: dict[int, _Build]
+    v1_oc: complex
+    v2_oc: complex
+    z11: complex
+    z12: complex
+    z21: complex
+    z22: complex
 
-    def _weights(
-        self, i1: complex, i2: complex
-    ) -> tuple[TheveninEquivalent, SequenceTriple, _Weights, _Weights, _Weights]:
-        """Thevenin view, fault current, and the base, pure and total column weights."""
-        node, port = self.net.fault_node, self.port
+    def voltage(self, i1: complex, i2: complex) -> tuple[complex, complex]:
+        """Port voltages for injected channel currents."""
+        return (
+            self.v1_oc + self.z11 * i1 + self.z12 * i2,
+            self.v2_oc + self.z21 * i1 + self.z22 * i2,
+        )
+
+    def current_behind(self, e1: complex, z_b: complex) -> tuple[complex, complex]:
+        """Channel currents of the emf (e1, 0) behind z_b in both channels.
+
+        Solves (Z_port + z_b * I) @ i = (e1, 0) - v_oc; z_b = 0 pins the
+        port voltage at the emf.
+        """
+        a11, a22 = self.z11 + z_b, self.z22 + z_b
+        det = a11 * a22 - self.z12 * self.z21
+        if det == 0:
+            raise SingularNetworkError("converter terminal port is singular")
+        r1, r2 = e1 - self.v1_oc, -self.v2_oc
+        return (a22 * r1 - self.z12 * r2) / det, (a11 * r2 - self.z21 * r1) / det
+
+
+class FaultSolution:
+    """One faulted network, with the currents (i1, i2) injected at its port.
+
+    It holds the one build of each sequence network. Injecting (i1, i2) at
+    the port adds i1 and i2 times the port's columns to the base solution,
+    and to the open-circuit voltages at the fault node (`thevenin`); the
+    boundary turns those into the fault current (`i_fault`); the pure-fault
+    solution is minus that current times the fault node's column. `at`
+    reads the same builds at other port currents.
+
+    Each part is computed once, when first read. It sums only the columns
+    it weights, from 0j, in the order base, fault node, port: a column at
+    weight zero would add a signed zero to a sum that is never -0.0, and
+    change no bit.
+    """
+
+    def __init__(
+        self,
+        net: NetworkModel,
+        spec: FaultSpec,
+        port: str,
+        builds: dict[int, _Build],
+        i1: complex = 0j,
+        i2: complex = 0j,
+    ) -> None:
         if not port and (i1 or i2):
             raise ValueError("no port to inject at: solve the fault with a port node")
-        # the port carries positive- and negative-sequence currents only
-        inject = {1: [(port, i1)], 2: [(port, i2)], 0: []} if port else {1: [], 2: [], 0: []}
-        base = {seq: [(None, 1.0), (node, 0.0), *inject[seq]] for seq in SEQUENCES}
-        thevenin = _thevenin(self.builds, node, base)
-        i_fault = solve_fault_boundary(thevenin, self.spec, self.net.z_base_fault_ohm)
-        pure = {
-            seq: [(None, 0.0), (node, -i_f)] + [(port, 0.0)] * len(inject[seq])
-            for seq, i_f in ((1, i_fault.pos), (2, i_fault.neg), (0, i_fault.zero))
-        }
-        total = {
-            seq: [(key, a + b) for (key, a), (_, b) in zip(base[seq], pure[seq])]
-            for seq in SEQUENCES
-        }
-        return thevenin, i_fault, base, pure, total
+        self.net, self.spec, self.port, self.builds = net, spec, port, builds
+        self.i1, self.i2 = i1, i2
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FaultSolution:
+            return NotImplemented
+        mine = (self.net, self.spec, self.port, self.builds, self.i1, self.i2)
+        return mine == (other.net, other.spec, other.port, other.builds, other.i1, other.i2)
 
     def at(self, i1: complex = 0j, i2: complex = 0j) -> FaultSolution:
         """The fault solution with (i1, i2) injected at the port."""
-        return FaultSolution(self, i1, i2)
+        return FaultSolution(self.net, self.spec, self.port, self.builds, i1, i2)
+
+    def _weighted(self, seq: int, base: bool, pure: bool) -> _Weighted:
+        """The columns of the base part, the pure part or both in one sequence."""
+        weighted: _Weighted = [(None, 1.0)] if base else []
+        if pure:
+            i_f = self.i_fault
+            weighted.append((self.net.fault_node, -(i_f.zero, i_f.pos, i_f.neg)[seq]))
+        if base and self.port and seq:  # the port carries no zero-sequence current
+            weighted.append((self.port, self.i1 if seq == 1 else self.i2))
+        return weighted
+
+    def _part(self, base: bool, pure: bool) -> SequenceSolution:
+        builds = self.builds
+        v = {seq: _superpose(builds[seq], self._weighted(seq, base, pure)) for seq in SEQUENCES}
+        return SequenceSolution(v, self.net)
+
+    @cached_property
+    def thevenin(self) -> TheveninEquivalent:
+        """The fault node's own column there (impedances), the base part there (voltages)."""
+        node, builds = self.net.fault_node, self.builds
+        return TheveninEquivalent(
+            *(builds[seq][node][node] for seq in (1, 2, 0)),
+            *(_voltage(builds[seq], node, self._weighted(seq, True, False)) for seq in (1, 2, 0)),
+        )
+
+    @cached_property
+    def i_fault(self) -> SequenceTriple:
+        return solve_fault_boundary(self.thevenin, self.spec, self.net.z_base_fault_ohm)
+
+    @cached_property
+    def base(self) -> SequenceSolution:
+        return self._part(True, False)
+
+    @cached_property
+    def pure(self) -> SequenceSolution:
+        return self._part(False, True)
+
+    @cached_property
+    def total(self) -> SequenceSolution:
+        return self._part(True, True)
+
+    def terminal_port(self) -> TerminalPort:
+        """Reduce the faulted network to its port.
+
+        In each channel the faulted port voltage is the base column, plus
+        the port column times the injected current, less the fault current
+        times the fault column, all read at the port. The boundary
+        conditions are linear in the open-circuit voltages at the fault
+        node, so the fault current splits the same way: the base columns
+        there give v_oc, and each channel's port column there, carried
+        through the boundary, gives that channel's column of Z_port.
+        """
+        pos, neg, zero = (self.builds[seq] for seq in (1, 2, 0))
+        node, port = self.net.fault_node, self.port
+        z = (pos[node][node], neg[node][node], zero[node][node])
+
+        def fault_current(e_f: complex, e_f2: complex, e_f0: complex) -> tuple[complex, complex]:
+            i_f = solve_fault_boundary(
+                TheveninEquivalent(*z, e_f, e_f2, e_f0), self.spec, self.net.z_base_fault_ohm
+            )
+            return i_f.pos * pos[node][port], i_f.neg * neg[node][port]
+
+        oc1, oc2 = fault_current(pos[None][node], neg[None][node], zero[None][node])
+        a1, a2 = fault_current(pos[port][node], 0j, 0j)
+        b1, b2 = fault_current(0j, neg[port][node], 0j)
+        return TerminalPort(
+            pos[None][port] - oc1,
+            neg[None][port] - oc2,
+            z11=pos[port][port] - a1,
+            z12=-b1,
+            z21=-a2,
+            z22=neg[port][port] - b2,
+        )
 
 
 def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolution:
     """Full linear fault solve: one nodal build per sequence, then superposition.
 
-    With a port node named, the solution's `response` also gives the fault
-    solution for any positive- and negative-sequence currents injected
-    there, without another solve.
+    With a port node named, the solution's `at` gives the fault solution
+    for any positive- and negative-sequence currents injected there, and
+    its `terminal_port` the port model, without another solve.
     """
     builds = {seq: _solve_one_sequence(net, seq) for seq in SEQUENCES}
-    return FaultSolution(FaultResponse(net, spec, port, builds))
+    return FaultSolution(net, spec, port, builds)

@@ -21,9 +21,10 @@ converter injects (it is open in the zero sequence):
     v = v_oc + Z_port @ i,    v = (v1, v2), i = (i1, i2)
 
 One linear fault solve per scenario, with the terminal as its port, gives
-the faulted network's response to any (i1, i2) by superposition;
-(v_oc, Z_port) are read off its columns once, and every evaluation of a law
-is then 2x2 complex arithmetic.
+the faulted network's solution at any (i1, i2) by superposition
+(`network.FaultSolution.at`), and its reduction to (v_oc, Z_port)
+(`FaultSolution.terminal_port`); every evaluation of a law is then 2x2
+complex arithmetic.
 
 The fault condition is a fixed point of the limiting law. Three of the
 five laws are a source emf (e_ref1, 0) behind a virtual impedance z_b in
@@ -75,7 +76,7 @@ currents tie at the cap. The state is a pair of Python complex numbers.
 The driver starts from the idle start above; while the limiter is idle G
 is affine and Newton solves it in one step.
 
-The relay readings are the same response at the converged terminal
+The relay readings are the same fault solution at the converged terminal
 currents; a shaping law's source branch enters through its terminal
 currents (substitution theorem).
 
@@ -106,17 +107,13 @@ from .clc import (
 )
 from . import network
 from .network import (
-    FaultResponse,
     FaultSolution,
     FaultSpec,
     InjectionElement,
     NetworkModel,
     SequenceSolution,
-    SingularNetworkError,
     SourceElement,
-    TheveninEquivalent,
     solve_fault,
-    solve_fault_boundary,
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
 from .phasors import SequenceTriple, from_polar, inverse_fortescue
@@ -129,8 +126,6 @@ __all__ = [
     "GfmModel",
     "OperatingPoint",
     "SourceSolution",
-    "TerminalPort",
-    "terminal_port",
     "prefault_solve",
     "solve_sg_fault",
     "fault_fixed_point",
@@ -356,83 +351,6 @@ def _ratio(num: complex, den: complex, floor: float = 1e-9) -> complex | None:
     if abs(den) < floor:
         return None
     return num / den
-
-
-class TerminalPort(NamedTuple):
-    """The faulted network reduced to the converter terminal (pu, peak).
-
-    The network is linear and the converter is open in the zero sequence,
-    so the terminal sequence voltages are affine in the positive- and
-    negative-sequence currents the converter injects:
-
-        [v1, v2] = [v1_oc, v2_oc] + Z_port @ [i1, i2]
-
-    Z_port is the 2x2 port (Kron) reduction of the faulted network; an
-    unbalanced fault couples the two channels, so it is not diagonal.
-    """
-
-    v1_oc: complex
-    v2_oc: complex
-    z11: complex
-    z12: complex
-    z21: complex
-    z22: complex
-
-    def voltage(self, i1: complex, i2: complex) -> tuple[complex, complex]:
-        """Terminal voltages for injected channel currents."""
-        return (
-            self.v1_oc + self.z11 * i1 + self.z12 * i2,
-            self.v2_oc + self.z21 * i1 + self.z22 * i2,
-        )
-
-    def current_behind(self, e1: complex, z_b: complex) -> tuple[complex, complex]:
-        """Channel currents of the emf (e1, 0) behind z_b in both channels.
-
-        Solves (Z_port + z_b * I) @ i = (e1, 0) - v_oc; z_b = 0 pins the
-        terminal voltage at the emf.
-        """
-        a11 = self.z11 + z_b
-        a22 = self.z22 + z_b
-        det = a11 * a22 - self.z12 * self.z21
-        if det == 0:
-            raise SingularNetworkError("converter terminal port is singular")
-        r1 = e1 - self.v1_oc
-        r2 = -self.v2_oc
-        return (a22 * r1 - self.z12 * r2) / det, (a11 * r2 - self.z21 * r1) / det
-
-
-def terminal_port(response: FaultResponse) -> TerminalPort:
-    """Reduce a faulted network to its port, the converter terminal.
-
-    In each channel the faulted port voltage is the base column, plus the
-    port column times the injected current, less the fault current times
-    the fault column, all read at the port. The boundary conditions are
-    linear in the open-circuit voltages at the fault node, so the fault
-    current splits the same way: the base columns there give v_oc, and each
-    channel's port column there, carried through the boundary, gives that
-    channel's column of Z_port.
-    """
-    pos, neg, zero = (response.builds[seq] for seq in (1, 2, 0))
-    node, port = response.net.fault_node, response.port
-
-    def fault_current(e_f: complex, e_f2: complex, e_f0: complex) -> tuple[complex, complex]:
-        z = (pos[node][node], neg[node][node], zero[node][node])
-        i_f = solve_fault_boundary(
-            TheveninEquivalent(*z, e_f, e_f2, e_f0), response.spec, response.net.z_base_fault_ohm
-        )
-        return i_f.pos * pos[node][port], i_f.neg * neg[node][port]
-
-    oc1, oc2 = fault_current(pos[None][node], neg[None][node], zero[None][node])
-    a1, a2 = fault_current(pos[port][node], 0j, 0j)
-    b1, b2 = fault_current(0j, neg[port][node], 0j)
-    return TerminalPort(
-        pos[None][port] - oc1,
-        neg[None][port] - oc2,
-        z11=pos[port][port] - a1,
-        z12=-b1,
-        z21=-a2,
-        z22=neg[port][port] - b2,
-    )
 
 
 def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> bool:
@@ -665,15 +583,15 @@ def fault_fixed_point(
     shared virtual impedance (shaping modes); the law maps them through the
     port model and the control law to their next value. `circular` and the
     shaping modes solve for one real number by `_brent`, the other two
-    modes by `_drive`. The fault response at the converged terminal
+    modes by `_drive`. The fault solution at the converged terminal
     currents gives the readings.
     """
     cfg = gfm.clc
     name = cfg.kind.value
     e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
-    response = solve_fault(net, spec, port=node).response
-    port = terminal_port(response)
+    fault = solve_fault(net, spec, port=node)
+    port = fault.terminal_port()
     x_net = 1j * gfm.x_f_network
 
     if cfg.kind.is_saturation:
@@ -770,7 +688,7 @@ def fault_fixed_point(
         limiter_active=active,
         iterations=it,
         residual=res,
-        fault=response.at(i1, i2),
+        fault=fault.at(i1, i2),
         frozen=InjectionElement("frozen_clc", node, i1, i2),
         i_max_phase=i_peak,
         z_v1=z_v1,

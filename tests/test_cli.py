@@ -336,6 +336,23 @@ def test_unreachable_dispatch_is_a_solver_error(tmp_path, capsys, kind: str) -> 
     assert "solver error: pre-fault dispatch unreachable: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault_kind", ["cag", "bcg"])
+def test_singular_fault_boundary_is_a_solver_error(tmp_path, fault_kind: str) -> None:
+    # at this base every driving-point impedance at the fault node reads
+    # exactly 0j, and the double-line-ground boundary divides by them
+    cfg = _config(
+        tmp_path,
+        f"source.kind = gfm\nclc.kind = instantaneous\nfault.kind = {fault_kind}\n"
+        "fault.placement = reverse\nfault.m = 0.95\nfault.r_g_ohm = 100\n"
+        "source.p_ref = 0\ncircuit.s_base_mva = 1e-20\n",
+    )
+    done = _module_entry("run", "--config", cfg)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"solver error: {fault_kind} fault boundary is singular: ")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("override", ["circuit.grid_v_pu = 1000", "sg.x1_pu = 200"])
 def test_far_dispatch_is_solved(tmp_path, capsys, override: str) -> None:
     # the emf lands near 1000 pu or at about 105 degrees: far from a flat start

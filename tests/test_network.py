@@ -159,6 +159,14 @@ def test_boundary_against_classical_llg_formula() -> None:
     assert i.zero == pytest.approx(i0, rel=1e-12)
 
 
+@pytest.mark.parametrize("fault_type", [FaultType.AG, FaultType.BC, FaultType.BCG, FaultType.ABC])
+def test_bolted_boundary_on_zero_impedances_is_singular(fault_type: FaultType) -> None:
+    th = TheveninEquivalent(z1=0j, z2=0j, z0=0j, e_f=1.0 + 0j)
+    message = f"^{fault_type.value} fault boundary is singular: z1 = 0"
+    with pytest.raises(SingularNetworkError, match=message):
+        solve_fault_boundary(th, FaultSpec(fault_type=fault_type), z_base_ohm=1.0)
+
+
 def test_boundary_rotation_rule() -> None:
     th = TheveninEquivalent(z1=0.2 + 0.5j, z2=0.1 + 0.45j, z0=0.05 + 0.8j, e_f=1.0 + 0j)
     ag = solve_fault_boundary(th, FaultSpec(fault_type=FaultType.AG), 1.0)
@@ -346,7 +354,7 @@ def _counted_fault_builds(monkeypatch, net: NetworkModel, port: str) -> tuple[di
         return real(net, seq)
 
     monkeypatch.setattr(network, "_solve_one_sequence", counting)
-    return solve_fault(net, FaultSpec(), port).response.builds, calls
+    return solve_fault(net, FaultSpec(), port).builds, calls
 
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
@@ -359,7 +367,7 @@ def test_negative_sequence_reuses_the_positive_build_exactly(
     are the positive build's bits and its base column is zero at every
     node, so building it apart from the positive sequence moves no output."""
     net, port = _fault_network(kind, placement, m)
-    builds = solve_fault(net, FaultSpec(), port).response.builds
+    builds = solve_fault(net, FaultSpec(), port).builds
     pos, neg = builds[1], builds[2]
     # a column for every node the build holds, the base column beside them
     assert set(pos) == {None, *pos[None]}
@@ -380,7 +388,7 @@ def test_a_memo_hit_is_the_fresh_build(kind: str, placement: str, m: float) -> N
         network._solve_stamped.cache_clear()
         fresh = repr(network._solve_one_sequence(net, seq))
         solution = solve_fault(net, FaultSpec(FaultType.BCG, m), port)
-        assert (solution.response.at(0.3 - 0.2j, 0.1j) if port else solution).total.readings
+        assert (solution.at(0.3 - 0.2j, 0.1j) if port else solution).total.readings
         twin = _fault_network(kind, placement, m)[0]
         assert twin is not net and twin == net
         hits = network._solve_stamped.cache_info().hits

@@ -18,7 +18,7 @@ from faultlab.harness import (
     report_scenario,
     solve_scenario,
 )
-from faultlab.network import FaultSolution, FaultSpec, SequenceSolution
+from faultlab.network import FaultSpec, SequenceSolution
 from faultlab.phasors import inverse_fortescue
 from faultlab.presets import PRESETS
 from faultlab.relay import (
@@ -28,7 +28,7 @@ from faultlab.relay import (
     phase_select,
 )
 from faultlab.scenario import build_scenario
-from faultlab.sources import GfmModel, SgModel, terminal_port
+from faultlab.sources import GfmModel, SgModel
 
 # each validated record, fields that fail its check, and the message
 INVALID = [
@@ -90,8 +90,8 @@ def _one_of_each_record() -> list[tuple]:
         scenario, scenario.solver, scenario.fault, scenario.gfm, scenario.gfm.clc,
         scenario.dir_cfg, scenario.sel_cfg, build_scenario({}).sg,
         net, *net.elements, *net.relay_taps.values(),
-        op, sol, sol.frozen, sol.fault.response, sol.fault.thevenin,
-        terminal_port(sol.fault.response), reading, reading.v, inverse_fortescue(reading.v),
+        op, sol, sol.frozen, sol.fault.thevenin,
+        sol.fault.terminal_port(), reading, reading.v, inverse_fortescue(reading.v),
         directional_negative(reading, scenario.dir_cfg),
         phase_select(reading, prefault, scenario.sel_cfg),
         report_scenario(scenario, op, sol),
@@ -115,10 +115,12 @@ def test_every_record_is_read_only() -> None:
 def test_solutions_compare_by_value_and_compute_their_parts_once() -> None:
     scenario = build_scenario({"source.kind": "gfm", "fault.kind": "ag"})
     fault = solve_scenario(scenario)[1].fault
-    twin = FaultSolution(fault.response, fault.i1, fault.i2)
-    assert twin == fault and twin.total == fault.total
-    assert twin != FaultSolution(fault.response, fault.i1 + 0.1, fault.i2)
+    twin = fault.at(fault.i1, fault.i2)
+    assert twin is not fault and twin == fault and twin.total == fault.total
+    assert twin != fault.at(fault.i1 + 0.1, fault.i2)
     assert fault.total is fault.total and fault.base is fault.base and fault.pure is fault.pure
+    assert fault.thevenin is fault.thevenin and fault.i_fault is fault.i_fault
+    assert twin.thevenin == fault.thevenin and twin.i_fault == fault.i_fault
     total = fault.total
     assert total.readings is total.readings
     assert SequenceSolution(dict(total.v), total.net) == total

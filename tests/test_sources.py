@@ -20,6 +20,7 @@ from faultlab.clc import (
 from faultlab.network import (
     InjectionElement,
     NetworkModel,
+    SEQUENCES,
     RelayTap,
     SequenceSolution,
     SeriesElement,
@@ -50,7 +51,6 @@ from faultlab.sources import (
     incremental_source_impedance,
     prefault_solve,
     solve_sg_fault,
-    terminal_port,
 )
 
 
@@ -321,9 +321,10 @@ FAULT_KINDS = ("ag", "bg", "cg", "ab", "bc", "ca", "abg", "bcg", "cag", "abc")
 def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str) -> None:
     """v = v_oc + Z_port i matches a full solve at the converged state and off it.
 
-    `terminal_port` reads the port off the build columns through the fault
-    boundary of the fault's own category, so every category is checked
-    against a solve that stamps the currents as an injection.
+    `FaultSolution.terminal_port` reads the port off the build columns
+    through the fault boundary of the fault's own category, so every
+    category is checked against a solve that stamps the currents as an
+    injection.
     """
     for fault_kind in ("ag", "bg", "ab", "bcg", "abc"):
         scenario = build_scenario(
@@ -339,7 +340,7 @@ def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str)
         net, node = scenario.net, scenario.net.source_node
         op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
         sol = fault_fixed_point(net, scenario.gfm, scenario.fault, op)
-        port = terminal_port(solve_fault(net, scenario.fault, port=node).response)
+        port = solve_fault(net, scenario.fault, port=node).terminal_port()
         if fault_kind != "abc":  # an unbalanced fault couples the channels
             assert abs(port.z12) > 1e-3, fault_kind
 
@@ -430,10 +431,14 @@ def test_prefault_closed_form_meets_the_dispatch_on_the_high_voltage_root(
 
 
 @pytest.mark.parametrize("placement", ["forward", "reverse"])
-@pytest.mark.parametrize("fault_kind", ["ag", "ca", "bcg", "abc"])
+@pytest.mark.parametrize("fault_kind", FAULT_KINDS)
 def test_fault_response_matches_a_direct_solve_with_the_injection(
     fault_kind: str, placement: str
 ) -> None:
+    """A fault solution at port currents (i1, i2) is the fault solve of the
+    network with (i1, i2) stamped as an injection: every part at every node
+    in every sequence, the Thevenin view at the fault node and the fault
+    current."""
     scenario = build_scenario(
         {
             "source.kind": "gfm",
@@ -445,18 +450,26 @@ def test_fault_response_matches_a_direct_solve_with_the_injection(
     )
     net, node = scenario.net, scenario.net.source_node
     i1, i2 = 0.7 - 0.4j, -0.2 + 0.3j
-    mine = solve_fault(net, scenario.fault, port=node).response.at(i1, i2)
+    mine = solve_fault(net, scenario.fault, port=node).at(i1, i2)
     direct = solve_fault(
         net.with_elements(InjectionElement("probe", node, i1=i1, i2=i2)), scenario.fault
     )
+    for part in ("base", "pure", "total"):
+        a, b = getattr(mine, part).v, getattr(direct, part).v
+        for seq in SEQUENCES:
+            assert a[seq].keys() == b[seq].keys(), (part, seq)
+            for bus in a[seq]:
+                assert abs(a[seq][bus] - b[seq][bus]) < 1e-12, (part, seq, bus)
     for name, tap in net.relay_taps.items():
         a, b = mine.total.reading(tap), direct.total.reading(tap)
         assert (a.v - b.v).max_abs() < 1e-12, name
         assert (a.i - b.i).max_abs() < 1e-12, name
+    assert max(abs(x - y) for x, y in zip(mine.thevenin, direct.thevenin)) < 1e-12
     assert (mine.i_fault - direct.i_fault).max_abs() < 1e-12
+    assert mine.pure.v[1][net.fault_node] != 0
     # without a port there is nowhere to inject
     with pytest.raises(ValueError, match="no port"):
-        solve_fault(net, scenario.fault).response.at(i1, i2).total
+        solve_fault(net, scenario.fault).at(i1, i2)
 
 
 def _grid_case(kind: str, fault_kind: str, m: float, r_g: float, p_ref: float, **extra):
@@ -814,7 +827,7 @@ def test_priority_fixed_point_is_not_unique() -> None:
     net, gfm = scenario.net, scenario.gfm
     cfg, k_pv = gfm.clc, gfm.k_pv
     op = prefault_solve(net, gfm, scenario.p_ref, scenario.q_ref)
-    port = terminal_port(solve_fault(net, scenario.fault, port=net.source_node).response)
+    port = solve_fault(net, scenario.fault, port=net.source_node).terminal_port()
 
     def free_law_residual(i1: complex, i2: complex) -> float:
         v1, v2 = port.voltage(i1, i2)

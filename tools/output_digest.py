@@ -23,6 +23,13 @@ Run it from anywhere; it imports faultlab from the `src/` of the checkout it
 sits in. It takes a few seconds.
 
     python3 tools/output_digest.py
+
+`tools/output_digests.txt` holds what it prints for the checked-in tree, and
+CI fails on any difference:
+
+    python3 tools/output_digest.py | diff tools/output_digests.txt -
+
+A change that moves an output on purpose updates that file and says why.
 """
 
 from __future__ import annotations
