@@ -15,14 +15,24 @@ A `ScenarioReport` is a NamedTuple (`faultlab.records`) in CSV column
 order, so both formats read its columns by position. Every decision that
 is the same for all reports is made once, at import: each column's CSV
 formatter, chosen from its name and declared type; the sorted order of a
-record's keys, as three runs of report columns (names and positions)
-around the config and provenance objects; and the `"key":value` member of
-every default value and every default provenance tag. Per report, only the
-values that are not their default object are formatted, so a record of a
-config that overrides a few keys encodes a few config members. A config or
-provenance mapping over other keys than the defaults' is encoded whole, its
-keys sorted, and the result is the same text either way. The values of a
-config are scalars, as `build_scenario` makes them.
+record's keys; and each key's `"key":` prefix.
+
+A record is written from the last one. For each place (the report columns
+in sorted order, then each key of the config and of the provenance)
+`record_line` holds the value the last record had there and its
+`"key":value` member. A value that is the held object itself reuses the
+held member; any other is formatted. Before the first record the held
+config and provenance are the defaults. This is bit-exact: a member is a
+function of its value, and only a `float`, `str`, `bool`, `int` or `None`
+of exactly that type is held. Those are immutable, and the held reference
+keeps the object alive, so its id is not recycled. Any other value (a
+list, a float subclass) is encoded on every call and never held. So a
+record's text does not depend on the records written before it. Along a
+relay-setting sweep, whose points share their solution's objects, a
+record formats only the columns the setting moves. A config or provenance
+mapping over other keys than the defaults' is encoded whole, its keys
+sorted, and neither reads nor changes what is held; a record that raises
+leaves it as it was.
 
 Fields that do not apply (converter-only quantities in a generator run,
 angles whose operand sat below the magnitude floor) serialize as empty CSV
@@ -32,18 +42,16 @@ cells / JSON nulls.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect
 from collections.abc import Callable
+from itertools import compress
+from json.encoder import encode_basestring_ascii
+from operator import is_not, itemgetter
 from typing import NamedTuple
 
-from .scenario import (
-    DEFAULTS,
-    SORTED_DEFAULTS,
-    SORTED_KEYS,
-    SORTED_PROVENANCE,
-    overlay_defaults,
-)
+from .scenario import DEFAULTS, SORTED_DEFAULTS, SORTED_KEYS, SORTED_PROVENANCE
 
 __all__ = ["ScenarioReport", "CSV_COLUMNS", "csv_header", "csv_line", "record_line"]
 
@@ -204,36 +212,96 @@ def csv_line(report: ScenarioReport) -> str:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
-def _member(key: str, value: object) -> str:
-    return f"{_ENCODER.encode(key)}:{_ENCODER.encode(value)}"
+def _float_text(value: float) -> str:
+    # json's own error for nan and inf, with its own message
+    return float.__repr__(value) if math.isfinite(value) else _ENCODER.encode(value)
 
 
-# a record's top-level keys in sorted order are three runs of report
-# columns, with the config object after the first and the provenance
-# object after the second; a run is its column names and their positions
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _null_text(value: None) -> str:
+    return "null"
+
+
+# the JSON text of a value of each immutable type, keyed by the exact type;
+# each is the text json writes for it
+_TEXTS: dict[type, Callable[..., str]] = {
+    float: _float_text,
+    str: encode_basestring_ascii,
+    bool: _bool_text,
+    int: int.__repr__,
+    type(None): _null_text,
+}
+
+# held in place of a value whose member is not kept: no value is this object
+_UNHELD = object()
+
+# the values at some places, and their members
+_Held = tuple[tuple[object, ...], list[str]]
+
+
+def _unheld(n: int) -> _Held:
+    """Nothing held at `n` places."""
+    return (_UNHELD,) * n, [""] * n
+
+
+def _members(values: tuple[object, ...], held: _Held, prefixes: tuple[str, ...]) -> _Held:
+    """The `"key":value` member of each of `values`, and what to hold for them.
+
+    A value that is the object `held` holds at its place reuses the held
+    member; any other is formatted after its `prefixes` entry. A value of a
+    type that `_TEXTS` does not name is encoded on every call and held as
+    `_UNHELD`.
+    """
+    held_values, held_texts = held
+    texts = list(held_texts)
+    unheld = []
+    for i in compress(range(len(values)), map(is_not, values, held_values)):
+        value = values[i]
+        text = _TEXTS.get(type(value))
+        if text is None:
+            texts[i] = prefixes[i] + _ENCODER.encode(value)
+            unheld.append(i)
+        else:
+            texts[i] = prefixes[i] + text(value)
+    if unheld:
+        values = tuple(_UNHELD if i in unheld else v for i, v in enumerate(values))
+    return values, texts
+
+
+# a record's top-level keys in sorted order are the report columns with
+# the config object after the first _CUT1 and the provenance object after
+# the first _CUT2
 _SORTED_COLUMNS = tuple(sorted(CSV_COLUMNS))
 _CUT1, _CUT2 = bisect(_SORTED_COLUMNS, "config"), bisect(_SORTED_COLUMNS, "provenance")
-_RUNS = tuple(
-    (run, tuple(map(CSV_COLUMNS.index, run)))
-    for run in (_SORTED_COLUMNS[:_CUT1], _SORTED_COLUMNS[_CUT1:_CUT2], _SORTED_COLUMNS[_CUT2:])
+_sorted_columns = itemgetter(*map(CSV_COLUMNS.index, _SORTED_COLUMNS))
+_sorted_values = itemgetter(*SORTED_KEYS)
+_COLUMN_PREFIXES = tuple(_ENCODER.encode(name) + ":" for name in _SORTED_COLUMNS)
+_KEY_PREFIXES = tuple(_ENCODER.encode(key) + ":" for key in SORTED_KEYS)
+_CONFIG_PREFIX, _PROVENANCE_PREFIX = (_ENCODER.encode(k) + ":" for k in ("config", "provenance"))
+
+# what the last record held: its columns', config's and provenance's
+# values and members, each in sorted order; before the first record, no
+# column and the default config and provenance
+_last: tuple[_Held, _Held, _Held] = (
+    _unheld(len(CSV_COLUMNS)),
+    _members(SORTED_DEFAULTS, _unheld(len(SORTED_KEYS)), _KEY_PREFIXES),
+    _members(SORTED_PROVENANCE, _unheld(len(SORTED_KEYS)), _KEY_PREFIXES),
 )
-_CONFIG_KEY, _PROVENANCE_KEY = _ENCODER.encode("config"), _ENCODER.encode("provenance")
-_CONFIG_MEMBERS = tuple(map(_member, SORTED_KEYS, SORTED_DEFAULTS))
-_PROVENANCE_MEMBERS = tuple(map(_member, SORTED_KEYS, SORTED_PROVENANCE))
 
 
-def _run(report: ScenarioReport, names: tuple[str, ...], positions: tuple[int, ...]) -> str:
-    """The members of the columns `names`, read at `positions`, in order, without braces."""
-    return _ENCODER.encode(dict(zip(names, map(report.__getitem__, positions))))[1:-1]
+def _object(mapping: dict[str, object], held: _Held) -> tuple[_Held, str]:
+    """`mapping` as a JSON object with sorted keys, and what to hold for it.
 
-
-def _object(
-    mapping: dict[str, object], defaults: tuple[object, ...], members: tuple[str, ...]
-) -> str:
-    """`mapping` as a JSON object with sorted keys."""
+    A mapping over other keys than DEFAULTS' is encoded whole, and `held`
+    stays as it was.
+    """
     if mapping.keys() != DEFAULTS.keys():
-        return json.dumps(mapping, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return "{" + ",".join(overlay_defaults(mapping, defaults, members, _member)) + "}"
+        return held, json.dumps(mapping, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    held = _members(_sorted_values(mapping), held, _KEY_PREFIXES)
+    return held, "{" + ",".join(held[1]) + "}"
 
 
 def record_line(
@@ -241,8 +309,21 @@ def record_line(
     resolved: dict[str, object],
     provenance: dict[str, str],
 ) -> str:
-    head, middle, tail = (_run(report, *run) for run in _RUNS)
-    config = _object(resolved, SORTED_DEFAULTS, _CONFIG_MEMBERS)
-    tags = _object(provenance, SORTED_PROVENANCE, _PROVENANCE_MEMBERS)
-    members = (head, f"{_CONFIG_KEY}:{config}", middle, f"{_PROVENANCE_KEY}:{tags}", tail)
-    return "{" + ",".join(filter(None, members)) + "}"
+    """The report, the resolved config and the provenance as one JSON object, keys sorted."""
+    global _last
+    last_columns, last_config, last_provenance = _last
+    columns = _members(_sorted_columns(report), last_columns, _COLUMN_PREFIXES)
+    config, config_text = _object(resolved, last_config)
+    tags, tags_text = _object(provenance, last_provenance)
+    texts = columns[1]
+    line = ",".join(
+        [
+            *texts[:_CUT1],
+            _CONFIG_PREFIX + config_text,
+            *texts[_CUT1:_CUT2],
+            _PROVENANCE_PREFIX + tags_text,
+            *texts[_CUT2:],
+        ]
+    )
+    _last = (columns, config, tags)
+    return "{" + line + "}"

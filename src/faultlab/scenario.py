@@ -46,9 +46,9 @@ their validation, from that function alone.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
-from collections.abc import Callable, Mapping
 from enum import Enum
 from itertools import compress
 from operator import is_not, itemgetter
@@ -83,7 +83,6 @@ __all__ = [
     "build_scenario",
     "relay_settings",
     "canonical_config_lines",
-    "overlay_defaults",
 ]
 
 PROV_STUDY = "study-case"
@@ -244,27 +243,6 @@ SORTED_PROVENANCE: tuple[str, ...] = tuple(DEFAULTS[key][1] for key in SORTED_KE
 _sorted_values = itemgetter(*SORTED_KEYS)
 
 
-def overlay_defaults(
-    mapping: Mapping[str, object],
-    defaults: tuple[object, ...],
-    texts: tuple[str, ...],
-    format_text: Callable[[str, object], str],
-) -> list[str]:
-    """One text per key of SORTED_KEYS: `texts[i]`, or `format_text(key, value)`
-    where `mapping` holds anything but the default object `defaults[i]` itself.
-
-    `mapping` must hold exactly the keys of DEFAULTS, and `texts[i]` must be
-    `format_text(SORTED_KEYS[i], defaults[i])`, made once. Only the values
-    that are not their default object are formatted per call, so a
-    resolved config that overrides a few keys formats a few values.
-    """
-    values = _sorted_values(mapping)
-    out = list(texts)
-    for i in compress(range(len(values)), map(is_not, values, defaults)):
-        out[i] = format_text(SORTED_KEYS[i], values[i])
-    return out
-
-
 def canonical_config_lines(resolved: dict[str, object]) -> list[str]:
     """One `key=value` line per key, sorted by key.
 
@@ -275,7 +253,11 @@ def canonical_config_lines(resolved: dict[str, object]) -> list[str]:
     """
     if resolved.keys() != DEFAULTS.keys():
         return [_config_line(key, resolved[key]) for key in sorted(resolved)]
-    return overlay_defaults(resolved, SORTED_DEFAULTS, _DEFAULT_LINES, _config_line)
+    values = _sorted_values(resolved)
+    lines = list(_DEFAULT_LINES)
+    for i in compress(range(len(values)), map(is_not, values, SORTED_DEFAULTS)):
+        lines[i] = _config_line(SORTED_KEYS[i], values[i])
+    return lines
 
 
 def _config_line(key: str, value: object) -> str:
@@ -384,7 +366,12 @@ def build_scenario(
     _need_positive(resolved, "circuit.v_lv_kv")  # input and hashed; no solve reads it
     if _need_bool(resolved, "circuit.voltages_are_peak"):
         v_hv /= math.sqrt(2.0)
-    zb_hv = v_hv**2 / s_base
+    try:
+        zb_hv = v_hv**2 / s_base
+    except OverflowError:
+        raise ValidationError(
+            f"circuit.v_hv_kv = {resolved['circuit.v_hv_kv']} overflows the base impedance"
+        ) from None
 
     try:
         clc = ClcConfig(
@@ -487,6 +474,12 @@ def _build_network(
                 f"circuit.line_r{seq}_ohm_km and circuit.line_x{seq}_ohm_km are both zero: "
                 "a line needs a nonzero impedance"
             )
+    if not 0.0 < zb_hv < math.inf:
+        raise ValidationError(
+            f"circuit.v_hv_kv = {resolved['circuit.v_hv_kv']} and circuit.s_base_mva = "
+            f"{resolved['circuit.s_base_mva']} give a base impedance of {zb_hv} ohm; "
+            "it must be positive and finite"
+        )
     line_z1, line_z0 = z1_km * km / zb_hv, z0_km * km / zb_hv
     # the grid: |z1| = 1/scr at the given X/R, z0 a multiple of z1
     scr = _need_positive(resolved, "circuit.grid_scr")
@@ -567,6 +560,19 @@ def _build_network(
             fault_node = "flt"
         source_node = "poc"
         z_side = (1j * x_t, 1j * x_t0)
+
+    # checked after every other key, so that a config with another bad key
+    # keeps that key's message
+    lines = [("circuit.line_km", line_z1, line_z0)]
+    if kind is SourceKind.SG:
+        lines.append(("sg.collection_km", *z_side))
+    for key, *per_unit in lines:
+        for z in per_unit:
+            if z == 0 or not cmath.isfinite(z):
+                raise ValidationError(
+                    f"{key} = {resolved[key]} gives a per-unit line impedance of {z}; "
+                    "it must be nonzero and finite"
+                )
 
     return NetworkModel(
         elements=tuple(elements),

@@ -253,32 +253,40 @@ def prefault_solve(
     S - z_th t = S (|v_oc|^2 + 2j Im w + sqrt(disc)) / (b + sqrt(disc)).
     Where |v_oc| <= 1e-9 pu, S = z_th t whatever the angle of i, so the part
     of S along z_th is met with i real. The point must meet (p_ref, q_ref)
-    within tol.
+    within tol; a closed form that overflows or divides by zero in floating
+    point is unreachable too.
     """
     z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
     node = net.source_node
     build = network._solve_one_sequence(net, 1)
     v_oc, z_th = build[None][node], build[node][node]
     s_ref = complex(p_ref, q_ref)
-    if abs(v_oc) <= 1e-9:
-        t = (s_ref * z_th.conjugate()).real / abs(z_th) ** 2 if z_th else 0.0
-        i = complex(math.sqrt(max(t, 0.0)))
-    elif s_ref:
-        w = s_ref * z_th.conjugate()
-        v_oc2 = abs(v_oc) ** 2
-        b = v_oc2 + 2.0 * w.real
-        disc = v_oc2 * (v_oc2 + 4.0 * w.real) - 4.0 * w.imag**2
-        if not (b > 0.0 and disc >= 0.0):
-            raise NoConvergenceError(
-                f"pre-fault dispatch unreachable: P + jQ = {s_ref:.6g} pu is beyond the "
-                f"transfer limit of the source node (v_oc = {v_oc:.6g}, z_th = {z_th:.6g} pu)"
-            )
-        root = math.sqrt(disc)
-        i = (s_ref * (v_oc2 + 2j * w.imag + root) / ((b + root) * v_oc)).conjugate()
-    else:
-        i = 0j
-    v = v_oc + z_th * i
-    s = v * i.conjugate()
+    try:
+        if abs(v_oc) <= 1e-9:
+            t = (s_ref * z_th.conjugate()).real / abs(z_th) ** 2 if z_th else 0.0
+            i = complex(math.sqrt(max(t, 0.0)))
+        elif s_ref:
+            w = s_ref * z_th.conjugate()
+            v_oc2 = abs(v_oc) ** 2
+            b = v_oc2 + 2.0 * w.real
+            disc = v_oc2 * (v_oc2 + 4.0 * w.real) - 4.0 * w.imag**2
+            if not (b > 0.0 and disc >= 0.0):
+                raise NoConvergenceError(
+                    f"pre-fault dispatch unreachable: P + jQ = {s_ref:.6g} pu is beyond the "
+                    f"transfer limit of the source node (v_oc = {v_oc:.6g}, z_th = {z_th:.6g} pu)"
+                )
+            root = math.sqrt(disc)
+            i = (s_ref * (v_oc2 + 2j * w.imag + root) / ((b + root) * v_oc)).conjugate()
+        else:
+            i = 0j
+        v = v_oc + z_th * i
+        s = v * i.conjugate()
+    except (ZeroDivisionError, OverflowError) as exc:
+        fails = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+        raise NoConvergenceError(
+            f"pre-fault dispatch unreachable: the closed form {fails} in floating point "
+            f"(v_oc = {v_oc:.6g}, z_th = {z_th:.6g} pu at the source node)"
+        ) from exc
     if not max(abs(s.real - p_ref), abs(s.imag - q_ref)) < tol:
         raise NoConvergenceError(
             f"pre-fault dispatch unreachable: the closed form delivers {s:.6g} pu, not "

@@ -336,6 +336,47 @@ def test_unreachable_dispatch_is_a_solver_error(tmp_path, capsys, kind: str) -> 
     assert "solver error: pre-fault dispatch unreachable: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        # the base impedance overflows, or underflows to 0
+        ("circuit.v_hv_kv = 1e300\n", 2, "config error: circuit.v_hv_kv = 1e+300 "),
+        ("circuit.v_hv_kv = 1e-200\n", 2, "config error: circuit.v_hv_kv = 1e-200 "),
+        # the per-unit line impedance underflows to 0
+        ("circuit.line_km = 5e-324\n", 2, "config error: circuit.line_km = 5e-324 "),
+        (
+            "source.kind = gfm\ncircuit.line_km = 5e-324\n",
+            2,
+            "config error: circuit.line_km = 5e-324 ",
+        ),
+        ("sg.collection_km = 5e-324\n", 2, "config error: sg.collection_km = 5e-324 "),
+        # the pre-fault closed form divides by an underflowed |z_th|^2, or overflows
+        (
+            "source.kind = sg\nsource.p_ref = 0\ncircuit.v_hv_kv = 1e100\n",
+            1,
+            "solver error: pre-fault dispatch unreachable: the closed form divides by zero ",
+        ),
+        (
+            "circuit.s_base_mva = 1e300\n",
+            1,
+            "solver error: pre-fault dispatch unreachable: the closed form overflows ",
+        ),
+    ],
+    ids=[
+        "v_hv_overflow", "v_hv_underflow", "line_km_sg", "line_km_gfm", "collection_km",
+        "prefault_zero_division", "prefault_overflow",
+    ],
+)
+def test_extreme_base_quantities_are_named_errors(
+    tmp_path, capsys, text: str, code: int, message: str
+) -> None:
+    assert main(["run", "--config", _config(tmp_path, text)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fault_kind", ["cag", "bcg"])
 def test_singular_fault_boundary_is_a_solver_error(tmp_path, fault_kind: str) -> None:
     # at this base every driving-point impedance at the fault node reads

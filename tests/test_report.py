@@ -3,11 +3,13 @@
 `record_line`, `csv_line` and `canonical_config_lines` make every decision
 that is the same for all reports once, at import: the column order, each
 column's formatter, and the text of every default value and default
-provenance tag. Per report they format only the values that are not their
-default object. The references here format everything on every call: the
-whole payload through `json.dumps(..., sort_keys=True)`, every CSV cell
-through the first per-cell formatter (quoted by the standard `csv` writer),
-and every config line sorted by key.
+provenance tag. `canonical_config_lines` formats only the values that are
+not their default object; `record_line` formats only the values that are
+not the object the last record held at their place. The references here
+format everything on every call: the whole payload through
+`json.dumps(..., sort_keys=True)`, every CSV cell through the first
+per-cell formatter (quoted by the standard `csv` writer), and every config
+line sorted by key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 
 import pytest
 
-from faultlab.harness import run_scenario
+from faultlab.harness import run_scenario, sweep_reports
 from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_line, record_line
 from faultlab.scenario import (
     DEFAULTS,
@@ -144,3 +146,56 @@ def test_odd_values_and_ids_serialize_as_the_reference() -> None:
             scenario = build_scenario(overrides, scenario_id=scenario_id, origin=origin)
             _check(scenario, run_scenario(scenario))
     assert float("1.0") is not DEFAULTS["source.p_ref"][0]
+
+
+def _sweep(param: str, start: float, stop: float) -> list[tuple[Scenario, ScenarioReport]]:
+    overrides = {"source.kind": "gfm", "clc.kind": "priority", "fault.kind": "ag"}
+    return list(sweep_reports(overrides, param, start, stop, 7))
+
+
+def _assert_records(pairs: list[tuple[Scenario, ScenarioReport]]) -> None:
+    for scenario, report in pairs:
+        line = record_line(report, scenario.resolved, scenario.provenance)
+        assert line == _reference_record(report, scenario.resolved, scenario.provenance)
+
+
+def test_a_record_does_not_depend_on_the_records_before_it() -> None:
+    # along the relay axis the points share their solution's objects, along
+    # fault.m only their text, None and flag values
+    relay = _sweep("relay.phi_non_deg", 30.0, 60.0)
+    fault = _sweep("fault.m", 0.05, 0.95)
+    interleaved = [pair for pairs in zip(relay, fault[::-1]) for pair in pairs]
+    for pairs in (relay, fault, relay[::-1], fault[::-1], interleaved, interleaved[::-1]):
+        _assert_records(pairs)
+
+
+def test_a_record_that_raises_leaves_the_next_one_right() -> None:
+    (scenario, report), *_ = _sweep("relay.phi_non_deg", 30.0, 60.0)
+    resolved, provenance = scenario.resolved, scenario.provenance
+    floats = [name for name, value in zip(CSV_COLUMNS, report) if type(value) is float]
+    # every float column a new object; the refused record holds the same
+    # objects but one, so a text kept from it would show in the next
+    moved = report._replace(**{name: getattr(report, name) + 1.0 for name in floats})
+    refused = (
+        (moved._replace(i0_bus1_mag=float("nan")), resolved),
+        (moved._replace(residual=float("-inf")), resolved),
+        (moved, {**resolved, "fault.m": float("nan")}),
+    )
+    for bad, config in refused:
+        _assert_records([(scenario, report)])
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            record_line(bad, config, provenance)
+        assert record_line(moved, resolved, provenance) == _reference_record(
+            moved, resolved, provenance
+        )
+
+
+def test_a_mutable_value_gets_its_text_on_every_call() -> None:
+    (scenario, report), *_ = _sweep("fault.m", 0.05, 0.95)
+    values = [0.5]
+    resolved = {**scenario.resolved, "fault.m": values}
+    for _ in range(2):
+        line = record_line(report, resolved, scenario.provenance)
+        assert line == _reference_record(report, resolved, scenario.provenance)
+        assert '"fault.m":' + json.dumps(values, separators=(",", ":")) in line
+        values.append(float(len(values)))
