@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .network import (
     GROUND,
@@ -50,6 +49,7 @@ from .network import (
     solve_dense,
 )
 from .phasors import PhaseTriple
+from .records import Record
 
 __all__ = ["OracleUnsupportedError", "AbcSolution", "solve_abc", "thevenin_probe_abc"]
 
@@ -128,7 +128,7 @@ class _Merge:
         self.union(key, _GROUND_KEY)
 
 
-class AbcSolution(NamedTuple):
+class AbcSolution(Record):
     """Phase-domain nodal solution over the full unbalanced network."""
 
     v_phase: dict[str, PhaseTriple]

@@ -43,10 +43,9 @@ import cmath
 import math
 from collections.abc import Callable
 from enum import Enum
-from typing import NamedTuple
 
 from .phasors import ALPHA
-from .records import validated
+from .records import Record, validated
 
 __all__ = [
     "ClcKind",
@@ -82,7 +81,7 @@ class ClcKind(Enum):
 
 
 @validated
-class ClcConfig(NamedTuple):
+class ClcConfig(Record):
     """Parameters for one current-limiting strategy.
 
     Only the fields the chosen kind reads are meaningful; the rest keep

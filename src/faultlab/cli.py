@@ -8,6 +8,10 @@ Subcommands:
     table1        render the strategy-by-element reliability matrix
     list-presets  show the preset catalogue
 
+Only `replicate` and `list-presets` read the preset catalogue, so only
+their branches import `faultlab.presets`: `run`, `sweep` and `table1`
+start without it.
+
 Exit codes: 0 success, 1 solver failure (no convergence, oscillation,
 singular network, a result that cannot be serialized), 2 configuration
 error (bad or unreadable config file, key, value, preset, or an output file
@@ -24,7 +28,6 @@ from pathlib import Path
 
 from .harness import format_table1, run_scenario, sweep_reports, table1_matrix
 from .network import SingularNetworkError
-from .presets import PRESETS, TABLE1_PRESET, preset_scenario_overrides
 from .report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from .scenario import ConfigError, Scenario, build_scenario, parse_config_text
 from .sources import NoConvergenceError, OscillationDetectedError
@@ -148,6 +151,8 @@ def main(argv: list[str] | None = None) -> int:
             report = run_scenario(scenario, oracle_check=args.oracle_check)
             _emit(_report_lines([(scenario, report)], args.format), args.output)
         elif args.command == "replicate":
+            from .presets import TABLE1_PRESET, preset_scenario_overrides
+
             if args.preset == TABLE1_PRESET:
                 if args.format == "records":
                     raise ConfigError(f"preset {TABLE1_PRESET} renders a text matrix, not records")
@@ -176,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "table1":
             _emit([format_table1(table1_matrix())], args.output)
         else:  # list-presets
+            from .presets import PRESETS, TABLE1_PRESET
+
             lines = [f"{name}: {preset.description}" for name, preset in sorted(PRESETS.items())]
             lines.append(f"{TABLE1_PRESET}: strategy-by-element reliability matrix")
             _emit(lines, None)

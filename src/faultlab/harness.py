@@ -47,12 +47,12 @@ import cmath
 import math
 import sys
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from .abc_oracle import solve_abc
 from .network import BusReading, FaultType
 from .network import solve_linear  # noqa: F401  perfbench's tracer wraps it under this name
 from .phasors import DEFAULT_MAGNITUDE_FLOOR, fortescue, wrap_angle_deg
+from .records import Record
 from .relay import (
     GROUND_CENTERS,
     Direction,
@@ -343,7 +343,7 @@ def sweep_reports(
         yield scenario, _relay_report(scenario, *solved)
 
 
-class Table1Row(NamedTuple):
+class Table1Row(Record):
     label: str
     overrides: dict[str, object]
     highly_inductive: bool
@@ -374,7 +374,7 @@ TABLE1_ELEMENTS: tuple[str, ...] = ("phi2", "phi0", "dphi1", "dd21", "d20")
 _TABLE1_FAULTS: tuple[FaultType, ...] = (FaultType.AG, FaultType.BCG)
 
 
-class Table1Result(NamedTuple):
+class Table1Result(Record):
     """Reliability matrix: does each supervising element hold up per strategy?
 
     A cell passes when the element gives the secure answer for every probed

@@ -53,10 +53,9 @@ from collections.abc import Mapping
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .phasors import ALPHA, SequenceTriple
-from .records import validated
+from .records import Record, validated
 
 __all__ = [
     "GROUND",
@@ -150,7 +149,7 @@ class Placement(Enum):
 
 
 @validated
-class FaultSpec(NamedTuple):
+class FaultSpec(Record):
     """What fault to apply and where.
 
     m is the per-unit distance of the fault node from bus 1 along the host
@@ -170,7 +169,7 @@ class FaultSpec(NamedTuple):
             raise ValueError(f"fault resistance {self.r_g_ohm} ohm is negative")
 
 
-class SeriesElement(NamedTuple):
+class SeriesElement(Record):
     """Series impedance between two nodes, per sequence; None = open."""
 
     eid: str
@@ -184,7 +183,7 @@ class SeriesElement(NamedTuple):
         return (self.z0, self.z1, self.z2)[seq]
 
 
-class SourceElement(NamedTuple):
+class SourceElement(Record):
     """Ideal positive-sequence emf behind a per-sequence impedance to gnd.
 
     z = 0 makes the source ideal in that sequence: the node is pinned at the
@@ -207,7 +206,7 @@ class SourceElement(NamedTuple):
         return self.e1 if seq == 1 else 0j
 
 
-class InjectionElement(NamedTuple):
+class InjectionElement(Record):
     """Ideal sequence current sources injecting into a node (zero seq none)."""
 
     eid: str
@@ -219,7 +218,7 @@ class InjectionElement(NamedTuple):
         return (0j, self.i1, self.i2)[seq]
 
 
-class RelayTap(NamedTuple):
+class RelayTap(Record):
     """Where a relay reads: bus voltage plus oriented element current."""
 
     bus: str
@@ -227,7 +226,7 @@ class RelayTap(NamedTuple):
     sign: float  # +1 when the element's from-node is the bus
 
 
-class NetworkModel(NamedTuple):
+class NetworkModel(Record):
     """Element list plus the metadata the fault pipeline needs."""
 
     elements: tuple
@@ -319,7 +318,7 @@ class SequenceSolution:
         return {name: self.reading(tap) for name, tap in self.net.relay_taps.items()}
 
 
-class BusReading(NamedTuple):
+class BusReading(Record):
     """Relay-point quantities: bus voltage, current into the monitored line."""
 
     bus: str
@@ -327,7 +326,7 @@ class BusReading(NamedTuple):
     i: SequenceTriple
 
 
-class TheveninEquivalent(NamedTuple):
+class TheveninEquivalent(Record):
     """Reduction of the network to the fault node.
 
     e_f2/e_f0 are zero for ordinary source mixes; they pick up the
@@ -646,7 +645,7 @@ def solve_fault_boundary(
 
 
 
-class TerminalPort(NamedTuple):
+class TerminalPort(Record):
     """A faulted network reduced to its port, a converter terminal (pu, peak).
 
     The network is linear and the port carries no zero-sequence current, so

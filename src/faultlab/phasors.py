@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+
+from .records import Record
 
 __all__ = [
     "ALPHA",
@@ -86,7 +87,7 @@ def angle_between(x: complex, y: complex, floor: float = DEFAULT_MAGNITUDE_FLOOR
     return wrap_angle_deg(angle_deg(x, floor) - angle_deg(y, floor))
 
 
-class SequenceTriple(NamedTuple):
+class SequenceTriple(Record):
     """Positive-, negative-, and zero-sequence components of one quantity."""
 
     pos: complex = 0j
@@ -106,7 +107,7 @@ class SequenceTriple(NamedTuple):
         return max(abs(self.pos), abs(self.neg), abs(self.zero))
 
 
-class PhaseTriple(NamedTuple):
+class PhaseTriple(Record):
     """Phase-domain a, b, c components of one quantity."""
 
     a: complex = 0j

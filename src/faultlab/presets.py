@@ -13,12 +13,12 @@ reliability matrix rather than a single scenario.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from .records import Record
 
 __all__ = ["Preset", "PRESETS", "TABLE1_PRESET", "preset_scenario_overrides"]
 
 
-class Preset(NamedTuple):
+class Preset(Record):
     name: str
     description: str
     overrides: dict[str, object]

@@ -31,11 +31,10 @@ sequence restricts the choice to the line-line set.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from .network import BusReading, FaultType
 from .phasors import angle_between, angle_deg, wrap_angle_deg
-from .records import validated
+from .records import Record, validated
 
 __all__ = [
     "Direction",
@@ -59,7 +58,7 @@ class Direction(Enum):
 
 
 @validated
-class DirectionalConfig(NamedTuple):
+class DirectionalConfig(Record):
     """Directional element settings.
 
     phi_non is the half-width of the non-directional band around the 0/180
@@ -79,7 +78,7 @@ class DirectionalConfig(NamedTuple):
             raise ValueError("magnitude floor must be positive")
 
 
-class DirectionalResult(NamedTuple):
+class DirectionalResult(Record):
     element: str  # operating quantity tag: "neg", "zero", "inc"
     angle_deg: float | None  # None when an operand sat below the floor
     direction: Direction
@@ -135,7 +134,7 @@ LINE_CENTERS: dict[FaultType, float] = {
 
 
 @validated
-class PhaseSelectionConfig(NamedTuple):
+class PhaseSelectionConfig(Record):
     """Band half-widths and magnitude floors for the angle classifier."""
 
     dd21_half_deg: float = 15.0
@@ -154,7 +153,7 @@ class PhaseSelectionConfig(NamedTuple):
                 raise ValueError(f"{name} must be positive")
 
 
-class PhaseSelectionResult(NamedTuple):
+class PhaseSelectionResult(Record):
     selected: FaultType | None  # None: no band matched
     dd21_deg: float | None
     d20_deg: float | None

@@ -11,7 +11,7 @@ Two formats, both deterministic for a given resolved config:
   double precision, carrying the resolved config and per-key provenance so
   the line is self-describing.
 
-A `ScenarioReport` is a NamedTuple (`faultlab.records`) in CSV column
+A `ScenarioReport` is a record (`faultlab.records`) in CSV column
 order, so both formats read its columns by position. Every decision that
 is the same for all reports is made once, at import: each column's CSV
 formatter, chosen from its name and declared type; the sorted order of a
@@ -49,14 +49,14 @@ from collections.abc import Callable
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import is_not, itemgetter
-from typing import NamedTuple
 
+from .records import Record
 from .scenario import DEFAULTS, SORTED_DEFAULTS, SORTED_KEYS, SORTED_PROVENANCE
 
 __all__ = ["ScenarioReport", "CSV_COLUMNS", "csv_header", "csv_line", "record_line"]
 
 
-class ScenarioReport(NamedTuple):
+class ScenarioReport(Record):
     scenario_id: str
     config_hash: str
     source_kind: str
@@ -177,9 +177,9 @@ def _number_cell(spec: str) -> Callable[[float | None], str]:
 def _csv_cell(name: str, annotation: str) -> Callable[..., str]:
     """The formatter of one column, chosen from its name and declared type.
 
-    `annotation` is the field's type as written in ScenarioReport (this
-    module's annotations are not evaluated: the NamedTuple keeps each as a
-    `typing.ForwardRef`).
+    `annotation` is the field's type as written in ScenarioReport: this
+    module's annotations are not evaluated, and a record keeps each as the
+    string it is written as.
     """
     if annotation == "bool":
         return _flag_cell
@@ -197,7 +197,7 @@ def _csv_cell(name: str, annotation: str) -> Callable[..., str]:
 
 
 _CSV_CELLS = tuple(
-    _csv_cell(name, ref.__forward_arg__) for name, ref in ScenarioReport.__annotations__.items()
+    _csv_cell(name, annotation) for name, annotation in ScenarioReport.__annotations__.items()
 )
 
 

@@ -52,7 +52,6 @@ import math
 from enum import Enum
 from itertools import compress
 from operator import is_not, itemgetter
-from typing import NamedTuple
 
 from .clc import ClcConfig, ClcKind
 from .network import (
@@ -65,6 +64,7 @@ from .network import (
     SeriesElement,
     SourceElement,
 )
+from .records import Record
 from .relay import DirectionalConfig, PhaseSelectionConfig
 from .sources import GfmModel, SgModel
 
@@ -193,13 +193,13 @@ def _coerce_token(token: str) -> object:
         return token
 
 
-class SolverSettings(NamedTuple):
+class SolverSettings(Record):
     tol: float = 1e-9
     max_iter: int = 100
     newton_tol: float = 1e-8
 
 
-class Scenario(NamedTuple):
+class Scenario(Record):
     """Fully resolved, validated scenario ready for the harness."""
 
     scenario_id: str
@@ -454,6 +454,17 @@ def build_scenario(
     )
 
 
+_SG_REACTANCES = ("sg.x1_pu", "sg.x2_pu", "sg.x0_pu")
+
+
+def _stampable(*zs: complex) -> bool:
+    """Whether the network solve can stamp each z as 1/z: z and 1/z nonzero and finite."""
+    for z in zs:
+        if z == 0 or not (cmath.isfinite(z) and cmath.isfinite(1.0 / z)):
+            return False
+    return True
+
+
 def _build_network(
     kind: SourceKind, resolved: dict[str, object], zb_hv: float, fault: FaultSpec
 ) -> tuple[NetworkModel, tuple[complex, complex]]:
@@ -562,17 +573,29 @@ def _build_network(
         z_side = (1j * x_t, 1j * x_t0)
 
     # checked after every other key, so that a config with another bad key
-    # keeps that key's message
-    lines = [("circuit.line_km", line_z1, line_z0)]
+    # keeps that key's message. The solve stamps each branch as 1/z, so each
+    # per-unit impedance in the network and each generator reactance must
+    # pass (z2 is z1 in every branch here).
+    stamped = [z for e in elements for z in (e.z1, e.z0) if z is not None]
     if kind is SourceKind.SG:
-        lines.append(("sg.collection_km", *z_side))
-    for key, *per_unit in lines:
-        for z in per_unit:
-            if z == 0 or not cmath.isfinite(z):
-                raise ValidationError(
-                    f"{key} = {resolved[key]} gives a per-unit line impedance of {z}; "
-                    "it must be nonzero and finite"
-                )
+        stamped += [1j * resolved[key] for key in _SG_REACTANCES]
+    if not _stampable(*stamped):
+        # the key that gives the impedance, else fault.m, which split it off
+        named = [("circuit.line_km", "line", z) for z in (line_z1, line_z0)]
+        if kind is SourceKind.SG:
+            named += [("sg.collection_km", "line", z) for z in z_side]
+            named += [(key, "source", 1j * resolved[key]) for key in _SG_REACTANCES]
+        else:
+            named.append(("gfm.x_t_pu", "transformer", 1j * x_t))
+            named.append(("gfm.x_t0_pu", "transformer", 1j * x_t0))
+        named.append(("circuit.grid_scr", "grid", grid_z1))
+        named.append(("circuit.grid_z0_scale", "grid", grid_z0))
+        named += [("fault.m", "section", z) for z in stamped]
+        key, what, z = next(branch for branch in named if not _stampable(branch[2]))
+        raise ValidationError(
+            f"{key} = {resolved[key]} gives a per-unit {what} impedance of {z}; "
+            "it and its admittance 1/z must both be nonzero and finite"
+        )
 
     return NetworkModel(
         elements=tuple(elements),

@@ -93,7 +93,6 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from typing import NamedTuple
 
 from .clc import (
     ClcConfig,
@@ -117,7 +116,7 @@ from .network import (
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
 from .phasors import SequenceTriple, from_polar, inverse_fortescue
-from .records import validated
+from .records import Record, validated
 
 __all__ = [
     "NoConvergenceError",
@@ -144,7 +143,7 @@ class OscillationDetectedError(RuntimeError):
 
 
 @validated
-class SgModel(NamedTuple):
+class SgModel(Record):
     """Synchronous generator: emf behind fixed sequence reactances (pu)."""
 
     x1: float = 0.2
@@ -162,7 +161,7 @@ class SgModel(NamedTuple):
 
 
 @validated
-class GfmModel(NamedTuple):
+class GfmModel(Record):
     """Grid-forming converter: reference behind a current-limiting control.
 
     x_f is the filter reactance. It sits inside the control loop for every
@@ -206,7 +205,7 @@ class GfmModel(NamedTuple):
         return z
 
 
-class OperatingPoint(NamedTuple):
+class OperatingPoint(Record):
     """Pre-fault internal reference and attachment-node state (pu, peak)."""
 
     e_mag: float
@@ -306,7 +305,7 @@ def prefault_solve(
     )
 
 
-class SourceSolution(NamedTuple):
+class SourceSolution(Record):
     """Fault-time state of the source behind bus 1, either kind (pu, peak).
 
     The generator is linear: one solve, no limiter, no control quantities.

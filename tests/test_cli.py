@@ -350,6 +350,24 @@ def test_unreachable_dispatch_is_a_solver_error(tmp_path, capsys, kind: str) -> 
             "config error: circuit.line_km = 5e-324 ",
         ),
         ("sg.collection_km = 5e-324\n", 2, "config error: sg.collection_km = 5e-324 "),
+        # a section that fault.m splits off underflows to 0, on either side and source
+        *(
+            (
+                f"source.kind = {kind}\nfault.placement = {side}\nfault.m = 5e-324\n",
+                2,
+                "config error: fault.m = 5e-324 gives a per-unit section impedance of 0j; ",
+            )
+            for kind in ("sg", "gfm")
+            for side in ("forward", "reverse")
+        ),
+        # a per-unit branch impedance is subnormal: 1/z overflows to inf
+        ("circuit.line_km = 1e-310\n", 2, "config error: circuit.line_km = 1e-310 "),
+        ("source.kind = gfm\ngfm.x_t_pu = 5e-324\n", 2, "config error: gfm.x_t_pu = 5e-324 "),
+        ("source.kind = gfm\ngfm.x_t0_pu = 5e-324\n", 2, "config error: gfm.x_t0_pu = 5e-324 "),
+        ("sg.x1_pu = 5e-324\n", 2, "config error: sg.x1_pu = 5e-324 "),
+        ("sg.x2_pu = 5e-324\n", 2, "config error: sg.x2_pu = 5e-324 "),
+        ("sg.x0_pu = 5e-324\n", 2, "config error: sg.x0_pu = 5e-324 "),
+        ("circuit.grid_z0_scale = 1e-320\n", 2, "config error: circuit.grid_z0_scale = 1e-320 "),
         # the pre-fault closed form divides by an underflowed |z_th|^2, or overflows
         (
             "source.kind = sg\nsource.p_ref = 0\ncircuit.v_hv_kv = 1e100\n",
@@ -364,6 +382,8 @@ def test_unreachable_dispatch_is_a_solver_error(tmp_path, capsys, kind: str) -> 
     ],
     ids=[
         "v_hv_overflow", "v_hv_underflow", "line_km_sg", "line_km_gfm", "collection_km",
+        "fault_m_sg_forward", "fault_m_sg_reverse", "fault_m_gfm_forward", "fault_m_gfm_reverse",
+        "line_km_subnormal", "x_t", "x_t0", "sg_x1", "sg_x2", "sg_x0", "grid_z0_scale",
         "prefault_zero_division", "prefault_overflow",
     ],
 )

@@ -111,7 +111,7 @@ def test_the_package_imports_only_the_standard_library() -> None:
 
 
 def test_importing_the_cli_leaves_dataclasses_unimported() -> None:
-    # the records are NamedTuples, so no class generates and compiles its
+    # the records are namedtuples, so no class generates and compiles its
     # methods at import; this counts modules and times nothing
     probe = "import sys, faultlab.cli\nprint('dataclasses' in sys.modules)\n"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
@@ -119,3 +119,17 @@ def test_importing_the_cli_leaves_dataclasses_unimported() -> None:
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.split() == ["False"]
+
+
+def test_importing_the_cli_leaves_typing_and_the_presets_unimported() -> None:
+    # records are made by collections.namedtuple, and only the commands that
+    # read the preset catalogue import it; this counts modules and times nothing
+    probe = (
+        "import sys, faultlab.cli\n"
+        "print('typing' in sys.modules, 'faultlab.presets' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["False", "False"]

@@ -1,8 +1,10 @@
-"""The package's value records: NamedTuples, read-only, checked where they validate."""
+"""The package's value records: namedtuples, read-only, checked where they validate."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -66,18 +68,49 @@ def test_every_validated_record_is_covered() -> None:
     }
 
 
-def _record_classes() -> set[type]:
-    """Every NamedTuple class the package defines."""
-    found = set()
+def _modules():
     for info in pkgutil.iter_modules(faultlab.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"faultlab.{info.name}")
+        if info.name != "__main__":
+            yield importlib.import_module(f"faultlab.{info.name}")
+
+
+def _record_classes() -> set[type]:
+    """Every namedtuple class the package defines."""
+    found = set()
+    for module in _modules():
         for obj in vars(module).values():
             if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
                 if obj.__module__ == module.__name__:
                     found.add(obj)
     return found
+
+
+def test_every_record_is_the_namedtuple_of_its_class_body() -> None:
+    made = set()
+    for module, cls, body in _record_bodies():
+        fields = [node for node in body if isinstance(node, ast.AnnAssign)]
+        assert cls._fields == tuple(node.target.id for node in fields), cls
+        defaults = {
+            node.target.id: eval(ast.unparse(node.value), vars(module))
+            for node in fields
+            if node.value is not None
+        }
+        assert cls._field_defaults == defaults, cls
+        assert cls.__module__ == module.__name__, cls
+        bases = (*cls.__mro__, *getattr(cls, "__orig_bases__", ()))
+        assert not any(base.__module__ == "typing" for base in bases), cls
+        made.add(cls)
+    assert made == _record_classes()
+
+
+def _record_bodies():
+    """Each class the package's sources derive from Record: its module, class and body."""
+    for module in _modules():
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Record" for base in node.bases
+            ):
+                yield module, vars(module)[node.name], node.body
 
 
 def _one_of_each_record() -> list[tuple]:
