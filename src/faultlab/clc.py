@@ -45,7 +45,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from .phasors import ALPHA
-from .records import Record, validated
+from .records import Record
 
 __all__ = [
     "ClcKind",
@@ -80,7 +80,6 @@ class ClcKind(Enum):
         return self in (ClcKind.CIRCULAR, ClcKind.PRIORITY, ClcKind.INSTANTANEOUS)
 
 
-@validated
 class ClcConfig(Record):
     """Parameters for one current-limiting strategy.
 

@@ -164,10 +164,9 @@ def solve_scenario(scenario: Scenario) -> tuple[OperatingPoint, SourceSolution]:
     )
     if scenario.kind is SourceKind.SG:
         return op, solve_sg_fault(net, scenario.source, scenario.fault, op)
-    assert scenario.gfm is not None
     return op, fault_fixed_point(
         net,
-        scenario.gfm,
+        scenario.source,
         scenario.fault,
         op,
         tol=scenario.solver.tol,
@@ -212,7 +211,7 @@ def _solution_fields(
 
     fields: dict[str, object] = {
         "source_kind": scenario.kind.value,
-        "clc_kind": None if scenario.gfm is None else scenario.gfm.clc.kind.value,
+        "clc_kind": None if scenario.kind is SourceKind.SG else scenario.source.clc.kind.value,
         "fault_kind": scenario.fault.fault_type.value,
         "fault_m": scenario.fault.m,
         "fault_r_g_ohm": scenario.fault.r_g_ohm,
@@ -301,10 +300,9 @@ def sweep_scenarios(
                 value = math.exp(math.log(start) + t * (math.log(stop) - math.log(start)))
             else:
                 value = start + t * (stop - start)
-        merged = {**overrides, param: value}
         point_id = f"{scenario_id}:{param}={value:.6g}"
         if built is None or not relay_axis:
-            built = build_scenario(merged, scenario_id=point_id)
+            built = build_scenario({**overrides, param: value}, scenario_id=point_id)
             yield value, built
             continue
         resolved = {**built.resolved, param: value}
@@ -313,7 +311,6 @@ def sweep_scenarios(
             scenario_id=point_id,
             dir_cfg=dir_cfg,
             sel_cfg=sel_cfg,
-            overrides=merged,
             resolved=resolved,
             provenance=dict(built.provenance),
         )

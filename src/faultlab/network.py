@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .phasors import ALPHA, SequenceTriple
-from .records import Record, validated
+from .records import Record
 
 __all__ = [
     "GROUND",
@@ -148,7 +148,6 @@ class Placement(Enum):
     REVERSE = "reverse"  # on the branch behind bus 1, fraction m from bus 1
 
 
-@validated
 class FaultSpec(Record):
     """What fault to apply and where.
 

@@ -8,15 +8,16 @@ annotations are kept as the strings they are written as. So a record is
 read-only, compared by value, has empty `__slots__`, and costs no more to
 make or read than a tuple; defining one imports nothing beyond
 `collections`. Being a tuple, it also compares equal to any tuple with the
-same items, and iterates over them. A record that checks its fields is
-wrapped by `validated`.
+same items, and iterates over them. A class body that defines `_check`
+makes a checked record: every new record of it, from the constructor,
+`_make` or `_replace`, runs `record._check()`, which raises on bad fields.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-__all__ = ["Record", "validated"]
+__all__ = ["Record"]
 
 
 class _RecordType(type):
@@ -35,25 +36,20 @@ class _RecordType(type):
         for key, value in body.items():
             if key not in fields and key != "__module__":
                 setattr(cls, key, value)
+        if "_check" in body:
+            # `_make`, and `_replace` through it, build the tuple without
+            # `__new__`, so they are routed through the check too
+            new, make = cls.__new__, cls._make.__func__
+
+            def checked(record):
+                record._check()
+                return record
+
+            cls.__new__ = staticmethod(lambda c, *args, **kwargs: checked(new(c, *args, **kwargs)))
+            cls._make = classmethod(lambda c, iterable: checked(make(c, iterable)))
         return cls
 
 
 class Record(metaclass=_RecordType):
     """Derive a class from this to make it a record (see the module docstring)."""
 
-
-def validated(cls: type) -> type:
-    """Run `record._check()` on every new record of the record class `cls`.
-
-    `_make`, and `_replace` through it, build the tuple without `__new__`,
-    so they are routed through the check too.
-    """
-    new, make = cls.__new__, cls._make.__func__
-
-    def checked(record):
-        record._check()
-        return record
-
-    cls.__new__ = staticmethod(lambda c, *args, **kwargs: checked(new(c, *args, **kwargs)))
-    cls._make = classmethod(lambda c, iterable: checked(make(c, iterable)))
-    return cls

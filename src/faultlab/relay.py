@@ -34,7 +34,7 @@ from enum import Enum
 
 from .network import BusReading, FaultType
 from .phasors import angle_between, angle_deg, wrap_angle_deg
-from .records import Record, validated
+from .records import Record
 
 __all__ = [
     "Direction",
@@ -57,7 +57,6 @@ class Direction(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@validated
 class DirectionalConfig(Record):
     """Directional element settings.
 
@@ -133,7 +132,6 @@ LINE_CENTERS: dict[FaultType, float] = {
 }
 
 
-@validated
 class PhaseSelectionConfig(Record):
     """Band half-widths and magnitude floors for the angle classifier."""
 

@@ -159,7 +159,8 @@ def _text_cell(value: str | None) -> str:
     return value
 
 
-def _flag_cell(value: bool) -> str:
+def _bool_text(value: bool) -> str:
+    # a CSV cell and JSON text alike
     return "true" if value else "false"
 
 
@@ -182,7 +183,7 @@ def _csv_cell(name: str, annotation: str) -> Callable[..., str]:
     string it is written as.
     """
     if annotation == "bool":
-        return _flag_cell
+        return _bool_text
     if annotation == "int":
         return _count_cell
     if annotation.startswith("str"):
@@ -215,10 +216,6 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 def _float_text(value: float) -> str:
     # json's own error for nan and inf, with its own message
     return float.__repr__(value) if math.isfinite(value) else _ENCODER.encode(value)
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _null_text(value: None) -> str:

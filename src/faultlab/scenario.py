@@ -14,12 +14,19 @@ Topology (node names fixed):
           plus the transformer zero-sequence leg: bus1 -[x_t0]- gnd
           (series zero path toward poc open: delta winding)
 
+A scenario holds one source model, the one of its kind (`Scenario.source`).
 Relays sit at bus1 and bus2, each measuring its bus voltage and the current
-flowing from its bus into the line. Forward faults split the line at
-fraction m from bus1; reverse faults split the branch behind bus1 (the
+flowing from its bus into the line. The fault's host branch is the line for
+a forward fault, and the branch behind bus1 for a reverse one: the
 collection line, or the converter transformer together with its
-zero-sequence leg) at the same fraction. m=0 and m=1 collapse the fault
-node onto the adjacent bus instead of creating zero-impedance stubs.
+zero-sequence leg. One rule splits it at fraction m from bus1:
+
+    bus1 -[m]- flt -[1 - m]- far      (far: bus2, or the source node)
+
+with the transformer's zero-sequence leg then running from flt to gnd.
+m=0 and m=1 put the fault on the branch's end node, bus1 or far, instead
+of creating zero-impedance stubs; a reverse fault at m=1 behind a
+converter is a config error.
 
 Everything is per-unit on one system MVA base. The zone voltage bases stand
 in the transformer's nominal ratio, so impedances refer across it unchanged
@@ -206,8 +213,7 @@ class Scenario(Record):
     kind: SourceKind
     p_ref: float
     q_ref: float
-    sg: SgModel | None
-    gfm: GfmModel | None
+    source: SgModel | GfmModel  # the model of `kind`
     fault: FaultSpec
     dir_cfg: DirectionalConfig
     sel_cfg: PhaseSelectionConfig
@@ -218,15 +224,8 @@ class Scenario(Record):
     # the transformer behind a converter
     z_side1: complex
     z_side0: complex
-    overrides: dict[str, object]  # non-default keys as supplied
     resolved: dict[str, object]  # every key, final value
     provenance: dict[str, str]
-
-    @property
-    def source(self) -> SgModel | GfmModel:
-        model = self.sg if self.kind is SourceKind.SG else self.gfm
-        assert model is not None
-        return model
 
     @property
     def config_hash(self) -> str:
@@ -348,7 +347,7 @@ def build_scenario(
     origin: str = PROV_USER,
 ) -> Scenario:
     """Merge overrides onto the defaults, validate, and build the scenario."""
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     unknown = sorted(key for key in overrides if key not in DEFAULTS)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
@@ -439,8 +438,7 @@ def build_scenario(
         kind=kind,
         p_ref=p_ref,
         q_ref=q_ref,
-        sg=sg if kind is SourceKind.SG else None,
-        gfm=gfm if kind is SourceKind.GFM else None,
+        source=sg if kind is SourceKind.SG else gfm,
         fault=fault,
         dir_cfg=dir_cfg,
         sel_cfg=sel_cfg,
@@ -448,7 +446,6 @@ def build_scenario(
         net=net,
         z_side1=z_side1,
         z_side0=z_side0,
-        overrides=overrides,
         resolved=resolved,
         provenance=provenance,
     )
@@ -463,6 +460,16 @@ def _stampable(*zs: complex) -> bool:
         if z == 0 or not (cmath.isfinite(z) and cmath.isfinite(1.0 / z)):
             return False
     return True
+
+
+def _split(
+    eid: str, far: str, m: float, z1: complex, z0: complex
+) -> tuple[SeriesElement, SeriesElement]:
+    """The fault's host branch of impedances z1 = z2 and z0 as bus1 -[m]- flt -[1 - m]- far."""
+    return (
+        SeriesElement(eid + "_a", "bus1", "flt", m * z1, m * z1, m * z0),
+        SeriesElement(eid + "_b", "flt", far, (1 - m) * z1, (1 - m) * z1, (1 - m) * z0),
+    )
 
 
 def _build_network(
@@ -506,71 +513,55 @@ def _build_network(
     x_t = _need_positive(resolved, "gfm.x_t_pu")
     x_t0 = _need_positive(resolved, "gfm.x_t0_pu")
 
-    elements: list = [
-        SourceElement("grid", "bus2", e1=grid_e, z1=grid_z1, z2=grid_z1, z0=grid_z0)
-    ]
-    taps: dict[str, RelayTap] = {}
     m = fault.m
     forward = fault.placement is Placement.FORWARD
-
-    # the monitored line, split only by a forward fault
-    if forward and 0.0 < m < 1.0:
-        elements.append(SeriesElement("line_a", "bus1", "flt", m * line_z1, m * line_z1, m * line_z0))
-        elements.append(
-            SeriesElement(
-                "line_b", "flt", "bus2", (1 - m) * line_z1, (1 - m) * line_z1, (1 - m) * line_z0
-            )
-        )
-        taps["bus1"] = RelayTap("bus1", "line_a", +1.0)
-        taps["bus2"] = RelayTap("bus2", "line_b", -1.0)
-        fault_node = "flt"
-    else:
-        elements.append(SeriesElement("line", "bus1", "bus2", line_z1, line_z1, line_z0))
-        taps["bus1"] = RelayTap("bus1", "line", +1.0)
-        taps["bus2"] = RelayTap("bus2", "line", -1.0)
-        fault_node = "bus1" if (forward and m == 0.0) else "bus2" if forward else ""
-
     if kind is SourceKind.SG:
-        zs1, zs0 = z1_km * coll_km / zb_hv, z0_km * coll_km / zb_hv
-        if forward or m in (0.0, 1.0):
-            elements.append(SeriesElement("col", "sgt", "bus1", zs1, zs1, zs0))
-            if not forward:
-                fault_node = "bus1" if m == 0.0 else "sgt"
-        else:
-            elements.append(SeriesElement("col_a", "bus1", "flt", m * zs1, m * zs1, m * zs0))
-            elements.append(
-                SeriesElement("col_b", "flt", "sgt", (1 - m) * zs1, (1 - m) * zs1, (1 - m) * zs0)
-            )
-            fault_node = "flt"
         source_node = "sgt"
-        z_side = (zs1, zs0)
+        z_side = (z1_km * coll_km / zb_hv, z0_km * coll_km / zb_hv)
+        behind = (SeriesElement("col", "sgt", "bus1", z_side[0], z_side[0], z_side[1]),)
     else:
-        if forward or m == 0.0:
-            elements.append(SeriesElement("xfmr", "poc", "bus1", 1j * x_t, 1j * x_t, None))
-            elements.append(SeriesElement("xfmr0", "bus1", GROUND, None, None, 1j * x_t0))
-            if not forward:
-                fault_node = "bus1"
-        elif m == 1.0:
+        if not forward and m == 1.0:
             raise ValidationError(
                 "fault.placement=reverse with fault.m=1 puts the fault at the converter "
                 "terminal, where the transformer zero-sequence model degenerates; "
                 "use m < 1"
             )
-        else:
-            elements.append(
-                SeriesElement("xfmr_a", "bus1", "flt", 1j * m * x_t, 1j * m * x_t, 1j * m * x_t0)
-            )
-            elements.append(
-                SeriesElement(
-                    "xfmr_b", "flt", "poc", 1j * (1 - m) * x_t, 1j * (1 - m) * x_t, None
-                )
-            )
-            elements.append(
-                SeriesElement("xfmr0", "flt", GROUND, None, None, 1j * (1 - m) * x_t0)
-            )
-            fault_node = "flt"
         source_node = "poc"
         z_side = (1j * x_t, 1j * x_t0)
+        behind = (
+            SeriesElement("xfmr", "poc", "bus1", z_side[0], z_side[0], None),
+            SeriesElement("xfmr0", "bus1", GROUND, None, None, z_side[1]),
+        )
+    line = (SeriesElement("line", "bus1", "bus2", line_z1, line_z1, line_z0),)
+
+    # the fault's host branch is the line (forward) or the branch behind
+    # bus 1 (reverse); m = 0 and m = 1 put the fault on one of its end
+    # nodes, and any other m splits it there
+    far = "bus2" if forward else source_node
+    fault_node = "bus1" if m == 0.0 else far if m == 1.0 else "flt"
+    if fault_node == "flt":
+        if forward:
+            line = _split("line", far, m, line_z1, line_z0)
+        elif kind is SourceKind.SG:
+            behind = _split("col", far, m, *z_side)
+        else:
+            # the delta winding keeps the zero sequence off poc: the
+            # transformer's zero-sequence leg runs from flt to ground
+            xfmr_a, xfmr_b = _split("xfmr", far, m, *z_side)
+            behind = (
+                xfmr_a,
+                xfmr_b._replace(z0=None),
+                SeriesElement("xfmr0", "flt", GROUND, None, None, xfmr_b.z0),
+            )
+    elements = (
+        SourceElement("grid", "bus2", e1=grid_e, z1=grid_z1, z2=grid_z1, z0=grid_z0),
+        *line,
+        *behind,
+    )
+    taps = {
+        "bus1": RelayTap("bus1", line[0].eid, +1.0),
+        "bus2": RelayTap("bus2", line[-1].eid, -1.0),
+    }
 
     # checked after every other key, so that a config with another bad key
     # keeps that key's message. The solve stamps each branch as 1/z, so each
@@ -598,7 +589,7 @@ def _build_network(
         )
 
     return NetworkModel(
-        elements=tuple(elements),
+        elements=elements,
         fault_node=fault_node,
         source_node=source_node,
         z_base_fault_ohm=zb_hv,

@@ -116,7 +116,7 @@ from .network import (
     solve_linear,  # noqa: F401  unused here; perfbench's tracer wraps it under this name
 )
 from .phasors import SequenceTriple, from_polar, inverse_fortescue
-from .records import Record, validated
+from .records import Record
 
 __all__ = [
     "NoConvergenceError",
@@ -142,7 +142,6 @@ class OscillationDetectedError(RuntimeError):
     """Iteration residual stopped decreasing (limit cycle between states)."""
 
 
-@validated
 class SgModel(Record):
     """Synchronous generator: emf behind fixed sequence reactances (pu)."""
 
@@ -154,13 +153,16 @@ class SgModel(Record):
         if self.x1 <= 0.0 or self.x2 <= 0.0 or self.x0 <= 0.0:
             raise ValueError("generator sequence reactances must be positive")
 
+    def normal_z(self) -> complex:
+        """Source-branch impedance during normal operation: the reactance x1."""
+        return 1j * self.x1
+
     def source_element(self, node: str, e1: complex) -> SourceElement:
         return SourceElement(
             SOURCE_EID, node, e1=e1, z1=1j * self.x1, z2=1j * self.x2, z0=1j * self.x0
         )
 
 
-@validated
 class GfmModel(Record):
     """Grid-forming converter: reference behind a current-limiting control.
 
@@ -191,7 +193,7 @@ class GfmModel(Record):
         """Filter reactance as seen by the network (0 when inside the loop)."""
         return self.x_f if self.filter_in_network else 0.0
 
-    def normal_z(self) -> complex | None:
+    def normal_z(self) -> complex:
         """Source-branch impedance during normal (unlimited) operation.
 
         The admittance mode always keeps its nominal Z_v; the others hold
@@ -255,7 +257,7 @@ def prefault_solve(
     within tol; a closed form that overflows or divides by zero in floating
     point is unreachable too.
     """
-    z = 1j * source.x1 if isinstance(source, SgModel) else source.normal_z()
+    z = source.normal_z()
     node = net.source_node
     build = network._solve_one_sequence(net, 1)
     v_oc, z_th = build[None][node], build[node][node]

@@ -28,7 +28,7 @@ from faultlab.network import FaultType, SeriesElement, SourceElement, solve_faul
 from faultlab.phasors import fortescue, from_polar, wrap_angle_deg
 from faultlab.presets import preset_scenario_overrides
 from faultlab.relay import GROUND_CENTERS, LINE_CENTERS
-from faultlab.scenario import build_scenario
+from faultlab.scenario import SourceKind, build_scenario
 from faultlab.sources import SOURCE_EID, fault_fixed_point, prefault_solve
 
 M_GRID = (0.05, 0.5, 0.95)
@@ -60,9 +60,9 @@ def oracle_grid() -> GridErrors:
             # operating point serves the whole sub-grid
             ref = build_scenario({"source.kind": source_kind, "fault.placement": placement})
             if source_kind == "sg":
-                op = prefault_solve(ref.net, ref.sg)
+                op = prefault_solve(ref.net, ref.source)
 
-                def make_src(sc, e1=op.e_ref1, sg=ref.sg):
+                def make_src(sc, e1=op.e_ref1, sg=ref.source):
                     return sg.source_element(sc.net.source_node, e1)
 
             else:
@@ -339,8 +339,8 @@ def test_criterion_09_fixed_point_robustness(preset_reports) -> None:
             failures.append(f"{name} residual {report.residual:.2e}")
         if report.iterations > 100:
             failures.append(f"{name} iterations {report.iterations}")
-        if scenario.gfm is not None and report.limiter_active:
-            cap = scenario.gfm.clc.i_lim * (1.0 + 1e-6)
+        if scenario.kind is SourceKind.GFM and report.limiter_active:
+            cap = scenario.source.clc.i_lim * (1.0 + 1e-6)
             if report.i_max_phase_pu > cap:
                 failures.append(f"{name} i_max {report.i_max_phase_pu:.8f} > {cap:.8f}")
 
@@ -356,12 +356,12 @@ def test_criterion_09_fixed_point_robustness(preset_reports) -> None:
                 "source.p_ref": 0.3,
             }
         )
-        op = prefault_solve(sc.net, sc.gfm, sc.p_ref, sc.q_ref)
-        sol = fault_fixed_point(sc.net, sc.gfm, sc.fault, op)
+        op = prefault_solve(sc.net, sc.source, sc.p_ref, sc.q_ref)
+        sol = fault_fixed_point(sc.net, sc.source, sc.fault, op)
         if sol.limiter_active:
             failures.append(f"{kind.value} limiter active on a 400 ohm fault")
             continue
-        z = sc.gfm.normal_z()
+        z = sc.source.normal_z()
         src = SourceElement(SOURCE_EID, sc.net.source_node, e1=op.e_ref1, z1=z, z2=z, z0=None)
         linear = solve_fault(sc.net.with_elements(src), sc.fault)
         for tap in sc.net.relay_taps.values():

@@ -31,6 +31,7 @@ from faultlab.phasors import (
     wrap_angle_deg,
 )
 from faultlab.presets import preset_scenario_overrides
+from faultlab.relay import DirectionalConfig
 from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from faultlab.scenario import ValidationError, build_scenario
 from faultlab.sources import prefault_solve
@@ -294,7 +295,7 @@ def test_relay_sweep_points_equal_their_own_builds(
         built = build_scenario({**overrides, param: value}, scenario_id=f"sw:{param}={value:.6g}")
         assert point == built
         assert point.config_hash == built.config_hash
-        assert list(point.overrides.items()) == list(built.overrides.items())
+        assert list(point.provenance.items()) == list(built.provenance.items())
         assert list(point.resolved) == list(built.resolved)
 
 
@@ -423,7 +424,7 @@ def test_prefault_readings_balance_across_the_line() -> None:
     for kind in ("priority", "virtual_admittance"):
         scenario = build_scenario({"source.kind": "gfm", "clc.kind": kind})
         op = prefault_solve(
-            scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref,
+            scenario.net, scenario.source, scenario.p_ref, scenario.q_ref,
             tol=scenario.solver.newton_tol,
         )
         pre = prefault_network_readings(op)
@@ -507,6 +508,72 @@ def test_phi0_across_the_operating_space_is_the_same_under_every_row(table1_spac
             assert point["fault.r_g_ohm"] == 100.0, point
 
 
+def directional_margin(angle: float | None, phi_non_deg: float) -> tuple[float | None, str]:
+    """A directional verdict's signed margin, and its cause: "angle" or "floor".
+
+    The margin (90 - phi_non) - |wrap(a + 90)| is how far the operating
+    angle a sits inside the forward band: positive exactly when the verdict
+    is forward, and continuous in every input while both operands are above
+    the magnitude floor. An operand below the floor leaves no angle, so the
+    verdict has no margin and its cause is the floor.
+    """
+    if angle is None:
+        return None, "floor"
+    return (90.0 - phi_non_deg) - abs(wrap_angle_deg(angle + 90.0)), "angle"
+
+
+# each row's smallest phi2 margin over the operating space at phi_non = 45
+# degrees (measured: -38.354, -61.911, -58.095, 41.186, 42.898, -24.714);
+# these bounds may only rise
+PHI2_MARGIN_AT_LEAST = {
+    "circular": -38.354,
+    "priority": -61.911,
+    "instantaneous": -58.096,
+    "virtual-admittance-xr20": 41.185,
+    "adaptive-vi-xr20": 42.898,
+    "adaptive-vi-xr0.1": -24.714,
+}
+
+
+def test_directional_margins_across_the_operating_space() -> None:
+    phi_non = DirectionalConfig().phi_non_deg
+    assert phi_non == 45.0
+    widest = 60.0  # the largest legal relay.phi_non_deg
+    for row in TABLE1_ROWS:
+        phi2, phi0 = [], []
+        for fault_type, point in OPERATING_SPACE:
+            report = run_scenario(build_scenario({
+                "source.kind": "gfm",
+                "fault.kind": fault_type.value,
+                "fault.placement": "forward",
+                **point,
+                **row.overrides,
+            }))
+            for margins, angle, verdict in (
+                (phi2, report.phi2_deg, report.dir_neg),
+                (phi0, report.phi0_deg, report.dir_zero),
+            ):
+                margin, cause = directional_margin(angle, phi_non)
+                forward = cause == "angle" and margin >= 0.0
+                assert forward == (verdict == "forward"), (row.label, fault_type, point)
+                margins.append((margin, cause))
+        # no phi2 operand is below the floor, and the smallest margin holds
+        assert all(cause == "angle" for _, cause in phi2), row.label
+        smallest = min(margin for margin, _ in phi2)
+        assert smallest >= PHI2_MARGIN_AT_LEAST[row.label], (row.label, smallest)
+        if row.highly_inductive:
+            # forward at the widest blind band too: the first finding holds
+            # over the whole legal phi_non range
+            assert smallest - (widest - phi_non) >= 0.0, row.label
+        else:
+            assert smallest < 0.0, row.label
+        # phi0 reads the pure reactance of the transformer's zero-sequence
+        # leg: the band centre on the 90 faults whose operands pass the floor
+        on_angle = [margin for margin, cause in phi0 if cause == "angle"]
+        assert len(on_angle) == 90 and len(phi0) == 96, row.label
+        assert all(abs(margin - (90.0 - phi_non)) <= 1e-9 for margin in on_angle), row.label
+
+
 # phi2 is secure in this many of the 96 faults a row
 PHI2_SECURE = {
     "circular": 9,
@@ -544,7 +611,7 @@ def test_phi2_is_secure_exactly_when_the_source_impedance_is_inductive_enough() 
             assert forward == (phi_non <= angle_deg(ze2) <= 180.0 - phi_non), case
             secure += forward
             if row.label == "circular":
-                s, k_pv = report.sigma1_mag, scenario.gfm.k_pv
+                s, k_pv = report.sigma1_mag, scenario.source.k_pv
                 assert abs(ze2.real - (1.0 - s) / (k_pv * s)) <= 1e-12, case
                 cot = 1.0 / math.tan(math.radians(phi_non))
                 assert forward == (s >= 1.0 / (1.0 + k_pv * ze2.imag * cot)), case
@@ -609,10 +676,10 @@ def test_dvdi1_is_zad_less_the_passive_side_but_for_the_admittance_pre_fault_ter
             report = report_scenario(scenario, op, sol)
             i1_pre = prefault_network_readings(op)["bus1"].i.pos
             di1 = sol.fault.total.readings["bus1"].i.pos - i1_pre
-            z_p = scenario.z_side1 + 1j * scenario.gfm.x_f_network
+            z_p = scenario.z_side1 + 1j * scenario.source.x_f_network
             dvdi1 = _report_phasor(report.dvdi1_mag, report.dvdi1_ang)
             miss = dvdi1 + z_p - _report_phasor(report.zad_mag, report.zad_ang)
-            clc = scenario.gfm.clc
+            clc = scenario.source.clc
             pre_fault_term = complex(clc.r_vn, clc.x_vn) * i1_pre / di1
             case = (row.label, fault_type, point)
             if clc.kind is ClcKind.VIRTUAL_ADMITTANCE:

@@ -340,7 +340,7 @@ def _fault_network(kind: str, placement: str, m: float) -> tuple[NetworkModel, s
     scenario = build_scenario({"source.kind": kind, "fault.placement": placement, "fault.m": m})
     net = scenario.net
     if kind == "sg":
-        return net.with_elements(scenario.sg.source_element(net.source_node, 1.02 + 0.1j)), ""
+        return net.with_elements(scenario.source.source_element(net.source_node, 1.02 + 0.1j)), ""
     return net, net.source_node
 
 
@@ -503,7 +503,7 @@ def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
 def test_unequal_negative_sequence_impedance_takes_the_full_build(monkeypatch) -> None:
     scenario = build_scenario({"source.kind": "sg", "sg.x2_pu": 0.3})
     net = scenario.net.with_elements(
-        scenario.sg.source_element(scenario.net.source_node, 1.0 + 0j)
+        scenario.source.source_element(scenario.net.source_node, 1.0 + 0j)
     )
     builds, calls = _counted_fault_builds(monkeypatch, net, "")
     assert calls == [1, 2, 0]

@@ -120,8 +120,8 @@ def _one_of_each_record() -> list[tuple]:
     prefault = prefault_network_readings(op)["bus1"]
     net = scenario.net
     return [
-        scenario, scenario.solver, scenario.fault, scenario.gfm, scenario.gfm.clc,
-        scenario.dir_cfg, scenario.sel_cfg, build_scenario({}).sg,
+        scenario, scenario.solver, scenario.fault, scenario.source, scenario.source.clc,
+        scenario.dir_cfg, scenario.sel_cfg, build_scenario({}).source,
         net, *net.elements, *net.relay_taps.values(),
         op, sol, sol.frozen, sol.fault.thevenin,
         sol.fault.terminal_port(), reading, reading.v, inverse_fortescue(reading.v),

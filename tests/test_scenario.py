@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from faultlab.clc import ClcKind
-from faultlab.network import FaultType, Placement
+from faultlab.network import GROUND, FaultType, Placement
 from faultlab.presets import PRESETS, preset_scenario_overrides
 from faultlab.scenario import (
     DEFAULTS,
@@ -18,6 +19,7 @@ from faultlab.scenario import (
     canonical_config_lines,
     parse_config_text,
 )
+from faultlab.sources import SgModel
 
 
 def test_parse_comments_blanks_and_coercion() -> None:
@@ -63,7 +65,7 @@ def test_parse_error_reports_the_line_number() -> None:
 def test_empty_document_gives_the_default_study_case() -> None:
     s = build_scenario({})
     assert s.kind is SourceKind.SG
-    assert s.sg is not None and s.gfm is None
+    assert type(s.source) is SgModel and s.source == SgModel(x1=0.2, x2=0.2, x0=0.1)
     assert s.fault.fault_type is FaultType.BCG
     assert s.fault.m == pytest.approx(0.5)
     assert s.fault.r_g_ohm == 0.0
@@ -107,9 +109,9 @@ def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario() -
     copied, default = build_scenario(copies), build_scenario({})
     assert copied.config_hash == default.config_hash
     assert copied.resolved == default.resolved
-    # overrides and provenance record that every key was supplied
+    # provenance records that every key was supplied
     for name in Scenario._fields:
-        if name not in ("overrides", "provenance"):
+        if name != "provenance":
             assert getattr(copied, name) == getattr(default, name), name
 
 
@@ -141,7 +143,7 @@ def test_resolved_echo_covers_every_key() -> None:
     s = build_scenario({"fault.kind": "ag"})
     assert set(s.resolved) == set(DEFAULTS)
     assert s.resolved["fault.kind"] == "ag"
-    assert s.overrides == {"fault.kind": "ag"}
+    assert [key for key, tag in s.provenance.items() if tag == "user"] == ["fault.kind"]
 
 
 def test_provenance_markers() -> None:
@@ -174,9 +176,9 @@ def test_canonical_lines_are_sorted_and_typed() -> None:
 
 def test_filter_placement_resolution() -> None:
     auto_circ = build_scenario({"source.kind": "gfm", "clc.kind": "circular"})
-    assert auto_circ.gfm.filter_in_network is False
+    assert auto_circ.source.filter_in_network is False
     auto_avi = build_scenario({"source.kind": "gfm", "clc.kind": "adaptive_virtual_impedance"})
-    assert auto_avi.gfm.filter_in_network is True
+    assert auto_avi.source.filter_in_network is True
     explicit_off = build_scenario(
         {
             "source.kind": "gfm",
@@ -184,7 +186,7 @@ def test_filter_placement_resolution() -> None:
             "gfm.filter_in_network": False,
         }
     )
-    assert explicit_off.gfm.filter_in_network is False
+    assert explicit_off.source.filter_in_network is False
     with pytest.raises(ValidationError):
         build_scenario(
             {"source.kind": "gfm", "clc.kind": "circular", "gfm.filter_in_network": True}
@@ -247,8 +249,109 @@ def test_generator_network_elements_and_fault_node(
         assert (col.z1, col.z0) == (s.z_side1, s.z_side0)
 
 
+# a converter section: (eid, from node, to node, share of the whole, impedances)
+# with the share 1, m or 1 - m of the whole line ("line", z1 = z2 and z0),
+# of the transformer's positive and negative sequences ("xfmr", zero open),
+# of its zero-sequence leg to ground ("leg", positive and negative open),
+# or of both ("xfmr+leg")
+_LINE = ("line", "bus1", "bus2", "1", "line")
+_XFMR = [("xfmr", "poc", "bus1", "1", "xfmr"), ("xfmr0", "bus1", GROUND, "1", "leg")]
+
+
+@pytest.mark.parametrize(
+    "placement, m, sections, fault_node, tapped",
+    [
+        ("forward", 0.0, [_LINE, *_XFMR], "bus1", ("line", "line")),
+        (
+            "forward",
+            0.3,
+            [
+                ("line_a", "bus1", "flt", "m", "line"),
+                ("line_b", "flt", "bus2", "1 - m", "line"),
+                *_XFMR,
+            ],
+            "flt",
+            ("line_a", "line_b"),
+        ),
+        (
+            "forward",
+            0.5,
+            [
+                ("line_a", "bus1", "flt", "m", "line"),
+                ("line_b", "flt", "bus2", "1 - m", "line"),
+                *_XFMR,
+            ],
+            "flt",
+            ("line_a", "line_b"),
+        ),
+        ("forward", 1.0, [_LINE, *_XFMR], "bus2", ("line", "line")),
+        ("reverse", 0.0, [_LINE, *_XFMR], "bus1", ("line", "line")),
+        (
+            "reverse",
+            0.3,
+            [
+                _LINE,
+                ("xfmr_a", "bus1", "flt", "m", "xfmr+leg"),
+                ("xfmr_b", "flt", "poc", "1 - m", "xfmr"),
+                ("xfmr0", "flt", GROUND, "1 - m", "leg"),
+            ],
+            "flt",
+            ("line", "line"),
+        ),
+        (
+            "reverse",
+            0.5,
+            [
+                _LINE,
+                ("xfmr_a", "bus1", "flt", "m", "xfmr+leg"),
+                ("xfmr_b", "flt", "poc", "1 - m", "xfmr"),
+                ("xfmr0", "flt", GROUND, "1 - m", "leg"),
+            ],
+            "flt",
+            ("line", "line"),
+        ),
+    ],
+)
+def test_converter_network_elements_impedances_fault_node_and_taps(
+    placement: str, m: float, sections: list, fault_node: str, tapped: tuple[str, str]
+) -> None:
+    s = build_scenario(
+        {
+            "source.kind": "gfm",
+            "fault.placement": placement,
+            "fault.m": m,
+            "gfm.x_t_pu": 0.12,
+            "gfm.x_t0_pu": 0.07,
+        }
+    )
+    zb = s.net.z_base_fault_ohm
+    l1, l0 = complex(0.03, 0.34) * 100.0 / zb, complex(0.18, 1.19) * 100.0 / zb
+    wholes = {
+        "line": (l1, l1, l0),
+        "xfmr": (0.12j, 0.12j, None),
+        "leg": (None, None, 0.07j),
+        "xfmr+leg": (0.12j, 0.12j, 0.07j),
+    }
+    shares = {"1": 1.0, "m": m, "1 - m": 1 - m}
+    expected = [
+        (eid, n_from, n_to, *(None if z is None else shares[share] * z for z in wholes[whole]))
+        for eid, n_from, n_to, share, whole in sections
+    ]
+    grid, *series = s.net.elements
+    grid_z1 = complex(0.1 / math.sqrt(101.0), 0.1 * 10.0 / math.sqrt(101.0))
+    assert tuple(grid) == ("grid", "bus2", 1 + 0j, grid_z1, grid_z1, 3.0 * grid_z1)
+    assert [tuple(e) for e in series] == expected
+    assert s.net.fault_node == fault_node
+    assert s.net.source_node == "poc"
+    assert dict(s.net.relay_taps) == {
+        "bus1": ("bus1", tapped[0], 1.0),
+        "bus2": ("bus2", tapped[1], -1.0),
+    }
+    assert (s.z_side1, s.z_side0) == (0.12j, 0.07j)
+
+
 def test_converter_reverse_bus_fault_is_rejected() -> None:
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^fault\.placement=reverse with fault\.m=1 "):
         build_scenario({"source.kind": "gfm", "fault.placement": "reverse", "fault.m": 1.0})
     # the generator topology has no such degeneracy
     build_scenario({"source.kind": "sg", "fault.placement": "reverse", "fault.m": 1.0})
@@ -257,7 +360,7 @@ def test_converter_reverse_bus_fault_is_rejected() -> None:
 def test_clc_kind_tokens_round_trip() -> None:
     for kind in ClcKind:
         s = build_scenario({"source.kind": "gfm", "clc.kind": kind.value})
-        assert s.gfm.clc.kind is kind
+        assert s.source.clc.kind is kind
 
 
 def test_presets_build_and_unknown_preset_lists_names() -> None:

@@ -156,7 +156,7 @@ def test_prefault_keeps_the_open_circuit_voltage_beside_a_huge_thevenin_impedanc
     net = scenario.net
     v_oc, z_th = _one_port(net)
     assert abs(z_th) >= 1e28 and abs(abs(v_oc) - 1.0) <= 1e-12
-    op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref, tol=1e-15)
+    op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref, tol=1e-15)
     assert op.i_attach != 0j
     assert abs(complex(op.p, op.q) - 0.5j) <= 1e-15
 
@@ -171,8 +171,8 @@ def _converged(kind: str, fault_kind: str = "bcg", r_g: float = 0.0):
             "source.p_ref": 0.3,
         }
     )
-    op = prefault_solve(scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref)
-    sol = fault_fixed_point(scenario.net, scenario.gfm, scenario.fault, op)
+    op = prefault_solve(scenario.net, scenario.source, scenario.p_ref, scenario.q_ref)
+    sol = fault_fixed_point(scenario.net, scenario.source, scenario.fault, op)
     return scenario, op, sol
 
 
@@ -186,7 +186,7 @@ def test_converged_state_satisfies_the_limiter_law(kind: str) -> None:
     """
     scenario, op, sol = _converged(kind)
     assert sol.limiter_active
-    gfm = scenario.gfm
+    gfm = scenario.source
     cfg = gfm.clc
     ref1 = gfm.k_pv * (op.e_ref1 - sol.v_t.pos) + sol.i_t.pos
     ref2 = gfm.k_pv * (0.0 - sol.v_t.neg) + sol.i_t.neg
@@ -238,7 +238,7 @@ def test_converged_state_satisfies_the_shaping_law(
     """
     scenario, op, sol = _converged(kind, fault_kind=fault_kind, r_g=r_g)
     assert sol.limiter_active is active
-    cfg = scenario.gfm.clc
+    cfg = scenario.source.clc
     if kind == "virtual_admittance":
         v_drive = abs(op.e_ref1 - sol.v_t.pos) + abs(sol.v_t.neg)
         x_v = max(cfg.x_vn, v_drive / (cfg.i_lim * math.sqrt(1.0 + 1.0 / cfg.n_x_r**2)))
@@ -259,7 +259,7 @@ def test_converged_state_satisfies_the_shaping_law(
 @pytest.mark.parametrize("kind", ["circular", "priority"])
 def test_limited_current_respects_the_phase_cap(kind: str) -> None:
     scenario, _, sol = _converged(kind)
-    cap = scenario.gfm.clc.i_lim
+    cap = scenario.source.clc.i_lim
     assert max_phase_current(sol.i_t.pos, sol.i_t.neg) <= cap * (1.0 + 1e-6)
     assert sol.i_max_phase <= cap * (1.0 + 1e-6)
 
@@ -338,8 +338,8 @@ def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str)
             }
         )
         net, node = scenario.net, scenario.net.source_node
-        op = prefault_solve(net, scenario.gfm, scenario.p_ref, scenario.q_ref)
-        sol = fault_fixed_point(net, scenario.gfm, scenario.fault, op)
+        op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref)
+        sol = fault_fixed_point(net, scenario.source, scenario.fault, op)
         port = solve_fault(net, scenario.fault, port=node).terminal_port()
         if fault_kind != "abc":  # an unbalanced fault couples the channels
             assert abs(port.z12) > 1e-3, fault_kind
@@ -364,10 +364,10 @@ def test_one_port_prefault_matches_the_direct_solve(kind: str, placement: str) -
     scenario = build_scenario({**source, "fault.placement": placement, "fault.m": 0.5})
     net, node = scenario.net, scenario.net.source_node
     op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref)
-    if scenario.sg is not None:
-        element = scenario.sg.source_element(node, op.e_ref1)
+    if isinstance(scenario.source, SgModel):
+        element = scenario.source.source_element(node, op.e_ref1)
     else:
-        z = scenario.gfm.normal_z()
+        z = scenario.source.normal_z()
         element = SourceElement(SOURCE_EID, node, e1=op.e_ref1, z1=z, z2=z, z0=None)
     direct = solve_linear(net.with_elements(element), sequences=(1,))
     if element.z1:
@@ -396,7 +396,7 @@ def test_generator_current_matches_the_phase_domain_solve(fault_kind: str, place
         )
         net = scenario.net
         op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref)
-        sol = solve_sg_fault(net, scenario.sg, scenario.fault, op)
+        sol = solve_sg_fault(net, scenario.source, scenario.fault, op)
         abc = solve_abc(net.with_elements(sol.frozen), scenario.fault)
         assert (sol.i_t - fortescue(abc.source_current(SOURCE_EID))).max_abs() < 1e-9, m
 
@@ -485,9 +485,9 @@ def _grid_case(kind: str, fault_kind: str, m: float, r_g: float, p_ref: float, *
             **extra,
         }
     )
-    op = prefault_solve(scenario.net, scenario.gfm, scenario.p_ref, scenario.q_ref)
+    op = prefault_solve(scenario.net, scenario.source, scenario.p_ref, scenario.q_ref)
     sol = fault_fixed_point(
-        scenario.net, scenario.gfm, scenario.fault, op,
+        scenario.net, scenario.source, scenario.fault, op,
         tol=scenario.solver.tol, max_iter=scenario.solver.max_iter,
     )
     return scenario, sol
@@ -824,7 +824,7 @@ def test_priority_fixed_point_is_not_unique() -> None:
     # one leaves no q headroom: on that piece the law is constant, and here
     # its constant is a fixed point distinct from the one the driver finds
     scenario, sol = _grid_case("priority", "bg", 0.05, 5.0, 0.5)
-    net, gfm = scenario.net, scenario.gfm
+    net, gfm = scenario.net, scenario.source
     cfg, k_pv = gfm.clc, gfm.k_pv
     op = prefault_solve(net, gfm, scenario.p_ref, scenario.q_ref)
     port = solve_fault(net, scenario.fault, port=net.source_node).terminal_port()
