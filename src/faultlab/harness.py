@@ -10,11 +10,11 @@ the incremental quantities, the effective source impedances (the source
 branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
 optionally an independent phase-domain re-solve of the solved operating
 point as a numerical cross-check. The report is assembled as a mapping of
-its 68 fields, each phasor a `_mag`/`_ang` pair, and
-`ScenarioReport.from_fields` builds the report tuple from it in one step,
-looking the values up in column order. The pair names are formatted and
-interned once, at import (`_POLAR_NAMES`), so the report's keys are the
-very strings its field names are.
+its 68 fields, each phasor a `_mag`/`_ang` pair, and built from it by the
+report's own constructor, `ScenarioReport(**fields)`, which raises
+`TypeError` for a missing or unexpected field. The pair names are
+formatted and interned once, at import (`_POLAR_NAMES`), so the report's
+keys are the very strings its field names are.
 
 A report is the merge of two field sets. The solution fields read the
 solution and every setting of the scenario but its relay settings; the
@@ -90,6 +90,7 @@ __all__ = [
     "Table1Result",
     "TABLE1_ROWS",
     "TABLE1_ELEMENTS",
+    "table1_scenario",
     "table1_verdicts",
     "table1_matrix",
     "format_table1",
@@ -257,7 +258,7 @@ def _relay_report(
     }
     mag, ang = _POLAR_NAMES["dvdi1"]
     fields[mag], fields[ang] = _polar(dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None)
-    return ScenarioReport.from_fields(fields)
+    return ScenarioReport(**fields)
 
 
 def sweep_scenarios(
@@ -389,10 +390,10 @@ class Table1Result(Record):
         return not self.mismatches
 
 
-def table1_verdicts(
+def table1_scenario(
     row: Table1Row, fault_type: FaultType, point: dict[str, object] | None = None
-) -> dict[str, bool]:
-    """Whether each supervising element gives the secure answer on one forward fault.
+) -> Scenario:
+    """One forward fault of the battery under one row.
 
     The fault sits at the battery's point (m = 0.5, bolted, default
     dispatch) unless `point` sets other config keys; the row's own
@@ -407,9 +408,16 @@ def table1_verdicts(
     }
     merged.update(point or {})
     merged.update(row.overrides)
-    scenario = build_scenario(merged, scenario_id=f"table1:{row.label}:{fault_type.value}")
-    report = run_scenario(scenario)
-    c21, c20 = GROUND_CENTERS[fault_type]
+    return build_scenario(merged, scenario_id=f"table1:{row.label}:{fault_type.value}")
+
+
+def table1_verdicts(scenario: Scenario, report: ScenarioReport) -> dict[str, bool]:
+    """Whether each supervising element gives the secure answer on one forward fault.
+
+    The verdicts are read off the scenario's report; the selection bands
+    come from its relay settings and their centres from its fault type.
+    """
+    c21, c20 = GROUND_CENTERS[scenario.fault.fault_type]
     half21 = scenario.sel_cfg.dd21_half_deg
     half20 = scenario.sel_cfg.d20_half_deg
     return {
@@ -431,7 +439,8 @@ def table1_matrix() -> Table1Result:
     """Evaluate every strategy row against the five supervising elements."""
     cells: dict[tuple[str, str], bool] = {}
     for row in TABLE1_ROWS:
-        cases = [table1_verdicts(row, fault_type) for fault_type in _TABLE1_FAULTS]
+        scenarios = [table1_scenario(row, fault_type) for fault_type in _TABLE1_FAULTS]
+        cases = [table1_verdicts(scenario, run_scenario(scenario)) for scenario in scenarios]
         for element in TABLE1_ELEMENTS:
             cells[(row.label, element)] = all(case[element] for case in cases)
 

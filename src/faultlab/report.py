@@ -134,18 +134,8 @@ class ScenarioReport(Record):
     i_max_phase_pu: float
     oracle_max_err: float | None
 
-    @classmethod
-    def from_fields(cls, values: dict[str, object]) -> "ScenarioReport":
-        """The report of `values`, one per field in any order, built as one tuple."""
-        keys = values.keys()
-        if keys != _COLUMN_SET:
-            missing, extra = sorted(_COLUMN_SET - keys), sorted(keys - _COLUMN_SET)
-            raise TypeError(f"report fields missing {missing}, unexpected {extra}")
-        return cls._make(map(values.__getitem__, cls._fields))
-
 
 CSV_COLUMNS: tuple[str, ...] = ScenarioReport._fields
-_COLUMN_SET = frozenset(CSV_COLUMNS)
 
 # a text cell holding one of these is quoted, its quotes doubled (RFC 4180)
 _QUOTED = re.compile('[,"\r\n]')
