@@ -20,12 +20,15 @@ Fault solving follows the classical decomposition:
    fault builds all three sequences; one that does not reach ground
    (line-line, three-phase) draws no zero-sequence current, and no source
    drives that sequence, so its zero-sequence solution is zero at every
-   node. A build is eliminated once per distinct network per process: the
-   fault, the limiting law and the dispatch enter only the boundary
-   conditions and the injected currents, so a case grid repeats a few
-   networks. A bounded memo keyed on the stamped inputs holds the builds,
-   and is the only place builds are shared; a hit has a fresh build's bits
-   (`_solve_stamped` says why);
+   node. A build is eliminated once per network object: the fault, the
+   limiting law and the dispatch enter only the boundary conditions and
+   the injected currents, so a case grid repeats a few networks, and
+   `scenario` makes one object of equal networks. A bounded memo keyed on
+   the network object (`_shared`) holds its builds, and what `sources` and
+   `solve_fault` compute on the network alone: its dispatches, its
+   generator fault networks and its faulted converter ports. Each is made
+   once from one object's own bits, so a hit is the very object a fresh
+   call would have made bit for bit;
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault node's column there, the open-circuit voltage the base column (plus
    the port's column times any injected current);
@@ -49,9 +52,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 from .phasors import ALPHA, SequenceTriple
@@ -365,8 +368,8 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     """x with a @ x = b by Gaussian elimination with partial pivoting.
 
     The package's one dense solver, on Python lists. Its callers are the
-    nodal builds (`_solve_stamped`, once per distinct sequence network per
-    process) and the phase-domain oracle
+    nodal builds (`_solve_stamped`, once per sequence of a network object
+    while its memo entry lives) and the phase-domain oracle
     (`abc_oracle.solve_abc` and the oracle's 3x3 mode matrix inverse), with
     up to 12 unknowns. a is n rows of n entries and b n rows of
     right-hand-side columns, real or complex; x comes back in b's layout.
@@ -419,6 +422,58 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     return b if all(cmath.isfinite(v) for row in b for v in row) else None
 
 
+# What a network object alone determines, made once per object: its
+# sequence builds here, its faulted converter ports (`solve_fault`), and in
+# `sources` its dispatches and generator fault networks. Keyed on
+# (id(net), what); each entry holds its network, so no other object takes
+# that id while the entry lives. At most `_SHARED_BOUND` entries, the
+# oldest dropped first.
+_SHARED: dict[tuple, tuple[NetworkModel, object]] = {}
+_SHARED_BOUND = 1024
+
+
+def _shared(net: NetworkModel, what: object, make: Callable[..., object], *args: object):
+    """make(*args), called once per network object and `what` while its entry lives.
+
+    `what` must name everything make reads besides `net`, bit for bit
+    (`_bitwise`). A call that raises stores nothing, so an error is raised
+    again on every call. Callers must not mutate what they are handed.
+    """
+    key = (id(net), what)
+    held = _SHARED.get(key)
+    if held is None:
+        held = _keep(_SHARED, key, (net, make(*args)), _SHARED_BOUND)
+    return held[1]
+
+
+def _keep(memo: dict, key: object, value: object, bound: int):
+    """Store value under key in a memo of at most `bound` entries, the oldest out first."""
+    if len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _bitwise(*values: object) -> tuple:
+    """values as a memo key that equal values share only bit for bit.
+
+    `==` matches -0.0 with 0.0, and 1.0 with 1 and with 1 + 0j, which
+    arithmetic can tell apart (a product's sign of zero, a complex result).
+    So the key holds each value's type and the sign of each of its float
+    parts beside it.
+    """
+    return (*values, *map(type, values), *map(_signs, values))
+
+
+def _signs(value: object) -> object:
+    """Whether each float part of value has its sign bit set."""
+    if isinstance(value, complex):
+        return math.copysign(1.0, value.real) < 0, math.copysign(1.0, value.imag) < 0
+    if isinstance(value, float):
+        return math.copysign(1.0, value) < 0
+    return None
+
+
 def _solve_one_sequence(net: NetworkModel, seq: int) -> _Build:
     """Nodal build of one sequence network, solved for all right-hand sides at once.
 
@@ -430,10 +485,19 @@ def _solve_one_sequence(net: NetworkModel, seq: int) -> _Build:
     nodes untouched by any element of this sequence are absent from the
     columns (callers read them as zero) and have no column of their own.
 
-    This is the element pass: what this sequence connects, as tuples of
-    complex values. `_solve_stamped` stamps and solves them, once per
-    distinct network per process. The build it returns is shared by every
-    caller of that network, so callers only read it.
+    Made by `_solve_stamped` once per network object (`_shared`); every
+    caller of that object reads the same build, so callers only read it.
+    """
+    return _shared(net, seq, _solve_stamped, net, seq)
+
+
+def _solve_stamped(net: NetworkModel, seq: int) -> _Build:
+    """The element pass, then stamp, solve and assemble the columns of one build.
+
+    The element pass reads what this sequence connects, as complex values;
+    the stamp adds them to sums that start at +0j, the branches first, in
+    element order, then the Norton sources, then the injections. A singular
+    build raises SingularNetworkError.
     """
     branches: list[tuple[str, str, complex]] = []
     sources: list[tuple[str, complex, complex]] = []  # node, admittance, emf
@@ -457,47 +521,7 @@ def _solve_one_sequence(net: NetworkModel, seq: int) -> _Build:
             i = e.current(seq)
             if i != 0:
                 injections.append((e.node, complex(i)))
-    pins = tuple(
-        (node, v, math.copysign(1.0, v.real), math.copysign(1.0, v.imag))
-        for node, v in pinned.items()
-    )
-    return _solve_stamped(seq, tuple(branches), tuple(sources), tuple(injections), pins)
 
-
-@lru_cache(maxsize=256)
-def _solve_stamped(
-    seq: int,
-    branches: tuple[tuple[str, str, complex], ...],
-    sources: tuple[tuple[str, complex, complex], ...],
-    injections: tuple[tuple[str, complex], ...],
-    pins: tuple[tuple[str, complex, float, float], ...],
-) -> _Build:
-    """Stamp, solve and assemble the columns of one sequence build; memoized.
-
-    Reads nothing but its arguments, so equal arguments give the same
-    system. A hit returns the build of the first call, and it has its bits
-    for every equal call:
-
-    * every value is complex (the element pass makes it so), so an int, a
-      float and a complex that compare equal cannot share a key;
-    * every entry of the nodal matrix and of the base column is a sum that
-      starts at +0j and adds or subtracts admittances, their products with
-      an emf or a pinned voltage, and injections; the node columns'
-      right-hand sides are unit currents whatever the key. Inputs that
-      differ only in the sign of a zero part give terms that differ only in
-      the sign of a zero, and such terms give the same sum: a sum started
-      at +0.0 is never -0.0, and s + 0.0, s + (-0.0), s - 0.0 and
-      s - (-0.0) are all s. So a key that matches one differing only in the
-      sign of a zero part stamps the same system;
-    * the one value copied verbatim is a pinned voltage, into the base
-      column. Each pin carries the signs of its parts, so pins that differ
-      only in the sign of a zero do not share a key;
-    * a singular build raises, and a raise is not cached.
-
-    Bounded, so that a process that walks many networks keeps only the
-    most recently used builds. Callers must not mutate the build.
-    """
-    pinned = {node: v for node, v, _, _ in pins}
     nodes: set[str] = set()
     for na, nb, _ in branches:
         nodes.add(na)
@@ -765,8 +789,9 @@ class FaultSolution:
     def total(self) -> SequenceSolution:
         return self._part(True, True)
 
+    @cached_property
     def terminal_port(self) -> TerminalPort:
-        """Reduce the faulted network to its port.
+        """The faulted network reduced to its port.
 
         In each channel the faulted port voltage is the base column, plus
         the port column times the injected current, less the fault current
@@ -804,7 +829,17 @@ def solve_fault(net: NetworkModel, spec: FaultSpec, port: str = "") -> FaultSolu
 
     With a port node named, the solution's `at` gives the fault solution
     for any positive- and negative-sequence currents injected there, and
-    its `terminal_port` the port model, without another solve.
+    its `terminal_port` the port model, without another solve. That
+    solution depends on the network, the fault and the port alone, so it
+    is one object per network object, port and fault (bit for bit,
+    `_bitwise`), and its port model is reduced once (`_shared`). Without
+    a port it is a new object on every call.
     """
+    if port:
+        return _shared(net, ("port", port, _bitwise(*spec)), _fault_solution, net, spec, port)
+    return _fault_solution(net, spec, port)
+
+
+def _fault_solution(net: NetworkModel, spec: FaultSpec, port: str) -> FaultSolution:
     builds = {seq: _solve_one_sequence(net, seq) for seq in SEQUENCES}
     return FaultSolution(net, spec, port, builds)

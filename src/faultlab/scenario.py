@@ -28,6 +28,14 @@ m=0 and m=1 put the fault on the branch's end node, bus1 or far, instead
 of creating zero-impedance stubs; a reverse fault at m=1 behind a
 converter is a config error.
 
+Scenarios with an equal circuit and fault position hold one network
+object: `_build_network` looks its network up by the validated values it
+reads, bit for bit, in a bounded memo. What `network` and `sources`
+compute on a network alone (its builds, dispatches, generator fault
+networks and faulted converter ports) is made once per object, so a case
+grid over one circuit builds, dispatches and reduces each of its few
+networks once. No memo holds what a case's own fault or law gives.
+
 Everything is per-unit on one system MVA base. The zone voltage bases stand
 in the transformer's nominal ratio, so impedances refer across it unchanged
 and the network carries no explicit ratio. Line constants and the fault
@@ -70,6 +78,9 @@ from .network import (
     RelayTap,
     SeriesElement,
     SourceElement,
+    _SHARED,
+    _bitwise,
+    _keep,
 )
 from .records import Record
 from .relay import DirectionalConfig, PhaseSelectionConfig
@@ -472,11 +483,51 @@ def _split(
     )
 
 
+# the config keys a network is made of besides the source kind, the fault
+# position and the base impedance: with them, its memo key
+_NETWORK_KEYS = (
+    "circuit.line_km",
+    "circuit.line_r1_ohm_km",
+    "circuit.line_x1_ohm_km",
+    "circuit.line_r0_ohm_km",
+    "circuit.line_x0_ohm_km",
+    "circuit.grid_scr",
+    "circuit.grid_x_r",
+    "circuit.grid_z0_scale",
+    "circuit.grid_v_pu",
+    "circuit.grid_angle_deg",
+    "sg.collection_km",
+    "gfm.x_t_pu",
+    "gfm.x_t0_pu",
+    *_SG_REACTANCES,
+)
+_network_values = itemgetter(*_NETWORK_KEYS)
+# networks by their inputs, bit for bit: at most _NETWORKS_BOUND, the
+# oldest dropped first
+_NETWORKS: dict[tuple, tuple[NetworkModel, tuple[complex, complex]]] = {}
+_NETWORKS_BOUND = 256
+
+
+def _clear_memos() -> None:
+    """Forget every network and all that was computed on one: the next run is cold."""
+    _NETWORKS.clear()
+    _SHARED.clear()
+
+
 def _build_network(
     kind: SourceKind, resolved: dict[str, object], zb_hv: float, fault: FaultSpec
 ) -> tuple[NetworkModel, tuple[complex, complex]]:
-    """The network, and the passive source-side impedances (z1, z0)."""
-    km = _need_positive(resolved, "circuit.line_km")
+    """The network, and the passive source-side impedances (z1, z0).
+
+    Validates the keys the network reads, then looks it up by its inputs
+    bit for bit (`network._bitwise`), so that every scenario with an equal
+    circuit and fault position holds the same network object, and shares
+    what `network` computes once per object. The generator reactances are
+    among the inputs, for they must pass the stamp check. A network is made
+    by `_new_network` when none is held; a config error is raised anew on
+    every call.
+    """
+    _need_positive(resolved, "circuit.line_km")
     # per-km impedances in ohm, shared by the line and the collection line
     z1_km = complex(
         _need_float(resolved, "circuit.line_r1_ohm_km"),
@@ -498,20 +549,46 @@ def _build_network(
             f"{resolved['circuit.s_base_mva']} give a base impedance of {zb_hv} ohm; "
             "it must be positive and finite"
         )
+    _need_positive(resolved, "circuit.grid_scr")
+    _need_positive(resolved, "circuit.grid_x_r")
+    _need_positive(resolved, "circuit.grid_z0_scale")
+    _need_positive(resolved, "circuit.grid_v_pu")
+    _need_float(resolved, "circuit.grid_angle_deg")
+    # checked for either source kind, though each kind reads only its own
+    _need_positive(resolved, "sg.collection_km")
+    _need_positive(resolved, "gfm.x_t_pu")
+    _need_positive(resolved, "gfm.x_t0_pu")
+
+    key = _bitwise(kind, fault.placement, fault.m, zb_hv, *_network_values(resolved))
+    built = _NETWORKS.get(key)
+    if built is None:
+        made = _new_network(kind, resolved, zb_hv, fault, z1_km, z0_km)
+        built = _keep(_NETWORKS, key, made, _NETWORKS_BOUND)
+    return built
+
+
+def _new_network(
+    kind: SourceKind,
+    resolved: dict[str, object],
+    zb_hv: float,
+    fault: FaultSpec,
+    z1_km: complex,
+    z0_km: complex,
+) -> tuple[NetworkModel, tuple[complex, complex]]:
+    """`_build_network`'s network, made from the validated keys."""
+    km = resolved["circuit.line_km"]
     line_z1, line_z0 = z1_km * km / zb_hv, z0_km * km / zb_hv
     # the grid: |z1| = 1/scr at the given X/R, z0 a multiple of z1
-    scr = _need_positive(resolved, "circuit.grid_scr")
-    x_r = _need_positive(resolved, "circuit.grid_x_r")
+    scr = resolved["circuit.grid_scr"]
+    x_r = resolved["circuit.grid_x_r"]
     mag, denom = 1.0 / scr, math.sqrt(1.0 + x_r * x_r)
     grid_z1 = complex(mag / denom, mag * x_r / denom)
-    grid_z0 = _need_positive(resolved, "circuit.grid_z0_scale") * grid_z1
-    grid_v = _need_positive(resolved, "circuit.grid_v_pu")
-    grid_ang = math.radians(_need_float(resolved, "circuit.grid_angle_deg"))
-    grid_e = grid_v * complex(math.cos(grid_ang), math.sin(grid_ang))
-    # checked for either source kind, though each kind reads only its own
-    coll_km = _need_positive(resolved, "sg.collection_km")
-    x_t = _need_positive(resolved, "gfm.x_t_pu")
-    x_t0 = _need_positive(resolved, "gfm.x_t0_pu")
+    grid_z0 = resolved["circuit.grid_z0_scale"] * grid_z1
+    grid_ang = math.radians(resolved["circuit.grid_angle_deg"])
+    grid_e = resolved["circuit.grid_v_pu"] * complex(math.cos(grid_ang), math.sin(grid_ang))
+    coll_km = resolved["sg.collection_km"]
+    x_t = resolved["gfm.x_t_pu"]
+    x_t0 = resolved["gfm.x_t0_pu"]
 
     m = fault.m
     forward = fault.placement is Placement.FORWARD

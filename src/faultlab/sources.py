@@ -20,11 +20,13 @@ converter injects (it is open in the zero sequence):
 
     v = v_oc + Z_port @ i,    v = (v1, v2), i = (i1, i2)
 
-One linear fault solve per scenario, with the terminal as its port, gives
-the faulted network's solution at any (i1, i2) by superposition
+One linear fault solve with the terminal as its port gives the faulted
+network's solution at any (i1, i2) by superposition
 (`network.FaultSolution.at`), and its reduction to (v_oc, Z_port)
 (`FaultSolution.terminal_port`); every evaluation of a law is then 2x2
-complex arithmetic.
+complex arithmetic. That solve and its reduction depend on the network and
+the fault alone, so scenarios that differ only in the limiting law or the
+dispatch share them (`network.solve_fault`).
 
 The fault condition is a fixed point of the limiting law. Three of the
 five laws are a source emf (e_ref1, 0) behind a virtual impedance z_b in
@@ -256,8 +258,21 @@ def prefault_solve(
     of S along z_th is met with i real. The point must meet (p_ref, q_ref)
     within tol; a closed form that overflows or divides by zero in floating
     point is unreachable too.
+
+    The point depends on the network, the source's normal_z, p_ref, q_ref
+    and tol alone, so it is one object per network object and those values
+    bit for bit (`network._shared`): a grid of faults at one dispatch
+    solves it, and reads its healthy relay readings, once. An unreachable
+    dispatch raises on every call.
     """
     z = source.normal_z()
+    what = ("dispatch", network._bitwise(z, p_ref, q_ref, tol))
+    return network._shared(net, what, _dispatch, net, z, p_ref, q_ref, tol)
+
+
+def _dispatch(
+    net: NetworkModel, z: complex, p_ref: float, q_ref: float, tol: float
+) -> OperatingPoint:
     node = net.source_node
     build = network._solve_one_sequence(net, 1)
     v_oc, z_th = build[None][node], build[node][node]
@@ -339,9 +354,18 @@ class SourceSolution(Record):
 def solve_sg_fault(
     net: NetworkModel, sg: SgModel, spec: FaultSpec, op: OperatingPoint
 ) -> SourceSolution:
-    """Fault solution for the linear (generator) source: one shot."""
-    element = sg.source_element(net.source_node, op.e_ref1)
-    fault = solve_fault(net.with_elements(element), spec)
+    """Fault solution for the linear (generator) source: one shot.
+
+    The fault network, `net` with the generator's branch behind its emf,
+    is one object per network object, generator and emf bit for bit
+    (`network._shared`), so its builds are made once; the fault solve on
+    it is this fault's own.
+    """
+    e1 = op.e_ref1
+    what = ("source", network._bitwise(*sg, e1))
+    faulted = network._shared(net, what, _with_source, net, sg, e1)
+    element = faulted.element(SOURCE_EID)
+    fault = solve_fault(faulted, spec)
     i_t = fault.total.series_current(SOURCE_EID)
     return SourceSolution(
         v_t=fault.total.voltage(net.source_node),
@@ -354,6 +378,10 @@ def solve_sg_fault(
         frozen=element,
         i_max_phase=inverse_fortescue(i_t).max_abs(),
     )
+
+
+def _with_source(net: NetworkModel, sg: SgModel, e1: complex) -> NetworkModel:
+    return net.with_elements(sg.source_element(net.source_node, e1))
 
 
 def _ratio(num: complex, den: complex, floor: float = 1e-9) -> complex | None:
@@ -600,7 +628,7 @@ def fault_fixed_point(
     e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
     fault = solve_fault(net, spec, port=node)
-    port = fault.terminal_port()
+    port = fault.terminal_port
     x_net = 1j * gfm.x_f_network
 
     if cfg.kind.is_saturation:

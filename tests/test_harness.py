@@ -19,6 +19,7 @@ from faultlab.harness import (
     report_scenario,
     run_scenario,
     solve_scenario,
+    sweep_reports,
     sweep_scenarios,
     table1_scenario,
     table1_verdicts,
@@ -34,7 +35,8 @@ from faultlab.phasors import (
 from faultlab.presets import preset_scenario_overrides
 from faultlab.relay import DirectionalConfig
 from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
-from faultlab.scenario import ValidationError, build_scenario
+from faultlab import scenario as scenario_module
+from faultlab.scenario import ValidationError, _clear_memos, build_scenario
 from faultlab.sources import prefault_solve
 
 # the report schema is a contract: each name is a CSV column and a record
@@ -317,6 +319,37 @@ def test_two_step_sweep_endpoints_reproduce_the_single_runs(preset_reports) -> N
         assert report.residual == single.residual
 
 
+@pytest.mark.parametrize("kind", ["sg", "circular"])
+def test_a_sweep_past_the_memo_bounds_keeps_every_report(kind: str) -> None:
+    """A fault.m sweep over more networks than either memo holds, run twice:
+    neither memo grows past its bound, each drops its oldest entries, and
+    every report is its point's cold one (solved with every memo cleared)."""
+    import faultlab.network
+
+    overrides = {"source.kind": "sg"} if kind == "sg" else {"source.kind": "gfm", "clc.kind": kind}
+    steps = scenario_module._NETWORKS_BOUND + 1
+    memos = (
+        (scenario_module._NETWORKS, scenario_module._NETWORKS_BOUND),
+        (faultlab.network._SHARED, faultlab.network._SHARED_BOUND),
+    )
+    _clear_memos()
+    runs, largest = [], [0, 0]
+    for _ in range(2):
+        run = []
+        for point, report in sweep_reports(overrides, "fault.m", 0.0, 1.0, steps):
+            run.append((point, repr(report)))
+            for k, (memo, bound) in enumerate(memos):
+                assert len(memo) <= bound
+                largest[k] = max(largest[k], len(memo))
+        runs.append(run)
+    assert largest == [bound for _, bound in memos]
+    assert len({id(point.net) for point, _ in runs[0]}) == steps
+    for (point, first), (_, second) in zip(*runs):
+        _clear_memos()
+        cold = repr(run_scenario(build_scenario(point.resolved, scenario_id=point.scenario_id)))
+        assert first == second == cold, point.scenario_id
+
+
 @pytest.mark.parametrize("kind", [kind.value for kind in ClcKind])
 def test_converter_zero_sequence_source_impedance_is_the_transformer_leg(kind: str) -> None:
     # the converter is open in the zero sequence: only the grounded
@@ -355,52 +388,72 @@ def test_run_builds_each_sequence_network_at_most_once(monkeypatch, kind: str) -
     """One nodal build per faulted sequence network, the zero sequence
     included for a fault that does not reach ground, plus the dispatch's
     request for the healthy positive-sequence network: 4 requests for every
-    fault, whatever the source. A build depends on the network alone, so a
-    converter's dispatch and fault read one positive-sequence build (3
-    distinct), while a generator's fault network holds its source branch and
-    the dispatch's does not (4 distinct). The fixed point builds none.
-    Repeats are shared only by the build memo: a cold run eliminates each
-    distinct requested build once, and a second identical run requests the
-    same builds and solves none of them."""
+    cold fault, whatever the source. A build is made once per network
+    object, so a converter's dispatch and fault read one positive-sequence
+    build: a cold run builds 3 sequences of one network. A generator's
+    fault network holds its source branch and the dispatch's does not: a
+    cold run builds 1 + 3. The fixed point builds none. An identical
+    repeat holds the same network, dispatch and faulted port, so it runs no
+    element pass and no solve; a generator's fault solve reads its fault
+    network's three builds again."""
     import faultlab.network
 
     requests: list[tuple] = []
+    built: list[tuple] = []
     solves: list[int] = []
     real = faultlab.network._solve_one_sequence
+    real_stamped = faultlab.network._solve_stamped
     real_dense = faultlab.network.solve_dense
 
     def counting(net, seq):
         requests.append((net, seq))
         return real(net, seq)
 
+    def counting_stamped(net, seq):
+        built.append((net, seq))
+        return real_stamped(net, seq)
+
     def counting_dense(a, b):
         solves.append(len(a))
         return real_dense(a, b)
 
     monkeypatch.setattr(faultlab.network, "_solve_one_sequence", counting)
+    monkeypatch.setattr(faultlab.network, "_solve_stamped", counting_stamped)
     monkeypatch.setattr(faultlab.network, "solve_dense", counting_dense)
     overrides = {
         "sg": {"source.kind": "sg"},
         "sg_x2": {"source.kind": "sg", "sg.x2_pu": 0.3},
     }.get(kind, {"source.kind": "gfm", "clc.kind": kind})
+    generator = kind.startswith("sg")
     for fault in FaultType:
         config = {**overrides, "fault.kind": fault.value}
+        _clear_memos()
         requests.clear()
+        built.clear()
         solves.clear()
-        faultlab.network._solve_stamped.cache_clear()
-        report = run_scenario(build_scenario(config))
-        if fault is FaultType.BCG and not kind.startswith("sg"):
+        scenario = build_scenario(config)
+        op, sol = solve_scenario(scenario)
+        report = report_scenario(scenario, op, sol)
+        if fault is FaultType.BCG and not generator:
             assert report.limiter_active and report.iterations > 4
         seqs = [seq for _, seq in requests]
         assert sorted(seqs) == [0, 1, 1, 2], fault
-        distinct = [r for k, r in enumerate(requests) if r not in requests[:k]]
-        assert len(distinct) == (4 if kind.startswith("sg") else 3), fault
-        assert len(solves) == len(distinct), fault
+        assert requests[0] == (scenario.net, 1), fault
+        fault_builds = [(sol.fault.net, seq) for seq in (1, 2, 0)]
+        if generator:
+            assert sol.fault.net is not scenario.net
+            assert built == [(scenario.net, 1), *fault_builds], fault
+        else:
+            assert sol.fault.net is scenario.net
+            assert built == fault_builds, fault
+        assert len(solves) == len(built), fault
         first = list(requests)
         requests.clear()
+        built.clear()
         solves.clear()
         assert run_scenario(build_scenario(config)) == report
-        assert requests == first and solves == [], fault
+        assert built == [] and solves == [], fault
+        assert requests == (first[1:] if generator else []), fault
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from faultlab.network import (
 )
 from faultlab.phasors import ALPHA, SequenceTriple, from_polar, fortescue
 from faultlab.presets import PRESETS, preset_scenario_overrides
-from faultlab.scenario import build_scenario
+from faultlab.scenario import _clear_memos, build_scenario
 from test_sources import _has_negative_zero, _newton_matrix
 
 
@@ -380,21 +380,23 @@ def test_negative_sequence_reuses_the_positive_build_exactly(
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
 def test_a_memo_hit_is_the_fresh_build(kind: str, placement: str, m: float) -> None:
-    """An equal network, made anew, hits the build memo in every sequence,
-    and the shared columns still hold a fresh build's bits after a fault
-    solve has read them."""
+    """An equal config, built anew, holds the same network object, and a
+    generator's fault network is the same object too. The builds they
+    share still hold a fresh build's bits, those of an equal network
+    object that no one has solved, after a fault solve has read them."""
+    config = {"source.kind": kind, "fault.placement": placement, "fault.m": m}
+    _clear_memos()
+    scenario = build_scenario(config)
+    op, sol = solve_scenario(scenario)
+    assert sol.fault.total.readings and op.healthy.readings
+    twin = build_scenario(dict(config))
+    assert twin is not scenario and twin.net is scenario.net
+    assert solve_scenario(twin)[1].fault.net is sol.fault.net
     for seq in SEQUENCES:
-        net, port = _fault_network(kind, placement, m)
-        network._solve_stamped.cache_clear()
-        fresh = repr(network._solve_one_sequence(net, seq))
-        solution = solve_fault(net, FaultSpec(FaultType.BCG, m), port)
-        assert (solution.at(0.3 - 0.2j, 0.1j) if port else solution).total.readings
-        twin = _fault_network(kind, placement, m)[0]
-        assert twin is not net and twin == net
-        hits = network._solve_stamped.cache_info().hits
-        hit = network._solve_one_sequence(twin, seq)
-        assert network._solve_stamped.cache_info().hits == hits + 1
-        assert repr(hit) == fresh, seq
+        held = sol.fault.builds[seq]
+        assert network._solve_one_sequence(sol.fault.net, seq) is held
+        fresh = network._solve_stamped(NetworkModel(*sol.fault.net), seq)
+        assert repr(held) == repr(fresh), seq
 
 
 @pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
@@ -459,22 +461,28 @@ def _ideal_source_network(e1: complex, z_line: complex) -> NetworkModel:
     ],
 )
 def test_builds_of_equal_inputs_keep_their_own_bits(first, second) -> None:
-    """A build read from the memo has the bits of a fresh build of its own
-    inputs, whichever of two equal networks was built first. Pins keyed by
-    `==` alone would hand the second emf the first's sign of zero."""
-    nets = [_ideal_source_network(*first), _ideal_source_network(*second)]
+    """Each of two equal networks has the bits of a fresh build of its own
+    inputs, whichever was built first. A memo keyed by `==` alone would
+    hand the second emf the first's sign of zero."""
     for seq in SEQUENCES:
-        fresh = []
-        for net in nets:
-            network._solve_stamped.cache_clear()
-            fresh.append(repr(network._solve_one_sequence(net, seq)))
-        for order in (nets, nets[::-1]):
-            network._solve_stamped.cache_clear()
-            warm = [repr(network._solve_one_sequence(net, seq)) for net in order]
-            expected = fresh if order is nets else fresh[::-1]
+        fresh = [repr(network._solve_stamped(_ideal_source_network(*pair), seq))
+                 for pair in (first, second)]
+        for order in ((first, second), (second, first)):
+            nets = [_ideal_source_network(*pair) for pair in order]
+            warm = [repr(network._solve_one_sequence(net, seq)) for net in nets]
+            expected = fresh if order[0] is first else fresh[::-1]
             assert warm == expected, (seq, first, second)
-    pinned = network._solve_one_sequence(nets[1], 1)[None]["a"]
+    pinned = network._solve_one_sequence(_ideal_source_network(*second), 1)[None]["a"]
     assert repr(pinned) == repr(complex(second[0]))
+
+
+def test_memo_keys_are_equal_only_bit_for_bit() -> None:
+    key = (0.5, complex(0.0, -0.25), 3, FaultType.AG, "poc")
+    assert network._bitwise(*key) == network._bitwise(*(float("0.5"), complex(0, -0.25), *key[2:]))
+    pairs = [(0.0, -0.0), (1.0, 1), (1.0, 1 + 0j), (0j, complex(0.0, -0.0)), (0j, complex(-0.0, 0.0))]
+    for a, b in pairs:
+        assert a == b and network._bitwise(a) != network._bitwise(b), (a, b)
+        assert network._bitwise(0.5, a) != network._bitwise(0.5, b), (a, b)
 
 
 def test_a_pinned_node_has_a_zero_column() -> None:

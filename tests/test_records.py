@@ -124,7 +124,7 @@ def _one_of_each_record() -> list[tuple]:
         scenario.dir_cfg, scenario.sel_cfg, build_scenario({}).source,
         net, *net.elements, *net.relay_taps.values(),
         op, sol, sol.frozen, sol.fault.thevenin,
-        sol.fault.terminal_port(), reading, reading.v, inverse_fortescue(reading.v),
+        sol.fault.terminal_port, reading, reading.v, inverse_fortescue(reading.v),
         directional_negative(reading, scenario.dir_cfg),
         phase_select(reading, prefault, scenario.sel_cfg),
         report_scenario(scenario, op, sol),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from faultlab.clc import ClcKind
+from faultlab.harness import run_scenario
 from faultlab.network import GROUND, FaultType, Placement
 from faultlab.presets import PRESETS, preset_scenario_overrides
 from faultlab.scenario import (
@@ -15,11 +16,12 @@ from faultlab.scenario import (
     Scenario,
     SourceKind,
     ValidationError,
+    _clear_memos,
     build_scenario,
     canonical_config_lines,
     parse_config_text,
 )
-from faultlab.sources import SgModel
+from faultlab.sources import NoConvergenceError, SgModel
 
 
 def test_parse_comments_blanks_and_coercion() -> None:
@@ -389,3 +391,58 @@ def test_every_config_key_has_a_row_in_the_readme_table() -> None:
         for key in re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", row.split("|")[1])
     }
     assert set(DEFAULTS) <= named, sorted(set(DEFAULTS) - named)
+
+
+def _cold_and_warm_reprs(configs: list[dict[str, object]]) -> None:
+    """Each config's report, solved after every memo is cleared, equals the
+    one solved after the others, in either order."""
+    cold = []
+    for config in configs:
+        _clear_memos()
+        cold.append(repr(run_scenario(build_scenario(config))))
+    for order in (list(range(len(configs))), list(range(len(configs)))[::-1]):
+        _clear_memos()
+        warm = {k: repr(run_scenario(build_scenario(configs[k]))) for k in order}
+        assert [warm[k] for k in range(len(configs))] == cold, order
+
+
+@pytest.mark.parametrize(
+    "key", ["circuit.grid_angle_deg", "source.p_ref", "fault.r_g_ohm", "fault.m"]
+)
+@pytest.mark.parametrize("kind", ["sg", "gfm"])
+def test_a_zero_and_a_negative_zero_share_no_memo_entry(kind: str, key: str) -> None:
+    # -0.0 == 0.0, but a network, a dispatch or a faulted port made of one
+    # may differ from one made of the other in the sign of a zero
+    _cold_and_warm_reprs([{"source.kind": kind, key: value} for value in (0.0, -0.0)])
+
+
+@pytest.mark.parametrize("bad", [-1.0, "x", [1.0]])
+def test_an_invalid_network_key_raises_whether_or_not_a_valid_twin_is_held(bad) -> None:
+    # the memo key is formed only after every key it holds is validated, so
+    # an unhashable value raises its ValidationError, not a TypeError
+    config = {"source.kind": "gfm", "circuit.line_km": bad}
+    _clear_memos()
+    with pytest.raises(ValidationError) as cold:
+        build_scenario(config)
+    run_scenario(build_scenario({**config, "circuit.line_km": 100.0}))
+    with pytest.raises(ValidationError) as warm:
+        build_scenario(config)
+    assert str(warm.value) == str(cold.value)
+    assert str(cold.value).startswith("circuit.line_km must be")
+
+
+def test_an_unreachable_dispatch_raises_on_every_call() -> None:
+    # an error is never memoized: the dispatch is tried anew on every call,
+    # also after a reachable one on the same network is held
+    config = {"source.kind": "gfm", "circuit.grid_scr": 2.0}
+    _clear_memos()
+    messages = []
+    for p_ref in (1.0, 1.0, 0.5, 1.0, 1.0):
+        scenario = build_scenario({**config, "source.p_ref": p_ref})
+        if p_ref == 0.5:
+            run_scenario(scenario)
+            continue
+        with pytest.raises(NoConvergenceError, match="^pre-fault dispatch unreachable") as exc:
+            run_scenario(scenario)
+        messages.append(str(exc.value))
+    assert len(messages) == 4 and len(set(messages)) == 1

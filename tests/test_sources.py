@@ -304,6 +304,35 @@ def test_operating_point_accessors() -> None:
     assert op.theta_rad == pytest.approx(math.radians(12.0))
 
 
+def test_what_a_network_alone_determines_is_one_object_per_input_bit_for_bit() -> None:
+    """The dispatch, a generator's fault network and a converter's faulted
+    port are made once per network object and inputs: equal bits give the
+    same object, and a change in any bit, a zero's sign included, another.
+    A generator's fault solution is every call's own."""
+    sg_case = build_scenario({"source.kind": "sg"})
+    net, sg, spec = sg_case.net, sg_case.source, sg_case.fault
+    op = prefault_solve(net, sg, 0.5, 0.0)
+    assert prefault_solve(net, SgModel(*sg), float("0.5"), 0.0) is op
+    for other in ((sg, 0.5, -0.0), (sg, 0.5, 0), (sg._replace(x1=0.25), 0.5, 0.0)):
+        assert prefault_solve(net, *other) is not op, other
+    assert prefault_solve(net, sg, 0.5, 0.0, tol=1e-9) is not op
+    sol = solve_sg_fault(net, sg, spec, op)
+    again = solve_sg_fault(net, SgModel(*sg), spec, op)
+    assert again.fault.net is sol.fault.net and again.frozen is sol.frozen
+    assert again.fault is not sol.fault and again == sol
+    assert solve_sg_fault(net, sg._replace(x0=0.11), spec, op).fault.net is not sol.fault.net
+    assert solve_sg_fault(net, sg, spec, prefault_solve(net, sg)).fault.net is not sol.fault.net
+
+    gfm_case = build_scenario({"source.kind": "gfm"})
+    net, spec = gfm_case.net, gfm_case.fault
+    port = solve_fault(net, spec, port=net.source_node)
+    assert solve_fault(net, spec._replace(), port=net.source_node) is port
+    for other in (spec._replace(r_g_ohm=-0.0), spec._replace(r_g_ohm=5.0), spec._replace(m=0.4)):
+        assert solve_fault(net, other, port=net.source_node) is not port, other
+    assert solve_fault(net, spec, port="bus1") is not port
+    assert solve_fault(net, spec) is not solve_fault(net, spec)
+
+
 CLC_KINDS = (
     "circular",
     "priority",
@@ -340,7 +369,7 @@ def test_port_model_reproduces_the_direct_fault_solve(kind: str, placement: str)
         net, node = scenario.net, scenario.net.source_node
         op = prefault_solve(net, scenario.source, scenario.p_ref, scenario.q_ref)
         sol = fault_fixed_point(net, scenario.source, scenario.fault, op)
-        port = solve_fault(net, scenario.fault, port=node).terminal_port()
+        port = solve_fault(net, scenario.fault, port=node).terminal_port
         if fault_kind != "abc":  # an unbalanced fault couples the channels
             assert abs(port.z12) > 1e-3, fault_kind
 
@@ -827,7 +856,7 @@ def test_priority_fixed_point_is_not_unique() -> None:
     net, gfm = scenario.net, scenario.source
     cfg, k_pv = gfm.clc, gfm.k_pv
     op = prefault_solve(net, gfm, scenario.p_ref, scenario.q_ref)
-    port = solve_fault(net, scenario.fault, port=net.source_node).terminal_port()
+    port = solve_fault(net, scenario.fault, port=net.source_node).terminal_port
 
     def free_law_residual(i1: complex, i2: complex) -> float:
         v1, v2 = port.voltage(i1, i2)

@@ -19,6 +19,11 @@ trees and compares the printed digests. The groups:
   sweep configs are written to a temporary directory under their
   benchmark names, so their scenario ids do not depend on where it is.
 
+After the six groups it solves the `grid` and `generator` cases again, in
+reverse order, in the same process, and exits 1 naming the first case
+whose outcome differs: an output must not depend on which networks,
+dispatches and faulted ports the memos already hold.
+
 Run it from anywhere; it imports faultlab from the `src/` of the checkout it
 sits in. It takes a few seconds.
 
@@ -115,9 +120,16 @@ def groups() -> dict[str, list[str]]:
 
 
 def main() -> None:
-    for name, lines in groups().items():
+    outputs = groups()
+    for name, lines in outputs.items():
         digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
         print(f"{name:<15} {len(lines):>5} {digest}")
+    cases = {"grid": workloads.grid_cases(), "generator": workloads.generator_cases()}
+    for name, group in cases.items():
+        for k in reversed(range(len(group))):
+            if _outcome(group[k]) != outputs[name][k]:
+                sys.exit(f"{name} case {workloads.case_key(group[k])}: its outcome differs "
+                         "when the cases run in reverse order")
 
 
 if __name__ == "__main__":
