@@ -459,10 +459,11 @@ def _bitwise(*values: object) -> tuple:
 
     `==` matches -0.0 with 0.0, and 1.0 with 1 and with 1 + 0j, which
     arithmetic can tell apart (a product's sign of zero, a complex result).
-    So the key holds each value's type and the sign of each of its float
-    parts beside it.
+    So the key holds each value's type, and the signs of each value that is
+    zero or complex (equal nonzero floats share their sign bit).
     """
-    return (*values, *map(type, values), *map(_signs, values))
+    signs = [_signs(v) for v in values if not v or type(v) is complex]
+    return (*values, *map(type, values), *signs)
 
 
 def _signs(value: object) -> object:

@@ -49,14 +49,16 @@ config hash, but no solve reads them: the pre-fault dispatch is solved in
 closed form, solver.newton_tol is the tolerance of its final check, and
 the fixed point's damped step always starts at 0.5.
 
-Validation checks, in a fixed order, every key whose value is not its
-default object: a default was valid when the module loaded. Equal copies of
-the defaults take every check and build the default scenario (guarded in
-`tests/test_scenario.py`). The `relay.*` keys are checked by
-`relay_settings`, at their place in that order; they reach nothing but the
-scenario's relay settings (`dir_cfg`, `sel_cfg`), so a sweep along one of
-them builds its first point and takes every later point's settings, and
-their validation, from that function alone.
+Validation checks the source keys, then one key group at a time (base
+impedance, converter, generator, relay, fault, solver, circuit), each but
+the fault in the function that builds its part, so an error names the
+first invalid key in that order. A value that is its default object is
+not checked, and a group of default objects takes the part made of the
+defaults at import: no memo, for no case's result is held. Equal copies of
+the defaults take every check (guarded in `tests/test_scenario.py`). The
+`relay.*` keys reach only `dir_cfg` and `sel_cfg`, so a sweep along one
+builds its first point and takes every later point's settings, and their
+validation, from `relay_settings` alone.
 """
 
 from __future__ import annotations
@@ -327,29 +329,150 @@ def _need_choice(resolved: dict[str, object], key: str, choices: tuple[str, ...]
     return value  # type: ignore[return-value]
 
 
-def relay_settings(
-    resolved: dict[str, object],
-) -> tuple[DirectionalConfig, PhaseSelectionConfig]:
-    """The relay settings of a resolved config: all that its `relay.*` keys reach.
-
-    Validates those keys, a `ValueError` of the settings becoming a
-    `ValidationError` with the same message.
-    """
+def _base_impedance(resolved: dict[str, object]) -> float:
+    """The base impedance Z_base = V_LL^2 / S of the high-voltage zone, in ohm."""
+    s_base = _need_positive(resolved, "circuit.s_base_mva") * 1e6
+    v_hv = _need_positive(resolved, "circuit.v_hv_kv") * 1e3
+    _need_positive(resolved, "circuit.v_lv_kv")  # input and hashed; no solve reads it
+    if _need_bool(resolved, "circuit.voltages_are_peak"):
+        v_hv /= math.sqrt(2.0)
     try:
-        dir_cfg = DirectionalConfig(
-            phi_non_deg=_need_float(resolved, "relay.phi_non_deg"),
-            floor=_need_positive(resolved, "relay.seq_floor_pu"),
+        return v_hv**2 / s_base
+    except OverflowError:
+        raise ValidationError(
+            f"circuit.v_hv_kv = {resolved['circuit.v_hv_kv']} overflows the base impedance"
+        ) from None
+
+
+def _converter(resolved: dict[str, object]) -> GfmModel:
+    """The converter model, of every `clc.*` and `gfm.*` key the network does not read."""
+    clc_kind = ClcKind(_need_choice(resolved, "clc.kind", _CLC_KINDS))
+    limits = [_need_positive(resolved, key) for key in _CLC_LIMITS]
+    r_vn = _need_float(resolved, "clc.r_vn_pu")
+    x_vn = _need_float(resolved, "clc.x_vn_pu")
+    for key, value in (("clc.r_vn_pu", r_vn), ("clc.x_vn_pu", x_vn)):
+        if value < 0.0:
+            raise ValidationError(f"{key} must be non-negative, got {value}")
+    fin_raw = resolved["gfm.filter_in_network"]
+    if isinstance(fin_raw, str):
+        if fin_raw != "auto":
+            raise ValidationError(
+                f"gfm.filter_in_network must be true, false, or 'auto', got {fin_raw!r}"
+            )
+        filter_in_network = clc_kind is ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE
+    else:
+        filter_in_network = _need_bool(resolved, "gfm.filter_in_network")
+    k_pv = _need_positive(resolved, "gfm.k_pv")
+    x_f = _need_float(resolved, "gfm.x_f_pu")
+    if x_f < 0.0:
+        raise ValidationError(f"gfm.x_f_pu must be non-negative, got {x_f}")
+    if filter_in_network and clc_kind is not ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE:
+        raise ValidationError(
+            "gfm.filter_in_network = true needs clc.kind = adaptive_virtual_impedance, "
+            f"got clc.kind = {clc_kind.value}"
         )
-        sel_cfg = PhaseSelectionConfig(
-            dd21_half_deg=_need_positive(resolved, "relay.dd21_half_deg"),
-            d20_half_deg=_need_positive(resolved, "relay.d20_half_deg"),
-            sym_floor=_need_positive(resolved, "relay.asym_floor_pu"),
-            ground_floor=_need_positive(resolved, "relay.asym_floor_pu"),
-            inc_floor=_need_positive(resolved, "relay.seq_floor_pu"),
+    clc = ClcConfig(clc_kind, *limits, r_vn, x_vn)
+    return GfmModel(clc=clc, k_pv=k_pv, x_f=x_f, filter_in_network=filter_in_network)
+
+
+def _generator(resolved: dict[str, object]) -> SgModel:
+    return SgModel(*[_need_positive(resolved, key) for key in _SG_REACTANCES])
+
+
+def relay_settings(resolved: dict[str, object]) -> tuple[DirectionalConfig, PhaseSelectionConfig]:
+    """The relay settings of a resolved config: all that its `relay.*` keys reach."""
+    phi_non = _need_float(resolved, "relay.phi_non_deg")
+    seq_floor = _need_positive(resolved, "relay.seq_floor_pu")
+    if not 30.0 <= phi_non <= 60.0:
+        raise ValidationError(f"relay.phi_non_deg must lie in [30, 60] degrees, got {phi_non}")
+    dd21 = _need_positive(resolved, "relay.dd21_half_deg")
+    d20 = _need_positive(resolved, "relay.d20_half_deg")
+    asym_floor = _need_positive(resolved, "relay.asym_floor_pu")
+    for key, value, top in (("relay.dd21_half_deg", dd21, 30), ("relay.d20_half_deg", d20, 60)):
+        if value > top:
+            raise ValidationError(f"{key} must lie in (0, {top}] degrees, got {value}")
+    return DirectionalConfig(phi_non, seq_floor), PhaseSelectionConfig(
+        dd21, d20, sym_floor=asym_floor, ground_floor=asym_floor, inc_floor=seq_floor
+    )
+
+
+def _solver(resolved: dict[str, object]) -> SolverSettings:
+    damping = resolved["solver.damping"]  # input and hashed; no solve reads it
+    if isinstance(damping, str):
+        if damping != "auto":
+            raise ValidationError(f"solver.damping must be a number or 'auto', got {damping!r}")
+    elif not 0.0 < _need_float(resolved, "solver.damping") <= 1.0:
+        raise ValidationError(f"solver.damping must lie in (0, 1], got {damping}")
+    tol = _need_positive(resolved, "solver.tol")
+    max_iter = _need_int(resolved, "solver.max_iter")
+    newton_tol = _need_positive(resolved, "solver.newton_tol")
+    _need_int(resolved, "solver.newton_max_iter")  # input and hashed; no solve reads it
+    return SolverSettings(tol, max_iter, newton_tol)
+
+
+def _circuit(resolved: dict[str, object], zb_hv: float) -> tuple[complex, complex]:
+    """The per-km line impedances (z1, z0) in ohm; checks every circuit key and zb_hv."""
+    _need_positive(resolved, "circuit.line_km")
+    z1_km = complex(
+        _need_float(resolved, "circuit.line_r1_ohm_km"),
+        _need_float(resolved, "circuit.line_x1_ohm_km"),
+    )
+    z0_km = complex(
+        _need_float(resolved, "circuit.line_r0_ohm_km"),
+        _need_float(resolved, "circuit.line_x0_ohm_km"),
+    )
+    for z, seq in ((z1_km, 1), (z0_km, 0)):
+        if z == 0:
+            raise ValidationError(
+                f"circuit.line_r{seq}_ohm_km and circuit.line_x{seq}_ohm_km are both zero: "
+                "a line needs a nonzero impedance"
+            )
+    _check_base(resolved, zb_hv)
+    _need_positive(resolved, "circuit.grid_scr")
+    _need_positive(resolved, "circuit.grid_x_r")
+    _need_positive(resolved, "circuit.grid_z0_scale")
+    _need_positive(resolved, "circuit.grid_v_pu")
+    _need_float(resolved, "circuit.grid_angle_deg")
+    # checked for either source kind, though each kind reads only its own
+    _need_positive(resolved, "sg.collection_km")
+    _need_positive(resolved, "gfm.x_t_pu")
+    _need_positive(resolved, "gfm.x_t0_pu")
+    return z1_km, z0_km
+
+
+def _check_base(resolved: dict[str, object], zb_hv: float) -> None:
+    if not 0.0 < zb_hv < math.inf:
+        raise ValidationError(
+            f"circuit.v_hv_kv = {resolved['circuit.v_hv_kv']} and circuit.s_base_mva = "
+            f"{resolved['circuit.s_base_mva']} give a base impedance of {zb_hv} ohm; "
+            "it must be positive and finite"
         )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    return dir_cfg, sel_cfg
+
+
+_SG_REACTANCES = ("sg.x1_pu", "sg.x2_pu", "sg.x0_pu")
+# ClcConfig's fields between its kind and r_vn, in order
+_CLC_LIMITS = ("clc.i_lim_pu", "clc.clip_level_pu", "clc.i_th_pu", "clc.k_x", "clc.n_x_r")
+# the keys `_circuit` checks: with the base, the source kind, the fault
+# position and the generator reactances, the network's
+_CIRCUIT_KEYS = (
+    *(key for key in DEFAULTS if key.startswith(("circuit.line_", "circuit.grid_"))),
+    *("sg.collection_km", "gfm.x_t_pu", "gfm.x_t0_pu"),
+)
+# each key's config group: its prefix, but `gfm` for the `clc.*` keys,
+# `circuit` for those `_circuit` checks and `base` for the other `circuit.*`
+_GROUP_OF = {key: key.split(".")[0].replace("clc", "gfm") for key in DEFAULTS}
+_GROUP_OF.update(dict.fromkeys((k for k in DEFAULTS if k.startswith("circuit.")), "base"))
+_GROUP_OF.update(dict.fromkeys(_CIRCUIT_KEYS, "circuit"))
+# each group's part made of the defaults, once: a scenario whose group
+# holds only default objects takes it, for a default was valid at import
+_DEFAULT_PARTS = {"base": _base_impedance(_DEFAULT_VALUES)}
+_DEFAULT_PARTS.update(
+    gfm=_converter(_DEFAULT_VALUES),
+    sg=_generator(_DEFAULT_VALUES),
+    relay=relay_settings(_DEFAULT_VALUES),
+    solver=_solver(_DEFAULT_VALUES),
+    circuit=_circuit(_DEFAULT_VALUES, _DEFAULT_PARTS["base"]),
+)
 
 
 def build_scenario(
@@ -366,103 +489,42 @@ def build_scenario(
     # every key in DEFAULTS order, an override replacing its default
     resolved: dict[str, object] = {**_DEFAULT_VALUES, **overrides}
     provenance: dict[str, str] = {**_DEFAULT_PROVENANCE, **dict.fromkeys(overrides, origin)}
+    # the groups that hold a value other than its default object; each
+    # other group takes its default part
+    changed = {_GROUP_OF[k] for k, v in overrides.items() if v is not _DEFAULT_VALUES[k]}
 
     kind = SourceKind(_need_choice(resolved, "source.kind", ("sg", "gfm")))
     p_ref = _need_float(resolved, "source.p_ref")
     q_ref = _need_float(resolved, "source.q_ref")
-
-    s_base = _need_positive(resolved, "circuit.s_base_mva") * 1e6
-    v_hv = _need_positive(resolved, "circuit.v_hv_kv") * 1e3
-    _need_positive(resolved, "circuit.v_lv_kv")  # input and hashed; no solve reads it
-    if _need_bool(resolved, "circuit.voltages_are_peak"):
-        v_hv /= math.sqrt(2.0)
-    try:
-        zb_hv = v_hv**2 / s_base
-    except OverflowError:
-        raise ValidationError(
-            f"circuit.v_hv_kv = {resolved['circuit.v_hv_kv']} overflows the base impedance"
-        ) from None
-
-    try:
-        clc = ClcConfig(
-            kind=ClcKind(_need_choice(resolved, "clc.kind", _CLC_KINDS)),
-            i_lim=_need_positive(resolved, "clc.i_lim_pu"),
-            clip_level=_need_positive(resolved, "clc.clip_level_pu"),
-            i_th=_need_positive(resolved, "clc.i_th_pu"),
-            k_x=_need_positive(resolved, "clc.k_x"),
-            n_x_r=_need_positive(resolved, "clc.n_x_r"),
-            r_vn=_need_float(resolved, "clc.r_vn_pu"),
-            x_vn=_need_float(resolved, "clc.x_vn_pu"),
-        )
-        fin_raw = resolved["gfm.filter_in_network"]
-        if isinstance(fin_raw, str):
-            if fin_raw != "auto":
-                raise ValidationError(
-                    f"gfm.filter_in_network must be true, false, or 'auto', got {fin_raw!r}"
-                )
-            filter_in_network = clc.kind is ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE
-        else:
-            filter_in_network = _need_bool(resolved, "gfm.filter_in_network")
-        gfm = GfmModel(
-            clc=clc,
-            k_pv=_need_positive(resolved, "gfm.k_pv"),
-            x_f=_need_float(resolved, "gfm.x_f_pu"),
-            filter_in_network=filter_in_network,
-        )
-        sg = SgModel(
-            x1=_need_positive(resolved, "sg.x1_pu"),
-            x2=_need_positive(resolved, "sg.x2_pu"),
-            x0=_need_positive(resolved, "sg.x0_pu"),
-        )
-        dir_cfg, sel_cfg = relay_settings(resolved)
-        fault_m = _need_float(resolved, "fault.m")
-        if not 0.0 <= fault_m <= 1.0:
-            raise ValidationError(f"fault.m must lie in [0, 1], got {fault_m}")
-        fault_r = _need_float(resolved, "fault.r_g_ohm")
-        if fault_r < 0.0:
-            raise ValidationError(f"fault.r_g_ohm must be non-negative, got {fault_r}")
-        fault = FaultSpec(
-            fault_type=FaultType(_need_choice(resolved, "fault.kind", _FAULT_KINDS)),
-            m=fault_m,
-            r_g_ohm=fault_r,
-            placement=Placement(_need_choice(resolved, "fault.placement", ("forward", "reverse"))),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-    damping = resolved["solver.damping"]  # input and hashed; no solve reads it
-    if isinstance(damping, str):
-        if damping != "auto":
-            raise ValidationError(f"solver.damping must be a number or 'auto', got {damping!r}")
-    elif not 0.0 < _need_float(resolved, "solver.damping") <= 1.0:
-        raise ValidationError(f"solver.damping must lie in (0, 1], got {damping}")
-    solver = SolverSettings(
-        tol=_need_positive(resolved, "solver.tol"),
-        max_iter=_need_int(resolved, "solver.max_iter"),
-        newton_tol=_need_positive(resolved, "solver.newton_tol"),
+    zb_hv = _base_impedance(resolved) if "base" in changed else _DEFAULT_PARTS["base"]
+    gfm = _converter(resolved) if "gfm" in changed else _DEFAULT_PARTS["gfm"]
+    sg = _generator(resolved) if "sg" in changed else _DEFAULT_PARTS["sg"]
+    dir_cfg, sel_cfg = relay_settings(resolved) if "relay" in changed else _DEFAULT_PARTS["relay"]
+    fault_m = _need_float(resolved, "fault.m")
+    if not 0.0 <= fault_m <= 1.0:
+        raise ValidationError(f"fault.m must lie in [0, 1], got {fault_m}")
+    fault_r = _need_float(resolved, "fault.r_g_ohm")
+    if fault_r < 0.0:
+        raise ValidationError(f"fault.r_g_ohm must be non-negative, got {fault_r}")
+    fault = FaultSpec(
+        fault_type=FaultType(_need_choice(resolved, "fault.kind", _FAULT_KINDS)),
+        m=fault_m,
+        r_g_ohm=fault_r,
+        placement=Placement(_need_choice(resolved, "fault.placement", ("forward", "reverse"))),
     )
-    _need_int(resolved, "solver.newton_max_iter")  # input and hashed; no solve reads it
-
-    net, (z_side1, z_side0) = _build_network(kind, resolved, zb_hv, fault)
+    solver = _solver(resolved) if "solver" in changed else _DEFAULT_PARTS["solver"]
+    if "circuit" in changed:
+        z_km = _circuit(resolved, zb_hv)
+    else:
+        _check_base(resolved, zb_hv)
+        z_km = _DEFAULT_PARTS["circuit"]
+    net, (z_side1, z_side0) = _build_network(kind, resolved, zb_hv, fault, *z_km)
+    source = sg if kind is SourceKind.SG else gfm
+    # every field of a Scenario, in order
     return Scenario(
-        scenario_id=scenario_id,
-        kind=kind,
-        p_ref=p_ref,
-        q_ref=q_ref,
-        source=sg if kind is SourceKind.SG else gfm,
-        fault=fault,
-        dir_cfg=dir_cfg,
-        sel_cfg=sel_cfg,
-        solver=solver,
-        net=net,
-        z_side1=z_side1,
-        z_side0=z_side0,
-        resolved=resolved,
-        provenance=provenance,
+        scenario_id, kind, p_ref, q_ref, source, fault, dir_cfg, sel_cfg, solver, net,
+        z_side1, z_side0, resolved, provenance,
     )
-
-
-_SG_REACTANCES = ("sg.x1_pu", "sg.x2_pu", "sg.x0_pu")
 
 
 def _stampable(*zs: complex) -> bool:
@@ -483,25 +545,7 @@ def _split(
     )
 
 
-# the config keys a network is made of besides the source kind, the fault
-# position and the base impedance: with them, its memo key
-_NETWORK_KEYS = (
-    "circuit.line_km",
-    "circuit.line_r1_ohm_km",
-    "circuit.line_x1_ohm_km",
-    "circuit.line_r0_ohm_km",
-    "circuit.line_x0_ohm_km",
-    "circuit.grid_scr",
-    "circuit.grid_x_r",
-    "circuit.grid_z0_scale",
-    "circuit.grid_v_pu",
-    "circuit.grid_angle_deg",
-    "sg.collection_km",
-    "gfm.x_t_pu",
-    "gfm.x_t0_pu",
-    *_SG_REACTANCES,
-)
-_network_values = itemgetter(*_NETWORK_KEYS)
+_network_values = itemgetter(*_CIRCUIT_KEYS, *_SG_REACTANCES)
 # networks by their inputs, bit for bit: at most _NETWORKS_BOUND, the
 # oldest dropped first
 _NETWORKS: dict[tuple, tuple[NetworkModel, tuple[complex, complex]]] = {}
@@ -515,54 +559,20 @@ def _clear_memos() -> None:
 
 
 def _build_network(
-    kind: SourceKind, resolved: dict[str, object], zb_hv: float, fault: FaultSpec
+    kind: SourceKind, resolved: dict[str, object], zb_hv: float, fault: FaultSpec, *z_km: complex
 ) -> tuple[NetworkModel, tuple[complex, complex]]:
-    """The network, and the passive source-side impedances (z1, z0).
+    """The network, and the passive source-side impedances (z1, z0), of validated keys.
 
-    Validates the keys the network reads, then looks it up by its inputs
-    bit for bit (`network._bitwise`), so that every scenario with an equal
-    circuit and fault position holds the same network object, and shares
-    what `network` computes once per object. The generator reactances are
-    among the inputs, for they must pass the stamp check. A network is made
-    by `_new_network` when none is held; a config error is raised anew on
+    Looked up by its inputs bit for bit (`network._bitwise`), the generator
+    reactances among them for the stamp check, so every scenario with an
+    equal circuit and fault position holds the same network object; made by
+    `_new_network` when none is held, which raises a config error anew on
     every call.
     """
-    _need_positive(resolved, "circuit.line_km")
-    # per-km impedances in ohm, shared by the line and the collection line
-    z1_km = complex(
-        _need_float(resolved, "circuit.line_r1_ohm_km"),
-        _need_float(resolved, "circuit.line_x1_ohm_km"),
-    )
-    z0_km = complex(
-        _need_float(resolved, "circuit.line_r0_ohm_km"),
-        _need_float(resolved, "circuit.line_x0_ohm_km"),
-    )
-    for z, seq in ((z1_km, 1), (z0_km, 0)):
-        if z == 0:
-            raise ValidationError(
-                f"circuit.line_r{seq}_ohm_km and circuit.line_x{seq}_ohm_km are both zero: "
-                "a line needs a nonzero impedance"
-            )
-    if not 0.0 < zb_hv < math.inf:
-        raise ValidationError(
-            f"circuit.v_hv_kv = {resolved['circuit.v_hv_kv']} and circuit.s_base_mva = "
-            f"{resolved['circuit.s_base_mva']} give a base impedance of {zb_hv} ohm; "
-            "it must be positive and finite"
-        )
-    _need_positive(resolved, "circuit.grid_scr")
-    _need_positive(resolved, "circuit.grid_x_r")
-    _need_positive(resolved, "circuit.grid_z0_scale")
-    _need_positive(resolved, "circuit.grid_v_pu")
-    _need_float(resolved, "circuit.grid_angle_deg")
-    # checked for either source kind, though each kind reads only its own
-    _need_positive(resolved, "sg.collection_km")
-    _need_positive(resolved, "gfm.x_t_pu")
-    _need_positive(resolved, "gfm.x_t0_pu")
-
     key = _bitwise(kind, fault.placement, fault.m, zb_hv, *_network_values(resolved))
     built = _NETWORKS.get(key)
     if built is None:
-        made = _new_network(kind, resolved, zb_hv, fault, z1_km, z0_km)
+        made = _new_network(kind, resolved, zb_hv, fault, *z_km)
         built = _keep(_NETWORKS, key, made, _NETWORKS_BOUND)
     return built
 

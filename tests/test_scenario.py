@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from faultlab import scenario
 from faultlab.clc import ClcKind
 from faultlab.harness import run_scenario
 from faultlab.network import GROUND, FaultType, Placement
@@ -100,7 +101,34 @@ def _equal_copy(value: object) -> object:
     return "".join(list(value))
 
 
-def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario() -> None:
+# each config group's function in `scenario`, by group
+GROUP_FUNCTIONS = {
+    "base": "_base_impedance",
+    "gfm": "_converter",
+    "sg": "_generator",
+    "relay": "relay_settings",
+    "solver": "_solver",
+    "circuit": "_circuit",
+}
+
+
+def _built_parts(monkeypatch, config: dict[str, object]) -> tuple[Scenario, dict[str, object]]:
+    """build_scenario(config), and the part each group function it called built."""
+    built: dict[str, object] = {}
+    for group, name in GROUP_FUNCTIONS.items():
+
+        def spy(*args, build=getattr(scenario, name), group=group):
+            built[group] = build(*args)
+            return built[group]
+
+        monkeypatch.setattr(scenario, name, spy)
+    try:
+        return build_scenario(config), built
+    finally:
+        monkeypatch.undo()
+
+
+def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario(monkeypatch) -> None:
     # build_scenario skips the checks of a value that is its default object;
     # equal copies are other objects, so they take every check
     copies = {key: _equal_copy(default) for key, (default, _) in DEFAULTS.items()}
@@ -116,6 +144,37 @@ def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario() -
         if name != "provenance":
             assert getattr(copied, name) == getattr(default, name), name
 
+    # the copies build every group's part anew, equal to the default part
+    assert set(scenario._GROUP_OF.values()) == {*GROUP_FUNCTIONS, "source", "fault"}
+    for kind in ("sg", "gfm"):
+        _, built = _built_parts(monkeypatch, {**copies, "source.kind": kind})
+        assert built.keys() == GROUP_FUNCTIONS.keys()
+        for group, part in built.items():
+            assert repr(part) == repr(scenario._DEFAULT_PARTS[group]), group
+            assert part is not scenario._DEFAULT_PARTS[group], group
+    # the defaults build none and hold the default parts
+    a, built = _built_parts(monkeypatch, {})
+    b = build_scenario({})
+    assert built == {}
+    for s in (a, b):
+        assert s.source is scenario._DEFAULT_PARTS["sg"]
+        assert (s.dir_cfg, s.sel_cfg) == scenario._DEFAULT_PARTS["relay"]
+        assert s.dir_cfg is a.dir_cfg and s.sel_cfg is a.sel_cfg
+        assert s.solver is scenario._DEFAULT_PARTS["solver"]
+    # one key off its default rebuilds its own group's part alone
+    for key, value in {
+        "circuit.v_lv_kv": 66.0,
+        "clc.r_vn_pu": 0.02,
+        "gfm.filter_in_network": False,
+        "sg.x0_pu": 0.15,
+        "relay.asym_floor_pu": 0.1,
+        "solver.damping": 0.5,
+        "circuit.grid_scr": 5.0,
+        "gfm.x_t0_pu": 0.2,
+    }.items():
+        _, built = _built_parts(monkeypatch, {key: value})
+        assert list(built) == [scenario._GROUP_OF[key]], key
+
 
 def test_a_value_equal_to_its_default_is_still_type_checked() -> None:
     # 100 == 100.0, the default, but an int is not a number of this schema
@@ -130,6 +189,12 @@ def test_the_first_invalid_key_in_build_order_is_reported() -> None:
             build_scenario(overrides)
     with pytest.raises(ValidationError, match=r"^source\.p_ref must be a number, got 'x'$"):
         build_scenario({"fault.m": 2.0, "source.p_ref": "x"})
+    # a group left at its defaults but for one bad key checks it in its place:
+    # the generator's before the circuit's, under either source kind
+    for kind in ("sg", "gfm"):
+        overrides = {"source.kind": kind, "circuit.line_km": -1.0, "sg.x0_pu": 0.0}
+        with pytest.raises(ValidationError, match=r"^sg\.x0_pu must be positive, got 0\.0$"):
+            build_scenario(overrides)
 
 
 def test_source_keys_are_validated_for_either_source_kind() -> None:
@@ -139,6 +204,36 @@ def test_source_keys_are_validated_for_either_source_kind() -> None:
             for value in (0.0, -1.0):
                 with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be positive"):
                     build_scenario({"source.kind": kind, key: value})
+    # the model of the other kind too, though the scenario does not hold it
+    for kind, key, value in (
+        ("sg", "clc.r_vn_pu", -1.0),
+        ("sg", "clc.i_lim_pu", 0.0),
+        ("sg", "gfm.k_pv", 0.0),
+        ("sg", "gfm.x_f_pu", -0.1),
+        ("gfm", "sg.x1_pu", 0.0),
+    ):
+        with pytest.raises(ValidationError):
+            build_scenario({"source.kind": kind, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("clc.r_vn_pu", -1.0),
+        ("clc.x_vn_pu", -0.5),
+        ("gfm.x_f_pu", -0.1),
+        ("relay.phi_non_deg", 10.0),
+        ("relay.dd21_half_deg", 31.0),
+        ("relay.d20_half_deg", 61.0),
+        ("gfm.filter_in_network", True),
+    ],
+)
+@pytest.mark.parametrize("kind", ["sg", "gfm"])
+def test_every_config_error_names_its_key(kind: str, key: str, value: object) -> None:
+    with pytest.raises(ValidationError, match=rf"^{re.escape(key)} ") as exc:
+        build_scenario({"source.kind": kind, key: value})
+    if key == "gfm.filter_in_network":  # true needs the adaptive kind: both keys
+        assert "clc.kind = adaptive_virtual_impedance" in str(exc.value)
 
 
 def test_resolved_echo_covers_every_key() -> None:
