@@ -77,7 +77,14 @@ class ClcKind(Enum):
 
     @property
     def is_saturation(self) -> bool:
-        return self in (ClcKind.CIRCULAR, ClcKind.PRIORITY, ClcKind.INSTANTANEOUS)
+        return self in _SATURATION
+
+
+# the members by module name, here and in `sources` and `scenario`: a
+# global read per law evaluation, not an Enum class attribute's
+_CIRCULAR, _PRIORITY, _INSTANTANEOUS = ClcKind.CIRCULAR, ClcKind.PRIORITY, ClcKind.INSTANTANEOUS
+_VIRTUAL_ADMITTANCE, _ADAPTIVE = ClcKind.VIRTUAL_ADMITTANCE, ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE
+_SATURATION = (_CIRCULAR, _PRIORITY, _INSTANTANEOUS)
 
 
 class ClcConfig(Record):
@@ -211,7 +218,8 @@ def limit(
     rank-one term on top of s times the clamps. circular is the same
     without the clamps.
     """
-    if cfg.kind is ClcKind.INSTANTANEOUS:
+    kind = cfg.kind
+    if kind is _INSTANTANEOUS:
         clip = cfg.clip_level
         phases = pa, pb, pc = phase_components(ref1, ref2)
         amps = abs(pa), abs(pb), abs(pc)
@@ -241,15 +249,15 @@ def limit(
         return (
             (fa + ALPHA * fb + _ALPHA2 * fc) / 3.0, (fa + _ALPHA2 * fb + ALPHA * fc) / 3.0, clipper
         )
-    if cfg.kind is ClcKind.PRIORITY:
+    if kind is _PRIORITY:
         rot = cmath.exp(-1j * theta)
         dq1, sides1 = _priority_clamp(cfg, ref1 * rot)
         dq2, sides2 = _priority_clamp(cfg, ref2 / rot)
         c1, c2 = dq1 / rot, dq2 * rot
-    elif cfg.kind is ClcKind.CIRCULAR:
+    elif kind is _CIRCULAR:
         c1, c2 = ref1, ref2
     else:
-        raise ValueError(f"{cfg.kind.value} has no reference saturation stage")
+        raise ValueError(f"{kind.value} has no reference saturation stage")
     phases = phase_components(c1, c2)
     amps = [abs(p) for p in phases]
     peak = amps.index(max(amps))
@@ -257,7 +265,7 @@ def limit(
     scale = cfg.i_lim / amps[peak] if binds else 1.0
 
     def derivative() -> tuple[Mat2, Mat2]:
-        if cfg.kind is ClcKind.PRIORITY:
+        if kind is _PRIORITY:
             # a clamped component is constant. The q bound sqrt(i_lim^2 - d^2)
             # moves with a passed d, dq = -side_q * d / sqrt(i_lim^2 - d^2) * dd,
             # a term taken as 0 where the root is 0; with dd = (dw + conj(dw)) / 2

@@ -31,8 +31,12 @@ elements. Any other axis builds, solves and reports each point.
 
 Fault and pre-fault relay readings take one path,
 `SequenceSolution.readings`, which reads each line current off the node
-voltages at its ends, once per solution; a report reads the bus-1 pair
-once, and a `relay.*` sweep once for all its points.
+voltages at its ends, once per solution, through the network's tap plan;
+a report reads the bus-1 pair once, and a `relay.*` sweep once for all
+its points. The report calls the four relay elements by their names in
+this module, where a span tracer can wrap them; each takes one angle per
+operand, by the helper (`phasors.phase_deg`) that `_polar` uses for the
+report's angles. The text fields are the members' values (`_value_`).
 
 The cross-check stamps the source as the solution froze it
 (`SourceSolution.frozen`): the generator is Norton already and passes
@@ -43,7 +47,6 @@ phase-domain oracle only stamps Norton-representable elements.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections.abc import Iterator
@@ -51,7 +54,7 @@ from collections.abc import Iterator
 from .abc_oracle import solve_abc
 from .network import BusReading, FaultType
 from .network import solve_linear  # noqa: F401  perfbench's tracer wraps it under this name
-from .phasors import DEFAULT_MAGNITUDE_FLOOR, fortescue, wrap_angle_deg
+from .phasors import DEFAULT_MAGNITUDE_FLOOR, fortescue, phase_deg, wrap_angle_deg
 from .records import Record
 from .relay import (
     GROUND_CENTERS,
@@ -63,9 +66,9 @@ from .relay import (
 )
 from .report import ScenarioReport
 from .scenario import (
+    _SG,
     DEFAULTS,
     Scenario,
-    SourceKind,
     ValidationError,
     build_scenario,
     relay_settings,
@@ -110,33 +113,29 @@ def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
 def _polar(z: complex | None) -> tuple[float | None, float | None]:
     """Magnitude and angle; no angle below the magnitude floor, neither for None.
 
-    `phasors.angle_deg`'s arithmetic with one `abs`; `cmath.phase` lies in
-    [-pi, pi], so of the wrap to (-180, 180] only -180 -> 180 is left.
+    `phasors.angle_deg` with one `abs` (`phase_deg`). `_solution_fields`
+    runs the same body inline.
     """
     if z is None:
         return None, None
     mag = abs(z)
-    if mag < DEFAULT_MAGNITUDE_FLOOR:
-        return mag, None
-    ang = math.degrees(cmath.phase(z))
-    return mag, 180.0 if ang == -180.0 else ang
+    return mag, None if mag < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z)
 
 
-_SIDE_STEMS = tuple(f"ze{digit}" for digit in "120")
-_READING_STEMS = {
-    (bus, quantity): tuple(f"{quantity}{digit}_{bus}" for digit in "120")
-    for bus in ("bus1", "bus2")
-    for quantity in ("v", "i")
-}
+# the phasors of the solution fields, in the order `_solution_fields`
+# lists them: the source's, the effective source impedances, then the v and
+# i triples (pos, neg, zero) of bus 1 and bus 2
+_SOLUTION_STEMS = (
+    "zv1", "zv2", "zad", "sigma1", "sigma2",
+    *(f"ze{digit}" for digit in "120"),
+    *(f"{q}{digit}_{bus}" for bus in ("bus1", "bus2") for q in ("v", "i") for digit in "120"),
+)
 # report field names of each phasor (see the module docstring)
 _POLAR_NAMES = {
     stem: (sys.intern(f"{stem}_mag"), sys.intern(f"{stem}_ang"))
-    for stem in (
-        "zv1", "zv2", "zad", "dvdi1", "sigma1", "sigma2",
-        *_SIDE_STEMS,
-        *(stem for stems in _READING_STEMS.values() for stem in stems),
-    )
+    for stem in (*_SOLUTION_STEMS, "dvdi1")
 }
+_SOLUTION_POLAR_NAMES = tuple(_POLAR_NAMES[stem] for stem in _SOLUTION_STEMS)
 
 
 def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
@@ -163,7 +162,7 @@ def solve_scenario(scenario: Scenario) -> tuple[OperatingPoint, SourceSolution]:
         q_ref=scenario.q_ref,
         tol=scenario.solver.newton_tol,
     )
-    if scenario.kind is SourceKind.SG:
+    if scenario.kind is _SG:
         return op, solve_sg_fault(net, scenario.source, scenario.fault, op)
     return op, fault_fixed_point(
         net,
@@ -191,32 +190,26 @@ def _solution_fields(
     scenario: Scenario, op: OperatingPoint, sol: SourceSolution, oracle_check: bool
 ) -> tuple[BusReading, BusReading, dict[str, object]]:
     """The bus-1 fault and pre-fault readings, and the report fields no relay setting reaches."""
+    fault = scenario.fault
     readings = sol.fault.total.readings
-    r1, p1 = readings["bus1"], prefault_network_readings(op)["bus1"]
+    r1, r2 = readings["bus1"], readings["bus2"]
+    p1 = prefault_network_readings(op)["bus1"]
     di1 = r1.i.pos - p1.i.pos
-    phasors = {
-        "zv1": sol.z_v1,
-        "zv2": sol.z_v2,
-        "zad": None if sol.z_v1 is None else incremental_source_impedance(r1.i.pos, di1, sol.z_v1),
-        "sigma1": sol.sigma1,
-        "sigma2": sol.sigma2,
-    }
-    # effective source impedance: the source branch plus the passive side
+    zad = None if sol.z_v1 is None else incremental_source_impedance(r1.i.pos, di1, sol.z_v1)
+    # `_SOLUTION_STEMS` order; the effective source impedance is the source
+    # branch plus the passive side
     sides = (scenario.z_side1, scenario.z_side1, scenario.z_side0)
-    for stem, z, side in zip(_SIDE_STEMS, sol.z_source, sides):
-        phasors[stem] = None if z is None else z + side
-    for (bus, quantity), stems in _READING_STEMS.items():
-        triple = getattr(readings[bus], quantity)
-        for stem, z in zip(stems, (triple.pos, triple.neg, triple.zero)):
-            phasors[stem] = z
+    phasors = [sol.z_v1, sol.z_v2, zad, sol.sigma1, sol.sigma2]
+    phasors += [None if z is None else z + side for z, side in zip(sol.z_source, sides)]
+    phasors += (*r1.v, *r1.i, *r2.v, *r2.i)
 
     fields: dict[str, object] = {
-        "source_kind": scenario.kind.value,
-        "clc_kind": None if scenario.kind is SourceKind.SG else scenario.source.clc.kind.value,
-        "fault_kind": scenario.fault.fault_type.value,
-        "fault_m": scenario.fault.m,
-        "fault_r_g_ohm": scenario.fault.r_g_ohm,
-        "placement": scenario.fault.placement.value,
+        "source_kind": scenario.kind._value_,
+        "clc_kind": None if scenario.kind is _SG else scenario.source.clc.kind._value_,
+        "fault_kind": fault.fault_type._value_,
+        "fault_m": fault.m,
+        "fault_r_g_ohm": fault.r_g_ohm,
+        "placement": fault.placement._value_,
         "prefault_e_pu": op.e_mag,
         "prefault_theta_deg": op.theta_deg,
         "prefault_p_pu": op.p,
@@ -227,9 +220,12 @@ def _solution_fields(
         "i_max_phase_pu": sol.i_max_phase,
         "oracle_max_err": _oracle_residual(scenario, sol) if oracle_check else None,
     }
-    for stem, z in phasors.items():
-        mag, ang = _POLAR_NAMES[stem]
-        fields[mag], fields[ang] = _polar(z)
+    for (mag, ang), z in zip(_SOLUTION_POLAR_NAMES, phasors):  # `_polar`, inline
+        if z is None:
+            fields[mag] = fields[ang] = None
+        else:
+            size = fields[mag] = abs(z)
+            fields[ang] = None if size < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z)
     return r1, p1, fields
 
 
@@ -251,10 +247,10 @@ def _relay_report(
         "dphi1_deg": dir_inc.angle_deg,
         "dd21_deg": selection.dd21_deg,
         "d20_deg": selection.d20_deg,
-        "dir_neg": dir_neg.direction.value,
-        "dir_zero": dir_zero.direction.value,
-        "dir_inc": dir_inc.direction.value,
-        "phase_sel": selection.selected.value if selection.selected is not None else "none",
+        "dir_neg": dir_neg.direction._value_,
+        "dir_zero": dir_zero.direction._value_,
+        "dir_inc": dir_inc.direction._value_,
+        "phase_sel": "none" if selection.selected is None else selection.selected._value_,
     }
     mag, ang = _POLAR_NAMES["dvdi1"]
     fields[mag], fields[ang] = _polar(dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None)

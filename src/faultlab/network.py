@@ -24,11 +24,11 @@ Fault solving follows the classical decomposition:
    limiting law and the dispatch enter only the boundary conditions and
    the injected currents, so a case grid repeats a few networks, and
    `scenario` makes one object of equal networks. A bounded memo keyed on
-   the network object (`_shared`) holds its builds, and what `sources` and
-   `solve_fault` compute on the network alone: its dispatches, its
-   generator fault networks and its faulted converter ports. Each is made
-   once from one object's own bits, so a hit is the very object a fresh
-   call would have made bit for bit;
+   the network object (`_shared`) holds its builds, its relay tap plan,
+   and what `sources` and `solve_fault` compute on the network alone: its
+   dispatches, its generator fault networks and its faulted converter
+   ports. Each is made once from one object's own bits, so a hit is the
+   very object a fresh call would have made bit for bit;
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault node's column there, the open-circuit voltage the base column (plus
    the port's column times any injected current);
@@ -42,7 +42,13 @@ Fault solving follows the classical decomposition:
 
 A solution is its node voltages only. Every current is read off them by
 Ohm's law on the element's own sequence impedance, so the relay readings of
-the healthy, base, pure-fault and total solutions take one path.
+the healthy, base, pure-fault and total solutions take one path. Each
+solution reads all its relay taps at once (`SequenceSolution.readings`)
+through the network's tap plan: each tap's bus, its element's end nodes
+and sequence impedances, and its sign, resolved once per network object.
+A solution computes its readings and its parts once, on first read, and
+keeps them in the instance (`_once`, `functools.cached_property` without
+its lock).
 
 Sign conventions: relay current is measured from the bus into the monitored
 line; fault sequence currents are drawn out of the network into the fault.
@@ -54,7 +60,6 @@ import cmath
 import math
 from collections.abc import Callable, Mapping
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 
 from .phasors import ALPHA, SequenceTriple
@@ -144,6 +149,8 @@ _FAULT_SHAPE: dict[FaultType, tuple[FaultCategory, int, tuple[str, ...]]] = {
     FaultType.ABG: (FaultCategory.LLG, 2, ("a", "b")),
     FaultType.ABC: (FaultCategory.SYM, 0, ("a", "b", "c")),
 }
+# the categories by module name: a global read per fault, not an Enum class attribute's
+_SLG, _LL, _LLG = FaultCategory.SLG, FaultCategory.LL, FaultCategory.LLG
 
 
 class Placement(Enum):
@@ -259,6 +266,26 @@ class NetworkModel(Record):
         return tuple(sorted(found))
 
 
+class _once:
+    """A property computed on its first read per instance, then kept.
+
+    `functools.cached_property` without its lock (which Python 3.8-3.11
+    take on every first read): the value is stored in the instance's
+    `__dict__` under the property's name, and as a non-data descriptor
+    this one is then never consulted again for that instance. Read on the
+    class, it is the descriptor itself.
+    """
+
+    def __init__(self, compute: Callable[[object], object]) -> None:
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance: object, owner: type | None = None) -> object:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class SequenceSolution:
     """Node voltages of the three sequence networks of `net`.
 
@@ -267,6 +294,8 @@ class SequenceSolution:
     delivered through its branch into its node; an element open in a
     sequence carries 0j there. A pinned (z = 0) source has no branch to
     read its current off, and reading it raises ZeroDivisionError.
+    `readings` reads every relay tap at once through the network's tap
+    plan (`_tap_plan`), the same law resolved once per network object.
     """
 
     def __init__(self, v: dict[int, dict[str, complex]], net: NetworkModel) -> None:
@@ -314,10 +343,45 @@ class SequenceSolution:
             i=SequenceTriple(k * pos, k * neg, k * zero),
         )
 
-    @cached_property
+    @_once
     def readings(self) -> dict[str, "BusReading"]:
-        """`reading` at every relay tap, computed once per solution."""
-        return {name: self.reading(tap) for name, tap in self.net.relay_taps.items()}
+        """`reading` at every relay tap, computed once per solution, bit for bit."""
+        v1, v2, v0 = self.v[1], self.v[2], self.v[0]
+        readings = {}
+        for name, bus, sign, front, back, (z1, z2, z0), (f1, f2, f0) in _shared(
+            self.net, "taps", _tap_plan, self.net
+        ):
+            i1 = 0j if z1 is None else (v1.get(front, f1) - v1.get(back, 0j)) / z1
+            i2 = 0j if z2 is None else (v2.get(front, f2) - v2.get(back, 0j)) / z2
+            i0 = 0j if z0 is None else (v0.get(front, f0) - v0.get(back, 0j)) / z0
+            readings[name] = BusReading(
+                bus,
+                SequenceTriple(v1.get(bus, 0j), v2.get(bus, 0j), v0.get(bus, 0j)),
+                SequenceTriple(sign * i1, sign * i2, sign * i0),
+            )
+        return readings
+
+
+def _tap_plan(net: NetworkModel) -> tuple[tuple, ...]:
+    """Each relay tap of `net` as `SequenceSolution.readings` reads it.
+
+    An entry is (name, bus, sign, front, back, (z1, z2, z0), fallbacks):
+    in each sequence the tap's element carries
+    (v.get(front, fallback) - v.get(back, 0j)) / z, and 0j where z is None,
+    which is `SequenceSolution._current`. A series element's front is its
+    from-node and its fallbacks 0j; a source's front is None, which no
+    column holds, so its fallbacks are its emfs, and its back is its node.
+    Made once per network object (`_shared`).
+    """
+    plan = []
+    for name, tap in net.relay_taps.items():
+        e = net.element(tap.eid)
+        if isinstance(e, SeriesElement):
+            front, back, fallbacks = e.n_from, e.n_to, (0j, 0j, 0j)
+        else:
+            front, back, fallbacks = None, e.node, (e.emf(1), e.emf(2), e.emf(0))
+        plan.append((name, tap.bus, tap.sign, front, back, (e.z(1), e.z(2), e.z(0)), fallbacks))
+    return tuple(plan)
 
 
 class BusReading(Record):
@@ -423,11 +487,11 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
 
 
 # What a network object alone determines, made once per object: its
-# sequence builds here, its faulted converter ports (`solve_fault`), and in
-# `sources` its dispatches and generator fault networks. Keyed on
-# (id(net), what); each entry holds its network, so no other object takes
-# that id while the entry lives. At most `_SHARED_BOUND` entries, the
-# oldest dropped first.
+# sequence builds, its relay tap plan and its faulted converter ports
+# (`solve_fault`) here, and in `sources` its dispatches and generator
+# fault networks. Keyed on (id(net), what); each entry holds its network,
+# so no other object takes that id while the entry lives. At most
+# `_SHARED_BOUND` entries, the oldest dropped first.
 _SHARED: dict[tuple, tuple[NetworkModel, object]] = {}
 _SHARED_BOUND = 1024
 
@@ -633,24 +697,22 @@ def solve_fault_boundary(
     """
     r = spec.r_g_ohm / z_base_ohm
     z1, z2, z0, e_f = thevenin.z1, thevenin.z2, thevenin.z0, thevenin.e_f
-    cat = spec.fault_type.category
-
-    k = spec.fault_type.shift
+    cat, k, _ = _FAULT_SHAPE[spec.fault_type]
     rot2 = ALPHA**k
     rot0 = ALPHA ** (2 * k)
     e2h = thevenin.e_f2 * rot2.conjugate()
     e0h = thevenin.e_f0 * rot0.conjugate()
 
     try:
-        if cat is FaultCategory.SLG:
+        if cat is _SLG:
             i1 = (e_f + e2h + e0h) / (z1 + z2 + z0 + 3.0 * r)
             i2 = i1
             i0 = i1
-        elif cat is FaultCategory.LL:
+        elif cat is _LL:
             i1 = (e_f - e2h) / (z1 + z2 + r)
             i2 = -i1
             i0 = 0j
-        elif cat is FaultCategory.LLG:
+        elif cat is _LLG:
             zg = z0 + 3.0 * r
             vx = (e_f / z1 + e2h / z2 + e0h / zg) / (1.0 / z1 + 1.0 / z2 + 1.0 / zg)
             i1 = (e_f - vx) / z1
@@ -765,7 +827,7 @@ class FaultSolution:
         v = {seq: _superpose(builds[seq], self._weighted(seq, base, pure)) for seq in SEQUENCES}
         return SequenceSolution(v, self.net)
 
-    @cached_property
+    @_once
     def thevenin(self) -> TheveninEquivalent:
         """The fault node's own column there (impedances), the base part there (voltages)."""
         node, builds = self.net.fault_node, self.builds
@@ -774,23 +836,23 @@ class FaultSolution:
             *(_voltage(builds[seq], node, self._weighted(seq, True, False)) for seq in (1, 2, 0)),
         )
 
-    @cached_property
+    @_once
     def i_fault(self) -> SequenceTriple:
         return solve_fault_boundary(self.thevenin, self.spec, self.net.z_base_fault_ohm)
 
-    @cached_property
+    @_once
     def base(self) -> SequenceSolution:
         return self._part(True, False)
 
-    @cached_property
+    @_once
     def pure(self) -> SequenceSolution:
         return self._part(False, True)
 
-    @cached_property
+    @_once
     def total(self) -> SequenceSolution:
         return self._part(True, True)
 
-    @cached_property
+    @_once
     def terminal_port(self) -> TerminalPort:
         """The faulted network reduced to its port.
 

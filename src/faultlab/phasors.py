@@ -4,7 +4,7 @@ Phasors are plain Python complex numbers holding peak (amplitude-invariant)
 per-unit quantities at fundamental frequency. This module supplies the small
 amount of structure the solvers need on top of `complex`:
 
-- polar helpers with degrees (`from_polar`, `angle_deg`),
+- polar helpers with degrees (`from_polar`, `angle_deg`, `phase_deg`),
 - angle wrapping to (-180, +180] and guarded angle-between,
 - the symmetrical-component transform and its inverse, with the a-b-c
   positive rotation convention and the operator alpha = 1 at +120 degrees:
@@ -33,6 +33,7 @@ __all__ = [
     "PhaseTriple",
     "from_polar",
     "angle_deg",
+    "phase_deg",
     "wrap_angle_deg",
     "angle_between",
     "fortescue",
@@ -65,6 +66,16 @@ def angle_deg(x: complex, floor: float = DEFAULT_MAGNITUDE_FLOOR) -> float:
     if abs(x) < floor:
         raise ZeroPhasorError(f"phasor magnitude {abs(x):.3e} below floor {floor:.3e}")
     return wrap_angle_deg(math.degrees(cmath.phase(x)))
+
+
+def phase_deg(x: complex) -> float:
+    """`angle_deg` of a phasor that has already cleared its magnitude floor.
+
+    Its arithmetic without a second floor check: `cmath.phase` lies in
+    [-pi, pi], so of the wrap to (-180, +180] only -180 -> 180 is left.
+    """
+    angle = math.degrees(cmath.phase(x))
+    return 180.0 if angle == -180.0 else angle
 
 
 def wrap_angle_deg(angle_degrees: float) -> float:

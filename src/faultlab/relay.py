@@ -26,6 +26,11 @@ whose resting positions for a strongly inductive source sit on a 60-degree
 lattice; each fault type owns a lattice point. Magnitude floors guard the
 degenerate cases: no negative sequence means a symmetrical fault, no zero
 sequence restricts the choice to the line-line set.
+
+Each element takes each operand's magnitude once, for its floor, and its
+angle once, by `phasors.phase_deg` (an operand that cleared its floor
+needs no second check); i2's angle enters both dd21 and d20. The bands are
+tuples made at import from the centre tables, tested in their order.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .network import BusReading, FaultType
-from .phasors import angle_between, angle_deg, wrap_angle_deg
+from .phasors import phase_deg, wrap_angle_deg
 from .records import Record
 
 __all__ = [
@@ -56,6 +61,9 @@ class Direction(Enum):
     REVERSE = "reverse"
     INDETERMINATE = "indeterminate"
 
+
+# the members by module name: a global read, not an Enum class attribute's
+_FORWARD, _REVERSE, _INDETERMINATE = Direction.FORWARD, Direction.REVERSE, Direction.INDETERMINATE
 
 class DirectionalConfig(Record):
     """Directional element settings.
@@ -84,16 +92,18 @@ class DirectionalResult(Record):
 
 
 def _classify(element: str, v: complex, i: complex, cfg: DirectionalConfig) -> DirectionalResult:
-    if abs(v) < cfg.floor or abs(i) < cfg.floor:
-        return DirectionalResult(element, None, Direction.INDETERMINATE)
-    angle = angle_between(v, i, floor=cfg.floor)
+    """The verdict on angle(v/i), each operand's magnitude and angle taken once."""
+    floor = cfg.floor
+    if abs(v) < floor or abs(i) < floor:
+        return DirectionalResult(element, None, _INDETERMINATE)
+    angle = wrap_angle_deg(phase_deg(v) - phase_deg(i))
     half = 90.0 - cfg.phi_non_deg
     if abs(wrap_angle_deg(angle + 90.0)) <= half:
-        verdict = Direction.FORWARD
+        verdict = _FORWARD
     elif abs(wrap_angle_deg(angle - 90.0)) <= half:
-        verdict = Direction.REVERSE
+        verdict = _REVERSE
     else:
-        verdict = Direction.INDETERMINATE
+        verdict = _INDETERMINATE
     return DirectionalResult(element, angle, verdict)
 
 
@@ -130,6 +140,10 @@ LINE_CENTERS: dict[FaultType, float] = {
     FaultType.CA: -60.0,
     FaultType.AB: 60.0,
 }
+# the same bands in the same order, as tuples: (type, dd21 centre[, d20 centre])
+_LINE_BANDS = tuple(LINE_CENTERS.items())
+_GROUND_BANDS = tuple((ftype, c21, c20) for ftype, (c21, c20) in GROUND_CENTERS.items())
+_ABC = FaultType.ABC
 
 
 class PhaseSelectionConfig(Record):
@@ -157,34 +171,38 @@ class PhaseSelectionResult(Record):
     d20_deg: float | None
 
 
-def _in_band(angle: float, center: float, half: float) -> bool:
-    return abs(wrap_angle_deg(angle - center)) <= half
-
-
 def phase_select(
     reading: BusReading, prefault: BusReading, cfg: PhaseSelectionConfig
 ) -> PhaseSelectionResult:
-    """Classify the fault type from the relay-point sequence currents."""
+    """Classify the fault type from the relay-point sequence currents.
+
+    Each operand's magnitude and angle are taken once; i2's angle enters
+    both dd21 and d20.
+    """
     i2 = reading.i.neg
     i0 = reading.i.zero
     di1 = reading.i.pos - prefault.i.pos
+    mag2 = abs(i2)
 
-    if abs(i2) < cfg.sym_floor:
-        return PhaseSelectionResult(FaultType.ABC, None, None)
+    if mag2 < cfg.sym_floor:
+        return PhaseSelectionResult(_ABC, None, None)
 
     # dd21 needs both operands over inc_floor, which may exceed sym_floor
-    if abs(di1) < cfg.inc_floor or abs(i2) < cfg.inc_floor:
+    if abs(di1) < cfg.inc_floor or mag2 < cfg.inc_floor:
         return PhaseSelectionResult(None, None, None)
-    dd21 = angle_between(i2, di1, floor=cfg.inc_floor)
+    angle2 = phase_deg(i2)
+    dd21 = wrap_angle_deg(angle2 - phase_deg(di1))
+    half21 = cfg.dd21_half_deg
 
     if abs(i0) < cfg.ground_floor:
-        for ftype, center in LINE_CENTERS.items():
-            if _in_band(dd21, center, cfg.dd21_half_deg):
+        for ftype, center in _LINE_BANDS:
+            if abs(wrap_angle_deg(dd21 - center)) <= half21:
                 return PhaseSelectionResult(ftype, dd21, None)
         return PhaseSelectionResult(None, dd21, None)
 
-    d20 = wrap_angle_deg(angle_deg(i2, cfg.sym_floor) - angle_deg(i0, cfg.ground_floor))
-    for ftype, (c21, c20) in GROUND_CENTERS.items():
-        if _in_band(dd21, c21, cfg.dd21_half_deg) and _in_band(d20, c20, cfg.d20_half_deg):
+    d20 = wrap_angle_deg(angle2 - phase_deg(i0))
+    half20 = cfg.d20_half_deg
+    for ftype, c21, c20 in _GROUND_BANDS:
+        if abs(wrap_angle_deg(dd21 - c21)) <= half21 and abs(wrap_angle_deg(d20 - c20)) <= half20:
             return PhaseSelectionResult(ftype, dd21, d20)
     return PhaseSelectionResult(None, dd21, d20)

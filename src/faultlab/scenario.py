@@ -55,10 +55,12 @@ the fault in the function that builds its part, so an error names the
 first invalid key in that order. A value that is its default object is
 not checked, and a group of default objects takes the part made of the
 defaults at import: no memo, for no case's result is held. Equal copies of
-the defaults take every check (guarded in `tests/test_scenario.py`). The
-`relay.*` keys reach only `dir_cfg` and `sel_cfg`, so a sweep along one
-builds its first point and takes every later point's settings, and their
-validation, from `relay_settings` alone.
+the defaults take every check (guarded in `tests/test_scenario.py`); a
+config text's tokens are interned, so one that spells a default text is
+the default object. The `relay.*` keys reach only `dir_cfg` and
+`sel_cfg`, so a sweep along one builds its first point and takes every
+later point's settings, and their validation, from `relay_settings`
+alone.
 """
 
 from __future__ import annotations
@@ -66,11 +68,12 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import sys
 from enum import Enum
 from itertools import compress
 from operator import is_not, itemgetter
 
-from .clc import ClcConfig, ClcKind
+from .clc import _ADAPTIVE, ClcConfig, ClcKind
 from .network import (
     GROUND,
     FaultSpec,
@@ -202,6 +205,12 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def _coerce_token(token: str) -> object:
+    """A bool, a float, or the token itself, interned.
+
+    Interned, a token that spells a default text (`clc.kind = circular`)
+    is the default object itself, so its config group takes the part made
+    of the defaults at import (see `build_scenario`).
+    """
     low = token.lower()
     if low == "true":
         return True
@@ -210,7 +219,7 @@ def _coerce_token(token: str) -> object:
     try:
         return float(token)
     except ValueError:
-        return token
+        return sys.intern(token)
 
 
 class SolverSettings(Record):
@@ -261,11 +270,15 @@ def canonical_config_lines(resolved: dict[str, object]) -> list[str]:
     A resolved config over the default keys starts from the defaults'
     lines, formatted once at import, and formats the line of every value
     that is not its default object itself; any other config formats every
-    line. Either way a line is the same text.
+    line. Either way a line is the same text. A config holds the default
+    keys exactly when it holds as many keys and each of them.
     """
-    if resolved.keys() != DEFAULTS.keys():
+    try:
+        if len(resolved) != len(SORTED_KEYS):
+            raise KeyError
+        values = _sorted_values(resolved)
+    except KeyError:
         return [_config_line(key, resolved[key]) for key in sorted(resolved)]
-    values = _sorted_values(resolved)
     lines = list(_DEFAULT_LINES)
     for i in compress(range(len(values)), map(is_not, values, SORTED_DEFAULTS)):
         lines[i] = _config_line(SORTED_KEYS[i], values[i])
@@ -287,8 +300,15 @@ def _format_value(value: object) -> str:
 _DEFAULT_LINES = tuple(map(_config_line, SORTED_KEYS, SORTED_DEFAULTS))
 _DEFAULT_VALUES = {key: default for key, (default, _) in DEFAULTS.items()}
 _DEFAULT_PROVENANCE = {key: prov for key, (_, prov) in DEFAULTS.items()}
-_CLC_KINDS = tuple(k.value for k in ClcKind)
-_FAULT_KINDS = tuple(t.value for t in FaultType)
+# each choice key's members by their text: a dict read, where an Enum call
+# by value costs a Python-level lookup
+_SOURCE_KINDS = {kind._value_: kind for kind in SourceKind}
+_CLC_KINDS = {kind._value_: kind for kind in ClcKind}
+_FAULT_KINDS = {kind._value_: kind for kind in FaultType}
+_PLACEMENTS = {placement._value_: placement for placement in Placement}
+# by module name, here and in `harness`: a global read per case, not an
+# Enum class attribute's
+_SG = SourceKind.SG
 
 
 def _need_float(resolved: dict[str, object], key: str) -> float:
@@ -322,11 +342,12 @@ def _need_int(resolved: dict[str, object], key: str) -> int:
     return int(value)
 
 
-def _need_choice(resolved: dict[str, object], key: str, choices: tuple[str, ...]) -> str:
+def _need_choice(resolved: dict[str, object], key: str, choices: dict[str, Enum]) -> Enum:
+    """The member whose text the key's value is."""
     value = resolved[key]
     if value is not _DEFAULT_VALUES[key] and (not isinstance(value, str) or value not in choices):
         raise ValidationError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
-    return value  # type: ignore[return-value]
+    return choices[value]  # type: ignore[index]
 
 
 def _base_impedance(resolved: dict[str, object]) -> float:
@@ -346,7 +367,7 @@ def _base_impedance(resolved: dict[str, object]) -> float:
 
 def _converter(resolved: dict[str, object]) -> GfmModel:
     """The converter model, of every `clc.*` and `gfm.*` key the network does not read."""
-    clc_kind = ClcKind(_need_choice(resolved, "clc.kind", _CLC_KINDS))
+    clc_kind = _need_choice(resolved, "clc.kind", _CLC_KINDS)
     limits = [_need_positive(resolved, key) for key in _CLC_LIMITS]
     r_vn = _need_float(resolved, "clc.r_vn_pu")
     x_vn = _need_float(resolved, "clc.x_vn_pu")
@@ -359,14 +380,14 @@ def _converter(resolved: dict[str, object]) -> GfmModel:
             raise ValidationError(
                 f"gfm.filter_in_network must be true, false, or 'auto', got {fin_raw!r}"
             )
-        filter_in_network = clc_kind is ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE
+        filter_in_network = clc_kind is _ADAPTIVE
     else:
         filter_in_network = _need_bool(resolved, "gfm.filter_in_network")
     k_pv = _need_positive(resolved, "gfm.k_pv")
     x_f = _need_float(resolved, "gfm.x_f_pu")
     if x_f < 0.0:
         raise ValidationError(f"gfm.x_f_pu must be non-negative, got {x_f}")
-    if filter_in_network and clc_kind is not ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE:
+    if filter_in_network and clc_kind is not _ADAPTIVE:
         raise ValidationError(
             "gfm.filter_in_network = true needs clc.kind = adaptive_virtual_impedance, "
             f"got clc.kind = {clc_kind.value}"
@@ -493,7 +514,7 @@ def build_scenario(
     # other group takes its default part
     changed = {_GROUP_OF[k] for k, v in overrides.items() if v is not _DEFAULT_VALUES[k]}
 
-    kind = SourceKind(_need_choice(resolved, "source.kind", ("sg", "gfm")))
+    kind = _need_choice(resolved, "source.kind", _SOURCE_KINDS)
     p_ref = _need_float(resolved, "source.p_ref")
     q_ref = _need_float(resolved, "source.q_ref")
     zb_hv = _base_impedance(resolved) if "base" in changed else _DEFAULT_PARTS["base"]
@@ -507,10 +528,10 @@ def build_scenario(
     if fault_r < 0.0:
         raise ValidationError(f"fault.r_g_ohm must be non-negative, got {fault_r}")
     fault = FaultSpec(
-        fault_type=FaultType(_need_choice(resolved, "fault.kind", _FAULT_KINDS)),
+        fault_type=_need_choice(resolved, "fault.kind", _FAULT_KINDS),
         m=fault_m,
         r_g_ohm=fault_r,
-        placement=Placement(_need_choice(resolved, "fault.placement", ("forward", "reverse"))),
+        placement=_need_choice(resolved, "fault.placement", _PLACEMENTS),
     )
     solver = _solver(resolved) if "solver" in changed else _DEFAULT_PARTS["solver"]
     if "circuit" in changed:
@@ -519,7 +540,7 @@ def build_scenario(
         _check_base(resolved, zb_hv)
         z_km = _DEFAULT_PARTS["circuit"]
     net, (z_side1, z_side0) = _build_network(kind, resolved, zb_hv, fault, *z_km)
-    source = sg if kind is SourceKind.SG else gfm
+    source = sg if kind is _SG else gfm
     # every field of a Scenario, in order
     return Scenario(
         scenario_id, kind, p_ref, q_ref, source, fault, dir_cfg, sel_cfg, solver, net,

@@ -97,6 +97,9 @@ import sys
 from collections.abc import Callable
 
 from .clc import (
+    _CIRCULAR,
+    _INSTANTANEOUS,
+    _VIRTUAL_ADMITTANCE,
     ClcConfig,
     ClcKind,
     Derivative,
@@ -203,7 +206,7 @@ class GfmModel(Record):
         network-side filter).
         """
         z = complex(0.0)
-        if self.clc.kind is ClcKind.VIRTUAL_ADMITTANCE:
+        if self.clc.kind is _VIRTUAL_ADMITTANCE:
             z += complex(self.clc.r_vn, self.clc.x_vn)
         z += 1j * self.x_f_network
         return z
@@ -624,7 +627,7 @@ def fault_fixed_point(
     currents gives the readings.
     """
     cfg = gfm.clc
-    name = cfg.kind.value
+    name = cfg.kind._value_
     e_ref1, theta = op.e_ref1, op.theta_rad
     node = net.source_node
     fault = solve_fault(net, spec, port=node)
@@ -648,7 +651,7 @@ def fault_fixed_point(
             sat1, sat2, derivative = limit(cfg, theta, ref1, ref2)
             return (sat1, sat2), lambda: _compose(derivative(), m)
 
-        if cfg.kind is ClcKind.CIRCULAR:
+        if cfg.kind is _CIRCULAR:
 
             def at_scale(s: float) -> tuple[float, float, _State]:
                 # i = s * ref: the emf behind the resistance (1 - s) / (k_pv s)
@@ -666,7 +669,7 @@ def fault_fixed_point(
             )
         v1, v2, ref1, ref2 = loop_refs(i1, i2)
         sat1, sat2, _ = limit(cfg, theta, ref1, ref2)
-        if cfg.kind is ClcKind.INSTANTANEOUS:
+        if cfg.kind is _INSTANTANEOUS:
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:
             i_peak = max_phase_current(i1, i2)
@@ -680,7 +683,7 @@ def fault_fixed_point(
     else:
         # impedance-shaping modes: shared complex Z_v in both channels,
         # fixed by its reactance x through the law's X/R rule
-        admittance = cfg.kind is ClcKind.VIRTUAL_ADMITTANCE
+        admittance = cfg.kind is _VIRTUAL_ADMITTANCE
         r_floor = cfg.r_vn if admittance else 0.0
 
         def at_reactance(x: float) -> tuple[float, float, _State]:

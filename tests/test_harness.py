@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from faultlab import harness
 from faultlab.clc import ClcKind
 from faultlab.harness import (
     _POLAR_NAMES,
@@ -299,6 +300,41 @@ def test_relay_sweep_points_equal_their_own_builds(
         assert point.config_hash == built.config_hash
         assert list(point.provenance.items()) == list(built.provenance.items())
         assert list(point.resolved) == list(built.resolved)
+
+
+# the names the report calls at module level, which a span tracer wraps
+# there as the relay.eval and harness.prefault_readings layers
+_RELAY_NAMES = ("directional_negative", "directional_zero", "directional_incremental",
+                "phase_select")
+
+
+def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["sg", "gfm"])
+def test_a_run_reaches_every_relay_element_by_its_module_name(monkeypatch, kind: str) -> None:
+    calls = _count_calls(monkeypatch, (*_RELAY_NAMES, "prefault_network_readings"))
+    report = run_scenario(build_scenario({"source.kind": kind}))
+    assert calls == dict.fromkeys(calls, 1)
+    monkeypatch.undo()
+    assert report == run_scenario(build_scenario({"source.kind": kind}))
+
+
+def test_a_relay_sweep_reaches_every_relay_element_at_every_point(monkeypatch) -> None:
+    calls = _count_calls(monkeypatch, _RELAY_NAMES)
+    points = list(sweep_reports({"source.kind": "gfm"}, "relay.phi_non_deg", 30.0, 60.0, 5))
+    assert len(points) == 5
+    assert calls == dict.fromkeys(_RELAY_NAMES, 5)
 
 
 def test_two_step_sweep_endpoints_reproduce_the_single_runs(preset_reports) -> None:

@@ -10,6 +10,7 @@ from faultlab import network
 from faultlab.abc_oracle import solve_abc
 from faultlab.harness import solve_scenario
 from faultlab.network import (
+    GROUND,
     BusReading,
     FaultCategory,
     FaultSpec,
@@ -536,17 +537,25 @@ def _per_sequence_current(sol, eid: str, sign: float = 1.0):
     return SequenceTriple(*(sign * sol.current(seq, eid) for seq in (1, 2, 0)))
 
 
+def _assert_readings_take_the_per_sequence_route(sol, label: object) -> None:
+    """Each tap's `reading`, and `readings` through the tap plan, are the
+    per-sequence route's, bit for bit."""
+    assert list(sol.readings) == list(sol.net.relay_taps)
+    for name, tap in sol.net.relay_taps.items():
+        expected = BusReading(
+            tap.bus, sol.voltage(tap.bus), _per_sequence_current(sol, tap.eid, tap.sign)
+        )
+        assert repr(sol.reading(tap)) == repr(expected), (label, tap)
+        assert repr(sol.readings[name]) == repr(expected), (label, tap)
+
+
 def test_readings_equal_the_per_sequence_route_on_every_preset() -> None:
     seen: set[str] = set()
     for name in sorted(PRESETS):
         scenario = build_scenario(preset_scenario_overrides(name))
         op, solved = solve_scenario(scenario)
         for sol in (solved.fault.total, op.healthy):
-            for tap in sol.net.relay_taps.values():
-                expected = BusReading(
-                    tap.bus, sol.voltage(tap.bus), _per_sequence_current(sol, tap.eid, tap.sign)
-                )
-                assert repr(sol.reading(tap)) == repr(expected), (name, tap)
+            _assert_readings_take_the_per_sequence_route(sol, name)
             for e in sol.net.elements:
                 if isinstance(e, InjectionElement):
                     continue
@@ -556,6 +565,100 @@ def test_readings_equal_the_per_sequence_route_on_every_preset() -> None:
     # the transformer legs are open in one sequence each: xfmr in the zero, xfmr0 in the
     # positive and negative
     assert {"xfmr", "xfmr0", "grid", "src", "line", "line_a", "col_b"} <= seen
+
+
+@pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
+def test_readings_equal_the_per_sequence_route_on_grid_and_generator_cases(
+    kind: str, placement: str, m: float
+) -> None:
+    """A sample of the converter and generator case grids: at m = 0 and
+    m = 1 both taps read one element, and a reverse fault splits the
+    branch behind bus 1."""
+    rng = random.Random(f"{kind}:{placement}:{m}")
+    laws = ("circular", "priority", "instantaneous", "virtual_admittance",
+            "adaptive_virtual_impedance")
+    for fault in rng.sample([t.value for t in FaultType], 4):
+        config = {
+            "source.kind": kind,
+            "fault.kind": fault,
+            "fault.placement": placement,
+            "fault.m": m,
+            "fault.r_g_ohm": rng.choice((0.0, 5.0, 30.0)),
+            "source.p_ref": rng.choice((0.0, 0.5, 1.0)),
+        }
+        if kind == "gfm":
+            config["clc.kind"] = rng.choice(laws)
+        op, solved = solve_scenario(build_scenario(config))
+        if m in (0.0, 1.0):
+            assert len({tap.eid for tap in solved.fault.net.relay_taps.values()}) == 1
+        for sol in (solved.fault.total, op.healthy):
+            _assert_readings_take_the_per_sequence_route(sol, config)
+
+
+def test_readings_of_a_tap_on_a_source_take_the_source_rule() -> None:
+    """A tap on a source reads its emf less its node's voltage, over its
+    branch impedance in each sequence, 0j where the branch is open."""
+    net = _radial_net(0.1 + 0.5j, 0.2 + 1.0j)
+    src, line = net.elements
+    net = net._replace(
+        # the source open in the zero sequence, which a leg at f grounds
+        elements=(src._replace(z0=None), line, SeriesElement("leg", "f", GROUND, None, None, 0.3j)),
+        relay_taps={"line": RelayTap("s", "ln", +1.0), "source": RelayTap("s", "src", -1.0)},
+    )
+    sol = solve_fault(net, FaultSpec(FaultType.AG)).total
+    _assert_readings_take_the_per_sequence_route(sol, "source tap")
+    assert sol.readings["source"].i.zero == 0j
+
+
+def test_the_tap_plan_is_one_object_per_network_object() -> None:
+    _clear_memos()
+    scenario = build_scenario({"source.kind": "gfm", "fault.kind": "ag"})
+    op, solved = solve_scenario(scenario)
+    net = scenario.net
+    assert op.healthy.net is net
+    op.healthy.readings
+    plan = network._SHARED[(id(net), "taps")][1]
+    assert [entry[0] for entry in plan] == list(net.relay_taps)
+    # another solution of the same network object reads the same plan
+    twin = build_scenario({"source.kind": "gfm", "fault.kind": "bc", "clc.kind": "priority"})
+    assert twin.net is net
+    solve_scenario(twin)[1].fault.total.readings
+    assert network._SHARED[(id(net), "taps")][1] is plan
+    assert network._shared(net, "taps", network._tap_plan, net) is plan
+    _clear_memos()
+    assert (id(net), "taps") not in network._SHARED
+    fresh = network._shared(net, "taps", network._tap_plan, net)
+    assert fresh is not plan and fresh == plan
+
+
+def test_a_once_property_computes_once_and_keeps_its_value_in_the_instance() -> None:
+    class Probe:
+        calls = 0
+
+        @network._once
+        def value(self) -> object:
+            """A fresh object per computation."""
+            Probe.calls += 1
+            return object()
+
+    probe = Probe()
+    assert "value" not in probe.__dict__
+    first = probe.value
+    assert probe.__dict__["value"] is first
+    assert probe.value is first and Probe.calls == 1
+    assert Probe().value is not first and Probe.calls == 2
+    # read on the class, it is the descriptor itself
+    descriptor = Probe.__dict__["value"]
+    assert Probe.value is descriptor and isinstance(descriptor, network._once)
+    assert descriptor.__doc__ == "A fresh object per computation."
+    # the solutions keep their readings and parts the same way
+    op, solved = solve_scenario(build_scenario({}))
+    total = solved.fault.total
+    assert total.__dict__.get("readings") is None
+    assert total.readings is total.__dict__["readings"] is total.readings
+    for name in ("thevenin", "i_fault", "total"):
+        assert type(getattr(network.FaultSolution, name)) is network._once
+        assert solved.fault.__dict__[name] is getattr(solved.fault, name)
 
 
 def _eliminate_every_row(a: list[list], b: list[list]) -> tuple[list[list] | None, int, int]:

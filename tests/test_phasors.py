@@ -16,6 +16,7 @@ from faultlab.phasors import (
     fortescue,
     from_polar,
     inverse_fortescue,
+    phase_deg,
     wrap_angle_deg,
 )
 
@@ -82,6 +83,17 @@ def test_angle_deg_floor_raises() -> None:
         angle_deg(1e-10 + 0j)
     # custom floor
     assert angle_deg(1e-10 + 0j, floor=1e-12) == pytest.approx(0.0)
+
+
+def test_phase_deg_is_angle_deg_without_the_floor_check() -> None:
+    rng = random.Random(71)
+    edges = [complex(x, y) for x in (1.0, -1.0, 0.0, -0.0) for y in (1.0, -1.0, 0.0, -0.0)]
+    points = [from_polar(rng.uniform(1e-3, 10.0), rng.uniform(-180.0, 180.0)) for _ in range(2000)]
+    for z in edges + points:
+        if abs(z) >= 1e-9:
+            assert repr(phase_deg(z)) == repr(angle_deg(z)), z
+    # the negative real axis is +180 under either sign of zero
+    assert phase_deg(complex(-1.0, -0.0)) == phase_deg(complex(-1.0, 0.0)) == 180.0
 
 
 def test_angle_between_basic_and_wraparound() -> None:

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import cmath
+import math
+import random
+
 import pytest
 
 from faultlab.network import BusReading, FaultType
-from faultlab.phasors import SequenceTriple, from_polar, wrap_angle_deg
+from faultlab.phasors import (
+    SequenceTriple,
+    angle_between,
+    angle_deg,
+    from_polar,
+    wrap_angle_deg,
+)
 from faultlab.relay import (
     GROUND_CENTERS,
     LINE_CENTERS,
     Direction,
     DirectionalConfig,
+    DirectionalResult,
     PhaseSelectionConfig,
     PhaseSelectionResult,
     directional_incremental,
@@ -248,3 +259,232 @@ def test_direction_values_are_the_report_tokens() -> None:
     assert Direction.FORWARD.value == "forward"
     assert Direction.REVERSE.value == "reverse"
     assert Direction.INDETERMINATE.value == "indeterminate"
+
+
+# The relay elements as they were first written, kept as the reference for
+# the elements that take each operand's magnitude and angle once: the
+# `angle_between`/`angle_deg` route, a band test per call, and the band
+# dicts iterated in their order.
+
+
+def _reference_classify(
+    element: str, v: complex, i: complex, cfg: DirectionalConfig
+) -> DirectionalResult:
+    if abs(v) < cfg.floor or abs(i) < cfg.floor:
+        return DirectionalResult(element, None, Direction.INDETERMINATE)
+    angle = angle_between(v, i, floor=cfg.floor)
+    half = 90.0 - cfg.phi_non_deg
+    if abs(wrap_angle_deg(angle + 90.0)) <= half:
+        verdict = Direction.FORWARD
+    elif abs(wrap_angle_deg(angle - 90.0)) <= half:
+        verdict = Direction.REVERSE
+    else:
+        verdict = Direction.INDETERMINATE
+    return DirectionalResult(element, angle, verdict)
+
+
+def _reference_in_band(angle: float, center: float, half: float) -> bool:
+    return abs(wrap_angle_deg(angle - center)) <= half
+
+
+def _reference_phase_select(
+    reading: BusReading, prefault: BusReading, cfg: PhaseSelectionConfig
+) -> PhaseSelectionResult:
+    i2 = reading.i.neg
+    i0 = reading.i.zero
+    di1 = reading.i.pos - prefault.i.pos
+    if abs(i2) < cfg.sym_floor:
+        return PhaseSelectionResult(FaultType.ABC, None, None)
+    if abs(di1) < cfg.inc_floor or abs(i2) < cfg.inc_floor:
+        return PhaseSelectionResult(None, None, None)
+    dd21 = angle_between(i2, di1, floor=cfg.inc_floor)
+    if abs(i0) < cfg.ground_floor:
+        for ftype, center in LINE_CENTERS.items():
+            if _reference_in_band(dd21, center, cfg.dd21_half_deg):
+                return PhaseSelectionResult(ftype, dd21, None)
+        return PhaseSelectionResult(None, dd21, None)
+    d20 = wrap_angle_deg(angle_deg(i2, cfg.sym_floor) - angle_deg(i0, cfg.ground_floor))
+    for ftype, (c21, c20) in GROUND_CENTERS.items():
+        if _reference_in_band(dd21, c21, cfg.dd21_half_deg) and _reference_in_band(
+            d20, c20, cfg.d20_half_deg
+        ):
+            return PhaseSelectionResult(ftype, dd21, d20)
+    return PhaseSelectionResult(None, dd21, d20)
+
+
+def _assert_elements_match_the_reference(
+    reading: BusReading,
+    prefault: BusReading,
+    dir_cfg: DirectionalConfig,
+    sel_cfg: PhaseSelectionConfig,
+) -> None:
+    dv, di = reading.v.pos - prefault.v.pos, reading.i.pos - prefault.i.pos
+    pairs = (
+        (directional_negative(reading, dir_cfg),
+         _reference_classify("neg", reading.v.neg, reading.i.neg, dir_cfg)),
+        (directional_zero(reading, dir_cfg),
+         _reference_classify("zero", reading.v.zero, reading.i.zero, dir_cfg)),
+        (directional_incremental(reading, prefault, dir_cfg),
+         _reference_classify("inc", dv, di, dir_cfg)),
+        (phase_select(reading, prefault, sel_cfg),
+         _reference_phase_select(reading, prefault, sel_cfg)),
+    )
+    for mine, reference in pairs:
+        assert repr(mine) == repr(reference), (reading, prefault, dir_cfg, sel_cfg)
+
+
+# phasors whose angles are edges: the real and imaginary axes with either
+# sign of zero, the negative real axis that `cmath.phase` reads as +-pi,
+# and signed zeros
+_EDGE_PHASORS = (
+    complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0),
+    complex(0.0, 1.0), complex(-0.0, -1.0), complex(0.0, 0.0), complex(-0.0, -0.0),
+    complex(0.5, -0.5), complex(-0.5, 0.5),
+)
+
+
+def _random_phasor(rng: random.Random) -> complex:
+    if rng.random() < 0.15:
+        return rng.choice(_EDGE_PHASORS) * rng.choice((1.0, 0.05, 0.02))
+    return from_polar(10.0 ** rng.uniform(-2.5, 0.5), rng.uniform(-180.0, 180.0))
+
+
+def _random_triple(rng: random.Random) -> SequenceTriple:
+    return SequenceTriple(*(_random_phasor(rng) for _ in range(3)))
+
+
+def _random_configs(rng: random.Random) -> tuple[DirectionalConfig, PhaseSelectionConfig]:
+    """Settings over their valid ranges, sym_floor and ground_floor apart."""
+    floors = [10.0 ** rng.uniform(-2.5, -0.5) for _ in range(4)]
+    return DirectionalConfig(rng.uniform(30.0, 60.0), floors[0]), PhaseSelectionConfig(
+        rng.uniform(1.0, 30.0), rng.uniform(1.0, 60.0), *floors[1:]
+    )
+
+
+def test_elements_equal_the_reference_on_seeded_readings() -> None:
+    rng = random.Random(36)
+    for _ in range(4000):
+        dir_cfg, sel_cfg = _random_configs(rng) if rng.random() < 0.8 else (CFG, SEL)
+        reading = BusReading("b", _random_triple(rng), _random_triple(rng))
+        prefault = BusReading("b", _random_triple(rng), _random_triple(rng))
+        if rng.random() < 0.3:
+            prefault = _PRE
+        _assert_elements_match_the_reference(reading, prefault, dir_cfg, sel_cfg)
+
+
+def test_elements_equal_the_reference_with_an_operand_exactly_at_its_floor() -> None:
+    rng = random.Random(360)
+    for _ in range(500):
+        reading = BusReading("b", _random_triple(rng), _random_triple(rng))
+        prefault = BusReading("b", _random_triple(rng), _random_triple(rng))
+        dv, di = reading.v.pos - prefault.v.pos, reading.i.pos - prefault.i.pos
+        i2, i0 = reading.i.neg, reading.i.zero
+        for operand in (reading.v.neg, reading.i.neg, reading.v.zero, reading.i.zero, dv, di):
+            if operand:
+                dir_cfg = DirectionalConfig(rng.uniform(30.0, 60.0), abs(operand))
+                _assert_elements_match_the_reference(reading, prefault, dir_cfg, SEL)
+        # each floor of the selection at each current it guards, the
+        # others below or above it, sym_floor and ground_floor apart
+        for sym, ground, inc in (
+            (abs(i2), 0.5 * abs(i0), 0.5 * abs(di)),
+            (0.5 * abs(i2), abs(i0), 0.5 * abs(di)),
+            (0.5 * abs(i2), 2.0 * abs(i0), abs(di)),
+            (0.5 * abs(i2), 0.5 * abs(i0), abs(i2)),
+            (abs(i2), abs(i0), abs(di)),
+        ):
+            if min(sym, ground, inc) > 0.0:
+                sel_cfg = PhaseSelectionConfig(15.0, 30.0, sym, ground, inc)
+                _assert_elements_match_the_reference(reading, prefault, CFG, sel_cfg)
+
+
+def _phi_non_at_edge(angle: float, offset: float) -> float | None:
+    """A phi_non in [30, 60] with |wrap(angle + offset)| == 90 - phi_non exactly, if any."""
+    target = abs(wrap_angle_deg(angle + offset))
+    lo = hi = 90.0 - target
+    for _ in range(8):
+        for phi in (lo, hi):
+            if 90.0 - phi == target and 30.0 <= phi <= 60.0:
+                return phi
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return None
+
+
+def test_elements_equal_the_reference_on_every_band_edge() -> None:
+    rng = random.Random(3600)
+    pre = BusReading("b", SequenceTriple(pos=0.3 + 0.1j), SequenceTriple(pos=0.2 - 0.1j))
+    edges = 0
+    for _ in range(400):
+        reading = BusReading("b", _random_triple(rng), _random_triple(rng))
+        _assert_elements_match_the_reference(reading, pre, CFG, SEL)
+        # a directional band edge: phi_non set so that the angle of
+        # v2/i2 sits exactly on a forward or reverse edge
+        if abs(reading.v.neg) >= CFG.floor and abs(reading.i.neg) >= CFG.floor:
+            angle = angle_between(reading.v.neg, reading.i.neg, floor=CFG.floor)
+            for offset in (90.0, -90.0):
+                phi = _phi_non_at_edge(angle, offset)
+                if phi is not None:
+                    edges += 1
+                    _assert_elements_match_the_reference(
+                        reading, pre, DirectionalConfig(phi, CFG.floor), SEL
+                    )
+        # a selection band edge: a half-width equal to the distance of
+        # dd21 (d20) from each lattice centre
+        i2, di1, i0 = reading.i.neg, reading.i.pos - pre.i.pos, reading.i.zero
+        if min(abs(i2), abs(di1)) < SEL.inc_floor or abs(i2) < SEL.sym_floor:
+            continue
+        dd21 = angle_between(i2, di1)
+        for c21 in (*LINE_CENTERS.values(), *(c for c, _ in GROUND_CENTERS.values())):
+            half21 = abs(wrap_angle_deg(dd21 - c21))
+            if 0.0 < half21 <= 30.0:
+                edges += 1
+                _assert_elements_match_the_reference(
+                    reading, pre, CFG, PhaseSelectionConfig(dd21_half_deg=half21)
+                )
+        if abs(i0) >= SEL.ground_floor:
+            d20 = wrap_angle_deg(angle_deg(i2) - angle_deg(i0))
+            for _, c20 in GROUND_CENTERS.values():
+                half20 = abs(wrap_angle_deg(d20 - c20))
+                if 0.0 < half20 <= 60.0:
+                    edges += 1
+                    cfg = PhaseSelectionConfig(dd21_half_deg=30.0, d20_half_deg=half20)
+                    _assert_elements_match_the_reference(reading, pre, CFG, cfg)
+    assert edges > 400
+
+
+@pytest.mark.parametrize("phi_non", [30.0, 45.0, 60.0])
+def test_elements_equal_the_reference_at_exact_angles(phi_non: float) -> None:
+    """v2 at exactly +-(90 - phi_non), +-phi_non, +-(180 - phi_non), 0, +-90
+    and 180 degrees from i2, where `cmath.phase` reaches them exactly, and
+    the negative real axis under both signs of zero."""
+    cfg = DirectionalConfig(phi_non)
+    half = 90.0 - phi_non
+    targets = {0.0, 90.0, -90.0, 180.0}
+    for t in (half, phi_non, 180.0 - phi_non):
+        targets |= {t, -t}
+    hits = 0
+    for target in sorted(targets):
+        v = _at_exact_angle(target)
+        if v is None:
+            continue
+        hits += 1
+        for i in (complex(1.0, 0.0), complex(1.0, -0.0), complex(2.0, 0.0)):
+            reading = BusReading("b", SequenceTriple(neg=v), SequenceTriple(neg=i))
+            _assert_elements_match_the_reference(reading, _PRE, cfg, SEL)
+    assert hits >= 4
+    for v in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
+        for i in (complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, -0.0), 0.3 - 0.7j):
+            reading = BusReading("b", SequenceTriple(neg=v, zero=v), SequenceTriple(neg=i, zero=v))
+            _assert_elements_match_the_reference(reading, _PRE, cfg, SEL)
+
+
+def _at_exact_angle(target: float) -> complex | None:
+    """A unit phasor whose angle `angle_deg` reads as exactly target, if one is near."""
+    x = math.radians(target)
+    lo = hi = x
+    for _ in range(64):
+        for y in (lo, hi):
+            z = cmath.rect(1.0, y)
+            if angle_deg(z) == target:
+                return z
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return None

@@ -97,6 +97,9 @@ def _check(scenario: Scenario, report: ScenarioReport) -> None:
     assert canonical_config_lines(resolved) == _reference_lines(resolved)
     assert canonical_config_lines(backwards[0]) == _reference_lines(resolved)
     assert canonical_config_lines(_foreign(resolved)) == _reference_lines(_foreign(resolved))
+    # a key fewer or one more than the defaults' formats every line too
+    for other in (dict(list(resolved.items())[1:]), {**resolved, "zz.extra": 1.0}):
+        assert canonical_config_lines(other) == _reference_lines(other)
     text = "\n".join(_reference_lines(resolved))
     assert scenario.config_hash == hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 

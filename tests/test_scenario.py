@@ -454,6 +454,31 @@ def test_converter_reverse_bus_fault_is_rejected() -> None:
     build_scenario({"source.kind": "sg", "fault.placement": "reverse", "fault.m": 1.0})
 
 
+def test_config_text_tokens_that_spell_a_default_are_the_default_objects() -> None:
+    text = (
+        "source.kind = sg\nclc.kind = circular\nfault.kind = bcg\n"
+        "fault.placement = forward\ngfm.filter_in_network = auto\nsolver.damping = auto\n"
+    )
+    parsed = parse_config_text(text)
+    assert len(parsed) == 6
+    for key, value in parsed.items():
+        assert value is DEFAULTS[key][0], key
+    # so the groups they belong to take the parts made at import
+    s = build_scenario(parse_config_text("source.kind = gfm\nclc.kind = circular\n"))
+    assert s.source is scenario._DEFAULT_PARTS["gfm"]
+    assert s.solver is build_scenario(parse_config_text(text)).solver
+    assert s.solver is scenario._DEFAULT_PARTS["solver"]
+    # another spelling is no default, and no valid choice
+    wrong = parse_config_text("clc.kind = Circular")
+    message = (
+        "clc.kind must be one of circular, priority, instantaneous, virtual_admittance, "
+        "adaptive_virtual_impedance; got 'Circular'"
+    )
+    with pytest.raises(ValidationError) as caught:
+        build_scenario(wrong)
+    assert str(caught.value) == message
+
+
 def test_clc_kind_tokens_round_trip() -> None:
     for kind in ClcKind:
         s = build_scenario({"source.kind": "gfm", "clc.kind": kind.value})
