@@ -13,7 +13,7 @@ bases), harness/report/cli (execution and output).
 from .clc import ClcConfig, ClcKind
 from .network import FaultSpec, FaultType, NetworkModel, Placement
 from .phasors import PhaseTriple, SequenceTriple, fortescue, inverse_fortescue
-from .relay import Direction, DirectionalConfig, PhaseSelectionConfig
+from .relay import Direction, RelaySettings
 from .scenario import ConfigError, ParseError, Scenario, ValidationError, build_scenario
 from .sources import GfmModel, NoConvergenceError, OscillationDetectedError, SgModel
 
@@ -32,8 +32,7 @@ __all__ = [
     "fortescue",
     "inverse_fortescue",
     "Direction",
-    "DirectionalConfig",
-    "PhaseSelectionConfig",
+    "RelaySettings",
     "ConfigError",
     "ParseError",
     "Scenario",

@@ -29,7 +29,7 @@ from pathlib import Path
 from .harness import format_table1, run_scenario, sweep_reports, table1_matrix
 from .network import SingularNetworkError
 from .report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
-from .scenario import ConfigError, Scenario, build_scenario, parse_config_text
+from .scenario import ConfigError, Scenario, build_scenario, number, parse_config_text
 from .sources import NoConvergenceError, OscillationDetectedError
 
 __all__ = ["main"]
@@ -81,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="re-run a config along one parameter axis")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--param", required=True, help="config key to sweep")
-    p_sweep.add_argument("--from", dest="start", type=float, required=True)
-    p_sweep.add_argument("--to", dest="stop", type=float, required=True)
+    p_sweep.add_argument("--from", dest="start", type=number, required=True)
+    p_sweep.add_argument("--to", dest="stop", type=number, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--log", action="store_true", help="geometric spacing")
     add_output_options(p_sweep)

@@ -19,8 +19,8 @@ keys are the very strings its field names are.
 A report is the merge of two field sets. The solution fields read the
 solution and every setting of the scenario but its relay settings; the
 relay fields are the scenario id, the config hash, the four relay elements
-(five angles, four verdicts) and dv1/di1, which reads the directional
-floor.
+(five angles, four verdicts) and dv1/di1, which reads the sequence
+floor (`relay.seq_floor_pu`).
 
 `sweep_reports` runs a sweep. The relay settings (`relay.*` keys) reach
 nothing but the relay fields, so a sweep along one of them builds, solves
@@ -110,16 +110,17 @@ def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
     return op.healthy.readings
 
 
-def _polar(z: complex | None) -> tuple[float | None, float | None]:
-    """Magnitude and angle; no angle below the magnitude floor, neither for None.
+def _polar(fields: dict[str, object], names, phasors) -> None:
+    """Write each phasor's magnitude and angle under its (`_mag`, `_ang`) names.
 
-    `phasors.angle_deg` with one `abs` (`phase_deg`). `_solution_fields`
-    runs the same body inline.
+    `phasors.angle_deg` with one `abs`: no angle below its floor, neither for None.
     """
-    if z is None:
-        return None, None
-    mag = abs(z)
-    return mag, None if mag < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z)
+    for (mag, ang), z in zip(names, phasors):
+        if z is None:
+            fields[mag] = fields[ang] = None
+        else:
+            size = fields[mag] = abs(z)
+            fields[ang] = None if size < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z)
 
 
 # the phasors of the solution fields, in the order `_solution_fields`
@@ -136,6 +137,7 @@ _POLAR_NAMES = {
     for stem in (*_SOLUTION_STEMS, "dvdi1")
 }
 _SOLUTION_POLAR_NAMES = tuple(_POLAR_NAMES[stem] for stem in _SOLUTION_STEMS)
+_DVDI1_POLAR_NAMES = (_POLAR_NAMES["dvdi1"],)
 
 
 def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
@@ -220,12 +222,7 @@ def _solution_fields(
         "i_max_phase_pu": sol.i_max_phase,
         "oracle_max_err": _oracle_residual(scenario, sol) if oracle_check else None,
     }
-    for (mag, ang), z in zip(_SOLUTION_POLAR_NAMES, phasors):  # `_polar`, inline
-        if z is None:
-            fields[mag] = fields[ang] = None
-        else:
-            size = fields[mag] = abs(z)
-            fields[ang] = None if size < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z)
+    _polar(fields, _SOLUTION_POLAR_NAMES, phasors)
     return r1, p1, fields
 
 
@@ -233,10 +230,11 @@ def _relay_report(
     scenario: Scenario, r1: BusReading, p1: BusReading, solution_fields: dict[str, object]
 ) -> ScenarioReport:
     """The report: `solution_fields` and the fields of the scenario's relay settings."""
-    dir_neg = directional_negative(r1, scenario.dir_cfg)
-    dir_zero = directional_zero(r1, scenario.dir_cfg)
-    dir_inc = directional_incremental(r1, p1, scenario.dir_cfg)
-    selection = phase_select(r1, p1, scenario.sel_cfg)
+    relay = scenario.relay
+    dir_neg = directional_negative(r1, relay)
+    dir_zero = directional_zero(r1, relay)
+    dir_inc = directional_incremental(r1, p1, relay)
+    selection = phase_select(r1, p1, relay)
     di1, dv1 = r1.i.pos - p1.i.pos, r1.v.pos - p1.v.pos
     fields = {
         **solution_fields,
@@ -252,8 +250,7 @@ def _relay_report(
         "dir_inc": dir_inc.direction._value_,
         "phase_sel": "none" if selection.selected is None else selection.selected._value_,
     }
-    mag, ang = _POLAR_NAMES["dvdi1"]
-    fields[mag], fields[ang] = _polar(dv1 / di1 if abs(di1) > scenario.dir_cfg.floor else None)
+    _polar(fields, _DVDI1_POLAR_NAMES, (dv1 / di1 if abs(di1) > relay.seq_floor_pu else None,))
     return ScenarioReport(**fields)
 
 
@@ -303,11 +300,9 @@ def sweep_scenarios(
             yield value, built
             continue
         resolved = {**built.resolved, param: value}
-        dir_cfg, sel_cfg = relay_settings(resolved)
         yield value, built._replace(
             scenario_id=point_id,
-            dir_cfg=dir_cfg,
-            sel_cfg=sel_cfg,
+            relay=relay_settings(resolved),
             resolved=resolved,
             provenance=dict(built.provenance),
         )
@@ -414,8 +409,8 @@ def table1_verdicts(scenario: Scenario, report: ScenarioReport) -> dict[str, boo
     come from its relay settings and their centres from its fault type.
     """
     c21, c20 = GROUND_CENTERS[scenario.fault.fault_type]
-    half21 = scenario.sel_cfg.dd21_half_deg
-    half20 = scenario.sel_cfg.d20_half_deg
+    half21 = scenario.relay.dd21_half_deg
+    half20 = scenario.relay.d20_half_deg
     return {
         "phi2": report.dir_neg == Direction.FORWARD.value,
         "phi0": report.dir_zero == Direction.FORWARD.value,

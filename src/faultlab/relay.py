@@ -43,12 +43,11 @@ from .records import Record
 
 __all__ = [
     "Direction",
-    "DirectionalConfig",
+    "RelaySettings",
     "DirectionalResult",
     "directional_negative",
     "directional_zero",
     "directional_incremental",
-    "PhaseSelectionConfig",
     "PhaseSelectionResult",
     "phase_select",
     "GROUND_CENTERS",
@@ -65,24 +64,27 @@ class Direction(Enum):
 # the members by module name: a global read, not an Enum class attribute's
 _FORWARD, _REVERSE, _INDETERMINATE = Direction.FORWARD, Direction.REVERSE, Direction.INDETERMINATE
 
-class DirectionalConfig(Record):
-    """Directional element settings.
+class RelaySettings(Record):
+    """The four elements' settings: one field per `relay.*` key, in config order."""
 
-    phi_non is the half-width of the non-directional band around the 0/180
-    boundary of the operating angle; floor is the minimum magnitude (peak
-    pu) for both operands before an angle is trusted.
-    """
-
-    phi_non_deg: float = 45.0
-    floor: float = 0.02
+    phi_non_deg: float = 45.0  # half-width of the band around the 0/180 boundary
+    seq_floor_pu: float = 0.02  # peak pu floor of both directional operands, and of dd21's
+    asym_floor_pu: float = 0.05  # below it |i2| reads symmetrical, |i0| excludes ground types
+    dd21_half_deg: float = 15.0  # the selection bands' half-widths
+    d20_half_deg: float = 30.0
 
     def _check(self) -> None:
         if not 30.0 <= self.phi_non_deg <= 60.0:
             raise ValueError(
                 f"phi_non must lie in [30, 60] degrees, got {self.phi_non_deg}"
             )
-        if self.floor <= 0.0:
-            raise ValueError("magnitude floor must be positive")
+        for name in ("seq_floor_pu", "asym_floor_pu"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.dd21_half_deg <= 30.0:
+            raise ValueError("dd21 band half-width must lie in (0, 30] degrees")
+        if not 0.0 < self.d20_half_deg <= 60.0:
+            raise ValueError("d20 band half-width must lie in (0, 60] degrees")
 
 
 class DirectionalResult(Record):
@@ -91,9 +93,9 @@ class DirectionalResult(Record):
     direction: Direction
 
 
-def _classify(element: str, v: complex, i: complex, cfg: DirectionalConfig) -> DirectionalResult:
+def _classify(element: str, v: complex, i: complex, cfg: RelaySettings) -> DirectionalResult:
     """The verdict on angle(v/i), each operand's magnitude and angle taken once."""
-    floor = cfg.floor
+    floor = cfg.seq_floor_pu
     if abs(v) < floor or abs(i) < floor:
         return DirectionalResult(element, None, _INDETERMINATE)
     angle = wrap_angle_deg(phase_deg(v) - phase_deg(i))
@@ -107,18 +109,18 @@ def _classify(element: str, v: complex, i: complex, cfg: DirectionalConfig) -> D
     return DirectionalResult(element, angle, verdict)
 
 
-def directional_negative(reading: BusReading, cfg: DirectionalConfig) -> DirectionalResult:
+def directional_negative(reading: BusReading, cfg: RelaySettings) -> DirectionalResult:
     """Negative-sequence directional element: angle of v2/i2."""
     return _classify("neg", reading.v.neg, reading.i.neg, cfg)
 
 
-def directional_zero(reading: BusReading, cfg: DirectionalConfig) -> DirectionalResult:
+def directional_zero(reading: BusReading, cfg: RelaySettings) -> DirectionalResult:
     """Zero-sequence directional element: angle of v0/i0."""
     return _classify("zero", reading.v.zero, reading.i.zero, cfg)
 
 
 def directional_incremental(
-    reading: BusReading, prefault: BusReading, cfg: DirectionalConfig
+    reading: BusReading, prefault: BusReading, cfg: RelaySettings
 ) -> DirectionalResult:
     """Incremental positive-sequence element: angle of dv1/di1."""
     dv = reading.v.pos - prefault.v.pos
@@ -146,25 +148,6 @@ _GROUND_BANDS = tuple((ftype, c21, c20) for ftype, (c21, c20) in GROUND_CENTERS.
 _ABC = FaultType.ABC
 
 
-class PhaseSelectionConfig(Record):
-    """Band half-widths and magnitude floors for the angle classifier."""
-
-    dd21_half_deg: float = 15.0
-    d20_half_deg: float = 30.0
-    sym_floor: float = 0.05  # below this |i2|, treat the fault as symmetrical
-    ground_floor: float = 0.05  # below this |i0|, exclude the ground types
-    inc_floor: float = 0.02  # minimum |di1| for dd21 to mean anything
-
-    def _check(self) -> None:
-        if not 0.0 < self.dd21_half_deg <= 30.0:
-            raise ValueError("dd21 band half-width must lie in (0, 30] degrees")
-        if not 0.0 < self.d20_half_deg <= 60.0:
-            raise ValueError("d20 band half-width must lie in (0, 60] degrees")
-        for name in ("sym_floor", "ground_floor", "inc_floor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
 class PhaseSelectionResult(Record):
     selected: FaultType | None  # None: no band matched
     dd21_deg: float | None
@@ -172,7 +155,7 @@ class PhaseSelectionResult(Record):
 
 
 def phase_select(
-    reading: BusReading, prefault: BusReading, cfg: PhaseSelectionConfig
+    reading: BusReading, prefault: BusReading, cfg: RelaySettings
 ) -> PhaseSelectionResult:
     """Classify the fault type from the relay-point sequence currents.
 
@@ -184,17 +167,17 @@ def phase_select(
     di1 = reading.i.pos - prefault.i.pos
     mag2 = abs(i2)
 
-    if mag2 < cfg.sym_floor:
+    if mag2 < cfg.asym_floor_pu:
         return PhaseSelectionResult(_ABC, None, None)
 
-    # dd21 needs both operands over inc_floor, which may exceed sym_floor
-    if abs(di1) < cfg.inc_floor or mag2 < cfg.inc_floor:
+    # dd21 needs both operands over seq_floor_pu, which may exceed asym_floor_pu
+    if abs(di1) < cfg.seq_floor_pu or mag2 < cfg.seq_floor_pu:
         return PhaseSelectionResult(None, None, None)
     angle2 = phase_deg(i2)
     dd21 = wrap_angle_deg(angle2 - phase_deg(di1))
     half21 = cfg.dd21_half_deg
 
-    if abs(i0) < cfg.ground_floor:
+    if abs(i0) < cfg.asym_floor_pu:
         for ftype, center in _LINE_BANDS:
             if abs(wrap_angle_deg(dd21 - center)) <= half21:
                 return PhaseSelectionResult(ftype, dd21, None)

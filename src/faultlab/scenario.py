@@ -57,10 +57,9 @@ not checked, and a group of default objects takes the part made of the
 defaults at import: no memo, for no case's result is held. Equal copies of
 the defaults take every check (guarded in `tests/test_scenario.py`); a
 config text's tokens are interned, so one that spells a default text is
-the default object. The `relay.*` keys reach only `dir_cfg` and
-`sel_cfg`, so a sweep along one builds its first point and takes every
-later point's settings, and their validation, from `relay_settings`
-alone.
+the default object. The `relay.*` keys reach only `Scenario.relay`, so
+a sweep along one builds its first point and takes every later point's
+settings, and their validation, from `relay_settings` alone.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import re
 import sys
 from enum import Enum
 from itertools import compress
@@ -88,7 +88,7 @@ from .network import (
     _keep,
 )
 from .records import Record
-from .relay import DirectionalConfig, PhaseSelectionConfig
+from .relay import RelaySettings
 from .sources import GfmModel, SgModel
 
 __all__ = [
@@ -103,6 +103,7 @@ __all__ = [
     "SORTED_DEFAULTS",
     "SORTED_PROVENANCE",
     "parse_config_text",
+    "number",
     "build_scenario",
     "relay_settings",
     "canonical_config_lines",
@@ -205,7 +206,7 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def _coerce_token(token: str) -> object:
-    """A bool, a float, or the token itself, interned.
+    """A bool, a float (see `number`), or the token itself, interned.
 
     Interned, a token that spells a default text (`clc.kind = circular`)
     is the default object itself, so its config group takes the part made
@@ -217,9 +218,23 @@ def _coerce_token(token: str) -> object:
     if low == "false":
         return False
     try:
-        return float(token)
+        return number(token)
     except ValueError:
         return sys.intern(token)
+
+
+# a plain ASCII decimal, or a spelling of inf or nan (which a key rejects
+# as not finite); `float` alone also reads `1_2` and other scripts' digits
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)", re.A | re.I
+)
+
+
+def number(token: str) -> float:
+    """The float that a number token (`_NUMBER`) spells; ValueError for any other token."""
+    if _NUMBER.fullmatch(token) is None:
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
 
 
 class SolverSettings(Record):
@@ -237,8 +252,7 @@ class Scenario(Record):
     q_ref: float
     source: SgModel | GfmModel  # the model of `kind`
     fault: FaultSpec
-    dir_cfg: DirectionalConfig
-    sel_cfg: PhaseSelectionConfig
+    relay: RelaySettings
     solver: SolverSettings
     net: NetworkModel
     # passive impedance between the source branch and bus 1 (pu; positive
@@ -400,7 +414,7 @@ def _generator(resolved: dict[str, object]) -> SgModel:
     return SgModel(*[_need_positive(resolved, key) for key in _SG_REACTANCES])
 
 
-def relay_settings(resolved: dict[str, object]) -> tuple[DirectionalConfig, PhaseSelectionConfig]:
+def relay_settings(resolved: dict[str, object]) -> RelaySettings:
     """The relay settings of a resolved config: all that its `relay.*` keys reach."""
     phi_non = _need_float(resolved, "relay.phi_non_deg")
     seq_floor = _need_positive(resolved, "relay.seq_floor_pu")
@@ -412,9 +426,7 @@ def relay_settings(resolved: dict[str, object]) -> tuple[DirectionalConfig, Phas
     for key, value, top in (("relay.dd21_half_deg", dd21, 30), ("relay.d20_half_deg", d20, 60)):
         if value > top:
             raise ValidationError(f"{key} must lie in (0, {top}] degrees, got {value}")
-    return DirectionalConfig(phi_non, seq_floor), PhaseSelectionConfig(
-        dd21, d20, sym_floor=asym_floor, ground_floor=asym_floor, inc_floor=seq_floor
-    )
+    return RelaySettings(phi_non, seq_floor, asym_floor, dd21, d20)
 
 
 def _solver(resolved: dict[str, object]) -> SolverSettings:
@@ -520,7 +532,7 @@ def build_scenario(
     zb_hv = _base_impedance(resolved) if "base" in changed else _DEFAULT_PARTS["base"]
     gfm = _converter(resolved) if "gfm" in changed else _DEFAULT_PARTS["gfm"]
     sg = _generator(resolved) if "sg" in changed else _DEFAULT_PARTS["sg"]
-    dir_cfg, sel_cfg = relay_settings(resolved) if "relay" in changed else _DEFAULT_PARTS["relay"]
+    relay = relay_settings(resolved) if "relay" in changed else _DEFAULT_PARTS["relay"]
     fault_m = _need_float(resolved, "fault.m")
     if not 0.0 <= fault_m <= 1.0:
         raise ValidationError(f"fault.m must lie in [0, 1], got {fault_m}")
@@ -543,7 +555,7 @@ def build_scenario(
     source = sg if kind is _SG else gfm
     # every field of a Scenario, in order
     return Scenario(
-        scenario_id, kind, p_ref, q_ref, source, fault, dir_cfg, sel_cfg, solver, net,
+        scenario_id, kind, p_ref, q_ref, source, fault, relay, solver, net,
         z_side1, z_side0, resolved, provenance,
     )
 

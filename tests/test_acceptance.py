@@ -290,7 +290,7 @@ def test_criterion_06_incremental_element_failure_mode(preset_reports) -> None:
     twin_overrides["source.kind"] = "sg"
     sg = run_scenario(build_scenario(twin_overrides, scenario_id="fig14-sg-twin"))
 
-    phi_non = scenario.dir_cfg.phi_non_deg
+    phi_non = scenario.relay.phi_non_deg
     gfm_off_zone = abs(gfm.dphi1_deg + 90.0) > phi_non
     sg_on_center = abs(sg.dphi1_deg + 90.0) < 10.0
     # the added control impedance shows up non-inductive and with the

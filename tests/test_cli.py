@@ -129,6 +129,37 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, key: str, value: 
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize(
+    ("key", "token"),
+    [("clc.i_lim_pu", "1_2"), ("fault.m", "\u0660.\u0665"), ("fault.m", "\uff10.5")],
+)
+def test_a_number_that_is_not_a_plain_ascii_decimal_is_a_config_error(
+    tmp_path, capsys, key: str, token: str
+) -> None:
+    # `float` reads each of these (12.0, 0.5, 0.5); a config file does not
+    cfg = _config(tmp_path, f"{key} = {token}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be a number, got {token!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_sweep_bounds_are_read_as_a_config_file_reads_numbers(tmp_path, capsys, flag) -> None:
+    cfg = _config(tmp_path, "source.kind = sg\n")
+
+    def sweep(bound: str) -> int:
+        bounds = {"--from": "0.2", "--to": "0.8", flag: bound}
+        return main(["sweep", "--config", cfg, "--param", "fault.m", "--steps", "2",
+                     *(arg for pair in bounds.items() for arg in pair)])
+
+    with pytest.raises(SystemExit) as rejected:
+        sweep("0_5")
+    assert rejected.value.code == 2
+    assert f"argument {flag}: invalid number value: '0_5'" in capsys.readouterr().err
+    # inf and nan are numbers, rejected as not finite by the sweep's build
+    assert sweep("nan") == 2
+    assert "fault.m must be finite, got nan" in capsys.readouterr().err
+
+
 def test_infinite_limit_with_records_is_a_config_error(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "source.kind = gfm\nclc.i_lim_pu = inf\n")
     assert main(["run", "--config", cfg, "--format", "records"]) == 2

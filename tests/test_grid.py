@@ -7,7 +7,8 @@ x the same m, R_g and p_ref: 1200 cases. Every case must keep its reference
 outcome and relay verdicts (perfbench/check.py states the rules), and each
 preset's `replicate --oracle-check` CSV row must match its reference row.
 The converter grid's failures and its iterations, summed over the solved
-cases, are bounded by their measured values.
+cases, are bounded by their measured values. Each grid runs with the memos
+cold, and what they hold after it is pinned, below their bounds.
 The checker and the cases are read from perfbench by path. The same cases
 and the seeded random configs also pin `config_hash` to the formula it was
 first defined by. Takes about 10 s.
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from faultlab import network
+from faultlab import scenario as scenario_module
 from faultlab.harness import run_scenario
 from faultlab.network import SingularNetworkError
 from faultlab.report import csv_header, csv_line
@@ -39,6 +41,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MAX_FAILURES = 3
 # measured iterations summed over the solved grid cases; may only go down
 MAX_GRID_ITERATIONS = 24079
+# what the memos hold after each grid, run cold: the network objects, and
+# what `network._shared` made on them by kind (measured)
+GRID_MEMOS = (5, {"build": 15, "dispatch": 45, "port": 200, "taps": 5})
+GENERATOR_MEMOS = (10, {"build": 100, "dispatch": 30, "source": 30, "taps": 40})
 
 
 def _perfbench_module(name: str):
@@ -57,12 +63,15 @@ def _reference(name: str) -> dict:
     return json.loads((PERFBENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def _run_against_reference(name: str, cases: list[dict[str, object]]) -> tuple[Counter, int]:
-    """Run every case, assert none mismatches its reference.
+def _run_against_reference(
+    name: str, cases: list[dict[str, object]]
+) -> tuple[Counter, int, tuple[int, dict[str, int]]]:
+    """Run every case with the memos cold, assert none mismatches its reference.
 
-    Returns the failures by law and outcome, and the iterations summed over
-    the solved cases.
+    Returns the failures by law and outcome, the iterations summed over
+    the solved cases, and what the memos hold after the run (`_memos`).
     """
+    _clear_memos()
     reference = _reference(name)["cases"]
     failures: Counter[tuple[str, str]] = Counter()
     iterations = 0
@@ -83,28 +92,51 @@ def _run_against_reference(name: str, cases: list[dict[str, object]]) -> tuple[C
         if found:
             problems[key] = found
     assert not problems, problems
-    return failures, iterations
+    return failures, iterations, _memos()
+
+
+def _memos() -> tuple[int, dict[str, int]]:
+    """The network objects held, and the `network._shared` entries by kind."""
+    kinds = Counter(
+        "build" if isinstance(what, int) else what if isinstance(what, str) else what[0]
+        for _, what in network._SHARED
+    )
+    return len(scenario_module._NETWORKS), dict(kinds)
+
+
+def _assert_nothing_evicted(memos: tuple[int, dict[str, int]]) -> None:
+    networks, shared = memos
+    assert networks < scenario_module._NETWORKS_BOUND
+    assert sum(shared.values()) < network._SHARED_BOUND
 
 
 @pytest.fixture(scope="module")
-def grid_run() -> tuple[Counter, int]:
+def grid_run() -> tuple[Counter, int, tuple[int, dict[str, int]]]:
     return _run_against_reference("grid", workloads.grid_cases())
 
 
 def test_grid_converges_outside_a_few_priority_cases(grid_run) -> None:
-    failures, _ = grid_run
+    failures, _, _ = grid_run
     assert {kind for kind, _ in failures} <= {"priority"}, failures
     assert sum(failures.values()) <= MAX_FAILURES, failures
 
 
 def test_grid_iterations_stay_within_the_measured_total(grid_run) -> None:
-    _, iterations = grid_run
+    _, iterations, _ = grid_run
     assert iterations <= MAX_GRID_ITERATIONS
 
 
+def test_grid_memos_hold_its_few_networks_and_evict_nothing(grid_run) -> None:
+    _, _, memos = grid_run
+    assert memos == GRID_MEMOS
+    _assert_nothing_evicted(memos)
+
+
 def test_generator_grid_matches_the_reference() -> None:
-    failures, _ = _run_against_reference("generator", workloads.generator_cases())
+    failures, _, memos = _run_against_reference("generator", workloads.generator_cases())
     assert not failures, failures
+    assert memos == GENERATOR_MEMOS
+    _assert_nothing_evicted(memos)
 
 
 def _outcome(case: dict[str, object]) -> str:

@@ -34,7 +34,7 @@ from faultlab.phasors import (
     wrap_angle_deg,
 )
 from faultlab.presets import preset_scenario_overrides
-from faultlab.relay import DirectionalConfig
+from faultlab.relay import RelaySettings
 from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from faultlab import scenario as scenario_module
 from faultlab.scenario import ValidationError, _clear_memos, build_scenario
@@ -159,27 +159,43 @@ def _polar_by_angle_deg(z: complex | None) -> tuple[float | None, float | None]:
         return abs(z), None
 
 
-@pytest.mark.parametrize(
-    "z",
-    [
-        from_polar(0.7, -123.4),
-        complex(0.0, -2.5),
-        complex(DEFAULT_MAGNITUDE_FLOOR, 0.0),
-        complex(0.0, 0.5 * DEFAULT_MAGNITUDE_FLOOR),
-        complex(-0.0, -0.0),
-        complex(-1.0, 0.0),
-        complex(-1.0, -0.0),
-        None,
-    ],
-)
+def _polar_of(z: complex | None) -> tuple[float | None, float | None]:
+    """The (magnitude, angle) pair that `_polar` writes for one phasor."""
+    fields: dict[str, object] = {}
+    _polar(fields, (("m", "a"),), (z,))
+    return fields["m"], fields["a"]
+
+
+_POLAR_CASES = [
+    from_polar(0.7, -123.4),
+    complex(0.0, -2.5),
+    complex(DEFAULT_MAGNITUDE_FLOOR, 0.0),
+    complex(0.0, 0.5 * DEFAULT_MAGNITUDE_FLOOR),
+    complex(-0.0, -0.0),
+    complex(-1.0, 0.0),
+    complex(-1.0, -0.0),
+    None,
+]
+
+
+@pytest.mark.parametrize("z", _POLAR_CASES)
 def test_polar_equals_the_angle_deg_route(z: complex | None) -> None:
-    assert repr(_polar(z)) == repr(_polar_by_angle_deg(z))
+    assert repr(_polar_of(z)) == repr(_polar_by_angle_deg(z))
+
+
+def test_polar_writes_the_pair_of_each_phasor_in_a_list() -> None:
+    names = [(f"m{k}", f"a{k}") for k in range(len(_POLAR_CASES))]
+    fields: dict[str, object] = {"kept": 1}
+    _polar(fields, names, _POLAR_CASES)
+    assert list(fields) == ["kept", *(name for pair in names for name in pair)]
+    for (mag, ang), z in zip(names, _POLAR_CASES):
+        assert repr((fields[mag], fields[ang])) == repr(_polar_by_angle_deg(z))
 
 
 def test_polar_reads_the_negative_real_axis_as_180_degrees() -> None:
-    assert _polar(complex(-1.0, 0.0)) == _polar(complex(-1.0, -0.0)) == (1.0, 180.0)
-    assert _polar(complex(DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] == 0.0
-    assert _polar(complex(0.5 * DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] is None
+    assert _polar_of(complex(-1.0, 0.0)) == _polar_of(complex(-1.0, -0.0)) == (1.0, 180.0)
+    assert _polar_of(complex(DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] == 0.0
+    assert _polar_of(complex(0.5 * DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] is None
 
 
 def test_polar_field_names_are_interned_report_fields(preset_reports) -> None:
@@ -612,6 +628,31 @@ def test_phi0_across_the_operating_space_is_the_same_under_every_row(table1_spac
             assert point["fault.r_g_ohm"] == 100.0, point
 
 
+# per row: the faults where dphi1 is secure (forward), of 32 at each p_ref
+# of the battery (0, 0.5, 1), and those of its 96 where dir_inc reads reverse
+DPHI1_SPLIT = {
+    "circular": ((6, 3, 1), 8),
+    "priority": ((6, 3, 0), 6),
+    "instantaneous": ((8, 9, 9), 0),
+    "virtual-admittance-xr20": ((32, 32, 1), 0),
+    "adaptive-vi-xr20": ((32, 32, 3), 0),
+    "adaptive-vi-xr0.1": ((11, 17, 0), 8),
+}
+
+
+def test_dphi1_fails_under_inductive_shaping_only_with_pre_fault_load(
+    battery, table1_space
+) -> None:
+    """The inductive rows hold dphi1 on every fault without load and lose
+    it at p_ref = 1, the dispatch `table1` is taken at."""
+    for row in TABLE1_ROWS:
+        forward = dict.fromkeys((0.0, 0.5, 1.0), 0)
+        for (_, point, *_), case in zip(battery[row.label], table1_space[row.label]):
+            forward[point["source.p_ref"]] += case["dphi1"]
+        reverse = sum(report.dir_inc == "reverse" for *_, report in battery[row.label])
+        assert (tuple(forward.values()), reverse) == DPHI1_SPLIT[row.label], row.label
+
+
 def directional_margin(angle: float | None, phi_non_deg: float) -> tuple[float | None, str]:
     """A directional verdict's signed margin, and its cause: "angle" or "floor".
 
@@ -640,7 +681,7 @@ PHI2_MARGIN_AT_LEAST = {
 
 
 def test_directional_margins_across_the_operating_space(battery) -> None:
-    phi_non = DirectionalConfig().phi_non_deg
+    phi_non = RelaySettings().phi_non_deg
     assert phi_non == 45.0
     widest = 60.0  # the largest legal relay.phi_non_deg
     for row in TABLE1_ROWS:
@@ -693,7 +734,7 @@ def test_phi2_is_secure_exactly_when_the_source_impedance_is_inductive_enough(ba
         secure = 0
         for fault_type, point, scenario, _, _, report in battery[row.label]:
             ze2 = from_polar(report.ze2_mag, report.ze2_ang)
-            phi_non = scenario.dir_cfg.phi_non_deg
+            phi_non = scenario.relay.phi_non_deg
             case = (row.label, fault_type, point)
             assert abs(wrap_angle_deg(report.phi2_deg - angle_deg(-ze2))) <= 1e-9, case
             forward = report.dir_neg == "forward"

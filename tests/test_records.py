@@ -23,12 +23,7 @@ from faultlab.harness import (
 from faultlab.network import FaultSpec, SequenceSolution
 from faultlab.phasors import inverse_fortescue
 from faultlab.presets import PRESETS
-from faultlab.relay import (
-    DirectionalConfig,
-    PhaseSelectionConfig,
-    directional_negative,
-    phase_select,
-)
+from faultlab.relay import RelaySettings, directional_negative, phase_select
 from faultlab.scenario import build_scenario
 from faultlab.sources import GfmModel, SgModel
 
@@ -38,11 +33,11 @@ INVALID = [
     (ClcConfig, {"x_vn": -0.1}, "nominal virtual impedance parts must be non-negative"),
     (FaultSpec, {"m": 1.5}, r"fault position m=1\.5 outside \[0, 1\]"),
     (FaultSpec, {"r_g_ohm": -1.0}, r"fault resistance -1\.0 ohm is negative"),
-    (DirectionalConfig, {"phi_non_deg": 20.0}, r"phi_non must lie in \[30, 60\] degrees, got 20"),
-    (DirectionalConfig, {"floor": 0.0}, "magnitude floor must be positive"),
-    (PhaseSelectionConfig, {"dd21_half_deg": 31.0}, r"dd21 band half-width must lie in \(0, 30"),
-    (PhaseSelectionConfig, {"d20_half_deg": 0.0}, r"d20 band half-width must lie in \(0, 60\]"),
-    (PhaseSelectionConfig, {"inc_floor": 0.0}, "inc_floor must be positive"),
+    (RelaySettings, {"phi_non_deg": 20.0}, r"phi_non must lie in \[30, 60\] degrees, got 20"),
+    (RelaySettings, {"seq_floor_pu": 0.0}, "seq_floor_pu must be positive"),
+    (RelaySettings, {"asym_floor_pu": -0.1}, "asym_floor_pu must be positive"),
+    (RelaySettings, {"dd21_half_deg": 31.0}, r"dd21 band half-width must lie in \(0, 30"),
+    (RelaySettings, {"d20_half_deg": 0.0}, r"d20 band half-width must lie in \(0, 60\]"),
     (SgModel, {"x0": 0.0}, "generator sequence reactances must be positive"),
     (GfmModel, {"k_pv": 0.0}, "voltage-loop gain k_pv must be positive"),
     (GfmModel, {"x_f": -0.1}, "filter reactance must be non-negative"),
@@ -121,12 +116,12 @@ def _one_of_each_record() -> list[tuple]:
     net = scenario.net
     return [
         scenario, scenario.solver, scenario.fault, scenario.source, scenario.source.clc,
-        scenario.dir_cfg, scenario.sel_cfg, build_scenario({}).source,
+        scenario.relay, build_scenario({}).source,
         net, *net.elements, *net.relay_taps.values(),
         op, sol, sol.frozen, sol.fault.thevenin,
         sol.fault.terminal_port, reading, reading.v, inverse_fortescue(reading.v),
-        directional_negative(reading, scenario.dir_cfg),
-        phase_select(reading, prefault, scenario.sel_cfg),
+        directional_negative(reading, scenario.relay),
+        phase_select(reading, prefault, scenario.relay),
         report_scenario(scenario, op, sol),
         solve_abc(net.with_elements(sol.frozen), scenario.fault),
         PRESETS["fig13b"], TABLE1_ROWS[0], Table1Result({}, TABLE1_ROWS, TABLE1_ELEMENTS, ()),

@@ -18,18 +18,17 @@ from faultlab.relay import (
     GROUND_CENTERS,
     LINE_CENTERS,
     Direction,
-    DirectionalConfig,
     DirectionalResult,
-    PhaseSelectionConfig,
     PhaseSelectionResult,
+    RelaySettings,
     directional_incremental,
     directional_negative,
     directional_zero,
     phase_select,
 )
+from faultlab.scenario import DEFAULTS
 
-CFG = DirectionalConfig()
-SEL = PhaseSelectionConfig()
+CFG = RelaySettings()
 
 
 def _neg_reading(v_angle: float, v_mag: float = 1.0, i_mag: float = 1.0) -> BusReading:
@@ -43,23 +42,29 @@ def _neg_reading(v_angle: float, v_mag: float = 1.0, i_mag: float = 1.0) -> BusR
 
 def test_config_validation() -> None:
     with pytest.raises(ValueError):
-        DirectionalConfig(phi_non_deg=29.9)
+        RelaySettings(phi_non_deg=29.9)
     with pytest.raises(ValueError):
-        DirectionalConfig(phi_non_deg=60.1)
+        RelaySettings(phi_non_deg=60.1)
     with pytest.raises(ValueError):
-        DirectionalConfig(floor=0.0)
-    DirectionalConfig(phi_non_deg=30.0)
-    DirectionalConfig(phi_non_deg=60.0)
+        RelaySettings(seq_floor_pu=0.0)
+    RelaySettings(phi_non_deg=30.0)
+    RelaySettings(phi_non_deg=60.0)
     with pytest.raises(ValueError):
-        PhaseSelectionConfig(dd21_half_deg=0.0)
+        RelaySettings(dd21_half_deg=0.0)
     with pytest.raises(ValueError):
-        PhaseSelectionConfig(dd21_half_deg=30.5)
+        RelaySettings(dd21_half_deg=30.5)
     with pytest.raises(ValueError):
-        PhaseSelectionConfig(d20_half_deg=61.0)
+        RelaySettings(d20_half_deg=61.0)
     with pytest.raises(ValueError):
-        PhaseSelectionConfig(sym_floor=0.0)
+        RelaySettings(asym_floor_pu=0.0)
     with pytest.raises(ValueError):
-        PhaseSelectionConfig(inc_floor=-0.1)
+        RelaySettings(seq_floor_pu=-0.1)
+
+
+def test_settings_are_the_relay_keys_in_config_order() -> None:
+    keys = [key for key in DEFAULTS if key.startswith("relay.")]
+    assert [f"relay.{field}" for field in RelaySettings._fields] == keys
+    assert RelaySettings() == tuple(DEFAULTS[key][0] for key in keys)
 
 
 @pytest.mark.parametrize(
@@ -161,7 +166,7 @@ _PRE = BusReading(bus="b", v=SequenceTriple(), i=SequenceTriple())
 @pytest.mark.parametrize("ftype", list(GROUND_CENTERS))
 def test_ground_fault_lattice_points_classify(ftype: FaultType) -> None:
     c21, c20 = GROUND_CENTERS[ftype]
-    res = phase_select(_selection_reading(c21, c20), _PRE, SEL)
+    res = phase_select(_selection_reading(c21, c20), _PRE, CFG)
     assert res.selected is ftype
     assert wrap_angle_deg(res.dd21_deg - c21) == pytest.approx(0.0, abs=1e-9)
     assert wrap_angle_deg(res.d20_deg - c20) == pytest.approx(0.0, abs=1e-9)
@@ -170,7 +175,7 @@ def test_ground_fault_lattice_points_classify(ftype: FaultType) -> None:
 @pytest.mark.parametrize("ftype", list(LINE_CENTERS))
 def test_line_fault_lattice_points_classify(ftype: FaultType) -> None:
     center = LINE_CENTERS[ftype]
-    res = phase_select(_selection_reading(center, None), _PRE, SEL)
+    res = phase_select(_selection_reading(center, None), _PRE, CFG)
     assert res.selected is ftype
     assert res.d20_deg is None
     assert wrap_angle_deg(res.dd21_deg - center) == pytest.approx(0.0, abs=1e-9)
@@ -180,7 +185,7 @@ def test_symmetrical_fault_needs_no_angles() -> None:
     reading = BusReading(
         bus="b", v=SequenceTriple(), i=SequenceTriple(pos=1.0 + 0j, neg=0.01 + 0j)
     )
-    res = phase_select(reading, _PRE, SEL)
+    res = phase_select(reading, _PRE, CFG)
     assert res.selected is FaultType.ABC
     assert res.dd21_deg is None and res.d20_deg is None
 
@@ -189,13 +194,13 @@ def test_weak_incremental_current_abstains() -> None:
     reading = BusReading(
         bus="b", v=SequenceTriple(), i=SequenceTriple(pos=0.01 + 0j, neg=1.0 + 0j)
     )
-    res = phase_select(reading, _PRE, SEL)
+    res = phase_select(reading, _PRE, CFG)
     assert res.selected is None and res.dd21_deg is None
 
 
 def test_negative_current_under_the_incremental_floor_abstains() -> None:
-    # |i2| clears sym_floor but not inc_floor, so dd21 has no angle to read
-    cfg = PhaseSelectionConfig(sym_floor=0.001, ground_floor=0.001, inc_floor=0.2)
+    # |i2| clears asym_floor_pu but not seq_floor_pu, so dd21 has no angle to read
+    cfg = RelaySettings(seq_floor_pu=0.2, asym_floor_pu=0.001)
     reading = BusReading(
         bus="b", v=SequenceTriple(), i=SequenceTriple(pos=1.0 + 0j, neg=0.1 + 0j, zero=1.0 + 0j)
     )
@@ -203,23 +208,12 @@ def test_negative_current_under_the_incremental_floor_abstains() -> None:
     assert res == PhaseSelectionResult(None, None, None)
 
 
-def test_negative_current_between_the_symmetrical_and_ground_floors_reads_d20() -> None:
-    # |i2| clears sym_floor but not ground_floor; |i0| clears ground_floor
-    cfg = PhaseSelectionConfig(sym_floor=0.01, ground_floor=0.2)
-    reading = BusReading(
-        bus="b", v=SequenceTriple(), i=SequenceTriple(pos=1.0 + 0j, neg=0.1 + 0j, zero=1.0 + 0j)
-    )
-    res = phase_select(reading, _PRE, cfg)
-    assert res == PhaseSelectionResult(FaultType.AG, 0.0, 0.0)
-    assert res == phase_select(reading, _PRE, PhaseSelectionConfig(sym_floor=0.01, ground_floor=0.01))
-
-
 def test_off_lattice_angles_select_nothing() -> None:
     # 30 deg sits exactly between two dd21 centers, outside both bands
-    res = phase_select(_selection_reading(30.0, 0.0), _PRE, SEL)
+    res = phase_select(_selection_reading(30.0, 0.0), _PRE, CFG)
     assert res.selected is None
     assert res.dd21_deg == pytest.approx(30.0, abs=1e-9)
-    res = phase_select(_selection_reading(30.0, None), _PRE, SEL)
+    res = phase_select(_selection_reading(30.0, None), _PRE, CFG)
     assert res.selected is None
 
 
@@ -229,8 +223,8 @@ def test_selection_is_scale_invariant() -> None:
         reading = _selection_reading(dd21, d20)
         scaled = BusReading(bus="b", v=reading.v.scaled(lam), i=reading.i.scaled(lam))
         pre_scaled = BusReading(bus="b", v=_PRE.v.scaled(lam), i=_PRE.i.scaled(lam))
-        a = phase_select(reading, _PRE, SEL)
-        b = phase_select(scaled, pre_scaled, SEL)
+        a = phase_select(reading, _PRE, CFG)
+        b = phase_select(scaled, pre_scaled, CFG)
         assert a.selected is b.selected
         assert b.dd21_deg == pytest.approx(a.dd21_deg, abs=1e-9)
         assert b.d20_deg == pytest.approx(a.d20_deg, abs=1e-9)
@@ -252,7 +246,7 @@ def test_dd21_bands_do_not_overlap() -> None:
     centers = sorted(wrap_angle_deg(c) for c, _ in GROUND_CENTERS.values())
     gaps = [centers[k + 1] - centers[k] for k in range(len(centers) - 1)]
     gaps.append(360.0 + centers[0] - centers[-1])
-    assert min(gaps) > 2.0 * SEL.dd21_half_deg
+    assert min(gaps) > 2.0 * CFG.dd21_half_deg
 
 
 def test_direction_values_are_the_report_tokens() -> None:
@@ -268,11 +262,11 @@ def test_direction_values_are_the_report_tokens() -> None:
 
 
 def _reference_classify(
-    element: str, v: complex, i: complex, cfg: DirectionalConfig
+    element: str, v: complex, i: complex, cfg: RelaySettings
 ) -> DirectionalResult:
-    if abs(v) < cfg.floor or abs(i) < cfg.floor:
+    if abs(v) < cfg.seq_floor_pu or abs(i) < cfg.seq_floor_pu:
         return DirectionalResult(element, None, Direction.INDETERMINATE)
-    angle = angle_between(v, i, floor=cfg.floor)
+    angle = angle_between(v, i, floor=cfg.seq_floor_pu)
     half = 90.0 - cfg.phi_non_deg
     if abs(wrap_angle_deg(angle + 90.0)) <= half:
         verdict = Direction.FORWARD
@@ -288,22 +282,22 @@ def _reference_in_band(angle: float, center: float, half: float) -> bool:
 
 
 def _reference_phase_select(
-    reading: BusReading, prefault: BusReading, cfg: PhaseSelectionConfig
+    reading: BusReading, prefault: BusReading, cfg: RelaySettings
 ) -> PhaseSelectionResult:
     i2 = reading.i.neg
     i0 = reading.i.zero
     di1 = reading.i.pos - prefault.i.pos
-    if abs(i2) < cfg.sym_floor:
+    if abs(i2) < cfg.asym_floor_pu:
         return PhaseSelectionResult(FaultType.ABC, None, None)
-    if abs(di1) < cfg.inc_floor or abs(i2) < cfg.inc_floor:
+    if abs(di1) < cfg.seq_floor_pu or abs(i2) < cfg.seq_floor_pu:
         return PhaseSelectionResult(None, None, None)
-    dd21 = angle_between(i2, di1, floor=cfg.inc_floor)
-    if abs(i0) < cfg.ground_floor:
+    dd21 = angle_between(i2, di1, floor=cfg.seq_floor_pu)
+    if abs(i0) < cfg.asym_floor_pu:
         for ftype, center in LINE_CENTERS.items():
             if _reference_in_band(dd21, center, cfg.dd21_half_deg):
                 return PhaseSelectionResult(ftype, dd21, None)
         return PhaseSelectionResult(None, dd21, None)
-    d20 = wrap_angle_deg(angle_deg(i2, cfg.sym_floor) - angle_deg(i0, cfg.ground_floor))
+    d20 = wrap_angle_deg(angle_deg(i2, cfg.asym_floor_pu) - angle_deg(i0, cfg.asym_floor_pu))
     for ftype, (c21, c20) in GROUND_CENTERS.items():
         if _reference_in_band(dd21, c21, cfg.dd21_half_deg) and _reference_in_band(
             d20, c20, cfg.d20_half_deg
@@ -313,24 +307,21 @@ def _reference_phase_select(
 
 
 def _assert_elements_match_the_reference(
-    reading: BusReading,
-    prefault: BusReading,
-    dir_cfg: DirectionalConfig,
-    sel_cfg: PhaseSelectionConfig,
+    reading: BusReading, prefault: BusReading, cfg: RelaySettings
 ) -> None:
     dv, di = reading.v.pos - prefault.v.pos, reading.i.pos - prefault.i.pos
     pairs = (
-        (directional_negative(reading, dir_cfg),
-         _reference_classify("neg", reading.v.neg, reading.i.neg, dir_cfg)),
-        (directional_zero(reading, dir_cfg),
-         _reference_classify("zero", reading.v.zero, reading.i.zero, dir_cfg)),
-        (directional_incremental(reading, prefault, dir_cfg),
-         _reference_classify("inc", dv, di, dir_cfg)),
-        (phase_select(reading, prefault, sel_cfg),
-         _reference_phase_select(reading, prefault, sel_cfg)),
+        (directional_negative(reading, cfg),
+         _reference_classify("neg", reading.v.neg, reading.i.neg, cfg)),
+        (directional_zero(reading, cfg),
+         _reference_classify("zero", reading.v.zero, reading.i.zero, cfg)),
+        (directional_incremental(reading, prefault, cfg),
+         _reference_classify("inc", dv, di, cfg)),
+        (phase_select(reading, prefault, cfg),
+         _reference_phase_select(reading, prefault, cfg)),
     )
     for mine, reference in pairs:
-        assert repr(mine) == repr(reference), (reading, prefault, dir_cfg, sel_cfg)
+        assert repr(mine) == repr(reference), (reading, prefault, cfg)
 
 
 # phasors whose angles are edges: the real and imaginary axes with either
@@ -353,23 +344,26 @@ def _random_triple(rng: random.Random) -> SequenceTriple:
     return SequenceTriple(*(_random_phasor(rng) for _ in range(3)))
 
 
-def _random_configs(rng: random.Random) -> tuple[DirectionalConfig, PhaseSelectionConfig]:
-    """Settings over their valid ranges, sym_floor and ground_floor apart."""
-    floors = [10.0 ** rng.uniform(-2.5, -0.5) for _ in range(4)]
-    return DirectionalConfig(rng.uniform(30.0, 60.0), floors[0]), PhaseSelectionConfig(
-        rng.uniform(1.0, 30.0), rng.uniform(1.0, 60.0), *floors[1:]
+def _random_settings(rng: random.Random) -> RelaySettings:
+    """Settings over their valid ranges."""
+    return RelaySettings(
+        rng.uniform(30.0, 60.0),
+        10.0 ** rng.uniform(-2.5, -0.5),
+        10.0 ** rng.uniform(-2.5, -0.5),
+        rng.uniform(1.0, 30.0),
+        rng.uniform(1.0, 60.0),
     )
 
 
 def test_elements_equal_the_reference_on_seeded_readings() -> None:
     rng = random.Random(36)
     for _ in range(4000):
-        dir_cfg, sel_cfg = _random_configs(rng) if rng.random() < 0.8 else (CFG, SEL)
+        cfg = _random_settings(rng) if rng.random() < 0.8 else CFG
         reading = BusReading("b", _random_triple(rng), _random_triple(rng))
         prefault = BusReading("b", _random_triple(rng), _random_triple(rng))
         if rng.random() < 0.3:
             prefault = _PRE
-        _assert_elements_match_the_reference(reading, prefault, dir_cfg, sel_cfg)
+        _assert_elements_match_the_reference(reading, prefault, cfg)
 
 
 def test_elements_equal_the_reference_with_an_operand_exactly_at_its_floor() -> None:
@@ -381,20 +375,21 @@ def test_elements_equal_the_reference_with_an_operand_exactly_at_its_floor() -> 
         i2, i0 = reading.i.neg, reading.i.zero
         for operand in (reading.v.neg, reading.i.neg, reading.v.zero, reading.i.zero, dv, di):
             if operand:
-                dir_cfg = DirectionalConfig(rng.uniform(30.0, 60.0), abs(operand))
-                _assert_elements_match_the_reference(reading, prefault, dir_cfg, SEL)
+                cfg = RelaySettings(rng.uniform(30.0, 60.0), abs(operand))
+                _assert_elements_match_the_reference(reading, prefault, cfg)
         # each floor of the selection at each current it guards, the
-        # others below or above it, sym_floor and ground_floor apart
-        for sym, ground, inc in (
-            (abs(i2), 0.5 * abs(i0), 0.5 * abs(di)),
-            (0.5 * abs(i2), abs(i0), 0.5 * abs(di)),
-            (0.5 * abs(i2), 2.0 * abs(i0), abs(di)),
-            (0.5 * abs(i2), 0.5 * abs(i0), abs(i2)),
-            (abs(i2), abs(i0), abs(di)),
+        # other below or above it
+        for seq, asym in (
+            (0.5 * abs(di), abs(i2)),
+            (0.5 * abs(di), abs(i0)),
+            (2.0 * abs(di), abs(i0)),
+            (abs(di), 0.5 * abs(i2)),
+            (abs(i2), 0.5 * abs(i0)),
+            (abs(di), abs(i2)),
         ):
-            if min(sym, ground, inc) > 0.0:
-                sel_cfg = PhaseSelectionConfig(15.0, 30.0, sym, ground, inc)
-                _assert_elements_match_the_reference(reading, prefault, CFG, sel_cfg)
+            if min(seq, asym) > 0.0:
+                cfg = RelaySettings(45.0, seq, asym)
+                _assert_elements_match_the_reference(reading, prefault, cfg)
 
 
 def _phi_non_at_edge(angle: float, offset: float) -> float | None:
@@ -415,22 +410,21 @@ def test_elements_equal_the_reference_on_every_band_edge() -> None:
     edges = 0
     for _ in range(400):
         reading = BusReading("b", _random_triple(rng), _random_triple(rng))
-        _assert_elements_match_the_reference(reading, pre, CFG, SEL)
+        _assert_elements_match_the_reference(reading, pre, CFG)
         # a directional band edge: phi_non set so that the angle of
         # v2/i2 sits exactly on a forward or reverse edge
-        if abs(reading.v.neg) >= CFG.floor and abs(reading.i.neg) >= CFG.floor:
-            angle = angle_between(reading.v.neg, reading.i.neg, floor=CFG.floor)
+        if abs(reading.v.neg) >= CFG.seq_floor_pu and abs(reading.i.neg) >= CFG.seq_floor_pu:
+            angle = angle_between(reading.v.neg, reading.i.neg, floor=CFG.seq_floor_pu)
             for offset in (90.0, -90.0):
                 phi = _phi_non_at_edge(angle, offset)
                 if phi is not None:
                     edges += 1
-                    _assert_elements_match_the_reference(
-                        reading, pre, DirectionalConfig(phi, CFG.floor), SEL
-                    )
+                    cfg = CFG._replace(phi_non_deg=phi)
+                    _assert_elements_match_the_reference(reading, pre, cfg)
         # a selection band edge: a half-width equal to the distance of
         # dd21 (d20) from each lattice centre
         i2, di1, i0 = reading.i.neg, reading.i.pos - pre.i.pos, reading.i.zero
-        if min(abs(i2), abs(di1)) < SEL.inc_floor or abs(i2) < SEL.sym_floor:
+        if min(abs(i2), abs(di1)) < CFG.seq_floor_pu or abs(i2) < CFG.asym_floor_pu:
             continue
         dd21 = angle_between(i2, di1)
         for c21 in (*LINE_CENTERS.values(), *(c for c, _ in GROUND_CENTERS.values())):
@@ -438,16 +432,16 @@ def test_elements_equal_the_reference_on_every_band_edge() -> None:
             if 0.0 < half21 <= 30.0:
                 edges += 1
                 _assert_elements_match_the_reference(
-                    reading, pre, CFG, PhaseSelectionConfig(dd21_half_deg=half21)
+                    reading, pre, RelaySettings(dd21_half_deg=half21)
                 )
-        if abs(i0) >= SEL.ground_floor:
+        if abs(i0) >= CFG.asym_floor_pu:
             d20 = wrap_angle_deg(angle_deg(i2) - angle_deg(i0))
             for _, c20 in GROUND_CENTERS.values():
                 half20 = abs(wrap_angle_deg(d20 - c20))
                 if 0.0 < half20 <= 60.0:
                     edges += 1
-                    cfg = PhaseSelectionConfig(dd21_half_deg=30.0, d20_half_deg=half20)
-                    _assert_elements_match_the_reference(reading, pre, CFG, cfg)
+                    cfg = RelaySettings(dd21_half_deg=30.0, d20_half_deg=half20)
+                    _assert_elements_match_the_reference(reading, pre, cfg)
     assert edges > 400
 
 
@@ -456,7 +450,7 @@ def test_elements_equal_the_reference_at_exact_angles(phi_non: float) -> None:
     """v2 at exactly +-(90 - phi_non), +-phi_non, +-(180 - phi_non), 0, +-90
     and 180 degrees from i2, where `cmath.phase` reaches them exactly, and
     the negative real axis under both signs of zero."""
-    cfg = DirectionalConfig(phi_non)
+    cfg = RelaySettings(phi_non)
     half = 90.0 - phi_non
     targets = {0.0, 90.0, -90.0, 180.0}
     for t in (half, phi_non, 180.0 - phi_non):
@@ -469,12 +463,12 @@ def test_elements_equal_the_reference_at_exact_angles(phi_non: float) -> None:
         hits += 1
         for i in (complex(1.0, 0.0), complex(1.0, -0.0), complex(2.0, 0.0)):
             reading = BusReading("b", SequenceTriple(neg=v), SequenceTriple(neg=i))
-            _assert_elements_match_the_reference(reading, _PRE, cfg, SEL)
+            _assert_elements_match_the_reference(reading, _PRE, cfg)
     assert hits >= 4
     for v in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
         for i in (complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, -0.0), 0.3 - 0.7j):
             reading = BusReading("b", SequenceTriple(neg=v, zero=v), SequenceTriple(neg=i, zero=v))
-            _assert_elements_match_the_reference(reading, _PRE, cfg, SEL)
+            _assert_elements_match_the_reference(reading, _PRE, cfg)
 
 
 def _at_exact_angle(target: float) -> complex | None:

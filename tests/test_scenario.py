@@ -47,6 +47,34 @@ def test_parse_comments_blanks_and_coercion() -> None:
 
 
 @pytest.mark.parametrize(
+    ("token", "value"),
+    [("1", 1.0), ("-1.5", -1.5), ("+.5", 0.5), ("1.", 1.0), ("1e3", 1000.0), ("2E-3", 0.002)],
+)
+def test_plain_ascii_decimals_are_numbers(token: str, value: float) -> None:
+    parsed = parse_config_text(f"fault.m = {token}")
+    assert parsed == {"fault.m": value} and isinstance(parsed["fault.m"], float)
+
+
+# each of these `float` reads as a number
+@pytest.mark.parametrize("token", ["1_2", "\u0661\u0662", "\uff11.5", "\u0967e1"])
+def test_any_other_number_spelling_is_text_and_not_a_number(token: str) -> None:
+    float(token)
+    parsed = parse_config_text(f"clc.i_lim_pu = {token}")
+    assert parsed == {"clc.i_lim_pu": token}
+    message = f"clc.i_lim_pu must be a number, got {token!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build_scenario(parsed)
+
+
+@pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "+NaN"])
+def test_inf_and_nan_are_numbers_rejected_as_not_finite(token: str) -> None:
+    parsed = parse_config_text(f"fault.m = {token}")
+    assert isinstance(parsed["fault.m"], float)
+    with pytest.raises(ValidationError, match="fault.m must be finite"):
+        build_scenario(parsed)
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "source.kind gfm",  # no separator
@@ -158,8 +186,7 @@ def test_copies_of_the_defaults_are_validated_and_build_the_default_scenario(mon
     assert built == {}
     for s in (a, b):
         assert s.source is scenario._DEFAULT_PARTS["sg"]
-        assert (s.dir_cfg, s.sel_cfg) == scenario._DEFAULT_PARTS["relay"]
-        assert s.dir_cfg is a.dir_cfg and s.sel_cfg is a.sel_cfg
+        assert s.relay is scenario._DEFAULT_PARTS["relay"]
         assert s.solver is scenario._DEFAULT_PARTS["solver"]
     # one key off its default rebuilds its own group's part alone
     for key, value in {
