@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,20 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_CONFIG = 2
+
+
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
+def integer(token: str) -> int:
+    """The int that an optional sign and ASCII digits spell; ValueError for any other token.
+
+    `int` also reads `1_0` and digits of other scripts; `scenario.number`
+    refuses those in a number too.
+    """
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 @functools.cache
@@ -83,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="config key to sweep")
     p_sweep.add_argument("--from", dest="start", type=number, required=True)
     p_sweep.add_argument("--to", dest="stop", type=number, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--steps", type=integer, required=True)
     p_sweep.add_argument("--log", action="store_true", help="geometric spacing")
     add_output_options(p_sweep)
 

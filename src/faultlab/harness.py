@@ -9,24 +9,24 @@ point: relay evaluation at bus 1 with genuine pre-fault readings for
 the incremental quantities, the effective source impedances (the source
 branch plus the passive side, `Scenario.z_side1`/`z_side0`), and
 optionally an independent phase-domain re-solve of the solved operating
-point as a numerical cross-check. The report is assembled as a mapping of
-its 68 fields, each phasor a `_mag`/`_ang` pair, and built from it by the
-report's own constructor, `ScenarioReport(**fields)`, which raises
-`TypeError` for a missing or unexpected field. The pair names are
-formatted and interned once, at import (`_POLAR_NAMES`), so the report's
-keys are the very strings its field names are.
+point as a numerical cross-check. The report is laid out in its column
+order, each phasor a `_mag`/`_ang` pair (`_add_polar`), and made by one
+`ScenarioReport._make`, which raises `TypeError` unless all 68 columns are
+there.
 
-A report is the merge of two field sets. The solution fields read the
-solution and every setting of the scenario but its relay settings; the
-relay fields are the scenario id, the config hash, the four relay elements
-(five angles, four verdicts) and dv1/di1, which reads the sequence
-floor (`relay.seq_floor_pu`).
+A report interleaves two column sets. The solution columns read the
+solution and every setting of the scenario but its relay settings; they
+come as three runs of consecutive columns. The relay columns go around and
+between them: the scenario id and the config hash before the first run,
+the four relay elements (five angles, four verdicts) after it, and
+dv1/di1, which reads the sequence floor (`relay.seq_floor_pu`), before the
+last.
 
 `sweep_reports` runs a sweep. The relay settings (`relay.*` keys) reach
-nothing but the relay fields, so a sweep along one of them builds, solves
+nothing but the relay columns, so a sweep along one of them builds, solves
 and reports its first point; every later point is the first scenario with
 its own relay settings (validated as `build_scenario` validates them) and
-takes the first point's solution fields, so it evaluates only its relay
+takes the first point's solution columns, so it evaluates only its relay
 elements. Any other axis builds, solves and reports each point.
 
 Fault and pre-fault relay readings take one path,
@@ -35,8 +35,8 @@ voltages at its ends, once per solution, through the network's tap plan;
 a report reads the bus-1 pair once, and a `relay.*` sweep once for all
 its points. The report calls the four relay elements by their names in
 this module, where a span tracer can wrap them; each takes one angle per
-operand, by the helper (`phasors.phase_deg`) that `_polar` uses for the
-report's angles. The text fields are the members' values (`_value_`).
+operand, by the helper (`phasors.phase_deg`) that `_add_polar` uses for
+the report's angles. The text fields are the members' values (`_value_`).
 
 The cross-check stamps the source as the solution froze it
 (`SourceSolution.frozen`): the generator is Norton already and passes
@@ -48,7 +48,6 @@ phase-domain oracle only stamps Norton-representable elements.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 
 from .abc_oracle import solve_abc
@@ -110,34 +109,16 @@ def prefault_network_readings(op: OperatingPoint) -> dict[str, BusReading]:
     return op.healthy.readings
 
 
-def _polar(fields: dict[str, object], names, phasors) -> None:
-    """Write each phasor's magnitude and angle under its (`_mag`, `_ang`) names.
+def _add_polar(out: list[object], phasors) -> None:
+    """Append each phasor's magnitude and angle to `out`.
 
     `phasors.angle_deg` with one `abs`: no angle below its floor, neither for None.
     """
-    for (mag, ang), z in zip(names, phasors):
-        if z is None:
-            fields[mag] = fields[ang] = None
-        else:
-            size = fields[mag] = abs(z)
-            fields[ang] = None if size < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z)
-
-
-# the phasors of the solution fields, in the order `_solution_fields`
-# lists them: the source's, the effective source impedances, then the v and
-# i triples (pos, neg, zero) of bus 1 and bus 2
-_SOLUTION_STEMS = (
-    "zv1", "zv2", "zad", "sigma1", "sigma2",
-    *(f"ze{digit}" for digit in "120"),
-    *(f"{q}{digit}_{bus}" for bus in ("bus1", "bus2") for q in ("v", "i") for digit in "120"),
-)
-# report field names of each phasor (see the module docstring)
-_POLAR_NAMES = {
-    stem: (sys.intern(f"{stem}_mag"), sys.intern(f"{stem}_ang"))
-    for stem in (*_SOLUTION_STEMS, "dvdi1")
-}
-_SOLUTION_POLAR_NAMES = tuple(_POLAR_NAMES[stem] for stem in _SOLUTION_STEMS)
-_DVDI1_POLAR_NAMES = (_POLAR_NAMES["dvdi1"],)
+    append = out.append
+    for z in phasors:
+        size = None if z is None else abs(z)
+        append(size)
+        append(None if size is None or size < DEFAULT_MAGNITUDE_FLOOR else phase_deg(z))
 
 
 def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
@@ -190,68 +171,68 @@ def report_scenario(
 
 def _solution_fields(
     scenario: Scenario, op: OperatingPoint, sol: SourceSolution, oracle_check: bool
-) -> tuple[BusReading, BusReading, dict[str, object]]:
-    """The bus-1 fault and pre-fault readings, and the report fields no relay setting reaches."""
+) -> tuple[BusReading, BusReading, tuple, tuple, tuple]:
+    """The bus-1 fault and pre-fault readings, and the report columns no relay setting reaches.
+
+    The columns come in three runs: `source_kind` to `i0_bus2_ang`, `zv1_mag`
+    to `zad_ang`, and `sigma1_mag` to `oracle_max_err`.
+    """
     fault = scenario.fault
     readings = sol.fault.total.readings
     r1, r2 = readings["bus1"], readings["bus2"]
     p1 = prefault_network_readings(op)["bus1"]
+    head = [
+        scenario.kind._value_,
+        None if scenario.kind is _SG else scenario.source.clc.kind._value_,
+        fault.fault_type._value_,
+        fault.m,
+        fault.r_g_ohm,
+        fault.placement._value_,
+        op.e_mag, op.theta_deg, op.p, op.q,
+    ]
+    _add_polar(head, (*r1.v, *r1.i, *r2.v, *r2.i))
     di1 = r1.i.pos - p1.i.pos
     zad = None if sol.z_v1 is None else incremental_source_impedance(r1.i.pos, di1, sol.z_v1)
-    # `_SOLUTION_STEMS` order; the effective source impedance is the source
-    # branch plus the passive side
+    # the effective source impedance is the source branch plus the passive side
     sides = (scenario.z_side1, scenario.z_side1, scenario.z_side0)
-    phasors = [sol.z_v1, sol.z_v2, zad, sol.sigma1, sol.sigma2]
-    phasors += [None if z is None else z + side for z, side in zip(sol.z_source, sides)]
-    phasors += (*r1.v, *r1.i, *r2.v, *r2.i)
-
-    fields: dict[str, object] = {
-        "source_kind": scenario.kind._value_,
-        "clc_kind": None if scenario.kind is _SG else scenario.source.clc.kind._value_,
-        "fault_kind": fault.fault_type._value_,
-        "fault_m": fault.m,
-        "fault_r_g_ohm": fault.r_g_ohm,
-        "placement": fault.placement._value_,
-        "prefault_e_pu": op.e_mag,
-        "prefault_theta_deg": op.theta_deg,
-        "prefault_p_pu": op.p,
-        "prefault_q_pu": op.q,
-        "limiter_active": sol.limiter_active,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-        "i_max_phase_pu": sol.i_max_phase,
-        "oracle_max_err": _oracle_residual(scenario, sol) if oracle_check else None,
-    }
-    _polar(fields, _SOLUTION_POLAR_NAMES, phasors)
-    return r1, p1, fields
+    z_e = [None if z is None else z + side for z, side in zip(sol.z_source, sides)]
+    impedances: list[object] = []
+    _add_polar(impedances, (sol.z_v1, sol.z_v2, *z_e, zad))
+    tail: list[object] = []
+    _add_polar(tail, (sol.sigma1, sol.sigma2))
+    tail += (sol.limiter_active, sol.iterations, sol.residual, sol.i_max_phase)
+    tail.append(_oracle_residual(scenario, sol) if oracle_check else None)
+    return r1, p1, tuple(head), tuple(impedances), tuple(tail)
 
 
 def _relay_report(
-    scenario: Scenario, r1: BusReading, p1: BusReading, solution_fields: dict[str, object]
+    scenario: Scenario, r1: BusReading, p1: BusReading, head: tuple, impedances: tuple, tail: tuple
 ) -> ScenarioReport:
-    """The report: `solution_fields` and the fields of the scenario's relay settings."""
+    """The report: the solution columns and the columns of the scenario's relay settings."""
     relay = scenario.relay
     dir_neg = directional_negative(r1, relay)
     dir_zero = directional_zero(r1, relay)
     dir_inc = directional_incremental(r1, p1, relay)
     selection = phase_select(r1, p1, relay)
     di1, dv1 = r1.i.pos - p1.i.pos, r1.v.pos - p1.v.pos
-    fields = {
-        **solution_fields,
-        "scenario_id": scenario.scenario_id,
-        "config_hash": scenario.config_hash,
-        "phi2_deg": dir_neg.angle_deg,
-        "phi0_deg": dir_zero.angle_deg,
-        "dphi1_deg": dir_inc.angle_deg,
-        "dd21_deg": selection.dd21_deg,
-        "d20_deg": selection.d20_deg,
-        "dir_neg": dir_neg.direction._value_,
-        "dir_zero": dir_zero.direction._value_,
-        "dir_inc": dir_inc.direction._value_,
-        "phase_sel": "none" if selection.selected is None else selection.selected._value_,
-    }
-    _polar(fields, _DVDI1_POLAR_NAMES, (dv1 / di1 if abs(di1) > relay.seq_floor_pu else None,))
-    return ScenarioReport(**fields)
+    row = [
+        scenario.scenario_id,
+        scenario.config_hash,
+        *head,
+        dir_neg.angle_deg,
+        dir_zero.angle_deg,
+        dir_inc.angle_deg,
+        selection.dd21_deg,
+        selection.d20_deg,
+        dir_neg.direction._value_,
+        dir_zero.direction._value_,
+        dir_inc.direction._value_,
+        "none" if selection.selected is None else selection.selected._value_,
+        *impedances,
+    ]
+    _add_polar(row, (dv1 / di1 if abs(di1) > relay.seq_floor_pu else None,))
+    row += tail
+    return ScenarioReport._make(row)
 
 
 def sweep_scenarios(
@@ -321,7 +302,7 @@ def sweep_reports(
 
     A `relay.*` key only sets the relay settings, which the report reads
     after the solve, so along such an axis the first point's solution, its
-    bus-1 readings and its report fields other than the relay fields are
+    bus-1 readings and its report columns other than the relay columns are
     every point's: the sweep solves and reports them once, and each point
     evaluates only its relay elements.
     """

@@ -160,6 +160,32 @@ def test_sweep_bounds_are_read_as_a_config_file_reads_numbers(tmp_path, capsys, 
     assert "fault.m must be finite, got nan" in capsys.readouterr().err
 
 
+def _sweep_steps(tmp_path: Path, steps: str) -> int:
+    cfg = _config(tmp_path, "source.kind = sg\n")
+    return main(["sweep", "--config", cfg, "--param", "fault.m", "--from", "0.2", "--to", "0.8",
+                 "--steps", steps])
+
+
+@pytest.mark.parametrize("steps", ["1_0", "٣", "３", " 3", "3.0", "0x3", "1e1", ""])
+def test_sweep_steps_are_an_optional_sign_and_ascii_digits(tmp_path, capsys, steps) -> None:
+    # `int` reads the first four (10, 3, 3, 3); the step count does not
+    with pytest.raises(SystemExit) as rejected:
+        _sweep_steps(tmp_path, steps)
+    assert rejected.value.code == 2
+    assert f"argument --steps: invalid integer value: {steps!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("steps", "rows"), [("+2", 2), ("03", 3), ("0", None), ("-1", None)])
+def test_sweep_steps_read_as_a_signed_decimal(tmp_path, capsys, steps, rows) -> None:
+    if rows is None:
+        assert _sweep_steps(tmp_path, steps) == 2
+        got = int(steps)
+        assert capsys.readouterr().err == f"config error: sweep needs at least 1 step, got {got}\n"
+    else:
+        assert _sweep_steps(tmp_path, steps) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+
 def test_infinite_limit_with_records_is_a_config_error(tmp_path, capsys) -> None:
     cfg = _config(tmp_path, "source.kind = gfm\nclc.i_lim_pu = inf\n")
     assert main(["run", "--config", cfg, "--format", "records"]) == 2

@@ -3,18 +3,17 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import sys
+import random
 
 import pytest
 
 from faultlab import harness
 from faultlab.clc import ClcKind
 from faultlab.harness import (
-    _POLAR_NAMES,
     TABLE1_ELEMENTS,
     TABLE1_ROWS,
     Table1Row,
-    _polar,
+    _add_polar,
     format_table1,
     prefault_network_readings,
     report_scenario,
@@ -34,11 +33,22 @@ from faultlab.phasors import (
     wrap_angle_deg,
 )
 from faultlab.presets import preset_scenario_overrides
-from faultlab.relay import RelaySettings
+from faultlab.relay import (
+    RelaySettings,
+    directional_incremental,
+    directional_negative,
+    directional_zero,
+    phase_select,
+)
 from faultlab.report import CSV_COLUMNS, ScenarioReport, csv_header, csv_line, record_line
 from faultlab import scenario as scenario_module
 from faultlab.scenario import ValidationError, _clear_memos, build_scenario
-from faultlab.sources import prefault_solve
+from faultlab.sources import (
+    NoConvergenceError,
+    OscillationDetectedError,
+    incremental_source_impedance,
+    prefault_solve,
+)
 
 # the report schema is a contract: each name is a CSV column and a record
 # field, so renames and reorders must be deliberate
@@ -160,10 +170,11 @@ def _polar_by_angle_deg(z: complex | None) -> tuple[float | None, float | None]:
 
 
 def _polar_of(z: complex | None) -> tuple[float | None, float | None]:
-    """The (magnitude, angle) pair that `_polar` writes for one phasor."""
-    fields: dict[str, object] = {}
-    _polar(fields, (("m", "a"),), (z,))
-    return fields["m"], fields["a"]
+    """The (magnitude, angle) pair that `_add_polar` appends for one phasor."""
+    out: list[object] = []
+    _add_polar(out, (z,))
+    assert len(out) == 2
+    return out[0], out[1]
 
 
 _POLAR_CASES = [
@@ -184,12 +195,10 @@ def test_polar_equals_the_angle_deg_route(z: complex | None) -> None:
 
 
 def test_polar_writes_the_pair_of_each_phasor_in_a_list() -> None:
-    names = [(f"m{k}", f"a{k}") for k in range(len(_POLAR_CASES))]
-    fields: dict[str, object] = {"kept": 1}
-    _polar(fields, names, _POLAR_CASES)
-    assert list(fields) == ["kept", *(name for pair in names for name in pair)]
-    for (mag, ang), z in zip(names, _POLAR_CASES):
-        assert repr((fields[mag], fields[ang])) == repr(_polar_by_angle_deg(z))
+    out: list[object] = ["kept"]
+    _add_polar(out, _POLAR_CASES)
+    expected = ["kept", *(part for z in _POLAR_CASES for part in _polar_by_angle_deg(z))]
+    assert repr(out) == repr(expected)
 
 
 def test_polar_reads_the_negative_real_axis_as_180_degrees() -> None:
@@ -198,21 +207,148 @@ def test_polar_reads_the_negative_real_axis_as_180_degrees() -> None:
     assert _polar_of(complex(0.5 * DEFAULT_MAGNITUDE_FLOOR, 0.0))[1] is None
 
 
-def test_polar_field_names_are_interned_report_fields(preset_reports) -> None:
-    names = [name for pair in _POLAR_NAMES.values() for name in pair]
-    report_fields = set(ScenarioReport._fields)
-    assert set(names) == {n for n in report_fields if n.endswith(("_mag", "_ang"))}
-    assert len(names) == len(set(names)) == 42
-    # interned, so each keyword meets its parameter name by identity
-    params = {p: p for p in ScenarioReport.__new__.__code__.co_varnames}
-    for name in names:
-        assert sys.intern(name) is name
-        assert params[name] is name
-    _, report = preset_reports["fig13b"]
-    with pytest.raises(AttributeError):
-        report.v1_bus1_mag = 0.0  # type: ignore[misc]
+# The report's layout by run of columns: the scalar columns by name and the
+# phasors by stem, a stem's columns being `<stem>_mag` and `<stem>_ang`. The
+# keyword-built reference report below reads its phasors by these stems.
+_IDENTITY = (
+    "source_kind", "clc_kind", "fault_kind", "fault_m", "fault_r_g_ohm", "placement",
+    "prefault_e_pu", "prefault_theta_deg", "prefault_p_pu", "prefault_q_pu",
+)
+_BUS_STEMS = tuple(
+    f"{q}{digit}_{bus}" for bus in ("bus1", "bus2") for q in ("v", "i") for digit in "120"
+)
+_RELAY = (
+    "phi2_deg", "phi0_deg", "dphi1_deg", "dd21_deg", "d20_deg",
+    "dir_neg", "dir_zero", "dir_inc", "phase_sel",
+)
+_SOURCE_STEMS = ("zv1", "zv2", "ze1", "ze2", "ze0", "zad")
+_SIGMA_STEMS = ("sigma1", "sigma2")
+_TELEMETRY = ("limiter_active", "iterations", "residual", "i_max_phase_pu", "oracle_max_err")
 
 
+def _pair_names(stems: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f"{stem}_{part}" for stem in stems for part in ("mag", "ang"))
+
+
+def test_positional_layout_is_the_report_columns(preset_reports) -> None:
+    head = (*_IDENTITY, *_pair_names(_BUS_STEMS))
+    impedances = _pair_names(_SOURCE_STEMS)
+    tail = (*_pair_names(_SIGMA_STEMS), *_TELEMETRY)
+    layout = (
+        "scenario_id", "config_hash", *head, *_RELAY, *impedances, *_pair_names(("dvdi1",)), *tail
+    )
+    assert layout == ScenarioReport._fields
+    # the three runs of solution columns are the report's slices of those names
+    for name in ("fig13b", "sg-baseline-fwd"):
+        scenario, report = preset_reports[name]
+        _, _, *runs = harness._solution_fields(
+            scenario, *solve_scenario(scenario), oracle_check=True
+        )
+        assert [len(run) for run in runs] == [len(head), len(impedances), len(tail)]
+        for names, run in zip((head, impedances, tail), runs):
+            assert repr(tuple(getattr(report, n) for n in names)) == repr(run)
+
+
+def _keyword_report(scenario, op, sol, oracle_check: bool = False) -> ScenarioReport:
+    """A solved scenario's report built the keyword way: a mapping of its columns by name.
+
+    The reference for the positional assembly: each value is read by its
+    column name, each phasor by its stem through `phasors.angle_deg`.
+    """
+    readings = sol.fault.total.readings
+    r1, r2 = readings["bus1"], readings["bus2"]
+    p1 = prefault_network_readings(op)["bus1"]
+    relay, fault = scenario.relay, scenario.fault
+    dir_neg = directional_negative(r1, relay)
+    dir_zero = directional_zero(r1, relay)
+    dir_inc = directional_incremental(r1, p1, relay)
+    selection = phase_select(r1, p1, relay)
+    di1, dv1 = r1.i.pos - p1.i.pos, r1.v.pos - p1.v.pos
+    sides = (scenario.z_side1, scenario.z_side1, scenario.z_side0)
+    z_e = [None if z is None else z + side for z, side in zip(sol.z_source, sides)]
+    phasors = {
+        **dict(zip(_BUS_STEMS, (*r1.v, *r1.i, *r2.v, *r2.i))),
+        **dict(zip(_SOURCE_STEMS, (sol.z_v1, sol.z_v2, *z_e))),
+        "zad": None if sol.z_v1 is None else incremental_source_impedance(
+            r1.i.pos, di1, sol.z_v1
+        ),
+        "dvdi1": dv1 / di1 if abs(di1) > relay.seq_floor_pu else None,
+        "sigma1": sol.sigma1,
+        "sigma2": sol.sigma2,
+    }
+    fields: dict[str, object] = {
+        "scenario_id": scenario.scenario_id,
+        "config_hash": scenario.config_hash,
+        "source_kind": scenario.kind.value,
+        "clc_kind": None if scenario.kind.value == "sg" else scenario.source.clc.kind.value,
+        "fault_kind": fault.fault_type.value,
+        "fault_m": fault.m,
+        "fault_r_g_ohm": fault.r_g_ohm,
+        "placement": fault.placement.value,
+        "prefault_e_pu": op.e_mag,
+        "prefault_theta_deg": op.theta_deg,
+        "prefault_p_pu": op.p,
+        "prefault_q_pu": op.q,
+        "phi2_deg": dir_neg.angle_deg,
+        "phi0_deg": dir_zero.angle_deg,
+        "dphi1_deg": dir_inc.angle_deg,
+        "dd21_deg": selection.dd21_deg,
+        "d20_deg": selection.d20_deg,
+        "dir_neg": dir_neg.direction.value,
+        "dir_zero": dir_zero.direction.value,
+        "dir_inc": dir_inc.direction.value,
+        "phase_sel": "none" if selection.selected is None else selection.selected.value,
+        "limiter_active": sol.limiter_active,
+        "iterations": sol.iterations,
+        "residual": sol.residual,
+        "i_max_phase_pu": sol.i_max_phase,
+        "oracle_max_err": harness._oracle_residual(scenario, sol) if oracle_check else None,
+    }
+    for stem, z in phasors.items():
+        fields[f"{stem}_mag"], fields[f"{stem}_ang"] = _polar_by_angle_deg(z)
+    return ScenarioReport(**fields)
+
+
+def test_report_equals_the_keyword_built_report_on_the_presets(preset_reports) -> None:
+    for scenario, report in preset_reports.values():
+        reference = _keyword_report(scenario, *solve_scenario(scenario), oracle_check=True)
+        assert repr(report) == repr(reference)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"source.kind": "gfm", "clc.kind": "priority"}, {"source.kind": "sg"}],
+    ids=["priority", "sg"],
+)
+def test_relay_sweep_reports_equal_the_keyword_built_reports(overrides) -> None:
+    # every later point of a relay sweep is derived from the first; each is
+    # compared with a report built from its own solve
+    points = list(sweep_reports(overrides, "relay.phi_non_deg", 30.0, 60.0, 7))
+    assert len(points) == 7
+    for scenario, report in points:
+        assert repr(report) == repr(_keyword_report(scenario, *solve_scenario(scenario)))
+
+
+def test_sampled_cases_equal_the_keyword_built_reports() -> None:
+    from test_grid import workloads
+
+    rng = random.Random(11)
+    cases = rng.sample(workloads.generator_cases(), 60) + rng.sample(workloads.grid_cases(), 60)
+    below_floor = generator_runs = 0
+    for case in cases:
+        scenario = build_scenario(case)
+        try:
+            op, sol = solve_scenario(scenario)
+        except (NoConvergenceError, OscillationDetectedError):
+            continue
+        report = report_scenario(scenario, op, sol)
+        assert repr(report) == repr(_keyword_report(scenario, op, sol))
+        below_floor += any(
+            getattr(report, f"{stem}_mag") is not None and getattr(report, f"{stem}_ang") is None
+            for stem in _BUS_STEMS
+        )
+        generator_runs += report.source_kind == "sg" and report.zv1_mag is None
+    assert below_floor and generator_runs
 def test_report_equals_the_keyword_constructed_report(preset_reports) -> None:
     for _, report in preset_reports.values():
         values = {name: getattr(report, name) for name in ScenarioReport._fields}
