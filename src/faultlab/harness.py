@@ -31,8 +31,8 @@ elements. Any other axis builds, solves and reports each point.
 
 Fault and pre-fault relay readings take one path,
 `SequenceSolution.readings`, which reads each line current off the node
-voltages at its ends, once per solution, through the network's tap plan;
-a report reads the bus-1 pair once, and a `relay.*` sweep once for all
+voltages at its ends, once per solution, through the network's element
+plan; a report reads the bus-1 pair once, and a `relay.*` sweep once for all
 its points. The report calls the four relay elements by their names in
 this module, where a span tracer can wrap them; each takes one angle per
 operand, by the helper (`phasors.phase_deg`) that `_add_polar` uses for

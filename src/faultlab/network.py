@@ -24,7 +24,7 @@ Fault solving follows the classical decomposition:
    limiting law and the dispatch enter only the boundary conditions and
    the injected currents, so a case grid repeats a few networks, and
    `scenario` makes one object of equal networks. A bounded memo keyed on
-   the network object (`_shared`) holds its builds, its relay tap plan,
+   the network object (`_shared`) holds its builds, its element plan,
    and what `sources` and `solve_fault` compute on the network alone: its
    dispatches, its generator fault networks and its faulted converter
    ports. Each is made once from one object's own bits, so a hit is the
@@ -41,14 +41,14 @@ Fault solving follows the classical decomposition:
    port, and `FaultSolution.terminal_port` reduces it to the port.
 
 A solution is its node voltages only. Every current is read off them by
-Ohm's law on the element's own sequence impedance, so the relay readings of
-the healthy, base, pure-fault and total solutions take one path. Each
-solution reads all its relay taps at once (`SequenceSolution.readings`)
-through the network's tap plan: each tap's bus, its element's end nodes
-and sequence impedances, and its sign, resolved once per network object.
-A solution computes its readings and its parts once, on first read, and
-keeps them in the instance (`_once`, `functools.cached_property` without
-its lock).
+Ohm's law on the element's own sequence impedance, through the network's
+element plan: each series or source element's end nodes and sequence
+impedances by eid, resolved once per network object. So the relay
+readings of the healthy, base, pure-fault and total solutions, and the
+generator's source current, take one path; each solution reads all its
+relay taps at once (`SequenceSolution.readings`). A solution computes
+its readings and its parts once, on first read, and keeps them in the
+instance (`_once`, `functools.cached_property` without its lock).
 
 Sign conventions: relay current is measured from the bus into the monitored
 line; fault sequence currents are drawn out of the network into the fault.
@@ -293,9 +293,9 @@ class SequenceSolution:
     impedance in that sequence: a series element's from -> to, a source's
     delivered through its branch into its node; an element open in a
     sequence carries 0j there. A pinned (z = 0) source has no branch to
-    read its current off, and reading it raises ZeroDivisionError.
-    `readings` reads every relay tap at once through the network's tap
-    plan (`_tap_plan`), the same law resolved once per network object.
+    read its current off, and reading it raises ZeroDivisionError; an
+    injection or an unknown eid, KeyError. Every read goes through the
+    network's element plan (`_element_plan`), made once per network object.
     """
 
     def __init__(self, v: dict[int, dict[str, complex]], net: NetworkModel) -> None:
@@ -314,43 +314,28 @@ class SequenceSolution:
         )
 
     def current(self, seq: int, eid: str) -> complex:
-        return self._current(self.net.element(eid), seq)
-
-    def _current(self, e: SeriesElement | SourceElement | InjectionElement, seq: int) -> complex:
-        z = e.z(seq)
-        if z is None:
+        front, back, z, fallback = _shared(self.net, "elements", _element_plan, self.net)[eid]
+        if z[seq] is None:
             return 0j
         v = self.v[seq]
-        if isinstance(e, SeriesElement):
-            return (v.get(e.n_from, 0j) - v.get(e.n_to, 0j)) / z
-        return (e.emf(seq) - v.get(e.node, 0j)) / z
-
-    def _currents(self, eid: str) -> tuple[complex, complex, complex]:
-        """Positive, negative and zero `current` of one element, looked up once."""
-        e = self.net.element(eid)
-        return self._current(e, 1), self._current(e, 2), self._current(e, 0)
+        return (v.get(front, fallback[seq]) - v.get(back, 0j)) / z[seq]
 
     def series_current(self, eid: str) -> SequenceTriple:
         """`current` of a series element or a source in all three sequences."""
-        return SequenceTriple(*self._currents(eid))
+        return SequenceTriple(self.current(1, eid), self.current(2, eid), self.current(0, eid))
 
     def reading(self, tap: RelayTap) -> "BusReading":
-        pos, neg, zero = self._currents(tap.eid)
-        k = tap.sign
-        return BusReading(
-            bus=tap.bus,
-            v=self.voltage(tap.bus),
-            i=SequenceTriple(k * pos, k * neg, k * zero),
-        )
+        i = self.series_current(tap.eid).scaled(tap.sign)
+        return BusReading(tap.bus, self.voltage(tap.bus), i)
 
     @_once
     def readings(self) -> dict[str, "BusReading"]:
-        """`reading` at every relay tap, computed once per solution, bit for bit."""
+        """`reading` at every relay tap, once per solution: `current`'s law inline, bit for bit."""
         v1, v2, v0 = self.v[1], self.v[2], self.v[0]
+        plan = _shared(self.net, "elements", _element_plan, self.net)
         readings = {}
-        for name, bus, sign, front, back, (z1, z2, z0), (f1, f2, f0) in _shared(
-            self.net, "taps", _tap_plan, self.net
-        ):
+        for name, (bus, eid, sign) in self.net.relay_taps.items():
+            front, back, (z0, z1, z2), (f0, f1, f2) = plan[eid]
             i1 = 0j if z1 is None else (v1.get(front, f1) - v1.get(back, 0j)) / z1
             i2 = 0j if z2 is None else (v2.get(front, f2) - v2.get(back, 0j)) / z2
             i0 = 0j if z0 is None else (v0.get(front, f0) - v0.get(back, 0j)) / z0
@@ -362,26 +347,27 @@ class SequenceSolution:
         return readings
 
 
-def _tap_plan(net: NetworkModel) -> tuple[tuple, ...]:
-    """Each relay tap of `net` as `SequenceSolution.readings` reads it.
+def _element_plan(net: NetworkModel) -> dict[str, tuple]:
+    """Each series and source element of `net` by eid, as `SequenceSolution` reads its current.
 
-    An entry is (name, bus, sign, front, back, (z1, z2, z0), fallbacks):
-    in each sequence the tap's element carries
-    (v.get(front, fallback) - v.get(back, 0j)) / z, and 0j where z is None,
-    which is `SequenceSolution._current`. A series element's front is its
-    from-node and its fallbacks 0j; a source's front is None, which no
-    column holds, so its fallbacks are its emfs, and its back is its node.
+    An entry is (front, back, z, fallbacks), the last two indexed by
+    sequence: in sequence seq the element carries (v.get(front,
+    fallbacks[seq]) - v.get(back, 0j)) / z[seq], 0j where z[seq] is None.
+    A series element's front is its from-node and its fallbacks 0j; a
+    source's front is None, which no column holds, so its fallbacks are its
+    emfs, and its back is its node. The last element of an eid wins, as in
+    `NetworkModel.element`, and an injection, having no branch, has none.
     Made once per network object (`_shared`).
     """
-    plan = []
-    for name, tap in net.relay_taps.items():
-        e = net.element(tap.eid)
+    plan = {}
+    for e in net.elements:
         if isinstance(e, SeriesElement):
-            front, back, fallbacks = e.n_from, e.n_to, (0j, 0j, 0j)
+            plan[e.eid] = (e.n_from, e.n_to, (e.z0, e.z1, e.z2), (0j, 0j, 0j))
+        elif isinstance(e, SourceElement):
+            plan[e.eid] = (None, e.node, (e.z0, e.z1, e.z2), (e.emf(0), e.emf(1), e.emf(2)))
         else:
-            front, back, fallbacks = None, e.node, (e.emf(1), e.emf(2), e.emf(0))
-        plan.append((name, tap.bus, tap.sign, front, back, (e.z(1), e.z(2), e.z(0)), fallbacks))
-    return tuple(plan)
+            plan.pop(e.eid, None)
+    return plan
 
 
 class BusReading(Record):
@@ -487,7 +473,7 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
 
 
 # What a network object alone determines, made once per object: its
-# sequence builds, its relay tap plan and its faulted converter ports
+# sequence builds, its element plan and its faulted converter ports
 # (`solve_fault`) here, and in `sources` its dispatches and generator
 # fault networks. Keyed on (id(net), what); each entry holds its network,
 # so no other object takes that id while the entry lives. At most

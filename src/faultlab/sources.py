@@ -361,13 +361,13 @@ def solve_sg_fault(
 
     The fault network, `net` with the generator's branch behind its emf,
     is one object per network object, generator and emf bit for bit
-    (`network._shared`), so its builds are made once; the fault solve on
-    it is this fault's own.
+    (`network._shared`), so its builds and element plan are made once; the
+    fault solve on it is this fault's own. Its last element is the branch.
     """
     e1 = op.e_ref1
     what = ("source", network._bitwise(*sg, e1))
     faulted = network._shared(net, what, _with_source, net, sg, e1)
-    element = faulted.element(SOURCE_EID)
+    element = faulted.elements[-1]
     fault = solve_fault(faulted, spec)
     i_t = fault.total.series_current(SOURCE_EID)
     return SourceSolution(
@@ -624,13 +624,26 @@ def fault_fixed_point(
     port model and the control law to their next value. `circular` and the
     shaping modes solve for one real number by `_brent`, the other two
     modes by `_drive`. The fault solution at the converged terminal
-    currents gives the readings.
+    currents gives the readings. A law that overflows or divides by zero in
+    floating point raises NoConvergenceError, as the dispatch's closed form.
     """
+    fault = solve_fault(net, spec, port=net.source_node)
+    try:
+        return _converged(gfm, op, fault, tol, max_iter)
+    except (ZeroDivisionError, OverflowError) as exc:
+        fails = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+        raise NoConvergenceError(
+            f"{gfm.clc.kind._value_}: the limiting law {fails} in floating point"
+        ) from exc
+
+
+def _converged(
+    gfm: GfmModel, op: OperatingPoint, fault: FaultSolution, tol: float, max_iter: int
+) -> SourceSolution:
+    """`fault_fixed_point` on the faulted network with the converter terminal as its port."""
     cfg = gfm.clc
     name = cfg.kind._value_
     e_ref1, theta = op.e_ref1, op.theta_rad
-    node = net.source_node
-    fault = solve_fault(net, spec, port=node)
     port = fault.terminal_port
     x_net = 1j * gfm.x_f_network
 
@@ -729,7 +742,7 @@ def fault_fixed_point(
         iterations=it,
         residual=res,
         fault=fault.at(i1, i2),
-        frozen=InjectionElement("frozen_clc", node, i1, i2),
+        frozen=InjectionElement("frozen_clc", fault.port, i1, i2),
         i_max_phase=i_peak,
         z_v1=z_v1,
         z_v2=z_v2,

@@ -454,6 +454,31 @@ def test_extreme_base_quantities_are_named_errors(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "law, override, fails",
+    [
+        # i_lim**2 overflows in the d/q clamp
+        ("priority", "clc.i_lim_pu = 1.4e154", "overflows"),
+        # the common rescale divides by a phase amplitude that underflowed to 0
+        ("priority", "clc.i_lim_pu = 1e-200", "divides by zero"),
+        # 1 / n_x_r**2: the square overflows, or underflows to 0
+        ("virtual_admittance", "clc.n_x_r = 1e200", "overflows"),
+        ("virtual_admittance", "clc.n_x_r = 1e-200", "divides by zero"),
+        # the branch resistance (1 - s) / (k_pv s) at a scale s that underflows
+        ("circular", "clc.i_lim_pu = 5e-324", "divides by zero"),
+        ("circular", "gfm.k_pv = 5e-324", "divides by zero"),
+    ],
+)
+def test_a_limiting_law_that_fails_in_floating_point_is_a_solver_error(
+    tmp_path, capsys, law: str, override: str, fails: str
+) -> None:
+    cfg = _config(tmp_path, f"source.kind = gfm\nclc.kind = {law}\n{override}\n")
+    assert main(["run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"solver error: {law}: the limiting law {fails} in floating point\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fault_kind", ["cag", "bcg"])
 def test_singular_fault_boundary_is_a_solver_error(tmp_path, fault_kind: str) -> None:
     # at this base every driving-point impedance at the fault node reads

@@ -43,8 +43,8 @@ MAX_FAILURES = 3
 MAX_GRID_ITERATIONS = 24079
 # what the memos hold after each grid, run cold: the network objects, and
 # what `network._shared` made on them by kind (measured)
-GRID_MEMOS = (5, {"build": 15, "dispatch": 45, "port": 200, "taps": 5})
-GENERATOR_MEMOS = (10, {"build": 100, "dispatch": 30, "source": 30, "taps": 40})
+GRID_MEMOS = (5, {"build": 15, "dispatch": 45, "port": 200, "elements": 5})
+GENERATOR_MEMOS = (10, {"build": 100, "dispatch": 30, "source": 30, "elements": 40})
 
 
 def _perfbench_module(name: str):

@@ -99,6 +99,26 @@ def test_reading_an_unknown_element_raises_key_error() -> None:
         sol.reading(RelayTap("s", "nowhere", +1.0))
 
 
+@pytest.mark.parametrize("seq", SEQUENCES)
+def test_reading_the_current_of_an_injection_or_an_unknown_eid_raises_key_error(seq) -> None:
+    """An injection has no branch to read a current off: no plan entry, as
+    for an eid the network does not hold. The last element of an eid wins,
+    so an injection named like an earlier branch hides that branch."""
+    net = _radial_net(0.2j, 0.3j)
+    net = net.with_elements(
+        InjectionElement("inj", "f", 0.1 + 0j, 0.05j), InjectionElement("ln", "f", 0j, 0j)
+    )
+    sol = solve_linear(net)
+    for eid in ("inj", "ln", "nowhere"):
+        with pytest.raises(KeyError):
+            sol.current(seq, eid)
+        with pytest.raises(KeyError):
+            sol.series_current(eid)
+    # the source is still read through its own entry: its emf less its node's voltage
+    emf = 1.0 + 0j if seq == 1 else 0j
+    assert sol.current(seq, "src") == (emf - sol.v[seq]["s"]) / 0.2j
+
+
 def test_boundary_three_phase_bolted() -> None:
     th = TheveninEquivalent(z1=0.5j, z2=0.5j, z0=0.2j, e_f=1.0 + 0j)
     i = solve_fault_boundary(th, FaultSpec(fault_type=FaultType.ABC), z_base_ohm=1.0)
@@ -525,7 +545,7 @@ def test_element_lookup_by_id() -> None:
     assert net.element("grid") is net.elements[0]
     with pytest.raises(KeyError):
         net.element("src")
-    # a network with more elements looks them up in its own map
+    # a network with more elements finds them by scanning its own element list
     src = SourceElement("src", "sgt", e1=1.0 + 0j, z1=0.2j, z2=0.2j, z0=0.1j)
     assert net.with_elements(src).element("src") is src
     with pytest.raises(KeyError):
@@ -538,7 +558,7 @@ def _per_sequence_current(sol, eid: str, sign: float = 1.0):
 
 
 def _assert_readings_take_the_per_sequence_route(sol, label: object) -> None:
-    """Each tap's `reading`, and `readings` through the tap plan, are the
+    """Each tap's `reading`, and `readings` through the element plan, are the
     per-sequence route's, bit for bit."""
     assert list(sol.readings) == list(sol.net.relay_taps)
     for name, tap in sol.net.relay_taps.items():
@@ -610,24 +630,29 @@ def test_readings_of_a_tap_on_a_source_take_the_source_rule() -> None:
     assert sol.readings["source"].i.zero == 0j
 
 
-def test_the_tap_plan_is_one_object_per_network_object() -> None:
+def test_the_element_plan_is_one_object_per_network_object() -> None:
     _clear_memos()
     scenario = build_scenario({"source.kind": "gfm", "fault.kind": "ag"})
     op, solved = solve_scenario(scenario)
     net = scenario.net
     assert op.healthy.net is net
     op.healthy.readings
-    plan = network._SHARED[(id(net), "taps")][1]
-    assert [entry[0] for entry in plan] == list(net.relay_taps)
-    # another solution of the same network object reads the same plan
+    plan = network._SHARED[(id(net), "elements")][1]
+    # every series and source element, no injection
+    assert list(plan) == [e.eid for e in net.elements if not isinstance(e, InjectionElement)]
+    assert {tap.eid for tap in net.relay_taps.values()} <= set(plan)
+    # another solution of the same network object reads the same plan, by
+    # `readings` and by `current` alike
     twin = build_scenario({"source.kind": "gfm", "fault.kind": "bc", "clc.kind": "priority"})
     assert twin.net is net
-    solve_scenario(twin)[1].fault.total.readings
-    assert network._SHARED[(id(net), "taps")][1] is plan
-    assert network._shared(net, "taps", network._tap_plan, net) is plan
+    total = solve_scenario(twin)[1].fault.total
+    total.readings
+    total.series_current("grid")
+    assert network._SHARED[(id(net), "elements")][1] is plan
+    assert network._shared(net, "elements", network._element_plan, net) is plan
     _clear_memos()
-    assert (id(net), "taps") not in network._SHARED
-    fresh = network._shared(net, "taps", network._tap_plan, net)
+    assert (id(net), "elements") not in network._SHARED
+    fresh = network._shared(net, "elements", network._element_plan, net)
     assert fresh is not plan and fresh == plan
 
 
