@@ -25,11 +25,14 @@ for the driver's Jacobian, is
 
 above the clip level and 0 below it.
 
-`limit` returns, with its output, the derivative of the smooth piece the
-limiter took, in CR form (K. Kreutz-Delgado, "The complex gradient
-operator and the CR-calculus", arXiv:0906.4835):
+Each law is built once per case, with the case's constants bound
+(`saturation_law`, `shaping_law`), so that an evaluation is the law's own
+arithmetic. A saturation law returns, with its output, the derivative of
+the smooth piece the limiter took, in CR form (K. Kreutz-Delgado, "The
+complex gradient operator and the CR-calculus", arXiv:0906.4835):
 d out = A @ d ref + B @ conj(d ref), with A and B complex 2x2, since a
-clamp or a magnitude is not holomorphic.
+clamp or a magnitude is not holomorphic. `limit` is that law at one pair
+of references.
 
 All quantities are peak per-unit on the converter base; dq components map a
 sequence phasor x as x * exp(-j*theta) for the positive channel and
@@ -56,6 +59,8 @@ __all__ = [
     "phase_components",
     "max_phase_current",
     "limit",
+    "saturation_law",
+    "shaping_law",
 ]
 
 _ALPHA2 = ALPHA * ALPHA
@@ -66,6 +71,12 @@ _ROWS = ((1.0, 1.0), (_ALPHA2, ALPHA), (ALPHA, _ALPHA2))
 Mat2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 # derivative() -> (A, B), a derivative in CR form: d out = A @ d in + B @ conj(d in)
 Derivative = Callable[[], tuple[Mat2, Mat2]]
+# one case's saturation law: law(i1, i2) -> (out1, out2, derivative)
+Law = Callable[[complex, complex], tuple[complex, complex, Derivative]]
+# (k_pv, e_ref1, the six numbers of a terminal port: v1_oc, v2_oc, z11, z12, z21, z22)
+Loop = tuple[float, complex, tuple[complex, complex, complex, complex, complex, complex]]
+
+_TWO_OVER_PI = 2.0 / math.pi
 
 
 class ClcKind(Enum):
@@ -124,7 +135,7 @@ def describing_function(amplitude: float, clip_level: float) -> float:
     if amplitude <= 0.0:
         return 1.0
     r = min(1.0, clip_level / amplitude)
-    return (2.0 / math.pi) * (math.asin(r) + r * math.sqrt(1.0 - r * r))
+    return _TWO_OVER_PI * (math.asin(r) + r * math.sqrt(1.0 - r * r))
 
 
 def clc_virtual_admittance(cfg: ClcConfig, v_drive: float) -> complex:
@@ -139,11 +150,7 @@ def clc_virtual_admittance(cfg: ClcConfig, v_drive: float) -> complex:
     With both adaptive branches active, |Z_v| = v / i_lim exactly, so a
     stiff bus of voltage v drives exactly i_lim through the branch.
     """
-    if v_drive < 0.0:
-        raise ValueError(f"driving voltage magnitude {v_drive} is negative")
-    x_v = max(cfg.x_vn, v_drive / (cfg.i_lim * math.sqrt(1.0 + 1.0 / cfg.n_x_r**2)))
-    r_v = max(cfg.r_vn, x_v / cfg.n_x_r)
-    return complex(r_v, x_v)
+    return _admittance(cfg)(v_drive)
 
 
 def clc_adaptive_impedance(cfg: ClcConfig, i_trigger: float) -> complex:
@@ -154,12 +161,51 @@ def clc_adaptive_impedance(cfg: ClcConfig, i_trigger: float) -> complex:
 
     The angle of the inserted impedance is atan(n_x_r) by construction.
     """
-    if i_trigger < 0.0:
-        raise ValueError(f"trigger current {i_trigger} is negative")
-    if i_trigger < cfg.i_th:
-        return 0j
-    x_v = cfg.k_x * (i_trigger - cfg.i_th)
-    return complex(x_v / cfg.n_x_r, x_v)
+    return _adaptive(cfg)(i_trigger)
+
+
+def shaping_law(cfg: ClcConfig) -> Callable[[float], complex]:
+    """The virtual impedance of one case's shaping law, its constants bound.
+
+    It maps the law's drive to Z_v: the driving voltage for
+    virtual_admittance (`clc_virtual_admittance`), the trigger current
+    for adaptive_virtual_impedance (`clc_adaptive_impedance`).
+    """
+    if cfg.kind is _VIRTUAL_ADMITTANCE:
+        return _admittance(cfg)
+    if cfg.kind is _ADAPTIVE:
+        return _adaptive(cfg)
+    raise ValueError(f"{cfg.kind.value} has no impedance shaping stage")
+
+
+def _admittance(cfg: ClcConfig) -> Callable[[float], complex]:
+    x_vn, r_vn, n_x_r = cfg.x_vn, cfg.r_vn, cfg.n_x_r
+    i_lim_v = cfg.i_lim * math.sqrt(1.0 + 1.0 / n_x_r**2)
+
+    def z_v(v_drive: float) -> complex:
+        if v_drive < 0.0:
+            raise ValueError(f"driving voltage magnitude {v_drive} is negative")
+        # each max(floor, value) written as its conditional
+        x_v = v_drive / i_lim_v
+        x_v = x_v if x_v > x_vn else x_vn
+        r_v = x_v / n_x_r
+        return complex(r_v if r_v > r_vn else r_vn, x_v)
+
+    return z_v
+
+
+def _adaptive(cfg: ClcConfig) -> Callable[[float], complex]:
+    i_th, k_x, n_x_r = cfg.i_th, cfg.k_x, cfg.n_x_r
+
+    def z_v(i_trigger: float) -> complex:
+        if i_trigger < 0.0:
+            raise ValueError(f"trigger current {i_trigger} is negative")
+        if i_trigger < i_th:
+            return 0j
+        x_v = k_x * (i_trigger - i_th)
+        return complex(x_v / n_x_r, x_v)
+
+    return z_v
 
 
 def phase_components(i1: complex, i2: complex) -> tuple[complex, complex, complex]:
@@ -168,27 +214,99 @@ def phase_components(i1: complex, i2: complex) -> tuple[complex, complex, comple
 
 
 def max_phase_current(i1: complex, i2: complex) -> float:
-    """Largest phase amplitude of the combined sequence pair."""
-    return max(abs(p) for p in phase_components(i1, i2))
+    """Largest phase amplitude of the combined sequence pair.
+
+    The largest by the rule of the builtin `max`: a later phase is taken
+    only where it compares greater, so a nan first phase is kept.
+    """
+    amp = abs(i1 + i2)
+    amp_b = abs(_ALPHA2 * i1 + ALPHA * i2)
+    amp_c = abs(ALPHA * i1 + _ALPHA2 * i2)
+    if amp_b > amp:
+        amp = amp_b
+    return amp_c if amp_c > amp else amp
 
 
-def _clamp(value: float, bound: float) -> tuple[float, int]:
-    """Clamp value to [-bound, bound], with the side (-1, 0 or 1) it took."""
-    side = (value > bound) - (value < -bound)
-    return (value if side == 0 else side * bound), side
+def _priority_clamp(w: complex, i_lim: float, i_lim2: float) -> tuple[complex, int, int]:
+    """Clamp d to the limit, then q to the headroom d leaves, with the sides (-1, 0 or 1) taken.
+
+    i_lim2 is i_lim**2.
+    """
+    d = w.real
+    side_d = (d > i_lim) - (d < -i_lim)
+    if side_d:
+        d = side_d * i_lim
+    room = i_lim2 - d * d
+    room = math.sqrt(room if room > 0.0 else 0.0)
+    q = w.imag
+    side_q = (q > room) - (q < -room)
+    return complex(d, q if side_q == 0 else side_q * room), side_d, side_q
 
 
-def _priority_clamp(cfg: ClcConfig, ref_dq: complex) -> tuple[complex, tuple[int, int]]:
-    """Clamp d to the limit, then q to the headroom d leaves."""
-    d, side_d = _clamp(ref_dq.real, cfg.i_lim)
-    q, side_q = _clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)))
-    return complex(d, q), (side_d, side_q)
+def _clamp_slopes(dq: complex, side_d: int, side_q: int) -> tuple[complex, complex]:
+    """One channel's clamp as a diagonal CR map (a, b) in its rotated frame.
+
+    A clamped component is constant. The q bound sqrt(i_lim^2 - d^2) moves
+    with a passed d, dq = -side_q * d / sqrt(i_lim^2 - d^2) * dd, a term
+    taken as 0 where the root is 0; with dd = (dw + conj(dw)) / 2 and
+    dq = (dw - conj(dw)) / 2j that gives a and b. Without that tilt they
+    depend on the sides alone (`_FLAT_SLOPES`).
+    """
+    if side_d == 0 and side_q != 0 and dq.imag != 0.0:
+        # a = b: keep_d + keep_q = keep_d - keep_q = 1
+        a = complex(1.0, -dq.real / dq.imag) / 2.0  # dq.imag is side_q * sqrt(i_lim^2 - d^2)
+        return a, a
+    return _FLAT_SLOPES[side_d, side_q]
+
+
+# (a, b) of an untilted clamp by its sides: complex(keep_d + keep_q, 0.0) / 2
+# and complex(keep_d - keep_q, 0.0) / 2, keep_x = 1.0 where x passes
+_FLAT_SLOPES = {
+    (side_d, side_q): (
+        complex(float(side_d == 0) + float(side_q == 0), 0.0) / 2.0,
+        complex(float(side_d == 0) - float(side_q == 0), 0.0) / 2.0,
+    )
+    for side_d in (-1, 0, 1)
+    for side_q in (-1, 0, 1)
+}
+
+
+def _clip_slopes(p: complex, amp: float, n: float, clip: float) -> tuple[complex | float, complex]:
+    """The slopes (alpha, beta) of one clipped phase f = p N(|p|), N = n at p."""
+    if amp <= clip:
+        return 1.0, 0j
+    r = clip / amp
+    half_slope = -_TWO_OVER_PI * (r / amp) * math.sqrt(1.0 - r * r)  # N'(|p|) / 2
+    return n + half_slope * amp, half_slope * p * p / amp
+
+
+def _compose(ab: tuple[Mat2, Mat2], m: Mat2) -> tuple[Mat2, Mat2]:
+    """The CR pair (A @ M, B @ conj(M)) of the map (A, B) after the linear map M."""
+    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = ab
+    (m11, m12), (m21, m22) = m
+    n11, n12, n21, n22 = m11.conjugate(), m12.conjugate(), m21.conjugate(), m22.conjugate()
+    return (
+        (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22),
+        (a21 * m11 + a22 * m21, a21 * m12 + a22 * m22),
+    ), (
+        (b11 * n11 + b12 * n21, b11 * n12 + b12 * n22),
+        (b21 * n11 + b22 * n21, b21 * n12 + b22 * n22),
+    )
 
 
 def limit(
     cfg: ClcConfig, theta: float, ref1: complex, ref2: complex
 ) -> tuple[complex, complex, Derivative]:
     """Limiter output (network frame) for the two channel references, and its derivative.
+
+    The saturation law of `cfg` at angle theta, without a loop
+    (`saturation_law`), at one pair of references.
+    """
+    return saturation_law(cfg, theta)(ref1, ref2)
+
+
+def saturation_law(cfg: ClcConfig, theta: float, loop: Loop | None = None) -> Law:
+    """One case's saturation limiter, its constants bound: law(i1, i2) -> (out1, out2, derivative).
 
     circular: one real factor shrinks both channels so that no phase
     exceeds i_lim; the largest phase sets it. priority: each channel is
@@ -199,10 +317,18 @@ def limit(
     zero-sequence residue this leaves has no path in a three-wire
     converter and is discarded.
 
+    Without a loop, (i1, i2) are the two channel references. With
+    loop = (k_pv, e_ref1, port), port the six numbers (v1_oc, v2_oc, z11,
+    z12, z21, z22) of a terminal port, they are the currents injected
+    there: the law reads the port voltages v = v_oc + Z_port @ i and limits
+    the proportional loop's reference ref = i + k_pv * ((e_ref1, 0) - v).
+
     derivative() gives (A, B), the derivative of the smooth piece the
     limiter took here: d out = A @ d ref + B @ conj(d ref). It is built,
     only when called, from the phases, clamps, clipper gains and rescale
-    of this call.
+    of this call. With a loop, ref = c + M @ i is affine in the currents,
+    M = I - k_pv * Z_port, and derivative() gives the law's own pair in
+    them, (A @ M, B @ conj(M)).
 
     instantaneous: phase k is f_k = p_k N(|p_k|), whose slopes are
     alpha_k = N + N' |p_k| / 2 on dp_k and beta_k = N' p_k^2 / (2 |p_k|) on
@@ -217,92 +343,107 @@ def limit(
     c * ds, ds = -(s / 2|p|^2) (conj(p) t @ dc + p conj(t) @ conj(dc)): a
     rank-one term on top of s times the clamps. circular is the same
     without the clamps.
+
+    Every constant of the case (the frame turn exp(-j theta), i_lim^2, M)
+    is computed here, once; each evaluation is the arithmetic of one law
+    on one pair of inputs.
     """
     kind = cfg.kind
-    if kind is _INSTANTANEOUS:
-        clip = cfg.clip_level
-        phases = pa, pb, pc = phase_components(ref1, ref2)
-        amps = abs(pa), abs(pb), abs(pc)
-        gains = na, nb, nc = [describing_function(amp, clip) for amp in amps]
-        fa, fb, fc = pa * na, pb * nb, pc * nc
+    if kind not in _SATURATION:
+        raise ValueError(f"{kind.value} has no reference saturation stage")
+    priority, clipping = kind is _PRIORITY, kind is _INSTANTANEOUS
+    i_lim, clip = cfg.i_lim, cfg.clip_level
+    if priority:
+        rot = cmath.exp(-1j * theta)
+        i_lim2 = i_lim**2
+        # channel 1 is clamped at ref1 * rot, channel 2 at ref2 / rot; the
+        # frame turn u leaves a on dref and puts conj(u) / u on b
+        turn1 = rot.conjugate() ** 2
+    if loop is not None:
+        k_pv, e_ref1, (v1_oc, v2_oc, z11, z12, z21, z22) = loop
+        m = ((1.0 - k_pv * z11, -k_pv * z12), (-k_pv * z21, 1.0 - k_pv * z22))
 
-        def clipper() -> tuple[Mat2, Mat2]:
-            slopes = []
-            for p, amp, n in zip(phases, amps, gains):
-                if amp <= clip:
-                    slopes.append((1.0, 0j))
-                    continue
-                r = clip / amp
-                half_slope = -(2.0 / math.pi) * (r / amp) * math.sqrt(1.0 - r * r)  # N'(|p|) / 2
-                slopes.append((n + half_slope * amp, half_slope * p * p / amp))
-            (alpha_a, beta_a), (alpha_b, beta_b), (alpha_c, beta_c) = slopes
-            a11 = (alpha_a + alpha_b + alpha_c) / 3.0
-            b12 = (beta_a + beta_b + beta_c) / 3.0
+    def law(i1: complex, i2: complex) -> tuple[complex, complex, Derivative]:
+        if loop is None:
+            c1, c2 = i1, i2
+        else:
+            v1 = v1_oc + z11 * i1 + z12 * i2
+            v2 = v2_oc + z21 * i1 + z22 * i2
+            c1, c2 = k_pv * (e_ref1 - v1) + i1, k_pv * (0.0 - v2) + i2
+        if priority:
+            dq1, side_d1, side_q1 = _priority_clamp(c1 * rot, i_lim, i_lim2)
+            dq2, side_d2, side_q2 = _priority_clamp(c2 / rot, i_lim, i_lim2)
+            c1, c2 = dq1 / rot, dq2 * rot
+        pa, pb, pc = c1 + c2, _ALPHA2 * c1 + ALPHA * c2, ALPHA * c1 + _ALPHA2 * c2
+        amp_a, amp_b, amp_c = abs(pa), abs(pb), abs(pc)
+
+        if clipping:
+            # describing_function is 1.0 up to the clip level
+            na = describing_function(amp_a, clip) if amp_a > clip else 1.0
+            nb = describing_function(amp_b, clip) if amp_b > clip else 1.0
+            nc = describing_function(amp_c, clip) if amp_c > clip else 1.0
+            fa, fb, fc = pa * na, pb * nb, pc * nc
+
+            def clipper() -> tuple[Mat2, Mat2]:
+                alpha_a, beta_a = _clip_slopes(pa, amp_a, na, clip)
+                alpha_b, beta_b = _clip_slopes(pb, amp_b, nb, clip)
+                alpha_c, beta_c = _clip_slopes(pc, amp_c, nc, clip)
+                a11 = (alpha_a + alpha_b + alpha_c) / 3.0
+                b12 = (beta_a + beta_b + beta_c) / 3.0
+                ab = (
+                    (a11, (alpha_a + _ALPHA2 * alpha_b + ALPHA * alpha_c) / 3.0),
+                    ((alpha_a + ALPHA * alpha_b + _ALPHA2 * alpha_c) / 3.0, a11),
+                ), (
+                    ((beta_a + _ALPHA2 * beta_b + ALPHA * beta_c) / 3.0, b12),
+                    (b12, (beta_a + ALPHA * beta_b + _ALPHA2 * beta_c) / 3.0),
+                )
+                return ab if loop is None else _compose(ab, m)
+
             return (
-                (a11, (alpha_a + _ALPHA2 * alpha_b + ALPHA * alpha_c) / 3.0),
-                ((alpha_a + ALPHA * alpha_b + _ALPHA2 * alpha_c) / 3.0, a11),
-            ), (
-                ((beta_a + _ALPHA2 * beta_b + ALPHA * beta_c) / 3.0, b12),
-                (b12, (beta_a + ALPHA * beta_b + _ALPHA2 * beta_c) / 3.0),
+                (fa + ALPHA * fb + _ALPHA2 * fc) / 3.0,
+                (fa + _ALPHA2 * fb + ALPHA * fc) / 3.0,
+                clipper,
             )
 
-        return (
-            (fa + ALPHA * fb + _ALPHA2 * fc) / 3.0, (fa + _ALPHA2 * fb + ALPHA * fc) / 3.0, clipper
-        )
-    if kind is _PRIORITY:
-        rot = cmath.exp(-1j * theta)
-        dq1, sides1 = _priority_clamp(cfg, ref1 * rot)
-        dq2, sides2 = _priority_clamp(cfg, ref2 / rot)
-        c1, c2 = dq1 / rot, dq2 * rot
-    elif kind is _CIRCULAR:
-        c1, c2 = ref1, ref2
-    else:
-        raise ValueError(f"{kind.value} has no reference saturation stage")
-    phases = phase_components(c1, c2)
-    amps = [abs(p) for p in phases]
-    peak = amps.index(max(amps))
-    binds = amps[peak] > cfg.i_lim
-    scale = cfg.i_lim / amps[peak] if binds else 1.0
+        # the peak phase by amps.index(max(amps)): the first of a tie, and a
+        # nan phase a is kept
+        amp, peak = amp_a, 0
+        if amp_b > amp:
+            amp, peak = amp_b, 1
+        if amp_c > amp:
+            amp, peak = amp_c, 2
+        binds = amp > i_lim
+        scale = i_lim / amp if binds else 1.0
 
-    def derivative() -> tuple[Mat2, Mat2]:
-        if kind is _PRIORITY:
-            # a clamped component is constant. The q bound sqrt(i_lim^2 - d^2)
-            # moves with a passed d, dq = -side_q * d / sqrt(i_lim^2 - d^2) * dd,
-            # a term taken as 0 where the root is 0; with dd = (dw + conj(dw)) / 2
-            # and dq = (dw - conj(dw)) / 2j that gives a and b
-            slopes = []
-            for dq, (side_d, side_q) in ((dq1, sides1), (dq2, sides2)):
-                keep_d, keep_q = float(side_d == 0), float(side_q == 0)
-                tilt = 0.0
-                if side_d == 0 and side_q != 0 and dq.imag != 0.0:
-                    tilt = -dq.real / dq.imag  # dq.imag is side_q * sqrt(i_lim^2 - d^2)
-                slopes.append(
-                    (complex(keep_d + keep_q, tilt) / 2.0, complex(keep_d - keep_q, tilt) / 2.0)
-                )
-            # channel 1 is clamped at ref1 * rot, channel 2 at ref2 / rot; the
-            # frame turn u leaves a on dref and puts conj(u) / u on b
-            (a1, b1), (a2, b2) = slopes
-            b1, b2 = b1 * rot.conjugate() ** 2, b2 * rot * rot
-        else:
-            a1, a2, b1, b2 = 1.0, 1.0, 0.0, 0.0
-        if not binds:
-            return ((a1, 0j), (0j, a2)), ((b1, 0j), (0j, b2))
-        t1, t2 = _ROWS[peak]
-        p = phases[peak]
-        amp2 = p.real * p.real + p.imag * p.imag
-        s = cfg.i_lim / math.sqrt(amp2)
-        gp, gq = s * p.conjugate() / (2.0 * amp2), s * p / (2.0 * amp2)
-        # ds = -(ka1 dref1 + ka2 dref2 + kb1 conj(dref1) + kb2 conj(dref2))
-        ka1 = gp * t1 * a1 + gq * (t1 * b1).conjugate()
-        ka2 = gp * t2 * a2 + gq * (t2 * b2).conjugate()
-        kb1 = gp * t1 * b1 + gq * (t1 * a1).conjugate()
-        kb2 = gp * t2 * b2 + gq * (t2 * a2).conjugate()
-        return (
-            (s * a1 - c1 * ka1, -c1 * ka2),
-            (-c2 * ka1, s * a2 - c2 * ka2),
-        ), (
-            (s * b1 - c1 * kb1, -c1 * kb2),
-            (-c2 * kb1, s * b2 - c2 * kb2),
-        )
+        def derivative() -> tuple[Mat2, Mat2]:
+            if priority:
+                a1, b1 = _clamp_slopes(dq1, side_d1, side_q1)
+                a2, b2 = _clamp_slopes(dq2, side_d2, side_q2)
+                b1, b2 = b1 * turn1, b2 * rot * rot
+            else:
+                a1, a2, b1, b2 = 1.0, 1.0, 0.0, 0.0
+            if not binds:
+                ab = ((a1, 0j), (0j, a2)), ((b1, 0j), (0j, b2))
+                return ab if loop is None else _compose(ab, m)
+            t1, t2 = _ROWS[peak]
+            p = (pa, pb, pc)[peak]
+            amp2 = p.real * p.real + p.imag * p.imag
+            s = i_lim / math.sqrt(amp2)
+            gp, gq = s * p.conjugate() / (2.0 * amp2), s * p / (2.0 * amp2)
+            # ds = -(ka1 dref1 + ka2 dref2 + kb1 conj(dref1) + kb2 conj(dref2))
+            ka1 = gp * t1 * a1 + gq * (t1 * b1).conjugate()
+            ka2 = gp * t2 * a2 + gq * (t2 * b2).conjugate()
+            kb1 = gp * t1 * b1 + gq * (t1 * a1).conjugate()
+            kb2 = gp * t2 * b2 + gq * (t2 * a2).conjugate()
+            ab = (
+                (s * a1 - c1 * ka1, -c1 * ka2),
+                (-c2 * ka1, s * a2 - c2 * ka2),
+            ), (
+                (s * b1 - c1 * kb1, -c1 * kb2),
+                (-c2 * kb1, s * b2 - c2 * kb2),
+            )
+            return ab if loop is None else _compose(ab, m)
 
-    return c1 * scale, c2 * scale, derivative
+        return c1 * scale, c2 * scale, derivative
+
+    return law

@@ -744,18 +744,24 @@ class TerminalPort(Record):
             self.v2_oc + self.z21 * i1 + self.z22 * i2,
         )
 
-    def current_behind(self, e1: complex, z_b: complex) -> tuple[complex, complex]:
-        """Channel currents of the emf (e1, 0) behind z_b in both channels.
+    def currents_behind(self, e1: complex) -> Callable[[complex], tuple[complex, complex]]:
+        """Channel currents of the emf (e1, 0) behind z_b in both channels, a function of z_b.
 
         Solves (Z_port + z_b * I) @ i = (e1, 0) - v_oc; z_b = 0 pins the
-        port voltage at the emf.
+        port voltage at the emf. What does not depend on z_b is computed
+        here, once.
         """
-        a11, a22 = self.z11 + z_b, self.z22 + z_b
-        det = a11 * a22 - self.z12 * self.z21
-        if det == 0:
-            raise SingularNetworkError("converter terminal port is singular")
-        r1, r2 = e1 - self.v1_oc, -self.v2_oc
-        return (a22 * r1 - self.z12 * r2) / det, (a11 * r2 - self.z21 * r1) / det
+        v1_oc, v2_oc, z11, z12, z21, z22 = self
+        z12_z21, r1, r2 = z12 * z21, e1 - v1_oc, -v2_oc
+
+        def currents(z_b: complex) -> tuple[complex, complex]:
+            a11, a22 = z11 + z_b, z22 + z_b
+            det = a11 * a22 - z12_z21
+            if det == 0:
+                raise SingularNetworkError("converter terminal port is singular")
+            return (a22 * r1 - z12 * r2) / det, (a11 * r2 - z21 * r1) / det
+
+        return currents
 
 
 class FaultSolution:

@@ -62,9 +62,10 @@ The Newton step's Jacobian is exact on the piece the limiter took at the
 base point (the phase that sets the common rescale and whether it binds;
 priority's d/q clamps). The loop's reference is affine in the state,
 ref = c + M @ i with c = k_pv * ((e_ref1, 0) - v_oc) and
-M = I - k_pv * Z_port, so only the limiter needs differentiating: the
-derivative `clc.limit` returns with its output gives it in CR form,
-d out = A @ d ref + B @ conj(d ref), and the law's is (A @ M, B @ conj(M)).
+M = I - k_pv * Z_port, so only the limiter needs differentiating: its
+derivative in CR form is d out = A @ d ref + B @ conj(d ref), and the
+law's is (A @ M, B @ conj(M)), which the law that `clc.saturation_law`
+builds on the port returns with its output.
 With G's pair (A @ M - I, B @ conj(M)) the Newton step d solves the 2x2
 complex widely linear system (A @ M - I) @ d + B @ conj(M) @ conj(d) = -G,
 in closed form by its Schur complement (K. Kreutz-Delgado, "The complex
@@ -102,12 +103,11 @@ from .clc import (
     _VIRTUAL_ADMITTANCE,
     ClcConfig,
     ClcKind,
-    Derivative,
+    Law,
     Mat2,
-    clc_adaptive_impedance,
-    clc_virtual_admittance,
-    limit,
     max_phase_current,
+    saturation_law,
+    shaping_law,
 )
 from . import network
 from .network import (
@@ -406,11 +406,8 @@ def _plateaued(history: list[float], window: int = 10, shrink: float = 0.95) -> 
 _LAM = 0.5
 _LAM_FLOOR = 0.005
 
-# law(x) -> (law output, its derivative); x holds the two channel currents,
-# and the derivative gives (P, Q), d law = P @ dx + Q @ conj(dx), on the
-# piece the law took at x
+# the two channel currents
 _Pair = tuple[complex, complex]
-_Law = Callable[[_Pair], tuple[_Pair, Derivative]]
 # the state of a root in one real unknown: the currents, or (Z_v,)
 _State = tuple[complex, ...]
 
@@ -458,54 +455,46 @@ def _newton_point(pq: tuple[Mat2, Mat2], x: _Pair, g: _Pair) -> _Pair | None:
     return x[0] + d1, x[1] + d2
 
 
-def _compose(ab: tuple[Mat2, Mat2], m: Mat2) -> tuple[Mat2, Mat2]:
-    """The CR pair (A @ M, B @ conj(M)) of the map (A, B) after the linear map M."""
-    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = ab
-    (m11, m12), (m21, m22) = m
-    n11, n12, n21, n22 = m11.conjugate(), m12.conjugate(), m21.conjugate(), m22.conjugate()
-    return (
-        (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22),
-        (a21 * m11 + a22 * m21, a21 * m12 + a22 * m22),
-    ), (
-        (b11 * n11 + b12 * n21, b11 * n12 + b12 * n22),
-        (b21 * n11 + b22 * n21, b21 * n12 + b22 * n22),
-    )
-
-
-def _gap(y: _Pair, x: _Pair) -> tuple[_Pair, float]:
+def _gap(y1: complex, y2: complex, x1: complex, x2: complex) -> tuple[complex, complex, float]:
     """G = y - x and the residual max|G|, nan if either |G_k| is nan."""
-    g1, g2 = y[0] - x[0], y[1] - x[1]
+    g1, g2 = y1 - x1, y2 - x2
     m1, m2 = abs(g1), abs(g2)
-    return (g1, g2), math.nan if math.isnan(m1) or math.isnan(m2) else max(m1, m2)
+    if math.isnan(m1) or math.isnan(m2):
+        return g1, g2, math.nan
+    return g1, g2, m2 if m2 > m1 else m1
 
 
-def _drive(law: _Law, x: _Pair, tol: float, max_iter: int, name: str) -> tuple[_Pair, float, int]:
+def _drive(
+    law: Law, x: _Pair, tol: float, max_iter: int, name: str
+) -> tuple[_Pair, _Pair, float, int]:
     """Solve x = law(x): semismooth Newton with a damped fixed-point fallback.
 
-    law also gives its derivative at x (see `_newton_point`). Each
-    iteration tries the Newton step and keeps it if it halves the
-    residual max|law(x) - x|; otherwise it takes the damped step
-    x + lam * (law(x) - x). lam starts at 0.5 and halves whenever the
-    residual plateaus; a plateau at the floor is a limit cycle. Returns
-    (x, residual, iterations), the starting point counting as the first
-    iteration.
+    law(x1, x2) gives (y1, y2, derivative), derivative() the law's own CR
+    pair at x (see `_newton_point`). Each iteration tries the Newton step
+    and keeps it if it halves the residual max|law(x) - x|; otherwise it
+    takes the damped step x + lam * (law(x) - x). lam starts at 0.5 and
+    halves whenever the residual plateaus; a plateau at the floor is a
+    limit cycle. Returns (x, law(x), residual, iterations), the starting
+    point counting as the first iteration.
     """
     lam = _LAM
-    y, derivative = law(x)
-    g, res = _gap(y, x)
+    x1, x2 = x
+    y1, y2, derivative = law(x1, x2)
+    g1, g2, res = _gap(y1, y2, x1, x2)
     history = [res]
     it = 1
     while res >= tol and it < max_iter:
         it += 1
-        x_new = _newton_point(derivative(), x, g)
-        if x_new is not None:
-            y, new_derivative = law(x_new)
-            g_new, res_new = _gap(y, x_new)
-        if x_new is None or not res_new <= 0.5 * res:
-            x_new = (x[0] + lam * g[0], x[1] + lam * g[1])
-            y, new_derivative = law(x_new)
-            g_new, res_new = _gap(y, x_new)
-        x, derivative, g, res = x_new, new_derivative, g_new, res_new
+        trial = _newton_point(derivative(), (x1, x2), (g1, g2))
+        if trial is not None:
+            t1, t2 = trial
+            y1, y2, new_derivative = law(t1, t2)
+            h1, h2, res_new = _gap(y1, y2, t1, t2)
+        if trial is None or not res_new <= 0.5 * res:
+            t1, t2 = x1 + lam * g1, x2 + lam * g2
+            y1, y2, new_derivative = law(t1, t2)
+            h1, h2, res_new = _gap(y1, y2, t1, t2)
+        x1, x2, derivative, g1, g2, res = t1, t2, new_derivative, h1, h2, res_new
         history.append(res)
         if res >= tol and _plateaued(history):
             if lam <= _LAM_FLOOR:
@@ -520,7 +509,7 @@ def _drive(law: _Law, x: _Pair, tol: float, max_iter: int, name: str) -> tuple[_
             f"{name}: fixed point missed tol={tol:g} after {it} iterations "
             f"(last residual {res:.3e}, damping {lam:g}): slow contraction"
         )
-    return x, res, it
+    return (x1, x2), (y1, y2), res, it
 
 
 class _ScalarLaw:
@@ -530,6 +519,8 @@ class _ScalarLaw:
     is one iteration against max_iter; the last state and residual are
     kept. A point whose residual is below tol reads as h = 0, the root.
     """
+
+    __slots__ = ("fn", "tol", "max_iter", "name", "it", "res", "state")
 
     def __init__(
         self,
@@ -544,11 +535,13 @@ class _ScalarLaw:
         self.state: _State = ()
 
     def __call__(self, x: float) -> float:
-        if self.it >= self.max_iter:
+        it = self.it
+        if it >= self.max_iter:
             raise self.missed(f"budget spent at x = {x:.17g}")
-        self.it += 1
-        h, self.res, self.state = self.fn(x)
-        return 0.0 if self.res < self.tol else h
+        self.it = it + 1
+        h, res, self.state = self.fn(x)
+        self.res = res
+        return 0.0 if res < self.tol else h
 
     def missed(self, why: str) -> NoConvergenceError:
         return NoConvergenceError(
@@ -645,43 +638,38 @@ def _converged(
     name = cfg.kind._value_
     e_ref1, theta = op.e_ref1, op.theta_rad
     port = fault.terminal_port
+    currents_behind = port.currents_behind(e_ref1)
     x_net = 1j * gfm.x_f_network
 
     if cfg.kind.is_saturation:
-        # the reference is affine in the state, ref = c + M @ i with
-        # M = I - k_pv * Z_port, so d law = A @ M @ di + B @ conj(M) @ conj(di)
-        m = (
-            (1.0 - gfm.k_pv * port.z11, -gfm.k_pv * port.z12),
-            (-gfm.k_pv * port.z21, 1.0 - gfm.k_pv * port.z22),
-        )
-
-        def loop_refs(i1: complex, i2: complex) -> tuple[complex, complex, complex, complex]:
-            v1, v2 = port.voltage(i1, i2)
-            return v1, v2, gfm.k_pv * (e_ref1 - v1) + i1, gfm.k_pv * (0.0 - v2) + i2
-
-        def sat_law(x: _Pair) -> tuple[_Pair, Derivative]:
-            _, _, ref1, ref2 = loop_refs(*x)
-            sat1, sat2, derivative = limit(cfg, theta, ref1, ref2)
-            return (sat1, sat2), lambda: _compose(derivative(), m)
-
+        k_pv, i_lim = gfm.k_pv, cfg.i_lim
+        loop = (k_pv, e_ref1, port)
         if cfg.kind is _CIRCULAR:
+            law = saturation_law(cfg, theta, loop)
 
             def at_scale(s: float) -> tuple[float, float, _State]:
-                # i = s * ref: the emf behind the resistance (1 - s) / (k_pv s)
-                x = port.current_behind(e_ref1, (1.0 - s) / (gfm.k_pv * s))
-                return max_phase_current(*x) - cfg.i_lim, _gap(sat_law(x)[0], x)[1], x
+                # i = s * ref: the emf behind the resistance (1 - s) / (k_pv s);
+                # the state is the currents and the law's output there
+                i1, i2 = currents_behind((1.0 - s) / (k_pv * s))
+                h = max_phase_current(i1, i2) - i_lim
+                y1, y2, _ = law(i1, i2)
+                return h, _gap(y1, y2, i1, i2)[2], (i1, i2, y1, y2)
 
-            law = _ScalarLaw(at_scale, tol, max_iter, name)
-            _brent(law, 0.0, -cfg.i_lim, 1.0, law(1.0))
-            (i1, i2), res, it = law.result()
+            scalar = _ScalarLaw(at_scale, tol, max_iter, name)
+            _brent(scalar, 0.0, -i_lim, 1.0, scalar(1.0))
+            (i1, i2, sat1, sat2), res, it = scalar.result()
         else:
             # start from the currents that pin the terminal at the reference:
-            # the fixed point itself when the limiter stays idle
-            (i1, i2), res, it = _drive(
-                sat_law, port.current_behind(e_ref1, 0j), tol, max_iter, name
-            )
-        v1, v2, ref1, ref2 = loop_refs(i1, i2)
-        sat1, sat2, _ = limit(cfg, theta, ref1, ref2)
+            # the fixed point itself when the limiter stays idle. The law is
+            # built after it, so that a singular port is named before a
+            # constant of the law (i_lim**2) overflows, as it was named
+            # before the law's first evaluation
+            start = currents_behind(0j)
+            law = saturation_law(cfg, theta, loop)
+            (i1, i2), (sat1, sat2), res, it = _drive(law, start, tol, max_iter, name)
+        v1, v2 = port.voltage(i1, i2)
+        # the loop's references, which the law limited to (sat1, sat2)
+        ref1, ref2 = k_pv * (e_ref1 - v1) + i1, k_pv * (0.0 - v2) + i2
         if cfg.kind is _INSTANTANEOUS:
             i_peak = min(max_phase_current(ref1, ref2), cfg.clip_level)
         else:
@@ -689,43 +677,44 @@ def _converged(
         z_v1, z_v2 = _ratio(e_ref1 - v1, i1), _ratio(-v2, i2)
         # componentwise saturation ratio realized by each converged channel
         sigma1, sigma2 = _ratio(i1, ref1), _ratio(i2, ref2)
-        active = any(
-            abs(sat - ref) > 1e-12 * max(1.0, abs(ref))
-            for sat, ref in ((sat1, ref1), (sat2, ref2))
-        )
+        active = abs(sat1 - ref1) > 1e-12 * max(1.0, abs(ref1))
+        active = active or abs(sat2 - ref2) > 1e-12 * max(1.0, abs(ref2))
     else:
         # impedance-shaping modes: shared complex Z_v in both channels,
         # fixed by its reactance x through the law's X/R rule
         admittance = cfg.kind is _VIRTUAL_ADMITTANCE
         r_floor = cfg.r_vn if admittance else 0.0
+        n_x_r = cfg.n_x_r
+        shaped = shaping_law(cfg)
 
         def at_reactance(x: float) -> tuple[float, float, _State]:
-            z_v = complex(max(r_floor, x / cfg.n_x_r), x)
+            r = x / n_x_r
+            z_v = complex(r if r > r_floor else r_floor, x)  # max(r_floor, r)
             z_branch = z_v + x_net
-            i1, i2 = port.current_behind(e_ref1, z_branch)
+            i1, i2 = currents_behind(z_branch)
             if admittance:
                 v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
-                z_target = clc_virtual_admittance(cfg, abs(e_ref1 - v1) + abs(v2))
+                z_target = shaped(abs(e_ref1 - v1) + abs(v2))
             else:
-                z_target = clc_adaptive_impedance(cfg, max_phase_current(i1, i2))
+                z_target = shaped(max_phase_current(i1, i2))
             return z_target.imag - x, abs(z_target - z_v), (z_v,)
 
-        law = _ScalarLaw(at_reactance, tol, max_iter, name)
+        scalar = _ScalarLaw(at_reactance, tol, max_iter, name)
         x_hi = x_lo = cfg.x_vn if admittance else 0.0
-        h_hi = h_lo = step = law(x_lo)
+        h_hi = h_lo = step = scalar(x_lo)
         while h_hi > 0.0:  # widen until h falls through zero
             x_lo, h_lo = x_hi, h_hi
             x_hi = x_lo + step
-            h_hi = law(x_hi)
+            h_hi = scalar(x_hi)
             step *= 2.0
-        _brent(law, x_lo, h_lo, x_hi, h_hi)
-        (z_v,), res, it = law.result()
+        _brent(scalar, x_lo, h_lo, x_hi, h_hi)
+        (z_v,), res, it = scalar.result()
         # the commanded shaping impedance itself, shared by both channels;
         # the realized -v/i ratio at the source node would fold the
         # in-network filter reactance into it
         z_v1 = z_v2 = z_v
         z_branch = z_v1 + x_net
-        i1, i2 = port.current_behind(e_ref1, z_branch)
+        i1, i2 = currents_behind(z_branch)
         v1, v2 = e_ref1 - z_branch * i1, -z_branch * i2
         sigma1 = sigma2 = None
         i_peak = max_phase_current(i1, i2)
@@ -737,7 +726,11 @@ def _converged(
         v_t=SequenceTriple(pos=v1, neg=v2, zero=0j),
         i_t=SequenceTriple(pos=i1, neg=i2, zero=0j),
         # open in the zero sequence: bus 1 sees only the transformer leg there
-        z_source=(*(None if z is None else z + x_net for z in (z_v1, z_v2)), 0j),
+        z_source=(
+            None if z_v1 is None else z_v1 + x_net,
+            None if z_v2 is None else z_v2 + x_net,
+            0j,
+        ),
         limiter_active=active,
         iterations=it,
         residual=res,
@@ -757,13 +750,19 @@ def incremental_source_impedance(
     """Apparent incremental impedance contributed by the control response.
 
     The pre- to post-fault change of the source branch voltage drop is
-    Z_v1 * i1 (the pre-fault virtual impedance being zero), so seen from
-    bus 1 the control adds
+    taken as Z_v1 * i1, so seen from bus 1 the control adds
 
         Z_ad = -Z_v1 * i1 / delta_i1
 
     on top of the passive transfer impedance. A resistive or capacitive
     Z_ad is what pulls the incremental directional angle out of its band.
+
+    That takes the pre-fault virtual impedance as zero, which holds for
+    every law but virtual_admittance: it keeps its nominal impedance
+    before the fault (`GfmModel.normal_z()`, r_vn + j x_vn), so its change
+    is Z_v1 * i1 - Z_vn * i1_pre and this Z_ad misses by
+    Z_vn * i1_pre / delta_i1 (ROADMAP item 1; measured by
+    `test_dvdi1_is_zad_less_the_passive_side_but_for_the_admittance_pre_fault_term`).
     """
     if abs(delta_i1) < 1e-9:
         return None

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from faultlab.clc import (
     describing_function,
     limit,
     max_phase_current,
+    phase_components,
+    saturation_law,
 )
 from faultlab.phasors import ALPHA, PhaseTriple, angle_deg, fortescue
 
@@ -244,3 +248,231 @@ def test_kind_family_split() -> None:
     assert ClcKind.INSTANTANEOUS.is_saturation
     assert not ClcKind.VIRTUAL_ADMITTANCE.is_saturation
     assert not ClcKind.ADAPTIVE_VIRTUAL_IMPEDANCE.is_saturation
+
+
+# The saturation limiter's arithmetic as written before each case bound its
+# constants, kept here as the reference the per-case law must equal bit for
+# bit: the same operations in the same order, on the same types.
+_REF_ALPHA2 = ALPHA * ALPHA
+_REF_ROWS = ((1.0, 1.0), (_REF_ALPHA2, ALPHA), (ALPHA, _REF_ALPHA2))
+
+
+def _ref_describing_function(amplitude: float, clip_level: float) -> float:
+    if amplitude <= 0.0:
+        return 1.0
+    r = min(1.0, clip_level / amplitude)
+    return (2.0 / math.pi) * (math.asin(r) + r * math.sqrt(1.0 - r * r))
+
+
+def _ref_clamp(value: float, bound: float) -> tuple[float, int]:
+    side = (value > bound) - (value < -bound)
+    return (value if side == 0 else side * bound), side
+
+
+def _ref_priority_clamp(cfg: ClcConfig, ref_dq: complex) -> tuple[complex, tuple[int, int]]:
+    d, side_d = _ref_clamp(ref_dq.real, cfg.i_lim)
+    q, side_q = _ref_clamp(ref_dq.imag, math.sqrt(max(0.0, cfg.i_lim**2 - d * d)))
+    return complex(d, q), (side_d, side_q)
+
+
+def _ref_limit(cfg: ClcConfig, theta: float, ref1: complex, ref2: complex) -> tuple:
+    kind = cfg.kind
+    if kind is ClcKind.INSTANTANEOUS:
+        clip = cfg.clip_level
+        phases = pa, pb, pc = (
+            ref1 + ref2, _REF_ALPHA2 * ref1 + ALPHA * ref2, ALPHA * ref1 + _REF_ALPHA2 * ref2
+        )
+        amps = abs(pa), abs(pb), abs(pc)
+        gains = na, nb, nc = [_ref_describing_function(amp, clip) for amp in amps]
+        fa, fb, fc = pa * na, pb * nb, pc * nc
+
+        def clipper() -> tuple:
+            slopes = []
+            for p, amp, n in zip(phases, amps, gains):
+                if amp <= clip:
+                    slopes.append((1.0, 0j))
+                    continue
+                r = clip / amp
+                half_slope = -(2.0 / math.pi) * (r / amp) * math.sqrt(1.0 - r * r)
+                slopes.append((n + half_slope * amp, half_slope * p * p / amp))
+            (alpha_a, beta_a), (alpha_b, beta_b), (alpha_c, beta_c) = slopes
+            a11 = (alpha_a + alpha_b + alpha_c) / 3.0
+            b12 = (beta_a + beta_b + beta_c) / 3.0
+            return (
+                (a11, (alpha_a + _REF_ALPHA2 * alpha_b + ALPHA * alpha_c) / 3.0),
+                ((alpha_a + ALPHA * alpha_b + _REF_ALPHA2 * alpha_c) / 3.0, a11),
+            ), (
+                ((beta_a + _REF_ALPHA2 * beta_b + ALPHA * beta_c) / 3.0, b12),
+                (b12, (beta_a + ALPHA * beta_b + _REF_ALPHA2 * beta_c) / 3.0),
+            )
+
+        return (
+            (fa + ALPHA * fb + _REF_ALPHA2 * fc) / 3.0,
+            (fa + _REF_ALPHA2 * fb + ALPHA * fc) / 3.0,
+            clipper,
+        )
+    if kind is ClcKind.PRIORITY:
+        rot = cmath.exp(-1j * theta)
+        dq1, sides1 = _ref_priority_clamp(cfg, ref1 * rot)
+        dq2, sides2 = _ref_priority_clamp(cfg, ref2 / rot)
+        c1, c2 = dq1 / rot, dq2 * rot
+    else:
+        c1, c2 = ref1, ref2
+    phases = (c1 + c2, _REF_ALPHA2 * c1 + ALPHA * c2, ALPHA * c1 + _REF_ALPHA2 * c2)
+    amps = [abs(p) for p in phases]
+    peak = amps.index(max(amps))
+    binds = amps[peak] > cfg.i_lim
+    scale = cfg.i_lim / amps[peak] if binds else 1.0
+
+    def derivative() -> tuple:
+        if kind is ClcKind.PRIORITY:
+            slopes = []
+            for dq, (side_d, side_q) in ((dq1, sides1), (dq2, sides2)):
+                keep_d, keep_q = float(side_d == 0), float(side_q == 0)
+                tilt = 0.0
+                if side_d == 0 and side_q != 0 and dq.imag != 0.0:
+                    tilt = -dq.real / dq.imag
+                slopes.append(
+                    (complex(keep_d + keep_q, tilt) / 2.0, complex(keep_d - keep_q, tilt) / 2.0)
+                )
+            (a1, b1), (a2, b2) = slopes
+            b1, b2 = b1 * rot.conjugate() ** 2, b2 * rot * rot
+        else:
+            a1, a2, b1, b2 = 1.0, 1.0, 0.0, 0.0
+        if not binds:
+            return ((a1, 0j), (0j, a2)), ((b1, 0j), (0j, b2))
+        t1, t2 = _REF_ROWS[peak]
+        p = phases[peak]
+        amp2 = p.real * p.real + p.imag * p.imag
+        s = cfg.i_lim / math.sqrt(amp2)
+        gp, gq = s * p.conjugate() / (2.0 * amp2), s * p / (2.0 * amp2)
+        ka1 = gp * t1 * a1 + gq * (t1 * b1).conjugate()
+        ka2 = gp * t2 * a2 + gq * (t2 * b2).conjugate()
+        kb1 = gp * t1 * b1 + gq * (t1 * a1).conjugate()
+        kb2 = gp * t2 * b2 + gq * (t2 * a2).conjugate()
+        return (
+            (s * a1 - c1 * ka1, -c1 * ka2),
+            (-c2 * ka1, s * a2 - c2 * ka2),
+        ), (
+            (s * b1 - c1 * kb1, -c1 * kb2),
+            (-c2 * kb1, s * b2 - c2 * kb2),
+        )
+
+    return c1 * scale, c2 * scale, derivative
+
+
+def _ref_compose(ab: tuple, m: tuple) -> tuple:
+    ((a11, a12), (a21, a22)), ((b11, b12), (b21, b22)) = ab
+    (m11, m12), (m21, m22) = m
+    n11, n12, n21, n22 = m11.conjugate(), m12.conjugate(), m21.conjugate(), m22.conjugate()
+    return (
+        (a11 * m11 + a12 * m21, a11 * m12 + a12 * m22),
+        (a21 * m11 + a22 * m21, a21 * m12 + a22 * m22),
+    ), (
+        (b11 * n11 + b12 * n21, b11 * n12 + b12 * n22),
+        (b21 * n11 + b22 * n21, b21 * n12 + b22 * n22),
+    )
+
+
+def _ref_law(cfg: ClcConfig, theta: float, loop: tuple, i1: complex, i2: complex) -> tuple:
+    """The law on the port as the fixed point read it: the port voltages, the
+    proportional loop's references, the limiter, its derivative after M."""
+    k_pv, e_ref1, (v1_oc, v2_oc, z11, z12, z21, z22) = loop
+    m = ((1.0 - k_pv * z11, -k_pv * z12), (-k_pv * z21, 1.0 - k_pv * z22))
+    v1, v2 = v1_oc + z11 * i1 + z12 * i2, v2_oc + z21 * i1 + z22 * i2
+    ref1, ref2 = k_pv * (e_ref1 - v1) + i1, k_pv * (0.0 - v2) + i2
+    out1, out2, derivative = _ref_limit(cfg, theta, ref1, ref2)
+    return out1, out2, lambda: _ref_compose(derivative(), m)
+
+
+def _outcome(call) -> tuple[str, str]:
+    """repr of the outputs and of the derivative's (A, B), or what each raised."""
+    try:
+        out1, out2, derivative = call()
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__, ""
+    try:
+        pair = repr(derivative())
+    except (ZeroDivisionError, OverflowError) as exc:
+        pair = type(exc).__name__
+    return repr((out1, out2)), pair
+
+
+def _edge_refs(i_lim: float, clip: float) -> list[tuple[complex, complex]]:
+    """Reference pairs at theta = 0 on the limiter's edges, each in either channel."""
+    nan, inf = math.nan, math.inf
+    below, above = math.nextafter(i_lim, 0.0), math.nextafter(i_lim, inf)
+    one_channel = [
+        # each d/q clamp side: d above, below, within; q above, below, within
+        complex(1.5 * i_lim, 0.2), complex(-1.5 * i_lim, 0.2), complex(0.4 * i_lim, 0.2),
+        complex(0.4 * i_lim, 1.5 * i_lim), complex(0.4 * i_lim, -1.5 * i_lim),
+        # zero q headroom: d at the limit, or clamped to it, with q of either sign or zero
+        complex(i_lim, 0.5), complex(i_lim, -0.5), complex(-i_lim, 0.0), complex(i_lim, -0.0),
+        complex(1.1 * i_lim, 0.5), complex(-1.1 * i_lim, -0.5),
+        # just below and just above the limit and the clip level
+        complex(below, 0.0), complex(above, 0.0), complex(0.0, below), complex(0.0, above),
+        complex(math.nextafter(clip, 0.0), 0.0), complex(math.nextafter(clip, inf), 0.0),
+        # signed zeros and non-finite parts
+        0j, complex(-0.0, -0.0), complex(nan, 0.0), complex(0.0, nan), complex(inf, 0.0),
+        complex(-inf, 1.0), complex(1.0, inf),
+    ]
+    pairs = [(r, 0j) for r in one_channel] + [(0j, r) for r in one_channel]
+    # amplitudes that tie: the two channels at equal and at opposite references
+    pairs += [(complex(inf, 0.0), complex(-inf, 0.0)), (complex(nan, nan), 1.0 + 0j)]
+    pairs += [(r, r) for r in one_channel[:6]] + [(r, -r) for r in one_channel[:6]]
+    pairs += [(r, r.conjugate()) for r in one_channel[:6]]
+    return pairs
+
+
+def _tie_refs(i_lim: float) -> list[tuple[complex, complex]]:
+    """Pairs of small binary fractions whose two largest phase amplitudes tie exactly."""
+    parts = [k / 4.0 * i_lim for k in range(-4, 5)]
+    ties = []
+    for re1, im1, re2 in itertools.product(parts, parts, parts):
+        for im2 in (0.0, im1, -im1):
+            r1, r2 = complex(re1, im1), complex(re2, im2)
+            amps = sorted(abs(p) for p in phase_components(r1, r2))
+            if amps[2] == amps[1] and amps[2] > 0.0:
+                ties.append((r1, r2))
+    return ties
+
+
+@pytest.mark.parametrize("kind", ["circular", "priority", "instantaneous"])
+def test_saturation_law_equals_the_reference_limiter_bit_for_bit(kind: str) -> None:
+    """The per-case law, with and without its loop, against the reference
+    copy above: the repr of its outputs and of its derivative, or the
+    exception each raises, on seeded references and on the limiter's edges."""
+    rng = random.Random(40)
+    cases = []
+    sides, headroom, tied = set(), 0, 0
+    for i_lim, clip in ((1.2, 1.2), (0.9, 1.5)):
+        cfg = ClcConfig(kind=ClcKind(kind), i_lim=i_lim, clip_level=clip)
+        edges, ties = _edge_refs(i_lim, clip), _tie_refs(i_lim)
+        tied += len(ties)
+        cases += [(cfg, 0.0, refs) for refs in edges + ties]
+        for ref in (r for refs in edges for r in refs):
+            dq, side = _ref_priority_clamp(cfg, ref)
+            sides.add(side)
+            headroom += side[0] != 0 and side[1] != 0 and dq.imag == 0.0
+        for _ in range(300):
+            theta = rng.uniform(-math.pi, math.pi)
+            refs = tuple(
+                cmath.rect(rng.uniform(0.0, r_max), rng.uniform(-math.pi, math.pi))
+                for r_max in (3.0 * i_lim, 1.5 * i_lim)
+            )
+            cases.append((cfg, theta, refs))
+    # the edges reach every clamp side and a clamp with no q headroom left
+    assert sides >= {(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0), (1, 1), (-1, -1)}
+    assert headroom and tied >= 20
+    # the zero port with unit gain passes the currents through as the references
+    loops = [(1.0, 0j, (0j,) * 6)]
+    for _ in range(3):
+        parts = [complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(7)]
+        loops.append((rng.uniform(0.5, 4.0), parts[0], tuple(parts[1:])))
+    for cfg, theta, (r1, r2) in cases:
+        mine = _outcome(lambda: limit(cfg, theta, r1, r2))
+        assert mine == _outcome(lambda: _ref_limit(cfg, theta, r1, r2)), (cfg, theta, r1, r2)
+        for loop in loops:
+            law = saturation_law(cfg, theta, loop)
+            mine = _outcome(lambda: law(r1, r2))
+            assert mine == _outcome(lambda: _ref_law(cfg, theta, loop, r1, r2)), (loop, r1, r2)

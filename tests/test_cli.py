@@ -457,13 +457,18 @@ def test_extreme_base_quantities_are_named_errors(
 @pytest.mark.parametrize(
     "law, override, fails",
     [
-        # i_lim**2 overflows in the d/q clamp
+        # i_lim**2 overflows: a constant of the case, computed once when
+        # the law is built, at the threshold and far above it
         ("priority", "clc.i_lim_pu = 1.4e154", "overflows"),
+        ("priority", "clc.i_lim_pu = 1e200", "overflows"),
         # the common rescale divides by a phase amplitude that underflowed to 0
         ("priority", "clc.i_lim_pu = 1e-200", "divides by zero"),
-        # 1 / n_x_r**2: the square overflows, or underflows to 0
+        # 1 / n_x_r**2, in i_lim * sqrt(1 + 1 / n_x_r**2), a constant of the
+        # case: the square overflows, or underflows to 0
         ("virtual_admittance", "clc.n_x_r = 1e200", "overflows"),
+        ("virtual_admittance", "clc.n_x_r = 1e300", "overflows"),
         ("virtual_admittance", "clc.n_x_r = 1e-200", "divides by zero"),
+        ("virtual_admittance", "clc.n_x_r = 1e-170", "divides by zero"),
         # the branch resistance (1 - s) / (k_pv s) at a scale s that underflows
         ("circular", "clc.i_lim_pu = 5e-324", "divides by zero"),
         ("circular", "gfm.k_pv = 5e-324", "divides by zero"),
@@ -477,6 +482,27 @@ def test_a_limiting_law_that_fails_in_floating_point_is_a_solver_error(
     captured = capsys.readouterr()
     assert captured.err == f"solver error: {law}: the limiting law {fails} in floating point\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "law, override",
+    [
+        ("circular", "clc.i_lim_pu = 1.4e154"),
+        ("instantaneous", "clc.i_lim_pu = 1.4e154"),
+        ("virtual_admittance", "clc.i_lim_pu = 1.4e154"),
+        ("priority", "clc.n_x_r = 1e200"),
+        ("adaptive_virtual_impedance", "clc.n_x_r = 1e200"),
+    ],
+)
+def test_a_law_computes_only_the_constants_it_reads(
+    tmp_path, capsys, law: str, override: str
+) -> None:
+    # i_lim**2 belongs to priority and sqrt(1 + 1 / n_x_r**2) to
+    # virtual_admittance; a value that overflows one of them leaves every
+    # other law solvable
+    cfg = _config(tmp_path, f"source.kind = gfm\nclc.kind = {law}\n{override}\n")
+    assert main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("fault_kind", ["cag", "bcg"])

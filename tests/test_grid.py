@@ -6,8 +6,10 @@ default solver budget. The generator grid is 10 fault types x 2 placements
 x the same m, R_g and p_ref: 1200 cases. Every case must keep its reference
 outcome and relay verdicts (perfbench/check.py states the rules), and each
 preset's `replicate --oracle-check` CSV row must match its reference row.
-The converter grid's failures and its iterations, summed over the solved
-cases, are bounded by their measured values. Each grid runs with the memos
+The converter grid's failures are bounded by their measured count, and its
+iterations, summed over the solved cases of each law, are the measured
+counts, as are the limiter calls and derivative builds of its two driver
+laws. Each grid runs with the memos
 cold, and what they hold after it is pinned, below their bounds.
 The checker and the cases are read from perfbench by path. The same cases
 and the seeded random configs also pin `config_hash` to the formula it was
@@ -28,6 +30,7 @@ import pytest
 
 from faultlab import network
 from faultlab import scenario as scenario_module
+from faultlab import sources
 from faultlab.harness import run_scenario
 from faultlab.network import SingularNetworkError
 from faultlab.report import csv_header, csv_line
@@ -41,6 +44,18 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MAX_FAILURES = 3
 # measured iterations summed over the solved grid cases; may only go down
 MAX_GRID_ITERATIONS = 24079
+# the same, per law (measured): a change of root finder, start point or
+# step rule moves them, a faster evaluation of the same law does not
+GRID_ITERATIONS = {
+    "circular": 4146,
+    "priority": 4159,
+    "instantaneous": 3460,
+    "virtual_admittance": 4584,
+    "adaptive_virtual_impedance": 7730,
+}
+# the driver laws' limiter calls and the derivative builds among them over
+# their grid cases (measured); the README states them
+DRIVER_LAW_CALLS = {"priority": (6121, 3859), "instantaneous": (3651, 2860)}
 # what the memos hold after each grid, run cold: the network objects, and
 # what `network._shared` made on them by kind (measured)
 GRID_MEMOS = (5, {"build": 15, "dispatch": 45, "port": 200, "elements": 5})
@@ -65,16 +80,17 @@ def _reference(name: str) -> dict:
 
 def _run_against_reference(
     name: str, cases: list[dict[str, object]]
-) -> tuple[Counter, int, tuple[int, dict[str, int]]]:
+) -> tuple[Counter, Counter, tuple[int, dict[str, int]]]:
     """Run every case with the memos cold, assert none mismatches its reference.
 
     Returns the failures by law and outcome, the iterations summed over
-    the solved cases, and what the memos hold after the run (`_memos`).
+    the solved cases by law, and what the memos hold after the run
+    (`_memos`).
     """
     _clear_memos()
     reference = _reference(name)["cases"]
     failures: Counter[tuple[str, str]] = Counter()
-    iterations = 0
+    iterations: Counter[str] = Counter()
     problems: dict[str, list[str]] = {}
     for case in cases:
         scenario = build_scenario(case)
@@ -86,7 +102,7 @@ def _run_against_reference(
         else:
             outcome = check.OK
             fields = {key: getattr(report, key) for key in (*check.VERDICTS, "residual")}
-            iterations += report.iterations
+            iterations[str(case.get("clc.kind", "sg"))] += report.iterations
         key = workloads.case_key(case)
         found = check.check_case(outcome, fields, reference[key], scenario.solver.tol)
         if found:
@@ -111,7 +127,7 @@ def _assert_nothing_evicted(memos: tuple[int, dict[str, int]]) -> None:
 
 
 @pytest.fixture(scope="module")
-def grid_run() -> tuple[Counter, int, tuple[int, dict[str, int]]]:
+def grid_run() -> tuple[Counter, Counter, tuple[int, dict[str, int]]]:
     return _run_against_reference("grid", workloads.grid_cases())
 
 
@@ -123,7 +139,47 @@ def test_grid_converges_outside_a_few_priority_cases(grid_run) -> None:
 
 def test_grid_iterations_stay_within_the_measured_total(grid_run) -> None:
     _, iterations, _ = grid_run
-    assert iterations <= MAX_GRID_ITERATIONS
+    assert sum(iterations.values()) <= MAX_GRID_ITERATIONS
+
+
+def test_grid_iterations_per_law_are_the_measured_counts(grid_run) -> None:
+    _, iterations, _ = grid_run
+    assert dict(iterations) == GRID_ITERATIONS
+    assert sum(GRID_ITERATIONS.values()) == MAX_GRID_ITERATIONS
+
+
+def test_driver_laws_build_their_derivative_only_where_newton_steps(monkeypatch) -> None:
+    """Every evaluation of a driver law is one limiter call and returns its
+    derivative unbuilt; the driver builds it only at a point it takes a
+    Newton step from, and the solved state reads the law's output from the
+    last iteration. Counted over the `priority` and `instantaneous` grid
+    cases."""
+    real = sources.saturation_law
+    counts = {kind: [0, 0] for kind in DRIVER_LAW_CALLS}
+
+    def counting(cfg, theta, loop=None):
+        law, count = real(cfg, theta, loop), counts[cfg.kind.value]
+
+        def counted(i1, i2):
+            count[0] += 1
+            out1, out2, derivative = law(i1, i2)
+
+            def built():
+                count[1] += 1
+                return derivative()
+
+            return out1, out2, built
+
+        return counted
+
+    monkeypatch.setattr(sources, "saturation_law", counting)
+    _clear_memos()
+    for case in workloads.grid_cases():
+        if case["clc.kind"] in counts:
+            _outcome(case)
+    assert {kind: tuple(count) for kind, count in counts.items()} == DRIVER_LAW_CALLS
+    calls, builds = (sum(pair) for pair in zip(*DRIVER_LAW_CALLS.values()))
+    assert (calls, builds) == (9772, 6719)
 
 
 def test_grid_memos_hold_its_few_networks_and_evict_nothing(grid_run) -> None:

@@ -12,6 +12,7 @@ from faultlab.abc_oracle import solve_abc
 from faultlab.clc import (
     ClcConfig,
     ClcKind,
+    _compose,
     describing_function,
     limit,
     max_phase_current,
@@ -44,7 +45,6 @@ from faultlab.sources import (
     OperatingPoint,
     OscillationDetectedError,
     SgModel,
-    _compose,
     _drive,
     _newton_point,
     fault_fixed_point,
@@ -563,13 +563,13 @@ def test_newton_takes_the_whole_step_on_an_affine_contraction() -> None:
     x_star = (1.0 + 1.0j, -2.0 + 0.5j)
     m = ((0.5, 0.2j), (0.1, -0.3 + 0.1j))
 
-    def law(x: tuple) -> tuple[tuple, object]:
+    def law(*x: complex) -> tuple:
         d = [xk - sk for xk, sk in zip(x, x_star)]
         y = tuple(sk + row[0] * d[0] + row[1] * d[1] for sk, row in zip(x_star, m))
-        return y, lambda: (m, ((0j, 0j), (0j, 0j)))
+        return *y, lambda: (m, ((0j, 0j), (0j, 0j)))
 
-    x, res, it = _drive(law, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
-                        name="affine")
+    x, _, res, it = _drive(law, tuple(sk + 40.0 for sk in x_star), tol=1e-9, max_iter=100,
+                           name="affine")
     assert it <= 2
     assert res < 1e-9
     assert max(abs(xk - sk) for xk, sk in zip(x, x_star)) < 1e-9
@@ -833,12 +833,12 @@ def test_singular_jacobian_falls_back_to_the_damped_step() -> None:
     # G = (0.5 (1 - Re x1), 0): the second channel's law is the identity and
     # the first ignores Im x1, so the Jacobian is singular, every iteration
     # is the damped step x + G / 2 and the count is the damped recursion's
-    def law(x: tuple) -> tuple[tuple, object]:
+    def law(x1: complex, x2: complex) -> tuple:
         # d law1 = 0.5 Re(dx1) + j Im(dx1) = 0.75 dx1 - 0.25 conj(dx1)
         pq = ((0.75 + 0j, 0j), (0j, 1 + 0j)), ((-0.25 + 0j, 0j), (0j, 0j))
-        return (complex(0.5 * x[0].real + 0.5, x[0].imag), x[1]), lambda: pq
+        return complex(0.5 * x1.real + 0.5, x1.imag), x2, lambda: pq
 
-    x, res, it = _drive(law, (0j, 0j), tol=1e-9, max_iter=200, name="singular")
+    x, _, res, it = _drive(law, (0j, 0j), tol=1e-9, max_iter=200, name="singular")
     damped, expected = 0.0, 1
     while abs(g := (0.5 * damped + 0.5) - damped) >= 1e-9:
         damped += 0.5 * g
