@@ -13,14 +13,24 @@ branches: a bolted connection merges unknowns, a resistive one stamps a
 conductance. One complex nodal solve covers the whole unbalanced system at
 once. No sequence decomposition, no superposition, no boundary formulas.
 Agreement between the two routes to 1e-8 is therefore evidence, not
-tautology: they share only the LU arithmetic, `network.solve_dense`.
+tautology: they share only the element list, the memo that holds what a
+network object determines (`network._shared`) and the LU arithmetic
+(`network.factor_dense` and `network.solve_factored`).
+
+The matrix depends on the network and the fault alone; only the
+right-hand side (the sources' emfs, the injected currents, a probe)
+changes from case to case. So the matrix is stamped and factored once per
+network object and fault, bit for bit, and each solve builds its
+right-hand side and replays the factorization on it, to the bits that
+eliminating the matrix again would give. A singular matrix stores
+nothing, and raises on every solve.
 
 Assembly is by row index: each node's three phase rows are looked up once
-per solve, and every block entry is added into the matrix in element
-order, so each entry sums its stamps in the order that keying every entry
-by (node, phase) gave. The block and matrix-vector products are written
-out as three-term sums from the int 0 that `sum` starts from, so their
-zeros keep the signs that `sum` gives them.
+per network and fault, and every block entry is added into the matrix in
+element order, so each entry sums its stamps in the order that keying
+every entry by (node, phase) gave. The block and matrix-vector products
+are written out as three-term sums from the int 0 that `sum` starts from,
+so their zeros keep the signs that `sum` gives them.
 
 Scope: sources must be Norton-representable (nonzero impedance in every
 sequence they span) or replaced by equivalent current injections; the
@@ -46,12 +56,16 @@ from .network import (
     SeriesElement,
     SingularNetworkError,
     SourceElement,
+    _bitwise,
+    _shared,
+    factor_dense,
     solve_dense,
+    solve_factored,
 )
 from .phasors import PhaseTriple
 from .records import Record
 
-__all__ = ["OracleUnsupportedError", "AbcSolution", "solve_abc", "thevenin_probe_abc"]
+__all__ = ["OracleUnsupportedError", "AbcSolution", "solve_abc"]
 
 PHASES = ("a", "b", "c")
 _STAR = ("_fault_star", "s")  # single scalar node for the three-phase star point
@@ -221,20 +235,74 @@ def _zero_floating_nodes(
     return set(nodes) - touched - exclude
 
 
+_SINGULAR = "phase-domain system is singular or its solve is not finite"
+
+
+def _add_rhs(rhs: list[list[complex]], rows: tuple[int | None, ...], j: list[complex]) -> None:
+    for ki, val in zip(rows, j):
+        if ki is not None:
+            rhs[ki][0] += val
+
+
 def solve_abc(
     net: NetworkModel,
     spec: FaultSpec | None = None,
     zero_sources: bool = False,
     probe: tuple[str, int] | None = None,
+    injections: tuple[InjectionElement, ...] = (),
 ) -> AbcSolution:
     """Full phase-coordinate nodal solve of the (possibly faulted) network.
 
     The fault node must already exist in the element topology (the builders
     split the host branch); spec then decides which phase branches to stamp
-    there. spec=None solves the healthy network. probe=(node, seq) injects a
-    unit current set of the given sequence, used for the Thevenin
-    cross-check. Pinned (zero-impedance) sources are rejected; freeze them
-    to injection equivalents first.
+    there. spec=None solves the healthy network. injections are current
+    injections at nodes of net, taken as coming after its elements: they
+    enter only the right-hand side, so `solve_abc(net, spec,
+    injections=(inj,))` is `solve_abc(net.with_elements(inj), spec)` bit
+    for bit, with `net` as the solution's network. probe=(node, seq)
+    injects a unit current set of the given sequence, and zero_sources
+    leaves every source and injection dead. Pinned (zero-impedance) sources
+    are rejected; freeze them to injection equivalents first.
+
+    The matrix and its factors depend on net and spec alone, so they are
+    made once per network object and fault, bit for bit (`_system`, held
+    by `network._shared`); a call builds its right-hand side, in element
+    order and then the probe, and solves it on those factors.
+    """
+    what = ("abc", None if spec is None else _bitwise(*spec))
+    nodes, rows_of, blocks, sourced, factors = _shared(net, what, _system, net, spec)
+    rhs = [[0j] for _ in sourced] if zero_sources else [[v] for v in sourced]
+    for elem in injections:
+        if elem.node not in rows_of:
+            raise SingularNetworkError(f"node {elem.node!r} is not in the phase network")
+        if not zero_sources:
+            _add_rhs(rhs, rows_of[elem.node], _mat_vec(A_MATRIX, [0j, elem.i1, elem.i2]))
+
+    if probe is not None:
+        node, seq = probe
+        unit = {1: [0j, 1.0 + 0j, 0j], 2: [0j, 0j, 1.0 + 0j], 0: [1.0 + 0j, 0j, 0j]}[seq]
+        _add_rhs(rhs, rows_of[node], _mat_vec(A_MATRIX, unit))
+
+    solution = solve_factored(factors, rhs)
+    if solution is None:
+        raise SingularNetworkError(_SINGULAR)
+
+    v_phase = {
+        node: PhaseTriple(*(0j if ki is None else solution[ki][0] for ki in rows_of[node]))
+        for node in nodes
+    }
+    return AbcSolution(v_phase=v_phase, net=net, blocks=blocks)
+
+
+def _system(net: NetworkModel, spec: FaultSpec | None) -> tuple:
+    """What net and spec alone determine of the phase solve.
+
+    Merges the fault's bolted keys, stamps the matrix and factors it
+    (`factor_dense`); a zero pivot raises SingularNetworkError. Returns the
+    nodes; each node's three phase rows (ground's are None); each series
+    and source element's admittance block; the right-hand side that net's
+    own sources and injections give, by row, each added in element order
+    to a sum that starts at 0j; and the factors.
     """
     merge = _Merge()
     stamps: list[tuple[tuple[str, str], tuple[str, str] | None, complex]] = []
@@ -275,11 +343,6 @@ def solve_abc(
         if ri is not None and ci is not None:
             amat[ri][ci] += val
 
-    def add_rhs(node: str, j: list[complex]) -> None:
-        for ki, val in zip(rows_of[node], j):
-            if ki is not None:
-                rhs[ki][0] += val
-
     def stamp_block(nf: str, nt: str, blk: list[list[complex]]) -> None:
         # the four entries of each (p, q) in a fixed order, so that every
         # amat entry sums its stamps in element order
@@ -307,12 +370,10 @@ def solve_abc(
         elif isinstance(elem, SourceElement):
             blk = blocks[elem.eid] = _block(elem.z1, elem.z2, elem.z0)
             stamp_block(elem.node, GROUND, blk)
-            if not zero_sources:
-                add_rhs(elem.node, _mat_vec(blk, _mat_vec(A_MATRIX, [0j, elem.e1, 0j])))
+            emf = _mat_vec(blk, _mat_vec(A_MATRIX, [0j, elem.e1, 0j]))
+            _add_rhs(rhs, rows_of[elem.node], emf)
         elif isinstance(elem, InjectionElement):
-            if zero_sources:
-                continue
-            add_rhs(elem.node, _mat_vec(A_MATRIX, [0j, elem.i1, elem.i2]))
+            _add_rhs(rhs, rows_of[elem.node], _mat_vec(A_MATRIX, [0j, elem.i1, elem.i2]))
         else:
             raise OracleUnsupportedError(f"cannot stamp element type {type(elem).__name__}")
 
@@ -326,34 +387,7 @@ def solve_abc(
             add(key, other, -y)
             add(other, key, -y)
 
-    if probe is not None:
-        node, seq = probe
-        unit = {1: [0j, 1.0 + 0j, 0j], 2: [0j, 0j, 1.0 + 0j], 0: [1.0 + 0j, 0j, 0j]}[seq]
-        add_rhs(node, _mat_vec(A_MATRIX, unit))
-
-    solution = solve_dense(amat, rhs)
-    if solution is None:
-        raise SingularNetworkError("phase-domain system is singular or its solve is not finite")
-
-    v_phase = {
-        node: PhaseTriple(*(0j if ki is None else solution[ki][0] for ki in rows_of[node]))
-        for node in nodes
-    }
-    return AbcSolution(v_phase=v_phase, net=net, blocks=blocks)
-
-
-def thevenin_probe_abc(net: NetworkModel, seq: int) -> complex:
-    """Driving-point sequence impedance at the fault node.
-
-    Unit current set of the requested sequence injected with all sources
-    dead; the fault node's same-sequence voltage component is the impedance.
-    Computed wholly in phase coordinates as a cross-check of the
-    sequence-side Thevenin reduction.
-    """
-    sol = solve_abc(net, spec=None, zero_sources=True, probe=(net.fault_node, seq))
-    v = sol.voltage(net.fault_node)
-    return {
-        0: (v.a + v.b + v.c) / 3.0,
-        1: (v.a + _W * v.b + _W**2 * v.c) / 3.0,
-        2: (v.a + _W**2 * v.b + _W * v.c) / 3.0,
-    }[seq]
+    factors = factor_dense(amat)
+    if factors is None:
+        raise SingularNetworkError(_SINGULAR)
+    return nodes, rows_of, blocks, tuple(row[0] for row in rhs), factors

@@ -122,12 +122,19 @@ def _add_polar(out: list[object], phasors) -> None:
 
 
 def _oracle_residual(scenario: Scenario, sol: SourceSolution) -> float:
-    """Max sequence-component mismatch between the two solution routes."""
-    net = scenario.net
-    abc = solve_abc(net.with_elements(sol.frozen), scenario.fault)
-    readings = sol.fault.total.readings
+    """Max sequence-component mismatch between the two solution routes.
+
+    The oracle solves the fault solution's own network, one object per
+    network and source (a generator's ends with its frozen branch), so its
+    factored matrix is made once per network object and fault; a
+    converter's frozen currents enter as an injection at its port.
+    """
+    fault = sol.fault
+    injections = () if scenario.kind is _SG else (sol.frozen,)
+    abc = solve_abc(fault.net, scenario.fault, injections=injections)
+    readings = fault.total.readings
     worst = 0.0
-    for name, tap in net.relay_taps.items():
+    for name, tap in scenario.net.relay_taps.items():
         seq_reading = readings[name]
         v_abc, i_abc = abc.reading(tap)
         for mine, theirs in ((seq_reading.v, fortescue(v_abc)), (seq_reading.i, fortescue(i_abc))):

@@ -25,10 +25,11 @@ Fault solving follows the classical decomposition:
    the injected currents, so a case grid repeats a few networks, and
    `scenario` makes one object of equal networks. A bounded memo keyed on
    the network object (`_shared`) holds its builds, its element plan,
-   and what `sources` and `solve_fault` compute on the network alone: its
-   dispatches, its generator fault networks and its faulted converter
-   ports. Each is made once from one object's own bits, so a hit is the
-   very object a fresh call would have made bit for bit;
+   and what `sources`, `solve_fault` and the oracle compute on the network
+   alone: its dispatches, its generator fault networks, its faulted
+   converter ports and its factored phase-domain systems. Each is made
+   once from one object's own bits, so a hit is the very object a fresh
+   call would have made bit for bit;
 2. Thevenin reduction at the fault node: the driving-point impedance is the
    fault node's column there, the open-circuit voltage the base column (plus
    the port's column times any injected current);
@@ -84,6 +85,8 @@ __all__ = [
     "TerminalPort",
     "FaultSolution",
     "solve_dense",
+    "factor_dense",
+    "solve_factored",
     "solve_linear",
     "solve_fault_boundary",
     "solve_fault",
@@ -417,14 +420,33 @@ class _Build(dict):
 def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     """x with a @ x = b by Gaussian elimination with partial pivoting.
 
-    The package's one dense solver, on Python lists. Its callers are the
-    nodal builds (`_solve_stamped`, once per sequence of a network object
-    while its memo entry lives) and the phase-domain oracle
-    (`abc_oracle.solve_abc` and the oracle's 3x3 mode matrix inverse), with
-    up to 12 unknowns. a is n rows of n entries and b n rows of
-    right-hand-side columns, real or complex; x comes back in b's layout.
-    None on a zero pivot or a non-finite solution. Overwrites a, and b
-    with x.
+    The package's one dense solver, on Python lists: `factor_dense`, then
+    `solve_factored`. Its callers are the nodal builds (`_solve_stamped`,
+    once per sequence of a network object while its memo entry lives) and
+    the oracle's 3x3 mode matrix inverse (`abc_oracle.A_INV`); the oracle's
+    nodal system, with up to 12 unknowns, is factored once per network
+    object and fault and solved per case (`abc_oracle.solve_abc`). a is n
+    rows of n entries and b n rows of right-hand-side columns, real or
+    complex; x comes back in b's layout. None on a zero pivot or a
+    non-finite solution. Overwrites a with its factors, and b with x.
+    """
+    lu = factor_dense(a)
+    return None if lu is None else solve_factored(lu, b)
+
+
+# a's eliminated rows (U on and above the diagonal), and for each step its
+# pivot row and the (row, multiplier) pairs it applied
+_Factors = tuple[list[list], list[tuple[int, list[tuple[int, object]]]]]
+
+
+def factor_dense(a: list[list]) -> _Factors | None:
+    """a's elimination with partial pivoting, kept for `solve_factored`.
+
+    Each step k picks the row of largest magnitude in column k at or below
+    row k, exchanges it with row k, and subtracts multiples of it from the
+    rows below, keeping the pivot row and each (row, multiplier) it
+    applied. None on a zero pivot. Overwrites a: its rows, exchanged, hold
+    U on and above the diagonal.
 
     A row whose entry in the pivot column is already exactly zero is not
     updated. These are the structural zeros of a radial network's nodal
@@ -439,6 +461,7 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
     non-finite with or without the update, so the result is None either way.
     """
     n = len(a)
+    steps: list[tuple[int, list[tuple[int, object]]]] = []
     for k in range(n):
         p, largest = k, abs(a[k][k])
         for r in range(k + 1, n):
@@ -450,34 +473,58 @@ def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
         if d == 0:
             return None
         if p != k:
-            a[k], a[p], b[k], b[p] = pivot, a[k], b[p], b[k]
-        bk = b[k]
+            a[k], a[p] = pivot, a[k]
+        updates = []
         for r in range(k + 1, n):
             row = a[r]
             if row[k] == 0:
                 continue
-            br, f = b[r], row[k] / d
+            f = row[k] / d
             for c in range(k + 1, n):
                 row[c] -= f * pivot[c]
-            for j, v in enumerate(bk):
-                br[j] -= f * v
-    for k in reversed(range(n)):
-        bk, d = b[k], a[k][k]
-        for j, v in enumerate(bk):
-            bk[j] = v / d
-        for r in range(k):
-            br, f = b[r], a[r][k]
-            for j, v in enumerate(bk):
-                br[j] -= f * v
+            updates.append((r, f))
+        steps.append((p, updates))
+    return a, steps
+
+
+def solve_factored(lu: _Factors, b: list[list]) -> list[list] | None:
+    """x with a @ x = b, from `factor_dense(a)`; None if x is not finite.
+
+    Replays the factorization's steps on each column of b, each step its
+    exchange and then its row updates, and back-substitutes with U. An
+    entry of b is updated from b and the multipliers alone, so each entry
+    takes the operations the elimination would have made on it beside a's,
+    in the same order: one factorization solves any number of right-hand
+    sides, each to the bits of a solve that eliminated a again. Columns
+    are independent, so each is solved in turn as a flat list. Overwrites
+    b with x, in b's layout.
+    """
+    u, steps = lu
+    n = len(u)
+    for j in range(len(b[0]) if n else 0):
+        x = [row[j] for row in b]
+        for k, (p, updates) in enumerate(steps):
+            if p != k:
+                x[k], x[p] = x[p], x[k]
+            v = x[k]
+            for r, f in updates:
+                x[r] -= f * v
+        for k in reversed(range(n)):
+            v = x[k] = x[k] / u[k][k]
+            for r in range(k):
+                x[r] -= u[r][k] * v
+        for row, v in zip(b, x):
+            row[j] = v
     return b if all(cmath.isfinite(v) for row in b for v in row) else None
 
 
 # What a network object alone determines, made once per object: its
 # sequence builds, its element plan and its faulted converter ports
-# (`solve_fault`) here, and in `sources` its dispatches and generator
-# fault networks. Keyed on (id(net), what); each entry holds its network,
-# so no other object takes that id while the entry lives. At most
-# `_SHARED_BOUND` entries, the oldest dropped first.
+# (`solve_fault`) here, in `sources` its dispatches and generator fault
+# networks, and in `abc_oracle` its factored phase-domain systems. Keyed
+# on (id(net), what); each entry holds its network, so no other object
+# takes that id while the entry lives. At most `_SHARED_BOUND` entries,
+# the oldest dropped first.
 _SHARED: dict[tuple, tuple[NetworkModel, object]] = {}
 _SHARED_BOUND = 1024
 

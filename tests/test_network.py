@@ -783,6 +783,66 @@ def test_solve_dense_equals_every_row_elimination_bit_for_bit(complex_entries: b
     assert exchanges > 100 and zero_rows > 1000
 
 
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_one_factorization_solves_each_right_hand_side_to_the_bits_of_solve_dense(
+    complex_entries: bool,
+) -> None:
+    """`solve_factored(factor_dense(a), b)` is `solve_dense(a, b)` and the
+    every-row elimination by repr, on the same matrices as above, and one
+    factorization serves several right-hand sides without changing."""
+    rng = random.Random(17)
+    more = random.Random(71)  # the extra right-hand sides, so that rng draws as above
+
+    def rhs(draw: random.Random, columns: int, rows: int) -> list[list]:
+        if complex_entries:
+            return [[complex(draw.gauss(0, 1), draw.gauss(0, 1)) for _ in range(columns)]
+                    for _ in range(rows)]
+        return [[draw.gauss(0, 1) for _ in range(columns)] for _ in range(rows)]
+
+    for trial in range(60):
+        a = _radial_block_system(rng, rng.choice((3, 4)), complex_entries)
+        lu = network.factor_dense([row[:] for row in a])
+        factors = repr(lu)
+        for b in (rhs(rng, 1 + trial % 3, len(a)), rhs(more, 1, len(a)), rhs(more, 4, len(a))):
+            mine, theirs, _, _ = _both_eliminations(a, b)
+            factored = network.solve_factored(lu, [row[:] for row in b])
+            assert repr(factored) == mine == theirs != "None", (trial, a, b)
+        assert repr(lu) == factors
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [
+        ([[1.0, 2.0], [2.0, 4.0]], [[1.0], [1.0]]),
+        ([[0.0, 0.0], [0.0, 1.0]], [[1.0], [1.0]]),
+        ([[1j, 0j], [0j, 0j]], [[1j], [1.0]]),
+    ],
+)
+def test_a_zero_pivot_has_no_factorization(a: list[list], b: list[list]) -> None:
+    assert network.factor_dense([row[:] for row in a]) is None
+    assert network.solve_dense(a, b) is None
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [
+        ([[1.0, math.inf], [1.0, 1.0]], [[1.0], [1.0]]),
+        ([[1j, complex(math.inf, 0.0)], [1.0, 1j]], [[1j, 0j], [1.0, 2.0]]),
+        ([[2.0, 1.0], [0.0, 1.0]], [[math.inf], [1.0]]),
+        ([[2.0, 1.0], [1.0, 3.0]], [[math.nan], [1.0]]),
+    ],
+)
+def test_a_non_finite_solution_of_a_factorization_is_none(a: list[list], b: list[list]) -> None:
+    lu = network.factor_dense([row[:] for row in a])
+    assert lu is not None
+    assert network.solve_factored(lu, [row[:] for row in b]) is None
+    assert network.solve_dense(a, b) is None
+    # the same factors solve a finite right-hand side where a is finite
+    if all(math.isfinite(abs(v)) for row in a for v in row):
+        finite = network.solve_factored(lu, [[1.0] * len(b[0]) for _ in b])
+        assert finite is not None
+
+
 @pytest.mark.parametrize(
     ("a", "b"),
     [

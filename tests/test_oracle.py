@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from faultlab import abc_oracle
+from faultlab import abc_oracle, harness, network
 from faultlab.abc_oracle import (
     _GROUND_KEY,
     _STAR,
@@ -19,11 +19,12 @@ from faultlab.abc_oracle import (
     _fault_stamps,
     _mat_vec,
     _Merge,
+    _W,
     _zero_floating_nodes,
     solve_abc,
-    thevenin_probe_abc,
 )
-from faultlab.harness import solve_scenario
+from faultlab.cli import main as cli_main
+from faultlab.harness import run_scenario, solve_scenario
 from faultlab.network import (
     GROUND,
     FaultSpec,
@@ -32,14 +33,15 @@ from faultlab.network import (
     NetworkModel,
     RelayTap,
     SeriesElement,
+    SingularNetworkError,
     SourceElement,
-    solve_dense,
+    factor_dense,
     solve_fault,
     solve_linear,
 )
 from faultlab.phasors import fortescue, from_polar
 from faultlab.presets import PRESETS, preset_scenario_overrides
-from faultlab.scenario import build_scenario
+from faultlab.scenario import _clear_memos, build_scenario
 
 
 def _sg_net() -> NetworkModel:
@@ -86,12 +88,29 @@ def test_single_line_ground_leaves_healthy_phases_dead() -> None:
     assert abs(i.c) < 1e-12
 
 
+def _thevenin_probe_abc(net: NetworkModel, seq: int) -> complex:
+    """Driving-point sequence impedance at the fault node.
+
+    Unit current set of the requested sequence injected with all sources
+    dead; the fault node's same-sequence voltage component is the impedance.
+    Computed wholly in phase coordinates as a cross-check of the
+    sequence-side Thevenin reduction.
+    """
+    sol = solve_abc(net, spec=None, zero_sources=True, probe=(net.fault_node, seq))
+    v = sol.voltage(net.fault_node)
+    return {
+        0: (v.a + v.b + v.c) / 3.0,
+        1: (v.a + _W * v.b + _W**2 * v.c) / 3.0,
+        2: (v.a + _W**2 * v.b + _W * v.c) / 3.0,
+    }[seq]
+
+
 @pytest.mark.parametrize("make_net", [_sg_net, _gfm_net])
 def test_driving_point_probe_matches_sequence_thevenin(make_net) -> None:
     net = make_net()
     th = solve_fault(net, FaultSpec()).thevenin
     for seq, expected in ((1, th.z1), (2, th.z2), (0, th.z0)):
-        probed = thevenin_probe_abc(net, seq)
+        probed = _thevenin_probe_abc(net, seq)
         assert probed == pytest.approx(expected, rel=1e-10)
 
 
@@ -237,12 +256,13 @@ def _amat_by_key(net: NetworkModel, spec: FaultSpec) -> list[list[complex]]:
 def test_assembled_matrix_of_every_preset_equals_the_per_key_assembly(monkeypatch) -> None:
     solved: list[list[list[complex]]] = []
 
-    def capture(a, b):
+    def capture(a):
         solved.append([row[:] for row in a])
-        return solve_dense(a, b)
+        return factor_dense(a)
 
-    monkeypatch.setattr(abc_oracle, "solve_dense", capture)
+    monkeypatch.setattr(abc_oracle, "factor_dense", capture)
     for name in sorted(PRESETS):
+        _clear_memos()  # so that every preset's matrix is assembled
         scenario = build_scenario(preset_scenario_overrides(name))
         _, sol = solve_scenario(scenario)
         net = scenario.net.with_elements(sol.frozen)
@@ -253,3 +273,116 @@ def test_assembled_matrix_of_every_preset_equals_the_per_key_assembly(monkeypatc
         for r, (mine, theirs) in enumerate(zip(amat, reference)):
             for c, (x, y) in enumerate(zip(mine, theirs)):
                 assert repr(x) == repr(y), (name, r, c)
+
+
+def _counting_factor(monkeypatch) -> list[int]:
+    """Count the oracle's factorizations, each by its number of unknowns."""
+    factored: list[int] = []
+
+    def counting(a):
+        factored.append(len(a))
+        return factor_dense(a)
+
+    monkeypatch.setattr(abc_oracle, "factor_dense", counting)
+    return factored
+
+
+def _oracle_run(scenario, monkeypatch) -> tuple[str, str]:
+    """repr of a run's oracle_max_err and of the v_phase of the oracle solve it made."""
+    solutions = []
+
+    def capture(*args, **kwargs):
+        solutions.append(solve_abc(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(harness, "solve_abc", capture)
+    report = run_scenario(scenario, oracle_check=True)
+    monkeypatch.setattr(harness, "solve_abc", solve_abc)
+    (abc,) = solutions
+    return repr(report.oracle_max_err), repr(abc.v_phase)
+
+
+def test_every_preset_checks_to_its_cold_bits_with_the_oracle_systems_held(monkeypatch) -> None:
+    """Each preset's oracle solve, cold, makes one factorization and gives
+    the bits of the frozen source appended to the network. Run again in
+    reverse order with every memo held, twice, the presets give their cold
+    bits, and the second time factor nothing."""
+    factored = _counting_factor(monkeypatch)
+    names = sorted(PRESETS)
+    cold = {}
+    for name in names:
+        _clear_memos()
+        scenario = build_scenario(preset_scenario_overrides(name))
+        cold[name] = _oracle_run(scenario, monkeypatch)
+        assert len(factored) == 1, name
+        _, sol = solve_scenario(scenario)
+        appended = solve_abc(scenario.net.with_elements(sol.frozen), scenario.fault)
+        assert repr(appended.v_phase) == cold[name][1], name
+        factored.clear()
+    _clear_memos()
+    for held in (False, True):
+        factored.clear()
+        for name in reversed(names):
+            warm = _oracle_run(build_scenario(preset_scenario_overrides(name)), monkeypatch)
+            assert warm == cold[name], (name, held)
+        assert bool(factored) is not held
+
+
+def test_a_warm_oracle_check_from_the_cli_factors_nothing(monkeypatch, capsys) -> None:
+    factored = _counting_factor(monkeypatch)
+    argv = ["replicate", "--preset", "fig13a", "--oracle-check"]
+    _clear_memos()
+    assert cli_main(argv) == 0
+    cold = capsys.readouterr().out
+    assert len(factored) == 1
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert len(factored) == 1
+
+
+def test_two_converter_cases_on_one_network_and_fault_share_one_factorization(
+    monkeypatch,
+) -> None:
+    """p_ref moves only the dispatch and the frozen currents, so the two
+    cases' oracle solves share one network object, fault and factorization,
+    and each gives the bits of its own cold solve."""
+    factored = _counting_factor(monkeypatch)
+    configs = [
+        {"source.kind": "gfm", "clc.kind": "circular", "fault.kind": "bcg", "fault.m": 0.5,
+         "source.p_ref": p_ref}
+        for p_ref in (0.0, 1.0)
+    ]
+    cold = []
+    for config in configs:
+        _clear_memos()
+        cold.append(_oracle_run(build_scenario(config), monkeypatch))
+    factored.clear()
+    _clear_memos()
+    scenarios = [build_scenario(config) for config in configs]
+    assert scenarios[0].net is scenarios[1].net and scenarios[0].fault == scenarios[1].fault
+    warm = [_oracle_run(scenario, monkeypatch) for scenario in scenarios]
+    assert len(factored) == 1
+    assert warm == cold and cold[0] != cold[1]
+
+
+def test_a_singular_oracle_system_stores_nothing_and_raises_on_every_solve(monkeypatch) -> None:
+    # an injection alone at a node: only its zero mode is tied, so the
+    # positive and negative rows are zero
+    net = NetworkModel(elements=(InjectionElement("inj", "s", 1.0 + 0j, 0j),))
+    factored = _counting_factor(monkeypatch)
+    for calls in (1, 2):
+        with pytest.raises(SingularNetworkError):
+            solve_abc(net)
+        assert len(factored) == calls
+    assert not any(key[0] == id(net) for key in network._SHARED)
+
+
+def test_injections_are_current_sources_at_nodes_of_the_network() -> None:
+    net = _gfm_net()
+    inj = InjectionElement("extra", "poc", from_polar(0.3, 10.0), 0j)
+    appended = solve_abc(net.with_elements(inj), FaultSpec(fault_type=FaultType.AG, m=0.5))
+    injected = solve_abc(net, FaultSpec(fault_type=FaultType.AG, m=0.5), injections=(inj,))
+    assert repr(injected.v_phase) == repr(appended.v_phase)
+    assert injected.net is net
+    with pytest.raises(SingularNetworkError, match="not in the phase network"):
+        solve_abc(net, injections=(inj._replace(node="nowhere"),))

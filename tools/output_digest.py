@@ -21,8 +21,10 @@ trees and compares the printed digests. The groups:
 
 After the six groups it solves the `grid` and `generator` cases again, in
 reverse order, in the same process, and exits 1 naming the first case
-whose outcome differs: an output must not depend on which networks,
-dispatches and faulted ports the memos already hold.
+whose outcome differs; then it runs the 14 presets with `--oracle-check`
+again, in reverse order, and exits 1 naming the first preset whose CSV
+differs: an output must not depend on which networks, dispatches, faulted
+ports and factored oracle systems the memos already hold.
 
 Run it from anywhere; it imports faultlab from the `src/` of the checkout it
 sits in. It takes a few seconds.
@@ -84,6 +86,10 @@ def _cli(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def _preset(name: str) -> str:
+    return _cli(["replicate", "--preset", name, "--oracle-check"])
+
+
 def _records() -> list[str]:
     outputs = [
         _cli(["replicate", "--preset", name, "--format", "records", "--oracle-check"])
@@ -111,9 +117,7 @@ def groups() -> dict[str, list[str]]:
         "generator": [_outcome(case) for case in workloads.generator_cases()],
         "grid": [_outcome(case) for case in workloads.grid_cases()],
         "random_configs": [_outcome(config, oracle_check=True) for config in draws],
-        "presets": [
-            _cli(["replicate", "--preset", name, "--oracle-check"]) for name in sorted(PRESETS)
-        ],
+        "presets": [_preset(name) for name in sorted(PRESETS)],
         "table1": [_cli(["table1"])],
         "records": _records(),
     }
@@ -130,6 +134,10 @@ def main() -> None:
             if _outcome(group[k]) != outputs[name][k]:
                 sys.exit(f"{name} case {workloads.case_key(group[k])}: its outcome differs "
                          "when the cases run in reverse order")
+    presets = sorted(PRESETS)
+    for k in reversed(range(len(presets))):
+        if _preset(presets[k]) != outputs["presets"][k]:
+            sys.exit(f"preset {presets[k]}: its CSV differs when the presets run in reverse order")
 
 
 if __name__ == "__main__":
