@@ -39,17 +39,19 @@ Fault solving follows the classical decomposition:
 4. back-distribution: the pure-fault solution is minus the fault current
    times the fault node's column, superposed on the base solve. One
    `FaultSolution` holds all of it, affine in the currents injected at its
-   port, and `FaultSolution.terminal_port` reduces it to the port.
+   port, and `FaultSolution.terminal_port` reduces it to the port. A build
+   keeps each column also as a tuple in its one node order, and each part
+   is one straight-line sum per node over those tuples (`_superpose`).
 
 A solution is its node voltages only. Every current is read off them by
 Ohm's law on the element's own sequence impedance, through the network's
 element plan: each series or source element's end nodes and sequence
 impedances by eid, resolved once per network object. So the relay
-readings of the healthy, base, pure-fault and total solutions, and the
-generator's source current, take one path; each solution reads all its
-relay taps at once (`SequenceSolution.readings`). A solution computes
-its readings and its parts once, on first read, and keeps them in the
-instance (`_once`, `functools.cached_property` without its lock).
+readings of every solution, and the generator's source current, take one
+path; each solution reads all its relay taps at once
+(`SequenceSolution.readings`). A solution computes its readings and its
+parts once, on first read (`_once`, `functools.cached_property` without
+its lock).
 
 Sign conventions: relay current is measured from the bus into the monitored
 line; fault sequence currents are drawn out of the network into the fault.
@@ -154,6 +156,13 @@ _FAULT_SHAPE: dict[FaultType, tuple[FaultCategory, int, tuple[str, ...]]] = {
 }
 # the categories by module name: a global read per fault, not an Enum class attribute's
 _SLG, _LL, _LLG = FaultCategory.SLG, FaultCategory.LL, FaultCategory.LLG
+# what `solve_fault_boundary` reads per fault type: its category, alpha^k and
+# alpha^2k, and their conjugates, which carry voltages into the a-referenced frame
+_BOUNDARY = {
+    fault: (cat, rot2, rot0, rot2.conjugate(), rot0.conjugate())
+    for fault, (cat, k, _) in _FAULT_SHAPE.items()
+    for rot2, rot0 in [(ALPHA**k, ALPHA ** (2 * k))]
+}
 
 
 class Placement(Enum):
@@ -310,11 +319,8 @@ class SequenceSolution:
         return (self.v, self.net) == (other.v, other.net)
 
     def voltage(self, node: str) -> SequenceTriple:
-        return SequenceTriple(
-            pos=self.v[1].get(node, 0j),
-            neg=self.v[2].get(node, 0j),
-            zero=self.v[0].get(node, 0j),
-        )
+        v = self.v
+        return SequenceTriple(v[1].get(node, 0j), v[2].get(node, 0j), v[0].get(node, 0j))
 
     def current(self, seq: int, eid: str) -> complex:
         front, back, z, fallback = _shared(self.net, "elements", _element_plan, self.net)[eid]
@@ -324,8 +330,14 @@ class SequenceSolution:
         return (v.get(front, fallback[seq]) - v.get(back, 0j)) / z[seq]
 
     def series_current(self, eid: str) -> SequenceTriple:
-        """`current` of a series element or a source in all three sequences."""
-        return SequenceTriple(self.current(1, eid), self.current(2, eid), self.current(0, eid))
+        """`current` of a series element or a source in each sequence: one plan lookup."""
+        net, v = self.net, self.v
+        front, back, z, fallback = _shared(net, "elements", _element_plan, net)[eid]
+        return SequenceTriple(
+            0j if z[1] is None else (v[1].get(front, fallback[1]) - v[1].get(back, 0j)) / z[1],
+            0j if z[2] is None else (v[2].get(front, fallback[2]) - v[2].get(back, 0j)) / z[2],
+            0j if z[0] is None else (v[0].get(front, fallback[0]) - v[0].get(back, 0j)) / z[0],
+        )
 
     def reading(self, tap: RelayTap) -> "BusReading":
         i = self.series_current(tap.eid).scaled(tap.sign)
@@ -401,20 +413,25 @@ class TheveninEquivalent(Record):
 
 # one solution column of a sequence network: its node voltages
 _Column = dict[str, complex]
-# columns of one build, by node (None: the base column), each with its weight
-_Weighted = list[tuple[str | None, complex]]
 
 
-class _Build(dict):
+class _Columns(dict):
+    """Columns by node, None the base column; a node this sequence does not touch raises."""
+
+    def __missing__(self, node: str) -> object:
+        raise SingularNetworkError(f"node {node!r} is not in this sequence network")
+
+
+class _Build(_Columns):
     """One sequence build: the base column under None, then a column per node.
 
-    A pinned node's column is zero. A node that no element of this sequence
-    touches has none, and asking for it raises: no current can enter the
-    network there.
+    A pinned node's column is zero. All columns share one key order, which
+    the build keeps once as `nodes`; `columns` holds each column again as
+    a tuple in that order, and `start` the base column's term of a sum
+    with the sources, 0j + 1.0 * value, also in that order.
     """
 
-    def __missing__(self, node: str) -> _Column:
-        raise SingularNetworkError(f"node {node!r} is not in this sequence network")
+    __slots__ = ("nodes", "columns", "start")
 
 
 def solve_dense(a: list[list], b: list[list]) -> list[list] | None:
@@ -665,32 +682,40 @@ def _solve_stamped(net: NetworkModel, seq: int) -> _Build:
     x = solve_dense(y, rhs)
     if x is None:
         raise SingularNetworkError(f"sequence-{seq} network is singular or its solve is not finite")
-    base, *columns = zip(*x) if n else [()]
+    base, *solved = zip(*x) if n else [()]
 
-    zeros = dict.fromkeys(pinned, 0j)
-    build = _Build.fromkeys(pinned, {**zeros, **dict.fromkeys(unknowns, 0j)})
-    build[None] = {**pinned, **dict(zip(unknowns, base))}
-    for node, values in zip(unknowns, columns):
-        build[node] = {**zeros, **dict(zip(unknowns, values))}
+    zeros, nodes = (0j,) * len(pinned), (*pinned, *unknowns)
+    columns = _Columns.fromkeys(pinned, zeros + (0j,) * n)
+    columns[None] = (*pinned.values(), *base)
+    columns.update(zip(unknowns, (zeros + values for values in solved)))
+    build = _Build((node, dict(zip(nodes, values))) for node, values in columns.items())
+    build.nodes, build.columns = nodes, columns
+    build.start = tuple(0j + 1.0 * value for value in columns[None])
     return build
 
 
-def _superpose(build: _Build, weighted: _Weighted) -> _Column:
-    """Weighted sum of columns of one build (all have the same keys)."""
-    total = dict.fromkeys(build[None], 0j)
+def _superpose(build: _Build, sources: bool, *weighted: tuple[str, complex]) -> _Column:
+    """The base column if `sources`, plus at most two weighted node columns of one build.
+
+    One straight-line sum per node: 0j, plus 1.0 times the base column's
+    value if `sources` (that start is held by the build), plus each
+    weighted column's term in the order given. A column at weight zero is
+    looked up (a node the sequence does not touch raises) but not summed:
+    its signed zeros would change no bit of a sum that is never -0.0.
+    """
+    columns, nodes, terms = build.columns, build.nodes, ()
     for node, w in weighted:
-        column = build[node]
+        column = columns[node]
         if w != 0:
-            for key, y in column.items():
-                total[key] += w * y
-    return total
-
-
-def _voltage(build: _Build, node: str, weighted: _Weighted) -> complex:
-    total = 0j
-    for key, w in weighted:
-        total += w * build[key][node]
-    return total
+            terms += ((w, column),)
+    start = build.start if sources else (0j,) * len(nodes)
+    if len(terms) == 2:
+        (a, x), (b, y) = terms
+        return {k: s + a * p + b * q for k, s, p, q in zip(nodes, start, x, y)}
+    if terms:
+        ((a, x),) = terms
+        return {k: s + a * p for k, s, p in zip(nodes, start, x)}
+    return dict(zip(nodes, start))
 
 
 def solve_linear(
@@ -710,8 +735,8 @@ def solve_linear(
     v: dict[int, _Column] = {}
     for seq in sequences:
         extra = extra_injections.get(seq) if extra_injections else None
-        weighted = [(None, 0.0 if zero_sources else 1.0)] + ([extra] if extra else [])
-        v[seq] = _superpose(_solve_one_sequence(net, seq), weighted)
+        build = _solve_one_sequence(net, seq)
+        v[seq] = _superpose(build, not zero_sources, *([extra] if extra else ()))
     return SequenceSolution(v, net)
 
 
@@ -729,12 +754,10 @@ def solve_fault_boundary(
     A boundary that divides by an exact zero is a SingularNetworkError.
     """
     r = spec.r_g_ohm / z_base_ohm
-    z1, z2, z0, e_f = thevenin.z1, thevenin.z2, thevenin.z0, thevenin.e_f
-    cat, k, _ = _FAULT_SHAPE[spec.fault_type]
-    rot2 = ALPHA**k
-    rot0 = ALPHA ** (2 * k)
-    e2h = thevenin.e_f2 * rot2.conjugate()
-    e0h = thevenin.e_f0 * rot0.conjugate()
+    z1, z2, z0, e_f, e_f2, e_f0 = thevenin
+    cat, rot2, rot0, back2, back0 = _BOUNDARY[spec.fault_type]
+    e2h = e_f2 * back2
+    e0h = e_f0 * back0
 
     try:
         if cat is _SLG:
@@ -759,9 +782,7 @@ def solve_fault_boundary(
         why = f"{spec.fault_type.value} fault boundary is singular: z1 = {z1:.6g}, z2 = {z2:.6g}"
         raise SingularNetworkError(f"{why}, z0 = {z0:.6g} pu at the fault node") from None
 
-    return SequenceTriple(pos=i1, neg=i2 * rot2, zero=i0 * rot0)
-
-
+    return SequenceTriple(i1, i2 * rot2, i0 * rot0)
 
 
 class TerminalPort(Record):
@@ -821,10 +842,10 @@ class FaultSolution:
     solution is minus that current times the fault node's column. `at`
     reads the same builds at other port currents.
 
-    Each part is computed once, when first read. It sums only the columns
-    it weights, from 0j, in the order base, fault node, port: a column at
-    weight zero would add a signed zero to a sum that is never -0.0, and
-    change no bit.
+    Each part is computed once, when first read, as one straight-line sum
+    per node over the builds' column tuples (`_superpose`): from 0j, the
+    base, then the fault node, then the port, a column at weight zero
+    skipped. The open-circuit voltages keep every term, zero weights too.
     """
 
     def __init__(
@@ -851,29 +872,20 @@ class FaultSolution:
         """The fault solution with (i1, i2) injected at the port."""
         return FaultSolution(self.net, self.spec, self.port, self.builds, i1, i2)
 
-    def _weighted(self, seq: int, base: bool, pure: bool) -> _Weighted:
-        """The columns of the base part, the pure part or both in one sequence."""
-        weighted: _Weighted = [(None, 1.0)] if base else []
-        if pure:
-            i_f = self.i_fault
-            weighted.append((self.net.fault_node, -(i_f.zero, i_f.pos, i_f.neg)[seq]))
-        if base and self.port and seq:  # the port carries no zero-sequence current
-            weighted.append((self.port, self.i1 if seq == 1 else self.i2))
-        return weighted
-
-    def _part(self, base: bool, pure: bool) -> SequenceSolution:
-        builds = self.builds
-        v = {seq: _superpose(builds[seq], self._weighted(seq, base, pure)) for seq in SEQUENCES}
-        return SequenceSolution(v, self.net)
+    def _port_terms(self) -> tuple[tuple, tuple]:
+        """The port's column at its current in the positive and negative sequences, if a port."""
+        return (((self.port, self.i1),), ((self.port, self.i2),)) if self.port else ((), ())
 
     @_once
     def thevenin(self) -> TheveninEquivalent:
         """The fault node's own column there (impedances), the base part there (voltages)."""
-        node, builds = self.net.fault_node, self.builds
-        return TheveninEquivalent(
-            *(builds[seq][node][node] for seq in (1, 2, 0)),
-            *(_voltage(builds[seq], node, self._weighted(seq, True, False)) for seq in (1, 2, 0)),
-        )
+        node, port, b = self.net.fault_node, self.port, self.builds
+        z1, z2, z0 = b[1][node][node], b[2][node][node], b[0][node][node]
+        e_f, e_f2 = 0j + 1.0 * b[1][None][node], 0j + 1.0 * b[2][None][node]
+        if port:
+            e_f += self.i1 * b[1][port][node]
+            e_f2 += self.i2 * b[2][port][node]
+        return TheveninEquivalent(z1, z2, z0, e_f, e_f2, 0j + 1.0 * b[0][None][node])
 
     @_once
     def i_fault(self) -> SequenceTriple:
@@ -881,15 +893,23 @@ class FaultSolution:
 
     @_once
     def base(self) -> SequenceSolution:
-        return self._part(True, False)
+        (p1, p2), b = self._port_terms(), self.builds
+        v1, v2 = _superpose(b[1], True, *p1), _superpose(b[2], True, *p2)
+        return SequenceSolution({1: v1, 2: v2, 0: _superpose(b[0], True)}, self.net)
 
     @_once
     def pure(self) -> SequenceSolution:
-        return self._part(False, True)
+        (f1, f2, f0), node, b = self.i_fault, self.net.fault_node, self.builds
+        v1, v2 = _superpose(b[1], False, (node, -f1)), _superpose(b[2], False, (node, -f2))
+        return SequenceSolution({1: v1, 2: v2, 0: _superpose(b[0], False, (node, -f0))}, self.net)
 
     @_once
     def total(self) -> SequenceSolution:
-        return self._part(True, True)
+        (f1, f2, f0), node, b = self.i_fault, self.net.fault_node, self.builds
+        p1, p2 = self._port_terms()
+        v1 = _superpose(b[1], True, (node, -f1), *p1)
+        v2 = _superpose(b[2], True, (node, -f2), *p2)
+        return SequenceSolution({1: v1, 2: v2, 0: _superpose(b[0], True, (node, -f0))}, self.net)
 
     @_once
     def terminal_port(self) -> TerminalPort:

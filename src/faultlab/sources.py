@@ -312,16 +312,10 @@ def _dispatch(
             f"{s_ref:.6g} pu within tol={tol:g} (|v_oc| = {abs(v_oc):.3e} pu at the source node)"
         )
     e = v + z * i
+    healthy = {1: network._superpose(build, True, (node, i)), 2: {}, 0: {}}
+    # in field order: e_mag, theta_deg, v_attach, i_attach, p, q, healthy
     return OperatingPoint(
-        e_mag=abs(e),
-        theta_deg=math.degrees(cmath.phase(e)),
-        v_attach=v,
-        i_attach=i,
-        p=s.real,
-        q=s.imag,
-        healthy=SequenceSolution(
-            {1: network._superpose(build, [(None, 1.0), (node, i)]), 2: {}, 0: {}}, net
-        ),
+        abs(e), math.degrees(cmath.phase(e)), v, i, s.real, s.imag, SequenceSolution(healthy, net)
     )
 
 
@@ -369,17 +363,14 @@ def solve_sg_fault(
     faulted = network._shared(net, what, _with_source, net, sg, e1)
     element = faulted.elements[-1]
     fault = solve_fault(faulted, spec)
-    i_t = fault.total.series_current(SOURCE_EID)
+    total = fault.total
+    i_t = total.series_current(SOURCE_EID)
+    z_source = (element.z1, element.z2, element.z0)
+    # in field order: v_t, i_t, z_source, limiter_active, iterations, residual,
+    # fault, frozen, i_max_phase
     return SourceSolution(
-        v_t=fault.total.voltage(net.source_node),
-        i_t=i_t,
-        z_source=(element.z1, element.z2, element.z0),
-        limiter_active=False,
-        iterations=1,
-        residual=0.0,
-        fault=fault,
-        frozen=element,
-        i_max_phase=inverse_fortescue(i_t).max_abs(),
+        total.voltage(net.source_node), i_t, z_source, False, 1, 0.0, fault, element,
+        inverse_fortescue(i_t).max_abs(),
     )
 
 
@@ -722,25 +713,14 @@ def _converged(
             active = abs(z_v1 - complex(cfg.r_vn, cfg.x_vn)) > 10.0 * tol
         else:
             active = abs(z_v1) > 0.0
+    # open in the zero sequence: bus 1 sees only the transformer leg there
+    z_source = (None if z_v1 is None else z_v1 + x_net, None if z_v2 is None else z_v2 + x_net, 0j)
+    # in field order: v_t, i_t, z_source, limiter_active, iterations, residual,
+    # fault, frozen, i_max_phase, z_v1, z_v2, sigma1, sigma2
     return SourceSolution(
-        v_t=SequenceTriple(pos=v1, neg=v2, zero=0j),
-        i_t=SequenceTriple(pos=i1, neg=i2, zero=0j),
-        # open in the zero sequence: bus 1 sees only the transformer leg there
-        z_source=(
-            None if z_v1 is None else z_v1 + x_net,
-            None if z_v2 is None else z_v2 + x_net,
-            0j,
-        ),
-        limiter_active=active,
-        iterations=it,
-        residual=res,
-        fault=fault.at(i1, i2),
-        frozen=InjectionElement("frozen_clc", fault.port, i1, i2),
-        i_max_phase=i_peak,
-        z_v1=z_v1,
-        z_v2=z_v2,
-        sigma1=sigma1,
-        sigma2=sigma2,
+        SequenceTriple(v1, v2, 0j), SequenceTriple(i1, i2, 0j), z_source, active, it, res,
+        fault.at(i1, i2), InjectionElement("frozen_clc", fault.port, i1, i2), i_peak,
+        z_v1, z_v2, sigma1, sigma2,
     )
 
 

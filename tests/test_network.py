@@ -516,6 +516,31 @@ def test_a_pinned_node_has_a_zero_column() -> None:
         assert build["b"]["b"] != 0
 
 
+@pytest.mark.parametrize(("kind", "placement", "m"), FAULT_SHAPES)
+def test_every_build_holds_its_columns_in_its_one_key_order(
+    kind: str, placement: str, m: float
+) -> None:
+    """A build keeps its node keys once, as `nodes`. Every column, the base
+    column and each pinned node's zero column among them, has those keys
+    in that order as a dict, and holds the same values in that order as a
+    tuple; `start` is the base column's first term of a sum, 0j + 1.0 * v."""
+    net, _ = _fault_network(kind, placement, m)
+    pinned = _ideal_source_network(complex(1.0, -0.0), 0.1j)
+    injected = InjectionElement("inj", net.source_node, 0.9 + 0.1j, 0.3j)
+    nets = [net, pinned, net.with_elements(injected)]
+    for seq in SEQUENCES:
+        for build in [network._solve_one_sequence(each, seq) for each in nets]:
+            assert list(build.columns) == list(build)
+            assert build.nodes == tuple(build[None])
+            for node, column in build.items():
+                assert tuple(column) == build.nodes, (seq, node)
+                assert all(map(complex.__eq__, column.values(), build.columns[node]))
+                assert repr(tuple(column.values())) == repr(build.columns[node]), (seq, node)
+            start = tuple(0j + 1.0 * value for value in build[None].values())
+            assert repr(build.start) == repr(start), seq
+    assert network._solve_one_sequence(pinned, 1).nodes == (GROUND, "a", "b")
+
+
 def test_negative_sequence_injection_takes_the_full_build(monkeypatch) -> None:
     scenario = build_scenario({"source.kind": "gfm", "fault.m": 0.4})
     inj = InjectionElement("inj", "poc", i1=from_polar(0.9, -10.0), i2=from_polar(0.3, 70.0))
